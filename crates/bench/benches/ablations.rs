@@ -13,7 +13,7 @@
 use amos_bench::InventoryWorld;
 use amos_core::differ::DiffScope;
 use amos_core::network::PropagationNetwork;
-use amos_core::propagate::{propagate, CheckLevel};
+use amos_core::propagate::{propagate_with, CheckLevel, ExecStrategy};
 use amos_core::MonitorMode;
 use amos_db::engine::NetworkPrep;
 use amos_db::Value;
@@ -45,7 +45,7 @@ fn bench_check_levels(c: &mut Criterion) {
         ("nervous", CheckLevel::Nervous),
         ("strict", CheckLevel::Strict),
     ] {
-        // Drive propagate() directly so the check level is the only
+        // Drive propagate_with() directly so the check level is the only
         // variable; the workload drops one item below threshold so the
         // checks actually run on candidates.
         let mut world = InventoryWorld::new(N_ITEMS, MonitorMode::Incremental, NetworkPrep::Flat);
@@ -63,7 +63,15 @@ fn bench_check_levels(c: &mut Criterion) {
             .set_functional(rel, &[item], &[Value::Int(50)])
             .unwrap();
         group.bench_function(BenchmarkId::new(label, N_ITEMS), |b| {
-            b.iter(|| propagate(&net, &catalog, world.db.storage(), level));
+            b.iter(|| {
+                propagate_with(
+                    &net,
+                    &catalog,
+                    world.db.storage(),
+                    level,
+                    ExecStrategy::default(),
+                )
+            });
         });
     }
     group.finish();

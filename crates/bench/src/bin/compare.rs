@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! compare --baseline crates/bench/baselines/BENCH_fig6.json \
-//!         --fresh BENCH_fig6.json [--tolerance 0.5] [--scaling-floor 1.5] \
+//!         --fresh BENCH_fig6.json [--tolerance 0.5] \
 //!         [--pipeline-floor 1.2] [--hybrid-epsilon 0.5]
 //! ```
 //!
@@ -15,19 +15,13 @@
 //! (relative) before the gate trips; absolute milliseconds are never
 //! compared, so runner speed doesn't matter.
 //!
-//! When both reports carry a `"scaling"` sweep (fig7 `--workers`), the
-//! sweep is gated too: counters must agree across every worker count,
-//! per-worker-count speedups must not collapse below the baseline, and
-//! `--scaling-floor F` additionally demands an absolute speedup of F at
-//! ≥4 workers — but speedup gates only bind on runners with enough
-//! hardware threads (`hw_threads >= workers` in the fresh row).
-//!
 //! Server-bench `pipeline=on` rows carry the wire-pipelining ablation
 //! (`unpipelined_ms / pipelined_ms`); `--pipeline-floor F` demands that
-//! speedup reach F at ≥4 sessions, again hardware-conditionally
-//! (`hw_threads >= sessions`). `--hybrid-epsilon E` demands hybrid rows
-//! satisfy `hybrid_ms <= (1+E) × min(incremental_ms, naive_ms)` — an
-//! absolute check on the fresh report alone.
+//! speedup reach F at ≥4 sessions — but only on runners with enough
+//! hardware threads (`hw_threads >= sessions` in the fresh row).
+//! `--hybrid-epsilon E` demands hybrid rows satisfy
+//! `hybrid_ms <= (1+E) × min(incremental_ms, naive_ms)` — an absolute
+//! check on the fresh report alone.
 
 use amos_bench::report::{compare_reports_gated, GateOptions};
 use amos_metrics::json::JsonValue;
@@ -54,9 +48,6 @@ fn parse_args() -> Result<Args, String> {
             "--baseline" => baseline = Some(grab("--baseline")?),
             "--fresh" => fresh = Some(grab("--fresh")?),
             "--tolerance" => gates.tolerance = parse("--tolerance", grab("--tolerance")?)?,
-            "--scaling-floor" => {
-                gates.scaling_floor = Some(parse("--scaling-floor", grab("--scaling-floor")?)?)
-            }
             "--pipeline-floor" => {
                 gates.pipeline_floor = Some(parse("--pipeline-floor", grab("--pipeline-floor")?)?)
             }

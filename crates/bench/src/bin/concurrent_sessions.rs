@@ -28,7 +28,7 @@
 //!   windows of 16 against the full pipeline stack, `unpipelined_ms`
 //!   waits for `READY` after every line against the all-off stack. The
 //!   `pipeline_speedup` ratio is what the `--pipeline-floor` CI gate
-//!   watches (hardware-conditionally, like the fig. 7 scaling gate).
+//!   watches (only on runners with `hw_threads >= sessions`).
 //!
 //! ```text
 //! cargo run --release -p amos-bench --bin concurrent_sessions -- \

@@ -13,36 +13,18 @@
 //!   --json PATH     write a BENCH_fig7.json report with per-size
 //!                   timings and last-pass propagation metrics
 //!   --sizes A,B,C   override the database sizes to sweep
-//!   --workers A,B,C additionally sweep sharded propagation at these
-//!                   worker counts on the largest size, emitting a
-//!                   "scaling" section (speedup vs workers=1)
 
-use amos_bench::report::{BenchArgs, ScalingRow, SizeRow};
+use amos_bench::report::{BenchArgs, SizeRow};
 use amos_bench::{time_secs, InventoryWorld};
 use amos_core::MonitorMode;
 use amos_db::engine::NetworkPrep;
-use amos_db::ExecStrategy;
 use amos_metrics::PassMetrics;
 
 const DEFAULT_SIZES: &[usize] = &[10, 100, 1_000, 10_000];
 
 fn run(n_items: usize, mode: MonitorMode, tabling: bool) -> (f64, Option<PassMetrics>) {
-    run_sharded(n_items, mode, tabling, None)
-}
-
-fn run_sharded(
-    n_items: usize,
-    mode: MonitorMode,
-    tabling: bool,
-    workers: Option<usize>,
-) -> (f64, Option<PassMetrics>) {
     let mut world = InventoryWorld::new(n_items, mode, NetworkPrep::Flat);
     world.db.set_tabling(tabling);
-    if let Some(workers) = workers {
-        world
-            .db
-            .set_propagation_strategy(ExecStrategy::Sharded { workers });
-    }
     // Warm-up round.
     world.tx_massive_update(0);
     let secs = time_secs(|| {
@@ -87,42 +69,13 @@ fn main() {
     println!();
     println!("# Paper shape: incremental/naive ≈ constant (paper: ≈1.6) over db size.");
 
-    let mut scaling: Vec<ScalingRow> = Vec::new();
-    if !args.workers.is_empty() {
-        let n = *sizes.iter().max().expect("at least one size");
-        let hw_threads = std::thread::available_parallelism().map_or(1, usize::from);
-        println!();
-        println!("# Sharded scaling sweep at n={n} ({hw_threads} hardware thread(s))");
-        println!(
-            "{:>8} {:>16} {:>14}",
-            "workers", "incremental_ms", "speedup_vs_1"
-        );
-        let mut base_ms = None;
-        for &w in &args.workers {
-            let (secs, last_pass) =
-                run_sharded(n, MonitorMode::Incremental, !args.no_tabling, Some(w));
-            let ms = secs * 1e3;
-            let base = *base_ms.get_or_insert(ms);
-            let speedup = base / ms.max(f64::MIN_POSITIVE);
-            println!("{:>8} {:>16.2} {:>14.2}", w, ms, speedup);
-            scaling.push(ScalingRow {
-                workers: w,
-                hw_threads,
-                incremental_ms: ms,
-                speedup_vs_1: speedup,
-                last_pass,
-            });
-        }
-    }
-
     if let Some(path) = &args.json {
-        amos_bench::report::write_report_scaled(
+        amos_bench::report::write_report(
             path,
             "fig7",
             "1 transaction with n changes to 3 partial differentials (paper fig. 7)",
             1,
             &rows,
-            &scaling,
         )
         .expect("write JSON report");
         println!("# wrote {}", path.display());

@@ -35,9 +35,6 @@ pub struct BenchArgs {
     /// `--no-tabling`: disable per-pass tabling of derived calls (the
     /// ablation switch; tabling is on by default).
     pub no_tabling: bool,
-    /// `--workers 1,2,4,8`: sweep sharded propagation at these worker
-    /// counts on the largest size (fig. 7 only; empty = no sweep).
-    pub workers: Vec<usize>,
 }
 
 impl BenchArgs {
@@ -73,19 +70,9 @@ impl BenchArgs {
                     )
                 }
                 "--no-tabling" => out.no_tabling = true,
-                "--workers" => {
-                    out.workers = value("--workers")
-                        .split(',')
-                        .map(|s| {
-                            s.trim()
-                                .parse()
-                                .unwrap_or_else(|_| panic!("bad worker count {s:?}"))
-                        })
-                        .collect()
-                }
                 other => panic!(
                     "unknown flag {other:?} (expected --json PATH, --sizes A,B,C, \
-                     --transactions N, --no-tabling, --workers A,B,C)"
+                     --transactions N, --no-tabling)"
                 ),
             }
         }
@@ -120,40 +107,6 @@ impl SizeRow {
     }
 }
 
-/// One worker count measured in a `--workers` scaling sweep (sharded
-/// propagation on the largest database size).
-#[derive(Debug)]
-pub struct ScalingRow {
-    /// Worker / shard count of this run.
-    pub workers: usize,
-    /// Hardware threads available on the machine that produced the row
-    /// — scaling gates only apply when `hw_threads >= workers`, so a
-    /// report from a 1-core CI runner never fails a 4-worker floor.
-    pub hw_threads: usize,
-    /// Total time of the incremental bulk transaction, milliseconds.
-    pub incremental_ms: f64,
-    /// `incremental_ms(workers=1) / incremental_ms(self)` from the same
-    /// sweep; 1.0 for the workers=1 row by construction.
-    pub speedup_vs_1: f64,
-    /// Metrics of the last sharded propagation pass at this count.
-    pub last_pass: Option<PassMetrics>,
-}
-
-impl ScalingRow {
-    fn to_json(&self) -> JsonValue {
-        let mut row = JsonValue::object()
-            .with("workers", self.workers)
-            .with("hw_threads", self.hw_threads)
-            .with("incremental_ms", self.incremental_ms)
-            .with("speedup_vs_1", self.speedup_vs_1);
-        row = match &self.last_pass {
-            Some(m) => row.with("last_pass", m.to_json()),
-            None => row.with("last_pass", JsonValue::Null),
-        };
-        row
-    }
-}
-
 /// Assemble the report document for one figure sweep.
 pub fn report_json(
     bench: &str,
@@ -161,34 +114,14 @@ pub fn report_json(
     transactions: usize,
     rows: &[SizeRow],
 ) -> JsonValue {
-    report_json_scaled(bench, description, transactions, rows, &[])
-}
-
-/// [`report_json`] plus a `"scaling"` section from a `--workers` sweep
-/// (omitted entirely when `scaling` is empty, keeping reports without a
-/// sweep byte-identical to the pre-scaling shape).
-pub fn report_json_scaled(
-    bench: &str,
-    description: &str,
-    transactions: usize,
-    rows: &[SizeRow],
-    scaling: &[ScalingRow],
-) -> JsonValue {
-    let mut doc = JsonValue::object()
+    JsonValue::object()
         .with("bench", bench)
         .with("description", description)
         .with("transactions", transactions)
         .with(
             "results",
             JsonValue::Array(rows.iter().map(SizeRow::to_json).collect()),
-        );
-    if !scaling.is_empty() {
-        doc = doc.with(
-            "scaling",
-            JsonValue::Array(scaling.iter().map(ScalingRow::to_json).collect()),
-        );
-    }
-    doc
+        )
 }
 
 /// Write the report to `path` (pretty-printed, trailing newline).
@@ -199,19 +132,7 @@ pub fn write_report(
     transactions: usize,
     rows: &[SizeRow],
 ) -> std::io::Result<()> {
-    write_report_scaled(path, bench, description, transactions, rows, &[])
-}
-
-/// [`write_report`] with an optional `"scaling"` section.
-pub fn write_report_scaled(
-    path: &PathBuf,
-    bench: &str,
-    description: &str,
-    transactions: usize,
-    rows: &[SizeRow],
-    scaling: &[ScalingRow],
-) -> std::io::Result<()> {
-    let doc = report_json_scaled(bench, description, transactions, rows, scaling);
+    let doc = report_json(bench, description, transactions, rows);
     let mut file = std::fs::File::create(path)?;
     writeln!(file, "{}", doc.to_pretty())?;
     Ok(())
@@ -291,12 +212,9 @@ const ROW_EXACT_COUNTERS: [&str; 5] = [
 /// each applies only to reports that carry the relevant fields.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct GateOptions {
-    /// Allowed *relative* drop in a row's speed ratio (and scaling /
-    /// pipeline speedups) below the baseline's.
+    /// Allowed *relative* drop in a row's speed ratio (and pipeline
+    /// speedup) below the baseline's.
     pub tolerance: f64,
-    /// `--scaling-floor`: absolute `speedup_vs_1` required of scaling
-    /// rows at ≥ 4 workers (hardware-conditional).
-    pub scaling_floor: Option<f64>,
     /// `--pipeline-floor`: absolute `unpipelined_ms / pipelined_ms`
     /// speedup required of server-bench `pipeline=on` rows at ≥ 4
     /// sessions (hardware-conditional: only when the fresh runner has
@@ -316,39 +234,17 @@ pub fn compare_reports(
     fresh: &JsonValue,
     tolerance: f64,
 ) -> Result<Vec<String>, String> {
-    compare_reports_scaled(baseline, fresh, tolerance, None)
-}
-
-/// [`compare_reports`] plus the `"scaling"` gate. On top of the
-/// per-size checks, the `--workers` sweep (when both reports carry one)
-/// is held to three rules: (a) the deterministic counters must agree
-/// across *every* worker count in the fresh sweep — the shard count is
-/// execution policy, so any drift is a semantic bug; (b) each row's
-/// `speedup_vs_1` may sag at most `tolerance` below the baseline's; and
-/// (c) with `scaling_floor = Some(f)`, rows at ≥4 workers must reach an
-/// absolute speedup of `f`. Speedup gates (b) and (c) only apply to
-/// rows whose *fresh* `hw_threads >= workers`: a 1-core CI runner
-/// cannot demonstrate parallel scaling and is not asked to. A fresh
-/// report without a `"scaling"` section skips the gate entirely (the
-/// run was made without `--workers`).
-pub fn compare_reports_scaled(
-    baseline: &JsonValue,
-    fresh: &JsonValue,
-    tolerance: f64,
-    scaling_floor: Option<f64>,
-) -> Result<Vec<String>, String> {
     compare_reports_gated(
         baseline,
         fresh,
         &GateOptions {
             tolerance,
-            scaling_floor,
             ..GateOptions::default()
         },
     )
 }
 
-/// [`compare_reports_scaled`] with the full gate set ([`GateOptions`]):
+/// [`compare_reports`] with the full gate set ([`GateOptions`]):
 /// on top of the exact-counter and ratio checks, server-bench
 /// `pipeline=on` rows are held to a pipelined-vs-unpipelined speedup
 /// (relative to the baseline, plus the optional absolute
@@ -361,7 +257,6 @@ pub fn compare_reports_gated(
     gates: &GateOptions,
 ) -> Result<Vec<String>, String> {
     let tolerance = gates.tolerance;
-    let scaling_floor = gates.scaling_floor;
     let name = |doc: &JsonValue| {
         doc.get("bench")
             .and_then(JsonValue::as_str)
@@ -433,7 +328,7 @@ pub fn compare_reports_gated(
         // ≥ 4 sessions. Both only when the fresh runner has the
         // hardware threads to actually overlap the sessions — a 1-core
         // runner cannot demonstrate commit coalescing and is not asked
-        // to (same policy as the fig. 7 scaling gate).
+        // to.
         let speedup_of = |row: &JsonValue| {
             let un = row.get("unpipelined_ms").and_then(JsonValue::as_f64)?;
             let pi = row.get("pipelined_ms").and_then(JsonValue::as_f64)?;
@@ -487,94 +382,7 @@ pub fn compare_reports_gated(
         }
     }
 
-    let scaling = |doc: &JsonValue| {
-        doc.get("scaling")
-            .and_then(JsonValue::as_array)
-            .map(<[JsonValue]>::to_vec)
-    };
-    if let (Some(base_sc), Some(fresh_sc)) = (scaling(baseline), scaling(fresh)) {
-        compare_scaling(
-            &bname,
-            &base_sc,
-            &fresh_sc,
-            tolerance,
-            scaling_floor,
-            &mut regressions,
-        );
-    }
     Ok(regressions)
-}
-
-/// The `"scaling"` half of [`compare_reports_scaled`].
-fn compare_scaling(
-    bench: &str,
-    base_sc: &[JsonValue],
-    fresh_sc: &[JsonValue],
-    tolerance: f64,
-    scaling_floor: Option<f64>,
-    regressions: &mut Vec<String>,
-) {
-    let num = |row: &JsonValue, key: &str| row.get(key).and_then(JsonValue::as_f64);
-    let workers_of = |row: &JsonValue| num(row, "workers").unwrap_or(0.0) as usize;
-
-    // (a) Worker count must be invisible to the result: every fresh
-    // sweep row carries the same deterministic counters.
-    if let Some(first) = fresh_sc.first() {
-        for frow in &fresh_sc[1..] {
-            for counter in EXACT_COUNTERS {
-                let a = first.get("last_pass").and_then(|p| p.get(counter));
-                let b = frow.get("last_pass").and_then(|p| p.get(counter));
-                let (a, b) = (a.and_then(JsonValue::as_f64), b.and_then(JsonValue::as_f64));
-                if let (Some(a), Some(b)) = (a, b) {
-                    if a != b {
-                        regressions.push(format!(
-                            "{bench}[scaling]: {counter} differs across worker counts \
-                             ({a} at workers={}, {b} at workers={}) — sharding changed \
-                             the result",
-                            workers_of(first),
-                            workers_of(frow),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    for brow in base_sc {
-        let w = workers_of(brow);
-        let key = format!("workers={w}");
-        let Some(frow) = fresh_sc.iter().find(|r| workers_of(r) == w) else {
-            regressions.push(format!(
-                "{bench}[scaling {key}]: row missing from fresh report"
-            ));
-            continue;
-        };
-        let hw = num(frow, "hw_threads").unwrap_or(0.0) as usize;
-        if hw < w {
-            // The runner can't physically exhibit w-way scaling.
-            continue;
-        }
-        let (bspeed, fspeed) = (num(brow, "speedup_vs_1"), num(frow, "speedup_vs_1"));
-        if let (Some(bspeed), Some(fspeed)) = (bspeed, fspeed) {
-            // (b) Relative: don't collapse below the baseline's speedup.
-            let floor = bspeed * (1.0 - tolerance);
-            if fspeed < floor {
-                regressions.push(format!(
-                    "{bench}[scaling {key}]: speedup fell to {fspeed:.2} \
-                     (baseline {bspeed:.2}, floor {floor:.2})"
-                ));
-            }
-            // (c) Absolute: bulk scaling must clear the stated floor.
-            if let Some(abs_floor) = scaling_floor {
-                if w >= 4 && fspeed < abs_floor {
-                    regressions.push(format!(
-                        "{bench}[scaling {key}]: speedup {fspeed:.2} below the \
-                         absolute floor {abs_floor:.2}"
-                    ));
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -647,106 +455,6 @@ mod tests {
         let empty = JsonValue::parse(r#"{"bench":"fig6","results":[]}"#).unwrap();
         let found = compare_reports(&base, &empty, 0.5).unwrap();
         assert!(found[0].contains("row missing"), "{found:?}");
-    }
-
-    fn scaling_report(rows: &[(usize, usize, f64, u64)]) -> JsonValue {
-        // (workers, hw_threads, speedup, candidates)
-        let rows: Vec<String> = rows
-            .iter()
-            .map(|(w, hw, s, c)| {
-                format!(
-                    r#"{{"workers":{w},"hw_threads":{hw},"incremental_ms":10.0,
-                        "speedup_vs_1":{s},
-                        "last_pass":{{"fired":2,"candidates":{c},"rejected":0}}}}"#
-                )
-            })
-            .collect();
-        JsonValue::parse(&format!(
-            r#"{{"bench":"fig7","results":[],"scaling":[{}]}}"#,
-            rows.join(",")
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn scaling_section_appears_only_when_swept() {
-        let plain = report_json("fig7", "d", 1, &[]).to_compact();
-        assert!(!plain.contains("scaling"));
-        let swept = report_json_scaled(
-            "fig7",
-            "d",
-            1,
-            &[],
-            &[ScalingRow {
-                workers: 4,
-                hw_threads: 8,
-                incremental_ms: 2.5,
-                speedup_vs_1: 3.1,
-                last_pass: None,
-            }],
-        )
-        .to_compact();
-        assert!(swept.contains(r#""scaling":[{"workers":4,"hw_threads":8"#));
-        assert!(swept.contains(r#""speedup_vs_1":3.1"#));
-    }
-
-    #[test]
-    fn compare_scaling_flags_counter_drift_across_worker_counts() {
-        let base = scaling_report(&[(1, 8, 1.0, 5), (4, 8, 2.0, 5)]);
-        // Fresh run computed a different candidate count at 4 workers.
-        let broken = scaling_report(&[(1, 8, 1.0, 5), (4, 8, 2.0, 6)]);
-        let found = compare_reports(&base, &broken, 0.5).unwrap();
-        assert!(
-            found
-                .iter()
-                .any(|r| r.contains("differs across worker counts")),
-            "{found:?}"
-        );
-    }
-
-    #[test]
-    fn compare_scaling_enforces_relative_and_absolute_floors() {
-        let base = scaling_report(&[(1, 8, 1.0, 5), (4, 8, 3.0, 5)]);
-        // Speedup collapsed 3.0 -> 1.1: below 3.0 * (1 - 0.5).
-        let collapsed = scaling_report(&[(1, 8, 1.0, 5), (4, 8, 1.1, 5)]);
-        let found = compare_reports(&base, &collapsed, 0.5).unwrap();
-        assert!(
-            found.iter().any(|r| r.contains("speedup fell")),
-            "{found:?}"
-        );
-
-        // Within tolerance relatively, but under the absolute floor.
-        let shallow = scaling_report(&[(1, 8, 1.0, 5), (4, 8, 1.6, 5)]);
-        assert!(compare_reports(&base, &shallow, 0.5).unwrap().is_empty());
-        let found = compare_reports_scaled(&base, &shallow, 0.5, Some(2.0)).unwrap();
-        assert!(
-            found.iter().any(|r| r.contains("absolute floor")),
-            "{found:?}"
-        );
-        // The absolute floor only watches rows at >= 4 workers.
-        let ok = scaling_report(&[(1, 8, 1.0, 5), (2, 8, 1.2, 5), (4, 8, 2.4, 5)]);
-        let base2 = scaling_report(&[(1, 8, 1.0, 5), (2, 8, 1.3, 5), (4, 8, 2.5, 5)]);
-        assert!(compare_reports_scaled(&base2, &ok, 0.5, Some(2.0))
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn compare_scaling_skips_underprovisioned_runners_and_missing_sections() {
-        let base = scaling_report(&[(1, 8, 1.0, 5), (4, 8, 3.0, 5)]);
-        // A 1-core runner can't scale; speedup 0.9 at 4 workers is fine.
-        let one_core = scaling_report(&[(1, 1, 1.0, 5), (4, 1, 0.9, 5)]);
-        assert!(compare_reports_scaled(&base, &one_core, 0.5, Some(1.5))
-            .unwrap()
-            .is_empty());
-        // Fresh report without a sweep (run made sans --workers): gate
-        // skipped, not failed.
-        let no_sweep = JsonValue::parse(r#"{"bench":"fig7","results":[]}"#).unwrap();
-        assert!(compare_reports(&base, &no_sweep, 0.5).unwrap().is_empty());
-        // But a missing worker-count row when both sweeps exist fails.
-        let missing_row = scaling_report(&[(1, 8, 1.0, 5)]);
-        let found = compare_reports(&base, &missing_row, 0.5).unwrap();
-        assert!(found.iter().any(|r| r.contains("row missing")), "{found:?}");
     }
 
     #[test]

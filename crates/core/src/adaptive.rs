@@ -21,13 +21,6 @@
 //! merge order) are untouched — plans are resolved *deterministically,
 //! in serial task order* before any task runs. The adaptive≡static
 //! proptests pin this.
-//!
-//! Sharded execution (`ExecStrategy::Sharded`) changes nothing here:
-//! plans are resolved against the **full unsharded wave** before a
-//! level is partitioned into worker shards, so fingerprints see the
-//! summed per-shard Δ cardinalities and each replan/cache-hit decision
-//! happens exactly once per level — a sharded pass replans exactly
-//! like a serial one (`adaptive_sharded_replans_like_serial`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};

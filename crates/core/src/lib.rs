@@ -53,7 +53,6 @@ pub mod naive;
 pub mod network;
 pub mod propagate;
 pub mod rules;
-pub mod shard;
 pub mod verify;
 
 pub use adaptive::{AdaptivePlanner, LiveStats, StaticBounds, StatsFingerprint};
@@ -66,10 +65,9 @@ pub use maintained::{ClosureView, MaintainedAggregate, SourceDeltas, UserView};
 pub use naive::NaiveMonitor;
 pub use network::{NetworkStyle, NodeId, PropagationNetwork};
 pub use propagate::{
-    propagate, propagate_adaptive, propagate_with, recompute_delta, CheckLevel, ExecStrategy,
+    propagate_adaptive, propagate_with, recompute_delta, CheckLevel, ExecStrategy,
     PropagationResult,
 };
 pub use rules::{
     ActionCtx, ActionFn, MonitorMode, MonitorStats, Rule, RuleId, RuleManager, RuleSemantics,
 };
-pub use shard::{LevelExchange, ShardKey};

@@ -26,7 +26,6 @@ use amos_objectlog::plan::{compile_clause, ensure_plan_indexes};
 
 use crate::differ::{generate_differentials, DiffId, DiffScope, Differential};
 use crate::error::CoreError;
-use crate::shard::ShardKey;
 
 /// Identifier of a node within the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,9 +65,6 @@ pub struct PropagationNetwork {
     nodes: Vec<Node>,
     by_pred: HashMap<PredId, NodeId>,
     differentials: Vec<Differential>,
-    /// Shard-routing key per differential, parallel to `differentials`
-    /// (how sharded execution partitions the differential's seed Δ-set).
-    shard_keys: Vec<ShardKey>,
     /// Node ids grouped by level, ascending.
     levels: Vec<Vec<NodeId>>,
     /// The condition predicates, in registration order.
@@ -206,7 +202,6 @@ impl PropagationNetwork {
                 let did = DiffId(net.differentials.len() as u32);
                 let influent_node = net.by_pred[&d.influent];
                 net.nodes[influent_node.0 as usize].out_diffs.push(did);
-                net.shard_keys.push(ShardKey::for_differential(&d));
                 net.differentials.push(d);
             }
         }
@@ -231,12 +226,6 @@ impl PropagationNetwork {
     /// A differential by id.
     pub fn differential(&self, id: DiffId) -> &Differential {
         &self.differentials[id.0 as usize]
-    }
-
-    /// The shard-routing key of a differential: the Δ-literal's
-    /// bound/join columns, or [`ShardKey::Broadcast`] when it has none.
-    pub fn shard_key(&self, id: DiffId) -> &ShardKey {
-        &self.shard_keys[id.0 as usize]
     }
 
     /// Node ids per level, ascending (level 0 = stored predicates).
@@ -272,7 +261,6 @@ impl PropagationNetwork {
     pub fn testing_remove_differential(&mut self, id: DiffId) {
         let idx = id.0 as usize;
         self.differentials.remove(idx);
-        self.shard_keys.remove(idx);
         for node in &mut self.nodes {
             node.out_diffs.retain(|d| *d != id);
             for d in &mut node.out_diffs {
@@ -288,12 +276,10 @@ impl PropagationNetwork {
     #[doc(hidden)]
     pub fn testing_duplicate_differential(&mut self, id: DiffId) {
         let d = self.differentials[id.0 as usize].clone();
-        let key = self.shard_keys[id.0 as usize].clone();
         let dup = DiffId(self.differentials.len() as u32);
         let influent_node = self.by_pred[&d.influent];
         self.nodes[influent_node.0 as usize].out_diffs.push(dup);
         self.differentials.push(d);
-        self.shard_keys.push(key);
     }
 
     /// Overwrite a node's breadth-first level. Testing hook.
@@ -301,12 +287,6 @@ impl PropagationNetwork {
     pub fn testing_set_node_level(&mut self, pred: PredId, level: usize) {
         let id = self.by_pred[&pred];
         self.nodes[id.0 as usize].level = level;
-    }
-
-    /// Overwrite a differential's shard key. Testing hook.
-    #[doc(hidden)]
-    pub fn testing_set_shard_key(&mut self, id: DiffId, key: ShardKey) {
-        self.shard_keys[id.0 as usize] = key;
     }
 
     /// The stored predicates at the bottom of the network — the
@@ -330,11 +310,7 @@ impl PropagationNetwork {
                 out.push_str(&format!("L{level}{marker} {}\n", catalog.name(node.pred)));
                 for did in &node.out_diffs {
                     let d = self.differential(*did);
-                    out.push_str(&format!(
-                        "      └─ {} [{}]\n",
-                        d.display_name(catalog),
-                        self.shard_key(*did).describe()
-                    ));
+                    out.push_str(&format!("      └─ {}\n", d.display_name(catalog)));
                 }
             }
         }

@@ -36,6 +36,7 @@ use std::sync::{Arc, Mutex};
 
 use amos_metrics::{DiffTiming, LevelStats, PassMetrics, Stopwatch};
 use amos_objectlog::catalog::{Catalog, PredId};
+use amos_objectlog::clause::Term;
 use amos_objectlog::eval::{DeltaMap, EvalContext, EvalShared};
 use amos_objectlog::plan::Plan;
 use amos_storage::{DeltaSet, Polarity, StateEpoch, Storage};
@@ -46,12 +47,13 @@ use crate::differ::DiffId;
 use crate::error::CoreError;
 use crate::explain::FiredDifferential;
 use crate::network::PropagationNetwork;
-use crate::shard::{LevelExchange, ShardKey};
 
-/// Below this many exchanged seed tuples a sharded level runs its
-/// shards inline (same partition, same combine order, no threads) —
-/// thread spawn would cost more than the work it distributes.
-const SHARD_INLINE_THRESHOLD: usize = 256;
+/// Below this many seed tuples in a level's wave the level runs inline:
+/// spawning threads costs more than the work it would distribute (on a
+/// two-tuple wave, spawn and join were 72 µs of a 97 µs pass). The
+/// benchmark workloads sit far from it on either side: 2, ≈13–74 and
+/// 59 690 tuples per level.
+pub const INLINE_WAVE_THRESHOLD: usize = 256;
 
 /// Which §7.2 checks to apply to candidate changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -84,36 +86,22 @@ impl CheckLevel {
 /// Within a level every differential execution is an independent
 /// read-only query: it reads storage and the *current* level's Δ-sets
 /// and writes only to strictly higher-level nodes — and the §7.2
-/// `accept` checks consult storage alone. The parallel strategy exploits
-/// this by snapshotting the wave immutably, running all (node,
-/// differential) tasks concurrently, and merging their accepted batches
-/// *sequentially in serial execution order* — so the resulting Δ-sets
-/// (and all counters) are identical to [`ExecStrategy::Serial`] under
-/// every [`CheckLevel`].
-///
-/// The sharded strategy goes one step further: instead of fanning out
-/// whole tasks over one shared wave, each level runs as a partitioned
-/// exchange — every task's seed Δ-set is hash-partitioned on the
-/// differential's shard key into `workers` worker-owned slices
-/// ([`crate::shard`]), each worker evaluates every task against its own
-/// slice with no cross-worker locks, and the per-(task, shard) outputs
-/// are recombined in (serial task order, shard order) before the same
-/// deterministic merge. Because the slices partition each seed exactly
-/// and within a task all outputs carry one polarity, the merged Δ-sets,
-/// counters, and fired trace are bit-identical to serial execution.
+/// `accept` checks consult storage alone. So a level whose wave holds
+/// at least [`INLINE_WAVE_THRESHOLD`] tuples across more than one task
+/// snapshots the wave immutably, runs all (node, differential) tasks on
+/// scoped threads, and merges their accepted batches *sequentially in
+/// serial execution order* — the resulting Δ-sets (and all counters) are
+/// identical to inline execution under every [`CheckLevel`]. Smaller
+/// levels always run inline. The choice is made per level from the
+/// wave's size; the strategy only says whether threads are allowed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecStrategy {
-    /// One differential at a time, in network order.
+    /// Never spawn: one differential at a time, in network order. The
+    /// reference the equivalence oracles compare against.
     Serial,
-    /// All differentials of a level concurrently (deterministic merge).
+    /// Large levels on threads (deterministic merge), small ones inline.
     #[default]
     Parallel,
-    /// Each level as a partitioned exchange over `workers` shard-owning
-    /// workers (deterministic re-shard + merge).
-    Sharded {
-        /// Number of shards / worker threads (clamped to at least 1).
-        workers: usize,
-    },
 }
 
 /// A rejected [`ExecStrategy::parse`] input, with the byte span of the
@@ -138,13 +126,12 @@ impl ExecStrategy {
         match self {
             ExecStrategy::Serial => "serial",
             ExecStrategy::Parallel => "parallel",
-            ExecStrategy::Sharded { .. } => "sharded",
         }
     }
 
-    /// Parse a strategy spelling: `serial`, `parallel`, or `sharded:N`
-    /// with `N` in `1..=64`. Errors carry the span of the offending
-    /// input slice so callers can render a pointed diagnostic.
+    /// Parse a strategy spelling: `serial` or `parallel`. Errors carry
+    /// the span of the offending input slice so callers can render a
+    /// pointed diagnostic.
     pub fn parse(input: &str) -> Result<ExecStrategy, StrategyParseError> {
         let (head, arg) = match input.find(':') {
             Some(i) => (&input[..i], Some(&input[i + 1..])),
@@ -158,26 +145,8 @@ impl ExecStrategy {
                 format!("strategy `{head}` takes no `:argument`"),
                 (head.len(), input.len() - head.len()),
             ),
-            ("sharded", None) => err(
-                "strategy `sharded` needs a worker count, e.g. `sharded:4`".to_owned(),
-                (0, input.len()),
-            ),
-            ("sharded", Some(n)) => {
-                let off = head.len() + 1;
-                match n.parse::<usize>() {
-                    Ok(w) if (1..=64).contains(&w) => Ok(ExecStrategy::Sharded { workers: w }),
-                    Ok(w) => err(
-                        format!("worker count {w} out of range 1..=64"),
-                        (off, n.len()),
-                    ),
-                    Err(_) => err(
-                        format!("invalid worker count `{n}` (expected an integer 1..=64)"),
-                        (off, n.len().max(1)),
-                    ),
-                }
-            }
             _ => err(
-                format!("unknown strategy `{head}`; expected serial, parallel, or sharded:N"),
+                format!("unknown strategy `{head}`; expected serial or parallel"),
                 (0, head.len().max(1)),
             ),
         }
@@ -211,38 +180,17 @@ struct TaskOutput {
 }
 
 /// One unit of wave-front work: execute differential `diff` seeded by
-/// the Δ-set of the node at `level`, optionally under an adaptively
+/// its influent node's Δ-set, optionally under an adaptively
 /// re-optimized plan resolved before the batch was launched.
-#[derive(Clone)]
 struct Task {
     diff: DiffId,
-    level: usize,
     plan: Option<Arc<Plan>>,
 }
 
 /// Run one breadth-first bottom-up propagation pass over the network,
 /// reading base-relation Δ-sets from `storage` and returning the
-/// condition-level net changes. Uses the default execution strategy
-/// ([`ExecStrategy::Parallel`]); see [`propagate_with`] to choose.
-pub fn propagate(
-    network: &PropagationNetwork,
-    catalog: &Catalog,
-    storage: &Storage,
-    check: CheckLevel,
-) -> Result<PropagationResult, CoreError> {
-    propagate_with(network, catalog, storage, check, ExecStrategy::default())
-}
-
-/// [`propagate`] with an explicit execution strategy.
-///
-/// Both strategies share one code path: per level, (1) close changed
-/// self-recursive nodes to their fixpoints sequentially, (2) execute
-/// every remaining (changed node, out-differential) task — inline or on
-/// a thread pool — against the immutable level-start wave, and (3) merge
-/// the accepted batches sequentially in network order with `∪Δ`. Because
-/// within-level tasks never read each other's output (differentials
-/// write only to strictly higher levels) and checks consult storage
-/// only, the merged Δ-sets are identical under either strategy.
+/// condition-level net changes: [`propagate_adaptive`] with fresh
+/// evaluator state and each differential's activation-time plan.
 pub fn propagate_with(
     network: &PropagationNetwork,
     catalog: &Catalog,
@@ -250,48 +198,38 @@ pub fn propagate_with(
     check: CheckLevel,
     strategy: ExecStrategy,
 ) -> Result<PropagationResult, CoreError> {
-    propagate_shared(
-        network,
-        catalog,
-        storage,
-        check,
-        strategy,
-        &Arc::new(EvalShared::default()),
-    )
+    let shared = Arc::new(EvalShared::default());
+    propagate_adaptive(network, catalog, storage, check, strategy, &shared, None)
 }
 
-/// [`propagate_with`] against caller-owned shared evaluator state
-/// (plan cache, old-state indexes, derived-call memo table).
+/// The propagation pass in full: per level, (1) close changed
+/// self-recursive nodes to their fixpoints sequentially, (2) execute
+/// every remaining (changed node, out-differential) task — inline, or on
+/// scoped threads when the wave is large — against the immutable
+/// level-start wave, and (3) merge the accepted batches sequentially in
+/// network order with `∪Δ`. Because within-level tasks never read each
+/// other's output (differentials write only to strictly higher levels)
+/// and checks consult storage only, the merged Δ-sets are identical
+/// either way.
 ///
-/// The rule manager passes a long-lived [`EvalShared`] here so plan
-/// compilations survive across passes and tabled derived-call results
-/// are shared by every differential of the pass — the paper's
-/// cross-differential sharing, realized at the evaluator level. The
-/// caller is responsible for calling [`EvalShared::reset_pass`] at pass
-/// boundaries (storage changes invalidate per-pass state).
-pub fn propagate_shared(
-    network: &PropagationNetwork,
-    catalog: &Catalog,
-    storage: &Storage,
-    check: CheckLevel,
-    strategy: ExecStrategy,
-    shared: &Arc<EvalShared>,
-) -> Result<PropagationResult, CoreError> {
-    propagate_adaptive(network, catalog, storage, check, strategy, shared, None)
-}
-
-/// [`propagate_shared`] with wave-front re-optimization: when `planner`
-/// is given, each level's differential plans are resolved against the
-/// *live* statistics (base cardinalities, column NDVs, current Δ-set
-/// sizes) before the batch launches — cached plans are reused until
-/// their statistics fingerprint drifts, at which point the differential
-/// is recompiled under the cardinality-aware cost model.
+/// `shared` is caller-owned evaluator state (plan cache, old-state
+/// indexes, derived-call memo table). The rule manager passes a
+/// long-lived [`EvalShared`] so plan compilations survive across passes
+/// and tabled derived-call results are shared by every differential of
+/// the pass — the paper's cross-differential sharing, realized at the
+/// evaluator level. The caller is responsible for calling
+/// [`EvalShared::reset_pass`] at pass boundaries (storage changes
+/// invalidate per-pass state).
 ///
+/// When `planner` is given, each level's differential plans are resolved
+/// against the *live* statistics (base cardinalities, column NDVs,
+/// current Δ-set sizes) before the batch launches — cached plans are
+/// reused until their statistics fingerprint drifts, at which point the
+/// differential is recompiled under the cardinality-aware cost model.
 /// Plan resolution is sequential and happens in serial task order, so
 /// the plans each task executes — and therefore every Δ-set and counter
-/// — are identical under [`ExecStrategy::Serial`] and
-/// [`ExecStrategy::Parallel`]. With `planner == None` this is exactly
-/// the static path: each differential runs its activation-time plan.
+/// — do not depend on whether the level then runs on threads. With
+/// `planner == None` each differential runs its activation-time plan.
 pub fn propagate_adaptive(
     network: &PropagationNetwork,
     catalog: &Catalog,
@@ -315,13 +253,6 @@ pub fn propagate_adaptive(
     let mut result = PropagationResult::default();
     result.metrics.strategy = strategy.name().to_owned();
     result.metrics.check = check.name().to_owned();
-    let sharded_workers = match strategy {
-        ExecStrategy::Sharded { workers } => Some(workers.max(1)),
-        _ => None,
-    };
-    let mut shard_seed_tuples: Vec<u64> = vec![0; sharded_workers.unwrap_or(0)];
-    let mut shard_candidates: Vec<u64> = vec![0; sharded_workers.unwrap_or(0)];
-    let mut exchange_tuples = 0u64;
 
     // Wave-front Δ-sets, keyed by predicate. Level-0 nodes read straight
     // from storage's accumulated transaction Δ-sets.
@@ -392,77 +323,28 @@ pub fn propagate_adaptive(
                 };
                 tasks.push(Task {
                     diff: *diff_id,
-                    level,
                     plan,
                 });
             }
         }
 
-        // Execute: a partitioned exchange under the sharded strategy,
-        // threads when the parallel strategy and the task count warrant
-        // it, inline otherwise. Either way `wave` is frozen (shared
-        // immutably) for the whole batch.
-        let mut level_shards = 0usize;
-        let mut max_occupancy = 0u64;
-        let mut min_occupancy = 0u64;
-        let (outputs, parallel): (Vec<Result<TaskOutput, CoreError>>, bool) = if let Some(workers) =
-            sharded_workers
-        {
-            // Plan the exchange: each task's seed partitioned on its
-            // shard key against the frozen level-start wave.
-            let routes: Vec<(PredId, Polarity, &ShardKey)> = tasks
-                .iter()
-                .map(|t| {
-                    let d = network.differential(t.diff);
-                    (d.influent, d.seed, network.shard_key(t.diff))
-                })
-                .collect();
-            let exchange = LevelExchange::plan(&routes, &wave, workers);
-            level_shards = workers;
-            max_occupancy = exchange.occupancy().iter().copied().max().unwrap_or(0);
-            min_occupancy = exchange.occupancy().iter().copied().min().unwrap_or(0);
-            for (s, n) in exchange.occupancy().iter().enumerate() {
-                shard_seed_tuples[s] += n;
-            }
-            exchange_tuples += exchange.exchanged();
-            let threaded = workers > 1 && exchange.exchanged() as usize >= SHARD_INLINE_THRESHOLD;
-            let outs = run_tasks_sharded(
-                network,
-                catalog,
-                storage,
-                shared,
-                check,
-                &tasks,
-                &exchange,
-                workers,
-                threaded,
-                &mut shard_candidates,
-            );
-            (outs, threaded)
-        } else {
-            let parallel = strategy == ExecStrategy::Parallel && tasks.len() > 1;
-            // One evaluation context for the whole level, borrowing
-            // the frozen wave; dropped before the merge mutates
-            // `wave`.
+        // Execute on one evaluation context borrowing the frozen wave
+        // (dropped before the merge mutates `wave`): on threads when the
+        // strategy allows it and the level is large enough to pay for
+        // the spawn, inline otherwise.
+        let parallel = strategy == ExecStrategy::Parallel
+            && tasks.len() > 1
+            && wave_tuples >= INLINE_WAVE_THRESHOLD;
+        let outputs: Vec<Result<TaskOutput, CoreError>> = {
             let ctx = EvalContext::with_shared(storage, catalog, &wave, Arc::clone(shared));
-            let outs = if parallel {
+            if parallel {
                 run_tasks_threaded(network, catalog, &ctx, check, &tasks)
             } else {
                 tasks
                     .iter()
-                    .map(|task| {
-                        run_differential(
-                            network,
-                            catalog,
-                            &ctx,
-                            task.diff,
-                            task.plan.as_deref(),
-                            check,
-                        )
-                    })
+                    .map(|task| run_differential(network, catalog, &ctx, task, check))
                     .collect()
-            };
-            (outs, parallel)
+            }
         };
 
         result.metrics.levels.push(LevelStats {
@@ -471,9 +353,6 @@ pub fn propagate_adaptive(
             wave_tuples,
             tasks: tasks.len(),
             parallel,
-            shards: level_shards,
-            max_occupancy,
-            min_occupancy,
         });
 
         // Merge sequentially, in serial execution order: `∪Δ` into the
@@ -487,7 +366,7 @@ pub fn propagate_adaptive(
                 diff: task.diff.0 as usize,
                 differential: diff.display_name(catalog),
                 affected: catalog.name(diff.affected).to_owned(),
-                level: task.level,
+                level,
                 nanos: output.nanos,
                 candidates: output.candidates,
                 accepted: output.accepted.len(),
@@ -552,47 +431,8 @@ pub fn propagate_adaptive(
             .collect();
     }
     result.metrics.pruned_differentials = network.pruned_count() as u64;
-    if let Some(workers) = sharded_workers {
-        result.metrics.workers = workers;
-        result.metrics.exchange_tuples = exchange_tuples;
-        let total: u64 = shard_seed_tuples.iter().sum();
-        result.metrics.skew = if total == 0 {
-            0.0
-        } else {
-            let max = shard_seed_tuples.iter().copied().max().unwrap_or(0) as f64;
-            max / (total as f64 / workers as f64)
-        };
-        result.metrics.shard_seed_tuples = shard_seed_tuples;
-        result.metrics.shard_candidates = shard_candidates;
-    }
     result.metrics.nanos = pass_timer.elapsed_nanos();
     Ok(result)
-}
-
-/// [`propagate_shared`] consulting a deterministic
-/// [`FaultPlan`](amos_storage::fault::FaultPlan) first: if the plan
-/// schedules a failure for this pass, the pass errors out *before*
-/// touching any wave-front state — modelling an evaluator crash at pass
-/// start, the worst point for the surrounding transaction. Test-only
-/// (the `fault-injection` feature).
-#[cfg(feature = "fault-injection")]
-pub fn propagate_shared_faulted(
-    network: &PropagationNetwork,
-    catalog: &Catalog,
-    storage: &Storage,
-    check: CheckLevel,
-    strategy: ExecStrategy,
-    shared: &Arc<EvalShared>,
-    plan: &amos_storage::fault::FaultPlan,
-    planner: Option<&AdaptivePlanner>,
-) -> Result<PropagationResult, CoreError> {
-    if plan.take_propagation_fault() {
-        return Err(CoreError::FaultInjected(format!(
-            "propagation pass (seed {})",
-            plan.seed()
-        )));
-    }
-    propagate_adaptive(network, catalog, storage, check, strategy, shared, planner)
 }
 
 /// Execute one differential against the frozen wave: run its plan, then
@@ -602,28 +442,14 @@ fn run_differential(
     network: &PropagationNetwork,
     catalog: &Catalog,
     ctx: &EvalContext<'_>,
-    diff_id: DiffId,
-    plan_override: Option<&Plan>,
+    task: &Task,
     check: CheckLevel,
 ) -> Result<TaskOutput, CoreError> {
     let timer = Stopwatch::start();
-    let diff = network.differential(diff_id);
-    let plan = plan_override.unwrap_or(&diff.plan);
+    let diff = network.differential(task.diff);
+    let plan = task.plan.as_deref().unwrap_or(&diff.plan);
     let mut produced: Vec<Tuple> = Vec::new();
-    let bindings = vec![None; plan.n_vars as usize];
-    ctx.run_plan(plan, bindings, StateEpoch::New, 0, &mut |b, head| {
-        let vals: Option<Vec<Value>> = head
-            .iter()
-            .map(|t| match t {
-                amos_objectlog::clause::Term::Const(v) => Some(v.clone()),
-                amos_objectlog::clause::Term::Var(v) => b[v.0 as usize].clone(),
-            })
-            .collect();
-        if let Some(vals) = vals {
-            produced.push(Tuple::new(vals));
-        }
-        Ok(())
-    })?;
+    run_plan_heads(ctx, plan, &mut produced)?;
 
     // Candidates feeding a recursive node skip the per-tuple §7.2
     // checks: the fixpoint closure (or the exact recompute fallback on
@@ -647,6 +473,30 @@ fn run_differential(
         accepted,
         nanos: timer.elapsed_nanos(),
     })
+}
+
+/// Run `plan` in the new state and push the head tuple of every
+/// solution whose head variables are all bound.
+fn run_plan_heads(
+    ctx: &EvalContext<'_>,
+    plan: &Plan,
+    produced: &mut Vec<Tuple>,
+) -> Result<(), CoreError> {
+    let bindings = vec![None; plan.n_vars as usize];
+    ctx.run_plan(plan, bindings, StateEpoch::New, 0, &mut |b, head| {
+        let vals: Option<Vec<Value>> = head
+            .iter()
+            .map(|t| match t {
+                Term::Const(v) => Some(v.clone()),
+                Term::Var(v) => b[v.0 as usize].clone(),
+            })
+            .collect();
+        if let Some(vals) = vals {
+            produced.push(Tuple::new(vals));
+        }
+        Ok(())
+    })?;
+    Ok(())
 }
 
 /// Run a level's tasks on scoped worker threads pulling from a shared
@@ -676,14 +526,7 @@ fn run_tasks_threaded(
                 let Some(task) = tasks.get(i) else {
                     break;
                 };
-                let out = run_differential(
-                    network,
-                    catalog,
-                    ctx,
-                    task.diff,
-                    task.plan.as_deref(),
-                    check,
-                );
+                let out = run_differential(network, catalog, ctx, task, check);
                 *slots[i].lock().unwrap() = Some(out);
             });
         }
@@ -691,120 +534,6 @@ fn run_tasks_threaded(
     slots
         .into_iter()
         .map(|slot| slot.into_inner().unwrap().expect("worker filled its slot"))
-        .collect()
-}
-
-/// Run a level's tasks as a partitioned exchange: worker `w` evaluates
-/// every task against shard `w`'s seed slice, then the per-(task, shard)
-/// outputs are recombined per task in shard order.
-///
-/// The recombined outputs are bit-identical to whole-seed execution:
-/// the slices partition each seed exactly (every candidate descends from
-/// exactly one seed tuple, so the candidate multiset is preserved), and
-/// within one task all accepted tuples carry the same output polarity,
-/// making the `∪Δ` fold over them order-insensitive. Empty slices are
-/// skipped on both the inline and threaded paths — an empty seed
-/// produces nothing.
-///
-/// `shard_candidates[s]` accumulates the candidates produced by shard
-/// `s` (the per-shard work counters surfaced in [`PassMetrics`]).
-#[allow(clippy::too_many_arguments)]
-fn run_tasks_sharded(
-    network: &PropagationNetwork,
-    catalog: &Catalog,
-    storage: &Storage,
-    shared: &Arc<EvalShared>,
-    check: CheckLevel,
-    tasks: &[Task],
-    exchange: &LevelExchange,
-    workers: usize,
-    threaded: bool,
-    shard_candidates: &mut [u64],
-) -> Vec<Result<TaskOutput, CoreError>> {
-    let empty_output = || TaskOutput {
-        candidates: 0,
-        accepted: Vec::new(),
-        nanos: 0,
-    };
-    let mut combine = |total: &mut TaskOutput, s: usize, out: TaskOutput| {
-        shard_candidates[s] += out.candidates as u64;
-        total.candidates += out.candidates;
-        total.nanos += out.nanos;
-        total.accepted.extend(out.accepted);
-    };
-    if !threaded {
-        // Inline fallback: same partition, same (task, shard) combine
-        // order, no thread spawn — byte-identical output to the threaded
-        // path.
-        return tasks
-            .iter()
-            .enumerate()
-            .map(|(i, task)| {
-                let mut total = empty_output();
-                for (s, slice) in exchange.slices(i).iter().enumerate() {
-                    if slice.is_empty() {
-                        continue;
-                    }
-                    let ctx = EvalContext::with_shared(storage, catalog, slice, Arc::clone(shared));
-                    let out = run_differential(
-                        network,
-                        catalog,
-                        &ctx,
-                        task.diff,
-                        task.plan.as_deref(),
-                        check,
-                    )?;
-                    combine(&mut total, s, out);
-                }
-                Ok(total)
-            })
-            .collect();
-    }
-
-    // One scoped thread per shard; worker `w` owns slice `w` of every
-    // task and writes into per-(task, shard) slots, so the combine below
-    // is independent of completion order.
-    type ShardSlot = Mutex<Option<Result<TaskOutput, CoreError>>>;
-    let slots: Vec<Vec<ShardSlot>> = tasks
-        .iter()
-        .map(|_| (0..workers).map(|_| Mutex::new(None)).collect())
-        .collect();
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let slots = &slots;
-            scope.spawn(move || {
-                for (i, task) in tasks.iter().enumerate() {
-                    let slice = &exchange.slices(i)[w];
-                    if slice.is_empty() {
-                        continue;
-                    }
-                    let ctx = EvalContext::with_shared(storage, catalog, slice, Arc::clone(shared));
-                    let out = run_differential(
-                        network,
-                        catalog,
-                        &ctx,
-                        task.diff,
-                        task.plan.as_deref(),
-                        check,
-                    );
-                    *slots[i][w].lock().unwrap() = Some(out);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|task_slots| {
-            let mut total = empty_output();
-            for (s, slot) in task_slots.into_iter().enumerate() {
-                match slot.into_inner().unwrap() {
-                    None => {}
-                    Some(Ok(out)) => combine(&mut total, s, out),
-                    Some(Err(e)) => return Err(e),
-                }
-            }
-            Ok(total)
-        })
         .collect()
 }
 
@@ -858,20 +587,7 @@ fn close_recursive_node(
         let ctx = EvalContext::new(storage, catalog, &fmap);
         let mut produced: Vec<Tuple> = Vec::new();
         for diff in &self_diffs {
-            let bindings = vec![None; diff.plan.n_vars as usize];
-            ctx.run_plan(&diff.plan, bindings, StateEpoch::New, 0, &mut |b, head| {
-                if let Some(vals) = head
-                    .iter()
-                    .map(|t| match t {
-                        amos_objectlog::clause::Term::Const(v) => Some(v.clone()),
-                        amos_objectlog::clause::Term::Var(v) => b[v.0 as usize].clone(),
-                    })
-                    .collect::<Option<Vec<Value>>>()
-                {
-                    produced.push(Tuple::new(vals));
-                }
-                Ok(())
-            })?;
+            run_plan_heads(&ctx, &diff.plan, &mut produced)?;
         }
         result.candidates += produced.len();
         for t in produced {
@@ -1006,6 +722,11 @@ mod tests {
         }
     }
 
+    /// One pass under the default strategy.
+    fn pass(f: &Fix, net: &PropagationNetwork, check: CheckLevel) -> PropagationResult {
+        propagate_with(net, &f.catalog, &f.storage, check, ExecStrategy::default()).unwrap()
+    }
+
     /// §4.3: insert q(1,2), r(1,4) ⇒ Δ₊p = {(1,3),(1,4)}.
     #[test]
     fn positive_example_propagates() {
@@ -1016,7 +737,7 @@ mod tests {
         f.storage.insert(f.rq, tuple![1, 2]).unwrap();
         f.storage.insert(f.rr, tuple![1, 4]).unwrap();
 
-        let result = propagate(&net, &f.catalog, &f.storage, CheckLevel::Strict).unwrap();
+        let result = pass(&f, &net, CheckLevel::Strict);
         let dp = &result.condition_deltas[&f.p];
         assert_eq!(
             dp.plus(),
@@ -1045,7 +766,7 @@ mod tests {
         f.storage.delete(f.rr, &tuple![1, 2]).unwrap();
         f.storage.delete(f.rr, &tuple![2, 3]).unwrap();
 
-        let result = propagate(&net, &f.catalog, &f.storage, CheckLevel::Nervous).unwrap();
+        let result = pass(&f, &net, CheckLevel::Nervous);
         let dp = &result.condition_deltas[&f.p];
         assert_eq!(dp.plus(), &[tuple![1, 4]].into_iter().collect());
         assert_eq!(dp.minus(), &[tuple![1, 2]].into_iter().collect());
@@ -1062,7 +783,7 @@ mod tests {
         f.storage.delete(f.rq, &tuple![1, 1]).unwrap();
         f.storage.insert(f.rr, tuple![2, 9]).unwrap();
 
-        let result = propagate(&net, &f.catalog, &f.storage, CheckLevel::Strict).unwrap();
+        let result = pass(&f, &net, CheckLevel::Strict);
         let truth = recompute_delta(&f.catalog, &f.storage, f.p).unwrap();
         assert_eq!(&result.condition_deltas[&f.p], &truth);
     }
@@ -1074,7 +795,7 @@ mod tests {
         let net =
             PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p], DiffScope::Full).unwrap();
         f.storage.begin().unwrap();
-        let result = propagate(&net, &f.catalog, &f.storage, CheckLevel::Strict).unwrap();
+        let result = pass(&f, &net, CheckLevel::Strict);
         assert!(result.condition_deltas[&f.p].is_empty());
         assert!(result.fired.is_empty());
         assert_eq!(result.candidates, 0);
@@ -1090,7 +811,7 @@ mod tests {
         f.storage.begin().unwrap();
         f.storage.delete(f.rq, &tuple![1, 1]).unwrap();
         f.storage.insert(f.rq, tuple![1, 1]).unwrap();
-        let result = propagate(&net, &f.catalog, &f.storage, CheckLevel::Strict).unwrap();
+        let result = pass(&f, &net, CheckLevel::Strict);
         assert!(result.condition_deltas[&f.p].is_empty());
         assert_eq!(
             result.candidates, 0,
@@ -1111,14 +832,14 @@ mod tests {
         f.storage.begin().unwrap();
         f.storage.insert(f.rq, tuple![1, 2]).unwrap();
 
-        let nervous = propagate(&net, &f.catalog, &f.storage, CheckLevel::Nervous).unwrap();
+        let nervous = pass(&f, &net, CheckLevel::Nervous);
         assert!(
             nervous.condition_deltas[&f.p]
                 .plus()
                 .contains(&tuple![1, 2]),
             "nervous over-reports the second derivation"
         );
-        let strict = propagate(&net, &f.catalog, &f.storage, CheckLevel::Strict).unwrap();
+        let strict = pass(&f, &net, CheckLevel::Strict);
         assert!(
             !strict.condition_deltas[&f.p].plus().contains(&tuple![1, 2]),
             "strict suppresses already-true instances"
@@ -1139,7 +860,7 @@ mod tests {
         f.storage.begin().unwrap();
         f.storage.delete(f.rq, &tuple![1, 1]).unwrap();
 
-        let result = propagate(&net, &f.catalog, &f.storage, CheckLevel::Nervous).unwrap();
+        let result = pass(&f, &net, CheckLevel::Nervous);
         assert!(
             !result.condition_deltas[&f.p]
                 .minus()
@@ -1178,51 +899,23 @@ mod tests {
         }
     }
 
-    /// Sharded execution agrees with serial for every worker count and
-    /// check level — Δ-sets, counters, and the fired trace.
+    /// The default strategy spawns no thread for a small wave: a
+    /// two-task, two-tuple level (one quantity update — the fig. 6
+    /// transaction) runs inline. A gate by count, not by time.
     #[test]
-    fn sharded_strategy_agrees_with_serial() {
+    fn small_wave_never_spawns() {
         let mut f = fixture();
         let net =
             PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p], DiffScope::Full).unwrap();
         f.storage.begin().unwrap();
+        f.storage.delete(f.rq, &tuple![1, 1]).unwrap();
         f.storage.insert(f.rq, tuple![1, 2]).unwrap();
-        f.storage.insert(f.rr, tuple![1, 4]).unwrap();
-        f.storage.delete(f.rr, &tuple![2, 3]).unwrap();
 
-        for check in [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict] {
-            let serial =
-                propagate_with(&net, &f.catalog, &f.storage, check, ExecStrategy::Serial).unwrap();
-            for workers in [1, 2, 3, 8] {
-                let sharded = propagate_with(
-                    &net,
-                    &f.catalog,
-                    &f.storage,
-                    check,
-                    ExecStrategy::Sharded { workers },
-                )
-                .unwrap();
-                assert_eq!(serial.condition_deltas, sharded.condition_deltas);
-                assert_eq!(serial.candidates, sharded.candidates);
-                assert_eq!(serial.rejected, sharded.rejected);
-                assert_eq!(
-                    serial.fired.iter().map(|fd| fd.diff).collect::<Vec<_>>(),
-                    sharded.fired.iter().map(|fd| fd.diff).collect::<Vec<_>>(),
-                );
-                // The exchange accounted every seed tuple exactly once
-                // per distinct routing, and occupancy sums to the seeds
-                // consumed per task.
-                let m = &sharded.metrics;
-                assert_eq!(m.strategy, "sharded");
-                assert_eq!(m.workers, workers);
-                assert_eq!(m.shard_seed_tuples.len(), workers);
-                assert!(m.exchange_tuples > 0);
-                assert!(m.skew >= 1.0, "skew {} below balanced floor", m.skew);
-                assert!(m.levels.iter().all(|l| l.shards == workers));
-                let cand: u64 = m.shard_candidates.iter().sum();
-                assert_eq!(cand as usize, sharded.candidates);
-            }
-        }
+        let result = pass(&f, &net, CheckLevel::Nervous);
+        let m = &result.metrics;
+        assert_eq!(m.strategy, "parallel");
+        assert_eq!((m.levels[0].tasks, m.levels[0].wave_tuples), (2, 2));
+        assert!(m.levels.iter().all(|l| !l.parallel), "{:?}", m.levels);
     }
 
     /// Strategy parsing: the accepted grammar and spanned rejections.
@@ -1230,30 +923,18 @@ mod tests {
     fn strategy_parse_grammar_and_spans() {
         assert_eq!(ExecStrategy::parse("serial"), Ok(ExecStrategy::Serial));
         assert_eq!(ExecStrategy::parse("parallel"), Ok(ExecStrategy::Parallel));
-        assert_eq!(
-            ExecStrategy::parse("sharded:4"),
-            Ok(ExecStrategy::Sharded { workers: 4 })
-        );
-        assert_eq!(
-            ExecStrategy::parse("sharded:1"),
-            Ok(ExecStrategy::Sharded { workers: 1 })
-        );
 
         let e = ExecStrategy::parse("turbo").unwrap_err();
         assert_eq!(e.span, (0, 5));
         assert!(e.message.contains("unknown strategy `turbo`"));
 
-        let e = ExecStrategy::parse("sharded").unwrap_err();
-        assert_eq!(e.span, (0, 7));
-        assert!(e.message.contains("worker count"));
-
-        let e = ExecStrategy::parse("sharded:0").unwrap_err();
-        assert_eq!(e.span, (8, 1), "span covers the count after the colon");
-        assert!(e.message.contains("out of range"));
-
-        let e = ExecStrategy::parse("sharded:many").unwrap_err();
-        assert_eq!(e.span, (8, 4));
-        assert!(e.message.contains("invalid worker count"));
+        let e = ExecStrategy::parse("turbo:4").unwrap_err();
+        assert_eq!(
+            e.span,
+            (0, 5),
+            "an unknown head is reported before its argument"
+        );
+        assert!(e.message.contains("unknown strategy `turbo`"));
 
         let e = ExecStrategy::parse("serial:2").unwrap_err();
         assert_eq!(e.span, (6, 2));
@@ -1271,7 +952,7 @@ mod tests {
         f.storage.insert(f.rq, tuple![1, 2]).unwrap();
         f.storage.insert(f.rr, tuple![1, 4]).unwrap();
 
-        let result = propagate(&net, &f.catalog, &f.storage, CheckLevel::Strict).unwrap();
+        let result = pass(&f, &net, CheckLevel::Strict);
         let m = &result.metrics;
         assert_eq!(m.strategy, "parallel");
         assert_eq!(m.check, "strict");
@@ -1285,7 +966,7 @@ mod tests {
         assert_eq!(m.levels[0].active_nodes, 2);
         assert_eq!(m.levels[0].wave_tuples, 2);
         assert_eq!(m.levels[0].tasks, 4);
-        assert!(m.levels[0].parallel);
+        assert!(!m.levels[0].parallel, "a two-tuple wave runs inline");
         assert_eq!(m.levels[1].active_nodes, 1);
         assert_eq!(m.levels[1].tasks, 0);
         assert_eq!(m.differentials.len(), 4);
@@ -1338,7 +1019,7 @@ mod tests {
 
         f.storage.begin().unwrap();
         f.storage.insert(f.rq, tuple![7, 2]).unwrap(); // q(7,2) ∧ r(2,3) ⇒ mid(7,3) ⇒ top(7)
-        let result = propagate(&net, &f.catalog, &f.storage, CheckLevel::Strict).unwrap();
+        let result = pass(&f, &net, CheckLevel::Strict);
         assert_eq!(
             result.condition_deltas[&top].plus(),
             &[tuple![7]].into_iter().collect()

@@ -3,11 +3,10 @@
 //! The network builder is trusted code, but the calculus it implements
 //! has sharp invariants that are easy to break silently while refactoring
 //! — a dropped differential loses updates, a duplicated one double-counts
-//! contributions into the Δ-sets, a bad level breaks the breadth-first
-//! precondition for old-state rollback, and a wrong shard key splits a
-//! seed tuple's bindings across workers. This module re-derives, from the
-//! catalog alone, what the paper's equations say the network must contain
-//! and diffs the compiled artifact against it:
+//! contributions into the Δ-sets, and a bad level breaks the
+//! breadth-first precondition for old-state rollback. This module
+//! re-derives, from the catalog alone, what the paper's equations say
+//! the network must contain and diffs the compiled artifact against it:
 //!
 //! * **edge completeness** — exactly one differential per (affected,
 //!   influent occurrence, seed polarity) required by the differencing
@@ -19,9 +18,7 @@
 //!   no differential edge goes downward (level-preserving edges are
 //!   legal only for the semi-naive fixpoint inside a recursive SCC),
 //!   so the wave-front processes all of a node's in-edges before its
-//!   out-edges fire;
-//! * **shard-key consistency** — the recorded routing key matches the
-//!   Δ-literal's join columns.
+//!   out-edges fire.
 //!
 //! The engine runs this after every `build_network` during `activate`
 //! and refuses to install rules over a non-conforming network. A
@@ -37,7 +34,6 @@ use amos_storage::{Polarity, Storage};
 
 use crate::differ::{differenced_clause, DiffScope};
 use crate::network::PropagationNetwork;
-use crate::shard::ShardKey;
 
 /// One way a compiled network can fail to conform to the calculus.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,16 +92,6 @@ pub enum Violation {
         /// Level of the affected (target) node.
         to: usize,
     },
-    /// A differential's recorded shard key differs from the Δ-literal's
-    /// join columns.
-    ShardKeyMismatch {
-        /// Display name of the offending differential.
-        name: String,
-        /// The key the Δ-literal's join columns call for.
-        expected: String,
-        /// The key recorded in the network.
-        found: String,
-    },
 }
 
 impl fmt::Display for Violation {
@@ -154,15 +140,6 @@ impl fmt::Display for Violation {
                 f,
                 "conformance: differential {name} runs downward from level {from} to \
                  level {to} — the wave-front cannot revisit a finished level"
-            ),
-            Violation::ShardKeyMismatch {
-                name,
-                expected,
-                found,
-            } => write!(
-                f,
-                "conformance: differential {name} routed by {found}, but its join \
-                 columns call for {expected}"
             ),
         }
     }
@@ -310,15 +287,6 @@ pub fn verify_network(
                             .1;
                     if d.clause != *dclause || d.output != expected_output {
                         violations.push(Violation::SubstitutionMismatch { name: name.clone() });
-                    }
-                    let expected_key = ShardKey::for_delta_literal(dclause, li);
-                    let recorded = net.shard_key(crate::differ::DiffId(idx as u32));
-                    if *recorded != expected_key {
-                        violations.push(Violation::ShardKeyMismatch {
-                            name: name.clone(),
-                            expected: expected_key.describe(),
-                            found: recorded.describe(),
-                        });
                     }
                 }
             }

@@ -12,6 +12,7 @@ use amos_core::differ::DiffScope;
 use amos_core::network::PropagationNetwork;
 use amos_core::propagate::{
     propagate_adaptive, propagate_with, recompute_delta, CheckLevel, ExecStrategy,
+    PropagationResult, INLINE_WAVE_THRESHOLD,
 };
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::clause::{ClauseBuilder, Term};
@@ -33,7 +34,8 @@ struct World {
 }
 
 /// Same shape zoo as `proptest_equivalence`: join, selection+arith,
-/// negation, disjunction, bushy, self-join over q/2 and r/2.
+/// negation, disjunction, bushy, self-join, cartesian product over q/2
+/// and r/2.
 fn build_world(shape: u8, q0: &[Tuple], r0: &[Tuple]) -> World {
     let mut storage = Storage::new();
     let rq = storage.create_relation("q", 2).unwrap();
@@ -42,7 +44,7 @@ fn build_world(shape: u8, q0: &[Tuple], r0: &[Tuple]) -> World {
     let q = catalog.define_stored("q", sig(2), rq, 1).unwrap();
     let r = catalog.define_stored("r", sig(2), rr, 1).unwrap();
 
-    let cond = match shape % 6 {
+    let cond = match shape % 7 {
         0 => catalog
             .define_derived(
                 "cond",
@@ -117,7 +119,7 @@ fn build_world(shape: u8, q0: &[Tuple], r0: &[Tuple]) -> World {
                 )
                 .unwrap()
         }
-        _ => catalog
+        5 => catalog
             .define_derived(
                 "cond",
                 sig(2),
@@ -125,6 +127,17 @@ fn build_world(shape: u8, q0: &[Tuple], r0: &[Tuple]) -> World {
                     .head([Term::var(0), Term::var(2)])
                     .pred(q, [Term::var(0), Term::var(1)])
                     .pred(q, [Term::var(1), Term::var(2)])
+                    .build()],
+            )
+            .unwrap(),
+        _ => catalog
+            .define_derived(
+                "cond",
+                sig(2),
+                vec![ClauseBuilder::new(4)
+                    .head([Term::var(0), Term::var(3)])
+                    .pred(q, [Term::var(0), Term::var(1)])
+                    .pred(r, [Term::var(2), Term::var(3)])
                     .build()],
             )
             .unwrap(),
@@ -170,6 +183,19 @@ fn apply(w: &mut World, ups: &[(bool, bool, Tuple)]) {
     }
 }
 
+/// Insert a block of fresh q-tuples that alone puts level 0 of the next
+/// pass at the executor's inline threshold; q feeds at least two
+/// differentials in every shape, so the level then runs on threads.
+fn apply_bulk(w: &mut World) {
+    for i in 0..INLINE_WAVE_THRESHOLD as i64 {
+        w.storage.insert(w.rq, tuple![100 + i, i % 5]).unwrap();
+    }
+}
+
+fn fired_order(r: &PropagationResult) -> Vec<amos_core::differ::DiffId> {
+    r.fired.iter().map(|f| f.diff).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -179,7 +205,7 @@ proptest! {
     /// against a warm (possibly drifted) plan cache.
     #[test]
     fn adaptive_equals_static_under_all_checks_and_strategies(
-        shape in 0u8..6,
+        shape in 0u8..7,
         q0 in tuples(),
         r0 in tuples(),
         ups in updates(),
@@ -219,10 +245,12 @@ proptest! {
     /// sequentially before the batch, so the planner does not break the
     /// §5 determinism guarantee — Δ-sets, counters, and fired order all
     /// match, and each strategy resolves the same plans (same replan /
-    /// cache-hit totals from identical warm planners).
+    /// cache-hit totals from identical warm planners). `bulk` decides
+    /// which side of the inline threshold the parallel pass runs on.
     #[test]
     fn adaptive_serial_and_parallel_agree(
-        shape in 0u8..6,
+        shape in 0u8..7,
+        bulk in any::<bool>(),
         q0 in tuples(),
         r0 in tuples(),
         ups in updates(),
@@ -233,6 +261,9 @@ proptest! {
         ).unwrap();
         w.storage.begin().unwrap();
         apply(&mut w, &ups);
+        if bulk {
+            apply_bulk(&mut w);
+        }
 
         for check in [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict] {
             let serial_planner = AdaptivePlanner::new();
@@ -251,10 +282,19 @@ proptest! {
             );
             prop_assert_eq!(serial.metrics.candidates, parallel.metrics.candidates);
             prop_assert_eq!(serial.metrics.rejected, parallel.metrics.rejected);
-            let fired = |r: &amos_core::propagate::PropagationResult| -> Vec<_> {
-                r.fired.iter().map(|f| f.diff).collect()
-            };
-            prop_assert_eq!(fired(&serial), fired(&parallel));
+            prop_assert_eq!(fired_order(&serial), fired_order(&parallel));
+            prop_assert!(serial.metrics.levels.iter().all(|l| !l.parallel));
+            if bulk {
+                prop_assert!(
+                    parallel.metrics.levels[0].parallel,
+                    "bulk wave ran inline (shape {}, check {:?})", shape, check
+                );
+            } else {
+                prop_assert!(
+                    parallel.metrics.levels.iter().all(|l| !l.parallel),
+                    "small wave spawned threads (shape {}, check {:?})", shape, check
+                );
+            }
             prop_assert_eq!(
                 serial_planner.replan_count(), parallel_planner.replan_count(),
                 "replan counts diverged (shape {}, check {:?})", shape, check
@@ -266,10 +306,15 @@ proptest! {
     /// Multi-pass adaptive monitoring stays exact while the data (and
     /// therefore the statistics fingerprints) drift across committed
     /// transactions: each pass's strict adaptive Δ equals the naive
-    /// recomputation diff, with one planner reused throughout.
+    /// recomputation diff, with one planner per strategy reused
+    /// throughout — and the serial and parallel planners make the very
+    /// same replan / cache-hit decisions, mid-stream re-optimizations
+    /// included. `bulk` grows q past the drift ratio in the first batch,
+    /// on the threaded side of the inline threshold.
     #[test]
     fn adaptive_stays_exact_across_drifting_passes(
-        shape in 0u8..6,
+        shape in 0u8..7,
+        bulk in any::<bool>(),
         q0 in tuples(),
         r0 in tuples(),
         batches in prop::collection::vec(updates(), 1..4),
@@ -278,23 +323,47 @@ proptest! {
         let net = PropagationNetwork::build(
             &w.catalog, &mut w.storage, &[w.cond], DiffScope::Full,
         ).unwrap();
-        let planner = AdaptivePlanner::new();
-        let shared = Arc::new(EvalShared::default());
+        let serial_planner = AdaptivePlanner::new();
+        let parallel_planner = AdaptivePlanner::new();
+        let serial_shared = Arc::new(EvalShared::default());
+        let parallel_shared = Arc::new(EvalShared::default());
 
-        for ups in &batches {
+        for (i, ups) in batches.iter().enumerate() {
             w.storage.begin().unwrap();
             apply(&mut w, ups);
-            shared.reset_pass();
-            let result = propagate_adaptive(
+            let threaded = bulk && i == 0;
+            if threaded {
+                apply_bulk(&mut w);
+            }
+            serial_shared.reset_pass();
+            parallel_shared.reset_pass();
+            let serial = propagate_adaptive(
                 &net, &w.catalog, &w.storage, CheckLevel::Strict,
-                ExecStrategy::Parallel, &shared, Some(&planner),
+                ExecStrategy::Serial, &serial_shared, Some(&serial_planner),
             ).unwrap();
+            let parallel = propagate_adaptive(
+                &net, &w.catalog, &w.storage, CheckLevel::Strict,
+                ExecStrategy::Parallel, &parallel_shared, Some(&parallel_planner),
+            ).unwrap();
+            prop_assert_eq!(&serial.condition_deltas, &parallel.condition_deltas);
+            prop_assert_eq!(serial.metrics.candidates, parallel.metrics.candidates);
+            prop_assert_eq!(serial.metrics.rejected, parallel.metrics.rejected);
+            prop_assert_eq!(fired_order(&serial), fired_order(&parallel));
+            prop_assert_eq!(
+                parallel.metrics.levels.first().is_some_and(|l| l.parallel), threaded,
+                "pass {} ran on the wrong side of the threshold (shape {})", i, shape
+            );
             let truth = recompute_delta(&w.catalog, &w.storage, w.cond).unwrap();
             prop_assert_eq!(
-                &result.condition_deltas[&w.cond], &truth,
+                &parallel.condition_deltas[&w.cond], &truth,
                 "adaptive pass diverged from naive diff (shape {})", shape
             );
             w.storage.commit().unwrap();
         }
+        prop_assert_eq!(
+            serial_planner.replan_count(), parallel_planner.replan_count(),
+            "replan counts diverged (shape {})", shape
+        );
+        prop_assert_eq!(serial_planner.hit_count(), parallel_planner.hit_count());
     }
 }

@@ -8,7 +8,7 @@ use amos_types::FxHashSet as HashSet;
 
 use amos_core::differ::DiffScope;
 use amos_core::network::PropagationNetwork;
-use amos_core::propagate::{propagate, recompute_delta, CheckLevel};
+use amos_core::propagate::{propagate_with, recompute_delta, CheckLevel, ExecStrategy};
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::clause::{ClauseBuilder, Term};
 use amos_storage::{RelId, Storage};
@@ -101,7 +101,14 @@ fn diamond_reconvergence_is_exact() {
     d.storage.insert(d.rq, tuple![1, 90]).unwrap();
     d.storage.insert(d.rq, tuple![4, 25]).unwrap();
 
-    let result = propagate(&net, &d.catalog, &d.storage, CheckLevel::Strict).unwrap();
+    let result = propagate_with(
+        &net,
+        &d.catalog,
+        &d.storage,
+        CheckLevel::Strict,
+        ExecStrategy::default(),
+    )
+    .unwrap();
     let truth = recompute_delta(&d.catalog, &d.storage, d.top).unwrap();
     assert_eq!(&result.condition_deltas[&d.top], &truth);
     assert_eq!(
@@ -122,7 +129,14 @@ fn diamond_no_double_counting_under_nervous() {
     // accumulation must merge them into one insertion.
     d.storage.delete(d.rq, &tuple![7, 5]).unwrap();
     d.storage.insert(d.rq, tuple![7, 20]).unwrap();
-    let result = propagate(&net, &d.catalog, &d.storage, CheckLevel::Nervous).unwrap();
+    let result = propagate_with(
+        &net,
+        &d.catalog,
+        &d.storage,
+        CheckLevel::Nervous,
+        ExecStrategy::default(),
+    )
+    .unwrap();
     let delta = &result.condition_deltas[&d.top];
     assert_eq!(delta.plus(), &[tuple![7]].into_iter().collect());
     assert!(delta.minus().is_empty());
@@ -157,7 +171,14 @@ fn negation_over_intermediate_nodes() {
     // 30 → 5: still cheap, stops being pricey ⇒ enters the gap.
     d.storage.delete(d.rq, &tuple![1, 30]).unwrap();
     d.storage.insert(d.rq, tuple![1, 5]).unwrap();
-    let result = propagate(&net, &d.catalog, &d.storage, CheckLevel::Strict).unwrap();
+    let result = propagate_with(
+        &net,
+        &d.catalog,
+        &d.storage,
+        CheckLevel::Strict,
+        ExecStrategy::default(),
+    )
+    .unwrap();
     let truth = recompute_delta(&d.catalog, &d.storage, gap).unwrap();
     assert_eq!(&result.condition_deltas[&gap], &truth);
     assert_eq!(truth.plus(), &[tuple![1]].into_iter().collect());
@@ -166,7 +187,14 @@ fn negation_over_intermediate_nodes() {
     d.storage.clear_deltas();
     d.storage.delete(d.rq, &tuple![1, 5]).unwrap();
     d.storage.insert(d.rq, tuple![1, 30]).unwrap();
-    let result = propagate(&net, &d.catalog, &d.storage, CheckLevel::Strict).unwrap();
+    let result = propagate_with(
+        &net,
+        &d.catalog,
+        &d.storage,
+        CheckLevel::Strict,
+        ExecStrategy::default(),
+    )
+    .unwrap();
     let truth = recompute_delta(&d.catalog, &d.storage, gap).unwrap();
     assert_eq!(&result.condition_deltas[&gap], &truth);
     assert_eq!(truth.minus(), &[tuple![1]].into_iter().collect());
@@ -210,7 +238,14 @@ fn three_level_chain() {
     storage.begin().unwrap();
     storage.delete(rq, &tuple![1, 10]).unwrap();
     storage.insert(rq, tuple![1, 20]).unwrap();
-    let result = propagate(&net, &catalog, &storage, CheckLevel::Strict).unwrap();
+    let result = propagate_with(
+        &net,
+        &catalog,
+        &storage,
+        CheckLevel::Strict,
+        ExecStrategy::default(),
+    )
+    .unwrap();
     let truth = recompute_delta(&catalog, &storage, v3).unwrap();
     assert_eq!(&result.condition_deltas[&v3], &truth);
     assert_eq!(truth.plus(), &[tuple![1, 23]].into_iter().collect());

@@ -5,14 +5,17 @@
 //!
 //! Shapes exercised: conjunctive joins (the paper's running example),
 //! selections with arithmetic, negation, disjunction (multi-clause),
-//! flat and bushy (intermediate-node) networks, and repeated influent
-//! occurrences (self-joins).
+//! flat and bushy (intermediate-node) networks, repeated influent
+//! occurrences (self-joins), and a cartesian product (no join key).
 
 use std::collections::HashSet;
 
 use amos_core::differ::DiffScope;
 use amos_core::network::PropagationNetwork;
-use amos_core::propagate::{propagate, propagate_with, recompute_delta, CheckLevel, ExecStrategy};
+use amos_core::propagate::{
+    propagate_with, recompute_delta, CheckLevel, ExecStrategy, PropagationResult,
+    INLINE_WAVE_THRESHOLD,
+};
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::clause::{ClauseBuilder, Term};
 use amos_storage::{RelId, Storage};
@@ -41,7 +44,7 @@ fn build_world(shape: u8, q0: &[Tuple], r0: &[Tuple]) -> World {
     let q = catalog.define_stored("q", sig(2), rq, 1).unwrap();
     let r = catalog.define_stored("r", sig(2), rr, 1).unwrap();
 
-    let cond = match shape % 6 {
+    let cond = match shape % 7 {
         // join: p(X,Z) ← q(X,Y) ∧ r(Y,Z)
         0 => catalog
             .define_derived(
@@ -122,7 +125,7 @@ fn build_world(shape: u8, q0: &[Tuple], r0: &[Tuple]) -> World {
                 .unwrap()
         }
         // self-join: p(X,Z) ← q(X,Y) ∧ q(Y,Z)
-        _ => catalog
+        5 => catalog
             .define_derived(
                 "cond",
                 sig(2),
@@ -130,6 +133,19 @@ fn build_world(shape: u8, q0: &[Tuple], r0: &[Tuple]) -> World {
                     .head([Term::var(0), Term::var(2)])
                     .pred(q, [Term::var(0), Term::var(1)])
                     .pred(q, [Term::var(1), Term::var(2)])
+                    .build()],
+            )
+            .unwrap(),
+        // cartesian product: p(X,Y) ← q(X,_) ∧ r(_,Y) — the Δ-literal
+        // shares no variable with the rest of the body
+        _ => catalog
+            .define_derived(
+                "cond",
+                sig(2),
+                vec![ClauseBuilder::new(4)
+                    .head([Term::var(0), Term::var(3)])
+                    .pred(q, [Term::var(0), Term::var(1)])
+                    .pred(r, [Term::var(2), Term::var(3)])
                     .build()],
             )
             .unwrap(),
@@ -164,13 +180,65 @@ fn updates() -> impl Strategy<Value = Vec<(bool, bool, Tuple)>> {
     prop::collection::vec((any::<bool>(), any::<bool>(), small_tuple()), 0..15)
 }
 
+fn apply(w: &mut World, ups: &[(bool, bool, Tuple)]) {
+    for (on_q, is_insert, t) in ups {
+        let rel = if *on_q { w.rq } else { w.rr };
+        if *is_insert {
+            w.storage.insert(rel, t.clone()).unwrap();
+        } else {
+            w.storage.delete(rel, t).unwrap();
+        }
+    }
+}
+
+/// Insert a block of fresh q-tuples that alone puts level 0 of the next
+/// pass at the executor's inline threshold; q feeds at least two
+/// differentials in every shape, so the level then runs on threads.
+fn apply_bulk(w: &mut World) {
+    for i in 0..INLINE_WAVE_THRESHOLD as i64 {
+        w.storage.insert(w.rq, tuple![100 + i, i % 5]).unwrap();
+    }
+}
+
+fn fired_order(r: &PropagationResult) -> Vec<amos_core::differ::DiffId> {
+    r.fired.iter().map(|f| f.diff).collect()
+}
+
+/// The 800-tuple wave of a bulk transaction: far past the inline
+/// threshold, so the default strategy really fans the four level-0
+/// differentials out over threads — and must still match serial exactly.
+#[test]
+fn large_wave_takes_threads_and_stays_exact() {
+    let mut w = build_world(0, &[], &[]);
+    let net =
+        PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.cond], DiffScope::Full).unwrap();
+    w.storage.begin().unwrap();
+    for i in 0..400i64 {
+        w.storage.insert(w.rq, tuple![i, i % 17]).unwrap();
+        w.storage.insert(w.rr, tuple![i % 17, i]).unwrap();
+    }
+    for check in [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict] {
+        let serial =
+            propagate_with(&net, &w.catalog, &w.storage, check, ExecStrategy::Serial).unwrap();
+        let parallel =
+            propagate_with(&net, &w.catalog, &w.storage, check, ExecStrategy::Parallel).unwrap();
+        assert_eq!(serial.condition_deltas, parallel.condition_deltas);
+        assert_eq!(serial.metrics.candidates, parallel.metrics.candidates);
+        assert_eq!(serial.metrics.rejected, parallel.metrics.rejected);
+        assert_eq!(fired_order(&serial), fired_order(&parallel));
+        assert_eq!(parallel.metrics.levels[0].wave_tuples, 800);
+        assert!(parallel.metrics.levels[0].parallel);
+        assert!(serial.metrics.levels.iter().all(|l| !l.parallel));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Strict propagation == naive recomputation for every shape.
     #[test]
     fn incremental_equals_naive(
-        shape in 0u8..6,
+        shape in 0u8..7,
         q0 in tuples(),
         r0 in tuples(),
         ups in updates(),
@@ -181,16 +249,9 @@ proptest! {
         ).unwrap();
 
         w.storage.begin().unwrap();
-        for (on_q, is_insert, t) in &ups {
-            let rel = if *on_q { w.rq } else { w.rr };
-            if *is_insert {
-                w.storage.insert(rel, t.clone()).unwrap();
-            } else {
-                w.storage.delete(rel, t).unwrap();
-            }
-        }
+        apply(&mut w, &ups);
 
-        let result = propagate(&net, &w.catalog, &w.storage, CheckLevel::Strict).unwrap();
+        let result = propagate_with(&net, &w.catalog, &w.storage, CheckLevel::Strict, ExecStrategy::default()).unwrap();
         let truth = recompute_delta(&w.catalog, &w.storage, w.cond).unwrap();
         prop_assert_eq!(
             &result.condition_deltas[&w.cond], &truth,
@@ -203,7 +264,7 @@ proptest! {
     /// real deletions are reported.
     #[test]
     fn nervous_never_under_reacts(
-        shape in 0u8..6,
+        shape in 0u8..7,
         q0 in tuples(),
         r0 in tuples(),
         ups in updates(),
@@ -213,15 +274,8 @@ proptest! {
             &w.catalog, &mut w.storage, &[w.cond], DiffScope::Full,
         ).unwrap();
         w.storage.begin().unwrap();
-        for (on_q, is_insert, t) in &ups {
-            let rel = if *on_q { w.rq } else { w.rr };
-            if *is_insert {
-                w.storage.insert(rel, t.clone()).unwrap();
-            } else {
-                w.storage.delete(rel, t).unwrap();
-            }
-        }
-        let result = propagate(&net, &w.catalog, &w.storage, CheckLevel::Nervous).unwrap();
+        apply(&mut w, &ups);
+        let result = propagate_with(&net, &w.catalog, &w.storage, CheckLevel::Nervous, ExecStrategy::default()).unwrap();
         let truth = recompute_delta(&w.catalog, &w.storage, w.cond).unwrap();
         let got = &result.condition_deltas[&w.cond];
 
@@ -241,7 +295,7 @@ proptest! {
     /// InsertionsOnly scope (half the differentials) is still exact.
     #[test]
     fn insertions_only_scope_exact_for_monotone(
-        shape in prop::sample::select(vec![0u8, 1, 3, 4, 5]), // no negation
+        shape in prop::sample::select(vec![0u8, 1, 3, 4, 5, 6]), // no negation
         q0 in tuples(),
         r0 in tuples(),
         ins in prop::collection::vec((any::<bool>(), small_tuple()), 0..10),
@@ -255,7 +309,7 @@ proptest! {
             let rel = if *on_q { w.rq } else { w.rr };
             w.storage.insert(rel, t.clone()).unwrap();
         }
-        let result = propagate(&net, &w.catalog, &w.storage, CheckLevel::Strict).unwrap();
+        let result = propagate_with(&net, &w.catalog, &w.storage, CheckLevel::Strict, ExecStrategy::default()).unwrap();
         let truth = recompute_delta(&w.catalog, &w.storage, w.cond).unwrap();
         prop_assert_eq!(&result.condition_deltas[&w.cond], &truth);
     }
@@ -264,10 +318,13 @@ proptest! {
     /// every condition shape, every §7.2 check level, and random update
     /// batches, the serial and parallel strategies produce identical
     /// condition Δ-sets (and identical work counters — same candidates,
-    /// same rejections — since the merge replays serial order).
+    /// same rejections — since the merge replays serial order). `bulk`
+    /// decides which side of the inline threshold the parallel pass runs
+    /// on: without it every level is inline, with it level 0 is threaded.
     #[test]
     fn serial_and_parallel_agree_under_all_check_levels(
-        shape in 0u8..6,
+        shape in 0u8..7,
+        bulk in any::<bool>(),
         q0 in tuples(),
         r0 in tuples(),
         ups in updates(),
@@ -277,13 +334,9 @@ proptest! {
             &w.catalog, &mut w.storage, &[w.cond], DiffScope::Full,
         ).unwrap();
         w.storage.begin().unwrap();
-        for (on_q, is_insert, t) in &ups {
-            let rel = if *on_q { w.rq } else { w.rr };
-            if *is_insert {
-                w.storage.insert(rel, t.clone()).unwrap();
-            } else {
-                w.storage.delete(rel, t).unwrap();
-            }
+        apply(&mut w, &ups);
+        if bulk {
+            apply_bulk(&mut w);
         }
         for check in [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict] {
             let serial = propagate_with(
@@ -304,13 +357,22 @@ proptest! {
                 serial.metrics.rejected, parallel.metrics.rejected,
                 "rejection counts diverged (shape {}, check {:?})", shape, check
             );
-            let fired = |r: &amos_core::propagate::PropagationResult| -> Vec<_> {
-                r.fired.iter().map(|f| f.diff).collect()
-            };
             prop_assert_eq!(
-                fired(&serial), fired(&parallel),
+                fired_order(&serial), fired_order(&parallel),
                 "fired order diverged (shape {}, check {:?})", shape, check
             );
+            prop_assert!(serial.metrics.levels.iter().all(|l| !l.parallel));
+            if bulk {
+                prop_assert!(
+                    parallel.metrics.levels[0].parallel,
+                    "bulk wave ran inline (shape {}, check {:?})", shape, check
+                );
+            } else {
+                prop_assert!(
+                    parallel.metrics.levels.iter().all(|l| !l.parallel),
+                    "small wave spawned threads (shape {}, check {:?})", shape, check
+                );
+            }
         }
     }
 
@@ -319,7 +381,7 @@ proptest! {
     /// exactly where it started.
     #[test]
     fn rollback_restores_condition(
-        shape in 0u8..6,
+        shape in 0u8..7,
         q0 in tuples(),
         r0 in tuples(),
         ups in updates(),
@@ -328,14 +390,7 @@ proptest! {
         let before: HashSet<Tuple> =
             amos_core::naive::full_eval(&w.catalog, &w.storage, w.cond).unwrap();
         w.storage.begin().unwrap();
-        for (on_q, is_insert, t) in &ups {
-            let rel = if *on_q { w.rq } else { w.rr };
-            if *is_insert {
-                w.storage.insert(rel, t.clone()).unwrap();
-            } else {
-                w.storage.delete(rel, t).unwrap();
-            }
-        }
+        apply(&mut w, &ups);
         w.storage.rollback().unwrap();
         let after: HashSet<Tuple> =
             amos_core::naive::full_eval(&w.catalog, &w.storage, w.cond).unwrap();

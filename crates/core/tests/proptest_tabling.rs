@@ -13,7 +13,7 @@
 
 use amos_core::differ::DiffScope;
 use amos_core::network::PropagationNetwork;
-use amos_core::propagate::{propagate_shared, CheckLevel, ExecStrategy};
+use amos_core::propagate::{propagate_adaptive, CheckLevel, ExecStrategy, INLINE_WAVE_THRESHOLD};
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::clause::{ClauseBuilder, Term};
 use amos_objectlog::eval::{EvalConfig, EvalShared};
@@ -205,11 +205,11 @@ proptest! {
             }
         }
         for check in [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict] {
-            let tabled = propagate_shared(
-                &net, &w.catalog, &w.storage, check, ExecStrategy::Serial, &shared(true),
+            let tabled = propagate_adaptive(
+                &net, &w.catalog, &w.storage, check, ExecStrategy::Serial, &shared(true), None,
             ).unwrap();
-            let untabled = propagate_shared(
-                &net, &w.catalog, &w.storage, check, ExecStrategy::Serial, &shared(false),
+            let untabled = propagate_adaptive(
+                &net, &w.catalog, &w.storage, check, ExecStrategy::Serial, &shared(false), None,
             ).unwrap();
             prop_assert_eq!(
                 &tabled.condition_deltas, &untabled.condition_deltas,
@@ -242,10 +242,13 @@ proptest! {
     }
 
     /// Tabled parallel ≡ untabled serial: the memo table composes with
-    /// the parallel wave-front without changing semantics.
+    /// the parallel wave-front without changing semantics. `bulk` adds a
+    /// block of fresh q-tuples that puts level 0 past the inline
+    /// threshold, so the memo is then filled from real threads.
     #[test]
     fn tabled_parallel_equals_untabled_serial(
         shape in 0u8..6,
+        bulk in any::<bool>(),
         q0 in tuples(),
         r0 in tuples(),
         ups in updates(),
@@ -263,16 +266,25 @@ proptest! {
                 w.storage.delete(rel, t).unwrap();
             }
         }
+        if bulk {
+            for i in 0..INLINE_WAVE_THRESHOLD as i64 {
+                w.storage.insert(w.rq, tuple![100 + i, i % 5]).unwrap();
+            }
+        }
         for check in [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict] {
-            let tabled = propagate_shared(
-                &net, &w.catalog, &w.storage, check, ExecStrategy::Parallel, &shared(true),
+            let tabled = propagate_adaptive(
+                &net, &w.catalog, &w.storage, check, ExecStrategy::Parallel, &shared(true), None,
             ).unwrap();
-            let untabled = propagate_shared(
-                &net, &w.catalog, &w.storage, check, ExecStrategy::Serial, &shared(false),
+            let untabled = propagate_adaptive(
+                &net, &w.catalog, &w.storage, check, ExecStrategy::Serial, &shared(false), None,
             ).unwrap();
             prop_assert_eq!(
                 &tabled.condition_deltas, &untabled.condition_deltas,
                 "Δ-sets diverged (shape {}, check {:?})", shape, check
+            );
+            prop_assert_eq!(
+                tabled.metrics.levels.first().is_some_and(|l| l.parallel), bulk,
+                "wrong side of the inline threshold (shape {}, check {:?})", shape, check
             );
         }
     }
@@ -305,15 +317,15 @@ proptest! {
             // First pass on the reused state, then a second with stale
             // memo entries cleared — both must match a fresh shared.
             reused.reset_pass();
-            let warm = propagate_shared(
-                &net, &w.catalog, &w.storage, check, ExecStrategy::Serial, &reused,
+            let warm = propagate_adaptive(
+                &net, &w.catalog, &w.storage, check, ExecStrategy::Serial, &reused, None,
             ).unwrap();
             reused.reset_pass();
-            let again = propagate_shared(
-                &net, &w.catalog, &w.storage, check, ExecStrategy::Serial, &reused,
+            let again = propagate_adaptive(
+                &net, &w.catalog, &w.storage, check, ExecStrategy::Serial, &reused, None,
             ).unwrap();
-            let fresh = propagate_shared(
-                &net, &w.catalog, &w.storage, check, ExecStrategy::Serial, &shared(true),
+            let fresh = propagate_adaptive(
+                &net, &w.catalog, &w.storage, check, ExecStrategy::Serial, &shared(true), None,
             ).unwrap();
             prop_assert_eq!(&warm.condition_deltas, &fresh.condition_deltas);
             prop_assert_eq!(&again.condition_deltas, &fresh.condition_deltas);

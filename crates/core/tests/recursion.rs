@@ -7,7 +7,7 @@ use amos_types::FxHashSet as HashSet;
 
 use amos_core::differ::DiffScope;
 use amos_core::network::PropagationNetwork;
-use amos_core::propagate::{propagate, recompute_delta, CheckLevel};
+use amos_core::propagate::{propagate_with, recompute_delta, CheckLevel, ExecStrategy};
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::clause::{ClauseBuilder, Term};
 use amos_storage::{RelId, Storage};
@@ -78,7 +78,14 @@ fn inserting_an_edge_extends_closure_incrementally() {
     w.storage.begin().unwrap();
     // Bridge the two components: 2 → 3 adds 1→3, 1→4, 2→3, 2→4.
     w.storage.insert(w.re, tuple![2, 3]).unwrap();
-    let result = propagate(&net, &w.catalog, &w.storage, CheckLevel::Strict).unwrap();
+    let result = propagate_with(
+        &net,
+        &w.catalog,
+        &w.storage,
+        CheckLevel::Strict,
+        ExecStrategy::default(),
+    )
+    .unwrap();
     let truth = recompute_delta(&w.catalog, &w.storage, w.reach).unwrap();
     assert_eq!(&result.condition_deltas[&w.reach], &truth);
     let expected: HashSet<Tuple> = [tuple![2, 3], tuple![2, 4], tuple![1, 3], tuple![1, 4]]
@@ -96,7 +103,14 @@ fn deleting_an_edge_falls_back_to_exact_recompute() {
     w.storage.begin().unwrap();
     // Cut the chain in the middle: everything crossing 2→3 disappears.
     w.storage.delete(w.re, &tuple![2, 3]).unwrap();
-    let result = propagate(&net, &w.catalog, &w.storage, CheckLevel::Strict).unwrap();
+    let result = propagate_with(
+        &net,
+        &w.catalog,
+        &w.storage,
+        CheckLevel::Strict,
+        ExecStrategy::default(),
+    )
+    .unwrap();
     let truth = recompute_delta(&w.catalog, &w.storage, w.reach).unwrap();
     assert_eq!(&result.condition_deltas[&w.reach], &truth);
     let expected: HashSet<Tuple> = [tuple![2, 3], tuple![2, 4], tuple![1, 3], tuple![1, 4]]
@@ -112,7 +126,14 @@ fn cycle_creation_terminates_and_is_exact() {
         PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.reach], DiffScope::Full).unwrap();
     w.storage.begin().unwrap();
     w.storage.insert(w.re, tuple![3, 1]).unwrap(); // close the cycle
-    let result = propagate(&net, &w.catalog, &w.storage, CheckLevel::Strict).unwrap();
+    let result = propagate_with(
+        &net,
+        &w.catalog,
+        &w.storage,
+        CheckLevel::Strict,
+        ExecStrategy::default(),
+    )
+    .unwrap();
     let truth = recompute_delta(&w.catalog, &w.storage, w.reach).unwrap();
     assert_eq!(&result.condition_deltas[&w.reach], &truth);
     // All 9 pairs now reachable; 2 were already (1→2, 2→3), 1→3 too.
@@ -138,7 +159,14 @@ fn randomized_transactions_match_recompute() {
                 w.storage.delete(w.re, &tuple![a, b]).unwrap();
             }
         }
-        let result = propagate(&net, &w.catalog, &w.storage, CheckLevel::Strict).unwrap();
+        let result = propagate_with(
+            &net,
+            &w.catalog,
+            &w.storage,
+            CheckLevel::Strict,
+            ExecStrategy::default(),
+        )
+        .unwrap();
         let truth = recompute_delta(&w.catalog, &w.storage, w.reach).unwrap();
         assert_eq!(&result.condition_deltas[&w.reach], &truth);
         w.storage.commit().unwrap();
@@ -167,7 +195,7 @@ proptest! {
                 w.storage.delete(w.re, &tuple![a, b]).unwrap();
             }
         }
-        let result = propagate(&net, &w.catalog, &w.storage, CheckLevel::Strict).unwrap();
+        let result = propagate_with(&net, &w.catalog, &w.storage, CheckLevel::Strict, ExecStrategy::default()).unwrap();
         let truth = recompute_delta(&w.catalog, &w.storage, w.reach).unwrap();
         prop_assert_eq!(&result.condition_deltas[&w.reach], &truth);
     }

@@ -1,10 +1,9 @@
 //! Builder-mutation tests for the network conformance verifier: corrupt
-//! a freshly built (conforming) network four different ways and assert
+//! a freshly built (conforming) network three different ways and assert
 //! each corruption is rejected with a distinct violation.
 
 use amos_core::differ::{DiffId, DiffScope};
 use amos_core::network::PropagationNetwork;
-use amos_core::shard::ShardKey;
 use amos_core::verify::{verify_network, Violation};
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::clause::{ClauseBuilder, Term};
@@ -135,50 +134,23 @@ fn bad_level_is_caught() {
     );
 }
 
-/// A differential whose correct key is `Columns` — flipping it to
-/// `Broadcast` is a real corruption, not a no-op.
-fn keyed_diff(net: &PropagationNetwork) -> DiffId {
-    (0..net.differentials().len())
-        .map(|i| DiffId(i as u32))
-        .find(|d| matches!(net.shard_key(*d), ShardKey::Columns(_)))
-        .expect("fixture has join differentials")
-}
-
-#[test]
-fn wrong_shard_key_is_caught() {
-    let (mut storage, cat, cnd) = fixture();
-    let mut net = build(&mut storage, &cat, cnd);
-    let target = keyed_diff(&net);
-    net.testing_set_shard_key(target, ShardKey::Broadcast);
-    let violations = verify_network(&cat, &storage, &net, DiffScope::Full, true);
-    assert_eq!(violations.len(), 1, "{violations:?}");
-    assert!(
-        matches!(&violations[0], Violation::ShardKeyMismatch { found, .. } if found == "broadcast"),
-        "{violations:?}"
-    );
-}
-
-/// The four corruption diagnostics render distinctly — the engine's
+/// The three corruption diagnostics render distinctly — the engine's
 /// activation error shows which invariant broke.
 #[test]
 fn corruption_diagnostics_are_distinct() {
     let (mut storage, cat, cnd) = fixture();
     let mut renderings = Vec::new();
-    for mutation in 0..4usize {
+    for mutation in 0..3usize {
         let mut net = build(&mut storage, &cat, cnd);
         match mutation {
             0 => net.testing_remove_differential(DiffId(0)),
             1 => net.testing_duplicate_differential(DiffId(0)),
-            2 => net.testing_set_node_level(cat.lookup("thr").unwrap(), 5),
-            _ => {
-                let target = keyed_diff(&net);
-                net.testing_set_shard_key(target, ShardKey::Broadcast);
-            }
+            _ => net.testing_set_node_level(cat.lookup("thr").unwrap(), 5),
         }
         let violations = verify_network(&cat, &storage, &net, DiffScope::Full, true);
         assert!(!violations.is_empty(), "mutation {mutation} not caught");
         renderings.push(violations[0].to_string());
     }
     let unique: std::collections::HashSet<&String> = renderings.iter().collect();
-    assert_eq!(unique.len(), 4, "{renderings:#?}");
+    assert_eq!(unique.len(), 3, "{renderings:#?}");
 }

@@ -34,8 +34,9 @@ Shell commands:
 Flags: --wal-dir <dir> makes commits durable (replays any existing
 snapshot + WAL from <dir> on startup); --static-plans disables
 statistics-driven adaptive differential planning; --strategy
-<serial|parallel|sharded:N> picks the propagation execution strategy
-(sharded:N partitions each wave-front level across N workers).
+<serial|parallel> picks the propagation execution strategy (parallel,
+the default, runs large wave-front levels on threads; serial never
+spawns).
 Subcommands: `amosql lint [--deny-lints] [--format text|json]
 <file.osql>...` statically analyzes scripts (safety, stratification,
 termination, dead differentials, unsatisfiable conditions, type
@@ -101,7 +102,7 @@ fn main() -> io::Result<()> {
             "--static-plans" => db.set_adaptive_planning(false),
             "--strategy" => {
                 let Some(value) = args.next() else {
-                    eprintln!("--strategy requires a value: serial, parallel, or sharded:N");
+                    eprintln!("--strategy requires a value: serial or parallel");
                     std::process::exit(2);
                 };
                 match ExecStrategy::parse(&value) {
@@ -115,7 +116,7 @@ fn main() -> io::Result<()> {
             other => {
                 eprintln!(
                     "unknown flag `{other}` (supported: --wal-dir <dir>, --static-plans, \
-                     --strategy <serial|parallel|sharded:N>)"
+                     --strategy <serial|parallel>)"
                 );
                 std::process::exit(2);
             }

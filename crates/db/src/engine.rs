@@ -52,10 +52,11 @@ pub struct EngineOptions {
     /// update statement instead of deferring to commit. The calculus is
     /// identical; only the check-phase timing changes.
     pub immediate: bool,
-    /// Wave-front execution strategy for propagation passes (parallel
-    /// by default; serial retained for the ablation benches; sharded
-    /// runs each level as a hash-partitioned exchange over `workers`
-    /// shard-owning threads).
+    /// Wave-front execution strategy for propagation passes: parallel
+    /// by default (levels at or above
+    /// [`INLINE_WAVE_THRESHOLD`](amos_core::propagate::INLINE_WAVE_THRESHOLD)
+    /// tuples run on threads, smaller ones inline); serial never spawns
+    /// and is the reference the equivalence oracles compare against.
     pub propagation: ExecStrategy,
     /// Per-pass tabling of derived-call results (on by default; the
     /// `--no-tabling` bench flag disables it for ablation runs).
@@ -354,8 +355,8 @@ impl Amos {
         self.rules.mode = mode;
     }
 
-    /// Switch the wave-front execution strategy (parallel / serial /
-    /// sharded). Takes effect from the next propagation pass.
+    /// Switch the wave-front execution strategy (parallel / serial).
+    /// Takes effect from the next propagation pass.
     pub fn set_propagation_strategy(&mut self, strategy: ExecStrategy) {
         self.options.propagation = strategy;
         self.rules.exec = strategy;
@@ -802,7 +803,7 @@ impl Amos {
                     .activate(id, params.clone(), &self.catalog, &mut self.storage)?;
                 // Conformance gate: the rebuilt network must agree with
                 // the differencing calculus (one Δ₊/Δ₋ per influent
-                // occurrence, monotone levels, consistent shard keys).
+                // occurrence, monotone levels).
                 // A violation means the compiler produced a network that
                 // could lose or double-count updates — roll the
                 // activation back rather than monitor with it.

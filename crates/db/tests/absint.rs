@@ -103,11 +103,7 @@ proptest! {
             summaries
         };
         for check in [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict] {
-            for strategy in [
-                ExecStrategy::Serial,
-                ExecStrategy::Parallel,
-                ExecStrategy::Sharded { workers: 3 },
-            ] {
+            for strategy in [ExecStrategy::Serial, ExecStrategy::Parallel] {
                 let unpruned = run(false, check, strategy);
                 let pruned = run(true, check, strategy);
                 prop_assert_eq!(

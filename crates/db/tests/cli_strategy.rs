@@ -31,7 +31,7 @@ fn run_amosql(args: &[&str]) -> (i32, String, String) {
 
 #[test]
 fn valid_strategies_start_the_shell() {
-    for strategy in ["serial", "parallel", "sharded:4"] {
+    for strategy in ["serial", "parallel"] {
         let (code, stdout, stderr) = run_amosql(&["--strategy", strategy]);
         assert_eq!(code, 0, "--strategy {strategy} failed: {stderr}");
         assert!(
@@ -51,44 +51,29 @@ fn unknown_strategy_gets_a_spanned_diagnostic() {
     assert!(stderr.contains("^^^^^"), "{stderr}");
 }
 
+/// An unknown head stays unknown whatever `:argument` follows it: the
+/// caret spans the head alone.
 #[test]
-fn bad_worker_count_points_after_the_colon() {
-    let (code, _, stderr) = run_amosql(&["--strategy", "sharded:0"]);
-    assert_eq!(code, 2);
-    assert!(stderr.contains("out of range 1..=64"), "{stderr}");
-    let caret_line = stderr
-        .lines()
-        .find(|l| l.trim_start().starts_with('^'))
-        .unwrap_or_else(|| panic!("no caret line in {stderr}"));
-    // "  --strategy " is 13 chars; "sharded:" is 8 more — the caret
-    // must sit under the `0`.
-    assert_eq!(caret_line.find('^'), Some(13 + 8), "{stderr}");
-    assert_eq!(caret_line.trim_start(), "^", "{stderr}");
+fn unknown_strategy_with_an_argument_points_at_the_head() {
+    for spelling in ["pooled:4", "pooled:0", "pooled:"] {
+        let (code, _, stderr) = run_amosql(&["--strategy", spelling]);
+        assert_eq!(code, 2, "--strategy {spelling}: {stderr}");
+        assert!(
+            stderr.contains("unknown strategy `pooled`; expected serial or parallel"),
+            "{stderr}"
+        );
+        let caret_line = stderr
+            .lines()
+            .find(|l| l.trim_start().starts_with('^'))
+            .unwrap_or_else(|| panic!("no caret line in {stderr}"));
+        // "  --strategy " is 13 chars; the carets sit under `pooled`.
+        assert_eq!(caret_line.find('^'), Some(13), "{stderr}");
+        assert_eq!(caret_line.trim_start(), "^^^^^^", "{stderr}");
+    }
 }
 
 #[test]
-fn worker_count_above_cap_points_at_the_number() {
-    let (code, _, stderr) = run_amosql(&["--strategy", "sharded:65"]);
-    assert_eq!(code, 2);
-    assert!(
-        stderr.contains("worker count 65 out of range 1..=64"),
-        "{stderr}"
-    );
-    let caret_line = stderr
-        .lines()
-        .find(|l| l.trim_start().starts_with('^'))
-        .unwrap_or_else(|| panic!("no caret line in {stderr}"));
-    // Same geometry as `sharded:0`, but the caret spans both digits.
-    assert_eq!(caret_line.find('^'), Some(13 + 8), "{stderr}");
-    assert_eq!(caret_line.trim_start(), "^^", "{stderr}");
-}
-
-#[test]
-fn missing_worker_count_is_rejected() {
-    let (code, _, stderr) = run_amosql(&["--strategy", "sharded"]);
-    assert_eq!(code, 2);
-    assert!(stderr.contains("needs a worker count"), "{stderr}");
-
+fn missing_strategy_value_is_rejected() {
     let (code, _, stderr) = run_amosql(&["--strategy"]);
     assert_eq!(code, 2);
     assert!(stderr.contains("--strategy requires a value"), "{stderr}");

@@ -97,17 +97,8 @@ pub struct LevelStats {
     pub wave_tuples: usize,
     /// Differential executions launched from this level.
     pub tasks: usize,
-    /// Whether the level's tasks ran on the parallel path.
+    /// Whether the level's tasks ran on threads (false: inline).
     pub parallel: bool,
-    /// Shards the level's seeds were partitioned into (0 when the pass
-    /// did not run sharded).
-    pub shards: usize,
-    /// Seed tuples owned by the busiest worker of this level (sharded
-    /// passes only) — `max_occupancy / min_occupancy` is the level's
-    /// skew, which totals alone cannot show.
-    pub max_occupancy: u64,
-    /// Seed tuples owned by the idlest worker of this level.
-    pub min_occupancy: u64,
 }
 
 impl LevelStats {
@@ -118,9 +109,6 @@ impl LevelStats {
             .with("wave_tuples", self.wave_tuples)
             .with("tasks", self.tasks)
             .with("parallel", self.parallel)
-            .with("shards", self.shards)
-            .with("max_occupancy", self.max_occupancy)
-            .with("min_occupancy", self.min_occupancy)
     }
 }
 
@@ -178,20 +166,6 @@ pub struct PassMetrics {
     /// (lint pass L004: Δ₋ on append-only relations, statically-false
     /// bodies). Constant across passes of the same network.
     pub pruned_differentials: u64,
-    /// Worker count of a sharded pass (0 for serial/parallel passes).
-    pub workers: usize,
-    /// Seed tuples routed through the per-level partitioned exchanges.
-    pub exchange_tuples: u64,
-    /// Seed tuples owned by each shard, summed over levels (empty for
-    /// non-sharded passes).
-    pub shard_seed_tuples: Vec<u64>,
-    /// Candidate tuples produced by each shard's workers, summed over
-    /// levels (empty for non-sharded passes).
-    pub shard_candidates: Vec<u64>,
-    /// Load-balance skew of the pass: busiest shard's seed tuples over
-    /// the per-shard mean (1.0 = perfectly balanced, 0.0 = no seeds or
-    /// not sharded).
-    pub skew: f64,
 }
 
 impl PassMetrics {
@@ -241,27 +215,6 @@ impl PassMetrics {
                 ),
             )
             .with("pruned_differentials", self.pruned_differentials)
-            .with("workers", self.workers)
-            .with("exchange_tuples", self.exchange_tuples)
-            .with(
-                "shard_seed_tuples",
-                JsonValue::Array(
-                    self.shard_seed_tuples
-                        .iter()
-                        .map(|&n| JsonValue::from(n))
-                        .collect(),
-                ),
-            )
-            .with(
-                "shard_candidates",
-                JsonValue::Array(
-                    self.shard_candidates
-                        .iter()
-                        .map(|&n| JsonValue::from(n))
-                        .collect(),
-                ),
-            )
-            .with("skew", self.skew)
     }
 
     /// Human-readable rendering for `explain` output.
@@ -292,22 +245,11 @@ impl PassMetrics {
             self.fallback_scans,
             self.pruned_differentials
         );
-        if self.workers > 0 {
-            let _ = writeln!(
-                out,
-                "  sharding: workers={} exchange_tuples={} skew={:.2} seed_per_shard={:?} candidates_per_shard={:?}",
-                self.workers,
-                self.exchange_tuples,
-                self.skew,
-                self.shard_seed_tuples,
-                self.shard_candidates
-            );
-        }
         for site in &self.fallback_sites {
             let _ = writeln!(out, "  FALLBACK scan at {site} (no covering index)");
         }
         for lvl in &self.levels {
-            let _ = write!(
+            let _ = writeln!(
                 out,
                 "  level {}: active_nodes={} wave_tuples={} tasks={} ({})",
                 lvl.level,
@@ -316,14 +258,6 @@ impl PassMetrics {
                 lvl.tasks,
                 if lvl.parallel { "parallel" } else { "serial" }
             );
-            if lvl.shards > 0 {
-                let _ = write!(
-                    out,
-                    " shards={} occupancy={}..{}",
-                    lvl.shards, lvl.min_occupancy, lvl.max_occupancy
-                );
-            }
-            out.push('\n');
         }
         for d in &self.differentials {
             let _ = writeln!(
@@ -367,9 +301,6 @@ mod tests {
                 wave_tuples: 3,
                 tasks: 2,
                 parallel: true,
-                shards: 4,
-                max_occupancy: 2,
-                min_occupancy: 0,
             }],
             differentials: vec![DiffTiming {
                 diff: 7,
@@ -392,11 +323,6 @@ mod tests {
             fallback_scans: 1,
             fallback_sites: vec!["stock[1]".into()],
             pruned_differentials: 2,
-            workers: 4,
-            exchange_tuples: 3,
-            shard_seed_tuples: vec![2, 1, 0, 0],
-            shard_candidates: vec![3, 2, 0, 0],
-            skew: 2.67,
         }
     }
 
@@ -414,11 +340,6 @@ mod tests {
         assert!(doc.contains(r#""delta_scans":1,"merge_joins":1,"#));
         assert!(doc.contains(r#""fallback_scans":1,"fallback_sites":["stock[1]"]"#));
         assert!(doc.contains(r#""pruned_differentials":2"#));
-        assert!(doc.contains(r#""shards":4,"max_occupancy":2,"min_occupancy":0"#));
-        assert!(doc.contains(r#""workers":4,"exchange_tuples":3,"#));
-        assert!(doc.contains(r#""shard_seed_tuples":[2,1,0,0]"#));
-        assert!(doc.contains(r#""shard_candidates":[3,2,0,0]"#));
-        assert!(doc.contains(r#""skew":2.67"#));
     }
 
     #[test]
@@ -434,8 +355,6 @@ mod tests {
         assert!(text.contains("pruned_differentials=2"));
         assert!(text.contains("est-rows=4.50 actual=5"));
         assert!(text.contains("FALLBACK scan at stock[1]"));
-        assert!(text.contains("sharding: workers=4 exchange_tuples=3 skew=2.67"));
-        assert!(text.contains("shards=4 occupancy=0..2"));
     }
 
     #[test]

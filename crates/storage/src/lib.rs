@@ -47,7 +47,6 @@ pub mod fault;
 pub mod log;
 pub mod oldstate;
 pub mod relation;
-pub mod shard;
 pub mod snapshot;
 pub mod txn;
 pub mod wal;
@@ -59,7 +58,6 @@ pub use error::StorageError;
 pub use log::{LogOp, LogRecord, UndoDrain, UpdateLog};
 pub use oldstate::{OldStateView, StateEpoch};
 pub use relation::BaseRelation;
-pub use shard::{shard_of, ShardedDelta};
 pub use snapshot::{Snapshot, SnapshotRelation, SNAPSHOT_FILE};
 pub use txn::{ReadOverlay, RelOverlay, TxnVersion};
 pub use wal::{
