@@ -45,8 +45,9 @@ pub trait UserView: Send + Sync {
     /// internal state and return the Δ-set of result tuples.
     ///
     /// `storage` is in the *new* state; the old state of any source is
-    /// reachable through `storage.old_view(rel)` (logical rollback),
-    /// exactly like compiler-generated negative differentials.
+    /// reachable through logical rollback (a `StateView` with
+    /// `storage.delta(rel)` as its `Layer::Undo`), exactly like
+    /// compiler-generated negative differentials.
     fn apply(
         &mut self,
         deltas: &SourceDeltas<'_>,

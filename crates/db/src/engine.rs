@@ -21,8 +21,7 @@ use amos_objectlog::eval::{DeltaMap, EvalConfig, EvalContext};
 use amos_objectlog::expand::{expand_clause, ExpandOptions};
 use amos_objectlog::plan::compile_clause;
 use amos_storage::{
-    CommitWaiter, ReadOverlay, RecoveryInfo, RelId, Savepoint, StateEpoch, Storage, WalConfig,
-    WalMetrics,
+    CommitWaiter, RecoveryInfo, RelId, Savepoint, StateEpoch, Storage, WalConfig, WalMetrics,
 };
 use amos_types::{Tuple, TypeRegistry, Value};
 
@@ -46,8 +45,6 @@ pub enum NetworkPrep {
 pub struct EngineOptions {
     /// Condition preparation style.
     pub network_prep: NetworkPrep,
-    /// Default rule semantics for `create rule`.
-    pub default_semantics: RuleSemantics,
     /// Immediate rule processing (§1): run the rule check after every
     /// update statement instead of deferring to commit. The calculus is
     /// identical; only the check-phase timing changes.
@@ -88,7 +85,6 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             network_prep: NetworkPrep::default(),
-            default_semantics: RuleSemantics::default(),
             immediate: false,
             propagation: ExecStrategy::default(),
             tabling: true,
@@ -1204,7 +1200,7 @@ impl Amos {
             params.len(),
             action_fn,
             priority,
-            self.options.default_semantics,
+            RuleSemantics::default(),
         )?;
         if !events.is_empty() {
             let mut rels = std::collections::HashSet::new();
@@ -1334,11 +1330,9 @@ pub fn eval_scalar(
     expr: &Expr,
 ) -> Result<Value, DbError> {
     ScalarEval {
-        storage,
-        catalog,
+        ctx: &EvalContext::new(storage, catalog, &DeltaMap::new()),
         env,
         iface,
-        view: None,
         reads: None,
     }
     .eval(expr)
@@ -1405,16 +1399,17 @@ impl ReadTrace {
     }
 }
 
-/// Scalar-expression evaluator parameterized by an optional snapshot
-/// view (session transactions read through their overlay) and an
-/// optional read trace (commit-time conflict validation needs the read
-/// footprint). [`eval_scalar`] is the plain single-session instance.
+/// Scalar-expression evaluator over one evaluation context — the state
+/// it reads (session transactions read through their snapshot layers)
+/// and the caches every stored-function call of the statement shares;
+/// the storage borrow is immutable for as long as `ctx` lives, so its
+/// memo table is valid for exactly that long — plus an optional read
+/// trace (commit-time conflict validation needs the read footprint).
+/// [`eval_scalar`] is the plain single-session instance.
 pub(crate) struct ScalarEval<'a> {
-    pub storage: &'a Storage,
-    pub catalog: &'a Catalog,
+    pub ctx: &'a EvalContext<'a>,
     pub env: &'a HashMap<String, Value>,
     pub iface: &'a HashMap<String, Value>,
-    pub view: Option<&'a ReadOverlay>,
     pub reads: Option<&'a RefCell<ReadTrace>>,
 }
 
@@ -1464,11 +1459,11 @@ impl ScalarEval<'_> {
                 Ok(Value::Bool(!v))
             }
             Expr::Call { func, args } => {
-                let pred = self
-                    .catalog
+                let catalog = self.ctx.catalog;
+                let pred = catalog
                     .lookup(func)
                     .map_err(|_| DbError::Other(format!("unknown function `{func}`")))?;
-                let arity = self.catalog.def(pred).arity;
+                let arity = catalog.def(pred).arity;
                 if args.len() + 1 != arity {
                     return Err(DbError::Other(format!(
                         "function `{func}` takes {} arguments, {} supplied",
@@ -1481,16 +1476,11 @@ impl ScalarEval<'_> {
                     vals.push(self.eval(a)?);
                 }
                 if let Some(reads) = self.reads {
-                    reads.borrow_mut().record_call(self.catalog, pred, &vals);
+                    reads.borrow_mut().record_call(catalog, pred, &vals);
                 }
                 let mut pattern: Vec<Option<Value>> = vals.into_iter().map(Some).collect();
                 pattern.push(None);
-                let deltas = DeltaMap::new();
-                let ctx = match self.view {
-                    Some(v) => EvalContext::with_view(self.storage, self.catalog, &deltas, v),
-                    None => EvalContext::new(self.storage, self.catalog, &deltas),
-                };
-                let results = ctx.eval_pred(pred, &pattern, StateEpoch::New)?;
+                let results = self.ctx.eval_pred(pred, &pattern, StateEpoch::New)?;
                 let mut vals: Vec<Value> =
                     results.into_iter().map(|t| t[arity - 1].clone()).collect();
                 vals.sort();

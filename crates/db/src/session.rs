@@ -5,10 +5,10 @@
 //!
 //! * **Snapshot reads.** `begin` pins the storage commit sequence
 //!   ([`Storage::pin_snapshot`]); every read inside the transaction is
-//!   corrected through a [`ReadOverlay`] that undoes transactions
-//!   committed after the pin and replays the session's own buffered
-//!   writes — the paper's logical-rollback algebra
-//!   `S_old = (S_new ∪ Δ₋S) − Δ₊S` generalized per committed version.
+//!   made through [`LayerStacks::snapshot`]: every transaction committed
+//!   after the pin undone, the session's own buffered writes replayed —
+//!   the paper's logical-rollback algebra `S_old = (S_new ∪ Δ₋S) − Δ₊S`,
+//!   one layer per committed version.
 //!   Reads take the engine's *read* lock, so they proceed in parallel.
 //! * **Buffered write-sets.** Updates inside a transaction never touch
 //!   shared storage; they fold into per-relation [`DeltaSet`]s exactly
@@ -42,9 +42,9 @@ use amos_amosql::parser::parse_spanned;
 use amos_core::rules::CheckSummary;
 use amos_objectlog::catalog::PredKind;
 use amos_objectlog::clause::{Literal, Term};
-use amos_objectlog::eval::{DeltaMap, EvalContext};
+use amos_objectlog::eval::EvalContext;
 use amos_objectlog::plan::compile_clause;
-use amos_storage::{CommitWaiter, DeltaSet, ReadOverlay, RelId, StateEpoch, Storage, WalMetrics};
+use amos_storage::{CommitWaiter, DeltaSet, LayerStacks, RelId, StateEpoch, Storage, WalMetrics};
 use amos_types::{Tuple, Value};
 
 use crate::engine::{resolve_stored, Amos, ExecResult, ReadTrace, ScalarEval};
@@ -142,6 +142,16 @@ struct OpenTxn {
     write_keys: HashMap<RelId, HashSet<Tuple>>,
     /// Read footprint (whole-relation and key-granular).
     reads: RefCell<ReadTrace>,
+}
+
+impl OpenTxn {
+    /// What this transaction reads: every version committed since its
+    /// pin undone, its own write-set replayed. Borrows `self.writes`, so
+    /// it lives for one statement's reads and is gone before the
+    /// statement's writes are buffered.
+    fn layers<'a>(&'a self, storage: &'a Storage) -> LayerStacks<'a> {
+        LayerStacks::snapshot(storage.versions_since(self.begin_seq), &self.writes)
+    }
 }
 
 /// A client session: executes AMOSQL, optionally inside an isolated
@@ -408,12 +418,8 @@ impl Session {
                     }
                 }
             }
-            let overlay = ReadOverlay::build(
-                eng.storage().versions_since(txn.begin_seq),
-                txn.writes.iter(),
-            );
-            let deltas = DeltaMap::new();
-            let ctx = EvalContext::with_view(eng.storage(), eng.catalog(), &deltas, &overlay);
+            let layers = txn.layers(eng.storage());
+            let ctx = EvalContext::with_layers(eng.storage(), eng.catalog(), &layers);
             let mut rows: Vec<Tuple> = Vec::new();
             for clause in &q.clauses {
                 let plan = compile_clause(eng.catalog(), clause, &Default::default())?;
@@ -443,86 +449,70 @@ impl Session {
         self.engine.with_read(|eng| {
             let storage = eng.storage();
             let catalog = eng.catalog();
-            let overlay =
-                ReadOverlay::build(storage.versions_since(txn.begin_seq), txn.writes.iter());
-            let env = HashMap::new();
-            let scalar = ScalarEval {
-                storage,
-                catalog,
-                env: &env,
-                iface: eng.iface_map(),
-                view: Some(&overlay),
-                reads: Some(&txn.reads),
+            let (func, args, value) = match p {
+                ProcStmt::Set { func, args, value }
+                | ProcStmt::Add { func, args, value }
+                | ProcStmt::Remove { func, args, value } => (func, args, value),
+                ProcStmt::Call { name, .. } => {
+                    return Err(DbError::Other(format!(
+                        "procedure `{name}` cannot run inside a session transaction"
+                    )))
+                }
             };
-            match p {
-                ProcStmt::Set { func, args, value } => {
-                    let (rel, key_arity) = resolve_stored(catalog, func).map_err(DbError::Other)?;
-                    let key: Vec<Value> = args
-                        .iter()
-                        .map(|a| scalar.eval(a))
-                        .collect::<Result<_, _>>()?;
-                    if key.len() != key_arity {
-                        return Err(DbError::Other(format!(
-                            "`set {func}` expects {key_arity} key arguments, got {}",
-                            key.len()
-                        )));
-                    }
-                    let v = scalar.eval(value)?;
+            let (rel, key_arity) = resolve_stored(catalog, func).map_err(DbError::Other)?;
+            // Read phase: evaluate the statement against the snapshot
+            // into the tuples it deletes and inserts.
+            let (deletes, insert) = {
+                let layers = txn.layers(storage);
+                let ctx = EvalContext::with_layers(storage, catalog, &layers);
+                let env = HashMap::new();
+                let scalar = ScalarEval {
+                    ctx: &ctx,
+                    env: &env,
+                    iface: eng.iface_map(),
+                    reads: Some(&txn.reads),
+                };
+                let mut vals: Vec<Value> = args
+                    .iter()
+                    .map(|a| scalar.eval(a))
+                    .collect::<Result<_, _>>()?;
+                let set = matches!(p, ProcStmt::Set { .. });
+                if set && vals.len() != key_arity {
+                    return Err(DbError::Other(format!(
+                        "`set {func}` expects {key_arity} key arguments, got {}",
+                        vals.len()
+                    )));
+                }
+                let v = scalar.eval(value)?;
+                let mut deletes = Vec::new();
+                if set {
                     // `set` semantics: delete every tuple at the key (as
                     // visible in this transaction's snapshot), insert the
                     // new one. The probe itself is a key-granular read.
                     let key_cols: Vec<usize> = (0..key_arity).collect();
-                    let olds = overlay.probe(rel, storage.relation(rel), &key_cols, &key);
-                    record_key_read(&txn.reads, rel, key_arity, &key);
-                    let writes = txn.writes.entry(rel).or_default();
-                    let wkeys = txn.write_keys.entry(rel).or_default();
-                    for t in olds {
-                        wkeys.insert(conflict_key(&t, key_arity));
-                        writes.apply_delete(t);
-                    }
-                    let mut vals = key;
-                    vals.push(v);
-                    let t = Tuple::new(vals);
-                    wkeys.insert(conflict_key(&t, key_arity));
-                    writes.apply_insert(t);
-                    Ok(ExecResult::Ok)
+                    deletes = ctx.state(rel, StateEpoch::New).probe(&key_cols, &vals);
+                    record_key_read(&txn.reads, rel, key_arity, &vals);
                 }
-                ProcStmt::Add { func, args, value } => {
-                    let (rel, key_arity) = resolve_stored(catalog, func).map_err(DbError::Other)?;
-                    let mut vals: Vec<Value> = args
-                        .iter()
-                        .map(|a| scalar.eval(a))
-                        .collect::<Result<_, _>>()?;
-                    vals.push(scalar.eval(value)?);
-                    let t = Tuple::new(vals);
-                    check_arity(storage, rel, &t, func)?;
-                    txn.write_keys
-                        .entry(rel)
-                        .or_default()
-                        .insert(conflict_key(&t, key_arity));
-                    txn.writes.entry(rel).or_default().apply_insert(t);
-                    Ok(ExecResult::Ok)
+                vals.push(v);
+                let t = Tuple::new(vals);
+                check_arity(storage, rel, &t, func)?;
+                match p {
+                    ProcStmt::Remove { .. } => (vec![t], None),
+                    _ => (deletes, Some(t)),
                 }
-                ProcStmt::Remove { func, args, value } => {
-                    let (rel, key_arity) = resolve_stored(catalog, func).map_err(DbError::Other)?;
-                    let mut vals: Vec<Value> = args
-                        .iter()
-                        .map(|a| scalar.eval(a))
-                        .collect::<Result<_, _>>()?;
-                    vals.push(scalar.eval(value)?);
-                    let t = Tuple::new(vals);
-                    check_arity(storage, rel, &t, func)?;
-                    txn.write_keys
-                        .entry(rel)
-                        .or_default()
-                        .insert(conflict_key(&t, key_arity));
-                    txn.writes.entry(rel).or_default().apply_delete(t);
-                    Ok(ExecResult::Ok)
-                }
-                ProcStmt::Call { name, .. } => Err(DbError::Other(format!(
-                    "procedure `{name}` cannot run inside a session transaction"
-                ))),
+            };
+            // Write phase: fold them into the buffered write-set.
+            let writes = txn.writes.entry(rel).or_default();
+            let wkeys = txn.write_keys.entry(rel).or_default();
+            for t in deletes {
+                wkeys.insert(conflict_key(&t, key_arity));
+                writes.apply_delete(t);
             }
+            if let Some(t) = insert {
+                wkeys.insert(conflict_key(&t, key_arity));
+                writes.apply_insert(t);
+            }
+            Ok(ExecResult::Ok)
         })
     }
 }

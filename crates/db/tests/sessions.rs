@@ -431,3 +431,38 @@ fn values_roundtrip_through_snapshot() {
     let rows = s1.query("select name(:x);").unwrap();
     assert_eq!(rows[0][0], Value::Str("after".into()));
 }
+
+/// A recursive function's fixpoint rounds read through the session's
+/// layers like every other stored access: a concurrently committed edge
+/// extends no path of the snapshot, a buffered one does.
+#[test]
+fn recursive_function_reads_its_snapshot() {
+    let mut db = Amos::new();
+    db.execute(
+        r#"
+        create type node;
+        create function edge(node a, node b) -> boolean;
+        create function reach(node a, node b) -> boolean
+            as select true
+            for each node c
+            where edge(a, b) or reach(a, c) and edge(c, b);
+        create node instances :n1, :n2, :n3, :n4;
+        add edge(:n1, :n2) = true;
+    "#,
+    )
+    .unwrap();
+    let eng = SharedEngine::new(db);
+    let mut s1 = eng.session();
+    let mut s2 = eng.session();
+    const PATHS: &str = "select a, b for each node a, node b where reach(a, b);";
+
+    s1.execute("begin;").unwrap();
+    s2.execute("begin; add edge(:n2, :n3) = true; commit;")
+        .unwrap();
+    assert_eq!(s2.query(PATHS).unwrap().len(), 3, "1→2, 2→3, 1→3");
+    assert_eq!(s1.query(PATHS).unwrap().len(), 1, "the snapshot has 1→2");
+
+    s1.execute("add edge(:n2, :n4) = true;").unwrap();
+    assert_eq!(s1.query(PATHS).unwrap().len(), 3, "1→2, 2→4, 1→4");
+    s1.execute("rollback;").unwrap();
+}

@@ -16,9 +16,9 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
-use amos_storage::{DeltaSet, ReadOverlay, StateEpoch, Storage};
+use amos_storage::{DeltaSet, Layer, LayerStacks, RelId, StateEpoch, StateView, Storage};
 use amos_types::{FxHashMap, Tuple, Value};
 
 use crate::catalog::{Catalog, PredId, PredKind};
@@ -60,10 +60,9 @@ impl Default for EvalConfig {
 /// * **plan cache** — compiled clause plans per (predicate, binding
 ///   mask). Valid as long as the catalog's clauses are; the rule layer
 ///   replaces the whole `EvalShared` when the network is rebuilt.
-/// * **old-state indexes** — lazily-built hash indexes over logical-
-///   rollback views, shared by every negative differential of the pass
-///   (previously rebuilt per differential). Valid for one pass: the next
-///   transaction has different Δ-sets.
+/// * **old-state indexes** — lazily-built hash indexes over old-state
+///   views, shared by every negative differential of the pass. Valid for
+///   one pass: the next transaction has different Δ-sets.
 /// * **memo table** — derived-call results per (predicate, binding
 ///   pattern, epoch); see [`EvalContext::eval_call`]. Valid for one
 ///   pass: storage is frozen while a pass runs.
@@ -176,6 +175,25 @@ impl EvalShared {
 /// arrange once `s ≪ |Δ|` (the bulk-load-against-tiny-companion shape).
 const LOOKUP_JOIN_FACTOR: usize = 8;
 
+/// Up to this many Δ tuples under an old-state view, a probe pays the
+/// view's O(|Δ|) walk itself (the paper's common case: a small
+/// transaction); past it, one old-state scan is amortized into a hash
+/// index shared by the whole pass — this is what keeps the fig. 7
+/// workload linear instead of quadratic.
+const OLD_INDEX_MIN_DELTA: usize = 32;
+
+/// The layer stacks of a context that reads the database as it stands.
+fn no_layers() -> &'static LayerStacks<'static> {
+    static EMPTY: OnceLock<LayerStacks<'static>> = OnceLock::new();
+    EMPTY.get_or_init(LayerStacks::default)
+}
+
+/// The Δ-environment outside propagation.
+fn no_deltas() -> &'static DeltaMap {
+    static EMPTY: OnceLock<DeltaMap> = OnceLock::new();
+    EMPTY.get_or_init(DeltaMap::new)
+}
+
 /// Evaluation context: storage, catalog, and the Δ-environment.
 pub struct EvalContext<'a> {
     /// The database of base relations.
@@ -186,12 +204,12 @@ pub struct EvalContext<'a> {
     pub deltas: &'a DeltaMap,
     /// Recursion guard for derived-predicate calls.
     pub depth_limit: usize,
-    /// Snapshot-correction view for multi-session transactions: when
-    /// set, every `New`-epoch stored read is routed through the overlay
-    /// (`(S_now − hide) ∪ add`). Contexts carrying a view must use a
-    /// *fresh* [`EvalShared`] — the memo table is keyed by `(pred,
-    /// pattern, epoch)` only and would leak results across snapshots.
-    pub view: Option<&'a ReadOverlay>,
+    /// The Δ-layers between the stored relations and this context's
+    /// `New` state: empty in the check phase, a session's snapshot
+    /// stacks otherwise. Private, and settable only together with a
+    /// fresh `shared`: the memo table is keyed by `(pred, pattern,
+    /// epoch)` and is valid for exactly one state.
+    layers: &'a LayerStacks<'a>,
     /// Caches shared across the contexts of one propagation pass.
     shared: Arc<EvalShared>,
 }
@@ -213,12 +231,8 @@ type PlanCache = FxHashMap<(PredId, u64), Arc<Vec<(usize, Plan)>>>;
 type OldIndex = FxHashMap<Tuple, Vec<Tuple>>;
 
 /// Cache of old-state hash indexes keyed by relation and probed column
-/// set, used for old-epoch probes when the relation's Δ-set is too large
-/// for the per-probe linear overlay of
-/// [`amos_storage::OldStateView::probe`]. The build cost (one old-state
-/// scan) amortizes over the many probes a massive transaction performs —
-/// this is what keeps the fig. 7 workload linear instead of quadratic.
-type OldIndexCache = FxHashMap<(amos_storage::RelId, Vec<usize>), Arc<OldIndex>>;
+/// set (see [`OLD_INDEX_MIN_DELTA`]).
+type OldIndexCache = FxHashMap<(RelId, Vec<usize>), Arc<OldIndex>>;
 
 /// Memo table for derived-predicate calls: full binding pattern + state
 /// epoch → the call's result set. Within one pass the database is
@@ -299,25 +313,35 @@ impl<'a> EvalContext<'a> {
             catalog,
             deltas,
             depth_limit: shared.config().depth_limit,
-            view: None,
+            layers: no_layers(),
             shared,
         }
     }
 
-    /// Build a context whose `New`-epoch stored reads are corrected by a
-    /// snapshot [`ReadOverlay`] (session transactions). Uses fresh
-    /// private caches: memoized derived-call results are only valid
-    /// under the overlay they were computed with.
-    pub fn with_view(
+    /// Build a context that reads every stored relation through `layers`
+    /// (a session's snapshot), outside propagation: no Δ-environment,
+    /// and always fresh private caches — memoized derived-call results
+    /// are only valid for the stack they were computed under.
+    pub fn with_layers(
         storage: &'a Storage,
         catalog: &'a Catalog,
-        deltas: &'a DeltaMap,
-        view: &'a ReadOverlay,
+        layers: &'a LayerStacks<'a>,
     ) -> Self {
         EvalContext {
-            view: Some(view),
-            ..EvalContext::new(storage, catalog, deltas)
+            layers,
+            ..EvalContext::new(storage, catalog, no_deltas())
         }
+    }
+
+    /// The state of a stored relation at `epoch`: this context's layers
+    /// over the base for `New`, and the open transaction's Δ-set undone
+    /// on top of them for `Old`.
+    pub fn state(&self, rel: RelId, epoch: StateEpoch) -> StateView<'a> {
+        let rollback = match epoch {
+            StateEpoch::New => None,
+            StateEpoch::Old => self.storage.delta(rel).map(Layer::Undo),
+        };
+        StateView::new(self.storage.relation(rel), self.layers.of(rel), rollback)
     }
 
     /// The shared cache state this context evaluates through.
@@ -352,10 +376,7 @@ impl<'a> EvalContext<'a> {
         if let PredKind::Stored { rel, .. } = def.kind {
             if pattern.iter().all(Option::is_some) {
                 let t: Tuple = pattern.iter().map(|v| v.clone().unwrap()).collect();
-                return Ok(match epoch {
-                    StateEpoch::New => self.new_contains(rel, &t),
-                    StateEpoch::Old => self.storage.old_view(rel).contains(&t),
-                });
+                return Ok(self.state(rel, epoch).contains(&t));
             }
         }
         Ok(!self.eval_call(pred, pattern, epoch, 0)?.is_empty())
@@ -563,7 +584,10 @@ impl<'a> EvalContext<'a> {
             }
             let mut fmap = DeltaMap::new();
             fmap.insert(pred, delta);
-            let sub = EvalContext::new(self.storage, self.catalog, &fmap);
+            let sub = EvalContext {
+                deltas: &fmap,
+                ..EvalContext::with_layers(self.storage, self.catalog, self.layers)
+            };
             let mut next: Vec<Tuple> = Vec::new();
             for (clause, plan) in &rec_plans {
                 let bindings = vec![None; clause.n_vars as usize];
@@ -636,16 +660,9 @@ impl<'a> EvalContext<'a> {
     /// Evaluate a stored relation under a binding pattern.
     ///
     /// Returns a `Vec`, not a set: base relations already have set
-    /// semantics, an index probe returns each tuple once, and the
-    /// old-state overlay `(S_new − Δ₊) ∪ Δ₋` is duplicate-free because
-    /// `Δ₋ ∩ S_new = ∅` — so the per-probe dedup the previous `HashSet`
-    /// return performed was pure overhead on the hottest path.
-    fn eval_stored(
-        &self,
-        rel: amos_storage::RelId,
-        pattern: &[Option<Value>],
-        epoch: StateEpoch,
-    ) -> Vec<Tuple> {
+    /// semantics and a [`StateView`] emits each visible tuple once, so
+    /// a per-probe dedup would be pure overhead on the hottest path.
+    fn eval_stored(&self, rel: RelId, pattern: &[Option<Value>], epoch: StateEpoch) -> Vec<Tuple> {
         let bound_cols: Vec<usize> = pattern
             .iter()
             .enumerate()
@@ -658,66 +675,33 @@ impl<'a> EvalContext<'a> {
         } else {
             self.shared.probes.fetch_add(1, Ordering::Relaxed);
         }
+        let state = self.state(rel, epoch);
         // Fully bound: a hash membership check, never an index probe
         // (index probes degrade to scans on unindexed column sets).
         if bound_cols.len() == pattern.len() {
             let t = Tuple::new(key);
-            let present = match epoch {
-                StateEpoch::New => self.new_contains(rel, &t),
-                StateEpoch::Old => self.storage.old_view(rel).contains(&t),
+            return if state.contains(&t) {
+                vec![t]
+            } else {
+                Vec::new()
             };
-            return if present { vec![t] } else { Vec::new() };
         }
-        match epoch {
-            StateEpoch::New => {
-                let r = self.storage.relation(rel);
-                if let Some(view) = self.view.filter(|v| v.overlays(rel)) {
-                    return if bound_cols.is_empty() {
-                        view.scan(rel, r)
-                    } else {
-                        view.probe(rel, r, &bound_cols, &key)
-                    };
-                }
-                if bound_cols.is_empty() {
-                    r.scan().cloned().collect()
-                } else {
-                    r.probe(&bound_cols, &key)
-                }
-            }
-            StateEpoch::Old => {
-                let v = self.storage.old_view(rel);
-                if bound_cols.is_empty() {
-                    v.scan().cloned().collect()
-                } else if v.delta_len() <= 32 {
-                    // Small transaction (the paper's common case): the
-                    // per-probe linear Δ overlay is O(|Δ|) ≈ O(1).
-                    v.probe(&bound_cols, &key)
-                } else {
-                    // Massive transaction: amortize one old-state scan
-                    // into a hash index shared across the whole pass.
-                    let idx = self.old_state_index(rel, &bound_cols);
-                    match idx.get(&Tuple::new(key)) {
-                        Some(ts) => ts.clone(),
-                        None => Vec::new(),
-                    }
-                }
-            }
-        }
-    }
-
-    /// `New`-epoch membership, corrected by the snapshot view when one
-    /// is attached and covers the relation.
-    fn new_contains(&self, rel: amos_storage::RelId, t: &Tuple) -> bool {
-        let base = self.storage.relation(rel);
-        match self.view {
-            Some(view) if view.overlays(rel) => view.contains(rel, base, t),
-            _ => base.contains(t),
+        if bound_cols.is_empty() {
+            state.scan().cloned().collect()
+        } else if epoch == StateEpoch::Old && state.delta_len() > OLD_INDEX_MIN_DELTA {
+            // Only the old state has a pass of probes to amortize the
+            // build over; a session's stack gets fresh caches per
+            // statement, so its probes always walk the layers.
+            let idx = self.old_state_index(rel, &bound_cols);
+            idx.get(&Tuple::new(key)).cloned().unwrap_or_default()
+        } else {
+            state.probe(&bound_cols, &key)
         }
     }
 
     /// The shared old-state index for `(rel, cols)`, building it on
     /// first use. Probes happen on the returned `Arc` outside the lock.
-    fn old_state_index(&self, rel: amos_storage::RelId, cols: &[usize]) -> Arc<OldIndex> {
+    fn old_state_index(&self, rel: RelId, cols: &[usize]) -> Arc<OldIndex> {
         if let Some(hit) = self
             .shared
             .old_index
@@ -727,9 +711,8 @@ impl<'a> EvalContext<'a> {
         {
             return Arc::clone(hit);
         }
-        let v = self.storage.old_view(rel);
         let mut map = OldIndex::default();
-        for t in v.scan() {
+        for t in self.state(rel, StateEpoch::Old).scan() {
             map.entry(t.project(cols)).or_default().push(t.clone());
         }
         let rc = Arc::new(map);
@@ -920,13 +903,14 @@ impl<'a> EvalContext<'a> {
                 if dside.is_empty() {
                     return Ok(());
                 }
-                if self.view.is_some_and(|v| v.overlays(*rel)) {
-                    // A snapshot view corrects this relation and the
-                    // stored-side arrangement bypasses it; fall back to
-                    // overlay-aware probes per Δ tuple. (Unreachable
-                    // from session selects — merge joins require a
-                    // Δ-literal, which only differencing plans carry —
-                    // but kept correct for defence in depth.)
+                if self.state(*rel, StateEpoch::New).delta_len() > 0 {
+                    // Layers correct this relation and the stored-side
+                    // arrangement bypasses them; probe through the view
+                    // per Δ tuple instead. (No plan run under layers is
+                    // fused today — fusion needs the planner statistics
+                    // only differencing plans get — but a recursive
+                    // function's frontier rounds do put a Δ-literal
+                    // under a session's layers, so the step stays exact.)
                     for dtu in dside {
                         if let Some(dtrail) = unify_tuple(delta_args, dtu, b) {
                             let pattern: Vec<Option<Value>> =
@@ -1168,7 +1152,6 @@ mod tests {
     #[test]
     fn merge_join_matches_unfused_pair() {
         use crate::plan::{compile_clause_with, PlanStats};
-        use amos_storage::RelId;
 
         struct BulkStats;
         impl PlanStats for BulkStats {
@@ -1245,7 +1228,6 @@ mod tests {
     #[test]
     fn lookup_join_matches_unfused_pair() {
         use crate::plan::{compile_clause_with, PlanStats};
-        use amos_storage::RelId;
 
         struct BulkStats;
         impl PlanStats for BulkStats {

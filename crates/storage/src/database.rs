@@ -23,7 +23,6 @@ use amos_types::{Oid, OidGenerator, Tuple, Value};
 use crate::delta::DeltaSet;
 use crate::error::StorageError;
 use crate::log::{LogOp, UpdateLog};
-use crate::oldstate::OldStateView;
 use crate::relation::BaseRelation;
 use crate::snapshot::{self, Snapshot, SnapshotRelation, SNAPSHOT_FILE};
 use crate::txn::TxnVersion;
@@ -289,21 +288,6 @@ impl Storage {
     /// Clear all accumulated Δ-sets (end of check phase).
     pub fn clear_deltas(&mut self) {
         self.deltas.clear();
-    }
-
-    /// An [`OldStateView`] of a relation for the current transaction.
-    ///
-    /// For unmonitored relations no Δ-set exists, so an empty delta is
-    /// used — correct only when the caller knows the relation was not
-    /// updated, which holds for every influent of an activated rule
-    /// (those are always monitored).
-    pub fn old_view(&self, id: RelId) -> OldStateView<'_> {
-        static EMPTY: std::sync::OnceLock<DeltaSet> = std::sync::OnceLock::new();
-        let delta = self
-            .deltas
-            .get(&id)
-            .unwrap_or_else(|| EMPTY.get_or_init(DeltaSet::new));
-        OldStateView::new(self.relation(id), delta)
     }
 
     // ------------------------------------------------------------------
@@ -890,6 +874,7 @@ impl Storage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::{Layer, StateView};
     use amos_types::tuple;
 
     fn db_with_rel() -> (Storage, RelId) {
@@ -960,7 +945,7 @@ mod tests {
     }
 
     #[test]
-    fn old_view_reflects_pre_transaction_state() {
+    fn undoing_the_transaction_delta_reads_the_pre_transaction_state() {
         let (mut db, q) = db_with_rel();
         db.monitor(q);
         db.begin().unwrap();
@@ -970,7 +955,7 @@ mod tests {
         db.begin().unwrap();
         db.set_functional(q, &[Value::Int(1)], &[Value::Int(9)])
             .unwrap();
-        let old = db.old_view(q);
+        let old = StateView::new(db.relation(q), &[], db.delta(q).map(Layer::Undo));
         assert!(old.contains(&tuple![1, 2]));
         assert!(!old.contains(&tuple![1, 9]));
         assert!(db.relation(q).contains(&tuple![1, 9]));

@@ -15,10 +15,11 @@
 //!   §4.1).
 //! * [`UpdateLog`] — the logical undo/redo log that physical events are
 //!   written to; undo restores the pre-transaction state.
-//! * [`OldStateView`] — the *logical rollback* view
-//!   `S_old = (S_new ∪ Δ₋S) − Δ₊S` (§4, fig. 3), answering membership,
-//!   scans, and index probes against the old state without materializing
-//!   it.
+//! * [`StateView`] — a base relation read through a stack of Δ-set
+//!   [`Layer`]s: the *logical rollback* `S_old = (S_new ∪ Δ₋S) − Δ₊S`
+//!   (§4, fig. 3) is the one-layer stack, a session's snapshot the stack
+//!   of every later [`TxnVersion`] undone plus its write-set replayed.
+//!   Membership, scans, and index probes, nothing materialized.
 //! * [`Storage`] — the database of base relations with transaction
 //!   scoping and per-relation Δ-set accumulation for *monitored*
 //!   relations (only influents of some activated rule pay any overhead,
@@ -45,10 +46,10 @@ pub mod error;
 #[cfg(feature = "fault-injection")]
 pub mod fault;
 pub mod log;
-pub mod oldstate;
 pub mod relation;
 pub mod snapshot;
 pub mod txn;
+pub mod view;
 pub mod wal;
 
 pub use arrangement::{Arrangement, SortedRun};
@@ -56,10 +57,10 @@ pub use database::{RecoveryInfo, RelId, Savepoint, Storage};
 pub use delta::{DeltaSet, Polarity};
 pub use error::StorageError;
 pub use log::{LogOp, LogRecord, UndoDrain, UpdateLog};
-pub use oldstate::{OldStateView, StateEpoch};
 pub use relation::BaseRelation;
 pub use snapshot::{Snapshot, SnapshotRelation, SNAPSHOT_FILE};
-pub use txn::{ReadOverlay, RelOverlay, TxnVersion};
+pub use txn::TxnVersion;
+pub use view::{Layer, LayerStacks, StateEpoch, StateView};
 pub use wal::{
     read_wal, read_wal_bytes, CommitWaiter, WalBatch, WalConfig, WalMetrics, WalRecord, WalWriter,
     GROUP_HIST_BUCKETS, WAL_FILE,

@@ -1,28 +1,16 @@
-//! Multi-version snapshot views for concurrent sessions.
+//! Committed transaction versions for concurrent sessions.
 //!
-//! The paper's logical-rollback identity `S_old = (S_new ∪ Δ₋S) − Δ₊S`
-//! (§4.2) reconstructs a *past* state from the present one plus a Δ-set.
-//! A snapshot read is the same algebra applied per committed transaction:
-//! a session that began at commit sequence `B` sees, for every relation,
-//!
-//! ```text
-//! view(S_now) = (S_now − hide) ∪ add
-//! ```
-//!
-//! where `hide`/`add` are the composition of the *undo* overlays of every
-//! transaction that committed after `B` (newest applied first), with the
-//! session's own buffered write-set composed on top as a *redo* overlay.
 //! [`Storage::commit`](crate::Storage::commit) publishes one
 //! [`TxnVersion`] per commit — the net per-relation Δ-sets folded from
 //! the update log — whenever at least one snapshot pin is registered, so
 //! the single-session fast path pays nothing (the paper's "no overhead
 //! on operations that do not affect any rule" ethos, applied to MVCC).
-
-use amos_types::{FxHashMap, FxHashSet, Tuple, Value};
+//! A session reads its snapshot by undoing the versions committed after
+//! its pin: each one is an `Undo` layer of a
+//! [`StateView`](crate::view::StateView).
 
 use crate::database::RelId;
 use crate::delta::DeltaSet;
-use crate::relation::BaseRelation;
 
 /// The net per-relation write-sets of one committed transaction,
 /// published by [`Storage::commit`](crate::Storage::commit) while any
@@ -35,280 +23,4 @@ pub struct TxnVersion {
     /// Net `<Δ₊, Δ₋>` per relation touched, folded from the update log
     /// (rule-action writes performed during the check phase included).
     pub writes: Vec<(RelId, DeltaSet)>,
-}
-
-/// A correction overlay for one relation: `view(S) = (S − hide) ∪ add`,
-/// with `hide ∩ add = ∅` maintained as an invariant.
-#[derive(Debug, Clone, Default)]
-pub struct RelOverlay {
-    hide: FxHashSet<Tuple>,
-    add: FxHashSet<Tuple>,
-}
-
-impl RelOverlay {
-    /// Compose a later overlay `K` *on top of* this one:
-    /// `(K ∘ self)(S) = K(self(S))`.
-    ///
-    /// ```text
-    /// add'  = K.add ∪ (add − K.hide)
-    /// hide' = (hide ∪ K.hide) − add'
-    /// ```
-    ///
-    /// Subtracting `add'` from the union keeps the disjointness
-    /// invariant: a tuple hidden by an earlier overlay but re-added by a
-    /// later one is visible.
-    fn compose_after(&mut self, k_add: &FxHashSet<Tuple>, k_hide: &FxHashSet<Tuple>) {
-        self.add.retain(|t| !k_hide.contains(t));
-        self.add.extend(k_add.iter().cloned());
-        self.hide.extend(k_hide.iter().cloned());
-        self.hide.retain(|t| !self.add.contains(t));
-    }
-
-    /// Membership through the overlay.
-    pub fn contains(&self, base: &BaseRelation, t: &Tuple) -> bool {
-        if self.add.contains(t) {
-            return true;
-        }
-        if self.hide.contains(t) {
-            return false;
-        }
-        base.contains(t)
-    }
-
-    /// Full scan through the overlay. Tuples in `add` are filtered from
-    /// the base scan before being chained so that a tuple present both
-    /// in `S_now` and in `add` (deleted and re-inserted across the
-    /// composed versions) is emitted exactly once.
-    pub fn scan(&self, base: &BaseRelation) -> Vec<Tuple> {
-        let mut out: Vec<Tuple> = base
-            .scan()
-            .filter(|t| !self.hide.contains(*t) && !self.add.contains(*t))
-            .cloned()
-            .collect();
-        out.extend(self.add.iter().cloned());
-        out
-    }
-
-    /// Probe `cols = key` through the overlay.
-    pub fn probe(&self, base: &BaseRelation, cols: &[usize], key: &[Value]) -> Vec<Tuple> {
-        let mut out: Vec<Tuple> = base
-            .probe(cols, key)
-            .into_iter()
-            .filter(|t| !self.hide.contains(t) && !self.add.contains(t))
-            .collect();
-        out.extend(
-            self.add
-                .iter()
-                .filter(|t| cols.iter().zip(key).all(|(&c, k)| &t[c] == k))
-                .cloned(),
-        );
-        out
-    }
-
-    /// Number of visible tuples.
-    pub fn len(&self, base: &BaseRelation) -> usize {
-        // `hide ⊆ S_now` does not hold in general (a concurrent delete
-        // may already be undone), so count hidden tuples actually
-        // present.
-        let hidden = self.hide.iter().filter(|t| base.contains(t)).count();
-        let shadowed = self.add.iter().filter(|t| base.contains(t)).count();
-        base.len() - hidden - shadowed + self.add.len()
-    }
-
-    /// True when the overlay corrects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.hide.is_empty() && self.add.is_empty()
-    }
-}
-
-/// A composed snapshot view over every relation touched since the
-/// session's begin sequence: committed-version *undo* overlays plus the
-/// session's own write-set *redo* overlay. Relations absent from the map
-/// are unchanged since the snapshot and read straight from the base.
-#[derive(Debug, Clone, Default)]
-pub struct ReadOverlay {
-    rels: FxHashMap<RelId, RelOverlay>,
-}
-
-impl ReadOverlay {
-    /// Build the view for a session that began at the snapshot preceding
-    /// `versions[0]`: fold the committed versions' undo overlays newest
-    /// → oldest (`k_hide = Δ₊`, `k_add = Δ₋`), then compose the
-    /// session's local write-set on top as a redo overlay (`k_add = Δ₊`,
-    /// `k_hide = Δ₋`).
-    pub fn build<'a>(
-        versions: &[TxnVersion],
-        local: impl Iterator<Item = (&'a RelId, &'a DeltaSet)>,
-    ) -> ReadOverlay {
-        let mut rels: FxHashMap<RelId, RelOverlay> = FxHashMap::default();
-        for v in versions.iter().rev() {
-            for (rel, d) in &v.writes {
-                rels.entry(*rel)
-                    .or_default()
-                    .compose_after(d.minus(), d.plus());
-            }
-        }
-        for (rel, d) in local {
-            if d.is_empty() {
-                continue;
-            }
-            rels.entry(*rel)
-                .or_default()
-                .compose_after(d.plus(), d.minus());
-        }
-        rels.retain(|_, ov| !ov.is_empty());
-        ReadOverlay { rels }
-    }
-
-    /// Does this view correct reads of `rel`?
-    pub fn overlays(&self, rel: RelId) -> bool {
-        self.rels.contains_key(&rel)
-    }
-
-    /// The correction overlay for `rel`, if any.
-    pub fn overlay(&self, rel: RelId) -> Option<&RelOverlay> {
-        self.rels.get(&rel)
-    }
-
-    /// Membership through the view.
-    pub fn contains(&self, rel: RelId, base: &BaseRelation, t: &Tuple) -> bool {
-        match self.rels.get(&rel) {
-            Some(ov) => ov.contains(base, t),
-            None => base.contains(t),
-        }
-    }
-
-    /// Full scan through the view.
-    pub fn scan(&self, rel: RelId, base: &BaseRelation) -> Vec<Tuple> {
-        match self.rels.get(&rel) {
-            Some(ov) => ov.scan(base),
-            None => base.scan().cloned().collect(),
-        }
-    }
-
-    /// Probe through the view.
-    pub fn probe(
-        &self,
-        rel: RelId,
-        base: &BaseRelation,
-        cols: &[usize],
-        key: &[Value],
-    ) -> Vec<Tuple> {
-        match self.rels.get(&rel) {
-            Some(ov) => ov.probe(base, cols, key),
-            None => base.probe(cols, key),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ds(plus: &[&[i64]], minus: &[&[i64]]) -> DeltaSet {
-        let mut d = DeltaSet::new();
-        for t in plus {
-            d.apply_insert(Tuple::new(
-                t.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>(),
-            ));
-        }
-        for t in minus {
-            d.apply_delete(Tuple::new(
-                t.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>(),
-            ));
-        }
-        d
-    }
-
-    fn t(vals: &[i64]) -> Tuple {
-        Tuple::new(vals.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>())
-    }
-
-    fn base(tuples: &[&[i64]]) -> BaseRelation {
-        let mut r = BaseRelation::new("r", 2);
-        for tu in tuples {
-            r.insert(t(tu));
-        }
-        r
-    }
-
-    #[test]
-    fn undo_of_later_commits_reconstructs_snapshot() {
-        // Snapshot at B: {(1,1),(2,2)}. V1 deletes (2,2), V2 inserts
-        // (3,3). Base now: {(1,1),(3,3)}.
-        let b = base(&[&[1, 1], &[3, 3]]);
-        let versions = vec![
-            TxnVersion {
-                seq: 1,
-                writes: vec![(RelId(0), ds(&[], &[&[2, 2]]))],
-            },
-            TxnVersion {
-                seq: 2,
-                writes: vec![(RelId(0), ds(&[&[3, 3]], &[]))],
-            },
-        ];
-        let none: Vec<(RelId, DeltaSet)> = Vec::new();
-        let view = ReadOverlay::build(&versions, none.iter().map(|(r, d)| (r, d)));
-        let mut got = view.scan(RelId(0), &b);
-        got.sort();
-        assert_eq!(got, vec![t(&[1, 1]), t(&[2, 2])]);
-        assert!(view.contains(RelId(0), &b, &t(&[2, 2])));
-        assert!(!view.contains(RelId(0), &b, &t(&[3, 3])));
-        let ov = view.overlay(RelId(0)).unwrap();
-        assert_eq!(ov.len(&b), 2);
-    }
-
-    #[test]
-    fn delete_then_reinsert_across_versions_emits_once() {
-        // Snapshot holds (1,1). V1 deletes it, V2 re-inserts it: the
-        // undo composition puts (1,1) in `add` while it is also present
-        // in the base — scan must not emit it twice.
-        let b = base(&[&[1, 1]]);
-        let versions = vec![
-            TxnVersion {
-                seq: 1,
-                writes: vec![(RelId(0), ds(&[], &[&[1, 1]]))],
-            },
-            TxnVersion {
-                seq: 2,
-                writes: vec![(RelId(0), ds(&[&[1, 1]], &[]))],
-            },
-        ];
-        let none: Vec<(RelId, DeltaSet)> = Vec::new();
-        let view = ReadOverlay::build(&versions, none.iter().map(|(r, d)| (r, d)));
-        assert_eq!(view.scan(RelId(0), &b), vec![t(&[1, 1])]);
-        assert_eq!(
-            view.probe(RelId(0), &b, &[0], &[Value::Int(1)]),
-            vec![t(&[1, 1])]
-        );
-    }
-
-    #[test]
-    fn local_writes_compose_on_top_of_the_snapshot() {
-        // Base now: {(1,10)}; a later commit changed it to (1,20); the
-        // session (snapshotted before that) sets it to (1,30) locally.
-        let b = base(&[&[1, 20]]);
-        let versions = vec![TxnVersion {
-            seq: 3,
-            writes: vec![(RelId(0), ds(&[&[1, 20]], &[&[1, 10]]))],
-        }];
-        let local = [(RelId(0), ds(&[&[1, 30]], &[&[1, 10]]))];
-        let view = ReadOverlay::build(&versions, local.iter().map(|(r, d)| (r, d)));
-        assert_eq!(view.scan(RelId(0), &b), vec![t(&[1, 30])]);
-        assert_eq!(
-            view.probe(RelId(0), &b, &[0], &[Value::Int(1)]),
-            vec![t(&[1, 30])]
-        );
-        assert!(!view.contains(RelId(0), &b, &t(&[1, 10])));
-        assert!(!view.contains(RelId(0), &b, &t(&[1, 20])));
-    }
-
-    #[test]
-    fn unoverlaid_relations_read_through() {
-        let b = base(&[&[7, 7]]);
-        let view = ReadOverlay::default();
-        assert!(!view.overlays(RelId(0)));
-        assert!(view.contains(RelId(0), &b, &t(&[7, 7])));
-        assert_eq!(view.scan(RelId(0), &b), vec![t(&[7, 7])]);
-    }
 }

@@ -12,7 +12,7 @@
 
 use amos_types::FxHashSet as HashSet;
 
-use amos_storage::{BaseRelation, DeltaSet, OldStateView, Storage};
+use amos_storage::{BaseRelation, DeltaSet, Layer, StateView, Storage};
 use amos_types::{tuple, Tuple, Value};
 use proptest::prelude::*;
 
@@ -64,7 +64,7 @@ proptest! {
         prop_assert!(delta.invariant_holds());
 
         // B_old = (B ∪ Δ₋B) − Δ₊B
-        let view = db.old_view(r);
+        let view = StateView::new(db.relation(r), &[], db.delta(r).map(Layer::Undo));
         let reconstructed: HashSet<Tuple> = view.scan().cloned().collect();
         prop_assert_eq!(&reconstructed, &before);
         prop_assert_eq!(view.len(), before.len());
@@ -147,7 +147,7 @@ proptest! {
                 delta.apply_delete(t.clone());
             }
         }
-        let view = OldStateView::new(&rel, &delta);
+        let view = StateView::new(&rel, &[], Some(Layer::Undo(&delta)));
         let k = Value::Int(key);
         let mut probed: Vec<Tuple> = view.probe(&[0], std::slice::from_ref(&k));
         let mut scanned: Vec<Tuple> = view.scan().filter(|t| t[0] == k).cloned().collect();
@@ -266,7 +266,7 @@ proptest! {
         prop_assert!(delta.invariant_holds());
 
         // Old-state overlay still reconstructs transaction-start state.
-        let view = db.old_view(r);
+        let view = StateView::new(db.relation(r), &[], db.delta(r).map(Layer::Undo));
         let reconstructed: HashSet<Tuple> = view.scan().cloned().collect();
         prop_assert_eq!(&reconstructed, &before);
     }
