@@ -110,7 +110,7 @@ fn bench_tuple_ops(c: &mut Criterion) {
 }
 
 /// Index-backed point probes against a stored relation — the
-/// `eval_stored` fast path that replaced full scans.
+/// `stored_matches` fast path that replaced full scans.
 fn bench_indexed_probe(c: &mut Criterion) {
     let mut group = c.benchmark_group("indexed_probe");
     group.sample_size(20);

@@ -36,11 +36,10 @@ use std::sync::{Arc, Mutex};
 
 use amos_metrics::{DiffTiming, LevelStats, PassMetrics, Stopwatch};
 use amos_objectlog::catalog::{Catalog, PredId};
-use amos_objectlog::clause::Term;
 use amos_objectlog::eval::{DeltaMap, EvalContext, EvalShared};
 use amos_objectlog::plan::Plan;
 use amos_storage::{DeltaSet, Polarity, StateEpoch, Storage};
-use amos_types::{Tuple, Value};
+use amos_types::Tuple;
 
 use crate::adaptive::AdaptivePlanner;
 use crate::differ::DiffId;
@@ -449,7 +448,7 @@ fn run_differential(
     let diff = network.differential(task.diff);
     let plan = task.plan.as_deref().unwrap_or(&diff.plan);
     let mut produced: Vec<Tuple> = Vec::new();
-    run_plan_heads(ctx, plan, &mut produced)?;
+    ctx.plan_heads(plan, StateEpoch::New, 0, &mut produced)?;
 
     // Candidates feeding a recursive node skip the per-tuple §7.2
     // checks: the fixpoint closure (or the exact recompute fallback on
@@ -473,30 +472,6 @@ fn run_differential(
         accepted,
         nanos: timer.elapsed_nanos(),
     })
-}
-
-/// Run `plan` in the new state and push the head tuple of every
-/// solution whose head variables are all bound.
-fn run_plan_heads(
-    ctx: &EvalContext<'_>,
-    plan: &Plan,
-    produced: &mut Vec<Tuple>,
-) -> Result<(), CoreError> {
-    let bindings = vec![None; plan.n_vars as usize];
-    ctx.run_plan(plan, bindings, StateEpoch::New, 0, &mut |b, head| {
-        let vals: Option<Vec<Value>> = head
-            .iter()
-            .map(|t| match t {
-                Term::Const(v) => Some(v.clone()),
-                Term::Var(v) => b[v.0 as usize].clone(),
-            })
-            .collect();
-        if let Some(vals) = vals {
-            produced.push(Tuple::new(vals));
-        }
-        Ok(())
-    })?;
-    Ok(())
 }
 
 /// Run a level's tasks on scoped worker threads pulling from a shared
@@ -587,7 +562,7 @@ fn close_recursive_node(
         let ctx = EvalContext::new(storage, catalog, &fmap);
         let mut produced: Vec<Tuple> = Vec::new();
         for diff in &self_diffs {
-            run_plan_heads(&ctx, &diff.plan, &mut produced)?;
+            ctx.plan_heads(&diff.plan, StateEpoch::New, 0, &mut produced)?;
         }
         result.candidates += produced.len();
         for t in produced {
@@ -625,26 +600,24 @@ fn accept(
     output: Polarity,
     check: CheckLevel,
 ) -> Result<bool, CoreError> {
-    let pattern: Vec<Option<Value>> = tuple.values().iter().cloned().map(Some).collect();
     Ok(match (check, output) {
         (CheckLevel::Raw, _) => true,
         // Mandatory: a propagated deletion must really be gone, or rules
         // under-react.
         (CheckLevel::Nervous, Polarity::Minus) | (CheckLevel::Strict, Polarity::Minus) => {
-            let still_present = ctx.holds(pred, &pattern, StateEpoch::New)?;
+            let still_present = ctx.holds(pred, tuple, StateEpoch::New)?;
             if still_present {
                 false
             } else if check == CheckLevel::Strict {
                 // Strict deletions must also have held before.
-                ctx.holds(pred, &pattern, StateEpoch::Old)?
+                ctx.holds(pred, tuple, StateEpoch::Old)?
             } else {
                 true
             }
         }
         (CheckLevel::Nervous, Polarity::Plus) => true,
         (CheckLevel::Strict, Polarity::Plus) => {
-            ctx.holds(pred, &pattern, StateEpoch::New)?
-                && !ctx.holds(pred, &pattern, StateEpoch::Old)?
+            ctx.holds(pred, tuple, StateEpoch::New)? && !ctx.holds(pred, tuple, StateEpoch::Old)?
         }
     })
 }

@@ -1300,20 +1300,7 @@ impl Amos {
         let mut rows: Vec<Tuple> = Vec::new();
         for clause in &q.clauses {
             let plan = compile_clause(&self.catalog, clause, &Default::default())?;
-            let bindings = vec![None; clause.n_vars as usize];
-            ctx.run_plan(&plan, bindings, StateEpoch::New, 0, &mut |b, head| {
-                let vals: Option<Vec<Value>> = head
-                    .iter()
-                    .map(|t| match t {
-                        amos_objectlog::clause::Term::Const(v) => Some(v.clone()),
-                        amos_objectlog::clause::Term::Var(v) => b[v.0 as usize].clone(),
-                    })
-                    .collect();
-                if let Some(vals) = vals {
-                    rows.push(Tuple::new(vals));
-                }
-                Ok(())
-            })?;
+            ctx.plan_heads(&plan, StateEpoch::New, 0, &mut rows)?;
         }
         rows.sort();
         rows.dedup();

@@ -41,11 +41,11 @@ use amos_amosql::compiler::compile_select_at;
 use amos_amosql::parser::parse_spanned;
 use amos_core::rules::CheckSummary;
 use amos_objectlog::catalog::PredKind;
-use amos_objectlog::clause::{Literal, Term};
+use amos_objectlog::clause::Literal;
 use amos_objectlog::eval::EvalContext;
 use amos_objectlog::plan::compile_clause;
 use amos_storage::{CommitWaiter, DeltaSet, LayerStacks, RelId, StateEpoch, Storage, WalMetrics};
-use amos_types::{Tuple, Value};
+use amos_types::{KeyRef, Tuple, Value};
 
 use crate::engine::{resolve_stored, Amos, ExecResult, ReadTrace, ScalarEval};
 use crate::error::DbError;
@@ -423,20 +423,7 @@ impl Session {
             let mut rows: Vec<Tuple> = Vec::new();
             for clause in &q.clauses {
                 let plan = compile_clause(eng.catalog(), clause, &Default::default())?;
-                let bindings = vec![None; clause.n_vars as usize];
-                ctx.run_plan(&plan, bindings, StateEpoch::New, 0, &mut |b, head| {
-                    let vals: Option<Vec<Value>> = head
-                        .iter()
-                        .map(|t| match t {
-                            Term::Const(v) => Some(v.clone()),
-                            Term::Var(v) => b[v.0 as usize].clone(),
-                        })
-                        .collect();
-                    if let Some(vals) = vals {
-                        rows.push(Tuple::new(vals));
-                    }
-                    Ok(())
-                })?;
+                ctx.plan_heads(&plan, StateEpoch::New, 0, &mut rows)?;
             }
             rows.sort();
             rows.dedup();
@@ -490,7 +477,11 @@ impl Session {
                     // visible in this transaction's snapshot), insert the
                     // new one. The probe itself is a key-granular read.
                     let key_cols: Vec<usize> = (0..key_arity).collect();
-                    deletes = ctx.state(rel, StateEpoch::New).probe(&key_cols, &vals);
+                    ctx.state(rel, StateEpoch::New).probe_into(
+                        &key_cols,
+                        &KeyRef::new(&vals),
+                        &mut deletes,
+                    );
                     record_key_read(&txn.reads, rel, key_arity, &vals);
                 }
                 vals.push(v);

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 use amos_storage::{DeltaSet, Layer, LayerStacks, RelId, StateEpoch, StateView, Storage};
-use amos_types::{FxHashMap, Tuple, Value};
+use amos_types::{FxHashMap, KeyRef, Tuple, TupleKey, Value};
 
 use crate::catalog::{Catalog, PredId, PredKind};
 use crate::clause::{Term, Var};
@@ -217,9 +217,6 @@ pub struct EvalContext<'a> {
 /// Variable bindings during plan execution.
 type Bindings = Vec<Option<Value>>;
 
-/// Solution callback invoked by [`EvalContext::run_plan`].
-pub type EmitFn<'e> = dyn FnMut(&Bindings, &[Term]) -> Result<(), ObjectLogError> + 'e;
-
 /// Cache of compiled clause plans, keyed by predicate and bound-argument
 /// bitmask. A differential whose Δ-set seeds `n` tuples calls its
 /// derived sub-goals `n` times with the same binding pattern — without
@@ -230,9 +227,10 @@ type PlanCache = FxHashMap<(PredId, u64), Arc<Vec<(usize, Plan)>>>;
 /// matching old-state tuples.
 type OldIndex = FxHashMap<Tuple, Vec<Tuple>>;
 
-/// Cache of old-state hash indexes keyed by relation and probed column
-/// set (see [`OLD_INDEX_MIN_DELTA`]).
-type OldIndexCache = FxHashMap<(RelId, Vec<usize>), Arc<OldIndex>>;
+/// Cache of old-state hash indexes (see [`OLD_INDEX_MIN_DELTA`]): per
+/// relation its few probed column sets, searched linearly so that a
+/// lookup allocates no key.
+type OldIndexCache = FxHashMap<RelId, Vec<(Vec<usize>, Arc<OldIndex>)>>;
 
 /// Memo table for derived-predicate calls: full binding pattern + state
 /// epoch → the call's result set. Within one pass the database is
@@ -240,55 +238,47 @@ type OldIndexCache = FxHashMap<(RelId, Vec<usize>), Arc<OldIndex>>;
 /// epoch (source clauses never contain Δ-literals).
 type MemoTable = FxHashMap<(PredId, Vec<Option<Value>>, StateEpoch), Arc<Vec<Tuple>>>;
 
-fn resolve(t: &Term, b: &Bindings) -> Option<Value> {
+/// The working memory of one evaluation task (one public call), reused by
+/// every step so that nothing is allocated per probe. The probe contract:
+/// the *key* is a [`KeyRef`] over values borrowed from the bindings and
+/// lives only for the probe; the *matches* are appended by storage to a
+/// buffer from `pool`, returned once the step has consumed them; a
+/// [`Tuple`] is built only where one outlives the step (a head, a memo
+/// entry, an index under construction) — a fully bound literal is a
+/// membership test and builds none.
+#[derive(Default)]
+struct Scratch {
+    /// Cleared candidate buffers; nested steps and plans each hold one.
+    pool: Vec<Vec<Tuple>>,
+    /// Bound column numbers of the probe being issued.
+    cols: Vec<usize>,
+    /// The undo trail: variables bound so far, newest last.
+    trail: Vec<usize>,
+    // Access counts, added to the shared totals when the task ends.
+    probes: u64,
+    scans: u64,
+    delta_probes: u64,
+    delta_scans: u64,
+}
+
+fn resolve<'v>(t: &'v Term, b: &'v Bindings) -> Option<&'v Value> {
     match t {
-        Term::Const(v) => Some(v.clone()),
-        Term::Var(Var(i)) => b[*i as usize].clone(),
+        Term::Const(v) => Some(v),
+        Term::Var(Var(i)) => b[*i as usize].as_ref(),
     }
 }
 
-/// Unify a term with a value: bind if unbound variable, test otherwise.
-/// Returns the variable index bound (for trail-based undo), or `None` if
-/// no new binding was made; `Err(())`-like `false` in `ok` means failure.
-fn unify_term(t: &Term, v: &Value, b: &mut Bindings) -> (bool, Option<usize>) {
-    match t {
-        Term::Const(c) => (c == v, None),
-        Term::Var(Var(i)) => {
-            let idx = *i as usize;
-            match &b[idx] {
-                Some(existing) => (existing == v, None),
-                None => {
-                    b[idx] = Some(v.clone());
-                    (true, Some(idx))
-                }
-            }
-        }
-    }
-}
-
-/// Unify a whole tuple with literal args; on failure undoes its own
-/// bindings. Returns the trail of newly-bound variable indexes.
-fn unify_tuple(args: &[Term], tuple: &Tuple, b: &mut Bindings) -> Option<Vec<usize>> {
-    let mut trail = Vec::new();
-    for (t, v) in args.iter().zip(tuple.values()) {
-        let (ok, bound) = unify_term(t, v, b);
-        if let Some(idx) = bound {
-            trail.push(idx);
-        }
-        if !ok {
-            for idx in trail {
-                b[idx] = None;
-            }
-            return None;
-        }
-    }
-    Some(trail)
-}
-
-fn undo(trail: &[usize], b: &mut Bindings) {
-    for &idx in trail {
-        b[idx] = None;
-    }
+/// The key of a literal's bound slots (one per column, `None` = free),
+/// borrowing the values where they are; their columns are left in `cols`.
+fn bound_key<'v>(
+    slots: impl Iterator<Item = Option<&'v Value>>,
+    cols: &mut Vec<usize>,
+) -> KeyRef<'v> {
+    cols.clear();
+    KeyRef::new(slots.enumerate().filter_map(|(i, v)| {
+        cols.extend(v.map(|_| i));
+        v
+    }))
 }
 
 impl<'a> EvalContext<'a> {
@@ -349,6 +339,19 @@ impl<'a> EvalContext<'a> {
         &self.shared
     }
 
+    /// Run `f` as one evaluation task: fresh working memory, its access
+    /// counts added to the pass totals once at the end.
+    fn task<R>(&self, f: impl FnOnce(&mut Scratch) -> R) -> R {
+        let mut scratch = Scratch::default();
+        let result = f(&mut scratch);
+        let (totals, relaxed) = (&self.shared, Ordering::Relaxed);
+        totals.probes.fetch_add(scratch.probes, relaxed);
+        totals.scans.fetch_add(scratch.scans, relaxed);
+        totals.delta_probes.fetch_add(scratch.delta_probes, relaxed);
+        totals.delta_scans.fetch_add(scratch.delta_scans, relaxed);
+        result
+    }
+
     /// Evaluate a predicate under a binding pattern: return all full
     /// argument tuples consistent with the bound positions.
     pub fn eval_pred(
@@ -357,29 +360,79 @@ impl<'a> EvalContext<'a> {
         pattern: &[Option<Value>],
         epoch: StateEpoch,
     ) -> Result<HashSet<Tuple>, ObjectLogError> {
-        self.eval_pred_depth(pred, pattern, epoch, 0)
+        self.task(|scratch| self.eval_pred_depth(pred, pattern, epoch, 0, scratch))
     }
 
-    /// Existence check: is there at least one tuple matching the pattern?
+    /// Existence check: does `tuple` belong to the predicate?
     pub fn holds(
         &self,
         pred: PredId,
-        pattern: &[Option<Value>],
+        tuple: &Tuple,
         epoch: StateEpoch,
     ) -> Result<bool, ObjectLogError> {
-        // For stored predicates with full patterns this is a hash lookup;
-        // otherwise fall back to (short-circuiting would need a lazy
-        // evaluator; result sets are small at the call sites) evaluation
-        // through the memoized call path — the §7.2 checks issue the
-        // same derived-predicate calls over and over.
-        let def = self.catalog.def(pred);
-        if let PredKind::Stored { rel, .. } = def.kind {
-            if pattern.iter().all(Option::is_some) {
-                let t: Tuple = pattern.iter().map(|v| v.clone().unwrap()).collect();
-                return Ok(self.state(rel, epoch).contains(&t));
-            }
+        self.task(|scratch| self.holds_key(pred, tuple, epoch, scratch))
+    }
+
+    /// Execute a pre-compiled plan from unbound variables and push the
+    /// head tuple of every solution whose head variables are all bound.
+    /// `outer_epoch` is the ambient state epoch: `Old` forces every
+    /// literal old regardless of its annotation.
+    pub fn plan_heads(
+        &self,
+        plan: &Plan,
+        outer_epoch: StateEpoch,
+        depth: usize,
+        out: &mut Vec<Tuple>,
+    ) -> Result<(), ObjectLogError> {
+        self.task(|scratch| self.heads_into(plan, outer_epoch, depth, [], scratch, out))
+    }
+
+    /// Run a plan with the `given` terms bound beforehand and collect its
+    /// solutions' heads — where the evaluator's bindings become tuples.
+    fn heads_into<'t>(
+        &self,
+        plan: &Plan,
+        outer_epoch: StateEpoch,
+        depth: usize,
+        given: impl IntoIterator<Item = (&'t Term, &'t Value)>,
+        scratch: &mut Scratch,
+        out: &mut impl Extend<Tuple>,
+    ) -> Result<(), ObjectLogError> {
+        let mut exec = Exec {
+            ctx: self,
+            plan,
+            outer_epoch,
+            depth,
+            b: vec![None; plan.n_vars as usize],
+            scratch,
+            emit: &mut |b, head| {
+                let vals: Option<Vec<Value>> =
+                    head.iter().map(|t| resolve(t, b).cloned()).collect();
+                out.extend(vals.map(Tuple::new));
+            },
+        };
+        exec.with_unified(given.into_iter(), |exec| exec.step(0))
+    }
+
+    /// Whether the fully given `key` belongs to the predicate.
+    fn holds_key(
+        &self,
+        pred: PredId,
+        key: &impl TupleKey,
+        epoch: StateEpoch,
+        scratch: &mut Scratch,
+    ) -> Result<bool, ObjectLogError> {
+        // A membership test for stored predicates; otherwise (a lazy
+        // evaluator could short-circuit; result sets are small here) the
+        // memoized call path — the §7.2 checks issue the same
+        // derived-predicate calls over and over.
+        if let PredKind::Stored { rel, .. } = self.catalog.def(pred).kind {
+            return Ok(self.state(rel, epoch).contains(key));
         }
-        Ok(!self.eval_call(pred, pattern, epoch, 0)?.is_empty())
+        let values = (0..key.arity()).map(|i| Some(key.value(i).clone()));
+        let pattern: Vec<Option<Value>> = values.collect();
+        let found = self.eval_call(pred, &pattern, epoch, 0, scratch)?;
+        Ok(!found.is_empty())
     }
 
     /// Evaluate a predicate call, memoizing derived-predicate results in
@@ -399,6 +452,7 @@ impl<'a> EvalContext<'a> {
         pattern: &[Option<Value>],
         epoch: StateEpoch,
         depth: usize,
+        scratch: &mut Scratch,
     ) -> Result<Arc<Vec<Tuple>>, ObjectLogError> {
         // Fully-bound patterns are membership probes issued per candidate
         // tuple (the §7.2 accept checks); memoizing them costs a key
@@ -407,12 +461,12 @@ impl<'a> EvalContext<'a> {
         let memoize = self.shared.config.tabling
             && pattern.iter().any(Option::is_none)
             && matches!(self.catalog.def(pred).kind, PredKind::Derived(_));
+        let compute = |scratch: &mut Scratch| -> Result<Arc<Vec<Tuple>>, ObjectLogError> {
+            let tuples = self.eval_pred_depth(pred, pattern, epoch, depth, scratch)?;
+            Ok(Arc::new(tuples.into_iter().collect()))
+        };
         if !memoize {
-            return Ok(Arc::new(
-                self.eval_pred_depth(pred, pattern, epoch, depth)?
-                    .into_iter()
-                    .collect(),
-            ));
+            return compute(scratch);
         }
         let key = (pred, pattern.to_vec(), epoch);
         if let Some(hit) = self.shared.memo.read().unwrap().get(&key) {
@@ -421,11 +475,7 @@ impl<'a> EvalContext<'a> {
         }
         // Compute outside the lock; a racing thread may insert first, in
         // which case its (identical) result wins.
-        let computed: Arc<Vec<Tuple>> = Arc::new(
-            self.eval_pred_depth(pred, pattern, epoch, depth)?
-                .into_iter()
-                .collect(),
-        );
+        let computed = compute(scratch)?;
         self.shared.misses.fetch_add(1, Ordering::Relaxed);
         let mut memo = self.shared.memo.write().unwrap();
         Ok(Arc::clone(memo.entry(key).or_insert(computed)))
@@ -437,6 +487,7 @@ impl<'a> EvalContext<'a> {
         pattern: &[Option<Value>],
         epoch: StateEpoch,
         depth: usize,
+        scratch: &mut Scratch,
     ) -> Result<HashSet<Tuple>, ObjectLogError> {
         if depth > self.depth_limit {
             return Err(ObjectLogError::DepthExceeded);
@@ -445,53 +496,27 @@ impl<'a> EvalContext<'a> {
         debug_assert_eq!(pattern.len(), def.arity, "pattern arity for {}", def.name);
         match &def.kind {
             PredKind::Stored { rel, .. } => {
-                Ok(self.eval_stored(*rel, pattern, epoch).into_iter().collect())
+                let mut out = Vec::new();
+                let slots = pattern.iter().map(Option::as_ref);
+                if self.stored_matches(*rel, epoch, slots, scratch, &mut out) == Some(true) {
+                    // The caller wants the tuple it asked about: built here.
+                    out.push(pattern.iter().flatten().cloned().collect());
+                }
+                Ok(out.into_iter().collect())
             }
             PredKind::Foreign(f) => Ok(f(pattern).into_iter().map(Tuple::new).collect()),
             PredKind::Derived(clauses) if self.catalog.is_self_recursive(pred) => {
-                self.eval_recursive(pred, clauses, pattern, epoch, depth)
+                self.eval_recursive(pred, clauses, pattern, epoch, depth, scratch)
             }
             PredKind::Derived(clauses) => {
                 let plans = self.plans_for(pred, clauses, pattern)?;
                 let mut out = HashSet::new();
                 for (clause_idx, plan) in plans.iter() {
-                    let clause = &clauses[*clause_idx];
-                    // Bind head terms from the pattern.
-                    let mut bindings: Bindings = vec![None; clause.n_vars as usize];
-                    let mut feasible = true;
-                    for (term, slot) in clause.head.iter().zip(pattern) {
-                        match (term, slot) {
-                            (Term::Const(c), Some(v)) if c != v => {
-                                feasible = false;
-                                break;
-                            }
-                            (Term::Var(var), Some(v)) => {
-                                let idx = var.0 as usize;
-                                match &bindings[idx] {
-                                    Some(existing) if existing != v => {
-                                        feasible = false;
-                                        break;
-                                    }
-                                    _ => bindings[idx] = Some(v.clone()),
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    if !feasible {
-                        continue;
-                    }
-                    self.run_plan(plan, bindings, epoch, depth, &mut |b, plan_head| {
-                        let tuple: Option<Tuple> = plan_head
-                            .iter()
-                            .map(|t| resolve(t, b))
-                            .collect::<Option<Vec<Value>>>()
-                            .map(Tuple::new);
-                        if let Some(t) = tuple {
-                            out.insert(t);
-                        }
-                        Ok(())
-                    })?;
+                    // Bind head terms from the pattern; a head the pattern
+                    // contradicts contributes nothing.
+                    let head = clauses[*clause_idx].head.iter().zip(pattern);
+                    let given = head.filter_map(|(term, slot)| Some((term, slot.as_ref()?)));
+                    self.heads_into(plan, epoch, depth, given, scratch, &mut out)?;
                 }
                 Ok(out)
             }
@@ -516,10 +541,10 @@ impl<'a> EvalContext<'a> {
         pattern: &[Option<Value>],
         epoch: StateEpoch,
         depth: usize,
+        scratch: &mut Scratch,
     ) -> Result<HashSet<Tuple>, ObjectLogError> {
         use crate::clause::{Clause, Literal};
         let references_self = |c: &Clause| c.body.iter().any(|l| l.pred() == Some(pred));
-        let unbound: Vec<Option<Value>> = vec![None; pattern.len()];
 
         // Seed: base clauses, evaluated through the ordinary machinery
         // on a catalog view where only the base clauses exist — achieved
@@ -527,23 +552,11 @@ impl<'a> EvalContext<'a> {
         let mut total: HashSet<Tuple> = HashSet::new();
         for clause in clauses.iter().filter(|c| !references_self(c)) {
             let plan = compile_clause(self.catalog, clause, &HashSet::new())?;
-            let bindings = vec![None; clause.n_vars as usize];
-            let mut collected: Vec<Tuple> = Vec::new();
-            self.run_plan(&plan, bindings, epoch, depth + 1, &mut |b, head| {
-                if let Some(vals) = head
-                    .iter()
-                    .map(|t| resolve(t, b))
-                    .collect::<Option<Vec<Value>>>()
-                {
-                    collected.push(Tuple::new(vals));
-                }
-                Ok(())
-            })?;
-            total.extend(collected);
+            self.heads_into(&plan, epoch, depth + 1, [], scratch, &mut total)?;
         }
 
         // Rewrite recursive clauses: self-literal → Δ₊-literal on self.
-        let mut rec_plans: Vec<(Clause, Plan)> = Vec::new();
+        let mut rec_plans: Vec<Plan> = Vec::new();
         for clause in clauses.iter().filter(|c| references_self(c)) {
             let body = clause
                 .body
@@ -567,8 +580,7 @@ impl<'a> EvalContext<'a> {
                 head: clause.head.clone(),
                 body,
             };
-            let plan = compile_clause(self.catalog, &rewritten, &HashSet::new())?;
-            rec_plans.push((rewritten, plan));
+            rec_plans.push(compile_clause(self.catalog, &rewritten, &HashSet::new())?);
         }
 
         let mut frontier: HashSet<Tuple> = total.clone();
@@ -589,18 +601,8 @@ impl<'a> EvalContext<'a> {
                 ..EvalContext::with_layers(self.storage, self.catalog, self.layers)
             };
             let mut next: Vec<Tuple> = Vec::new();
-            for (clause, plan) in &rec_plans {
-                let bindings = vec![None; clause.n_vars as usize];
-                sub.run_plan(plan, bindings, epoch, depth + 1, &mut |b, head| {
-                    if let Some(vals) = head
-                        .iter()
-                        .map(|t| resolve(t, b))
-                        .collect::<Option<Vec<Value>>>()
-                    {
-                        next.push(Tuple::new(vals));
-                    }
-                    Ok(())
-                })?;
+            for plan in &rec_plans {
+                sub.plan_heads(plan, epoch, depth + 1, &mut next)?;
             }
             for t in next {
                 if total.insert(t.clone()) {
@@ -608,7 +610,6 @@ impl<'a> EvalContext<'a> {
                 }
             }
         }
-        let _ = unbound;
         // Filter by the caller's bound positions.
         Ok(total
             .into_iter()
@@ -657,206 +658,229 @@ impl<'a> EvalContext<'a> {
         Ok(Arc::clone(cache.entry((pred, mask)).or_insert(rc)))
     }
 
-    /// Evaluate a stored relation under a binding pattern.
-    ///
-    /// Returns a `Vec`, not a set: base relations already have set
-    /// semantics and a [`StateView`] emits each visible tuple once, so
-    /// a per-probe dedup would be pure overhead on the hottest path.
-    fn eval_stored(&self, rel: RelId, pattern: &[Option<Value>], epoch: StateEpoch) -> Vec<Tuple> {
-        let bound_cols: Vec<usize> = pattern
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.is_some())
-            .map(|(i, _)| i)
-            .collect();
-        let key: Vec<Value> = pattern.iter().flatten().cloned().collect();
-        if bound_cols.is_empty() {
-            self.shared.scans.fetch_add(1, Ordering::Relaxed);
+    /// Read a stored relation under the bound `slots` of a literal — the
+    /// one way the evaluator reaches a stored relation's tuples. Fully
+    /// bound, the access is a membership test answered as `Some(found)`:
+    /// no tuple is built and `out` is not touched (never an index probe —
+    /// those degrade to scans on unindexed column sets). Otherwise the
+    /// visible matches are appended to `out` and `None` is returned; a
+    /// [`StateView`] emits each visible tuple once, so no deduplication.
+    fn stored_matches<'v>(
+        &self,
+        rel: RelId,
+        epoch: StateEpoch,
+        slots: impl ExactSizeIterator<Item = Option<&'v Value>>,
+        scratch: &mut Scratch,
+        out: &mut Vec<Tuple>,
+    ) -> Option<bool> {
+        let arity = slots.len();
+        let key = bound_key(slots, &mut scratch.cols);
+        let cols = &scratch.cols;
+        if cols.is_empty() {
+            scratch.scans += 1;
         } else {
-            self.shared.probes.fetch_add(1, Ordering::Relaxed);
+            scratch.probes += 1;
         }
         let state = self.state(rel, epoch);
-        // Fully bound: a hash membership check, never an index probe
-        // (index probes degrade to scans on unindexed column sets).
-        if bound_cols.len() == pattern.len() {
-            let t = Tuple::new(key);
-            return if state.contains(&t) {
-                vec![t]
-            } else {
-                Vec::new()
-            };
+        if cols.len() == arity {
+            return Some(state.contains(&key));
         }
-        if bound_cols.is_empty() {
-            state.scan().cloned().collect()
+        if cols.is_empty() {
+            out.extend(state.scan().cloned());
         } else if epoch == StateEpoch::Old && state.delta_len() > OLD_INDEX_MIN_DELTA {
             // Only the old state has a pass of probes to amortize the
             // build over; a session's stack gets fresh caches per
             // statement, so its probes always walk the layers.
-            let idx = self.old_state_index(rel, &bound_cols);
-            idx.get(&Tuple::new(key)).cloned().unwrap_or_default()
+            if let Some(hits) = self.old_state_index(rel, cols).get(&key as &dyn TupleKey) {
+                out.extend_from_slice(hits);
+            }
         } else {
-            state.probe(&bound_cols, &key)
+            state.probe_into(cols, &key, out);
         }
+        None
     }
 
     /// The shared old-state index for `(rel, cols)`, building it on
     /// first use. Probes happen on the returned `Arc` outside the lock.
     fn old_state_index(&self, rel: RelId, cols: &[usize]) -> Arc<OldIndex> {
-        if let Some(hit) = self
-            .shared
-            .old_index
-            .read()
-            .unwrap()
-            .get(&(rel, cols.to_vec()))
-        {
-            return Arc::clone(hit);
+        let find = |cache: &OldIndexCache| {
+            let (_, hit) = cache.get(&rel)?.iter().find(|(c, _)| c == cols)?;
+            Some(Arc::clone(hit))
+        };
+        if let Some(hit) = find(&self.shared.old_index.read().unwrap()) {
+            return hit;
         }
         let mut map = OldIndex::default();
         for t in self.state(rel, StateEpoch::Old).scan() {
             map.entry(t.project(cols)).or_default().push(t.clone());
         }
-        let rc = Arc::new(map);
+        // A racing task may have built it first; its (identical) index wins.
         let mut cache = self.shared.old_index.write().unwrap();
-        Arc::clone(cache.entry((rel, cols.to_vec())).or_insert(rc))
+        find(&cache).unwrap_or_else(|| {
+            let built = Arc::new(map);
+            let entry = (cols.to_vec(), Arc::clone(&built));
+            cache.entry(rel).or_default().push(entry);
+            built
+        })
     }
+}
 
-    /// Execute a pre-compiled plan with initial bindings, invoking `emit`
-    /// for every solution. `outer_epoch` is the ambient state epoch: `Old`
-    /// forces every literal old regardless of its annotation.
-    pub fn run_plan(
-        &self,
-        plan: &Plan,
-        mut bindings: Bindings,
-        outer_epoch: StateEpoch,
-        depth: usize,
-        emit: &mut EmitFn<'_>,
-    ) -> Result<(), ObjectLogError> {
-        self.exec_step(plan, 0, &mut bindings, outer_epoch, depth, emit)
-    }
+/// One run of a plan: bindings, solution callback, the task's scratch.
+struct Exec<'r, 'a> {
+    ctx: &'r EvalContext<'a>,
+    plan: &'r Plan,
+    /// The ambient state epoch: `Old` forces every literal old.
+    outer_epoch: StateEpoch,
+    depth: usize,
+    b: Bindings,
+    scratch: &'r mut Scratch,
+    emit: &'r mut dyn FnMut(&Bindings, &[Term]),
+}
 
-    fn effective_epoch(outer: StateEpoch, lit: StateEpoch) -> StateEpoch {
-        match outer {
+impl Exec<'_, '_> {
+    fn epoch(&self, literal: StateEpoch) -> StateEpoch {
+        match self.outer_epoch {
             StateEpoch::Old => StateEpoch::Old,
-            StateEpoch::New => lit,
+            StateEpoch::New => literal,
         }
     }
 
-    fn exec_step(
-        &self,
-        plan: &Plan,
-        idx: usize,
-        b: &mut Bindings,
-        outer_epoch: StateEpoch,
-        depth: usize,
-        emit: &mut EmitFn<'_>,
+    /// Run `body` with every `(term, value)` pair unified — an unbound
+    /// variable is bound and recorded on the trail, anything else is
+    /// tested — then undo the bindings. Pairs that do not unify skip it.
+    fn with_unified<'t>(
+        &mut self,
+        mut pairs: impl Iterator<Item = (&'t Term, &'t Value)>,
+        body: impl FnOnce(&mut Self) -> Result<(), ObjectLogError>,
     ) -> Result<(), ObjectLogError> {
-        if idx == plan.steps.len() {
-            return emit(b, &plan.head);
+        let mark = self.scratch.trail.len();
+        let unified = pairs.all(|(t, v)| match t {
+            Term::Const(c) => c == v,
+            Term::Var(Var(i)) => match &self.b[*i as usize] {
+                Some(bound) => bound == v,
+                None => {
+                    self.b[*i as usize] = Some(v.clone());
+                    self.scratch.trail.push(*i as usize);
+                    true
+                }
+            },
+        });
+        let result = if unified { body(self) } else { Ok(()) };
+        for var in self.scratch.trail.drain(mark..) {
+            self.b[var] = None;
         }
-        match &plan.steps[idx] {
+        result
+    }
+
+    /// Continue at step `idx` once for every tuple of `candidates` that
+    /// unifies with the literal's `args`.
+    fn for_each_unified(
+        &mut self,
+        idx: usize,
+        args: &[Term],
+        candidates: &[Tuple],
+    ) -> Result<(), ObjectLogError> {
+        candidates.iter().try_for_each(|tuple| {
+            self.with_unified(args.iter().zip(tuple.values()), |exec| exec.step(idx))
+        })
+    }
+
+    /// A stored literal as a plan step: probe with the bound arguments,
+    /// continue at step `idx` for every match.
+    fn stored_step(
+        &mut self,
+        idx: usize,
+        rel: RelId,
+        epoch: StateEpoch,
+        args: &[Term],
+    ) -> Result<(), ObjectLogError> {
+        let mut buf = self.scratch.pool.pop().unwrap_or_default();
+        let slots = args.iter().map(|t| resolve(t, &self.b));
+        let ctx = self.ctx;
+        match ctx.stored_matches(rel, epoch, slots, self.scratch, &mut buf) {
+            Some(true) => self.step(idx)?,
+            Some(false) => {}
+            None => self.for_each_unified(idx, args, &buf)?,
+        }
+        buf.clear();
+        self.scratch.pool.push(buf);
+        Ok(())
+    }
+
+    fn step(&mut self, idx: usize) -> Result<(), ObjectLogError> {
+        let (ctx, plan, next) = (self.ctx, self.plan, idx + 1);
+        let Some(step) = plan.steps.get(idx) else {
+            (self.emit)(&self.b, &plan.head);
+            return Ok(());
+        };
+        match step {
             PlanStep::Stored {
                 rel, args, epoch, ..
-            } => {
-                let epoch = Self::effective_epoch(outer_epoch, *epoch);
-                let pattern: Vec<Option<Value>> = args.iter().map(|t| resolve(t, b)).collect();
-                let candidates = self.eval_stored(*rel, &pattern, epoch);
-                for tuple in candidates {
-                    if let Some(trail) = unify_tuple(args, &tuple, b) {
-                        self.exec_step(plan, idx + 1, b, outer_epoch, depth, emit)?;
-                        undo(&trail, b);
-                    }
-                }
-                Ok(())
-            }
+            } => self.stored_step(next, *rel, self.epoch(*epoch), args),
             PlanStep::Delta {
                 pred,
                 polarity,
                 args,
                 ..
             } => {
-                static EMPTY: std::sync::OnceLock<DeltaSet> = std::sync::OnceLock::new();
-                let delta = self
-                    .deltas
-                    .get(pred)
-                    .unwrap_or_else(|| EMPTY.get_or_init(DeltaSet::new));
+                let Some(delta) = ctx.deltas.get(pred) else {
+                    return Ok(()); // no Δ-set: nothing to seed or to find
+                };
                 // Runtime boundness can exceed the planner's static
                 // `bound_cols` (constants, repeated variables), so derive
-                // the probe pattern from the live bindings.
-                let pattern: Vec<Option<Value>> = args.iter().map(|t| resolve(t, b)).collect();
-                let bound_cols: Vec<usize> = pattern
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, v)| v.is_some())
-                    .map(|(i, _)| i)
-                    .collect();
-                if bound_cols.len() == pattern.len() {
+                // the probe key from the live bindings.
+                let slots = args.iter().map(|t| resolve(t, &self.b));
+                let key = bound_key(slots, &mut self.scratch.cols);
+                if self.scratch.cols.len() == args.len() {
                     // Fully bound: one membership test against the side.
-                    self.shared.delta_probes.fetch_add(1, Ordering::Relaxed);
-                    let key: Vec<Value> = pattern.into_iter().flatten().collect();
-                    let t = Tuple::new(key);
-                    if delta.side(*polarity).contains(&t) {
-                        self.exec_step(plan, idx + 1, b, outer_epoch, depth, emit)?;
+                    self.scratch.delta_probes += 1;
+                    if delta.side(*polarity).contains(&key as &dyn TupleKey) {
+                        self.step(next)?;
                     }
-                } else if !bound_cols.is_empty() {
-                    // Partially bound: probe the Δ-set's lazy hash index
+                } else if !self.scratch.cols.is_empty() {
+                    // Partially bound: probe the Δ-set's lazy arrangement
                     // instead of scanning the side per binding.
-                    self.shared.delta_probes.fetch_add(1, Ordering::Relaxed);
-                    let key: Vec<Value> = pattern.into_iter().flatten().collect();
-                    for tuple in delta.probe(*polarity, &bound_cols, &key) {
-                        if let Some(trail) = unify_tuple(args, &tuple, b) {
-                            self.exec_step(plan, idx + 1, b, outer_epoch, depth, emit)?;
-                            undo(&trail, b);
-                        }
-                    }
+                    self.scratch.delta_probes += 1;
+                    let mut buf = self.scratch.pool.pop().unwrap_or_default();
+                    delta.probe_into(*polarity, &self.scratch.cols, &key, &mut buf);
+                    self.for_each_unified(next, args, &buf)?;
+                    buf.clear();
+                    self.scratch.pool.push(buf);
                 } else {
-                    self.shared.delta_scans.fetch_add(1, Ordering::Relaxed);
-                    // Deterministic order is unnecessary here (results are
-                    // accumulated into sets), so iterate the hash set
-                    // directly.
-                    for tuple in delta.side(*polarity) {
-                        if let Some(trail) = unify_tuple(args, tuple, b) {
-                            self.exec_step(plan, idx + 1, b, outer_epoch, depth, emit)?;
-                            undo(&trail, b);
-                        }
-                    }
+                    self.scratch.delta_scans += 1;
+                    delta.try_for_each_seed(*polarity, |tuple| {
+                        self.for_each_unified(next, args, std::slice::from_ref(tuple))
+                    })?;
                 }
                 Ok(())
             }
             PlanStep::Call {
                 pred, args, epoch, ..
             } => {
-                let epoch = Self::effective_epoch(outer_epoch, *epoch);
-                let pattern: Vec<Option<Value>> = args.iter().map(|t| resolve(t, b)).collect();
-                let results = self.eval_call(*pred, &pattern, epoch, depth + 1)?;
-                for tuple in results.iter() {
-                    if let Some(trail) = unify_tuple(args, tuple, b) {
-                        self.exec_step(plan, idx + 1, b, outer_epoch, depth, emit)?;
-                        undo(&trail, b);
-                    }
-                }
-                Ok(())
+                let pattern: Vec<Option<Value>> =
+                    args.iter().map(|t| resolve(t, &self.b).cloned()).collect();
+                let (epoch, depth) = (self.epoch(*epoch), self.depth + 1);
+                let results = ctx.eval_call(*pred, &pattern, epoch, depth, self.scratch)?;
+                self.for_each_unified(next, args, &results)
             }
             PlanStep::NegCheck { pred, args, epoch } => {
-                let epoch = Self::effective_epoch(outer_epoch, *epoch);
-                let pattern: Vec<Option<Value>> = args.iter().map(|t| resolve(t, b)).collect();
-                debug_assert!(
-                    pattern.iter().all(Option::is_some),
-                    "negation scheduled with unbound args"
-                );
-                if !self.holds(*pred, &pattern, epoch)? {
-                    self.exec_step(plan, idx + 1, b, outer_epoch, depth, emit)?;
+                let key = KeyRef::new(args.iter().map(|t| {
+                    resolve(t, &self.b).expect("negation is scheduled once its arguments are bound")
+                }));
+                if !ctx.holds_key(*pred, &key, self.epoch(*epoch), self.scratch)? {
+                    self.step(next)?;
                 }
                 Ok(())
             }
             PlanStep::Cmp { op, lhs, rhs } => {
-                let (Some(l), Some(r)) = (resolve(lhs, b), resolve(rhs, b)) else {
+                let (Some(l), Some(r)) = (resolve(lhs, &self.b), resolve(rhs, &self.b)) else {
                     return Err(ObjectLogError::NotSchedulable {
                         literal: format!("{lhs} {op} {rhs}"),
                     });
                 };
                 // Incomparable runtime types simply fail the test.
-                if l.compare(&r).map(|ord| op.matches(ord)).unwrap_or(false) {
-                    self.exec_step(plan, idx + 1, b, outer_epoch, depth, emit)?;
+                if l.compare(r).map(|ord| op.matches(ord)).unwrap_or(false) {
+                    self.step(next)?;
                 }
                 Ok(())
             }
@@ -866,20 +890,13 @@ impl<'a> EvalContext<'a> {
                 lhs,
                 rhs,
             } => {
-                let (Some(l), Some(r)) = (resolve(lhs, b), resolve(rhs, b)) else {
+                let (Some(l), Some(r)) = (resolve(lhs, &self.b), resolve(rhs, &self.b)) else {
                     return Err(ObjectLogError::NotSchedulable {
                         literal: format!("{result} = {lhs} {op} {rhs}"),
                     });
                 };
-                let value = op.apply(&l, &r)?;
-                let (ok, bound) = unify_term(result, &value, b);
-                if ok {
-                    self.exec_step(plan, idx + 1, b, outer_epoch, depth, emit)?;
-                }
-                if let Some(i) = bound {
-                    b[i] = None;
-                }
-                Ok(())
+                let value = op.apply(l, r)?;
+                self.with_unified([(result, &value)].into_iter(), |exec| exec.step(next))
             }
             PlanStep::MergeJoin {
                 delta_pred,
@@ -894,16 +911,25 @@ impl<'a> EvalContext<'a> {
                 // Only differential plans carry Δ-literals, and those run
                 // in the new epoch; the fusion gate additionally required
                 // the stored side to be epoch-`New`.
-                debug_assert_eq!(outer_epoch, StateEpoch::New);
-                let Some(delta) = self.deltas.get(delta_pred) else {
+                debug_assert_eq!(self.outer_epoch, StateEpoch::New);
+                let Some(delta) = ctx.deltas.get(delta_pred) else {
                     return Ok(()); // no Δ-set: the join is empty
                 };
-                self.shared.merge_joins.fetch_add(1, Ordering::Relaxed);
+                ctx.shared.merge_joins.fetch_add(1, Ordering::Relaxed);
                 let dside = delta.side(*polarity);
                 if dside.is_empty() {
                     return Ok(());
                 }
-                if self.state(*rel, StateEpoch::New).delta_len() > 0 {
+                // Continue with one Δ tuple joined to its stored block.
+                // Both are unified against the full argument lists, so
+                // constants and repeated variables outside the join key
+                // still filter.
+                let join = |exec: &mut Self, dtu: &Tuple, block: &[Tuple]| {
+                    exec.with_unified(delta_args.iter().zip(dtu.values()), |exec| {
+                        exec.for_each_unified(next, stored_args, block)
+                    })
+                };
+                if ctx.state(*rel, StateEpoch::New).delta_len() > 0 {
                     // Layers correct this relation and the stored-side
                     // arrangement bypasses them; probe through the view
                     // per Δ tuple instead. (No plan run under layers is
@@ -911,22 +937,13 @@ impl<'a> EvalContext<'a> {
                     // only differencing plans get — but a recursive
                     // function's frontier rounds do put a Δ-literal
                     // under a session's layers, so the step stays exact.)
-                    for dtu in dside {
-                        if let Some(dtrail) = unify_tuple(delta_args, dtu, b) {
-                            let pattern: Vec<Option<Value>> =
-                                stored_args.iter().map(|t| resolve(t, b)).collect();
-                            for stu in self.eval_stored(*rel, &pattern, StateEpoch::New) {
-                                if let Some(strail) = unify_tuple(stored_args, &stu, b) {
-                                    self.exec_step(plan, idx + 1, b, outer_epoch, depth, emit)?;
-                                    undo(&strail, b);
-                                }
-                            }
-                            undo(&dtrail, b);
-                        }
-                    }
-                    return Ok(());
+                    return delta.try_for_each_seed(*polarity, |dtu| {
+                        self.with_unified(delta_args.iter().zip(dtu.values()), |exec| {
+                            exec.stored_step(next, *rel, StateEpoch::New, stored_args)
+                        })
+                    });
                 }
-                let sarr = self.storage.relation(*rel).arrangement(rel_cols);
+                let sarr = ctx.storage.relation(*rel).arrangement(rel_cols);
                 if sarr.is_empty() {
                     return Ok(());
                 }
@@ -935,22 +952,9 @@ impl<'a> EvalContext<'a> {
                     // arrangement, so sorting it would dominate the
                     // join. Binary-search each Δ tuple into the stored
                     // blocks instead — O(|Δ|·log s) beats O(|Δ|·log |Δ|).
-                    for dtu in dside {
-                        let block = sarr.equal_range_on(dtu, delta_cols);
-                        if block.is_empty() {
-                            continue;
-                        }
-                        if let Some(dtrail) = unify_tuple(delta_args, dtu, b) {
-                            for stu in block {
-                                if let Some(strail) = unify_tuple(stored_args, stu, b) {
-                                    self.exec_step(plan, idx + 1, b, outer_epoch, depth, emit)?;
-                                    undo(&strail, b);
-                                }
-                            }
-                            undo(&dtrail, b);
-                        }
-                    }
-                    return Ok(());
+                    return delta.try_for_each_seed(*polarity, |dtu| {
+                        join(self, dtu, sarr.equal_range_on(dtu, delta_cols))
+                    });
                 }
                 let darr = delta.arrangement(*polarity, delta_cols);
                 let (dt, st) = (darr.tuples(), sarr.tuples());
@@ -965,26 +969,8 @@ impl<'a> EvalContext<'a> {
                         Ord_::Equal => {
                             let di_end = darr.block_end(i);
                             let sj_end = sarr.block_end(j);
-                            // Unify against the full argument lists so
-                            // constants and repeated variables outside the
-                            // join key still filter.
                             for dtu in &dt[i..di_end] {
-                                if let Some(dtrail) = unify_tuple(delta_args, dtu, b) {
-                                    for stu in &st[j..sj_end] {
-                                        if let Some(strail) = unify_tuple(stored_args, stu, b) {
-                                            self.exec_step(
-                                                plan,
-                                                idx + 1,
-                                                b,
-                                                outer_epoch,
-                                                depth,
-                                                emit,
-                                            )?;
-                                            undo(&strail, b);
-                                        }
-                                    }
-                                    undo(&dtrail, b);
-                                }
+                                join(self, dtu, &st[j..sj_end])?;
                             }
                             i = di_end;
                             j = sj_end;
@@ -993,35 +979,20 @@ impl<'a> EvalContext<'a> {
                 }
                 Ok(())
             }
-            PlanStep::Unify { lhs, rhs } => match (resolve(lhs, b), resolve(rhs, b)) {
-                (Some(l), Some(r)) => {
-                    if l == r {
-                        self.exec_step(plan, idx + 1, b, outer_epoch, depth, emit)?;
+            PlanStep::Unify { lhs, rhs } => {
+                // Bind the unresolved side to the other's value (a test
+                // when both resolve).
+                let (term, value) = match (resolve(lhs, &self.b), resolve(rhs, &self.b)) {
+                    (Some(l), _) => (rhs, l.clone()),
+                    (None, Some(r)) => (lhs, r.clone()),
+                    (None, None) => {
+                        return Err(ObjectLogError::NotSchedulable {
+                            literal: format!("{lhs} = {rhs}"),
+                        })
                     }
-                    Ok(())
-                }
-                (Some(l), None) => {
-                    let (ok, bound) = unify_term(rhs, &l, b);
-                    debug_assert!(ok);
-                    self.exec_step(plan, idx + 1, b, outer_epoch, depth, emit)?;
-                    if let Some(i) = bound {
-                        b[i] = None;
-                    }
-                    Ok(())
-                }
-                (None, Some(r)) => {
-                    let (ok, bound) = unify_term(lhs, &r, b);
-                    debug_assert!(ok);
-                    self.exec_step(plan, idx + 1, b, outer_epoch, depth, emit)?;
-                    if let Some(i) = bound {
-                        b[i] = None;
-                    }
-                    Ok(())
-                }
-                (None, None) => Err(ObjectLogError::NotSchedulable {
-                    literal: format!("{lhs} = {rhs}"),
-                }),
-            },
+                };
+                self.with_unified([(term, &value)].into_iter(), |exec| exec.step(next))
+            }
         }
     }
 }
@@ -1195,21 +1166,10 @@ mod tests {
         f.storage.insert(RelId(1), tuple![1, 9]).unwrap(); // second block row
 
         let ctx = EvalContext::new(&f.storage, &f.catalog, &deltas);
-        let run = |plan: &Plan| {
-            let mut out = HashSet::new();
-            ctx.run_plan(
-                plan,
-                vec![None; plan.n_vars as usize],
-                StateEpoch::New,
-                0,
-                &mut |b, head| {
-                    let vals: Vec<Value> = head.iter().map(|t| resolve(t, b).unwrap()).collect();
-                    out.insert(Tuple::new(vals));
-                    Ok(())
-                },
-            )
-            .unwrap();
-            out
+        let run = |plan: &Plan| -> HashSet<Tuple> {
+            let mut out = Vec::new();
+            ctx.plan_heads(plan, StateEpoch::New, 0, &mut out).unwrap();
+            out.into_iter().collect()
         };
         let fused_out = run(&fused);
         let unfused_out = run(&unfused);
@@ -1264,21 +1224,10 @@ mod tests {
         // lookup path engages (factor 8).
 
         let ctx = EvalContext::new(&f.storage, &f.catalog, &deltas);
-        let run = |plan: &Plan| {
-            let mut out = HashSet::new();
-            ctx.run_plan(
-                plan,
-                vec![None; plan.n_vars as usize],
-                StateEpoch::New,
-                0,
-                &mut |b, head| {
-                    let vals: Vec<Value> = head.iter().map(|t| resolve(t, b).unwrap()).collect();
-                    out.insert(Tuple::new(vals));
-                    Ok(())
-                },
-            )
-            .unwrap();
-            out
+        let run = |plan: &Plan| -> HashSet<Tuple> {
+            let mut out = Vec::new();
+            ctx.plan_heads(plan, StateEpoch::New, 0, &mut out).unwrap();
+            out.into_iter().collect()
         };
         let fused_out = run(&fused);
         let unfused_out = run(&unfused);
@@ -1554,25 +1503,122 @@ mod tests {
         assert!(old.is_empty(), "stale old-state index leaked across passes");
     }
 
+    /// Arity is not a special case of the probe path: a 0-ary literal is a
+    /// membership test with the empty key, and a literal wider than a
+    /// [`KeyRef`]'s inline capacity spills its key and is otherwise probed,
+    /// tested and rolled back like any other.
+    #[test]
+    fn nullary_and_wide_literals_take_the_probe_path() {
+        let mut storage = Storage::new();
+        let rsrc = storage.create_relation("src", 9).unwrap();
+        let rflag = storage.create_relation("flag", 0).unwrap();
+        let rwide = storage.create_relation("wide", 10).unwrap();
+        let mut catalog = Catalog::new();
+        let src = catalog.define_stored("src", sig(9), rsrc, 9).unwrap();
+        let flag = catalog.define_stored("flag", sig(0), rflag, 0).unwrap();
+        let wide = catalog.define_stored("wide", sig(10), rwide, 9).unwrap();
+        // last(Z) ← src(A,…,I) ∧ flag() ∧ wide(A,…,I,Z)
+        let nine = || (0..9).map(Term::var);
+        let clause = ClauseBuilder::new(10)
+            .head([Term::var(9)])
+            .pred(src, nine())
+            .pred(flag, [])
+            .pred(wide, nine().chain([Term::var(9)]))
+            .build();
+        let last = catalog
+            .define_derived("last", sig(1), vec![clause])
+            .unwrap();
+
+        let key = |x: i64| [x, x + 10, 1, 2, 3, 4, 5, 6, 7].map(Value::Int);
+        let row = |x: i64, z: i64| -> Tuple { key(x).into_iter().chain([Value::Int(z)]).collect() };
+        for x in 0..4 {
+            storage.insert(rsrc, key(x).into_iter().collect()).unwrap();
+        }
+        storage.insert(rwide, row(0, 8)).unwrap();
+        storage.insert(rwide, row(1, 8)).unwrap();
+        storage.insert(rwide, row(1, 9)).unwrap();
+        storage.insert(rwide, row(7, 8)).unwrap(); // no src row
+        storage.ensure_index(rwide, &[0, 1, 2, 3, 4, 5, 6, 7, 8]);
+        storage.ensure_index(rwide, &[9]);
+        storage.monitor(rflag);
+        storage.monitor(rwide);
+
+        let deltas = DeltaMap::new();
+        // Evaluate `pred`; also the stored accesses (probes, scans) made.
+        let eval = |storage: &Storage, pred, pattern: &[Option<Value>], epoch| {
+            let ctx = EvalContext::new(storage, &catalog, &deltas);
+            let out = ctx.eval_pred(pred, pattern, epoch).unwrap();
+            let mut out: Vec<Tuple> = out.into_iter().collect();
+            out.sort();
+            (out, ctx.shared().probe_count(), ctx.shared().scan_count())
+        };
+        let (new, old) = (StateEpoch::New, StateEpoch::Old);
+
+        // flag is empty: the 0-ary test is scheduled first (nothing to
+        // bind) and fails; src and wide are never reached. (An access
+        // with no bound column counts as a scan.)
+        assert_eq!(eval(&storage, last, &[None], new), (vec![], 0, 1));
+
+        storage.begin().unwrap();
+        storage.insert(rflag, Tuple::unit()).unwrap();
+        storage.delete(rwide, &row(0, 8)).unwrap();
+        storage.insert(rwide, row(3, 8)).unwrap();
+
+        // Free Z: flag, a scan of src, then wide probed by a nine-value key.
+        assert_eq!(
+            eval(&storage, last, &[None], new),
+            (vec![tuple![8], tuple![9]], 4, 2)
+        );
+        // Bound Z: wide is probed on its last column (three rows with 8),
+        // and each hit tests src with a nine-value key — all columns
+        // bound, so a membership test that builds no tuple.
+        assert_eq!(
+            eval(&storage, last, &[Some(Value::Int(8))], new),
+            (vec![tuple![8]], 1 + 3, 1)
+        );
+        // Rolled back, the flag is gone again …
+        assert_eq!(eval(&storage, last, &[None], old), (vec![], 0, 1));
+        // … and the stored predicates themselves answer by the same path
+        // in both states: ten bound columns, nine, none of none.
+        let full = |x, z| {
+            row(x, z)
+                .values()
+                .iter()
+                .cloned()
+                .map(Some)
+                .collect::<Vec<_>>()
+        };
+        let open = |x| {
+            key(x)
+                .into_iter()
+                .map(Some)
+                .chain([None])
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(eval(&storage, wide, &full(0, 8), new).0, vec![]);
+        assert_eq!(eval(&storage, wide, &full(0, 8), old).0, vec![row(0, 8)]);
+        assert_eq!(
+            eval(&storage, wide, &open(1), old).0,
+            vec![row(1, 8), row(1, 9)]
+        );
+        assert_eq!(eval(&storage, wide, &open(3), new).0, vec![row(3, 8)]);
+        assert_eq!(eval(&storage, wide, &open(3), old).0, vec![]);
+        assert_eq!(eval(&storage, flag, &[], new).0, vec![Tuple::unit()]);
+        assert_eq!(eval(&storage, flag, &[], old).0, vec![]);
+        assert_eq!(
+            storage.fallback_scans_total(),
+            0,
+            "every probe hit an index"
+        );
+    }
+
     #[test]
     fn holds_shortcuts_stored_lookup() {
         let f = fixture();
         let deltas = DeltaMap::new();
         let ctx = EvalContext::new(&f.storage, &f.catalog, &deltas);
-        assert!(ctx
-            .holds(
-                f.q,
-                &[Some(Value::Int(1)), Some(Value::Int(1))],
-                StateEpoch::New
-            )
-            .unwrap());
-        assert!(!ctx
-            .holds(
-                f.q,
-                &[Some(Value::Int(1)), Some(Value::Int(7))],
-                StateEpoch::New
-            )
-            .unwrap());
+        assert!(ctx.holds(f.q, &tuple![1, 1], StateEpoch::New).unwrap());
+        assert!(!ctx.holds(f.q, &tuple![1, 7], StateEpoch::New).unwrap());
     }
 }
 
@@ -1660,13 +1706,7 @@ mod recursion_tests {
             .eval_pred(reach, &[Some(Value::Int(1)), None], StateEpoch::New)
             .unwrap();
         assert_eq!(from1, [tuple![1, 2], tuple![1, 3]].into_iter().collect());
-        assert!(ctx
-            .holds(
-                reach,
-                &[Some(Value::Int(1)), Some(Value::Int(3))],
-                StateEpoch::New
-            )
-            .unwrap());
+        assert!(ctx.holds(reach, &tuple![1, 3], StateEpoch::New).unwrap());
     }
 
     #[test]

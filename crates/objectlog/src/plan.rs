@@ -530,6 +530,50 @@ fn fuse_merge_join(steps: &mut Vec<PlanStep>, stats: &dyn PlanStats) {
     steps.splice(0..2, [fused]);
 }
 
+/// Drop every stored membership test that an earlier step of the same
+/// plan already decided: same relation, same epoch, and arguments equal
+/// under the variable equalities the plan's own `unify var = var` steps
+/// establish. `for each item i` over a function that itself ranges over
+/// `item` compiles to exactly this: `unify _G0 = _G3`, `item_extent(_G0)`,
+/// `item_extent(_G3)`. Only fully bound steps are dropped — they bind
+/// nothing, and the conjunction is the same wherever the `unify` sits.
+fn drop_decided_steps(steps: &mut Vec<PlanStep>, n_vars: u32) {
+    // Quick-find: `class[v]` names v's equivalence class.
+    let mut class: Vec<u32> = (0..n_vars).collect();
+    for step in steps.iter() {
+        let PlanStep::Unify { lhs, rhs } = step else {
+            continue;
+        };
+        if let (Some(a), Some(b)) = (lhs.as_var(), rhs.as_var()) {
+            let (from, to) = (class[a.0 as usize], class[b.0 as usize]);
+            class
+                .iter_mut()
+                .for_each(|c| *c = if *c == from { to } else { *c });
+        }
+    }
+    let canonical = |t: &Term| match t {
+        Term::Var(v) => Term::Var(Var(class[v.0 as usize])),
+        constant => constant.clone(),
+    };
+    let mut seen: Vec<(RelId, StateEpoch, Vec<Term>)> = Vec::new();
+    steps.retain(|step| {
+        let PlanStep::Stored {
+            rel,
+            args,
+            bound_cols,
+            epoch,
+            ..
+        } = step
+        else {
+            return true;
+        };
+        let access = (*rel, *epoch, args.iter().map(canonical).collect());
+        let decided = bound_cols.len() == args.len() && seen.contains(&access);
+        seen.push(access);
+        !decided
+    });
+}
+
 /// Compile a clause into a [`Plan`], given the set of head variables the
 /// caller binds, using the static cost table. Greedy: repeatedly
 /// schedule the cheapest executable literal; ties break toward textual
@@ -606,6 +650,7 @@ pub fn compile_clause_with(
         steps.push(step);
     }
 
+    drop_decided_steps(&mut steps, clause.n_vars);
     if bound_at_entry.is_empty() {
         fuse_merge_join(&mut steps, stats);
     }
@@ -1036,6 +1081,67 @@ mod tests {
             PlanStep::Stored { bound_cols, .. } => assert_eq!(bound_cols, &vec![0]),
             other => panic!("{other:?}"),
         }
+    }
+
+    /// A membership test that an earlier step already decided is dropped:
+    /// `for each item i where … threshold(i)` puts `item_extent` in the
+    /// clause twice, on variables a `unify` makes equal. What differs in
+    /// epoch, in arguments, or still binds something stays.
+    #[test]
+    fn decided_membership_tests_are_dropped() {
+        let mut cat = Catalog::new();
+        let q = cat.define_stored("q", sig(2), RelId(0), 1).unwrap();
+        let ext = cat.define_stored("ext", sig(1), RelId(1), 1).unwrap();
+        let r = cat.define_stored("r", sig(2), RelId(2), 1).unwrap();
+        let lookups = |plan: &Plan| plan.render(&cat).matches("lookup ext").count();
+
+        // Δ₊q(X,Y) ∧ ext(X) ∧ X = X3 ∧ ext(X3) ∧ r(X3,Z)
+        let clause = ClauseBuilder::new(4)
+            .head([Term::var(0)])
+            .delta(q, Polarity::Plus, [Term::var(0), Term::var(1)])
+            .pred(ext, [Term::var(0)])
+            .unify(Term::var(0), Term::var(3))
+            .pred(ext, [Term::var(3)])
+            .pred(r, [Term::var(3), Term::var(2)])
+            .build();
+        let plan = compile_clause(&cat, &clause, &HashSet::new()).unwrap();
+        assert_eq!(lookups(&plan), 1, "{}", plan.render(&cat));
+        assert_eq!(plan.steps.len(), clause.body.len() - 1);
+
+        // No unify between the two variables: both tests stay.
+        let apart = ClauseBuilder::new(3)
+            .head([Term::var(0)])
+            .delta(q, Polarity::Plus, [Term::var(0), Term::var(1)])
+            .pred(ext, [Term::var(0)])
+            .pred(ext, [Term::var(1)])
+            .build();
+        assert_eq!(
+            lookups(&compile_clause(&cat, &apart, &HashSet::new()).unwrap()),
+            2
+        );
+
+        // Same variable, different epochs: both stay.
+        let epochs = ClauseBuilder::new(2)
+            .head([Term::var(0)])
+            .delta(q, Polarity::Plus, [Term::var(0), Term::var(1)])
+            .pred(ext, [Term::var(0)])
+            .pred_old(ext, [Term::var(0)])
+            .build();
+        let plan = compile_clause(&cat, &epochs, &HashSet::new()).unwrap();
+        assert_eq!(plan.steps.len(), 3, "{}", plan.render(&cat));
+
+        // The same literal twice where the first occurrence binds: the
+        // second is a decided membership test, the first stays a probe.
+        let twice = ClauseBuilder::new(3)
+            .head([Term::var(0)])
+            .delta(q, Polarity::Plus, [Term::var(0), Term::var(1)])
+            .pred(r, [Term::var(0), Term::var(2)])
+            .pred(r, [Term::var(0), Term::var(2)])
+            .build();
+        let plan = compile_clause(&cat, &twice, &HashSet::new()).unwrap();
+        let rendered = plan.render(&cat);
+        assert_eq!(plan.steps.len(), 2, "{rendered}");
+        assert!(rendered.contains("probe r[0]"), "{rendered}");
     }
 
     /// Statistics source for estimator tests: fixed per-relation

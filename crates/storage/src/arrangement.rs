@@ -19,7 +19,7 @@
 
 use std::cmp::Ordering;
 
-use amos_types::{FxHashSet, Tuple, Value};
+use amos_types::{FxHashSet, KeyRef, Tuple, TupleKey};
 
 /// Compare two tuples on aligned column lists (`a` on `acols` vs `b` on
 /// `bcols`), position by position. The lists must have equal length —
@@ -28,18 +28,6 @@ pub fn cmp_on_cols(a: &Tuple, acols: &[usize], b: &Tuple, bcols: &[usize]) -> Or
     debug_assert_eq!(acols.len(), bcols.len());
     for (&ca, &cb) in acols.iter().zip(bcols) {
         match a[ca].cmp(&b[cb]) {
-            Ordering::Equal => {}
-            other => return other,
-        }
-    }
-    Ordering::Equal
-}
-
-/// Compare a tuple's projection onto `cols` against a literal key.
-pub fn cmp_to_key(t: &Tuple, cols: &[usize], key: &[Value]) -> Ordering {
-    debug_assert_eq!(cols.len(), key.len());
-    for (&c, v) in cols.iter().zip(key) {
-        match t[c].cmp(v) {
             Ordering::Equal => {}
             other => return other,
         }
@@ -83,9 +71,9 @@ impl SortedRun {
         self.tuples.is_empty()
     }
 
-    /// Membership by binary search.
-    pub fn contains(&self, t: &Tuple) -> bool {
-        self.tuples.binary_search(t).is_ok()
+    /// Membership by binary search, for a tuple or a borrowed key.
+    pub fn contains(&self, key: &(impl TupleKey + ?Sized)) -> bool {
+        self.tuples.binary_search_by(|t| key.order_of(t)).is_ok()
     }
 
     /// Iterate in value order.
@@ -185,15 +173,18 @@ impl Arrangement {
         self.tuples.is_empty()
     }
 
+    /// The contiguous block of tuples that `order_of` (a tuple's key
+    /// relative to the sought one) calls equal.
+    fn block(&self, order_of: impl Fn(&Tuple) -> Ordering) -> &[Tuple] {
+        let lo = self.tuples.partition_point(|t| order_of(t).is_lt());
+        let n = self.tuples[lo..].partition_point(|t| order_of(t).is_eq());
+        &self.tuples[lo..lo + n]
+    }
+
     /// The contiguous block of tuples whose projection onto the key
     /// columns equals `key` (empty when absent).
-    pub fn equal_range(&self, key: &[Value]) -> &[Tuple] {
-        let lo = self
-            .tuples
-            .partition_point(|t| cmp_to_key(t, &self.cols, key) == Ordering::Less);
-        let n = self.tuples[lo..]
-            .partition_point(|t| cmp_to_key(t, &self.cols, key) == Ordering::Equal);
-        &self.tuples[lo..lo + n]
+    pub fn equal_range(&self, key: &KeyRef<'_>) -> &[Tuple] {
+        self.block(|t| key.order_of_projection(t, &self.cols))
     }
 
     /// The contiguous block of tuples whose key equals `probe`'s
@@ -202,12 +193,7 @@ impl Arrangement {
     /// with another relation's tuples directly, so no per-probe key
     /// allocation happens.
     pub fn equal_range_on(&self, probe: &Tuple, probe_cols: &[usize]) -> &[Tuple] {
-        let lo = self
-            .tuples
-            .partition_point(|t| cmp_on_cols(t, &self.cols, probe, probe_cols) == Ordering::Less);
-        let n = self.tuples[lo..]
-            .partition_point(|t| cmp_on_cols(t, &self.cols, probe, probe_cols) == Ordering::Equal);
-        &self.tuples[lo..lo + n]
+        self.block(|t| cmp_on_cols(t, &self.cols, probe, probe_cols))
     }
 
     /// One past the last index sharing `tuples[i]`'s key — the block
@@ -222,7 +208,7 @@ impl Arrangement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amos_types::tuple;
+    use amos_types::{tuple, Value};
 
     #[test]
     fn run_sorts_dedups_and_searches() {
@@ -263,9 +249,9 @@ mod tests {
             vec![tuple![1, 30], tuple![2, 10], tuple![1, 20], tuple![3, 10]],
             &[0],
         );
-        assert_eq!(a.equal_range(&[Value::Int(1)]).len(), 2);
-        assert_eq!(a.equal_range(&[Value::Int(3)]).len(), 1);
-        assert!(a.equal_range(&[Value::Int(9)]).is_empty());
+        assert_eq!(a.equal_range(&KeyRef::new(&[Value::Int(1)])).len(), 2);
+        assert_eq!(a.equal_range(&KeyRef::new(&[Value::Int(3)])).len(), 1);
+        assert!(a.equal_range(&KeyRef::new(&[Value::Int(9)])).is_empty());
         // Block structure: index 0 starts key 1's block of size 2.
         assert_eq!(a.block_end(0), 2);
         assert_eq!(a.block_end(2), 3);
@@ -274,7 +260,7 @@ mod tests {
     #[test]
     fn arrangement_on_non_prefix_column() {
         let a = Arrangement::build(vec![tuple![7, 2], tuple![8, 1], tuple![9, 2]], &[1]);
-        let hits = a.equal_range(&[Value::Int(2)]);
+        let hits = a.equal_range(&KeyRef::new(&[Value::Int(2)]));
         assert_eq!(hits, &[tuple![7, 2], tuple![9, 2]], "ties in full order");
     }
 

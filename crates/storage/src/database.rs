@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::Path;
 use std::sync::Mutex;
 
-use amos_types::{Oid, OidGenerator, Tuple, Value};
+use amos_types::{KeyRef, Oid, OidGenerator, Tuple, Value};
 
 use crate::delta::DeltaSet;
 use crate::error::StorageError;
@@ -111,6 +111,8 @@ pub struct Storage {
     /// holding only the engine's read lock (commits, which mutate
     /// `versions`, hold the write lock and therefore never race).
     pins: Mutex<BTreeMap<u64, usize>>,
+    /// Where `set_functional` collects the tuples it replaces (kept empty).
+    set_scratch: Vec<Tuple>,
 }
 
 impl Storage {
@@ -365,11 +367,25 @@ impl Storage {
         key: &[Value],
         rest: &[Value],
     ) -> Result<(), StorageError> {
-        let key_cols: Vec<usize> = (0..key.len()).collect();
-        let old: Vec<Tuple> = self.relation(id).probe(&key_cols, key);
-        for t in old {
-            self.delete(id, &t)?;
-        }
+        // The replaced tuples are found through the borrowed-key probe and
+        // land in a buffer the storage keeps: nothing is allocated here.
+        const LEADING: [usize; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+        let wide: Vec<usize>;
+        let cols = match LEADING.get(..key.len()) {
+            Some(cols) => cols,
+            None => {
+                wide = (0..key.len()).collect();
+                &wide
+            }
+        };
+        let mut old = std::mem::take(&mut self.set_scratch);
+        self.relation(id)
+            .probe_into(cols, &KeyRef::new(key), &mut old);
+        let deleted = old
+            .drain(..)
+            .try_for_each(|t| self.delete(id, &t).map(drop));
+        self.set_scratch = old;
+        deleted?;
         let mut vals = key.to_vec();
         vals.extend_from_slice(rest);
         self.insert(id, Tuple::new(vals))?;

@@ -14,7 +14,7 @@
 use std::fmt;
 use std::sync::{Arc, RwLock};
 
-use amos_types::{FxHashMap, FxHashSet, Tuple, Value};
+use amos_types::{FxHashSet, KeyRef, Tuple};
 
 use crate::arrangement::Arrangement;
 
@@ -47,8 +47,8 @@ impl fmt::Display for Polarity {
     }
 }
 
-/// Below this side size a Δ-probe just scan-filters: arranging a
-/// handful of tuples costs more than the scan it saves.
+/// Below this side size a Δ-probe just scan-filters and a Δ-scan walks
+/// the hash side: arranging a handful of tuples costs more than it saves.
 const DELTA_INDEX_THRESHOLD: usize = 16;
 
 /// Past this combined size, `∪Δ` switches from hash-set differences to
@@ -56,9 +56,9 @@ const DELTA_INDEX_THRESHOLD: usize = 16;
 /// cancel in one merge pass).
 const DELTA_UNION_SORT_THRESHOLD: usize = 64;
 
-/// Cache of lazily-built Δ-side arrangements, keyed by side and key
-/// columns.
-type ArrangementCache = RwLock<FxHashMap<(Polarity, Vec<usize>), Arc<Arrangement>>>;
+/// Cache of lazily-built Δ-side arrangements by side and key columns: a
+/// handful of entries, searched linearly so a lookup allocates no key.
+type ArrangementCache = RwLock<Vec<(Polarity, Vec<usize>, Arc<Arrangement>)>>;
 
 /// A disjoint pair of inserted (`Δ₊`) and deleted (`Δ₋`) tuples.
 ///
@@ -81,7 +81,7 @@ impl Clone for DeltaSet {
         DeltaSet {
             plus: self.plus.clone(),
             minus: self.minus.clone(),
-            indexes: RwLock::new(FxHashMap::default()),
+            indexes: ArrangementCache::default(),
         }
     }
 }
@@ -104,7 +104,7 @@ impl DeltaSet {
         DeltaSet {
             plus,
             minus,
-            indexes: RwLock::new(FxHashMap::default()),
+            indexes: ArrangementCache::default(),
         }
     }
 
@@ -296,24 +296,44 @@ impl DeltaSet {
         self.plus.is_disjoint(&self.minus)
     }
 
-    /// All tuples on `polarity`'s side whose projection onto `cols`
-    /// equals `key`.
+    /// Append to `out` all tuples on `polarity`'s side whose projection
+    /// onto `cols` equals `key`.
     ///
     /// Small sides are scan-filtered directly; past
     /// [`DELTA_INDEX_THRESHOLD`] the side is arranged by `cols` lazily
     /// (sorted once, cached until the next mutation), making repeated
-    /// probes a binary search with no per-tuple key allocation. Returns
-    /// owned tuples — interning makes the clones reference bumps.
-    pub fn probe(&self, polarity: Polarity, cols: &[usize], key: &[Value]) -> Vec<Tuple> {
+    /// probes a binary search with no per-tuple key allocation.
+    pub fn probe_into(
+        &self,
+        polarity: Polarity,
+        cols: &[usize],
+        key: &KeyRef<'_>,
+        out: &mut Vec<Tuple>,
+    ) {
         let side = self.side(polarity);
         if side.len() < DELTA_INDEX_THRESHOLD {
-            return side
-                .iter()
-                .filter(|t| cols.iter().zip(key).all(|(&c, v)| &t[c] == v))
-                .cloned()
-                .collect();
+            out.extend(side.iter().filter(|t| key.matches(t, cols)).cloned());
+        } else {
+            out.extend_from_slice(self.arrangement(polarity, cols).equal_range(key));
         }
-        self.arrangement(polarity, cols).equal_range(key).to_vec()
+    }
+
+    /// Visit the side as the seed of a differential, stopping at the
+    /// first error: in tuple order from [`DELTA_INDEX_THRESHOLD`] up (a
+    /// bulk differential then walks runs, indexes and tuple storage in key
+    /// order, and its output order no longer depends on hashing), as the
+    /// hash side lies below it.
+    pub fn try_for_each_seed<E>(
+        &self,
+        polarity: Polarity,
+        f: impl FnMut(&Tuple) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let side = self.side(polarity);
+        if side.len() < DELTA_INDEX_THRESHOLD {
+            return side.iter().try_for_each(f);
+        }
+        let sorted = self.arrangement(polarity, &[]);
+        sorted.tuples().iter().try_for_each(f)
     }
 
     /// Number of cached Δ-side arrangements (for tests / introspection).
@@ -323,11 +343,11 @@ impl DeltaSet {
 
     /// The side's tuples arranged (sorted) by `cols`, built lazily and
     /// cached until the next mutation. The Δ-side input of a merge join
-    /// — unlike [`probe`](Self::probe) this always arranges, because the
+    /// — unlike [`probe_into`](Self::probe_into) this always arranges: the
     /// caller wants the whole sorted sequence, not one key block.
     pub fn arrangement(&self, polarity: Polarity, cols: &[usize]) -> Arc<Arrangement> {
         if let Ok(cache) = self.indexes.read() {
-            if let Some(a) = cache.get(&(polarity, cols.to_vec())) {
+            if let Some((.., a)) = cache.iter().find(|(p, c, _)| *p == polarity && c == cols) {
                 return Arc::clone(a);
             }
         }
@@ -336,7 +356,7 @@ impl DeltaSet {
             cols,
         ));
         if let Ok(mut cache) = self.indexes.write() {
-            cache.insert((polarity, cols.to_vec()), Arc::clone(&a));
+            cache.push((polarity, cols.to_vec(), Arc::clone(&a)));
         }
         a
     }
@@ -356,6 +376,14 @@ impl fmt::Display for DeltaSet {
 mod tests {
     use super::*;
     use amos_types::{tuple, Value};
+
+    impl DeltaSet {
+        fn probe(&self, polarity: Polarity, cols: &[usize], key: &[Value]) -> Vec<Tuple> {
+            let mut out = Vec::new();
+            self.probe_into(polarity, cols, &KeyRef::new(key), &mut out);
+            out
+        }
+    }
 
     fn delta(plus: &[Tuple], minus: &[Tuple]) -> DeltaSet {
         DeltaSet::from_parts(
@@ -548,18 +576,57 @@ mod tests {
         }
         let a = d.arrangement(Polarity::Plus, &[1]);
         assert_eq!(a.len(), 20);
-        assert_eq!(a.equal_range(&[Value::Int(2)]).len(), 5);
+        let two = [Value::Int(2)];
+        assert_eq!(a.equal_range(&KeyRef::new(&two)).len(), 5);
         // Cached until mutation, shared with probe's cache.
         assert_eq!(d.index_count(), 1);
         d.apply_insert(tuple![100, 2]);
         assert_eq!(d.index_count(), 0);
         assert_eq!(
             d.arrangement(Polarity::Plus, &[1])
-                .equal_range(&[Value::Int(2)])
+                .equal_range(&KeyRef::new(&two))
                 .len(),
             6
         );
         assert!(d.arrangement(Polarity::Minus, &[1]).is_empty());
+    }
+
+    #[test]
+    fn seed_is_sorted_past_the_cut_off_and_hash_ordered_below() {
+        fn seed(d: &DeltaSet) -> Vec<Tuple> {
+            let mut out = Vec::new();
+            d.try_for_each_seed(Polarity::Plus, |t| {
+                out.push(t.clone());
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+            out
+        }
+        let mut d = DeltaSet::new();
+        for i in (0..DELTA_INDEX_THRESHOLD as i64 - 1).rev() {
+            d.apply_insert(tuple![i % 3, i]);
+        }
+        let small: Vec<Tuple> = d.plus().iter().cloned().collect();
+        assert_eq!(seed(&d), small, "small side: walked as it lies");
+        assert_eq!(d.index_count(), 0);
+        d.apply_insert(tuple![9, 9]);
+        let mut sorted: Vec<Tuple> = d.plus().iter().cloned().collect();
+        sorted.sort();
+        assert_eq!(seed(&d), sorted, "at the cut-off: tuple order");
+        assert_eq!(d.index_count(), 1);
+        // The visit stops at the first error.
+        let mut seen = 0;
+        let stopped = d.try_for_each_seed(Polarity::Plus, |_| {
+            seen += 1;
+            if seen == 3 {
+                Err("stop")
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!((stopped, seen), (Err("stop"), 3));
+        d.apply_delete(tuple![9, 9]);
+        assert_eq!(d.index_count(), 0, "mutation drops the cached seed");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use amos_types::{FxHashMap, FxHashSet, Tuple, Value};
+use amos_types::{FxHashMap, FxHashSet, KeyRef, Tuple, TupleKey, Value};
 
 use crate::arrangement::{Arrangement, SortedRun};
 
@@ -69,6 +69,13 @@ impl HashIndex {
             if set.is_empty() {
                 self.map.remove(&key);
             }
+        }
+    }
+
+    /// Append the tuples under `key` to `out`.
+    fn hits_into(&self, key: &KeyRef<'_>, out: &mut Vec<Tuple>) {
+        if let Some(set) = self.map.get(key as &dyn TupleKey) {
+            out.extend(set.iter().cloned());
         }
     }
 }
@@ -300,13 +307,14 @@ impl BaseRelation {
         self.live == 0
     }
 
-    /// Membership test: one hash probe on the head, then a binary search
-    /// per run (tombstones veto run hits).
-    pub fn contains(&self, t: &Tuple) -> bool {
-        if self.head.contains(t) {
+    /// Membership test, for a tuple or a borrowed key: one hash probe on
+    /// the head, then a binary search per run (tombstones veto run hits).
+    pub fn contains(&self, key: &impl TupleKey) -> bool {
+        let hashed: &dyn TupleKey = key;
+        if self.head.contains(hashed) {
             return true;
         }
-        self.runs.iter().any(|r| r.contains(t)) && !self.tombstones.contains(t)
+        self.runs.iter().any(|r| r.contains(key)) && !self.tombstones.contains(hashed)
     }
 
     fn in_runs(&self, t: &Tuple) -> bool {
@@ -538,14 +546,15 @@ impl BaseRelation {
         }
     }
 
-    /// Probe an index: all tuples whose projection onto `cols` equals
-    /// `key` (owned — tuples are interned, so the clones are reference
-    /// bumps). Requires [`ensure_index`](Self::ensure_index) to have
-    /// been called for `cols` (the plan compiler does this); falls back
-    /// to a scan-filter if not, so correctness never depends on index
-    /// presence. The first probe after a mutation folds the pending
-    /// maintenance log in (merge-on-read).
-    pub fn probe(&self, cols: &[usize], key: &[Value]) -> Vec<Tuple> {
+    /// Probe an index: append to `out` all tuples whose projection onto
+    /// `cols` equals `key` (tuples are interned, so the clones are
+    /// reference bumps; the caller owns the key and the matches). Requires
+    /// [`ensure_index`](Self::ensure_index) to have been called for
+    /// `cols` (the plan compiler does this); falls back to a scan-filter
+    /// if not, so correctness never depends on index presence. The first
+    /// probe after a mutation folds the pending maintenance log in
+    /// (merge-on-read).
+    pub fn probe_into(&self, cols: &[usize], key: &KeyRef<'_>, out: &mut Vec<Tuple>) {
         {
             let m = match self.maintained.read() {
                 Ok(g) => g,
@@ -553,11 +562,7 @@ impl BaseRelation {
             };
             if let Some(&i) = m.by_cols.get(cols) {
                 if m.pending.is_empty() {
-                    let key_tuple = Tuple::new(key.to_vec());
-                    return match m.indexes[i].map.get(&key_tuple) {
-                        Some(set) => set.iter().cloned().collect(),
-                        None => Vec::new(),
-                    };
+                    return m.indexes[i].hits_into(key, out);
                 }
                 drop(m);
                 let mut m = match self.maintained.write() {
@@ -568,21 +573,21 @@ impl BaseRelation {
                     scan_parts(&self.head, &self.runs, &self.tombstones),
                     self.live,
                 );
-                let key_tuple = Tuple::new(key.to_vec());
-                return match m.indexes[i].map.get(&key_tuple) {
-                    Some(set) => set.iter().cloned().collect(),
-                    None => Vec::new(),
-                };
+                return m.indexes[i].hits_into(key, out);
             }
         }
         self.fallback_scans.fetch_add(1, Ordering::Relaxed);
         if let Ok(mut sites) = self.fallback_sites.lock() {
             sites.insert(cols.to_vec());
         }
-        self.scan()
-            .filter(|t| cols.iter().zip(key).all(|(&c, v)| &t[c] == v))
-            .cloned()
-            .collect()
+        out.extend(self.scan().filter(|t| key.matches(t, cols)).cloned());
+    }
+
+    /// [`probe_into`](Self::probe_into) with a value slice, into a new `Vec`.
+    pub fn probe(&self, cols: &[usize], key: &[Value]) -> Vec<Tuple> {
+        let mut out = Vec::new();
+        self.probe_into(cols, &KeyRef::new(key), &mut out);
+        out
     }
 
     /// Number of maintained indexes (for tests / introspection).
@@ -825,12 +830,16 @@ mod tests {
             r.insert(tuple![i, i % 3]);
         }
         let a = r.arrangement(&[1]);
-        assert_eq!(a.equal_range(&[Value::Int(0)]).len(), 3);
+        let zero = [Value::Int(0)];
+        assert_eq!(a.equal_range(&KeyRef::new(&zero)).len(), 3);
         assert_eq!(r.arrangement_count(), 1);
         assert!(Arc::ptr_eq(&a, &r.arrangement(&[1])), "cache hit");
         r.insert(tuple![100, 0]);
         assert_eq!(r.arrangement_count(), 0, "mutation invalidates");
-        assert_eq!(r.arrangement(&[1]).equal_range(&[Value::Int(0)]).len(), 4);
+        assert_eq!(
+            r.arrangement(&[1]).equal_range(&KeyRef::new(&zero)).len(),
+            4
+        );
     }
 
     #[test]

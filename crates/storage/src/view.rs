@@ -35,7 +35,7 @@
 //! [`TxnVersion`] only while a snapshot pin is registered, so the
 //! single-session path never has layers to walk.
 
-use amos_types::{FxHashMap, FxHashSet, Tuple, Value};
+use amos_types::{FxHashMap, FxHashSet, KeyRef, Tuple, TupleKey};
 
 use crate::database::RelId;
 use crate::delta::DeltaSet;
@@ -86,7 +86,7 @@ impl<'a> Layer<'a> {
     }
 
     /// Whether the layer decides `t` (either way).
-    fn mentions(self, t: &Tuple) -> bool {
+    fn mentions(self, t: &dyn TupleKey) -> bool {
         self.hide().contains(t) || self.add().contains(t)
     }
 }
@@ -117,7 +117,7 @@ impl<'a> StateView<'a> {
     }
 
     /// Whether one of the `depth` topmost layers mentions `t`.
-    fn decided_above(self, depth: usize, t: &Tuple) -> bool {
+    fn decided_above(self, depth: usize, t: &dyn TupleKey) -> bool {
         self.top_down().take(depth).any(|l| l.mentions(t))
     }
 
@@ -128,17 +128,18 @@ impl<'a> StateView<'a> {
         self.top_down().map(|l| l.delta().len()).sum()
     }
 
-    /// Membership.
-    pub fn contains(self, t: &Tuple) -> bool {
+    /// Membership, for a tuple or a borrowed key.
+    pub fn contains(self, key: &impl TupleKey) -> bool {
+        let hashed: &dyn TupleKey = key;
         for l in self.top_down() {
-            if l.add().contains(t) {
+            if l.add().contains(hashed) {
                 return true;
             }
-            if l.hide().contains(t) {
+            if l.hide().contains(hashed) {
                 return false;
             }
         }
-        self.base.contains(t)
+        self.base.contains(key)
     }
 
     /// Every visible tuple exactly once: each layer's `add` side unless
@@ -149,30 +150,35 @@ impl<'a> StateView<'a> {
         let added = self.top_down().enumerate().flat_map(move |(depth, l)| {
             l.add()
                 .iter()
-                .filter(move |t| !self.decided_above(depth, t))
+                .filter(move |t| !self.decided_above(depth, *t))
         });
         added.chain(
             self.base
                 .scan()
-                .filter(move |t| !self.decided_above(usize::MAX, t)),
+                .filter(move |t| !self.decided_above(usize::MAX, *t)),
         )
     }
 
-    /// The visible tuples whose projection onto `cols` equals `key`.
-    /// Owned tuples — interning makes the clones reference bumps.
-    pub fn probe(self, cols: &[usize], key: &[Value]) -> Vec<Tuple> {
-        let mut out = self.base.probe(cols, key);
-        out.retain(|t| !self.decided_above(usize::MAX, t));
+    /// Append to `out` the visible tuples whose projection onto `cols`
+    /// equals `key`. The caller owns the key and the matches; the clones
+    /// are reference bumps and nothing else is allocated.
+    pub fn probe_into(self, cols: &[usize], key: &KeyRef<'_>, out: &mut Vec<Tuple>) {
+        // Past what the caller already held, drop what a layer decides.
+        let (held, mut seen) = (out.len(), 0);
+        self.base.probe_into(cols, key, out);
+        out.retain(|t| {
+            seen += 1;
+            seen <= held || !self.decided_above(usize::MAX, t)
+        });
         for (depth, l) in self.top_down().enumerate() {
             out.extend(
                 l.add()
                     .iter()
-                    .filter(|t| cols.iter().zip(key).all(|(&c, v)| &t[c] == v))
-                    .filter(|t| !self.decided_above(depth, t))
+                    .filter(|t| key.matches(t, cols))
+                    .filter(|t| !self.decided_above(depth, *t))
                     .cloned(),
             );
         }
-        out
     }
 
     /// Number of visible tuples, in O(|Δ|): the base's count corrected
@@ -244,8 +250,17 @@ impl<'a> LayerStacks<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amos_types::tuple;
+    use amos_types::{tuple, Value};
     use std::collections::HashSet;
+
+    impl StateView<'_> {
+        fn probe(self, cols: &[usize], key: &[Value]) -> Vec<Tuple> {
+            let mut out = vec![tuple![0, 0]]; // what the caller already holds stays
+            self.probe_into(cols, &KeyRef::new(key), &mut out);
+            out.remove(0);
+            out
+        }
+    }
 
     /// Replay events through a relation, folding the effective ones
     /// into a Δ-set as a monitored transaction would.

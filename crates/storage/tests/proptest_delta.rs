@@ -13,7 +13,7 @@
 use amos_types::FxHashSet as HashSet;
 
 use amos_storage::{BaseRelation, DeltaSet, Layer, StateView, Storage};
-use amos_types::{tuple, Tuple, Value};
+use amos_types::{tuple, KeyRef, Tuple, Value};
 use proptest::prelude::*;
 
 /// A small domain keeps collisions (and hence cancellations) frequent.
@@ -149,7 +149,8 @@ proptest! {
         }
         let view = StateView::new(&rel, &[], Some(Layer::Undo(&delta)));
         let k = Value::Int(key);
-        let mut probed: Vec<Tuple> = view.probe(&[0], std::slice::from_ref(&k));
+        let mut probed: Vec<Tuple> = Vec::new();
+        view.probe_into(&[0], &KeyRef::new([&k]), &mut probed);
         let mut scanned: Vec<Tuple> = view.scan().filter(|t| t[0] == k).cloned().collect();
         probed.sort();
         scanned.sort();

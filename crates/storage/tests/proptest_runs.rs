@@ -10,7 +10,7 @@
 //! snapshots — must agree between the two.
 
 use amos_storage::BaseRelation;
-use amos_types::{tuple, Tuple, Value};
+use amos_types::{tuple, KeyRef, Tuple, Value};
 use proptest::prelude::*;
 
 /// A small domain keeps re-inserts, re-deletes, tombstone hits, and
@@ -90,6 +90,10 @@ proptest! {
             for y in 0i64..6 {
                 let t = tuple![x, y];
                 prop_assert_eq!(lsm.contains(&t), reference.contains(&t));
+                // A borrowed key over loose values answers like the tuple,
+                // in the head, in the runs and under tombstones.
+                let vals = [Value::Int(x), Value::Int(y)];
+                prop_assert_eq!(lsm.contains(&KeyRef::new(&vals)), a.binary_search(&t).is_ok());
             }
         }
         for c in 0..2 {
@@ -101,7 +105,16 @@ proptest! {
             let mut pb = reference.probe(&[0], &key);
             pa.sort();
             pb.sort();
-            prop_assert_eq!(pa, pb, "probe [0]={} diverged", k);
+            prop_assert_eq!(&pa, &pb, "probe [0]={} diverged", k);
+            // … and like a scan-filter, on the indexed column and on the
+            // one that never has an index.
+            for col in [0usize, 1] {
+                let mut by_key = Vec::new();
+                lsm.probe_into(&[col], &KeyRef::new(&key), &mut by_key);
+                by_key.sort();
+                let filtered: Vec<Tuple> = a.iter().filter(|t| t[col] == key[0]).cloned().collect();
+                prop_assert_eq!(by_key, filtered, "probe [{}]={} vs scan-filter", col, k);
+            }
         }
 
         // The merge-join arrangement covers exactly the logical content.

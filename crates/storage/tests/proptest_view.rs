@@ -8,7 +8,10 @@
 //! `[Undo(vₙ) … Undo(v₁), Redo(write-set)]` + `Undo(top)` must read
 //! exactly what a `HashSet` reads after the same Δ-sets are replayed
 //! into it one by one — membership, scan (each tuple once), probes with
-//! and without a base index, and cardinality.
+//! and without a base index, and cardinality. Membership and probes are
+//! asked both with a tuple and with a borrowed [`KeyRef`] over loose
+//! values (the evaluator's form), of the view and of the base under it,
+//! and answered by a scan-filter of the model.
 //!
 //! The tuple domain is small (8 × 8) so that versions collide: a tuple
 //! deleted by one version and re-inserted by a later one, and a
@@ -20,7 +23,7 @@
 use amos_types::FxHashSet as HashSet;
 
 use amos_storage::{BaseRelation, DeltaSet, Layer, LayerStacks, RelId, StateView, TxnVersion};
-use amos_types::{tuple, Tuple, Value};
+use amos_types::{tuple, KeyRef, Tuple, Value};
 use proptest::prelude::*;
 
 const DOMAIN: i64 = 8;
@@ -145,18 +148,35 @@ proptest! {
         prop_assert_eq!(view.len(), model.len());
         prop_assert_eq!(view.is_empty(), model.is_empty());
 
+        let base: HashSet<Tuple> = rel.scan().cloned().collect();
+        let bare = StateView::new(&rel, &[], None);
         for a in 0..DOMAIN {
             for b in 0..DOMAIN {
                 let t = tuple![a, b];
+                let vals = [Value::Int(a), Value::Int(b)];
+                let key = KeyRef::new(&vals);
                 prop_assert_eq!(view.contains(&t), model.contains(&t), "contains {}", t);
+                prop_assert_eq!(view.contains(&key), model.contains(&t), "contains key {}", t);
+                prop_assert_eq!(rel.contains(&key), base.contains(&t), "base contains key {}", t);
+                // Every column bound is still a probe when asked as one
+                // (no index over [0, 1]: the scan fallback answers).
+                let mut hit = Vec::new();
+                view.probe_into(&[0, 1], &key, &mut hit);
+                prop_assert_eq!(hit, Vec::from_iter(model.get(&t).cloned()), "probe [0,1] = {}", t);
             }
         }
         for col in [0usize, 1] {
             for k in 0..DOMAIN {
                 let k = Value::Int(k);
-                let probed = sorted(view.probe(&[col], std::slice::from_ref(&k)));
-                let expected = sorted(model.iter().filter(|t| t[col] == k).cloned().collect());
-                prop_assert_eq!(probed, expected, "probe col {} = {}", col, k);
+                let key = KeyRef::new([&k]);
+                for (what, state, truth) in [("view", view, &model), ("base", bare, &base)] {
+                    // The caller's buffer keeps what it held: matches are appended.
+                    let mut probed = vec![tuple![DOMAIN, DOMAIN]];
+                    state.probe_into(&[col], &key, &mut probed);
+                    prop_assert_eq!(probed.remove(0), tuple![DOMAIN, DOMAIN]);
+                    let expected = sorted(truth.iter().filter(|t| t[col] == k).cloned().collect());
+                    prop_assert_eq!(sorted(probed), expected, "{} probe col {} = {}", what, col, k);
+                }
             }
         }
     }

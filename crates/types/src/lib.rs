@@ -15,6 +15,7 @@
 //!   strings, booleans, and object identifiers), hashable and totally
 //!   ordered so it can live in set-oriented relations.
 //! * [`Tuple`] — an immutable, cheaply-clonable row of values.
+//! * [`KeyRef`] / [`TupleKey`] — a borrowed key to probe tables of tuples.
 //! * [`Oid`] / [`OidGenerator`] — surrogate object identity.
 //! * [`TypeRegistry`] — the named type lattice (`create type item;`),
 //!   with single-parent subtyping.
@@ -22,6 +23,7 @@
 
 pub mod error;
 pub mod hash;
+pub mod key;
 pub mod oid;
 pub mod ops;
 pub mod tuple;
@@ -30,6 +32,7 @@ pub mod value;
 
 pub use error::ValueError;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use key::{KeyRef, TupleKey};
 pub use oid::{Oid, OidGenerator};
 pub use ops::{ArithOp, CmpOp};
 pub use tuple::Tuple;

@@ -27,7 +27,9 @@ pub struct Tuple {
     fingerprint: u64,
 }
 
-fn fingerprint_of(values: &[Value]) -> u64 {
+/// The fingerprint of a value sequence; [`KeyRef`](crate::KeyRef) computes
+/// it over borrowed values and must agree with [`Tuple::new`].
+pub(crate) fn fingerprint_of<'a>(values: impl ExactSizeIterator<Item = &'a Value>) -> u64 {
     let mut h = FxHasher::default();
     // Arity first, so () and future zero-like encodings stay distinct.
     h.write_usize(values.len());
@@ -41,7 +43,7 @@ impl Tuple {
     /// Build a tuple from values.
     pub fn new(values: impl Into<Arc<[Value]>>) -> Self {
         let values = values.into();
-        let fingerprint = fingerprint_of(&values);
+        let fingerprint = fingerprint_of(values.iter());
         Tuple {
             values,
             fingerprint,

@@ -52,6 +52,50 @@ fn explain_rule_inactive_and_active() {
     assert!(out.contains("Δcnd_low/Δ-threshold"), "{out}");
 }
 
+/// The §3.1 rule ranges over `item` twice — `for each item i` and
+/// `threshold(item i)` — and the flattened condition unifies the two
+/// variables: every differential's plan tests `item_extent` membership
+/// once, not once per occurrence.
+#[test]
+fn explain_rule_tests_a_decided_membership_once() {
+    let mut db = Amos::new();
+    db.register_procedure("order", |_ctx, _| Ok(()));
+    db.execute(include_str!("../examples/osql/inventory.osql"))
+        .unwrap();
+    db.execute("activate monitor_items();").unwrap();
+    let out = text(db.execute("explain rule monitor_items;").unwrap());
+    let plans = out.split("differentials and plans:").nth(1).expect(&out);
+    let quantity_plus: Vec<&str> = plans
+        .lines()
+        .skip_while(|l| *l != "Δcnd_monitor_items/Δ+quantity")
+        .skip(1)
+        .take_while(|l| l.starts_with("    "))
+        .map(str::trim)
+        .collect();
+    assert_eq!(
+        quantity_plus,
+        [
+            "0: delta-scan Δ+quantity",
+            "1: unify _G0 = _G3",
+            "2: lookup item_extent[0]",
+            "3: probe supplies[1]",
+            "4: lookup supplier_extent[0]",
+            "5: probe consume_freq[0]",
+            "6: probe delivery_time[0, 1]",
+            "7: compute _G7 = _G5 * _G6",
+            "8: probe min_stock[0]",
+            "9: compute _G9 = _G7 + _G8",
+            "10: unify _G2 = _G9",
+            "11: test _G1 < _G2",
+        ],
+        "{out}"
+    );
+    for block in plans.split("Δcnd_monitor_items/").skip(1) {
+        let lookups = block.matches("lookup item_extent").count();
+        assert!(lookups <= 1, "{block}");
+    }
+}
+
 /// After a commit runs the check phase, `explain rule` includes the
 /// metrics of the last propagation pass (timings and counters).
 #[test]
