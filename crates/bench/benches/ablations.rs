@@ -4,14 +4,11 @@
 //!   sharing): single-update transaction cost under each shape;
 //! * **§7.2 check levels**: Raw vs Nervous vs Strict propagation — the
 //!   price of correction point-queries;
-//! * **differential scope**: Full vs InsertionsOnly — how much the
-//!   "conditions often depend only on insertions" observation saves;
 //! * **hybrid strategy selection** (§8): per-transaction check cost with
 //!   the cost model choosing naive/incremental, on both the fig. 6
 //!   (small tx) and fig. 7 (massive tx) workloads.
 
 use amos_bench::InventoryWorld;
-use amos_core::differ::DiffScope;
 use amos_core::network::PropagationNetwork;
 use amos_core::propagate::{propagate_with, CheckLevel, ExecStrategy};
 use amos_core::MonitorMode;
@@ -51,9 +48,7 @@ fn bench_check_levels(c: &mut Criterion) {
         let mut world = InventoryWorld::new(N_ITEMS, MonitorMode::Incremental, NetworkPrep::Flat);
         let catalog = world.db.catalog().clone();
         let cnd = catalog.lookup("cnd_monitor_items").unwrap();
-        let net =
-            PropagationNetwork::build(&catalog, world.db.storage_mut(), &[cnd], DiffScope::Full)
-                .unwrap();
+        let net = PropagationNetwork::build(&catalog, world.db.storage_mut(), &[cnd]).unwrap();
         world.db.begin().unwrap();
         let item = Value::Oid(world.items[0]);
         let rel = world.quantity_rel;
@@ -71,29 +66,6 @@ fn bench_check_levels(c: &mut Criterion) {
                     level,
                     ExecStrategy::default(),
                 )
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_diff_scope(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_diff_scope");
-    group.sample_size(30);
-    for (label, scope) in [
-        ("full", DiffScope::Full),
-        ("insertions_only", DiffScope::InsertionsOnly),
-    ] {
-        let mut world = InventoryWorld::new(N_ITEMS, MonitorMode::Incremental, NetworkPrep::Flat);
-        world.db.rules_mut().scope = scope;
-        // Re-activate to rebuild the network with the new scope.
-        world.db.execute("deactivate monitor_items();").unwrap();
-        world.db.execute("activate monitor_items();").unwrap();
-        let mut v = 10_001i64;
-        group.bench_function(BenchmarkId::new(label, N_ITEMS), |b| {
-            b.iter(|| {
-                v += 1;
-                world.tx_single_quantity_update(0, v);
             });
         });
     }
@@ -140,7 +112,6 @@ criterion_group!(
     benches,
     bench_flat_vs_bushy,
     bench_check_levels,
-    bench_diff_scope,
     bench_hybrid
 );
 criterion_main!(benches);

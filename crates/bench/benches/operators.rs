@@ -18,7 +18,7 @@ use std::sync::Arc;
 use amos_algebra::diff::{delta_from_differentials, diff_expr, recompute_delta, Correction};
 use amos_algebra::predicate::CmpOp;
 use amos_algebra::{AlgebraDb, Predicate, RelExpr};
-use amos_objectlog::eval::{DeltaMap, EvalConfig, EvalContext, EvalShared};
+use amos_objectlog::eval::{DeltaMap, EvalContext, EvalShared};
 use amos_objectlog::{Catalog, ClauseBuilder, PredId, Term};
 use amos_storage::{BaseRelation, StateEpoch, Storage};
 use amos_types::hash::FxHasher;
@@ -197,11 +197,11 @@ fn bench_tabled_calls(c: &mut Criterion) {
     for &n in &[1_000i64, 10_000] {
         let world = derived_world(n);
         let deltas = DeltaMap::new();
-        for (label, tabling) in [("tabled", true), ("untabled", false)] {
-            let shared = Arc::new(EvalShared::new(EvalConfig {
-                tabling,
-                ..EvalConfig::default()
-            }));
+        for (label, shared) in [
+            ("tabled", EvalShared::default()),
+            ("untabled", EvalShared::untabled()),
+        ] {
+            let shared = Arc::new(shared);
             group.bench_with_input(
                 BenchmarkId::new(format!("{label}_16calls"), n),
                 &n,

@@ -1,10 +1,11 @@
 //! Multi-session transaction-server throughput, conflict behavior, and
-//! commit-pipeline ablation.
+//! pipeline ablation.
 //!
-//! Per session count, each selected pipeline variant (`on` = commit
-//! pipeline + grouped WAL + statement pipelining, `off` = fsync under
-//! the engine lock, one commit per fsync, line-at-a-time protocol) runs
-//! three phases over its own WAL-attached engine:
+//! Per session count, each selected pipeline variant (`on` = grouped
+//! WAL + statement pipelining, `off` = one commit per fsync,
+//! line-at-a-time protocol) runs three phases over its own WAL-attached
+//! engine (either way a session waits for its fsync after releasing the
+//! engine write lock):
 //!
 //! * **Deterministic phase** — a single driver thread advances K
 //!   sessions in strict round-robin through seeded workloads (two
@@ -92,7 +93,6 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 fn build(pipeline: Pipeline, wal_dir: &Path) -> Arc<SharedEngine> {
     let mut db = Amos::new();
-    db.options.commit_pipeline = pipeline == Pipeline::On;
     db.register_procedure("note", |_ctx, _args| Ok(()));
     db.attach_wal(wal_dir, pipeline.wal_config()).expect("WAL");
     db.execute(

@@ -22,14 +22,8 @@ use amos_metrics::PassMetrics;
 const DEFAULT_TRANSACTIONS: usize = 100;
 const DEFAULT_SIZES: &[usize] = &[1, 10, 100, 1_000, 10_000];
 
-fn run(
-    n_items: usize,
-    mode: MonitorMode,
-    transactions: usize,
-    tabling: bool,
-) -> (f64, Option<PassMetrics>) {
+fn run(n_items: usize, mode: MonitorMode, transactions: usize) -> (f64, Option<PassMetrics>) {
     let mut world = InventoryWorld::new(n_items, mode, NetworkPrep::Flat);
-    world.db.set_tabling(tabling);
     // Warm up one transaction (index build, first materialization).
     world.tx_single_quantity_update(0, 10_001);
     let secs = time_secs(|| {
@@ -50,18 +44,14 @@ fn main() {
         "# Fig. 6 — {transactions} transactions, each with 1 change to 1 partial differential"
     );
     println!("# (times in milliseconds for all {transactions} transactions)");
-    if args.no_tabling {
-        println!("# (derived-call tabling DISABLED — ablation run)");
-    }
     println!(
         "{:>8} {:>16} {:>12} {:>18}",
         "items", "incremental_ms", "naive_ms", "naive/incremental"
     );
     let mut rows = Vec::with_capacity(sizes.len());
     for &n in &sizes {
-        let (inc_secs, last_pass) =
-            run(n, MonitorMode::Incremental, transactions, !args.no_tabling);
-        let (naive_secs, _) = run(n, MonitorMode::Naive, transactions, !args.no_tabling);
+        let (inc_secs, last_pass) = run(n, MonitorMode::Incremental, transactions);
+        let (naive_secs, _) = run(n, MonitorMode::Naive, transactions);
         let inc = inc_secs * 1e3;
         let naive = naive_secs * 1e3;
         println!(

@@ -22,9 +22,8 @@ use amos_metrics::PassMetrics;
 
 const DEFAULT_SIZES: &[usize] = &[10, 100, 1_000, 10_000];
 
-fn run(n_items: usize, mode: MonitorMode, tabling: bool) -> (f64, Option<PassMetrics>) {
+fn run(n_items: usize, mode: MonitorMode) -> (f64, Option<PassMetrics>) {
     let mut world = InventoryWorld::new(n_items, mode, NetworkPrep::Flat);
-    world.db.set_tabling(tabling);
     // Warm-up round.
     world.tx_massive_update(0);
     let secs = time_secs(|| {
@@ -39,17 +38,14 @@ fn main() {
 
     println!("# Fig. 7 — 1 transaction with n changes to 3 partial differentials");
     println!("# (times in milliseconds for the single bulk transaction)");
-    if args.no_tabling {
-        println!("# (derived-call tabling DISABLED — ablation run)");
-    }
     println!(
         "{:>8} {:>16} {:>12} {:>20}",
         "items", "incremental_ms", "naive_ms", "incremental/naive"
     );
     let mut rows = Vec::with_capacity(sizes.len());
     for &n in &sizes {
-        let (inc_secs, last_pass) = run(n, MonitorMode::Incremental, !args.no_tabling);
-        let (naive_secs, _) = run(n, MonitorMode::Naive, !args.no_tabling);
+        let (inc_secs, last_pass) = run(n, MonitorMode::Incremental);
+        let (naive_secs, _) = run(n, MonitorMode::Naive);
         let inc = inc_secs * 1e3;
         let naive = naive_secs * 1e3;
         println!(

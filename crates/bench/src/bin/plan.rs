@@ -40,7 +40,6 @@ use std::sync::Arc;
 use amos_bench::report::BenchArgs;
 use amos_bench::time_secs;
 use amos_core::adaptive::AdaptivePlanner;
-use amos_core::differ::DiffScope;
 use amos_core::network::PropagationNetwork;
 use amos_core::propagate::{propagate_adaptive, CheckLevel, ExecStrategy};
 use amos_metrics::{JsonValue, PassMetrics};
@@ -106,8 +105,7 @@ fn build_skew(big_rows: usize) -> World {
     storage.monitor(rs);
     storage.monitor(rbig);
     storage.monitor(rpick);
-    let network =
-        PropagationNetwork::build(&catalog, &mut storage, &[cond], DiffScope::Full).unwrap();
+    let network = PropagationNetwork::build(&catalog, &mut storage, &[cond]).unwrap();
     World {
         storage,
         catalog,
@@ -141,8 +139,7 @@ fn build_bulk() -> World {
     }
     storage.monitor(rs2);
     storage.monitor(rsmall);
-    let network =
-        PropagationNetwork::build(&catalog, &mut storage, &[cond], DiffScope::Full).unwrap();
+    let network = PropagationNetwork::build(&catalog, &mut storage, &[cond]).unwrap();
     World {
         storage,
         catalog,

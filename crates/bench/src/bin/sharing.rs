@@ -13,12 +13,13 @@
 //!   in other rule conditions as well since this would enable node
 //!   sharing."
 //!
-//! * **tabled vs untabled** (`quantity` updates, bushy network): here
-//!   `threshold` is *not* the changed node, so every rule's
-//!   `Δcnd/Δ±quantity` differential issues the same `threshold(i)` call.
-//!   Per-pass tabling evaluates it once and serves the other rules from
-//!   the memo — the same sharing, realized at the evaluator level. The
-//!   reported `hits`/`misses` counters prove the sharing is happening.
+//! * **tabling** (`quantity` updates, bushy network): here `threshold`
+//!   is *not* the changed node, so every rule's `Δcnd/Δ±quantity`
+//!   differential issues the same `threshold(i)` call. Per-pass tabling
+//!   evaluates it once and serves the other rules from the memo — the
+//!   same sharing, realized at the evaluator level. The reported
+//!   `hits`/`misses` counters prove the sharing is happening; the
+//!   tabled-vs-untabled timing lives in the `operators` criterion bench.
 //!
 //! Run with: `cargo run -p amos-bench --release --bin sharing`
 //!
@@ -48,10 +49,9 @@ struct World {
     consume_rel: RelId,
 }
 
-fn build(prep: NetworkPrep, n_rules: usize, tabling: bool) -> World {
+fn build(prep: NetworkPrep, n_rules: usize) -> World {
     let mut db = Amos::with_options(EngineOptions {
         network_prep: prep,
-        tabling,
         ..Default::default()
     });
     db.register_procedure("order", |_ctx, _| Ok(()));
@@ -136,7 +136,7 @@ fn build(prep: NetworkPrep, n_rules: usize, tabling: bool) -> World {
 /// threshold-side influent, so the structural (network) sharing effect
 /// is maximal.
 fn run_consume(prep: NetworkPrep, n_rules: usize) -> f64 {
-    let mut w = build(prep, n_rules, true);
+    let mut w = build(prep, n_rules);
     let mut v = 21i64;
     // Warm-up.
     w.db.begin().unwrap();
@@ -164,8 +164,8 @@ fn run_consume(prep: NetworkPrep, n_rules: usize) -> f64 {
 /// bushy network: every rule's `Δcnd/Δ±quantity` differential calls the
 /// unchanged shared `threshold` node — the workload where per-pass
 /// tabling shares the derived call across rules.
-fn run_quantity(n_rules: usize, tabling: bool) -> (f64, Option<PassMetrics>) {
-    let mut w = build(NetworkPrep::Bushy, n_rules, tabling);
+fn run_quantity(n_rules: usize) -> (f64, Option<PassMetrics>) {
+    let mut w = build(NetworkPrep::Bushy, n_rules);
     // Warm-up (plan compilation).
     w.db.begin().unwrap();
     w.db.storage_mut()
@@ -195,7 +195,6 @@ fn run_quantity(n_rules: usize, tabling: bool) -> (f64, Option<PassMetrics>) {
 struct TablingRow {
     n_rules: usize,
     tabled_ms: f64,
-    untabled_ms: f64,
     tabling_hits: u64,
     tabling_misses: u64,
     last_pass: Option<PassMetrics>,
@@ -230,30 +229,23 @@ fn main() {
     );
     println!("# (bushy network; per-pass tabling of the shared threshold call; times in ms)");
     println!(
-        "{:>8} {:>12} {:>14} {:>10} {:>8} {:>8}",
-        "rules", "tabled_ms", "untabled_ms", "speedup", "hits", "misses"
+        "{:>8} {:>12} {:>8} {:>8}",
+        "rules", "tabled_ms", "hits", "misses"
     );
     let mut rows: Vec<TablingRow> = Vec::with_capacity(RULE_COUNTS.len());
     for &n_rules in RULE_COUNTS {
-        let (tabled_ms, last_pass) = run_quantity(n_rules, true);
-        let (untabled_ms, _) = run_quantity(n_rules, false);
+        let (tabled_ms, last_pass) = run_quantity(n_rules);
         let (hits, misses) = last_pass
             .as_ref()
             .map(|m| (m.tabling_hits, m.tabling_misses))
             .unwrap_or((0, 0));
         println!(
-            "{:>8} {:>12.2} {:>14.2} {:>10.2} {:>8} {:>8}",
-            n_rules,
-            tabled_ms,
-            untabled_ms,
-            untabled_ms / tabled_ms,
-            hits,
-            misses
+            "{:>8} {:>12.2} {:>8} {:>8}",
+            n_rules, tabled_ms, hits, misses
         );
         rows.push(TablingRow {
             n_rules,
             tabled_ms,
-            untabled_ms,
             tabling_hits: hits,
             tabling_misses: misses,
             last_pass,
@@ -281,7 +273,6 @@ fn main() {
                             let mut row = JsonValue::object()
                                 .with("n_rules", r.n_rules)
                                 .with("tabled_ms", r.tabled_ms)
-                                .with("untabled_ms", r.untabled_ms)
                                 .with("tabling_hits", r.tabling_hits)
                                 .with("tabling_misses", r.tabling_misses);
                             row = match &r.last_pass {

@@ -32,9 +32,6 @@ pub struct BenchArgs {
     /// `--transactions N`: override the per-size transaction count
     /// (fig. 6 only).
     pub transactions: Option<usize>,
-    /// `--no-tabling`: disable per-pass tabling of derived calls (the
-    /// ablation switch; tabling is on by default).
-    pub no_tabling: bool,
 }
 
 impl BenchArgs {
@@ -69,10 +66,9 @@ impl BenchArgs {
                             .expect("--transactions takes a count"),
                     )
                 }
-                "--no-tabling" => out.no_tabling = true,
                 other => panic!(
                     "unknown flag {other:?} (expected --json PATH, --sizes A,B,C, \
-                     --transactions N, --no-tabling)"
+                     --transactions N)"
                 ),
             }
         }

@@ -318,7 +318,7 @@ mod tests {
         vec![TypeId(0); n]
     }
 
-    /// A world with one differential Δp/Δ₊s over
+    /// A world and its Δp/Δ₊s differential
     /// `p(X) ← Δ₊s(X,G) ∧ small(G)`.
     fn world() -> (Catalog, Storage, Differential) {
         let mut storage = Storage::new();
@@ -340,16 +340,11 @@ mod tests {
             .unwrap();
         let mut node_preds = HashSet::new();
         node_preds.insert(s);
-        let diffs = crate::differ::generate_differentials(
-            &catalog,
-            &mut storage,
-            p,
-            &node_preds,
-            crate::differ::DiffScope::InsertionsOnly,
-        )
-        .unwrap();
-        assert_eq!(diffs.len(), 1);
-        (catalog, storage, diffs.into_iter().next().unwrap())
+        let diffs =
+            crate::differ::generate_differentials(&catalog, &mut storage, p, &node_preds).unwrap();
+        assert_eq!(diffs.len(), 2, "one Δ₊ and one Δ₋ differential");
+        let plus = diffs.into_iter().find(|d| d.seed == Polarity::Plus);
+        (catalog, storage, plus.unwrap())
     }
 
     #[test]

@@ -85,23 +85,11 @@ impl fmt::Display for Differential {
     }
 }
 
-/// Which differentials to generate for a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DiffScope {
-    /// Both insertions and deletions (required for negation, strict
-    /// semantics, and rules whose actions may negatively affect others).
-    #[default]
-    Full,
-    /// Insertions only — the common case the paper highlights
-    /// ("often the rule condition depends only on positive changes").
-    /// Deletion propagation is skipped entirely; net-change cancellation
-    /// at the condition level is lost.
-    InsertionsOnly,
-}
-
 /// Generate the partial differentials of `affected` with respect to every
 /// occurrence of every predicate in `node_preds` (the influents that are
-/// nodes of the propagation network and therefore carry Δ-sets).
+/// nodes of the propagation network and therefore carry Δ-sets). Every
+/// occurrence gets both polarities: Δ₋ is what keeps negation, net-change
+/// cancellation and the §7.2 deletion checks exact.
 ///
 /// Plans are compiled against the current catalog; `storage` gains the
 /// hash indexes the plans probe (done once, at rule activation).
@@ -110,7 +98,6 @@ pub fn generate_differentials(
     storage: &mut Storage,
     affected: PredId,
     node_preds: &HashSet<PredId>,
-    scope: DiffScope,
 ) -> Result<Vec<Differential>, CoreError> {
     let clauses: Vec<Clause> = catalog
         .def(affected)
@@ -125,13 +112,7 @@ pub fn generate_differentials(
     let mut out = Vec::new();
     for (ci, clause) in clauses.iter().enumerate() {
         for (li, lit) in clause.body.iter().enumerate() {
-            let Literal::Pred {
-                pred,
-                negated,
-                epoch,
-                ..
-            } = lit
-            else {
+            let Literal::Pred { pred, epoch, .. } = lit else {
                 continue;
             };
             if !node_preds.contains(pred) {
@@ -142,19 +123,7 @@ pub fn generate_differentials(
                 StateEpoch::New,
                 "differencing an already-differenced clause"
             );
-            let seeds: &[Polarity] = match scope {
-                DiffScope::Full => &[Polarity::Plus, Polarity::Minus],
-                // For a positive occurrence only Δ₊X contributes
-                // insertions; for a negated occurrence it is Δ₋X.
-                DiffScope::InsertionsOnly => {
-                    if *negated {
-                        &[Polarity::Minus]
-                    } else {
-                        &[Polarity::Plus]
-                    }
-                }
-            };
-            for &seed in seeds {
+            for seed in [Polarity::Plus, Polarity::Minus] {
                 let (dclause, output) = differenced_clause(clause, li, seed)
                     .expect("literal checked to be a relation occurrence");
                 let plan = compile_clause(catalog, &dclause, &HashSet::new())?;
@@ -304,9 +273,7 @@ mod tests {
     fn four_differentials_for_two_influents() {
         let mut f = fixture();
         let nodes: HashSet<PredId> = [f.q, f.r].into_iter().collect();
-        let diffs =
-            generate_differentials(&f.catalog, &mut f.storage, f.p, &nodes, DiffScope::Full)
-                .unwrap();
+        let diffs = generate_differentials(&f.catalog, &mut f.storage, f.p, &nodes).unwrap();
         assert_eq!(diffs.len(), 4);
         let names: Vec<String> = diffs.iter().map(|d| d.display_name(&f.catalog)).collect();
         assert!(names.contains(&"Δp/Δ+q".to_string()));
@@ -319,9 +286,7 @@ mod tests {
     fn negative_differential_evaluates_rest_old() {
         let mut f = fixture();
         let nodes: HashSet<PredId> = [f.q, f.r].into_iter().collect();
-        let diffs =
-            generate_differentials(&f.catalog, &mut f.storage, f.p, &nodes, DiffScope::Full)
-                .unwrap();
+        let diffs = generate_differentials(&f.catalog, &mut f.storage, f.p, &nodes).unwrap();
         let dminus_r = diffs
             .iter()
             .find(|d| d.influent == f.r && d.seed == Polarity::Minus)
@@ -364,9 +329,7 @@ mod tests {
     fn plans_are_delta_seeded() {
         let mut f = fixture();
         let nodes: HashSet<PredId> = [f.q, f.r].into_iter().collect();
-        let diffs =
-            generate_differentials(&f.catalog, &mut f.storage, f.p, &nodes, DiffScope::Full)
-                .unwrap();
+        let diffs = generate_differentials(&f.catalog, &mut f.storage, f.p, &nodes).unwrap();
         for d in &diffs {
             assert!(
                 matches!(d.plan.steps[0], PlanStep::Delta { .. }),
@@ -398,8 +361,7 @@ mod tests {
             )
             .unwrap();
         let nodes: HashSet<PredId> = [f.q, f.r].into_iter().collect();
-        let diffs =
-            generate_differentials(&f.catalog, &mut f.storage, s, &nodes, DiffScope::Full).unwrap();
+        let diffs = generate_differentials(&f.catalog, &mut f.storage, s, &nodes).unwrap();
         assert_eq!(diffs.len(), 4);
         let r_diffs: Vec<_> = diffs.iter().filter(|d| d.influent == f.r).collect();
         for d in r_diffs {
@@ -426,22 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn insertions_only_scope_halves_the_differentials() {
-        let mut f = fixture();
-        let nodes: HashSet<PredId> = [f.q, f.r].into_iter().collect();
-        let diffs = generate_differentials(
-            &f.catalog,
-            &mut f.storage,
-            f.p,
-            &nodes,
-            DiffScope::InsertionsOnly,
-        )
-        .unwrap();
-        assert_eq!(diffs.len(), 2);
-        assert!(diffs.iter().all(|d| d.output == Polarity::Plus));
-    }
-
-    #[test]
     fn repeated_influent_occurrences_each_differenced() {
         let mut f = fixture();
         // self_join(X,Z) ← q(X,Y) ∧ q(Y,Z)
@@ -458,8 +404,7 @@ mod tests {
             )
             .unwrap();
         let nodes: HashSet<PredId> = [f.q].into_iter().collect();
-        let diffs = generate_differentials(&f.catalog, &mut f.storage, sj, &nodes, DiffScope::Full)
-            .unwrap();
+        let diffs = generate_differentials(&f.catalog, &mut f.storage, sj, &nodes).unwrap();
         // two occurrences × two polarities
         assert_eq!(diffs.len(), 4);
         let lits: HashSet<usize> = diffs.iter().map(|d| d.literal_index).collect();

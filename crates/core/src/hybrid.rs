@@ -130,7 +130,6 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::differ::DiffScope;
     use amos_objectlog::catalog::Catalog;
     use amos_objectlog::clause::{ClauseBuilder, Term};
     use amos_types::{tuple, CmpOp, TypeId, Value};
@@ -165,8 +164,7 @@ mod tests {
     #[test]
     fn few_changes_choose_incremental() {
         let (mut storage, catalog, low, rq) = setup(1000);
-        let net =
-            PropagationNetwork::build(&catalog, &mut storage, &[low], DiffScope::Full).unwrap();
+        let net = PropagationNetwork::build(&catalog, &mut storage, &[low]).unwrap();
         storage.begin().unwrap();
         storage
             .set_functional(rq, &[Value::Int(1)], &[Value::Int(5)])
@@ -181,8 +179,7 @@ mod tests {
     #[test]
     fn massive_changes_choose_naive() {
         let (mut storage, catalog, low, rq) = setup(1000);
-        let net =
-            PropagationNetwork::build(&catalog, &mut storage, &[low], DiffScope::Full).unwrap();
+        let net = PropagationNetwork::build(&catalog, &mut storage, &[low]).unwrap();
         storage.begin().unwrap();
         for i in 0..1000 {
             storage
@@ -196,8 +193,7 @@ mod tests {
     #[test]
     fn empty_transaction_is_free_incremental() {
         let (mut storage, catalog, low, _rq) = setup(100);
-        let net =
-            PropagationNetwork::build(&catalog, &mut storage, &[low], DiffScope::Full).unwrap();
+        let net = PropagationNetwork::build(&catalog, &mut storage, &[low]).unwrap();
         storage.begin().unwrap();
         let model = CostModel::default();
         assert_eq!(model.incremental_cost(&catalog, &storage, &net, low), 0.0);

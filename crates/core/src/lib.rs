@@ -57,7 +57,7 @@ pub mod verify;
 
 pub use adaptive::{AdaptivePlanner, LiveStats, StaticBounds, StatsFingerprint};
 pub use aggregate::{AggFn, AggregateView};
-pub use differ::{generate_differentials, DiffId, DiffScope, Differential};
+pub use differ::{generate_differentials, DiffId, Differential};
 pub use error::CoreError;
 pub use explain::{CheckTrace, FiredDifferential, TriggerExplanation};
 pub use hybrid::{CostModel, Strategy};

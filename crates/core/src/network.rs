@@ -24,7 +24,7 @@ use amos_storage::{Polarity, Storage};
 
 use amos_objectlog::plan::{compile_clause, ensure_plan_indexes};
 
-use crate::differ::{generate_differentials, DiffId, DiffScope, Differential};
+use crate::differ::{generate_differentials, DiffId, Differential};
 use crate::error::CoreError;
 
 /// Identifier of a node within the network.
@@ -76,6 +76,9 @@ pub struct PropagationNetwork {
     /// interpretation proved their body empty — lint pass L007. Disjoint
     /// from `pruned` (syntactic pruning runs first).
     pruned_semantic: Vec<String>,
+    /// Whether the build ran semantic (L007) pruning — what the
+    /// conformance verifier needs to know which drops were entitled.
+    semantic_pruning: bool,
 }
 
 impl PropagationNetwork {
@@ -91,25 +94,25 @@ impl PropagationNetwork {
         catalog: &Catalog,
         storage: &mut Storage,
         conditions: &[PredId],
-        scope: DiffScope,
     ) -> Result<Self, CoreError> {
-        PropagationNetwork::build_with(catalog, storage, conditions, scope, true)
+        PropagationNetwork::build_with(catalog, storage, conditions, true)
     }
 
     /// [`PropagationNetwork::build`] with semantic (L007) pruning made
     /// explicit. `semantic: false` keeps only the syntactic L004 pruning
-    /// — the ablation knob the pruning-equivalence proptest flips to
-    /// compare pruned and unpruned networks.
+    /// — the unpruned reference the pruning-equivalence proptest
+    /// compares against. The network records the choice for the
+    /// conformance verifier.
     pub fn build_with(
         catalog: &Catalog,
         storage: &mut Storage,
         conditions: &[PredId],
-        scope: DiffScope,
         semantic: bool,
     ) -> Result<Self, CoreError> {
         let analysis = semantic.then(|| amos_lint::absint::analyze(catalog));
         let mut net = PropagationNetwork {
             conditions: conditions.to_vec(),
+            semantic_pruning: semantic,
             ..Default::default()
         };
 
@@ -168,7 +171,7 @@ impl PropagationNetwork {
                     ensure_plan_indexes(catalog, &bound, storage);
                 }
             }
-            let diffs = generate_differentials(catalog, storage, pred, &node_preds, scope)?;
+            let diffs = generate_differentials(catalog, storage, pred, &node_preds)?;
             for d in diffs {
                 // L004 dead-differential pruning: a Δ₋-seeded edge from a
                 // stored append-only relation can never carry tuples (its
@@ -252,6 +255,11 @@ impl PropagationNetwork {
     /// abstract interpretation (L007).
     pub fn pruned_semantic(&self) -> &[String] {
         &self.pruned_semantic
+    }
+
+    /// Whether this network was built with semantic (L007) pruning.
+    pub fn semantic_pruning(&self) -> bool {
+        self.semantic_pruning
     }
 
     /// Drop differential `id` from the network, as if the builder had
@@ -392,7 +400,7 @@ mod tests {
     #[test]
     fn bushy_network_matches_fig1() {
         let (mut storage, cat, cnd, threshold) = monitor_items_bushy();
-        let net = PropagationNetwork::build(&cat, &mut storage, &[cnd], DiffScope::Full).unwrap();
+        let net = PropagationNetwork::build(&cat, &mut storage, &[cnd]).unwrap();
 
         assert_eq!(net.levels().len(), 3);
         assert_eq!(net.levels()[0].len(), 5, "five stored influents");
@@ -441,7 +449,7 @@ mod tests {
         .unwrap();
         cat.replace_clauses(cnd, expanded).unwrap();
 
-        let net = PropagationNetwork::build(&cat, &mut storage, &[cnd], DiffScope::Full).unwrap();
+        let net = PropagationNetwork::build(&cat, &mut storage, &[cnd]).unwrap();
         assert_eq!(net.levels().len(), 2, "flat: stored + condition only");
         assert_eq!(net.levels()[0].len(), 5);
         // 5 influents × 2 polarities = 10 differentials, all into cnd.
@@ -467,8 +475,7 @@ mod tests {
                     .build()],
             )
             .unwrap();
-        let net =
-            PropagationNetwork::build(&cat, &mut storage, &[cnd, cnd2], DiffScope::Full).unwrap();
+        let net = PropagationNetwork::build(&cat, &mut storage, &[cnd, cnd2]).unwrap();
         // threshold node exists once; its out-edges feed both conditions.
         let tnode = net.node_of(threshold).unwrap();
         let affected: HashSet<PredId> = tnode

@@ -103,51 +103,12 @@ pub enum ExecStrategy {
     Parallel,
 }
 
-/// A rejected [`ExecStrategy::parse`] input, with the byte span of the
-/// offending part for caret-style CLI diagnostics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StrategyParseError {
-    /// What was wrong.
-    pub message: String,
-    /// `(byte offset, byte length)` of the offending slice of the input.
-    pub span: (usize, usize),
-}
-
-impl std::fmt::Display for StrategyParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.message)
-    }
-}
-
 impl ExecStrategy {
     /// Lowercase name for metrics and explain output.
     pub fn name(self) -> &'static str {
         match self {
             ExecStrategy::Serial => "serial",
             ExecStrategy::Parallel => "parallel",
-        }
-    }
-
-    /// Parse a strategy spelling: `serial` or `parallel`. Errors carry
-    /// the span of the offending input slice so callers can render a
-    /// pointed diagnostic.
-    pub fn parse(input: &str) -> Result<ExecStrategy, StrategyParseError> {
-        let (head, arg) = match input.find(':') {
-            Some(i) => (&input[..i], Some(&input[i + 1..])),
-            None => (input, None),
-        };
-        let err = |message: String, span: (usize, usize)| Err(StrategyParseError { message, span });
-        match (head, arg) {
-            ("serial", None) => Ok(ExecStrategy::Serial),
-            ("parallel", None) => Ok(ExecStrategy::Parallel),
-            ("serial" | "parallel", Some(_)) => err(
-                format!("strategy `{head}` takes no `:argument`"),
-                (head.len(), input.len() - head.len()),
-            ),
-            _ => err(
-                format!("unknown strategy `{head}`; expected serial or parallel"),
-                (0, head.len().max(1)),
-            ),
         }
     }
 }
@@ -645,7 +606,6 @@ pub fn recompute_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::differ::DiffScope;
     use amos_objectlog::catalog::Catalog;
     use amos_objectlog::clause::{ClauseBuilder, Term};
     use amos_types::{tuple, CmpOp, TypeId};
@@ -704,8 +664,7 @@ mod tests {
     #[test]
     fn positive_example_propagates() {
         let mut f = fixture();
-        let net =
-            PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p], DiffScope::Full).unwrap();
+        let net = PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p]).unwrap();
         f.storage.begin().unwrap();
         f.storage.insert(f.rq, tuple![1, 2]).unwrap();
         f.storage.insert(f.rr, tuple![1, 4]).unwrap();
@@ -731,8 +690,7 @@ mod tests {
     #[test]
     fn negative_example_uses_old_state() {
         let mut f = fixture();
-        let net =
-            PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p], DiffScope::Full).unwrap();
+        let net = PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p]).unwrap();
         f.storage.begin().unwrap();
         f.storage.insert(f.rq, tuple![1, 2]).unwrap();
         f.storage.insert(f.rr, tuple![1, 4]).unwrap();
@@ -749,8 +707,7 @@ mod tests {
     #[test]
     fn matches_recompute() {
         let mut f = fixture();
-        let net =
-            PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p], DiffScope::Full).unwrap();
+        let net = PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p]).unwrap();
         f.storage.begin().unwrap();
         f.storage.insert(f.rq, tuple![2, 2]).unwrap();
         f.storage.delete(f.rq, &tuple![1, 1]).unwrap();
@@ -765,8 +722,7 @@ mod tests {
     #[test]
     fn no_changes_no_work() {
         let mut f = fixture();
-        let net =
-            PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p], DiffScope::Full).unwrap();
+        let net = PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p]).unwrap();
         f.storage.begin().unwrap();
         let result = pass(&f, &net, CheckLevel::Strict);
         assert!(result.condition_deltas[&f.p].is_empty());
@@ -779,8 +735,7 @@ mod tests {
     #[test]
     fn cancelled_updates_propagate_nothing() {
         let mut f = fixture();
-        let net =
-            PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p], DiffScope::Full).unwrap();
+        let net = PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p]).unwrap();
         f.storage.begin().unwrap();
         f.storage.delete(f.rq, &tuple![1, 1]).unwrap();
         f.storage.insert(f.rq, tuple![1, 1]).unwrap();
@@ -800,8 +755,7 @@ mod tests {
         // Make p(1,2) derivable twice: q(1,1) ∧ r(1,2) already holds; add
         // q(1,2) ∧ r(2,2) as a second derivation.
         f.storage.insert(f.rr, tuple![2, 2]).unwrap();
-        let net =
-            PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p], DiffScope::Full).unwrap();
+        let net = PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p]).unwrap();
         f.storage.begin().unwrap();
         f.storage.insert(f.rq, tuple![1, 2]).unwrap();
 
@@ -828,8 +782,7 @@ mod tests {
         // p(1,2) via q(1,1),r(1,2); add second derivation q(1,2),r(2,2).
         f.storage.insert(f.rq, tuple![1, 2]).unwrap();
         f.storage.insert(f.rr, tuple![2, 2]).unwrap();
-        let net =
-            PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p], DiffScope::Full).unwrap();
+        let net = PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p]).unwrap();
         f.storage.begin().unwrap();
         f.storage.delete(f.rq, &tuple![1, 1]).unwrap();
 
@@ -848,8 +801,7 @@ mod tests {
     #[test]
     fn serial_and_parallel_strategies_agree() {
         let mut f = fixture();
-        let net =
-            PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p], DiffScope::Full).unwrap();
+        let net = PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p]).unwrap();
         f.storage.begin().unwrap();
         f.storage.insert(f.rq, tuple![1, 2]).unwrap();
         f.storage.insert(f.rr, tuple![1, 4]).unwrap();
@@ -878,8 +830,7 @@ mod tests {
     #[test]
     fn small_wave_never_spawns() {
         let mut f = fixture();
-        let net =
-            PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p], DiffScope::Full).unwrap();
+        let net = PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p]).unwrap();
         f.storage.begin().unwrap();
         f.storage.delete(f.rq, &tuple![1, 1]).unwrap();
         f.storage.insert(f.rq, tuple![1, 2]).unwrap();
@@ -891,36 +842,12 @@ mod tests {
         assert!(m.levels.iter().all(|l| !l.parallel), "{:?}", m.levels);
     }
 
-    /// Strategy parsing: the accepted grammar and spanned rejections.
-    #[test]
-    fn strategy_parse_grammar_and_spans() {
-        assert_eq!(ExecStrategy::parse("serial"), Ok(ExecStrategy::Serial));
-        assert_eq!(ExecStrategy::parse("parallel"), Ok(ExecStrategy::Parallel));
-
-        let e = ExecStrategy::parse("turbo").unwrap_err();
-        assert_eq!(e.span, (0, 5));
-        assert!(e.message.contains("unknown strategy `turbo`"));
-
-        let e = ExecStrategy::parse("turbo:4").unwrap_err();
-        assert_eq!(
-            e.span,
-            (0, 5),
-            "an unknown head is reported before its argument"
-        );
-        assert!(e.message.contains("unknown strategy `turbo`"));
-
-        let e = ExecStrategy::parse("serial:2").unwrap_err();
-        assert_eq!(e.span, (6, 2));
-        assert!(e.message.contains("takes no"));
-    }
-
     /// The metrics layer records the pass: per-differential timings in
     /// merge order, per-level wave sizes, and consistent totals.
     #[test]
     fn metrics_describe_the_pass() {
         let mut f = fixture();
-        let net =
-            PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p], DiffScope::Full).unwrap();
+        let net = PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p]).unwrap();
         f.storage.begin().unwrap();
         f.storage.insert(f.rq, tuple![1, 2]).unwrap();
         f.storage.insert(f.rr, tuple![1, 4]).unwrap();
@@ -986,8 +913,7 @@ mod tests {
                     .build()],
             )
             .unwrap();
-        let net =
-            PropagationNetwork::build(&f.catalog, &mut f.storage, &[top], DiffScope::Full).unwrap();
+        let net = PropagationNetwork::build(&f.catalog, &mut f.storage, &[top]).unwrap();
         assert_eq!(net.levels().len(), 3);
 
         f.storage.begin().unwrap();

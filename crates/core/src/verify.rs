@@ -9,9 +9,10 @@
 //! the network must contain and diffs the compiled artifact against it:
 //!
 //! * **edge completeness** — exactly one differential per (affected,
-//!   influent occurrence, seed polarity) required by the differencing
-//!   scope, minus those the static pruning passes (L004 syntactic, L007
-//!   semantic) are entitled to drop; nothing extra, nothing doubled;
+//!   influent occurrence, seed polarity) the calculus requires — both
+//!   polarities for every occurrence — minus those the static pruning
+//!   passes (L004 syntactic, L007 semantic) are entitled to drop;
+//!   nothing extra, nothing doubled;
 //! * **substitution fidelity** — each differential's clause and output
 //!   polarity equal the §4.3–§4.5 substitution recomputed from source;
 //! * **monotone levels** — every node sits at its catalog stratum and
@@ -32,7 +33,7 @@ use amos_objectlog::catalog::{Catalog, PredId, PredKind};
 use amos_objectlog::clause::Literal;
 use amos_storage::{Polarity, Storage};
 
-use crate::differ::{differenced_clause, DiffScope};
+use crate::differ::differenced_clause;
 use crate::network::PropagationNetwork;
 
 /// One way a compiled network can fail to conform to the calculus.
@@ -145,19 +146,19 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Statically check `net` against the calculus. `scope` and `semantic`
-/// must be the values the network was built with (they determine which
-/// differentials are required and which the pruning passes may drop).
-/// Returns every violation found — empty means the network conforms.
+/// Statically check `net` against the calculus. Whether the semantic
+/// (L007) pruning pass may have dropped differentials is read from the
+/// network itself, which records how it was built. Returns every
+/// violation found — empty means the network conforms.
 pub fn verify_network(
     catalog: &Catalog,
     storage: &Storage,
     net: &PropagationNetwork,
-    scope: DiffScope,
-    semantic: bool,
 ) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let analysis = semantic.then(|| amos_lint::absint::analyze(catalog));
+    let analysis = net
+        .semantic_pruning()
+        .then(|| amos_lint::absint::analyze(catalog));
 
     // Reachability: every predicate a condition depends on needs a node
     // at its catalog stratum.
@@ -203,23 +204,13 @@ pub fn verify_network(
         };
         for (ci, clause) in clauses.iter().enumerate() {
             for (li, lit) in clause.body.iter().enumerate() {
-                let Literal::Pred { pred, negated, .. } = lit else {
+                let Literal::Pred { pred, .. } = lit else {
                     continue;
                 };
                 if !node_preds.contains(pred) {
                     continue;
                 }
-                let seeds: &[Polarity] = match scope {
-                    DiffScope::Full => &[Polarity::Plus, Polarity::Minus],
-                    DiffScope::InsertionsOnly => {
-                        if *negated {
-                            &[Polarity::Minus]
-                        } else {
-                            &[Polarity::Plus]
-                        }
-                    }
-                };
-                for &seed in seeds {
+                for seed in [Polarity::Plus, Polarity::Minus] {
                     let (dclause, _output) = differenced_clause(clause, li, seed)
                         .expect("literal is a relation occurrence");
                     // Mirror the builder's pruning entitlements: a pruned
@@ -341,8 +332,7 @@ mod tests {
         vec![TypeId(0); n]
     }
 
-    /// A freshly built network conforms; the violation renderings are
-    /// distinct per variant.
+    /// A freshly built network conforms.
     #[test]
     fn fresh_network_conforms() {
         let mut storage = Storage::new();
@@ -363,23 +353,7 @@ mod tests {
                     .build()],
             )
             .unwrap();
-        let net = PropagationNetwork::build(&cat, &mut storage, &[cnd], DiffScope::Full).unwrap();
-        assert_eq!(
-            verify_network(&cat, &storage, &net, DiffScope::Full, true),
-            Vec::new()
-        );
-        // InsertionsOnly-built networks verify under their own scope but
-        // are (correctly) incomplete under Full.
-        let net_ins =
-            PropagationNetwork::build(&cat, &mut storage, &[cnd], DiffScope::InsertionsOnly)
-                .unwrap();
-        assert!(
-            verify_network(&cat, &storage, &net_ins, DiffScope::InsertionsOnly, true).is_empty()
-        );
-        assert!(
-            verify_network(&cat, &storage, &net_ins, DiffScope::Full, true)
-                .iter()
-                .all(|v| matches!(v, Violation::MissingDifferential { .. }))
-        );
+        let net = PropagationNetwork::build(&cat, &mut storage, &[cnd]).unwrap();
+        assert_eq!(verify_network(&cat, &storage, &net), Vec::new());
     }
 }

@@ -8,7 +8,6 @@
 use std::sync::Arc;
 
 use amos_core::adaptive::AdaptivePlanner;
-use amos_core::differ::DiffScope;
 use amos_core::network::PropagationNetwork;
 use amos_core::propagate::{
     propagate_adaptive, propagate_with, recompute_delta, CheckLevel, ExecStrategy,
@@ -211,9 +210,7 @@ proptest! {
         ups in updates(),
     ) {
         let mut w = build_world(shape, &q0, &r0);
-        let net = PropagationNetwork::build(
-            &w.catalog, &mut w.storage, &[w.cond], DiffScope::Full,
-        ).unwrap();
+        let net = PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.cond]).unwrap();
         w.storage.begin().unwrap();
         apply(&mut w, &ups);
 
@@ -256,9 +253,7 @@ proptest! {
         ups in updates(),
     ) {
         let mut w = build_world(shape, &q0, &r0);
-        let net = PropagationNetwork::build(
-            &w.catalog, &mut w.storage, &[w.cond], DiffScope::Full,
-        ).unwrap();
+        let net = PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.cond]).unwrap();
         w.storage.begin().unwrap();
         apply(&mut w, &ups);
         if bulk {
@@ -320,9 +315,7 @@ proptest! {
         batches in prop::collection::vec(updates(), 1..4),
     ) {
         let mut w = build_world(shape, &q0, &r0);
-        let net = PropagationNetwork::build(
-            &w.catalog, &mut w.storage, &[w.cond], DiffScope::Full,
-        ).unwrap();
+        let net = PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.cond]).unwrap();
         let serial_planner = AdaptivePlanner::new();
         let parallel_planner = AdaptivePlanner::new();
         let serial_shared = Arc::new(EvalShared::default());

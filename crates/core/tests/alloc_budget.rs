@@ -16,7 +16,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use amos_core::differ::DiffScope;
 use amos_core::network::PropagationNetwork;
 use amos_core::propagate::{propagate_with, CheckLevel, ExecStrategy};
 use amos_objectlog::catalog::{Catalog, PredId};
@@ -125,7 +124,7 @@ fn inventory() -> (Storage, Catalog, PredId, RelId, Vec<RelId>) {
 #[test]
 fn a_bulk_pass_allocates_less_than_once_per_wave_tuple() {
     let (mut storage, cat, cnd, r_quantity, rels) = inventory();
-    let net = PropagationNetwork::build(&cat, &mut storage, &[cnd], DiffScope::Full).unwrap();
+    let net = PropagationNetwork::build(&cat, &mut storage, &[cnd]).unwrap();
 
     // One transaction updates every quantity; the first LOW items drop
     // below their threshold of 16.

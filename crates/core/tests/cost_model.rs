@@ -5,7 +5,6 @@
 //! the planner could prefer naive on a smaller transaction than one it
 //! ran incrementally.
 
-use amos_core::differ::DiffScope;
 use amos_core::network::PropagationNetwork;
 use amos_core::{CostModel, Strategy};
 use amos_objectlog::catalog::{Catalog, PredId};
@@ -61,7 +60,7 @@ fn touch(storage: &mut Storage, rq: RelId, changes: i64) {
 #[test]
 fn choose_flips_exactly_at_threshold_times_naive() {
     let (mut storage, catalog, low, _q, rq) = setup(64);
-    let net = PropagationNetwork::build(&catalog, &mut storage, &[low], DiffScope::Full).unwrap();
+    let net = PropagationNetwork::build(&catalog, &mut storage, &[low]).unwrap();
     storage.begin().unwrap();
     touch(&mut storage, rq, 4);
 
@@ -125,10 +124,8 @@ fn incremental_cost_is_monotone_in_out_degree() {
     // One network per condition: the estimate counts every out-edge of
     // the seeding node, so the conditions must not share a network for
     // their out-degrees to differ.
-    let net_low =
-        PropagationNetwork::build(&catalog, &mut storage, &[low], DiffScope::Full).unwrap();
-    let net_pair =
-        PropagationNetwork::build(&catalog, &mut storage, &[pair], DiffScope::Full).unwrap();
+    let net_low = PropagationNetwork::build(&catalog, &mut storage, &[low]).unwrap();
+    let net_pair = PropagationNetwork::build(&catalog, &mut storage, &[pair]).unwrap();
     storage.begin().unwrap();
     touch(&mut storage, rq, 8);
 
@@ -154,9 +151,7 @@ proptest! {
         let (lo, hi) = (d1.min(d2), d1.max(d2) + extra);
         let cost_at = |changes: i64| {
             let (mut storage, catalog, low, _q, rq) = setup(64);
-            let net = PropagationNetwork::build(
-                &catalog, &mut storage, &[low], DiffScope::Full,
-            ).unwrap();
+            let net = PropagationNetwork::build(&catalog, &mut storage, &[low]).unwrap();
             storage.begin().unwrap();
             touch(&mut storage, rq, changes);
             let model = CostModel::default();

@@ -6,7 +6,6 @@
 
 use amos_types::FxHashSet as HashSet;
 
-use amos_core::differ::DiffScope;
 use amos_core::network::PropagationNetwork;
 use amos_core::propagate::{propagate_with, recompute_delta, CheckLevel, ExecStrategy};
 use amos_objectlog::catalog::{Catalog, PredId};
@@ -88,8 +87,7 @@ fn diamond_reconvergence_is_exact() {
     d.storage.insert(d.rq, tuple![1, 30]).unwrap();
     d.storage.insert(d.rq, tuple![2, 5]).unwrap();
     d.storage.insert(d.rq, tuple![3, 80]).unwrap();
-    let net =
-        PropagationNetwork::build(&d.catalog, &mut d.storage, &[d.top], DiffScope::Full).unwrap();
+    let net = PropagationNetwork::build(&d.catalog, &mut d.storage, &[d.top]).unwrap();
     assert_eq!(net.levels().len(), 3, "q / {{cheap,pricey}} / both");
 
     // Move 2 into the overlap, 1 out of it, add 4 in the overlap —
@@ -122,8 +120,7 @@ fn diamond_reconvergence_is_exact() {
 fn diamond_no_double_counting_under_nervous() {
     let mut d = diamond();
     d.storage.insert(d.rq, tuple![7, 5]).unwrap();
-    let net =
-        PropagationNetwork::build(&d.catalog, &mut d.storage, &[d.top], DiffScope::Full).unwrap();
+    let net = PropagationNetwork::build(&d.catalog, &mut d.storage, &[d.top]).unwrap();
     d.storage.begin().unwrap();
     // 7 moves into the overlap: both arms report +7 to `both`; the ∪Δ
     // accumulation must merge them into one insertion.
@@ -164,8 +161,7 @@ fn negation_over_intermediate_nodes() {
         )
         .unwrap();
     d.storage.insert(d.rq, tuple![1, 30]).unwrap(); // cheap ∧ pricey → not in gap
-    let net =
-        PropagationNetwork::build(&d.catalog, &mut d.storage, &[gap], DiffScope::Full).unwrap();
+    let net = PropagationNetwork::build(&d.catalog, &mut d.storage, &[gap]).unwrap();
 
     d.storage.begin().unwrap();
     // 30 → 5: still cheap, stops being pricey ⇒ enters the gap.
@@ -232,7 +228,7 @@ fn three_level_chain() {
     storage.monitor(rq);
     storage.insert(rq, tuple![1, 10]).unwrap();
 
-    let net = PropagationNetwork::build(&catalog, &mut storage, &[v3], DiffScope::Full).unwrap();
+    let net = PropagationNetwork::build(&catalog, &mut storage, &[v3]).unwrap();
     assert_eq!(net.levels().len(), 4);
 
     storage.begin().unwrap();

@@ -10,7 +10,6 @@
 
 use std::collections::HashSet;
 
-use amos_core::differ::DiffScope;
 use amos_core::network::PropagationNetwork;
 use amos_core::propagate::{
     propagate_with, recompute_delta, CheckLevel, ExecStrategy, PropagationResult,
@@ -210,8 +209,7 @@ fn fired_order(r: &PropagationResult) -> Vec<amos_core::differ::DiffId> {
 #[test]
 fn large_wave_takes_threads_and_stays_exact() {
     let mut w = build_world(0, &[], &[]);
-    let net =
-        PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.cond], DiffScope::Full).unwrap();
+    let net = PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.cond]).unwrap();
     w.storage.begin().unwrap();
     for i in 0..400i64 {
         w.storage.insert(w.rq, tuple![i, i % 17]).unwrap();
@@ -251,8 +249,7 @@ fn per_differential(r: &PropagationResult) -> Vec<(usize, usize, usize, Vec<Tupl
 fn bulk_pass_output_order_is_a_property_of_the_delta_set() {
     let pass = |reversed: bool, strategy: ExecStrategy| {
         let mut w = build_world(0, &[], &[]);
-        let net = PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.cond], DiffScope::Full)
-            .unwrap();
+        let net = PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.cond]).unwrap();
         w.storage.begin().unwrap();
         let mut items: Vec<i64> = (0..400).collect();
         if reversed {
@@ -293,9 +290,7 @@ proptest! {
         ups in updates(),
     ) {
         let mut w = build_world(shape, &q0, &r0);
-        let net = PropagationNetwork::build(
-            &w.catalog, &mut w.storage, &[w.cond], DiffScope::Full,
-        ).unwrap();
+        let net = PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.cond]).unwrap();
 
         w.storage.begin().unwrap();
         apply(&mut w, &ups);
@@ -319,9 +314,7 @@ proptest! {
         ups in updates(),
     ) {
         let mut w = build_world(shape, &q0, &r0);
-        let net = PropagationNetwork::build(
-            &w.catalog, &mut w.storage, &[w.cond], DiffScope::Full,
-        ).unwrap();
+        let net = PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.cond]).unwrap();
         w.storage.begin().unwrap();
         apply(&mut w, &ups);
         let result = propagate_with(&net, &w.catalog, &w.storage, CheckLevel::Nervous, ExecStrategy::default()).unwrap();
@@ -340,29 +333,6 @@ proptest! {
         }
     }
 
-    /// Insertion-only transactions through monotone shapes: the
-    /// InsertionsOnly scope (half the differentials) is still exact.
-    #[test]
-    fn insertions_only_scope_exact_for_monotone(
-        shape in prop::sample::select(vec![0u8, 1, 3, 4, 5, 6]), // no negation
-        q0 in tuples(),
-        r0 in tuples(),
-        ins in prop::collection::vec((any::<bool>(), small_tuple()), 0..10),
-    ) {
-        let mut w = build_world(shape, &q0, &r0);
-        let net = PropagationNetwork::build(
-            &w.catalog, &mut w.storage, &[w.cond], DiffScope::InsertionsOnly,
-        ).unwrap();
-        w.storage.begin().unwrap();
-        for (on_q, t) in &ins {
-            let rel = if *on_q { w.rq } else { w.rr };
-            w.storage.insert(rel, t.clone()).unwrap();
-        }
-        let result = propagate_with(&net, &w.catalog, &w.storage, CheckLevel::Strict, ExecStrategy::default()).unwrap();
-        let truth = recompute_delta(&w.catalog, &w.storage, w.cond).unwrap();
-        prop_assert_eq!(&result.condition_deltas[&w.cond], &truth);
-    }
-
     /// Parallel wave-front execution is an implementation detail: for
     /// every condition shape, every §7.2 check level, and random update
     /// batches, the serial and parallel strategies produce identical
@@ -379,9 +349,7 @@ proptest! {
         ups in updates(),
     ) {
         let mut w = build_world(shape, &q0, &r0);
-        let net = PropagationNetwork::build(
-            &w.catalog, &mut w.storage, &[w.cond], DiffScope::Full,
-        ).unwrap();
+        let net = PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.cond]).unwrap();
         w.storage.begin().unwrap();
         apply(&mut w, &ups);
         if bulk {

@@ -8,7 +8,6 @@
 //! must be bit-identical between the two layouts across every §7.2
 //! check level × execution strategy.
 
-use amos_core::differ::DiffScope;
 use amos_core::network::PropagationNetwork;
 use amos_core::propagate::{propagate_with, CheckLevel, ExecStrategy, PropagationResult};
 use amos_objectlog::catalog::{Catalog, PredId};
@@ -143,12 +142,8 @@ proptest! {
         let mut lsm = build_world(shape, threshold, &q0, &r0);
         let mut hash = build_world(shape, usize::MAX, &q0, &r0);
 
-        let lsm_net = PropagationNetwork::build(
-            &lsm.catalog, &mut lsm.storage, &[lsm.cond], DiffScope::Full,
-        ).unwrap();
-        let hash_net = PropagationNetwork::build(
-            &hash.catalog, &mut hash.storage, &[hash.cond], DiffScope::Full,
-        ).unwrap();
+        let lsm_net = PropagationNetwork::build(&lsm.catalog, &mut lsm.storage, &[lsm.cond]).unwrap();
+        let hash_net = PropagationNetwork::build(&hash.catalog, &mut hash.storage, &[hash.cond]).unwrap();
 
         for w in [&mut lsm, &mut hash] {
             w.storage.begin().unwrap();

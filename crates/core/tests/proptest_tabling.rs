@@ -11,12 +11,11 @@
 //! transparent within one pass. This suite is the property-level
 //! enforcement of that argument.
 
-use amos_core::differ::DiffScope;
 use amos_core::network::PropagationNetwork;
 use amos_core::propagate::{propagate_adaptive, CheckLevel, ExecStrategy, INLINE_WAVE_THRESHOLD};
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::clause::{ClauseBuilder, Term};
-use amos_objectlog::eval::{EvalConfig, EvalShared};
+use amos_objectlog::eval::EvalShared;
 use amos_storage::{RelId, Storage};
 use amos_types::{tuple, ArithOp, CmpOp, Tuple, TypeId};
 use proptest::prelude::*;
@@ -171,10 +170,11 @@ fn updates() -> impl Strategy<Value = Vec<(bool, bool, Tuple)>> {
 }
 
 fn shared(tabling: bool) -> Arc<EvalShared> {
-    Arc::new(EvalShared::new(EvalConfig {
-        tabling,
-        ..EvalConfig::default()
-    }))
+    Arc::new(if tabling {
+        EvalShared::default()
+    } else {
+        EvalShared::untabled()
+    })
 }
 
 proptest! {
@@ -192,9 +192,7 @@ proptest! {
         ups in updates(),
     ) {
         let mut w = build_world(shape, &q0, &r0);
-        let net = PropagationNetwork::build(
-            &w.catalog, &mut w.storage, &[w.cond], DiffScope::Full,
-        ).unwrap();
+        let net = PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.cond]).unwrap();
         w.storage.begin().unwrap();
         for (on_q, is_insert, t) in &ups {
             let rel = if *on_q { w.rq } else { w.rr };
@@ -254,9 +252,7 @@ proptest! {
         ups in updates(),
     ) {
         let mut w = build_world(shape, &q0, &r0);
-        let net = PropagationNetwork::build(
-            &w.catalog, &mut w.storage, &[w.cond], DiffScope::Full,
-        ).unwrap();
+        let net = PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.cond]).unwrap();
         w.storage.begin().unwrap();
         for (on_q, is_insert, t) in &ups {
             let rel = if *on_q { w.rq } else { w.rr };
@@ -300,9 +296,7 @@ proptest! {
         ups in updates(),
     ) {
         let mut w = build_world(shape, &q0, &r0);
-        let net = PropagationNetwork::build(
-            &w.catalog, &mut w.storage, &[w.cond], DiffScope::Full,
-        ).unwrap();
+        let net = PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.cond]).unwrap();
         let reused = shared(true);
         w.storage.begin().unwrap();
         for (on_q, is_insert, t) in &ups {

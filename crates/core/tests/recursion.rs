@@ -5,7 +5,6 @@
 
 use amos_types::FxHashSet as HashSet;
 
-use amos_core::differ::DiffScope;
 use amos_core::network::PropagationNetwork;
 use amos_core::propagate::{propagate_with, recompute_delta, CheckLevel, ExecStrategy};
 use amos_objectlog::catalog::{Catalog, PredId};
@@ -65,8 +64,7 @@ fn world(edges: &[(i64, i64)]) -> World {
 #[test]
 fn inserting_an_edge_extends_closure_incrementally() {
     let mut w = world(&[(1, 2), (3, 4)]);
-    let net =
-        PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.reach], DiffScope::Full).unwrap();
+    let net = PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.reach]).unwrap();
     // The recursive node carries self-differentials.
     let self_edges = net
         .differentials()
@@ -98,8 +96,7 @@ fn inserting_an_edge_extends_closure_incrementally() {
 #[test]
 fn deleting_an_edge_falls_back_to_exact_recompute() {
     let mut w = world(&[(1, 2), (2, 3), (3, 4)]);
-    let net =
-        PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.reach], DiffScope::Full).unwrap();
+    let net = PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.reach]).unwrap();
     w.storage.begin().unwrap();
     // Cut the chain in the middle: everything crossing 2→3 disappears.
     w.storage.delete(w.re, &tuple![2, 3]).unwrap();
@@ -122,8 +119,7 @@ fn deleting_an_edge_falls_back_to_exact_recompute() {
 #[test]
 fn cycle_creation_terminates_and_is_exact() {
     let mut w = world(&[(1, 2), (2, 3)]);
-    let net =
-        PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.reach], DiffScope::Full).unwrap();
+    let net = PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.reach]).unwrap();
     w.storage.begin().unwrap();
     w.storage.insert(w.re, tuple![3, 1]).unwrap(); // close the cycle
     let result = propagate_with(
@@ -146,8 +142,7 @@ fn cycle_creation_terminates_and_is_exact() {
 fn randomized_transactions_match_recompute() {
     let mut rng = StdRng::seed_from_u64(0x5EED);
     let mut w = world(&[]);
-    let net =
-        PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.reach], DiffScope::Full).unwrap();
+    let net = PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.reach]).unwrap();
     for _round in 0..30 {
         w.storage.begin().unwrap();
         for _ in 0..rng.gen_range(1..4) {
@@ -184,9 +179,7 @@ proptest! {
     ) {
         let edges: Vec<(i64, i64)> = init;
         let mut w = world(&edges);
-        let net = PropagationNetwork::build(
-            &w.catalog, &mut w.storage, &[w.reach], DiffScope::Full,
-        ).unwrap();
+        let net = PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.reach]).unwrap();
         w.storage.begin().unwrap();
         for (insert, a, b) in ups {
             if insert {

@@ -2,7 +2,7 @@
 //! a freshly built (conforming) network three different ways and assert
 //! each corruption is rejected with a distinct violation.
 
-use amos_core::differ::{DiffId, DiffScope};
+use amos_core::differ::DiffId;
 use amos_core::network::PropagationNetwork;
 use amos_core::verify::{verify_network, Violation};
 use amos_objectlog::catalog::{Catalog, PredId};
@@ -49,17 +49,14 @@ fn fixture() -> (Storage, Catalog, PredId) {
 }
 
 fn build(storage: &mut Storage, cat: &Catalog, cnd: PredId) -> PropagationNetwork {
-    PropagationNetwork::build(cat, storage, &[cnd], DiffScope::Full).unwrap()
+    PropagationNetwork::build(cat, storage, &[cnd]).unwrap()
 }
 
 #[test]
 fn uncorrupted_network_verifies() {
     let (mut storage, cat, cnd) = fixture();
     let net = build(&mut storage, &cat, cnd);
-    assert_eq!(
-        verify_network(&cat, &storage, &net, DiffScope::Full, true),
-        Vec::new()
-    );
+    assert_eq!(verify_network(&cat, &storage, &net), Vec::new());
 }
 
 #[test]
@@ -67,7 +64,7 @@ fn dropped_differential_is_caught() {
     let (mut storage, cat, cnd) = fixture();
     let mut net = build(&mut storage, &cat, cnd);
     net.testing_remove_differential(DiffId(0));
-    let violations = verify_network(&cat, &storage, &net, DiffScope::Full, true);
+    let violations = verify_network(&cat, &storage, &net);
     assert!(
         violations
             .iter()
@@ -88,7 +85,7 @@ fn duplicated_differential_is_caught() {
     let (mut storage, cat, cnd) = fixture();
     let mut net = build(&mut storage, &cat, cnd);
     net.testing_duplicate_differential(DiffId(0));
-    let violations = verify_network(&cat, &storage, &net, DiffScope::Full, true);
+    let violations = verify_network(&cat, &storage, &net);
     assert!(
         violations
             .iter()
@@ -112,7 +109,7 @@ fn bad_level_is_caught() {
     let mut net = build(&mut storage, &cat, cnd);
     let thr = cat.lookup("thr").unwrap();
     net.testing_set_node_level(thr, 5);
-    let violations = verify_network(&cat, &storage, &net, DiffScope::Full, true);
+    let violations = verify_network(&cat, &storage, &net);
     assert!(
         violations.iter().any(|v| matches!(
             v,
@@ -147,7 +144,7 @@ fn corruption_diagnostics_are_distinct() {
             1 => net.testing_duplicate_differential(DiffId(0)),
             _ => net.testing_set_node_level(cat.lookup("thr").unwrap(), 5),
         }
-        let violations = verify_network(&cat, &storage, &net, DiffScope::Full, true);
+        let violations = verify_network(&cat, &storage, &net);
         assert!(!violations.is_empty(), "mutation {mutation} not caught");
         renderings.push(violations[0].to_string());
     }

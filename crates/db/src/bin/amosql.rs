@@ -18,7 +18,7 @@
 
 use std::io::{self, BufRead, Write};
 
-use amos_db::{Amos, ExecResult, ExecStrategy, LintConfig, Severity, WalConfig};
+use amos_db::{Amos, ExecResult, LintConfig, Severity, WalConfig};
 
 const BANNER: &str = "\
 amos-pdiff interactive shell — AMOSQL subset
@@ -32,11 +32,7 @@ Shell commands:
   .checkpoint           snapshot base relations + truncate the WAL
   .quit                 exit
 Flags: --wal-dir <dir> makes commits durable (replays any existing
-snapshot + WAL from <dir> on startup); --static-plans disables
-statistics-driven adaptive differential planning; --strategy
-<serial|parallel> picks the propagation execution strategy (parallel,
-the default, runs large wave-front levels on threads; serial never
-spawns).
+snapshot + WAL from <dir> on startup).
 Subcommands: `amosql lint [--deny-lints] [--format text|json]
 <file.osql>...` statically analyzes scripts (safety, stratification,
 termination, dead differentials, unsatisfiable conditions, type
@@ -99,25 +95,8 @@ fn main() -> io::Result<()> {
                     }
                 }
             }
-            "--static-plans" => db.set_adaptive_planning(false),
-            "--strategy" => {
-                let Some(value) = args.next() else {
-                    eprintln!("--strategy requires a value: serial or parallel");
-                    std::process::exit(2);
-                };
-                match ExecStrategy::parse(&value) {
-                    Ok(strategy) => db.set_propagation_strategy(strategy),
-                    Err(e) => {
-                        eprint!("{}", render_strategy_error(&value, &e));
-                        std::process::exit(2);
-                    }
-                }
-            }
             other => {
-                eprintln!(
-                    "unknown flag `{other}` (supported: --wal-dir <dir>, --static-plans, \
-                     --strategy <serial|parallel>)"
-                );
+                eprintln!("unknown flag `{other}` (supported: --wal-dir <dir>)");
                 std::process::exit(2);
             }
         }
@@ -155,19 +134,6 @@ fn main() -> io::Result<()> {
         prompt(&buffer)?;
     }
     Ok(())
-}
-
-/// Caret-style diagnostic for a rejected `--strategy` value, pointing
-/// at the offending slice of the input.
-fn render_strategy_error(value: &str, e: &amos_db::StrategyParseError) -> String {
-    let (start, len) = e.span;
-    let prefix = "  --strategy ";
-    format!(
-        "error: invalid --strategy: {}\n{prefix}{value}\n{}{}\n",
-        e.message,
-        " ".repeat(prefix.len() + value[..start.min(value.len())].chars().count()),
-        "^".repeat(len.max(1)),
-    )
 }
 
 /// `amosql lint [--deny-lints] [--format text|json] <file.osql>…` —

@@ -17,7 +17,7 @@ use amos_core::rules::{
 };
 use amos_lint::{Diagnostic, LintConfig, RuleFacts, RuleWrite, Span};
 use amos_objectlog::catalog::{Catalog, ForeignFn, PredId, PredKind};
-use amos_objectlog::eval::{DeltaMap, EvalConfig, EvalContext};
+use amos_objectlog::eval::{DeltaMap, EvalContext};
 use amos_objectlog::expand::{expand_clause, ExpandOptions};
 use amos_objectlog::plan::compile_clause;
 use amos_storage::{
@@ -40,7 +40,10 @@ pub enum NetworkPrep {
     Bushy,
 }
 
-/// Engine construction options.
+/// Engine construction options, set once in [`Amos::with_options`] and
+/// read back with [`Amos::options`]. Each field is either user-visible
+/// behaviour or the reference side of an equivalence oracle; the
+/// defaults run the paper's method.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// Condition preparation style.
@@ -55,23 +58,11 @@ pub struct EngineOptions {
     /// tuples run on threads, smaller ones inline); serial never spawns
     /// and is the reference the equivalence oracles compare against.
     pub propagation: ExecStrategy,
-    /// Per-pass tabling of derived-call results (on by default; the
-    /// `--no-tabling` bench flag disables it for ablation runs).
-    pub tabling: bool,
-    /// Statistics-driven adaptive differential planning (on by default;
-    /// the `--static-plans` bench flag pins activation-time plans).
-    pub adaptive: bool,
     /// Per-code lint severities. `activate` refuses a rule whose lint
     /// findings include a deny-level diagnostic (L001/L002 by default);
     /// warn-level findings surface in `explain rule` and the `lint`
     /// CLI command.
     pub lint_level: LintConfig,
-    /// Commit pipelining (on by default): sessions release the engine
-    /// write lock before the WAL fsync and block on a
-    /// [`amos_storage::CommitWaiter`] instead, so independent commits
-    /// share one group fsync. Disable (`--no-pipeline` on the server)
-    /// to restore fsync-under-lock commits.
-    pub commit_pipeline: bool,
     /// Abstract-interpretation pruning (on by default): differentials
     /// whose differenced clause is provably empty under the interval /
     /// constant analysis (L007) are dropped from the network, and the
@@ -87,10 +78,7 @@ impl Default for EngineOptions {
             network_prep: NetworkPrep::default(),
             immediate: false,
             propagation: ExecStrategy::default(),
-            tabling: true,
-            adaptive: true,
             lint_level: LintConfig::default(),
-            commit_pipeline: true,
             semantic_pruning: true,
         }
     }
@@ -151,8 +139,7 @@ pub struct Amos {
     views: Vec<ViewReg>,
     rule_lint: Vec<RuleLintInfo>,
     fn_spans: HashMap<String, Span>,
-    /// Options (network style, default semantics).
-    pub options: EngineOptions,
+    pub(crate) options: EngineOptions,
 }
 
 impl Default for Amos {
@@ -171,15 +158,6 @@ impl Amos {
     pub fn with_options(options: EngineOptions) -> Self {
         let mut rules = RuleManager::new();
         rules.exec = options.propagation;
-        if !options.tabling {
-            rules.set_eval_config(EvalConfig {
-                tabling: false,
-                ..EvalConfig::default()
-            });
-        }
-        if !options.adaptive {
-            rules.set_adaptive(false);
-        }
         rules.semantic_pruning = options.semantic_pruning;
         Amos {
             storage: Storage::new(),
@@ -194,6 +172,11 @@ impl Amos {
             fn_spans: HashMap::new(),
             options,
         }
+    }
+
+    /// The options this engine was built with.
+    pub fn options(&self) -> &EngineOptions {
+        &self.options
     }
 
     // ------------------------------------------------------------------
@@ -351,36 +334,11 @@ impl Amos {
         self.rules.mode = mode;
     }
 
-    /// Switch the wave-front execution strategy (parallel / serial).
-    /// Takes effect from the next propagation pass.
-    pub fn set_propagation_strategy(&mut self, strategy: ExecStrategy) {
-        self.options.propagation = strategy;
-        self.rules.exec = strategy;
-    }
-
     /// Switch the §7.2 correction-check level used by propagation passes
     /// (raw / nervous / strict — ablation knob). Takes effect from the
     /// next pass.
     pub fn set_check_level(&mut self, level: amos_core::CheckLevel) {
         self.rules.check = level;
-    }
-
-    /// Enable/disable per-pass tabling of derived-call results (the
-    /// `--no-tabling` ablation). Takes effect from the next pass.
-    pub fn set_tabling(&mut self, on: bool) {
-        self.options.tabling = on;
-        self.rules.set_eval_config(EvalConfig {
-            tabling: on,
-            ..self.rules.eval_config()
-        });
-    }
-
-    /// Enable/disable statistics-driven adaptive differential planning
-    /// (the `--static-plans` ablation). Takes effect from the next pass;
-    /// disabling drops the plan cache.
-    pub fn set_adaptive_planning(&mut self, on: bool) {
-        self.options.adaptive = on;
-        self.rules.set_adaptive(on);
     }
 
     /// Instrumentation of the most recent propagation pass, if any.
@@ -420,7 +378,7 @@ impl Amos {
     }
 
     /// Mutable access to the rule manager (ablation benches flip check
-    /// levels and scopes).
+    /// levels).
     pub fn rules_mut(&mut self) -> &mut RuleManager {
         &mut self.rules
     }
@@ -807,8 +765,6 @@ impl Amos {
                     &self.catalog,
                     &self.storage,
                     self.rules.network(),
-                    self.rules.scope,
-                    self.options.semantic_pruning,
                 );
                 if !violations.is_empty() {
                     self.rules

@@ -32,7 +32,6 @@ pub mod error;
 pub mod lint;
 pub mod session;
 
-pub use amos_core::propagate::StrategyParseError;
 pub use amos_core::{CheckLevel, ExecStrategy, MonitorMode, RuleSemantics};
 pub use amos_lint::{
     diagnostics_report_json, diagnostics_to_json, Diagnostic, LintCode, LintConfig, Severity, Span,

@@ -289,8 +289,7 @@ impl Session {
 
     /// Validate against concurrently committed versions, then apply the
     /// buffered write-set and run the deferred check phase — all under
-    /// the write lock. With [`EngineOptions::commit_pipeline`] on (the
-    /// default), the WAL batch only enters the group-commit buffer
+    /// the write lock. The WAL batch only enters the group-commit buffer
     /// inside the critical section; the fsync wait happens *after* the
     /// write lock is released, on the returned [`CommitWaiter`], so
     /// independent sessions coalesce their durability into one group
@@ -370,14 +369,7 @@ impl Session {
                 }
             }
         }
-        let pipelined = eng.options.commit_pipeline;
-        let committed = applied.and_then(|()| {
-            if pipelined {
-                eng.commit_deferred_durability()
-            } else {
-                eng.commit().map(|summary| (summary, None))
-            }
-        });
+        let committed = applied.and_then(|()| eng.commit_deferred_durability());
         match committed {
             Ok((summary, waiter)) => {
                 eng.storage().unpin_snapshot(txn.begin_seq);

@@ -8,9 +8,7 @@
 use amos_core::hybrid::Strategy;
 use amos_core::propagate::ExecStrategy;
 use amos_db::engine::NetworkPrep;
-use amos_db::{
-    Amos, CheckLevel, DbError, EngineOptions, LintCode, LintConfig, MonitorMode, Severity,
-};
+use amos_db::{Amos, CheckLevel, EngineOptions, LintCode, LintConfig, MonitorMode, Severity};
 use proptest::prelude::*;
 
 fn quiet(db: &mut Amos) {
@@ -131,26 +129,24 @@ fn inventory_schema_passes_the_conformance_gate() {
     db.execute(include_str!("../../../examples/osql/inventory.osql"))
         .unwrap();
     db.execute("activate monitor_items();").unwrap();
-    let violations = amos_core::verify::verify_network(
-        db.catalog(),
-        db.storage(),
-        db.rules().network(),
-        db.rules().scope,
-        true,
-    );
+    let violations =
+        amos_core::verify::verify_network(db.catalog(), db.storage(), db.rules().network());
     assert!(violations.is_empty(), "{violations:?}");
 }
 
-/// Build the network with semantic pruning but verify without the
-/// matching entitlement: the gate must report the pruned differentials
-/// as missing, refuse the activation, and roll it back.
+/// A network build that loses a differential (an injected one-shot
+/// fault): the gate must report it as missing, refuse the activation,
+/// and roll it back.
+#[cfg(feature = "fault-injection")]
 #[test]
 fn conformance_gate_rolls_back_a_refused_activation() {
     let mut db = banded_db(true, ExecStrategy::Parallel);
-    db.options.semantic_pruning = false; // verifier loses the entitlement
+    db.set_fault_plan(std::sync::Arc::new(
+        amos_storage::fault::FaultPlan::drop_differential(),
+    ));
     db.execute("create item instances :a;").unwrap();
     let err = db.execute("activate watch();").unwrap_err();
-    let DbError::Conformance(violations) = err else {
+    let amos_db::DbError::Conformance(violations) = err else {
         panic!("expected conformance refusal, got {err:?}");
     };
     assert!(
@@ -162,8 +158,7 @@ fn conformance_gate_rolls_back_a_refused_activation() {
         !db.rules().rule(id).is_active(),
         "refused activation must be rolled back"
     );
-    // With consistent entitlements the same rule activates fine.
-    db.options.semantic_pruning = true;
+    // The fault was one-shot: the next build is whole and activates.
     db.execute("activate watch();").unwrap();
 }
 

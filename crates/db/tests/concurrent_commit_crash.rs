@@ -161,12 +161,38 @@ fn recovery_adopts_exactly_the_committed_prefix() {
     );
 }
 
+/// `drive`'s six commits on an embedded engine, in the same order, with
+/// the conflict-aborted write (`quantity(:i2) = 99`) as a rolled-back
+/// transaction.
+fn drive_embedded(db: &mut Amos) -> Vec<String> {
+    let groups = [
+        "set quantity(:i0) = 1;",
+        "set quantity(:i1) = 2;",
+        "set quantity(:i2) = 3;",
+        "set quantity(:i3) = 4;",
+        "set quantity(:i0) = 5;",
+        "set quantity(:i1) = 6;",
+    ];
+    for (i, group) in groups.iter().enumerate() {
+        if i == 3 {
+            db.begin().unwrap();
+            db.execute("set quantity(:i2) = 99;").unwrap();
+            db.rollback().unwrap();
+        }
+        db.begin().unwrap();
+        db.execute(group).unwrap();
+        db.commit().unwrap();
+    }
+    groups.map(String::from).to_vec()
+}
+
 /// The same sweep through the *coalesced* sync path: `group_commit = 3`
-/// with pipelining off buffers batches in memory and writes them three
-/// at a time, so the crash lands inside a multi-commit fsync group.
-/// The acked-prefix invariant is unchanged — recovery adopts exactly
-/// the complete frames on disk, commits whose group never flushed are
-/// lost whole, and the torn frame is rejected whole, never partially.
+/// under `Amos::commit` (which syncs on the committing thread) buffers
+/// batches in memory and writes them three at a time, so the crash lands
+/// inside a multi-commit fsync group. The acked-prefix invariant is
+/// unchanged — recovery adopts exactly the complete frames on disk,
+/// commits whose group never flushed are lost whole, and the torn frame
+/// is rejected whole, never partially.
 #[test]
 fn crash_mid_coalesced_fsync_adopts_whole_groups_only() {
     let mut prefixes_seen = std::collections::BTreeSet::new();
@@ -174,19 +200,15 @@ fn crash_mid_coalesced_fsync_adopts_whole_groups_only() {
         let dir = tmpdir(&format!("g{crash_after}"));
         let mut db = Amos::new();
         db.attach_wal(&dir, WalConfig::grouped(3)).unwrap();
-        // Sync path: the driver thread must not block on its own
-        // durability, or groups would never grow past one batch.
-        db.options.commit_pipeline = false;
         schema(&mut db);
         db.checkpoint().unwrap();
         db.set_fault_plan(Arc::new(FaultPlan::wal(WalFault::CrashAfterRecords(
             crash_after,
         ))));
-        let engine = SharedEngine::new(db);
 
-        let committed = drive(&engine);
+        let committed = drive_embedded(&mut db);
         assert_eq!(committed.len(), 6);
-        drop(engine);
+        drop(db);
 
         let mut db2 = Amos::new();
         let info = db2.attach_wal(&dir, WalConfig::default()).unwrap();

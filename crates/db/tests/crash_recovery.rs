@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use amos_core::propagate::ExecStrategy;
-use amos_db::{Amos, CheckLevel, ExecResult, MonitorMode, Tuple, WalConfig};
+use amos_db::{Amos, CheckLevel, EngineOptions, ExecResult, MonitorMode, Tuple, WalConfig};
 use amos_storage::{read_wal_bytes, LogOp, WAL_FILE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -72,9 +72,11 @@ fn copy_wal(from: &Path, name: &str) -> PathBuf {
 /// Engine with the config applied, the WAL attached, and the schema
 /// loaded (which adopts any recovered relations). No instances yet.
 fn mk_engine(dir: &Path, level: CheckLevel, strategy: ExecStrategy, mode: MonitorMode) -> Amos {
-    let mut db = Amos::new();
+    let mut db = Amos::with_options(EngineOptions {
+        propagation: strategy,
+        ..EngineOptions::default()
+    });
     db.set_check_level(level);
-    db.set_propagation_strategy(strategy);
     db.set_monitor_mode(mode);
     db.attach_wal(dir, WalConfig::default()).unwrap();
     db.execute(SCHEMA).unwrap();

@@ -29,26 +29,8 @@ use crate::plan::{compile_clause, Plan, PlanStep};
 /// Δ-sets keyed by influent predicate, available to Δ-literals.
 pub type DeltaMap = HashMap<PredId, DeltaSet>;
 
-/// Tunable evaluation knobs, kept separate from the per-query context so
-/// ablation runs (`--no-tabling`) can toggle them in one place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvalConfig {
-    /// Memoize derived-predicate call results for the lifetime of the
-    /// shared cache state (one check-phase pass) — the paper's
-    /// cross-differential sharing, realized at the evaluator level.
-    pub tabling: bool,
-    /// Recursion guard for derived-predicate calls.
-    pub depth_limit: usize,
-}
-
-impl Default for EvalConfig {
-    fn default() -> Self {
-        EvalConfig {
-            tabling: true,
-            depth_limit: 64,
-        }
-    }
-}
+/// Recursion guard for derived-predicate calls.
+const DEPTH_LIMIT: usize = 64;
 
 /// Cache state shared by every [`EvalContext`] of one propagation pass.
 ///
@@ -72,7 +54,10 @@ impl Default for EvalConfig {
 /// reused across passes.
 #[derive(Debug)]
 pub struct EvalShared {
-    config: EvalConfig,
+    /// Memoize derived-predicate call results for the lifetime of the
+    /// per-pass state — the paper's cross-differential sharing, realized
+    /// at the evaluator level. Off only in [`EvalShared::untabled`].
+    tabling: bool,
     plan_cache: RwLock<PlanCache>,
     old_index: RwLock<OldIndexCache>,
     memo: RwLock<MemoTable>,
@@ -86,16 +71,23 @@ pub struct EvalShared {
 }
 
 impl Default for EvalShared {
+    /// Fresh, empty, tabled cache state.
     fn default() -> Self {
-        EvalShared::new(EvalConfig::default())
+        EvalShared::with_tabling(true)
     }
 }
 
 impl EvalShared {
-    /// Fresh, empty cache state under the given configuration.
-    pub fn new(config: EvalConfig) -> Self {
+    /// Fresh cache state that never memoizes derived calls: the
+    /// reference the tabled ≡ untabled oracle and the operator bench
+    /// compare against.
+    pub fn untabled() -> Self {
+        EvalShared::with_tabling(false)
+    }
+
+    fn with_tabling(tabling: bool) -> Self {
         EvalShared {
-            config,
+            tabling,
             plan_cache: RwLock::new(PlanCache::default()),
             old_index: RwLock::new(OldIndexCache::default()),
             memo: RwLock::new(MemoTable::default()),
@@ -107,11 +99,6 @@ impl EvalShared {
             delta_scans: AtomicU64::new(0),
             merge_joins: AtomicU64::new(0),
         }
-    }
-
-    /// The configuration this state was created with.
-    pub fn config(&self) -> EvalConfig {
-        self.config
     }
 
     /// Invalidate everything that is only valid within one propagation
@@ -202,8 +189,6 @@ pub struct EvalContext<'a> {
     pub catalog: &'a Catalog,
     /// Δ-sets readable by Δ-literals (empty map outside propagation).
     pub deltas: &'a DeltaMap,
-    /// Recursion guard for derived-predicate calls.
-    pub depth_limit: usize,
     /// The Δ-layers between the stored relations and this context's
     /// `New` state: empty in the check phase, a session's snapshot
     /// stacks otherwise. Private, and settable only together with a
@@ -282,7 +267,7 @@ fn bound_key<'v>(
 }
 
 impl<'a> EvalContext<'a> {
-    /// Build a context with fresh private caches and default config.
+    /// Build a context with fresh private caches.
     pub fn new(storage: &'a Storage, catalog: &'a Catalog, deltas: &'a DeltaMap) -> Self {
         EvalContext::with_shared(storage, catalog, deltas, Arc::new(EvalShared::default()))
     }
@@ -302,7 +287,6 @@ impl<'a> EvalContext<'a> {
             storage,
             catalog,
             deltas,
-            depth_limit: shared.config().depth_limit,
             layers: no_layers(),
             shared,
         }
@@ -458,7 +442,7 @@ impl<'a> EvalContext<'a> {
         // tuple (the §7.2 accept checks); memoizing them costs a key
         // allocation per tuple with near-zero reuse, so only calls with
         // at least one free column go through the memo table.
-        let memoize = self.shared.config.tabling
+        let memoize = self.shared.tabling
             && pattern.iter().any(Option::is_none)
             && matches!(self.catalog.def(pred).kind, PredKind::Derived(_));
         let compute = |scratch: &mut Scratch| -> Result<Arc<Vec<Tuple>>, ObjectLogError> {
@@ -489,7 +473,7 @@ impl<'a> EvalContext<'a> {
         depth: usize,
         scratch: &mut Scratch,
     ) -> Result<HashSet<Tuple>, ObjectLogError> {
-        if depth > self.depth_limit {
+        if depth > DEPTH_LIMIT {
             return Err(ObjectLogError::DepthExceeded);
         }
         let def = self.catalog.def(pred);
@@ -1417,10 +1401,7 @@ mod tests {
         let mut f = fixture();
         let w = wrap(&mut f);
         let deltas = DeltaMap::new();
-        let shared = Arc::new(EvalShared::new(EvalConfig {
-            tabling: false,
-            ..EvalConfig::default()
-        }));
+        let shared = Arc::new(EvalShared::untabled());
         let ctx = EvalContext::with_shared(&f.storage, &f.catalog, &deltas, shared);
         let expected: HashSet<Tuple> = [tuple![1, 2]].into_iter().collect();
         for _ in 0..2 {

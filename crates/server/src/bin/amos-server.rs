@@ -7,7 +7,8 @@
 //! Optionally `--wal-dir <dir>` for durable commits (replays any
 //! existing snapshot + WAL on startup), `--max-sessions <n>` to bound
 //! the connection pool, `--script <file.osql>` to load a schema before
-//! accepting connections, and the commit-pipeline knobs below.
+//! accepting connections, and the WAL group-commit and statement-pipeline
+//! knobs below.
 
 use amos_db::{Amos, SharedEngine, WalConfig};
 use amos_server::{serve, ServerConfig};
@@ -31,11 +32,9 @@ FLAGS:
     --commit-delay-us D    max microseconds a flush leader waits for
                            stragglers before syncing a not-yet-full
                            group (default 100; 0 never waits)
-    --no-pipeline          disable both statement pipelining (greedy
+    --no-pipeline          disable statement pipelining (greedy
                            per-connection reads, batched response
-                           flushes) and the commit pipeline (sessions
-                           fsync under the engine write lock, one
-                           commit at a time)
+                           flushes)
     --help                 print this text
 ";
 
@@ -47,7 +46,6 @@ fn main() {
         group_commit: 8,
         max_delay_us: 100,
     };
-    let mut pipeline = true;
     let mut scripts: Vec<String> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -83,7 +81,7 @@ fn main() {
                     std::process::exit(2);
                 })
             }
-            "--no-pipeline" => pipeline = false,
+            "--no-pipeline" => config.pipeline = false,
             "--script" => scripts.push(value("--script")),
             "--help" | "-h" => {
                 print!("{HELP}");
@@ -97,8 +95,6 @@ fn main() {
     }
 
     let mut db = Amos::new();
-    db.options.commit_pipeline = pipeline;
-    config.pipeline = pipeline;
     if let Some(dir) = wal_dir {
         if let Err(e) = db.attach_wal(&dir, wal_config) {
             eprintln!("cannot attach WAL at {dir}: {e}");

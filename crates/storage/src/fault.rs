@@ -14,7 +14,9 @@
 //! * the WAL writer ([`crate::wal::WalWriter`]) — crash-after-record-N,
 //!   short writes, injected I/O errors;
 //! * `amos-core`'s `propagate.rs` — a propagation pass that errors out;
-//! * `amos-core`'s `rules.rs` — a rule action that errors or panics.
+//! * `amos-core`'s `rules.rs` — a rule action that errors or panics, and
+//!   a network build that loses a differential (tripping the
+//!   activation-time conformance gate).
 //!
 //! Counters use atomics so one `Arc<FaultPlan>` can be shared between the
 //! storage layer and the rule layer of the same engine.
@@ -82,6 +84,8 @@ pub struct FaultPlan {
     action: Option<ActionFault>,
     /// Fail the n-th propagation pass (1-based) with an injected error.
     fail_propagation_pass: Option<u64>,
+    /// Drop one differential from the next propagation-network build.
+    drop_differential: bool,
     // -- shared firing state --
     records_written: AtomicU64,
     passes_started: AtomicU64,
@@ -90,6 +94,7 @@ pub struct FaultPlan {
     propagation_fired: AtomicBool,
     io_error_fired: AtomicBool,
     torn_write_fired: AtomicBool,
+    differential_dropped: AtomicBool,
 }
 
 impl FaultPlan {
@@ -121,6 +126,15 @@ impl FaultPlan {
     pub fn propagation(pass: u64) -> Self {
         FaultPlan {
             fail_propagation_pass: Some(pass),
+            ..FaultPlan::default()
+        }
+    }
+
+    /// A plan that drops one differential from the next network build,
+    /// as if the builder had forgotten to emit it.
+    pub fn drop_differential() -> Self {
+        FaultPlan {
+            drop_differential: true,
             ..FaultPlan::default()
         }
     }
@@ -210,6 +224,12 @@ impl FaultPlan {
         Some(fault.kind)
     }
 
+    /// One-shot: should the network build finishing now lose a
+    /// differential?
+    pub fn take_dropped_differential(&self) -> bool {
+        self.drop_differential && !self.differential_dropped.swap(true, Ordering::SeqCst)
+    }
+
     /// One-shot: should the propagation pass starting now fail? Counts
     /// passes internally; call exactly once per pass.
     pub fn take_propagation_fault(&self) -> bool {
@@ -265,6 +285,14 @@ mod tests {
         assert!(!plan.take_propagation_fault()); // pass 1
         assert!(plan.take_propagation_fault()); // pass 2
         assert!(!plan.take_propagation_fault()); // pass 3
+    }
+
+    #[test]
+    fn dropped_differential_fires_once() {
+        assert!(!FaultPlan::none().take_dropped_differential());
+        let plan = FaultPlan::drop_differential();
+        assert!(plan.take_dropped_differential());
+        assert!(!plan.take_dropped_differential(), "one-shot");
     }
 
     #[test]
