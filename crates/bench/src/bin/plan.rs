@@ -1,39 +1,29 @@
 //! Adaptive vs static differential planning under skewed cardinalities.
 //!
-//! Two scenarios, both built directly on the core propagation API so the
+//! One scenario, built directly on the core propagation API so the
 //! planner — not parsing or rule bookkeeping — dominates:
 //!
-//! * **skew** (small Δ, large base): `p(X) ← s(X,G) ∧ big(G,Y) ∧
-//!   pick(X,Y)` where `big` holds `BIG_ROWS` rows in 10 groups (fan-out
-//!   `BIG_ROWS/10` per group) and `pick` is functional on `X`. After the
-//!   `Δ₊s` seed binds `X` and `G`, both remaining literals are index
-//!   probes — a constant-cost model ties and takes textual order,
-//!   exploding through `big` before `pick` closes the join. The
-//!   statistics-backed estimator ranks `pick` first (`|pick|/ndv ≈ 1`
-//!   row vs `|big|/ndv(G) = fan-out` rows), turning the differential
-//!   into probe-then-lookup.
-//!
-//! * **bulk** (bulk load, tiny companion): `p2(X) ← s2(X,G) ∧ small(G)`
-//!   with `BULK_ROWS` insertions into `s2` against a 4-row `small`. The
-//!   static plan Δ-scans the bulk seed and hash-probes `small` per row
-//!   (a per-row pattern allocation plus probe); the adaptive planner
-//!   prices the sorted-run arrangement, fuses the pair into a single
-//!   `MergeJoin` step, and executes it as one lookup join over the
-//!   stored arrangement — no per-row plan interpretation at all.
+//! **skew** (small Δ, large base): `p(X) ← s(X,G) ∧ big(G,Y) ∧
+//! pick(X,Y)` where `big` holds `BIG_ROWS` rows in 10 groups (fan-out
+//! `BIG_ROWS/10` per group) and `pick` is functional on `X`. After the
+//! `Δ₊s` seed binds `X` and `G`, both remaining literals are index
+//! probes — a constant-cost model ties and takes textual order,
+//! exploding through `big` before `pick` closes the join. The
+//! statistics-backed estimator ranks `pick` first (`|pick|/ndv ≈ 1`
+//! row vs `|big|/ndv(G) = fan-out` rows), turning the differential
+//! into probe-then-lookup.
 //!
 //! `static_ms`/`adaptive_ms` time the **propagation slice only** — the
 //! work the planner controls. Δ-application and rollback are
-//! byte-identical in both modes (and in the bulk regime they are
-//! O(|Δ|) hash churn an order of magnitude above either plan), so they
-//! are reported separately as `*_total_ms` rather than folded into the
-//! comparison.
+//! byte-identical in both modes, so they are reported separately as
+//! `*_total_ms` rather than folded into the comparison.
 //!
 //! Run with: `cargo run -p amos-bench --release --bin plan`
 //!
 //! Flags:
 //!   --json PATH        write a BENCH_plan.json report
-//!   --sizes BIG,BULK   override BIG_ROWS and BULK_ROWS
-//!   --transactions N   override the skew-scenario transaction count
+//!   --sizes BIG        override BIG_ROWS
+//!   --transactions N   override the transaction count
 
 use std::sync::Arc;
 
@@ -50,7 +40,6 @@ use amos_storage::{RelId, Storage};
 use amos_types::{tuple, Tuple, TypeId};
 
 const DEFAULT_BIG_ROWS: usize = 100_000;
-const DEFAULT_BULK_ROWS: usize = 50_000;
 const DEFAULT_TRANSACTIONS: usize = 30;
 /// Δ-tuples inserted per skew transaction.
 const DELTA_K: usize = 8;
@@ -115,47 +104,12 @@ fn build_skew(big_rows: usize) -> World {
     }
 }
 
-/// p2(X) ← s2(X,G) ∧ small(G), where one transaction bulk-loads `s2`.
-fn build_bulk() -> World {
-    let mut storage = Storage::new();
-    let rs2 = storage.create_relation("s2", 2).unwrap();
-    let rsmall = storage.create_relation("small", 1).unwrap();
-    let mut catalog = Catalog::new();
-    let s2 = catalog.define_stored("s2", sig(2), rs2, 1).unwrap();
-    let small = catalog.define_stored("small", sig(1), rsmall, 1).unwrap();
-    let cond = catalog
-        .define_derived(
-            "p2",
-            sig(1),
-            vec![ClauseBuilder::new(2)
-                .head([Term::var(0)])
-                .pred(s2, [Term::var(0), Term::var(1)])
-                .pred(small, [Term::var(1)])
-                .build()],
-        )
-        .unwrap();
-    for g in 0..4i64 {
-        storage.insert(rsmall, tuple![g]).unwrap();
-    }
-    storage.monitor(rs2);
-    storage.monitor(rsmall);
-    let network = PropagationNetwork::build(&catalog, &mut storage, &[cond]).unwrap();
-    World {
-        storage,
-        catalog,
-        network,
-        seed_rel: rs2,
-        cond,
-    }
-}
-
 /// Execute one monitored transaction: insert `batch` into the seed
 /// relation, propagate (static or adaptive), roll back. Returns the
 /// pass metrics, the condition-Δ insertion count (for sanity), and the
 /// seconds spent in propagation — the slice the planner controls. The
 /// surrounding Δ-application and rollback are byte-identical work in
-/// both modes, so timing them would only dilute the comparison (in the
-/// bulk regime they are O(|Δ|) hash churn that dwarfs either plan).
+/// both modes, so timing them would only dilute the comparison.
 fn run_pass(
     w: &mut World,
     batch: &[Tuple],
@@ -294,17 +248,17 @@ fn run_scenario(scenario: &'static str, w: &mut World, batches: &[Vec<Tuple>]) -
 
 fn main() {
     let args = BenchArgs::parse();
-    let (big_rows, bulk_rows) = match args.sizes.as_deref() {
-        Some([b, k, ..]) => (*b, *k),
-        Some([b]) => (*b, DEFAULT_BULK_ROWS),
-        _ => (DEFAULT_BIG_ROWS, DEFAULT_BULK_ROWS),
+    let big_rows = match args.sizes.as_deref() {
+        Some([b]) => *b,
+        Some(_) => panic!("--sizes takes one value: BIG_ROWS"),
+        None => DEFAULT_BIG_ROWS,
     };
     let txns = args.transactions.unwrap_or(DEFAULT_TRANSACTIONS);
 
     println!("# adaptive vs static differential planning");
     println!(
         "# skew: {txns} transactions x {DELTA_K} Δ-tuples against big={big_rows} rows \
-         (fan-out {}); bulk: one {bulk_rows}-row load x 3 passes",
+         (fan-out {})",
         big_rows as i64 / GROUPS
     );
     println!(
@@ -312,46 +266,32 @@ fn main() {
         "scenario", "static_ms", "adaptive_ms", "speedup", "replans", "hits", "est_err"
     );
 
-    let mut rows: Vec<ScenarioRow> = Vec::new();
-
-    {
-        let mut w = build_skew(big_rows);
-        let batches: Vec<Vec<Tuple>> = (0..txns)
-            .map(|t| {
-                (0..DELTA_K as i64)
-                    .map(|i| {
-                        let x = (t * DELTA_K) as i64 + i;
-                        tuple![x % 1_000, x % GROUPS]
-                    })
-                    .collect()
-            })
-            .collect();
-        rows.push(run_scenario("skew", &mut w, &batches));
-    }
-    {
-        let mut w = build_bulk();
-        let batch: Vec<Tuple> = (0..bulk_rows as i64).map(|x| tuple![x, x % 100]).collect();
-        let batches = vec![batch.clone(), batch.clone(), batch];
-        rows.push(run_scenario("bulk", &mut w, &batches));
-    }
-
-    for r in &rows {
-        println!(
-            "{:>8} {:>12.2} {:>12.2} {:>9.2} {:>8} {:>6} {:>10}",
-            r.scenario,
-            r.static_ms,
-            r.adaptive_ms,
-            r.speedup(),
-            r.replans,
-            r.plan_cache_hits,
-            r.est_row_error.map_or("n/a".into(), |e| format!("{e:.3}")),
-        );
-    }
+    let mut w = build_skew(big_rows);
+    let batches: Vec<Vec<Tuple>> = (0..txns)
+        .map(|t| {
+            (0..DELTA_K as i64)
+                .map(|i| {
+                    let x = (t * DELTA_K) as i64 + i;
+                    tuple![x % 1_000, x % GROUPS]
+                })
+                .collect()
+        })
+        .collect();
+    let r = run_scenario("skew", &mut w, &batches);
+    println!(
+        "{:>8} {:>12.2} {:>12.2} {:>9.2} {:>8} {:>6} {:>10}",
+        r.scenario,
+        r.static_ms,
+        r.adaptive_ms,
+        r.speedup(),
+        r.replans,
+        r.plan_cache_hits,
+        r.est_row_error.map_or("n/a".into(), |e| format!("{e:.3}")),
+    );
     println!();
     println!("# static_ms/adaptive_ms time propagation only (the planner-controlled slice);");
     println!("# whole-pass totals incl. Δ-apply+rollback are in the JSON as *_total_ms.");
-    println!("# Expectation: skew speedup >= 2 (estimator reorders the tied probes);");
-    println!("# bulk speedup >= 1.3 (fused merge/lookup join beats per-row hash probing).");
+    println!("# Expectation: skew speedup >= 2 (estimator reorders the tied probes).");
 
     if let Some(path) = &args.json {
         let doc = JsonValue::object()
@@ -361,12 +301,8 @@ fn main() {
                 "statistics-driven adaptive differential planning vs static activation-time plans",
             )
             .with("big_rows", big_rows)
-            .with("bulk_rows", bulk_rows)
             .with("transactions", txns)
-            .with(
-                "results",
-                JsonValue::Array(rows.iter().map(ScenarioRow::to_json).collect()),
-            );
+            .with("results", JsonValue::Array(vec![r.to_json()]));
         let mut file = std::fs::File::create(path).expect("create JSON report");
         use std::io::Write as _;
         writeln!(file, "{}", doc.to_pretty()).expect("write JSON report");

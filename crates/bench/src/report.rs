@@ -457,7 +457,7 @@ mod tests {
     fn compare_handles_planner_reports() {
         let row = |static_ms: f64, adaptive_ms: f64| {
             JsonValue::parse(&format!(
-                r#"{{"bench":"plan","results":[{{"scenario":"bulk",
+                r#"{{"bench":"plan","results":[{{"scenario":"skew",
                     "static_ms":{static_ms},"adaptive_ms":{adaptive_ms}}}]}}"#
             ))
             .unwrap()

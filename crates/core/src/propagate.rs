@@ -206,7 +206,6 @@ pub fn propagate_adaptive(
     let scans_before = shared.scan_count();
     let delta_probes_before = shared.delta_probe_count();
     let delta_scans_before = shared.delta_scan_count();
-    let merge_joins_before = shared.merge_join_count();
     let fallback_before = storage.fallback_scans_total();
     let replans_before = planner.map_or(0, AdaptivePlanner::replan_count);
     let hits_cache_before = planner.map_or(0, AdaptivePlanner::hit_count);
@@ -375,7 +374,6 @@ pub fn propagate_adaptive(
     result.metrics.scans = shared.scan_count() - scans_before;
     result.metrics.delta_probes = shared.delta_probe_count() - delta_probes_before;
     result.metrics.delta_scans = shared.delta_scan_count() - delta_scans_before;
-    result.metrics.merge_joins = shared.merge_join_count() - merge_joins_before;
     result.metrics.replans = planner.map_or(0, AdaptivePlanner::replan_count) - replans_before;
     result.metrics.plan_cache_hits =
         planner.map_or(0, AdaptivePlanner::hit_count) - hits_cache_before;

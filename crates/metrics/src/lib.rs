@@ -154,7 +154,9 @@ pub struct PassMetrics {
     pub delta_probes: u64,
     /// Unbound Δ-set scans (the seed literal of each differential).
     pub delta_scans: u64,
-    /// Sorted merge-join zipper executions (fused Δ ⋈ stored steps).
+    /// Always 0: the evaluator has no merge-join step. The field and its
+    /// JSON key stay because the benchmark harness reads them; ROADMAP
+    /// item 8 retires it.
     pub merge_joins: u64,
     /// Probes that silently fell back to an O(n) relation scan because
     /// no index covered the bound columns.
@@ -234,14 +236,13 @@ impl PassMetrics {
         );
         let _ = writeln!(
             out,
-            "  planning: replans={} plan_cache_hits={} probes={} scans={} delta_probes={} delta_scans={} merge_joins={} fallback_scans={} pruned_differentials={}",
+            "  planning: replans={} plan_cache_hits={} probes={} scans={} delta_probes={} delta_scans={} fallback_scans={} pruned_differentials={}",
             self.replans,
             self.plan_cache_hits,
             self.probes,
             self.scans,
             self.delta_probes,
             self.delta_scans,
-            self.merge_joins,
             self.fallback_scans,
             self.pruned_differentials
         );
@@ -319,7 +320,7 @@ mod tests {
             scans: 2,
             delta_probes: 6,
             delta_scans: 1,
-            merge_joins: 1,
+            merge_joins: 0,
             fallback_scans: 1,
             fallback_sites: vec!["stock[1]".into()],
             pruned_differentials: 2,
@@ -337,7 +338,7 @@ mod tests {
         assert!(doc.contains(r#""failed_actions":["order_rule: order service down"]"#));
         assert!(doc.contains(r#""est_rows":4.5"#));
         assert!(doc.contains(r#""replans":1,"plan_cache_hits":3,"#));
-        assert!(doc.contains(r#""delta_scans":1,"merge_joins":1,"#));
+        assert!(doc.contains(r#""delta_scans":1,"merge_joins":0,"#));
         assert!(doc.contains(r#""fallback_scans":1,"fallback_sites":["stock[1]"]"#));
         assert!(doc.contains(r#""pruned_differentials":2"#));
     }
@@ -351,7 +352,8 @@ mod tests {
         assert!(text.contains("accepted=4 rejected=1"));
         assert!(text.contains("FAILED action order_rule"));
         assert!(text.contains("replans=1 plan_cache_hits=3"));
-        assert!(text.contains("merge_joins=1"));
+        assert!(text.contains("delta_scans=1 fallback_scans=1"));
+        assert!(!text.contains("merge_joins"));
         assert!(text.contains("pruned_differentials=2"));
         assert!(text.contains("est-rows=4.50 actual=5"));
         assert!(text.contains("FALLBACK scan at stock[1]"));

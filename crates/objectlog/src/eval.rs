@@ -67,7 +67,6 @@ pub struct EvalShared {
     scans: AtomicU64,
     delta_probes: AtomicU64,
     delta_scans: AtomicU64,
-    merge_joins: AtomicU64,
 }
 
 impl Default for EvalShared {
@@ -97,7 +96,6 @@ impl EvalShared {
             scans: AtomicU64::new(0),
             delta_probes: AtomicU64::new(0),
             delta_scans: AtomicU64::new(0),
-            merge_joins: AtomicU64::new(0),
         }
     }
 
@@ -149,18 +147,7 @@ impl EvalShared {
     pub fn delta_scan_count(&self) -> u64 {
         self.delta_scans.load(Ordering::Relaxed)
     }
-
-    /// Cumulative sorted merge-join zipper executions.
-    pub fn merge_join_count(&self) -> u64 {
-        self.merge_joins.load(Ordering::Relaxed)
-    }
 }
-
-/// When the Δ side of a merge join outnumbers the stored arrangement by
-/// this factor, skip sorting it and binary-search each Δ tuple into the
-/// stored blocks instead: `O(|Δ|·log s)` beats the `O(|Δ|·log |Δ|)`
-/// arrange once `s ≪ |Δ|` (the bulk-load-against-tiny-companion shape).
-const LOOKUP_JOIN_FACTOR: usize = 8;
 
 /// Up to this many Δ tuples under an old-state view, a probe pays the
 /// view's O(|Δ|) walk itself (the paper's common case: a small
@@ -882,87 +869,6 @@ impl Exec<'_, '_> {
                 let value = op.apply(l, r)?;
                 self.with_unified([(result, &value)].into_iter(), |exec| exec.step(next))
             }
-            PlanStep::MergeJoin {
-                delta_pred,
-                polarity,
-                delta_args,
-                rel,
-                stored_args,
-                delta_cols,
-                rel_cols,
-                ..
-            } => {
-                // Only differential plans carry Δ-literals, and those run
-                // in the new epoch; the fusion gate additionally required
-                // the stored side to be epoch-`New`.
-                debug_assert_eq!(self.outer_epoch, StateEpoch::New);
-                let Some(delta) = ctx.deltas.get(delta_pred) else {
-                    return Ok(()); // no Δ-set: the join is empty
-                };
-                ctx.shared.merge_joins.fetch_add(1, Ordering::Relaxed);
-                let dside = delta.side(*polarity);
-                if dside.is_empty() {
-                    return Ok(());
-                }
-                // Continue with one Δ tuple joined to its stored block.
-                // Both are unified against the full argument lists, so
-                // constants and repeated variables outside the join key
-                // still filter.
-                let join = |exec: &mut Self, dtu: &Tuple, block: &[Tuple]| {
-                    exec.with_unified(delta_args.iter().zip(dtu.values()), |exec| {
-                        exec.for_each_unified(next, stored_args, block)
-                    })
-                };
-                if ctx.state(*rel, StateEpoch::New).delta_len() > 0 {
-                    // Layers correct this relation and the stored-side
-                    // arrangement bypasses them; probe through the view
-                    // per Δ tuple instead. (No plan run under layers is
-                    // fused today — fusion needs the planner statistics
-                    // only differencing plans get — but a recursive
-                    // function's frontier rounds do put a Δ-literal
-                    // under a session's layers, so the step stays exact.)
-                    return delta.try_for_each_seed(*polarity, |dtu| {
-                        self.with_unified(delta_args.iter().zip(dtu.values()), |exec| {
-                            exec.stored_step(next, *rel, StateEpoch::New, stored_args)
-                        })
-                    });
-                }
-                let sarr = ctx.storage.relation(*rel).arrangement(rel_cols);
-                if sarr.is_empty() {
-                    return Ok(());
-                }
-                if dside.len() > LOOKUP_JOIN_FACTOR * sarr.len() {
-                    // Asymmetric: the Δ side dwarfs the stored
-                    // arrangement, so sorting it would dominate the
-                    // join. Binary-search each Δ tuple into the stored
-                    // blocks instead — O(|Δ|·log s) beats O(|Δ|·log |Δ|).
-                    return delta.try_for_each_seed(*polarity, |dtu| {
-                        join(self, dtu, sarr.equal_range_on(dtu, delta_cols))
-                    });
-                }
-                let darr = delta.arrangement(*polarity, delta_cols);
-                let (dt, st) = (darr.tuples(), sarr.tuples());
-                let (mut i, mut j) = (0, 0);
-                while i < dt.len() && j < st.len() {
-                    use std::cmp::Ordering as Ord_;
-                    match amos_storage::arrangement::cmp_on_cols(
-                        &dt[i], delta_cols, &st[j], rel_cols,
-                    ) {
-                        Ord_::Less => i += 1,
-                        Ord_::Greater => j += 1,
-                        Ord_::Equal => {
-                            let di_end = darr.block_end(i);
-                            let sj_end = sarr.block_end(j);
-                            for dtu in &dt[i..di_end] {
-                                join(self, dtu, &st[j..sj_end])?;
-                            }
-                            i = di_end;
-                            j = sj_end;
-                        }
-                    }
-                }
-                Ok(())
-            }
             PlanStep::Unify { lhs, rhs } => {
                 // Bind the unresolved side to the other's value (a test
                 // when both resolve).
@@ -984,7 +890,7 @@ impl Exec<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clause::{ClauseBuilder, Term};
+    use crate::clause::{Clause, ClauseBuilder, Term};
     use amos_storage::Polarity;
     use amos_types::{tuple, ArithOp, CmpOp, TypeId};
     use std::sync::Arc;
@@ -1100,126 +1006,94 @@ mod tests {
         assert_eq!(out, [tuple![1, 3]].into_iter().collect());
     }
 
-    /// The fused merge-join step computes exactly what the unfused
-    /// Δ-scan + probe pair computes — including residual constraints
-    /// (a repeated variable on the Δ side) that are outside the join
-    /// key — and bumps the `merge_joins` counter.
-    #[test]
-    fn merge_join_matches_unfused_pair() {
+    /// Compiles `clause` under bulk statistics (|Δ| = 100 000 against a
+    /// three-row `r`) and under `compile_clause`, and checks that the two
+    /// plans differ in shape yet both return exactly `heads` for `delta`.
+    /// `r` = {(1,2), (2,3), (1,9)}.
+    fn assert_bulk_plan_matches_static(
+        mut f: Fixture,
+        clause: &Clause,
+        delta: Vec<Tuple>,
+        heads: Vec<Tuple>,
+    ) {
         use crate::plan::{compile_clause_with, PlanStats};
 
         struct BulkStats;
         impl PlanStats for BulkStats {
             fn cardinality(&self, _rel: RelId) -> Option<f64> {
-                Some(4.0)
+                Some(3.0)
             }
             fn ndv(&self, _rel: RelId, _col: usize) -> Option<f64> {
-                Some(4.0)
+                Some(3.0)
             }
             fn delta_len(&self, _pred: PredId, _polarity: Polarity) -> Option<f64> {
                 Some(100_000.0)
             }
         }
 
-        let mut f = fixture();
-        // Δp/Δ₊q ← Δ₊q(X,X) ∧ r(X,Z): repeated variable X on the Δ side.
-        let diff = ClauseBuilder::new(2)
+        f.storage.insert(RelId(1), tuple![1, 9]).unwrap();
+
+        let bulk = compile_clause_with(&f.catalog, clause, &HashSet::new(), &BulkStats).unwrap();
+        let fixed = compile_clause(&f.catalog, clause, &HashSet::new()).unwrap();
+        assert_ne!(bulk.steps, fixed.steps, "the statistics reorder the pair");
+
+        let mut deltas = DeltaMap::new();
+        let mut d = DeltaSet::new();
+        delta.into_iter().for_each(|t| d.apply_insert(t));
+        deltas.insert(f.q, d);
+        let ctx = EvalContext::new(&f.storage, &f.catalog, &deltas);
+        let run = |plan: &Plan| -> HashSet<Tuple> {
+            let mut out = Vec::new();
+            ctx.plan_heads(plan, StateEpoch::New, 0, &mut out).unwrap();
+            out.into_iter().collect()
+        };
+        let expected: HashSet<Tuple> = heads.into_iter().collect();
+        assert_eq!(run(&bulk), expected, "{}", bulk.render(&f.catalog));
+        assert_eq!(run(&fixed), expected, "{}", fixed.render(&f.catalog));
+    }
+
+    /// Δp/Δ₊q ← Δ₊q(X,X) ∧ r(X,Z): the plan bulk statistics pick (scan
+    /// `r`, probe the Δ-set) and the static Δ-scan + probe pair agree,
+    /// including the repeated variable `X` on the Δ side, which only a
+    /// residual test filters.
+    #[test]
+    fn merge_join_matches_unfused_pair() {
+        let f = fixture();
+        let clause = ClauseBuilder::new(2)
             .head([Term::var(0), Term::var(1)])
             .delta(f.q, Polarity::Plus, [Term::var(0), Term::var(0)])
             .pred(f.r, [Term::var(0), Term::var(1)])
             .build();
-
-        let fused = compile_clause_with(&f.catalog, &diff, &HashSet::new(), &BulkStats).unwrap();
-        assert!(
-            matches!(fused.steps[0], PlanStep::MergeJoin { .. }),
-            "{:?}",
-            fused.steps
+        // (1,2) fails the repeated-variable test; (1,1) joins two r rows.
+        assert_bulk_plan_matches_static(
+            f,
+            &clause,
+            vec![tuple![1, 1], tuple![2, 2], tuple![1, 2]],
+            vec![tuple![1, 2], tuple![1, 9], tuple![2, 3]],
         );
-        let unfused = compile_clause(&f.catalog, &diff, &HashSet::new()).unwrap();
-        assert!(!unfused
-            .steps
-            .iter()
-            .any(|s| matches!(s, PlanStep::MergeJoin { .. })));
-
-        let mut deltas = DeltaMap::new();
-        let mut d = DeltaSet::new();
-        d.apply_insert(tuple![1, 1]); // matches X=X, joins r(1,2)
-        d.apply_insert(tuple![2, 2]); // matches X=X, joins r(2,3)
-        d.apply_insert(tuple![1, 2]); // fails the repeated-variable test
-        deltas.insert(f.q, d);
-        f.storage.insert(RelId(1), tuple![1, 9]).unwrap(); // second block row
-
-        let ctx = EvalContext::new(&f.storage, &f.catalog, &deltas);
-        let run = |plan: &Plan| -> HashSet<Tuple> {
-            let mut out = Vec::new();
-            ctx.plan_heads(plan, StateEpoch::New, 0, &mut out).unwrap();
-            out.into_iter().collect()
-        };
-        let fused_out = run(&fused);
-        let unfused_out = run(&unfused);
-        let expected: HashSet<Tuple> = [tuple![1, 2], tuple![1, 9], tuple![2, 3]]
-            .into_iter()
-            .collect();
-        assert_eq!(fused_out, expected);
-        assert_eq!(fused_out, unfused_out);
-        assert_eq!(ctx.shared.merge_join_count(), 1, "one zipper execution");
     }
 
-    /// When the Δ side outnumbers the stored arrangement past
-    /// `LOOKUP_JOIN_FACTOR`, the merge-join step switches to the
-    /// asymmetric lookup path (no Δ sort) — which must produce exactly
-    /// the zipper's results.
+    /// Δp/Δ₊q ← Δ₊q(X,Y) ∧ r(Y,Z) with a 30-tuple Δ against the
+    /// three-row `r`: the bulk-statistics plan and the static Δ-scan +
+    /// probe pair agree.
     #[test]
     fn lookup_join_matches_unfused_pair() {
-        use crate::plan::{compile_clause_with, PlanStats};
-
-        struct BulkStats;
-        impl PlanStats for BulkStats {
-            fn cardinality(&self, _rel: RelId) -> Option<f64> {
-                Some(3.0)
-            }
-            fn ndv(&self, _rel: RelId, _col: usize) -> Option<f64> {
-                Some(3.0)
-            }
-            fn delta_len(&self, _pred: PredId, _polarity: Polarity) -> Option<f64> {
-                Some(100_000.0)
-            }
-        }
-
-        let mut f = fixture();
-        // Δp/Δ₊q ← Δ₊q(X,Y) ∧ r(Y,Z), bulk Δ against a 3-row r.
-        let diff = ClauseBuilder::new(3)
+        let f = fixture();
+        let clause = ClauseBuilder::new(3)
             .head([Term::var(0), Term::var(2)])
             .delta(f.q, Polarity::Plus, [Term::var(0), Term::var(1)])
             .pred(f.r, [Term::var(1), Term::var(2)])
             .build();
-        let fused = compile_clause_with(&f.catalog, &diff, &HashSet::new(), &BulkStats).unwrap();
-        assert!(matches!(fused.steps[0], PlanStep::MergeJoin { .. }));
-        let unfused = compile_clause(&f.catalog, &diff, &HashSet::new()).unwrap();
-
-        let mut deltas = DeltaMap::new();
-        let mut d = DeltaSet::new();
-        for i in 0..30i64 {
-            d.apply_insert(tuple![i, (i % 3) + 1]); // keys 1, 2, 3
-        }
-        deltas.insert(f.q, d);
-        f.storage.insert(RelId(1), tuple![1, 9]).unwrap();
-        // r = {(1,2), (2,3), (1,9)}: arrangement of 3 ≪ Δ of 30, so the
-        // lookup path engages (factor 8).
-
-        let ctx = EvalContext::new(&f.storage, &f.catalog, &deltas);
-        let run = |plan: &Plan| -> HashSet<Tuple> {
-            let mut out = Vec::new();
-            ctx.plan_heads(plan, StateEpoch::New, 0, &mut out).unwrap();
-            out.into_iter().collect()
-        };
-        let fused_out = run(&fused);
-        let unfused_out = run(&unfused);
-        assert_eq!(fused_out, unfused_out);
-        // Key 3 never matches; keys 1 and 2 each match 10 Δ tuples,
-        // key 1 twice over (r has two rows under it).
-        assert_eq!(fused_out.len(), 30);
-        assert_eq!(ctx.shared.merge_join_count(), 1);
+        // Keys 1, 2, 3: key 3 never matches, key 1 matches twice over.
+        let delta = (0..30i64).map(|i| tuple![i, (i % 3) + 1]).collect();
+        let heads = (0..30i64)
+            .flat_map(|i| match i % 3 {
+                0 => vec![tuple![i, 2], tuple![i, 9]],
+                1 => vec![tuple![i, 3]],
+                _ => vec![],
+            })
+            .collect();
+        assert_bulk_plan_matches_static(f, &clause, delta, heads);
     }
 
     #[test]

@@ -101,34 +101,6 @@ pub enum PlanStep {
         /// Right term.
         rhs: Term,
     },
-    /// Sorted merge join fusing a Δ-literal with a stored literal: both
-    /// sides are arranged (sorted) by the aligned join-key columns and
-    /// zipped in one linear co-traversal — no per-tuple key allocation,
-    /// no hash table. Chosen by the estimator when the Δ-set is bulky
-    /// enough that arranging beats probing (run counts and sizes from
-    /// [`PlanStats::run_profile`] feed the pricing). Only emitted for
-    /// the two leading steps of an otherwise-unbound plan, in the `New`
-    /// epoch; residual constraints (constants, repeated variables) are
-    /// enforced by unification against the full tuples.
-    MergeJoin {
-        /// The influent predicate (Δ side).
-        delta_pred: PredId,
-        /// Which side of the Δ-set.
-        polarity: Polarity,
-        /// Δ-literal argument terms.
-        delta_args: Vec<Term>,
-        /// Stored predicate (base side).
-        stored_pred: PredId,
-        /// Backing relation of the base side.
-        rel: RelId,
-        /// Stored-literal argument terms.
-        stored_args: Vec<Term>,
-        /// Join-key columns on the Δ side; position `i` joins
-        /// `rel_cols[i]`.
-        delta_cols: Vec<usize>,
-        /// Join-key columns on the base side, aligned with `delta_cols`.
-        rel_cols: Vec<usize>,
-    },
 }
 
 /// A compiled, reusable execution plan for one clause under one binding
@@ -182,21 +154,6 @@ mod cost {
     /// Selectivity credited to each bound column of a Δ-literal probe
     /// (Δ-sets keep no per-column NDV, so a fixed factor stands in).
     pub const DELTA_BOUND_SELECTIVITY: f64 = 0.1;
-
-    // Merge-join pricing: arranging a side is a pointer sort (no
-    // hashing, no per-tuple key allocation), so it is priced far below
-    // the per-probe constants above; tuples already resident in sorted
-    // runs only pay a k-way merge.
-    /// Fixed overhead of setting up the two arrangements and the zipper.
-    pub const MERGE_JOIN_BASE: f64 = 4.0;
-    /// Per-tuple, per-comparison cost of sorting a side into an
-    /// arrangement.
-    pub const ARRANGE_PER_TUPLE: f64 = 0.02;
-    /// Per-tuple cost of the linear co-traversal itself.
-    pub const ZIP_PER_TUPLE: f64 = 0.01;
-    /// Δ-sets below this size never fuse — probing a handful of tuples
-    /// beats any sort.
-    pub const MERGE_JOIN_MIN_DELTA: f64 = 256.0;
 }
 
 /// Runtime statistics the cardinality-aware cost estimator draws on.
@@ -212,15 +169,6 @@ pub trait PlanStats {
     fn ndv(&self, rel: RelId, col: usize) -> Option<f64>;
     /// Live size of one side of an influent's Δ-set.
     fn delta_len(&self, pred: PredId, polarity: Polarity) -> Option<f64>;
-    /// Sorted-run layout of the relation: `(run_count, run_tuples)` —
-    /// how many immutable runs it holds and how many tuples live in
-    /// them (the rest sit in the unsorted mutable head). Feeds the
-    /// merge-join pricing: run-resident tuples arrange with a k-way
-    /// merge instead of a full sort. Defaults to `None` (layout
-    /// unknown; a full sort is assumed).
-    fn run_profile(&self, _rel: RelId) -> Option<(usize, usize)> {
-        None
-    }
 }
 
 /// The "no statistics" source: compilation uses the static cost table.
@@ -390,146 +338,6 @@ fn stored_estimate(
     }
 }
 
-/// Cost of arranging `n` tuples from scratch (a pointer sort).
-fn sort_cost(n: f64) -> f64 {
-    n * n.max(2.0).log2() * cost::ARRANGE_PER_TUPLE
-}
-
-/// Estimated cost of evaluating a Δ ⋈ stored pair over arrangements.
-/// Two execution shapes are priced and the cheaper wins: the symmetric
-/// zipper (arrange both sides, one linear zip) and the asymmetric
-/// lookup join (arrange only the stored side, binary-search each Δ
-/// tuple into it — what execution picks when the Δ side dwarfs the
-/// stored one). The stored side's [`PlanStats::run_profile`] discounts
-/// tuples already sitting in sorted runs — they pay a `log(k)` k-way
-/// merge, not a full sort.
-pub fn merge_join_estimate(delta_len: f64, card: f64, profile: Option<(usize, usize)>) -> f64 {
-    let stored_arrange = match profile {
-        Some((runs, in_runs)) => {
-            let head = (card - in_runs as f64).max(0.0);
-            let merge_ways = (runs + 1).max(2) as f64; // runs plus the sealed head
-            in_runs as f64 * merge_ways.log2() * cost::ARRANGE_PER_TUPLE + sort_cost(head)
-        }
-        None => sort_cost(card),
-    };
-    let zipper = sort_cost(delta_len) + (delta_len + card) * cost::ZIP_PER_TUPLE;
-    let lookup = delta_len * card.max(2.0).log2() * cost::ZIP_PER_TUPLE;
-    cost::MERGE_JOIN_BASE + stored_arrange + zipper.min(lookup)
-}
-
-/// Peephole pass over a freshly compiled plan: when the two leading
-/// steps are an unbound Δ access and a `New`-epoch stored access joined
-/// on at least one shared variable, and the estimator prices a sorted
-/// merge join below the probe-based pair, fuse them into one
-/// [`PlanStep::MergeJoin`].
-///
-/// The fusion is semantics-preserving for any argument shape: execution
-/// unifies each matching tuple pair against the full argument lists, so
-/// constants and repeated variables are still enforced — the join key
-/// only has to be a *subset* of the real constraints for the zipper to
-/// be a superset filter.
-fn fuse_merge_join(steps: &mut Vec<PlanStep>, stats: &dyn PlanStats) {
-    if steps.len() < 2 {
-        return;
-    }
-    // Accept (Δ-scan, stored probe) or the bulk-flipped (stored scan,
-    // Δ-probe) — whichever the greedy loop chose, the fused form is the
-    // same symmetric zipper.
-    let (d_idx, s_idx) = match (&steps[0], &steps[1]) {
-        (
-            PlanStep::Delta { bound_cols, .. },
-            PlanStep::Stored {
-                epoch: StateEpoch::New,
-                ..
-            },
-        ) if bound_cols.is_empty() => (0, 1),
-        (
-            PlanStep::Stored {
-                bound_cols,
-                epoch: StateEpoch::New,
-                ..
-            },
-            PlanStep::Delta { .. },
-        ) if bound_cols.is_empty() => (1, 0),
-        _ => return,
-    };
-    let (delta_pred, polarity, delta_args) = match &steps[d_idx] {
-        PlanStep::Delta {
-            pred,
-            polarity,
-            args,
-            ..
-        } => (*pred, *polarity, args.clone()),
-        _ => unreachable!(),
-    };
-    let (stored_pred, rel, stored_args) = match &steps[s_idx] {
-        PlanStep::Stored {
-            pred, rel, args, ..
-        } => (*pred, *rel, args.clone()),
-        _ => unreachable!(),
-    };
-    // Aligned join key: first occurrence of each variable shared by both
-    // literals.
-    let mut keyed: HashSet<Var> = HashSet::new();
-    let mut delta_cols = Vec::new();
-    let mut rel_cols = Vec::new();
-    for (ci, t) in delta_args.iter().enumerate() {
-        let Term::Var(v) = t else { continue };
-        if !keyed.insert(*v) {
-            continue;
-        }
-        if let Some(cj) = stored_args
-            .iter()
-            .position(|u| matches!(u, Term::Var(w) if w == v))
-        {
-            delta_cols.push(ci);
-            rel_cols.push(cj);
-        }
-    }
-    if delta_cols.is_empty() {
-        return; // cross product — nothing to zip on
-    }
-    let (Some(d), Some(card)) = (
-        stats.delta_len(delta_pred, polarity),
-        stats.cardinality(rel),
-    ) else {
-        return; // no statistics: keep the static plan shape
-    };
-    if d < cost::MERGE_JOIN_MIN_DELTA {
-        return;
-    }
-    // Price the probe-based pair the greedy loop chose: driver side
-    // scanned, other side probed once per driver row on the shared key.
-    let hash_cost = if d_idx == 0 {
-        // Δ-scan then stored probe per Δ tuple.
-        cost::DELTA_BASE
-            + d
-            + d * (cost::PROBE_BASE + card / stats.ndv(rel, rel_cols[0]).unwrap_or(1.0).max(1.0))
-    } else {
-        // Stored scan then Δ-probe per stored row.
-        cost::SCAN_BASE
-            + card
-            + card
-                * (cost::DELTA_BASE
-                    + d * cost::DELTA_BOUND_SELECTIVITY.powi(delta_cols.len() as i32))
-    };
-    let merge_cost = merge_join_estimate(d, card, stats.run_profile(rel));
-    if merge_cost >= hash_cost {
-        return;
-    }
-    let fused = PlanStep::MergeJoin {
-        delta_pred,
-        polarity,
-        delta_args,
-        stored_pred,
-        rel,
-        stored_args,
-        delta_cols,
-        rel_cols,
-    };
-    steps.splice(0..2, [fused]);
-}
-
 /// Drop every stored membership test that an earlier step of the same
 /// plan already decided: same relation, same epoch, and arguments equal
 /// under the variable equalities the plan's own `unify var = var` steps
@@ -651,9 +459,6 @@ pub fn compile_clause_with(
     }
 
     drop_decided_steps(&mut steps, clause.n_vars);
-    if bound_at_entry.is_empty() {
-        fuse_merge_join(&mut steps, stats);
-    }
 
     Ok(Plan {
         steps,
@@ -777,20 +582,6 @@ pub fn ensure_plan_indexes(catalog: &Catalog, plan: &Plan, storage: &mut Storage
             } if !bound_cols.is_empty() && bound_cols.len() < args.len() => {
                 if let PredKind::Stored { rel, .. } = catalog.def(*pred).kind {
                     storage.ensure_index(rel, bound_cols);
-                }
-            }
-            // A merge join needs no hash index (both sides arrange
-            // lazily), but the influent's base relation keeps the
-            // Δ-join-key index for the same reason as the Δ-probe arm
-            // above: checks and old-state views probe it on that key.
-            PlanStep::MergeJoin {
-                delta_pred,
-                delta_cols,
-                delta_args,
-                ..
-            } if delta_cols.len() < delta_args.len() => {
-                if let PredKind::Stored { rel, .. } = catalog.def(*delta_pred).kind {
-                    storage.ensure_index(rel, delta_cols);
                 }
             }
             _ => {}
@@ -948,18 +739,6 @@ impl Plan {
                     rhs,
                 } => format!("compute {result} = {lhs} {op} {rhs}"),
                 PlanStep::Unify { lhs, rhs } => format!("unify {lhs} = {rhs}"),
-                PlanStep::MergeJoin {
-                    delta_pred,
-                    polarity,
-                    stored_pred,
-                    delta_cols,
-                    rel_cols,
-                    ..
-                } => format!(
-                    "merge-join {polarity}{}{delta_cols:?} ⋈ {}{rel_cols:?}",
-                    catalog.name(*delta_pred),
-                    catalog.name(*stored_pred)
-                ),
             };
             out.push_str(&format!("{i}: {line}\n"));
         }
@@ -1266,11 +1045,10 @@ mod tests {
     }
 
     /// Δ-seed costing: a bulk-load Δ against a tiny base relation no
-    /// longer Δ-seeds — the estimator flips the order and then fuses
-    /// the pair into a sorted merge join, with the key columns aligned
-    /// on the shared variable.
+    /// longer Δ-seeds — the estimator scans the four-row relation and
+    /// probes the Δ-set on the shared variable once per row.
     #[test]
-    fn bulk_delta_fuses_into_merge_join() {
+    fn bulk_delta_scans_the_small_side_and_probes_the_delta() {
         let mut cat = Catalog::new();
         let s = cat.define_stored("s", sig(2), RelId(0), 1).unwrap();
         let small = cat.define_stored("small", sig(1), RelId(1), 1).unwrap();
@@ -1286,26 +1064,9 @@ mod tests {
             deltas: vec![(s, Polarity::Plus, 100_000.0)],
         };
         let plan = compile_clause_with(&cat, &clause, &HashSet::new(), &stats).unwrap();
-        assert_eq!(plan.steps.len(), 1, "both literals fused: {:?}", plan.steps);
-        match &plan.steps[0] {
-            PlanStep::MergeJoin {
-                rel,
-                delta_cols,
-                rel_cols,
-                polarity,
-                ..
-            } => {
-                assert_eq!(*rel, RelId(1));
-                assert_eq!(*polarity, Polarity::Plus);
-                assert_eq!(delta_cols, &vec![1], "Δ side keyed on G");
-                assert_eq!(rel_cols, &vec![0], "base side keyed on G");
-            }
-            other => panic!("bulk load must fuse: {other:?}"),
-        }
-        let rendered = plan.render(&cat);
-        assert!(
-            rendered.contains("merge-join Δ+s[1] ⋈ small[0]"),
-            "{rendered}"
+        assert_eq!(
+            plan.render(&cat),
+            "0: scan small[]\n1: delta-probe Δ+s[1]\nest-rows: 40000.00\n"
         );
         // The same clause with a tiny Δ keeps the Δ-seeded probe order:
         // sorting a two-tuple Δ never beats two hash probes.
@@ -1317,61 +1078,6 @@ mod tests {
         let seeded = compile_clause_with(&cat, &clause, &HashSet::new(), &tiny).unwrap();
         assert!(matches!(seeded.steps[0], PlanStep::Delta { .. }));
         assert!(matches!(seeded.steps[1], PlanStep::Stored { .. }));
-    }
-
-    /// Fusion is a peephole over the two *leading* steps only, and a
-    /// bound entry pattern disables it (the caller's bindings turn the
-    /// pair into probes that a zipper cannot exploit).
-    #[test]
-    fn merge_join_fusion_respects_gates() {
-        let mut cat = Catalog::new();
-        let s = cat.define_stored("s", sig(2), RelId(0), 1).unwrap();
-        let small = cat.define_stored("small", sig(1), RelId(1), 1).unwrap();
-        let clause = ClauseBuilder::new(2)
-            .head([Term::var(0)])
-            .delta(s, Polarity::Plus, [Term::var(0), Term::var(1)])
-            .pred(small, [Term::var(1)])
-            .build();
-        let stats = MockStats {
-            cards: vec![(RelId(1), 4.0)],
-            ndvs: vec![(RelId(1), 0, 4.0)],
-            deltas: vec![(s, Polarity::Plus, 100_000.0)],
-        };
-        // Bound entry → no fusion.
-        let mut bound = HashSet::new();
-        bound.insert(Var(0));
-        let plan = compile_clause_with(&cat, &clause, &bound, &stats).unwrap();
-        assert!(
-            !plan
-                .steps
-                .iter()
-                .any(|s| matches!(s, PlanStep::MergeJoin { .. })),
-            "{:?}",
-            plan.steps
-        );
-        // No statistics → no fusion (static planner is reproduced).
-        let static_plan = compile_clause(&cat, &clause, &HashSet::new()).unwrap();
-        assert!(
-            !static_plan
-                .steps
-                .iter()
-                .any(|s| matches!(s, PlanStep::MergeJoin { .. })),
-            "{:?}",
-            static_plan.steps
-        );
-    }
-
-    /// The run profile feeds the pricing: a base side already laid out
-    /// in a few sorted runs arranges at a fraction of a full sort.
-    #[test]
-    fn run_profile_discounts_arranged_side() {
-        let card = 1_000_000.0;
-        let from_scratch = merge_join_estimate(10_000.0, card, None);
-        let arranged = merge_join_estimate(10_000.0, card, Some((3, 1_000_000)));
-        assert!(
-            arranged < from_scratch / 2.0,
-            "run-resident tuples must price below a full sort: {arranged} vs {from_scratch}"
-        );
     }
 
     #[test]

@@ -12,19 +12,18 @@
 //! An **arrangement** is the same idea keyed by a column subset: tuples
 //! sorted by their projection onto `cols` (ties broken by full tuple
 //! order). Equal-key blocks are contiguous, so a point probe is a
-//! `partition_point` pair and a join of two arrangements on aligned key
-//! columns is a sorted zipper — no per-tuple key allocation, no hash
-//! table. Tuples are `Arc`-interned, so building either structure moves
-//! pointers, never copies values.
+//! `partition_point` pair — no per-tuple key allocation, no hash table.
+//! [`DeltaSet`](crate::DeltaSet) arranges its sides this way for sorted
+//! seeds and Δ-probes. Tuples are `Arc`-interned, so building either
+//! structure moves pointers, never copies values.
 
 use std::cmp::Ordering;
 
 use amos_types::{FxHashSet, KeyRef, Tuple, TupleKey};
 
 /// Compare two tuples on aligned column lists (`a` on `acols` vs `b` on
-/// `bcols`), position by position. The lists must have equal length —
-/// they are the two sides of one join key.
-pub fn cmp_on_cols(a: &Tuple, acols: &[usize], b: &Tuple, bcols: &[usize]) -> Ordering {
+/// `bcols`), position by position. The lists must have equal length.
+fn cmp_on_cols(a: &Tuple, acols: &[usize], b: &Tuple, bcols: &[usize]) -> Ordering {
     debug_assert_eq!(acols.len(), bcols.len());
     for (&ca, &cb) in acols.iter().zip(bcols) {
         match a[ca].cmp(&b[cb]) {
@@ -135,8 +134,8 @@ impl<'a> IntoIterator for &'a SortedRun {
 }
 
 /// Tuples sorted by their projection onto a column subset, ties broken
-/// by full tuple order. Equal-key blocks are contiguous; probes are
-/// binary searches and arrangement–arrangement joins are zippers.
+/// by full tuple order. Equal-key blocks are contiguous and probes are
+/// binary searches.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Arrangement {
     cols: Vec<usize>,
@@ -151,11 +150,6 @@ impl Arrangement {
             cols: cols.to_vec(),
             tuples,
         }
-    }
-
-    /// The key columns this arrangement is sorted by.
-    pub fn cols(&self) -> &[usize] {
-        &self.cols
     }
 
     /// All tuples, in key order.
@@ -173,35 +167,13 @@ impl Arrangement {
         self.tuples.is_empty()
     }
 
-    /// The contiguous block of tuples that `order_of` (a tuple's key
-    /// relative to the sought one) calls equal.
-    fn block(&self, order_of: impl Fn(&Tuple) -> Ordering) -> &[Tuple] {
-        let lo = self.tuples.partition_point(|t| order_of(t).is_lt());
-        let n = self.tuples[lo..].partition_point(|t| order_of(t).is_eq());
-        &self.tuples[lo..lo + n]
-    }
-
     /// The contiguous block of tuples whose projection onto the key
     /// columns equals `key` (empty when absent).
     pub fn equal_range(&self, key: &KeyRef<'_>) -> &[Tuple] {
-        self.block(|t| key.order_of_projection(t, &self.cols))
-    }
-
-    /// The contiguous block of tuples whose key equals `probe`'s
-    /// projection onto `probe_cols` — [`equal_range`](Self::equal_range)
-    /// without materializing the key. The lookup-join fast path probes
-    /// with another relation's tuples directly, so no per-probe key
-    /// allocation happens.
-    pub fn equal_range_on(&self, probe: &Tuple, probe_cols: &[usize]) -> &[Tuple] {
-        self.block(|t| cmp_on_cols(t, &self.cols, probe, probe_cols))
-    }
-
-    /// One past the last index sharing `tuples[i]`'s key — the block
-    /// boundary a zipper advances to after emitting a match group.
-    pub fn block_end(&self, i: usize) -> usize {
-        let base = &self.tuples[i];
-        i + self.tuples[i..]
-            .partition_point(|t| cmp_on_cols(t, &self.cols, base, &self.cols) == Ordering::Equal)
+        let order_of = |t: &Tuple| key.order_of_projection(t, &self.cols);
+        let lo = self.tuples.partition_point(|t| order_of(t).is_lt());
+        let n = self.tuples[lo..].partition_point(|t| order_of(t).is_eq());
+        &self.tuples[lo..lo + n]
     }
 }
 
@@ -252,9 +224,10 @@ mod tests {
         assert_eq!(a.equal_range(&KeyRef::new(&[Value::Int(1)])).len(), 2);
         assert_eq!(a.equal_range(&KeyRef::new(&[Value::Int(3)])).len(), 1);
         assert!(a.equal_range(&KeyRef::new(&[Value::Int(9)])).is_empty());
-        // Block structure: index 0 starts key 1's block of size 2.
-        assert_eq!(a.block_end(0), 2);
-        assert_eq!(a.block_end(2), 3);
+        assert_eq!(
+            a.tuples(),
+            &[tuple![1, 20], tuple![1, 30], tuple![2, 10], tuple![3, 10]]
+        );
     }
 
     #[test]
@@ -262,18 +235,6 @@ mod tests {
         let a = Arrangement::build(vec![tuple![7, 2], tuple![8, 1], tuple![9, 2]], &[1]);
         let hits = a.equal_range(&KeyRef::new(&[Value::Int(2)]));
         assert_eq!(hits, &[tuple![7, 2], tuple![9, 2]], "ties in full order");
-    }
-
-    #[test]
-    fn equal_range_on_probes_with_foreign_tuples() {
-        let a = Arrangement::build(
-            vec![tuple![1, 30], tuple![2, 10], tuple![1, 20], tuple![3, 10]],
-            &[0],
-        );
-        // Probe with a tuple whose key lives in a different column.
-        assert_eq!(a.equal_range_on(&tuple![99, 1], &[1]).len(), 2);
-        assert_eq!(a.equal_range_on(&tuple![99, 3], &[1]).len(), 1);
-        assert!(a.equal_range_on(&tuple![99, 7], &[1]).is_empty());
     }
 
     #[test]

@@ -65,10 +65,10 @@ type ArrangementCache = RwLock<Vec<(Polarity, Vec<usize>, Arc<Arrangement>)>>;
 /// Carries a cache of lazy per-column-set [`Arrangement`]s so that a
 /// Δ-literal scheduled *after* binding literals (the adaptive planner's
 /// scan-then-probe order for bulk loads) probes the Δ-set by binary
-/// search instead of scanning it, and so that a merge join can zipper
-/// the Δ-side against a base-relation arrangement without building any
-/// hash table. The cache is execution state, not value state: it is
-/// invalidated by every mutation and excluded from `Clone`/`PartialEq`.
+/// search instead of scanning it, and so that a bulk seed is visited in
+/// tuple order (see [`try_for_each_seed`](Self::try_for_each_seed)). The
+/// cache is execution state, not value state: it is invalidated by every
+/// mutation and excluded from `Clone`/`PartialEq`.
 #[derive(Debug, Default)]
 pub struct DeltaSet {
     plus: FxHashSet<Tuple>,
@@ -342,10 +342,9 @@ impl DeltaSet {
     }
 
     /// The side's tuples arranged (sorted) by `cols`, built lazily and
-    /// cached until the next mutation. The Δ-side input of a merge join
-    /// — unlike [`probe_into`](Self::probe_into) this always arranges: the
-    /// caller wants the whole sorted sequence, not one key block.
-    pub fn arrangement(&self, polarity: Polarity, cols: &[usize]) -> Arc<Arrangement> {
+    /// cached until the next mutation — unlike
+    /// [`probe_into`](Self::probe_into) this always arranges.
+    fn arrangement(&self, polarity: Polarity, cols: &[usize]) -> Arc<Arrangement> {
         if let Ok(cache) = self.indexes.read() {
             if let Some((.., a)) = cache.iter().find(|(p, c, _)| *p == polarity && c == cols) {
                 return Arc::clone(a);

@@ -15,9 +15,7 @@
 //! also drains tombstones). Reads merge on the fly: membership is one
 //! hash probe plus a binary search per run; scans chain the head with
 //! the tombstone-filtered runs. The layout is what makes Δ-application
-//! and checkpointing linear passes, and it feeds the merge-join planner:
-//! [`arrangement`](BaseRelation::arrangement) exposes the content sorted
-//! by any column subset, cached until the next mutation.
+//! and checkpointing linear passes.
 //!
 //! Hash indexes over column subsets still support the index-seeded joins
 //! the partial-differential optimizer emits: a differential binds
@@ -26,11 +24,11 @@
 //! in database size (fig. 6).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Mutex, RwLock};
 
 use amos_types::{FxHashMap, FxHashSet, KeyRef, Tuple, TupleKey, Value};
 
-use crate::arrangement::{Arrangement, SortedRun};
+use crate::arrangement::SortedRun;
 
 /// Head size at which the mutable head is sealed into a sorted run.
 /// Small enough that sealing is cheap, large enough that run counts stay
@@ -166,9 +164,8 @@ fn scan_parts<'a>(
 ///
 /// Alongside the tuples and indexes it maintains the cheap statistics the
 /// adaptive planner feeds on: per-column distinct-value counts (exact,
-/// folded in from the maintenance log on read), the run profile (run
-/// count and sizes, for merge-join pricing), and a counter of index-less
-/// `probe` calls that silently degraded to a full scan.
+/// folded in from the maintenance log on read) and a counter of
+/// index-less `probe` calls that silently degraded to a full scan.
 #[derive(Debug)]
 pub struct BaseRelation {
     name: String,
@@ -193,10 +190,6 @@ pub struct BaseRelation {
     /// reads (`&self`, possibly parallel) fold the pending op log in
     /// before reading.
     maintained: RwLock<Maintained>,
-    /// Lazily built arrangements by column subset; execution state, not
-    /// value state — invalidated by every mutation, excluded from
-    /// `Clone`.
-    arrangements: Mutex<FxHashMap<Vec<usize>, Arc<Arrangement>>>,
     /// Probes that found no matching index and fell back to a scan.
     fallback_scans: AtomicU64,
     /// Distinct column sets that triggered a fallback since the last
@@ -222,7 +215,6 @@ impl Clone for BaseRelation {
                     .map(|g| g.clone())
                     .unwrap_or_else(|e| e.into_inner().clone()),
             ),
-            arrangements: Mutex::new(FxHashMap::default()),
             fallback_scans: AtomicU64::new(self.fallback_scans.load(Ordering::Relaxed)),
             fallback_sites: Mutex::new(
                 self.fallback_sites
@@ -251,7 +243,6 @@ impl BaseRelation {
                 col_counts: vec![FxHashMap::default(); arity],
                 ..Maintained::default()
             }),
-            arrangements: Mutex::new(FxHashMap::default()),
             fallback_scans: AtomicU64::new(0),
             fallback_sites: Mutex::new(FxHashSet::default()),
         }
@@ -321,14 +312,6 @@ impl BaseRelation {
         self.runs.iter().any(|r| r.contains(t))
     }
 
-    fn invalidate_arrangements(&mut self) {
-        if let Ok(map) = self.arrangements.get_mut() {
-            if !map.is_empty() {
-                map.clear();
-            }
-        }
-    }
-
     /// Append one op to the maintenance log: a single `Vec` push and
     /// `Arc` bump, however many indexes exist — the derived state
     /// absorbs it at the next read. The cap fold bounds log memory for
@@ -373,7 +356,6 @@ impl BaseRelation {
         }
         self.live += 1;
         self.log_op(true, &t);
-        self.invalidate_arrangements();
         if self.head.len() >= self.seal_threshold {
             self.seal();
         }
@@ -393,7 +375,6 @@ impl BaseRelation {
         }
         self.live -= 1;
         self.log_op(false, t);
-        self.invalidate_arrangements();
         true
     }
 
@@ -448,11 +429,6 @@ impl BaseRelation {
         self.runs.len()
     }
 
-    /// Sizes of the immutable runs, oldest first (merge-join pricing).
-    pub fn run_sizes(&self) -> Vec<usize> {
-        self.runs.iter().map(|r| r.len()).collect()
-    }
-
     /// Tuples in the mutable head (not yet sealed).
     pub fn head_len(&self) -> usize {
         self.head.len()
@@ -489,27 +465,6 @@ impl BaseRelation {
             out.push(head);
         }
         out
-    }
-
-    /// The relation's content arranged (sorted) by `cols`, built lazily
-    /// and cached until the next mutation. This is the base-side input
-    /// of a merge join.
-    pub fn arrangement(&self, cols: &[usize]) -> Arc<Arrangement> {
-        if let Ok(cache) = self.arrangements.lock() {
-            if let Some(a) = cache.get(cols) {
-                return Arc::clone(a);
-            }
-        }
-        let a = Arc::new(Arrangement::build(self.scan().cloned().collect(), cols));
-        if let Ok(mut cache) = self.arrangements.lock() {
-            cache.insert(cols.to_vec(), Arc::clone(&a));
-        }
-        a
-    }
-
-    /// Number of cached arrangements (for tests / introspection).
-    pub fn arrangement_count(&self) -> usize {
-        self.arrangements.lock().map(|m| m.len()).unwrap_or(0)
     }
 
     /// Ensure a hash index exists over the given columns (sorted,
@@ -820,26 +775,6 @@ mod tests {
         let cloned = r.clone();
         assert_eq!(cloned.fallback_scans(), 2);
         assert_eq!(cloned.ndv(0), 1);
-    }
-
-    #[test]
-    fn arrangement_cached_and_invalidated() {
-        let mut r = BaseRelation::new("q", 2);
-        r.set_seal_threshold(2);
-        for i in 0..8 {
-            r.insert(tuple![i, i % 3]);
-        }
-        let a = r.arrangement(&[1]);
-        let zero = [Value::Int(0)];
-        assert_eq!(a.equal_range(&KeyRef::new(&zero)).len(), 3);
-        assert_eq!(r.arrangement_count(), 1);
-        assert!(Arc::ptr_eq(&a, &r.arrangement(&[1])), "cache hit");
-        r.insert(tuple![100, 0]);
-        assert_eq!(r.arrangement_count(), 0, "mutation invalidates");
-        assert_eq!(
-            r.arrangement(&[1]).equal_range(&KeyRef::new(&zero)).len(),
-            4
-        );
     }
 
     #[test]

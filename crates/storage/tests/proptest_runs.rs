@@ -6,7 +6,7 @@
 //! with `usize::MAX` never seals and behaves as a pure hash set. Under
 //! random insert/delete/seal/index interleavings every observable —
 //! mutation return values (set semantics), scan contents, cardinality,
-//! membership, statistics, index probes, arrangements, and checkpoint
+//! membership, statistics, index probes, and checkpoint
 //! snapshots — must agree between the two.
 
 use amos_storage::BaseRelation;
@@ -116,10 +116,6 @@ proptest! {
                 prop_assert_eq!(by_key, filtered, "probe [{}]={} vs scan-filter", col, k);
             }
         }
-
-        // The merge-join arrangement covers exactly the logical content.
-        let arr = lsm.arrangement(&[1]);
-        prop_assert_eq!(arr.len(), lsm.len());
 
         // Checkpoint round-trip: serializing the runs and adopting them
         // back reproduces the same relation without rehydration.
