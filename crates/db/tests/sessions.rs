@@ -1,13 +1,16 @@
 //! Session-transaction semantics over a shared engine: snapshot reads,
 //! buffered writes, first-committer-wins conflict detection, rule firing
-//! at commit, and the forwarding policy for out-of-transaction
-//! statements.
+//! at commit, the forwarding policy for out-of-transaction statements,
+//! and the exact commit/abort/fsync counts of a seeded round-robin
+//! schedule.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use amos_db::{Amos, DbError, ExecResult, SharedEngine, Value, WalConfig};
 use amos_types::Tuple;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const SCHEMA: &str = r#"
     create type item;
@@ -410,6 +413,91 @@ fn pipelined_group_commit_coalesces_fsyncs() {
         .count();
     assert_eq!(sevens, 3, "an acknowledged commit was not durable");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// K sessions advanced in strict round-robin from a seeded workload:
+/// every transaction of a round overlaps every other, so the commit /
+/// abort split is fixed by the seed, and since one thread drives them
+/// every commit waits out its own fsync. Each transaction reads
+/// `threshold` twice and decrements one item's `quantity`, 30 % of the
+/// time item 0's; an aborted transaction is counted, not retried.
+#[test]
+fn round_robin_sessions_commit_abort_and_sync_deterministically() {
+    const ITEMS: usize = 16;
+    const PER_SESSION: usize = 30;
+    for (k, expected) in [
+        (1, (30, 0, 30)),
+        (2, (56, 4, 56)),
+        (4, (100, 20, 100)),
+        (8, (169, 71, 169)),
+    ] {
+        let dir = std::env::temp_dir().join(format!("amos-sess-rr-{}-{k}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut db = Amos::new();
+        db.register_procedure("note", |_ctx, _args| Ok(()));
+        db.attach_wal(&dir, WalConfig::grouped(8)).unwrap();
+        db.execute(SCHEMA).unwrap();
+        db.execute(
+            "create rule low() as when for each item i \
+             where quantity(i) < threshold(i) do note(i);",
+        )
+        .unwrap();
+        let names: Vec<String> = (0..ITEMS).map(|i| format!(":i{i}")).collect();
+        db.execute(&format!("create item instances {};", names.join(", ")))
+            .unwrap();
+        for (i, name) in names.iter().enumerate() {
+            db.execute(&format!(
+                "set quantity({name}) = {}; set threshold({name}) = 0;",
+                1_000 + i
+            ))
+            .unwrap();
+        }
+        db.execute("activate low();").unwrap();
+        let eng = SharedEngine::new(db);
+
+        let mut rng = StdRng::seed_from_u64(42);
+        let bodies: Vec<Vec<String>> = (0..k)
+            .map(|_| {
+                (0..PER_SESSION)
+                    .map(|_| {
+                        let key = if rng.gen_bool(0.3) {
+                            0
+                        } else {
+                            rng.gen_range(0..ITEMS)
+                        };
+                        format!(
+                            "select threshold(i) for each item i; \
+                             select threshold(i) for each item i; \
+                             set quantity(:i{key}) = quantity(:i{key}) - 1;"
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        let fsyncs_before = eng.commit_metrics().wal.unwrap().fsyncs;
+        let mut sessions: Vec<_> = (0..k).map(|_| eng.session()).collect();
+        let (mut committed, mut aborted) = (0, 0);
+        for round in 0..PER_SESSION {
+            for s in sessions.iter_mut() {
+                s.execute("begin;").unwrap();
+            }
+            for (s, body) in sessions.iter_mut().zip(&bodies) {
+                s.execute(&body[round]).unwrap();
+            }
+            for s in sessions.iter_mut() {
+                match s.execute("commit;") {
+                    Ok(_) => committed += 1,
+                    Err(e) if e.is_retryable() => aborted += 1,
+                    Err(e) => panic!("unexpected error: {e}"),
+                }
+            }
+        }
+        let fsyncs = eng.commit_metrics().wal.unwrap().fsyncs - fsyncs_before;
+        assert_eq!((committed, aborted, fsyncs), expected, "{k} sessions");
+        drop(sessions);
+        drop(eng);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

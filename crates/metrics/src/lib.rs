@@ -5,12 +5,12 @@
 //! differential execution timing, candidate/rejected counters, per-level
 //! wave-front sizes, and a pass summary. The engine fills these structs
 //! in during [`propagate`](../amos_core/propagate/index.html); `explain`
-//! renders them for humans and `crates/bench` serializes them into
-//! `BENCH_*.json` artifacts via the [`json`] module.
+//! renders them for humans and the repo benchmark reads their fields.
 //!
 //! The crate is deliberately a leaf: plain data + a hand-rolled JSON
-//! writer (no registry access, so no `serde`), with no dependency on the
-//! engine's types — predicates appear here by name.
+//! value (no registry access, so no `serde`) for the benchmark's
+//! reports, with no dependency on the engine's types — predicates appear
+//! here by name.
 
 pub mod json;
 
@@ -67,22 +67,6 @@ impl DiffTiming {
     pub fn rejected(&self) -> usize {
         self.candidates - self.accepted
     }
-
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .with("diff", self.diff)
-            .with("differential", self.differential.as_str())
-            .with("affected", self.affected.as_str())
-            .with("level", self.level)
-            .with("nanos", self.nanos)
-            .with("candidates", self.candidates)
-            .with("accepted", self.accepted)
-            .with("rejected", self.rejected())
-            .with(
-                "est_rows",
-                self.est_rows.map_or(JsonValue::Null, JsonValue::from),
-            )
-    }
 }
 
 /// Wave-front shape at one level of the propagation network.
@@ -99,17 +83,6 @@ pub struct LevelStats {
     pub tasks: usize,
     /// Whether the level's tasks ran on threads (false: inline).
     pub parallel: bool,
-}
-
-impl LevelStats {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .with("level", self.level)
-            .with("active_nodes", self.active_nodes)
-            .with("wave_tuples", self.wave_tuples)
-            .with("tasks", self.tasks)
-            .with("parallel", self.parallel)
-    }
 }
 
 /// Summary of one full propagation pass (one check-phase wave).
@@ -154,9 +127,8 @@ pub struct PassMetrics {
     pub delta_probes: u64,
     /// Unbound Δ-set scans (the seed literal of each differential).
     pub delta_scans: u64,
-    /// Always 0: the evaluator has no merge-join step. The field and its
-    /// JSON key stay because the benchmark harness reads them; ROADMAP
-    /// item 8 retires it.
+    /// Always 0: the evaluator has no merge-join step. The field stays
+    /// because the benchmark harness reads it.
     pub merge_joins: u64,
     /// Probes that silently fell back to an O(n) relation scan because
     /// no index covered the bound columns.
@@ -171,54 +143,6 @@ pub struct PassMetrics {
 }
 
 impl PassMetrics {
-    /// Serialize for `BENCH_*.json` and other machine consumers.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .with("strategy", self.strategy.as_str())
-            .with("check", self.check.as_str())
-            .with("nanos", self.nanos)
-            .with("fired", self.fired)
-            .with("candidates", self.candidates)
-            .with("rejected", self.rejected)
-            .with("tabling_hits", self.tabling_hits)
-            .with("tabling_misses", self.tabling_misses)
-            .with(
-                "levels",
-                JsonValue::Array(self.levels.iter().map(LevelStats::to_json).collect()),
-            )
-            .with(
-                "differentials",
-                JsonValue::Array(self.differentials.iter().map(DiffTiming::to_json).collect()),
-            )
-            .with(
-                "failed_actions",
-                JsonValue::Array(
-                    self.failed_actions
-                        .iter()
-                        .map(|s| JsonValue::from(s.as_str()))
-                        .collect(),
-                ),
-            )
-            .with("replans", self.replans)
-            .with("plan_cache_hits", self.plan_cache_hits)
-            .with("probes", self.probes)
-            .with("scans", self.scans)
-            .with("delta_probes", self.delta_probes)
-            .with("delta_scans", self.delta_scans)
-            .with("merge_joins", self.merge_joins)
-            .with("fallback_scans", self.fallback_scans)
-            .with(
-                "fallback_sites",
-                JsonValue::Array(
-                    self.fallback_sites
-                        .iter()
-                        .map(|s| JsonValue::from(s.as_str()))
-                        .collect(),
-                ),
-            )
-            .with("pruned_differentials", self.pruned_differentials)
-    }
-
     /// Human-readable rendering for `explain` output.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -325,22 +249,6 @@ mod tests {
             fallback_sites: vec!["stock[1]".into()],
             pruned_differentials: 2,
         }
-    }
-
-    #[test]
-    fn json_shape_is_stable() {
-        let doc = sample().to_json().to_compact();
-        assert!(doc.starts_with(r#"{"strategy":"parallel","check":"strict","nanos":1500000"#));
-        assert!(doc.contains(r#""levels":[{"level":0,"active_nodes":2"#));
-        assert!(doc.contains(r#""rejected":1,"#));
-        assert!(doc.contains(r#""tabling_hits":4,"tabling_misses":2,"#));
-        assert!(doc.contains(r#""differential":"Δcnd/Δ₊quantity""#));
-        assert!(doc.contains(r#""failed_actions":["order_rule: order service down"]"#));
-        assert!(doc.contains(r#""est_rows":4.5"#));
-        assert!(doc.contains(r#""replans":1,"plan_cache_hits":3,"#));
-        assert!(doc.contains(r#""delta_scans":1,"merge_joins":0,"#));
-        assert!(doc.contains(r#""fallback_scans":1,"fallback_sites":["stock[1]"]"#));
-        assert!(doc.contains(r#""pruned_differentials":2"#));
     }
 
     #[test]

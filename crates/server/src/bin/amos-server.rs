@@ -7,8 +7,7 @@
 //! Optionally `--wal-dir <dir>` for durable commits (replays any
 //! existing snapshot + WAL on startup), `--max-sessions <n>` to bound
 //! the connection pool, `--script <file.osql>` to load a schema before
-//! accepting connections, and the WAL group-commit and statement-pipeline
-//! knobs below.
+//! accepting connections, and the WAL group-commit knobs below.
 
 use amos_db::{Amos, SharedEngine, WalConfig};
 use amos_server::{serve, ServerConfig};
@@ -32,9 +31,6 @@ FLAGS:
     --commit-delay-us D    max microseconds a flush leader waits for
                            stragglers before syncing a not-yet-full
                            group (default 100; 0 never waits)
-    --no-pipeline          disable statement pipelining (greedy
-                           per-connection reads, batched response
-                           flushes)
     --help                 print this text
 ";
 
@@ -81,7 +77,6 @@ fn main() {
                     std::process::exit(2);
                 })
             }
-            "--no-pipeline" => config.pipeline = false,
             "--script" => scripts.push(value("--script")),
             "--help" | "-h" => {
                 print!("{HELP}");

@@ -31,18 +31,18 @@
 //! # Statement pipelining
 //!
 //! Clients may stream many lines without waiting for `READY` between
-//! them. With [`ServerConfig::pipeline`] on (the default) the server
-//! greedily drains every *already-buffered* line after finishing one,
-//! executes them strictly in arrival order, and flushes the whole burst
-//! of response groups in one write — `N` statements per round trip
-//! instead of one, and `N` commits entering the engine back-to-back so
-//! the WAL group-commit coordinator can coalesce their fsyncs. Response
-//! order is the line order even when a mid-burst statement fails with
-//! `ERR`: every line still gets its response group and its `READY`, so
-//! the client can pair requests to responses by counting `READY`s. At
-//! most [`ServerConfig::max_pipeline`] lines are drained per burst;
-//! beyond that the server flushes and returns to the socket, so a
-//! client that never reads cannot buffer responses without bound.
+//! them. The server greedily drains every *already-buffered* line after
+//! finishing one, executes them strictly in arrival order, and flushes
+//! the whole burst of response groups in one write — `N` statements per
+//! round trip instead of one, and `N` commits entering the engine
+//! back-to-back so the WAL group-commit coordinator can coalesce their
+//! fsyncs. Response order is the line order even when a mid-burst
+//! statement fails with `ERR`: every line still gets its response group
+//! and its `READY`, so the client can pair requests to responses by
+//! counting `READY`s. At most [`ServerConfig::max_pipeline`] lines are
+//! drained per burst; beyond that the server flushes and returns to the
+//! socket, so a client that never reads cannot buffer responses without
+//! bound (`max_pipeline: 1` flushes after every line).
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -59,11 +59,10 @@ pub struct ServerConfig {
     /// (in the accept loop, before a session is created) until a slot
     /// frees up. The pool bounds engine-lock contention, not memory.
     pub max_sessions: usize,
-    /// Statement pipelining: greedily execute every already-buffered
-    /// input line and flush the burst's responses in one write.
-    pub pipeline: bool,
-    /// Pipelining backpressure: lines drained per burst before the
-    /// server flushes and yields back to the socket.
+    /// Statement pipelining: lines drained per burst — every
+    /// already-buffered input line is executed and the burst's responses
+    /// flushed in one write — before the server yields back to the
+    /// socket (1: flush after every line).
     pub max_pipeline: usize,
 }
 
@@ -71,7 +70,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_sessions: 64,
-            pipeline: true,
             max_pipeline: 128,
         }
     }
@@ -210,8 +208,7 @@ fn serve_connection(
         // already read from the socket, so this never blocks; a complete
         // buffered line is required, since `read_line` would otherwise
         // block waiting for its terminator.
-        let more_buffered =
-            config.pipeline && burst < config.max_pipeline && reader.buffer().contains(&b'\n');
+        let more_buffered = burst < config.max_pipeline && reader.buffer().contains(&b'\n');
         if !more_buffered {
             w.flush()?;
             burst = 0;
