@@ -120,11 +120,8 @@ pub struct PropagationResult {
     pub condition_deltas: HashMap<PredId, DeltaSet>,
     /// Which differentials executed, in execution order (explainability).
     pub fired: Vec<FiredDifferential>,
-    /// Total candidate tuples produced by differentials (before checks).
-    pub candidates: usize,
-    /// Candidates rejected by §7.2 checks.
-    pub rejected: usize,
-    /// Instrumentation for this pass (timings, wave-front sizes).
+    /// Instrumentation for this pass (timings, wave-front sizes, the
+    /// candidate and rejection counts).
     pub metrics: PassMetrics,
 }
 
@@ -319,8 +316,8 @@ pub fn propagate_adaptive(
         for (task, output) in tasks.iter().zip(outputs) {
             let output = output?;
             let diff = network.differential(task.diff);
-            result.candidates += output.candidates;
-            result.rejected += output.candidates - output.accepted.len();
+            result.metrics.candidates += output.candidates;
+            result.metrics.rejected += output.candidates - output.accepted.len();
             result.metrics.differentials.push(DiffTiming {
                 diff: task.diff.0 as usize,
                 differential: diff.display_name(catalog),
@@ -366,8 +363,6 @@ pub fn propagate_adaptive(
         result.condition_deltas.insert(*cond, delta);
     }
     result.metrics.fired = result.fired.len();
-    result.metrics.candidates = result.candidates;
-    result.metrics.rejected = result.rejected;
     result.metrics.tabling_hits = shared.tabling_hits() - hits_before;
     result.metrics.tabling_misses = shared.tabling_misses() - misses_before;
     result.metrics.probes = shared.probe_count() - probes_before;
@@ -523,7 +518,7 @@ fn close_recursive_node(
         for diff in &self_diffs {
             ctx.plan_heads(&diff.plan, StateEpoch::New, 0, &mut produced)?;
         }
-        result.candidates += produced.len();
+        result.metrics.candidates += produced.len();
         for t in produced {
             if total.insert(t.clone()) {
                 frontier.insert(t);
@@ -540,7 +535,7 @@ fn close_recursive_node(
         let old = ctx.eval_pred(node.pred, &pattern, StateEpoch::Old)?;
         let before = total.len();
         total.retain(|t| !old.contains(t));
-        result.rejected += before - total.len();
+        result.metrics.rejected += before - total.len();
     }
 
     let mut closed = DeltaSet::new();
@@ -725,7 +720,7 @@ mod tests {
         let result = pass(&f, &net, CheckLevel::Strict);
         assert!(result.condition_deltas[&f.p].is_empty());
         assert!(result.fired.is_empty());
-        assert_eq!(result.candidates, 0);
+        assert_eq!(result.metrics.candidates, 0);
     }
 
     /// A transaction with no net effect propagates no change (logical
@@ -740,7 +735,7 @@ mod tests {
         let result = pass(&f, &net, CheckLevel::Strict);
         assert!(result.condition_deltas[&f.p].is_empty());
         assert_eq!(
-            result.candidates, 0,
+            result.metrics.candidates, 0,
             "empty Δ-sets never execute differentials"
         );
     }
@@ -791,7 +786,10 @@ mod tests {
                 .contains(&tuple![1, 2]),
             "p(1,2) still derivable — deletion must be filtered"
         );
-        assert!(result.rejected > 0, "the check did reject the candidate");
+        assert!(
+            result.metrics.rejected > 0,
+            "the check did reject the candidate"
+        );
     }
 
     /// Serial and parallel strategies agree — Δ-sets, counters, and the
@@ -812,8 +810,8 @@ mod tests {
                 propagate_with(&net, &f.catalog, &f.storage, check, ExecStrategy::Parallel)
                     .unwrap();
             assert_eq!(serial.condition_deltas, parallel.condition_deltas);
-            assert_eq!(serial.candidates, parallel.candidates);
-            assert_eq!(serial.rejected, parallel.rejected);
+            assert_eq!(serial.metrics.candidates, parallel.metrics.candidates);
+            assert_eq!(serial.metrics.rejected, parallel.metrics.rejected);
             assert_eq!(
                 serial.fired.iter().map(|fd| fd.diff).collect::<Vec<_>>(),
                 parallel.fired.iter().map(|fd| fd.diff).collect::<Vec<_>>(),
@@ -855,8 +853,6 @@ mod tests {
         assert_eq!(m.strategy, "parallel");
         assert_eq!(m.check, "strict");
         assert_eq!(m.fired, result.fired.len());
-        assert_eq!(m.candidates, result.candidates);
-        assert_eq!(m.rejected, result.rejected);
         // Both base relations changed at level 0, each with a positive
         // and a negative differential into p (full diff scope); the wave
         // then reaches p's level, which has no out-edges.
@@ -869,7 +865,7 @@ mod tests {
         assert_eq!(m.levels[1].tasks, 0);
         assert_eq!(m.differentials.len(), 4);
         let total: usize = m.differentials.iter().map(|d| d.candidates).sum();
-        assert_eq!(total, result.candidates);
+        assert_eq!(total, m.candidates);
         assert!(m
             .differentials
             .iter()

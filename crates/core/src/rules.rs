@@ -773,8 +773,8 @@ impl RuleManager {
             MonitorMode::Incremental => {
                 let result = self.run_propagation(catalog, storage)?;
                 self.stats.differentials_executed += result.fired.len();
-                self.stats.tuples_produced += result.candidates;
-                self.stats.tuples_rejected += result.rejected;
+                self.stats.tuples_produced += result.metrics.candidates;
+                self.stats.tuples_rejected += result.metrics.rejected;
                 self.last_trace.fired.extend(result.fired);
                 self.last_metrics = Some(result.metrics);
                 condition_deltas = result.condition_deltas;
@@ -811,8 +811,8 @@ impl RuleManager {
                 let propagated = if want_incremental {
                     let result = self.run_propagation(catalog, storage)?;
                     self.stats.differentials_executed += result.fired.len();
-                    self.stats.tuples_produced += result.candidates;
-                    self.stats.tuples_rejected += result.rejected;
+                    self.stats.tuples_produced += result.metrics.candidates;
+                    self.stats.tuples_rejected += result.metrics.rejected;
                     self.last_trace.fired.extend(result.fired);
                     self.last_metrics = Some(result.metrics);
                     Some(result.condition_deltas)
