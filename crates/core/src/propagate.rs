@@ -169,8 +169,8 @@ pub fn propagate_with(
 /// and checks consult storage only, the merged Δ-sets are identical
 /// either way.
 ///
-/// `shared` is caller-owned evaluator state (plan cache, old-state
-/// indexes, derived-call memo table). The rule manager passes a
+/// `shared` is caller-owned evaluator state (plan cache, derived-call
+/// memo table). The rule manager passes a
 /// long-lived [`EvalShared`] so plan compilations survive across passes
 /// and tabled derived-call results are shared by every differential of
 /// the pass — the paper's cross-differential sharing, realized at the

@@ -265,8 +265,8 @@ pub struct RuleManager {
     #[cfg(feature = "fault-injection")]
     fault_plan: Option<Arc<amos_storage::fault::FaultPlan>>,
     /// Long-lived shared evaluator state: compiled plans survive across
-    /// check phases; per-pass state (old-state indexes, derived-call
-    /// memo) is reset at every pass boundary. Replaced wholesale on
+    /// check phases; per-pass state (the derived-call memo) is reset at
+    /// every pass boundary. Replaced wholesale on
     /// network rebuilds, which invalidate compiled plans.
     eval_shared: Arc<EvalShared>,
     /// Statistics-driven differential plan cache with wave-front
@@ -753,9 +753,9 @@ impl RuleManager {
     /// One monitoring pass: compute each condition's net delta (per the
     /// mode), fold into the per-rule triggered sets, and record traces.
     fn update_triggered(&mut self, catalog: &Catalog, storage: &Storage) -> Result<(), CoreError> {
-        // Storage changed since the previous pass: evict per-pass shared
-        // evaluator state (old-state indexes, derived-call memo) so this
-        // pass cannot observe stale results. Compiled plans survive.
+        // Storage changed since the previous pass: evict the derived-call
+        // memo so this pass cannot observe stale results. Compiled plans
+        // survive.
         self.eval_shared.reset_pass();
         // Compute per-condition deltas. Deltas obtained from (nervous)
         // propagation may over-report insertions and need the strict

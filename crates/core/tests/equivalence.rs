@@ -6,16 +6,18 @@
 //! adaptive plans, the derived-call memo, sorted runs, semantic pruning
 //! — must not show in what a pass reports. One generator draws a
 //! [`Case`]: a condition shape, base contents, one to three update
-//! transactions, optionally a bulk block past the inline threshold, and
-//! a seal threshold. [`drive`] runs the cases through one [`Axis`], and
-//! each axis is one `#[test]` line. Every axis meets every shape, and
-//! `drive` asserts that the mechanism the axis exists to check engaged
-//! at least once.
+//! transactions, optionally a bulk block past the inline threshold that
+//! the next transaction partly deletes, and a seal threshold. [`drive`]
+//! runs the cases through one [`Axis`], and each axis is one `#[test]`
+//! line. Every axis meets every shape, and `drive` asserts that the
+//! mechanism the axis exists to check engaged at least once, and that
+//! an old-state read probed a Δ-set through its arrangement.
 //!
 //! Three named tests pin exact facts the generator would only sample:
 //! an 800-tuple wave on threads, the output order of a bulk pass, and
 //! the adaptive planner's probe counts on skewed data.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -51,6 +53,9 @@ const CARTESIAN: u8 = 6;
 /// The fewest cases an axis runs: one round of the zoo inline, one with
 /// the bulk block.
 const MIN_CASES: u32 = 2 * SHAPES as u32;
+/// How many of the bulk block's tuples the transaction after it deletes:
+/// past the 16 from which a Δ-set side is probed through its arrangement.
+const BULK_DELETED: i64 = 32;
 const CHECKS: [CheckLevel; 3] = [Raw, Nervous, Strict];
 const STRATEGIES: [ExecStrategy; 2] = [Serial, Parallel];
 
@@ -170,8 +175,11 @@ type Update = (bool, bool, Pair);
 /// threaded side of the executor (`q` feeds at least two differentials
 /// in every shape). Their keys lie outside the domain and their values
 /// inside it, so every block tuple reaches the joins above it, and the
-/// later transactions run over the grown base. `seal` is the sorted-run
-/// layout's seal threshold.
+/// later transactions run over the grown base. The second transaction,
+/// which a bulk case always has, deletes [`BULK_DELETED`] of them, so
+/// its old state of `q` is read through the arrangement of a large Δ₋.
+/// `seal` is the sorted-run layout's seal threshold. `arranged` records
+/// whether such a read happened.
 #[derive(Debug)]
 struct Case {
     shape: u8,
@@ -180,6 +188,7 @@ struct Case {
     batches: Vec<Vec<Update>>,
     bulk: bool,
     seal: usize,
+    arranged: Cell<bool>,
 }
 
 impl Case {
@@ -194,7 +203,10 @@ impl Case {
         let tuples = || prop::collection::vec(value(), 0..10);
         let batch = prop::collection::vec((any::<bool>(), any::<bool>(), value()), 0..15);
         let batches = prop::collection::vec(batch, 1..4);
-        let (q0, r0, batches, seal) = (tuples(), tuples(), batches, 1usize..6).generate(rng);
+        let (q0, r0, mut batches, seal) = (tuples(), tuples(), batches, 1usize..6).generate(rng);
+        if bulk && batches.len() == 1 {
+            batches.push(vec![]);
+        }
         Case {
             shape,
             q0,
@@ -202,6 +214,7 @@ impl Case {
             batches,
             bulk,
             seal,
+            arranged: Cell::default(),
         }
     }
 
@@ -277,22 +290,37 @@ impl World {
                 self.storage.delete(rel, &tuple![a, b]).unwrap();
             }
         }
+        let block = |n: i64| tuple![1000 + n, n % 5];
         if case.bulk_in(i) {
             for n in 0..INLINE_WAVE_THRESHOLD as i64 {
-                let fresh = tuple![1000 + n, n % 5];
-                self.storage.insert(self.rq, fresh).unwrap();
+                self.storage.insert(self.rq, block(n)).unwrap();
+            }
+        }
+        if case.bulk && i == 1 {
+            for n in 0..BULK_DELETED {
+                self.storage.delete(self.rq, &block(n)).unwrap();
             }
         }
     }
 
     /// Run `case`'s transactions one by one: open each, hand it to
-    /// `check`, commit it.
+    /// `check`, note whether it arranged `q`'s Δ-set, commit it.
     fn passes(&mut self, case: &Case, mut check: impl FnMut(&World, usize)) {
         for i in 0..case.batches.len() {
             self.begin(case, i);
             check(self, i);
+            self.note_arranged(case);
             self.storage.commit().unwrap();
         }
+    }
+
+    /// Record on `case` whether an old-state read of `q` went through an
+    /// arrangement of the open transaction's Δ-set. The passes read a
+    /// clone of it, so only a read through its `Undo` layer caches one.
+    fn note_arranged(&self, case: &Case) {
+        let delta = self.storage.delta(self.rq);
+        case.arranged
+            .update(|a| a || delta.is_some_and(|d| d.index_count() > 0));
     }
 
     fn pass(&self, check: CheckLevel, strategy: ExecStrategy) -> PropagationResult {
@@ -594,6 +622,7 @@ impl Axis {
                     assert_eq!(runs.contents(), hash.contents(), "pass {i}");
                     engaged |= runs.has_runs();
                     assert!(!hash.has_runs());
+                    runs.note_arranged(case);
                     runs.storage.commit().unwrap();
                     hash.storage.commit().unwrap();
                 }
@@ -639,13 +668,14 @@ impl Axis {
 /// Run `ProptestConfig::default()`'s case count (64; `PROPTEST_CASES`
 /// overrides it, down to [`MIN_CASES`]) through `axis`, and assert that
 /// every shape ran without the bulk block and every shape that takes it
-/// with it, and that the axis's mechanism engaged. A failure prints the
-/// case.
+/// with it, that the axis's mechanism engaged, and — on every axis that
+/// runs a pass — that an old-state read probed `q`'s Δ-set through its
+/// arrangement. A failure prints the case.
 fn drive(axis: Axis) {
     let cases = ProptestConfig::default().resolved_cases().max(MIN_CASES);
     let mut rng = TestRng::for_test(&format!("{axis:?}"));
     let mut ran = [[false; 2]; SHAPES as usize];
-    let mut engaged = false;
+    let (mut engaged, mut arranged) = (false, false);
     for n in 0..cases {
         let case = Case::generate(n, axis.bulk_period(), &mut rng);
         match catch_unwind(AssertUnwindSafe(|| axis.run(&case))) {
@@ -658,6 +688,7 @@ fn drive(axis: Axis) {
             }
         }
         ran[case.shape as usize][case.bulk as usize] = true;
+        arranged |= case.arranged.get();
     }
     let missed = |shape: u8| {
         let [inline, bulk] = ran[shape as usize];
@@ -670,6 +701,11 @@ fn drive(axis: Axis) {
     assert!(
         engaged,
         "{axis:?}: the mechanism never engaged in {cases} cases"
+    );
+    // A rollback runs no pass, so nothing reads an old state.
+    assert!(
+        arranged || matches!(axis, Axis::Rollback),
+        "{axis:?}: no old-state read probed an arranged Δ-set in {cases} cases"
     );
 }
 

@@ -42,16 +42,17 @@ const DEPTH_LIMIT: usize = 64;
 /// * **plan cache** — compiled clause plans per (predicate, binding
 ///   mask). Valid as long as the catalog's clauses are; the rule layer
 ///   replaces the whole `EvalShared` when the network is rebuilt.
-/// * **old-state indexes** — lazily-built hash indexes over old-state
-///   views, shared by every negative differential of the pass. Valid for
-///   one pass: the next transaction has different Δ-sets.
 /// * **memo table** — derived-call results per (predicate, binding
 ///   pattern, epoch); see [`EvalContext::eval_call`]. Valid for one
 ///   pass: storage is frozen while a pass runs.
 ///
-/// [`EvalShared::reset_pass`] clears the per-pass state (old indexes +
-/// memo) and must be called at every pass boundary when the value is
-/// reused across passes.
+/// Old-state reads need no cache here: a probe reads each Δ-layer
+/// through the arrangement its Δ-set caches until its next mutation (see
+/// [`StateView::probe_into`]).
+///
+/// [`EvalShared::reset_pass`] clears the per-pass state (the memo) and
+/// must be called at every pass boundary when the value is reused across
+/// passes.
 #[derive(Debug)]
 pub struct EvalShared {
     /// Memoize derived-predicate call results for the lifetime of the
@@ -59,7 +60,6 @@ pub struct EvalShared {
     /// at the evaluator level. Off only in [`EvalShared::untabled`].
     tabling: bool,
     plan_cache: RwLock<PlanCache>,
-    old_index: RwLock<OldIndexCache>,
     memo: RwLock<MemoTable>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -88,7 +88,6 @@ impl EvalShared {
         EvalShared {
             tabling,
             plan_cache: RwLock::new(PlanCache::default()),
-            old_index: RwLock::new(OldIndexCache::default()),
             memo: RwLock::new(MemoTable::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -99,14 +98,12 @@ impl EvalShared {
         }
     }
 
-    /// Invalidate everything that is only valid within one propagation
-    /// pass: old-state indexes (the next transaction rolls back to a
-    /// different state) and the derived-call memo table (storage mutates
-    /// between passes). The plan cache survives — plans depend only on
-    /// the catalog, and the rule layer swaps the whole `EvalShared` when
-    /// rules or the network change.
+    /// Invalidate what is only valid within one propagation pass: the
+    /// derived-call memo table (storage mutates between passes). The plan
+    /// cache survives — plans depend only on the catalog, and the rule
+    /// layer swaps the whole `EvalShared` when rules or the network
+    /// change.
     pub fn reset_pass(&self) {
-        self.old_index.write().unwrap().clear();
         self.memo.write().unwrap().clear();
     }
 
@@ -149,13 +146,6 @@ impl EvalShared {
     }
 }
 
-/// Up to this many Δ tuples under an old-state view, a probe pays the
-/// view's O(|Δ|) walk itself (the paper's common case: a small
-/// transaction); past it, one old-state scan is amortized into a hash
-/// index shared by the whole pass — this is what keeps the fig. 7
-/// workload linear instead of quadratic.
-const OLD_INDEX_MIN_DELTA: usize = 32;
-
 /// The layer stacks of a context that reads the database as it stands.
 fn no_layers() -> &'static LayerStacks<'static> {
     static EMPTY: OnceLock<LayerStacks<'static>> = OnceLock::new();
@@ -195,15 +185,6 @@ type Bindings = Vec<Option<Value>>;
 /// the cache each call would re-run the greedy optimizer.
 type PlanCache = FxHashMap<(PredId, u64), Arc<Vec<(usize, Plan)>>>;
 
-/// One lazily-built old-state hash index: probe-key projection → the
-/// matching old-state tuples.
-type OldIndex = FxHashMap<Tuple, Vec<Tuple>>;
-
-/// Cache of old-state hash indexes (see [`OLD_INDEX_MIN_DELTA`]): per
-/// relation its few probed column sets, searched linearly so that a
-/// lookup allocates no key.
-type OldIndexCache = FxHashMap<RelId, Vec<(Vec<usize>, Arc<OldIndex>)>>;
-
 /// Memo table for derived-predicate calls: full binding pattern + state
 /// epoch → the call's result set. Within one pass the database is
 /// frozen, so a derived predicate is a pure function of its pattern and
@@ -216,8 +197,7 @@ type MemoTable = FxHashMap<(PredId, Vec<Option<Value>>, StateEpoch), Arc<Vec<Tup
 /// lives only for the probe; the *matches* are appended by storage to a
 /// buffer from `pool`, returned once the step has consumed them; a
 /// [`Tuple`] is built only where one outlives the step (a head, a memo
-/// entry, an index under construction) — a fully bound literal is a
-/// membership test and builds none.
+/// entry) — a fully bound literal is a membership test and builds none.
 #[derive(Default)]
 struct Scratch {
     /// Cleared candidate buffers; nested steps and plans each hold one.
@@ -261,9 +241,9 @@ impl<'a> EvalContext<'a> {
 
     /// Build a context over existing shared cache state — the wave-front
     /// executor creates one `EvalShared` per pass and threads it through
-    /// every differential's context so plan compilations, old-state
-    /// indexes, and derived-call results are computed once per pass
-    /// instead of once per differential.
+    /// every differential's context so plan compilations and
+    /// derived-call results are computed once per pass instead of once
+    /// per differential.
     pub fn with_shared(
         storage: &'a Storage,
         catalog: &'a Catalog,
@@ -658,41 +638,10 @@ impl<'a> EvalContext<'a> {
         }
         if cols.is_empty() {
             out.extend(state.scan().cloned());
-        } else if epoch == StateEpoch::Old && state.delta_len() > OLD_INDEX_MIN_DELTA {
-            // Only the old state has a pass of probes to amortize the
-            // build over; a session's stack gets fresh caches per
-            // statement, so its probes always walk the layers.
-            if let Some(hits) = self.old_state_index(rel, cols).get(&key as &dyn TupleKey) {
-                out.extend_from_slice(hits);
-            }
         } else {
             state.probe_into(cols, &key, out);
         }
         None
-    }
-
-    /// The shared old-state index for `(rel, cols)`, building it on
-    /// first use. Probes happen on the returned `Arc` outside the lock.
-    fn old_state_index(&self, rel: RelId, cols: &[usize]) -> Arc<OldIndex> {
-        let find = |cache: &OldIndexCache| {
-            let (_, hit) = cache.get(&rel)?.iter().find(|(c, _)| c == cols)?;
-            Some(Arc::clone(hit))
-        };
-        if let Some(hit) = find(&self.shared.old_index.read().unwrap()) {
-            return hit;
-        }
-        let mut map = OldIndex::default();
-        for t in self.state(rel, StateEpoch::Old).scan() {
-            map.entry(t.project(cols)).or_default().push(t.clone());
-        }
-        // A racing task may have built it first; its (identical) index wins.
-        let mut cache = self.shared.old_index.write().unwrap();
-        find(&cache).unwrap_or_else(|| {
-            let built = Arc::new(map);
-            let entry = (cols.to_vec(), Arc::clone(&built));
-            cache.entry(rel).or_default().push(entry);
-            built
-        })
     }
 }
 
@@ -891,8 +840,9 @@ impl Exec<'_, '_> {
 mod tests {
     use super::*;
     use crate::clause::{Clause, ClauseBuilder, Term};
-    use amos_storage::Polarity;
+    use amos_storage::{Polarity, TxnVersion};
     use amos_types::{tuple, ArithOp, CmpOp, TypeId};
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     fn sig(n: usize) -> Vec<TypeId> {
@@ -1312,11 +1262,14 @@ mod tests {
         assert_eq!(shared.tabling_misses(), 2);
     }
 
-    /// Regression: a big-transaction old-state index built in one
-    /// transaction's check phase must not leak into the next
-    /// transaction, where the logical old state is different.
+    /// An old-state read answers for the transaction open now, whatever
+    /// an earlier pass read: both sides of each Δ-set hold 20 tuples, so
+    /// every layer is probed through its arrangement, and the arrangement
+    /// lives with the Δ-set rather than with the evaluator. A session
+    /// pinned before both transactions reads the same answer through a
+    /// two-layer stack, the lower layer filtered by the upper one.
     #[test]
-    fn reset_pass_evicts_stale_old_state_index() {
+    fn old_state_reads_follow_the_open_transaction() {
         let mut storage = Storage::new();
         let rs = storage.create_relation("s", 2).unwrap();
         let mut catalog = Catalog::new();
@@ -1325,37 +1278,48 @@ mod tests {
             storage.insert(rs, tuple![i, 0]).unwrap();
         }
         storage.monitor(rs);
-
-        // Transaction 1: delete everything (|Δ| = 40 > 32 forces the
-        // hash-indexed old-state path for partially-bound probes).
-        storage.begin().unwrap();
-        for i in 0..40 {
-            storage.delete(rs, &tuple![i, 0]).unwrap();
-        }
-        let deltas = DeltaMap::new();
-        let shared = Arc::new(EvalShared::default());
-        {
-            let ctx = EvalContext::with_shared(&storage, &catalog, &deltas, Arc::clone(&shared));
-            let old = ctx
-                .eval_pred(s, &[None, Some(Value::Int(0))], StateEpoch::Old)
+        let (deltas, shared) = (DeltaMap::new(), Arc::new(EvalShared::default()));
+        let probe = |ctx: &EvalContext<'_>, epoch| {
+            let hits = ctx
+                .eval_pred(s, &[None, Some(Value::Int(0))], epoch)
                 .unwrap();
-            assert_eq!(old.len(), 40);
-        }
-        storage.commit().unwrap();
+            hits.iter()
+                .map(|t| t[0].as_int().unwrap())
+                .collect::<BTreeSet<_>>()
+        };
+        // One transaction: swap the 20 keys from `gone` for 20 fresh ones
+        // from `fresh`, read the old state, commit, and keep the Δ-set as
+        // the version a pinned session undoes.
+        let mut txn = |gone: i64, fresh: i64, old: BTreeSet<i64>| {
+            storage.begin().unwrap();
+            for i in 0..20 {
+                storage.delete(rs, &tuple![gone + i, 0]).unwrap();
+                storage.insert(rs, tuple![fresh + i, 0]).unwrap();
+            }
+            shared.reset_pass();
+            let ctx = EvalContext::with_shared(&storage, &catalog, &deltas, Arc::clone(&shared));
+            assert_eq!(probe(&ctx, StateEpoch::Old), old);
+            let delta = storage.delta(rs).unwrap();
+            assert_eq!((delta.plus().len(), delta.minus().len()), (20, 20));
+            assert_eq!(delta.index_count(), 1, "the old state read Δ₋ arranged");
+            let delta = delta.clone();
+            storage.commit().unwrap();
+            delta
+        };
+        let v1 = txn(0, 100, (0..40).collect());
+        let v2 = txn(100, 200, (20..40).chain(100..120).collect());
 
-        // Transaction 2: the old state is now empty. Without the pass
-        // reset the cached index would still answer with 40 tuples.
-        storage.begin().unwrap();
-        storage.insert(rs, tuple![99, 0]).unwrap();
-        for i in 0..40 {
-            storage.insert(rs, tuple![100 + i, 1]).unwrap();
+        let versions = [(1, v1), (2, v2)].map(|(seq, d)| TxnVersion {
+            seq,
+            writes: vec![(rs, d)],
+        });
+        let stacks = LayerStacks::snapshot(&versions, None::<(&RelId, &DeltaSet)>);
+        assert_eq!(stacks.of(rs).len(), 2);
+        let ctx = EvalContext::with_layers(&storage, &catalog, &stacks);
+        assert_eq!(probe(&ctx, StateEpoch::New), (0..40).collect());
+        for v in &versions {
+            assert_eq!(v.writes[0].1.index_count(), 1, "version {}", v.seq);
         }
-        shared.reset_pass();
-        let ctx = EvalContext::with_shared(&storage, &catalog, &deltas, Arc::clone(&shared));
-        let old = ctx
-            .eval_pred(s, &[None, Some(Value::Int(0))], StateEpoch::Old)
-            .unwrap();
-        assert!(old.is_empty(), "stale old-state index leaked across passes");
     }
 
     /// Arity is not a special case of the probe path: a 0-ary literal is a

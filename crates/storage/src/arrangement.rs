@@ -168,12 +168,15 @@ impl Arrangement {
     }
 
     /// The contiguous block of tuples whose projection onto the key
-    /// columns equals `key` (empty when absent).
+    /// columns equals `key` (empty when absent): a binary search for its
+    /// start, then a forward scan to its end — blocks are short, so a
+    /// second search over the rest would cost more than it skips.
     pub fn equal_range(&self, key: &KeyRef<'_>) -> &[Tuple] {
         let order_of = |t: &Tuple| key.order_of_projection(t, &self.cols);
         let lo = self.tuples.partition_point(|t| order_of(t).is_lt());
-        let n = self.tuples[lo..].partition_point(|t| order_of(t).is_eq());
-        &self.tuples[lo..lo + n]
+        let rest = &self.tuples[lo..];
+        let n = rest.iter().take_while(|t| order_of(t).is_eq()).count();
+        &rest[..n]
     }
 }
 
@@ -228,6 +231,20 @@ mod tests {
             a.tuples(),
             &[tuple![1, 20], tuple![1, 30], tuple![2, 10], tuple![3, 10]]
         );
+
+        // Blocks of 0, 1 and several tuples, first, in the middle and last.
+        for sizes in [[3, 1, 2], [1, 3, 1], [0, 0, 0]] {
+            let t = (0..3).flat_map(|b: i64| (0..sizes[b as usize]).map(move |v| tuple![b, v]));
+            let a = Arrangement::build(t.rev().collect(), &[0]);
+            for k in -1..=3 {
+                let key = [Value::Int(k)];
+                let want = a.tuples().iter().filter(|t| t[0] == key[0]);
+                assert!(
+                    a.equal_range(&KeyRef::new(&key)).iter().eq(want),
+                    "{sizes:?} key {k}"
+                );
+            }
+        }
     }
 
     #[test]

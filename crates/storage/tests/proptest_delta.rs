@@ -131,7 +131,8 @@ proptest! {
         prop_assert!(d.delta_union(&inverse).is_empty());
     }
 
-    /// Old-state index probes agree with old-state scans.
+    /// Old-state probes — the base's index, then the Δ-set's `Δ₋` — agree
+    /// with old-state scans.
     #[test]
     fn old_probe_agrees_with_scan(init in initial_tuples(), evs in events(), key in 0i64..6) {
         let mut rel = BaseRelation::new("r", 2);

@@ -17,8 +17,11 @@
 //! deleted by one version and re-inserted by a later one, and a
 //! write-set overwriting a key a later version also changed, come up in
 //! most cases (and are pinned as unit tests in `view.rs`). Event counts
-//! are bimodal so stacks land on both sides of the evaluator's
-//! old-state-index threshold (32 Δ tuples).
+//! are bimodal so that a layer's `add` side lands on both sides of the
+//! Δ-set's arrangement cut (16 tuples a side), and the test asserts that
+//! arranged probes ran both at the top layer and below it.
+
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
 use amos_types::FxHashSet as HashSet;
 
@@ -27,17 +30,20 @@ use amos_types::{tuple, KeyRef, Tuple, Value};
 use proptest::prelude::*;
 
 const DOMAIN: i64 = 8;
+/// Whether some case probed through an arrangement [at the top layer,
+/// below it].
+static ARRANGED: [AtomicBool; 2] = [AtomicBool::new(false), AtomicBool::new(false)];
 
 fn small_tuple() -> impl Strategy<Value = Tuple> {
     (0..DOMAIN, 0..DOMAIN).prop_map(|(a, b)| tuple![a, b])
 }
 
-/// Physical events — insert (true) or delete (false) — a handful or a
-/// few dozen.
+/// Physical events — insert (true) or delete (false) — a handful, or a
+/// few dozen whose folded sides hold about 10 to 25 tuples each.
 fn events() -> impl Strategy<Value = Vec<(bool, Tuple)>> {
     prop_oneof![
         prop::collection::vec((any::<bool>(), small_tuple()), 0..6),
-        prop::collection::vec((any::<bool>(), small_tuple()), 20..48),
+        prop::collection::vec((any::<bool>(), small_tuple()), 24..64),
     ]
 }
 
@@ -69,8 +75,7 @@ fn sorted(mut v: Vec<Tuple>) -> Vec<Tuple> {
 }
 
 proptest! {
-    #[test]
-    fn layered_view_equals_replayed_model(
+    fn layered_view_cases(
         init in prop::collection::vec(small_tuple(), 0..24),
         commits in prop::collection::vec(events(), 0..5),
         write_set in prop::option::of(events()),
@@ -115,23 +120,19 @@ proptest! {
         // The model: start from what the base holds now and replay the
         // stack bottom to top.
         let mut model: HashSet<Tuple> = rel.scan().cloned().collect();
-        let mut delta_len = 0;
         let mut layers = 0;
         for v in versions.iter().rev() {
             let d = &v.writes[1].1;
             replay(&mut model, d.plus(), d.minus());
-            delta_len += d.len();
             layers += usize::from(!d.is_empty());
         }
         prop_assert_eq!(&model, &snapshot, "undoing every later commit is the snapshot");
         if let Some([(_, d)]) = &write_set {
             replay(&mut model, d.minus(), d.plus());
-            delta_len += d.len();
             layers += usize::from(!d.is_empty());
         }
         if let Some(d) = &top {
             replay(&mut model, d.plus(), d.minus());
-            delta_len += d.len();
         }
 
         let stacks = LayerStacks::snapshot(
@@ -140,7 +141,6 @@ proptest! {
         );
         prop_assert_eq!(stacks.of(RelId(0)).len(), layers);
         let view = StateView::new(&rel, stacks.of(RelId(0)), top.as_ref().map(Layer::Undo));
-        prop_assert_eq!(view.delta_len(), delta_len);
 
         let scanned: Vec<Tuple> = view.scan().cloned().collect();
         prop_assert_eq!(scanned.len(), model.len(), "scan emits each tuple once");
@@ -179,5 +179,19 @@ proptest! {
                 }
             }
         }
+        let arranged = |d: &DeltaSet| d.index_count() > 0;
+        let mut below = versions.iter().map(|v| &v.writes[1].1);
+        let below = below.any(arranged) || write_set.iter().flatten().any(|(_, d)| arranged(d));
+        ARRANGED[0].fetch_or(top.as_ref().is_some_and(arranged), Relaxed);
+        ARRANGED[1].fetch_or(below, Relaxed);
     }
+}
+
+/// The cases (64 by default; `PROPTEST_CASES` from 32 up reaches both
+/// positions), then whether arranged probes ran at both.
+#[test]
+fn layered_view_equals_replayed_model() {
+    layered_view_cases();
+    let arranged = ARRANGED.each_ref().map(|a| a.load(Relaxed));
+    assert_eq!(arranged, [true; 2], "arranged probes at [top, below]");
 }
