@@ -715,30 +715,10 @@ impl Amos {
                 }
                 Ok(ExecResult::Ok)
             }
-            Statement::Update(p) => self.autocommit(|this| {
-                let env = HashMap::new();
-                exec_proc_stmt(
-                    &mut this.storage,
-                    &this.catalog,
-                    &env,
-                    &this.iface,
-                    &this.procedures,
-                    &p,
-                )
-                .map_err(DbError::Other)
-            }),
-            Statement::CallProc { name, args } => self.autocommit(|this| {
-                let env = HashMap::new();
-                exec_proc_stmt(
-                    &mut this.storage,
-                    &this.catalog,
-                    &env,
-                    &this.iface,
-                    &this.procedures,
-                    &ProcStmt::Call { name, args },
-                )
-                .map_err(DbError::Other)
-            }),
+            Statement::Update(p) => self.autocommit(|this| this.run_proc(&p)),
+            Statement::CallProc { name, args } => {
+                self.autocommit(|this| this.run_proc(&ProcStmt::Call { name, args }))
+            }
             Statement::Select(sel) => {
                 let rows = self.run_select(&sel)?;
                 Ok(ExecResult::Rows(rows))
@@ -821,6 +801,21 @@ impl Amos {
         }
     }
 
+    /// One `set` / `add` / `remove` / procedure call against shared
+    /// storage, inside the open transaction.
+    fn run_proc(&mut self, p: &ProcStmt) -> Result<(), DbError> {
+        let env = HashMap::new();
+        exec_proc_stmt(
+            &mut self.storage,
+            &self.catalog,
+            &env,
+            &self.iface,
+            &self.procedures,
+            p,
+        )
+        .map_err(DbError::Other)
+    }
+
     /// Run `f` inside the current transaction, or wrap it in an
     /// implicit begin/commit (with check phase) when none is open —
     /// the usual active-DBMS autocommit semantics.
@@ -836,20 +831,54 @@ impl Amos {
             }
             Ok(ExecResult::Ok)
         } else {
-            self.storage.begin()?;
-            match f(self).and_then(|()| self.commit()) {
-                Ok(summary) => Ok(ExecResult::Committed(summary)),
-                Err(e) => {
-                    // A failed statement — or a failed commit (check
-                    // phase or WAL error) — leaves the implicit
-                    // transaction open; undo it so autocommit is atomic.
-                    if self.storage.in_transaction() {
-                        self.storage.rollback()?;
-                    }
-                    Err(e)
+            self.implicit_txn(|this| {
+                f(this)?;
+                this.commit()
+            })
+            .map(ExecResult::Committed)
+        }
+    }
+
+    /// Autocommit one data statement (`set` / `add` / `remove`, a
+    /// procedure call, `create … instances`) with deferred durability —
+    /// the session path for statements outside a session transaction.
+    /// Like [`Amos::commit_deferred_durability`], the caller must block
+    /// on the returned [`CommitWaiter`] after releasing the engine lock.
+    pub(crate) fn autocommit_deferred(
+        &mut self,
+        stmt: Statement,
+        at: Option<(usize, usize)>,
+    ) -> Result<(ExecResult, Option<CommitWaiter>), DbError> {
+        self.implicit_txn(|this| {
+            match stmt {
+                Statement::Update(p) => this.run_proc(&p)?,
+                Statement::CallProc { name, args } => {
+                    this.run_proc(&ProcStmt::Call { name, args })?
+                }
+                other => {
+                    this.exec_statement(other, at)?;
                 }
             }
-        }
+            let (summary, waiter) = this.commit_deferred_durability()?;
+            Ok((ExecResult::Committed(summary), waiter))
+        })
+    }
+
+    /// Open a transaction, run `f` (which commits it), and roll back if
+    /// `f` fails: a failed statement — or a failed commit (check phase
+    /// or WAL error) — leaves the implicit transaction open; undo it so
+    /// autocommit is atomic.
+    fn implicit_txn<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, DbError>,
+    ) -> Result<T, DbError> {
+        self.storage.begin()?;
+        f(self).or_else(|e| {
+            if self.storage.in_transaction() {
+                self.storage.rollback()?;
+            }
+            Err(e)
+        })
     }
 
     /// Commit the open transaction: maintain aggregates, run the

@@ -76,7 +76,8 @@ pub struct CommitMetrics {
     pub lock_hold_ns: u64,
     /// Longest single commit critical section, ns.
     pub lock_hold_ns_max: u64,
-    /// Session commits measured (read-only and conflicted included).
+    /// Session commits measured (read-only, conflicted and autocommitted
+    /// statements included).
     pub commits: u64,
 }
 
@@ -228,30 +229,19 @@ impl Session {
                  allowed inside a session transaction"
                     .to_string(),
             )),
-            // Data-mutating statements forwarded outside a transaction
-            // are wrapped in an engine transaction so they publish a
-            // TxnVersion — pinned sessions must see them as committed
-            // versions, not as silent in-place mutation.
-            Statement::CreateInstances { .. } => self.engine.with_write(|eng| {
-                eng.storage_mut().begin()?;
-                match eng
-                    .exec_statement(stmt, at)
-                    .and_then(|_| eng.commit().map(ExecResult::Committed))
-                {
-                    Ok(r) => Ok(r),
-                    Err(e) => {
-                        if eng.storage().in_transaction() {
-                            let _ = eng.storage_mut().rollback();
-                        }
-                        Err(e)
-                    }
-                }
-            }),
-            // Everything else (schema DDL, activate, autocommit updates,
-            // procedure calls, explain) behaves exactly as in
-            // single-session use, serialized under the write lock. The
-            // engine's own autocommit already wraps updates and calls in
-            // a storage transaction, which publishes versions.
+            // Data statements outside a transaction autocommit the way
+            // `commit;` does: in an engine transaction, so pinned
+            // sessions see a committed version rather than in-place
+            // mutation, and acknowledged only once the WAL has synced
+            // the batch, waited for after the write lock is released.
+            Statement::Update(_)
+            | Statement::CallProc { .. }
+            | Statement::CreateInstances { .. } => {
+                self.commit_with(|eng| eng.autocommit_deferred(stmt, at))
+            }
+            // Everything else (schema DDL, activate, explain) behaves
+            // exactly as in single-session use, serialized under the
+            // write lock.
             _ => self.engine.with_write(|eng| eng.exec_statement(stmt, at)),
         }
     }
@@ -289,20 +279,30 @@ impl Session {
 
     /// Validate against concurrently committed versions, then apply the
     /// buffered write-set and run the deferred check phase — all under
-    /// the write lock. The WAL batch only enters the group-commit buffer
-    /// inside the critical section; the fsync wait happens *after* the
-    /// write lock is released, on the returned [`CommitWaiter`], so
-    /// independent sessions coalesce their durability into one group
-    /// fsync while the next commit already holds the lock.
+    /// the write lock.
     fn commit(&mut self) -> Result<ExecResult, DbError> {
         let txn = match self.txn.take() {
             Some(t) => t,
             None => return Err(DbError::Other("no open transaction".to_string())),
         };
-        let engine = Arc::clone(&self.engine);
+        self.commit_with(|eng| Self::commit_critical(eng, &txn))
+    }
+
+    /// Run a commit critical section under the write lock, then wait
+    /// for its durability. The WAL batch only enters the group-commit
+    /// buffer inside the critical section; the fsync wait happens
+    /// *after* the write lock is released, on the returned
+    /// [`CommitWaiter`], so independent sessions coalesce their
+    /// durability into one group fsync while the next commit already
+    /// holds the lock.
+    fn commit_with(
+        &self,
+        critical: impl FnOnce(&mut Amos) -> Result<(ExecResult, Option<CommitWaiter>), DbError>,
+    ) -> Result<ExecResult, DbError> {
+        let engine = &self.engine;
         let (result, waiter) = engine.with_write(|eng| {
             let start = Instant::now();
-            let out = Self::commit_critical(eng, &txn);
+            let out = critical(eng);
             engine.note_commit_lock_hold(start.elapsed().as_nanos() as u64);
             out
         })?;

@@ -239,53 +239,41 @@ fn crash_mid_coalesced_fsync_adopts_whole_groups_only() {
     );
 }
 
-/// Crash inside a *pipelined* group commit: three threads commit
-/// disjoint keys simultaneously, the leader coalesces their batches
-/// into one flush, and the injected fault kills the disk partway
-/// through the group's records. The members that reached the disk in
-/// full are recovered; the rest are lost whole — no key ever recovers
-/// to a torn or foreign value.
+/// Crash inside a *pipelined* group commit: three commits on disjoint
+/// keys frame their batches into the group buffer before any of them
+/// waits, so the first waiter's flush round writes all three, and the
+/// injected fault kills the disk partway through the group's records.
+/// The members that reached the disk in full are recovered; the rest
+/// are lost whole — no key ever recovers to a torn or foreign value.
 #[test]
 fn pipelined_group_crash_loses_unwritten_members_whole() {
     let mut adopted_seen = std::collections::BTreeSet::new();
     for crash_after in 1..=7u64 {
         let dir = tmpdir(&format!("t{crash_after}"));
         let mut db = Amos::new();
-        db.attach_wal(
-            &dir,
-            WalConfig {
-                group_commit: 3,
-                max_delay_us: 2_000_000,
-            },
-        )
-        .unwrap();
+        db.attach_wal(&dir, WalConfig::default()).unwrap();
         schema(&mut db);
         db.checkpoint().unwrap();
         db.set_fault_plan(Arc::new(FaultPlan::wal(WalFault::CrashAfterRecords(
             crash_after,
         ))));
-        let engine = SharedEngine::new(db);
 
-        let barrier = Arc::new(std::sync::Barrier::new(3));
-        let mut handles = Vec::new();
-        for t in 0..3usize {
-            let engine = Arc::clone(&engine);
-            let barrier = Arc::clone(&barrier);
-            handles.push(std::thread::spawn(move || {
-                let mut s = engine.session();
-                s.execute(&format!("begin; set quantity(:i{t}) = {};", 1000 + t))
+        let waiters: Vec<_> = (0..3usize)
+            .map(|t| {
+                db.begin().unwrap();
+                db.execute(&format!("set quantity(:i{t}) = {};", 1000 + t))
                     .unwrap();
-                barrier.wait();
-                // The in-memory engine survives the dead disk: the
-                // commit still succeeds (and its batch may or may not
-                // have reached the file).
-                s.execute("commit;").unwrap();
-            }));
+                let (_, waiter) = db.commit_deferred_durability().unwrap();
+                waiter.expect("a WAL batch to wait on")
+            })
+            .collect();
+        // The in-memory engine survives the dead disk: every commit
+        // still succeeds (and its batch may or may not have reached
+        // the file).
+        for w in waiters {
+            w.wait().unwrap();
         }
-        for h in handles {
-            h.join().unwrap();
-        }
-        drop(engine);
+        drop(db);
 
         let mut db2 = Amos::new();
         let info = db2.attach_wal(&dir, WalConfig::default()).unwrap();

@@ -329,28 +329,19 @@ fn concurrent_threads_hot_key_all_increments_survive() {
     let _ = total_aborts;
 }
 
-/// Three sessions commit simultaneously through the pipelined commit
-/// path: the critical sections serialize (validate/apply/check under
-/// the write lock), but all three durability waits coalesce into a
-/// single group — one fsync covers the whole group, and the two
-/// non-leader waiters are acknowledged without ever touching the file.
-#[test]
-fn pipelined_group_commit_coalesces_fsyncs() {
-    let dir = std::env::temp_dir().join(format!("amos-sess-gc-{}", std::process::id()));
+fn wal_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("amos-sess-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
 
+/// An engine over `dir`'s WAL with items `:a`, `:b`, `:c` at quantities
+/// 100, 200, 300, checkpointed so later WAL counters and recovered
+/// batches cover only what the test itself commits.
+fn wal_engine(dir: &std::path::Path, config: WalConfig) -> Amos {
     let mut db = Amos::new();
-    // A generous leader delay so the test doesn't depend on scheduler
-    // timing: the first committer parks until the other two arrive.
-    db.attach_wal(
-        &dir,
-        WalConfig {
-            group_commit: 3,
-            max_delay_us: 2_000_000,
-        },
-    )
-    .unwrap();
+    db.attach_wal(dir, config).unwrap();
     db.execute(SCHEMA).unwrap();
     db.execute(
         r#"
@@ -361,57 +352,129 @@ fn pipelined_group_commit_coalesces_fsyncs() {
     "#,
     )
     .unwrap();
-    // Flush + truncate so the deltas below count only the workload.
     db.checkpoint().unwrap();
-    let eng = SharedEngine::new(db);
+    db
+}
 
-    let before = eng.commit_metrics();
-    let barrier = Arc::new(std::sync::Barrier::new(3));
-    let mut handles = Vec::new();
-    for key in ["a", "b", "c"] {
-        let eng = Arc::clone(&eng);
-        let barrier = Arc::clone(&barrier);
-        handles.push(std::thread::spawn(move || {
-            let mut s = eng.session();
-            s.execute(&format!("begin; set quantity(:{key}) = 7;"))
-                .unwrap();
-            barrier.wait();
-            s.execute("commit;").unwrap();
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    let after = eng.commit_metrics();
+/// Re-attach `dir` in a fresh engine and count the recovered tuples of
+/// `rel` that satisfy `pred`.
+fn recovered(dir: &std::path::Path, rel: &str, pred: impl Fn(&Tuple) -> bool) -> usize {
+    let mut db = Amos::new();
+    db.attach_wal(dir, WalConfig::default()).unwrap();
+    let rel = db.storage().relation_id(rel).unwrap();
+    db.storage()
+        .relation(rel)
+        .scan()
+        .filter(|t| pred(t))
+        .count()
+}
 
-    assert_eq!(after.commits - before.commits, 3);
-    assert!(after.lock_hold_ns > before.lock_hold_ns);
-    let (b, a) = (before.wal.unwrap(), after.wal.unwrap());
-    assert_eq!(a.batches - b.batches, 3);
+/// Three commits frame their batches into the group buffer under the
+/// engine lock before any of them waits: the first waiter leads one
+/// flush round that writes the whole group — one fsync — and the two
+/// followers are acknowledged without ever touching the file.
+#[test]
+fn pipelined_group_commit_coalesces_fsyncs() {
+    let dir = wal_dir("gc");
+    let mut db = wal_engine(&dir, WalConfig::default());
+    let before = db.wal_metrics().unwrap();
+    let waiters: Vec<_> = ["a", "b", "c"]
+        .iter()
+        .map(|key| {
+            db.begin().unwrap();
+            db.execute(&format!("set quantity(:{key}) = 7;")).unwrap();
+            let (_, waiter) = db.commit_deferred_durability().unwrap();
+            waiter.expect("a WAL batch to wait on")
+        })
+        .collect();
+    for w in waiters {
+        w.wait().unwrap();
+    }
+    let after = db.wal_metrics().unwrap();
+
+    assert_eq!(after.batches - before.batches, 3);
     assert_eq!(
-        a.fsyncs - b.fsyncs,
+        after.fsyncs - before.fsyncs,
         1,
         "three pipelined commits must share one fsync"
     );
     assert_eq!(
-        a.waiters_woken - b.waiters_woken,
+        after.waiters_woken - before.waiters_woken,
         2,
         "two followers must be acknowledged by the leader's flush"
     );
-    assert!(a.max_group >= 3, "group never formed: {a:?}");
+    assert!(after.max_group >= 3, "group never formed: {after:?}");
 
-    // Acked ⇒ durable: recovery sees all three writes.
-    drop(eng);
-    let mut db2 = Amos::new();
-    db2.attach_wal(&dir, WalConfig::default()).unwrap();
-    let rel = db2.storage().relation_id("quantity").unwrap();
-    let sevens = db2
-        .storage()
-        .relation(rel)
-        .scan()
-        .filter(|t| t[1] == Value::Int(7))
-        .count();
+    // Acked ⇒ durable, with no shutdown flush to help: recovery sees
+    // all three writes.
+    std::mem::forget(db);
+    let sevens = recovered(&dir, "quantity", |t| t[1] == Value::Int(7));
     assert_eq!(sevens, 3, "an acknowledged commit was not durable");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A served autocommit statement is acknowledged only once durable,
+/// whatever the embedded group-commit window: after `COMMITTED` a crash
+/// (the engine leaked, so no shutdown flush runs) loses nothing.
+#[test]
+fn served_autocommit_is_durable_when_acknowledged() {
+    let dir = wal_dir("auto");
+    let db = wal_engine(
+        &dir,
+        WalConfig {
+            group_commit: 8,
+            max_delay_us: 100,
+        },
+    );
+    let eng = SharedEngine::new(db);
+    let mut s = eng.session();
+    for stmt in ["set quantity(:a) = 7;", "create item instances :d;"] {
+        let out = s.execute(stmt).unwrap();
+        assert!(
+            matches!(out[..], [ExecResult::Committed(_)]),
+            "{stmt} was not autocommitted: {out:?}"
+        );
+    }
+    std::mem::forget(s);
+    std::mem::forget(eng);
+    assert_eq!(
+        recovered(&dir, "quantity", |t| t[1] == Value::Int(7)),
+        1,
+        "an acknowledged autocommit `set` was lost"
+    );
+    assert_eq!(
+        recovered(&dir, "item_extent", |_| true),
+        4,
+        "an acknowledged `create … instances` was lost"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A flush leader never waits for stragglers: a lone session commit is
+/// synced and acknowledged at once, whatever `WalConfig` says.
+#[test]
+fn lone_session_commit_does_not_wait_for_a_group() {
+    let dir = wal_dir("lone");
+    let db = wal_engine(
+        &dir,
+        WalConfig {
+            group_commit: 8,
+            max_delay_us: 2_000_000,
+        },
+    );
+    let eng = SharedEngine::new(db);
+    let fsyncs_before = eng.commit_metrics().wal.unwrap().fsyncs;
+    let mut s = eng.session();
+    let start = std::time::Instant::now();
+    s.execute("begin; set quantity(:a) = 7; commit;").unwrap();
+    let took = start.elapsed();
+    assert!(
+        took < std::time::Duration::from_secs(1),
+        "a lone commit took {took:?}"
+    );
+    assert_eq!(eng.commit_metrics().wal.unwrap().fsyncs - fsyncs_before, 1);
+    drop(s);
+    drop(eng);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -6,8 +6,10 @@
 //!
 //! Optionally `--wal-dir <dir>` for durable commits (replays any
 //! existing snapshot + WAL on startup), `--max-sessions <n>` to bound
-//! the connection pool, `--script <file.osql>` to load a schema before
-//! accepting connections, and the WAL group-commit knobs below.
+//! the connection pool, and `--script <file.osql>` to load a schema
+//! before accepting connections. Every commit — a session's `commit;`,
+//! a served autocommit statement, or a startup script's — is durable
+//! when it is acknowledged; concurrent session commits share fsyncs.
 
 use amos_db::{Amos, SharedEngine, WalConfig};
 use amos_server::{serve, ServerConfig};
@@ -24,13 +26,6 @@ FLAGS:
     --wal-dir DIR          durable commits: replay snapshot + WAL from
                            DIR on startup, log every commit to it
     --script FILE          run an AMOSQL schema script before serving
-    --group-commit N       WAL group-commit window: a flush leader
-                           coalesces up to N framed commit batches into
-                           one write + fsync (default 8; 1 syncs every
-                           commit individually)
-    --commit-delay-us D    max microseconds a flush leader waits for
-                           stragglers before syncing a not-yet-full
-                           group (default 100; 0 never waits)
     --help                 print this text
 ";
 
@@ -38,10 +33,6 @@ fn main() {
     let mut listen = "127.0.0.1:4640".to_string();
     let mut config = ServerConfig::default();
     let mut wal_dir: Option<String> = None;
-    let mut wal_config = WalConfig {
-        group_commit: 8,
-        max_delay_us: 100,
-    };
     let mut scripts: Vec<String> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -61,22 +52,6 @@ fn main() {
                 })
             }
             "--wal-dir" => wal_dir = Some(value("--wal-dir")),
-            "--group-commit" => {
-                wal_config.group_commit = value("--group-commit").parse().unwrap_or_else(|_| {
-                    eprintln!("--group-commit requires a positive integer");
-                    std::process::exit(2);
-                });
-                if wal_config.group_commit == 0 {
-                    eprintln!("--group-commit requires a positive integer");
-                    std::process::exit(2);
-                }
-            }
-            "--commit-delay-us" => {
-                wal_config.max_delay_us = value("--commit-delay-us").parse().unwrap_or_else(|_| {
-                    eprintln!("--commit-delay-us requires a non-negative integer");
-                    std::process::exit(2);
-                })
-            }
             "--script" => scripts.push(value("--script")),
             "--help" | "-h" => {
                 print!("{HELP}");
@@ -91,7 +66,7 @@ fn main() {
 
     let mut db = Amos::new();
     if let Some(dir) = wal_dir {
-        if let Err(e) = db.attach_wal(&dir, wal_config) {
+        if let Err(e) = db.attach_wal(&dir, WalConfig::default()) {
             eprintln!("cannot attach WAL at {dir}: {e}");
             std::process::exit(2);
         }

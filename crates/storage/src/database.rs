@@ -769,14 +769,6 @@ impl Storage {
         self.wal.as_mut()
     }
 
-    /// Flush any group-commit buffer to disk.
-    pub fn wal_flush(&mut self) -> Result<(), StorageError> {
-        match &mut self.wal {
-            Some(w) => w.flush(),
-            None => Ok(()),
-        }
-    }
-
     /// Durability counters of the attached WAL (fsyncs, group sizes,
     /// woken commit waiters). `None` when no WAL is attached.
     pub fn wal_metrics(&self) -> Option<WalMetrics> {

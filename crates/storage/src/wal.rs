@@ -30,29 +30,31 @@
 //!   have set semantics, so replaying a batch over a snapshot that
 //!   already contains its effects is a no-op.
 //!
-//! Group commit: with [`WalConfig::group_commit`] > 1 the writer buffers
-//! framed batches and writes + syncs them with one syscall when the group
-//! fills (or on [`WalWriter::flush`]/drop). This trades a bounded
-//! durability window (the buffered batches) for fewer fsyncs; the default
-//! of 1 makes every commit durable before `commit()` returns.
+//! Embedded group commit: with [`WalConfig::group_commit`] > 1,
+//! [`WalWriter::append`] buffers framed batches and writes + syncs them
+//! with one syscall when the group fills (or on [`WalWriter::flush`]/drop).
+//! This trades a bounded durability window (the buffered batches) for
+//! fewer fsyncs; the default of 1 makes every commit durable before
+//! `commit()` returns.
 //!
 //! Cross-session commit pipeline: [`WalWriter::append_buffered`] frames a
 //! batch into the shared group buffer *without* flushing and hands back a
 //! [`CommitWaiter`]. The committing session releases the engine lock and
 //! then blocks in [`CommitWaiter::wait`], where the first waiter becomes
-//! the **leader**: it drains every pending framed batch, issues one
-//! `write + fsync` for the whole group, and wakes every covered waiter —
-//! followers never touch the file. Because batches enter the buffer in
-//! `commit_seq` order under the engine lock and the leader writes them in
-//! that order, the on-disk log is always a sequence-ordered prefix of the
-//! acknowledged commits (the ack-prefix recovery invariant).
+//! the **leader**: it drains every pending framed batch at once — it never
+//! parks for stragglers — issues one `write + fsync` for the whole group,
+//! and wakes every covered waiter; followers never touch the file. Groups
+//! form from the batches appended while the previous flush was writing.
+//! Because batches enter the buffer in `commit_seq` order under the engine
+//! lock and the leader writes them in that order, the on-disk log is
+//! always a sequence-ordered prefix of the acknowledged commits (the
+//! ack-prefix recovery invariant).
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
 use amos_types::{Oid, Tuple, Value};
 
@@ -394,17 +396,15 @@ pub fn read_wal_bytes(bytes: &[u8]) -> Result<WalReadResult, StorageError> {
 /// Writer configuration.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
-    /// Number of batches buffered before a physical write + sync. 1 (the
-    /// default) makes every commit durable before it returns. In the
-    /// pipelined commit path this is the *target group size*: a flush
-    /// leader stops waiting for stragglers once this many batches are
-    /// pending.
+    /// Durability window of the embedded [`WalWriter::append`] path:
+    /// batches buffered before a physical write + sync. 1 (the default)
+    /// makes every commit durable before it returns. The pipelined path
+    /// ([`WalWriter::append_buffered`] + [`CommitWaiter::wait`]) ignores
+    /// it: a flush leader writes whatever is pending at once.
     pub group_commit: usize,
-    /// How long a pipelined flush leader waits (microseconds) for the
-    /// group to reach `group_commit` batches before writing whatever is
-    /// pending. 0 (the default) flushes immediately — groups then form
-    /// only from commits that were already pending, i.e. under actual
-    /// concurrency.
+    /// Read by nothing: flush leaders never wait for stragglers. Kept
+    /// only because the benchmark builds `WalConfig` field by field;
+    /// it goes when the benchmark stops naming it.
     pub max_delay_us: u64,
 }
 
@@ -418,7 +418,7 @@ impl Default for WalConfig {
 }
 
 impl WalConfig {
-    /// A config with the given group size and no leader delay.
+    /// A config with the given embedded group size.
     pub fn grouped(group_commit: usize) -> Self {
         WalConfig {
             group_commit,
@@ -707,13 +707,9 @@ impl WalWriter {
                 rec_ends,
             });
         }
-        // Wake a parked flush leader: its delay window ends early once
-        // the group reaches the configured size.
-        self.shared.cv.notify_all();
         CommitWaiter {
             shared: Arc::clone(&self.shared),
             seq,
-            config: self.config.clone(),
         }
     }
 
@@ -733,7 +729,7 @@ impl WalWriter {
                 let _unused = self.shared.cv.wait(st).expect("wal group lock");
                 continue;
             }
-            return run_leader_round(&self.shared, st, None);
+            return run_leader_round(&self.shared, st);
         }
     }
 
@@ -845,37 +841,14 @@ impl DiskCore {
 /// group lock with no other leader active; the round drains the pending
 /// batches, releases the group lock, performs the write + fsync under
 /// the disk lock, then re-acquires the group lock to publish the new
-/// durable sequence (or the error) and wake every waiter.
-///
-/// With `delay` set (a pipelined [`CommitWaiter`] whose group has not
-/// reached `group_commit` yet), the leader first parks up to
-/// `max_delay_us` for stragglers; appends wake it early once the group
-/// fills.
+/// durable sequence (or the error) and wake every waiter. The leader
+/// never waits for stragglers: batches appended while it writes form
+/// the next round's group.
 fn run_leader_round(
     shared: &WalShared,
     mut st: MutexGuard<'_, GroupState>,
-    delay: Option<&WalConfig>,
 ) -> Result<(), StorageError> {
     st.leader = true;
-    if let Some(config) = delay {
-        if config.max_delay_us > 0 {
-            let deadline = Instant::now() + Duration::from_micros(config.max_delay_us);
-            while st.pending.len() < config.group_commit.max(1) {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (next, timeout) = shared
-                    .cv
-                    .wait_timeout(st, deadline - now)
-                    .expect("wal group lock");
-                st = next;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-        }
-    }
     let batch: Vec<PendingBatch> = std::mem::take(&mut st.pending);
     drop(st);
 
@@ -942,7 +915,6 @@ fn run_leader_round(
 pub struct CommitWaiter {
     shared: Arc<WalShared>,
     seq: u64,
-    config: WalConfig,
 }
 
 impl CommitWaiter {
@@ -982,7 +954,7 @@ impl CommitWaiter {
                 continue;
             }
             led = true;
-            run_leader_round(&self.shared, st, Some(&self.config))?;
+            run_leader_round(&self.shared, st)?;
             st = self.shared.group.lock().expect("wal group lock");
         }
     }
