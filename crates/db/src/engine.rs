@@ -865,9 +865,13 @@ impl Amos {
     }
 
     /// Open a transaction, run `f` (which commits it), and roll back if
-    /// `f` fails: a failed statement — or a failed commit (check phase
-    /// or WAL error) — leaves the implicit transaction open; undo it so
-    /// autocommit is atomic.
+    /// `f` fails: a failed statement — or a failed commit (check phase,
+    /// or a WAL error on the embedded path) — leaves the implicit
+    /// transaction open; undo it so autocommit is atomic. With deferred
+    /// durability ([`Amos::autocommit_deferred`]) a WAL error only
+    /// surfaces in [`CommitWaiter::wait`], after the change is
+    /// published: that is `commit;`'s "durability unknown", not a
+    /// rollback.
     fn implicit_txn<T>(
         &mut self,
         f: impl FnOnce(&mut Self) -> Result<T, DbError>,

@@ -156,9 +156,12 @@ impl OpenTxn {
 }
 
 /// A client session: executes AMOSQL, optionally inside an isolated
-/// transaction (`begin; …; commit;`). Outside a transaction statements
-/// autocommit through the shared engine exactly as in single-session
-/// use. Dropping a session rolls back any open transaction.
+/// transaction (`begin; …; commit;`). Outside a transaction data
+/// statements autocommit the way `commit;` does: the change is
+/// published under the write lock and acknowledged once its WAL batch
+/// is synced, so a flush error reaches the client after the change is
+/// already visible ("durability unknown", not rolled back). Dropping a
+/// session rolls back any open transaction.
 pub struct Session {
     engine: Arc<SharedEngine>,
     txn: Option<OpenTxn>,

@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use amos_db::{Amos, DbError, ExecResult, Value, WalConfig};
+use amos_db::{Amos, DbError, ExecResult, SharedEngine, Value, WalConfig};
 use amos_storage::fault::{FaultPlan, WalFault};
 
 const SCHEMA: &str = r#"
@@ -83,6 +83,46 @@ fn injected_wal_error_fails_the_commit_and_a_retry_succeeds() {
     let q = db2.storage().relation_id("quantity").unwrap();
     let tuples: Vec<_> = db2.storage().relation(q).scan().cloned().collect();
     assert!(tuples.iter().any(|t| t[1] == Value::Int(50)), "{tuples:?}");
+}
+
+/// A served autocommit waits for its fsync after the write lock is
+/// released, so a WAL error reaches the client once the change is
+/// already published: like `commit;`, durability is unknown and the
+/// change stays visible rather than rolled back. Its batch stays
+/// queued, and the next commit's flush writes it.
+#[test]
+fn served_autocommit_wal_error_leaves_the_change_visible() {
+    let dir = tmpdir("autoerr");
+    let (mut db, noted) = setup(Some(&dir));
+    let next = db.storage_mut().wal_mut().unwrap().next_seq();
+    db.set_fault_plan(Arc::new(FaultPlan::wal(WalFault::IoErrorAtBatch(next))));
+    let eng = SharedEngine::new(db);
+    let mut s = eng.session();
+
+    let err = s.execute("set quantity(:x) = 50;").unwrap_err();
+    assert!(matches!(err, DbError::Storage(_)), "{err}");
+    assert!(!s.in_transaction());
+    let rows = s.query("select quantity(:x);").unwrap();
+    assert_eq!(rows.len(), 1);
+    assert_eq!(
+        rows[0][0],
+        Value::Int(50),
+        "the published change was undone"
+    );
+    assert_eq!(noted.lock().unwrap().len(), 1, "the rule fired at commit");
+
+    // The fault was one-shot: the next autocommit flushes both batches.
+    let out = s.execute("set threshold(:x) = 10;").unwrap();
+    assert!(matches!(out[..], [ExecResult::Committed(_)]), "{out:?}");
+    drop(s);
+    drop(eng);
+
+    let mut db2 = Amos::new();
+    db2.attach_wal(&dir, WalConfig::default()).unwrap();
+    let q = db2.storage().relation_id("quantity").unwrap();
+    let tuples: Vec<_> = db2.storage().relation(q).scan().cloned().collect();
+    assert!(tuples.iter().any(|t| t[1] == Value::Int(50)), "{tuples:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -427,6 +427,7 @@ fn served_autocommit_is_durable_when_acknowledged() {
         },
     );
     let eng = SharedEngine::new(db);
+    let before = eng.commit_metrics();
     let mut s = eng.session();
     for stmt in ["set quantity(:a) = 7;", "create item instances :d;"] {
         let out = s.execute(stmt).unwrap();
@@ -435,6 +436,11 @@ fn served_autocommit_is_durable_when_acknowledged() {
             "{stmt} was not autocommitted: {out:?}"
         );
     }
+    // Both autocommits ran as session commits: counted, and their
+    // critical sections timed under the write lock.
+    let after = eng.commit_metrics();
+    assert_eq!(after.commits - before.commits, 2);
+    assert!(after.lock_hold_ns > before.lock_hold_ns);
     std::mem::forget(s);
     std::mem::forget(eng);
     assert_eq!(
@@ -463,7 +469,7 @@ fn lone_session_commit_does_not_wait_for_a_group() {
         },
     );
     let eng = SharedEngine::new(db);
-    let fsyncs_before = eng.commit_metrics().wal.unwrap().fsyncs;
+    let before = eng.commit_metrics();
     let mut s = eng.session();
     let start = std::time::Instant::now();
     s.execute("begin; set quantity(:a) = 7; commit;").unwrap();
@@ -472,7 +478,9 @@ fn lone_session_commit_does_not_wait_for_a_group() {
         took < std::time::Duration::from_secs(1),
         "a lone commit took {took:?}"
     );
-    assert_eq!(eng.commit_metrics().wal.unwrap().fsyncs - fsyncs_before, 1);
+    let after = eng.commit_metrics();
+    assert_eq!(after.commits - before.commits, 1);
+    assert_eq!(after.wal.unwrap().fsyncs - before.wal.unwrap().fsyncs, 1);
     drop(s);
     drop(eng);
     let _ = std::fs::remove_dir_all(&dir);

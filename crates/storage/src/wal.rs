@@ -537,11 +537,12 @@ struct GroupState {
     durable_seq: u64,
     /// A leader is currently flushing off-lock.
     leader: bool,
-    /// Sticky error from the last failed flush round, cleared by the
-    /// next successful one. Waiters not yet durable observe it and fail
-    /// their commit's durability wait instead of spinning on a dead
-    /// disk.
-    error: Option<String>,
+    /// The last failed flush round: the highest sequence it took and
+    /// its error, cleared by the next successful round. Waiters it
+    /// covered fail their durability wait instead of spinning on a dead
+    /// disk; a waiter appended after it leads a retry, so one transient
+    /// error does not fail every later commit.
+    error: Option<(u64, String)>,
 }
 
 /// State shared between the [`WalWriter`] (owned by storage, used under
@@ -850,6 +851,7 @@ fn run_leader_round(
 ) -> Result<(), StorageError> {
     st.leader = true;
     let batch: Vec<PendingBatch> = std::mem::take(&mut st.pending);
+    let covered = batch.last().map_or(st.durable_seq, |b| b.seq);
     drop(st);
 
     let mut disk = shared.disk.lock().expect("wal disk lock");
@@ -897,7 +899,7 @@ fn run_leader_round(
             let mut rest: Vec<PendingBatch> = batch.into_iter().skip(written).collect();
             rest.append(&mut st.pending);
             st.pending = rest;
-            st.error = Some(e.to_string());
+            st.error = Some((covered, e.to_string()));
             Err(e)
         }
     };
@@ -944,7 +946,11 @@ impl CommitWaiter {
                 }
                 return Ok(());
             }
-            if let Some(msg) = &st.error {
+            if let Some((_, msg)) = st
+                .error
+                .as_ref()
+                .filter(|(covered, _)| self.seq <= *covered)
+            {
                 return Err(StorageError::Io(format!(
                     "group commit flush failed (durability unknown): {msg}"
                 )));
