@@ -101,14 +101,6 @@ pub struct CheckTrace {
 }
 
 impl CheckTrace {
-    /// Explanations for a given condition predicate.
-    pub fn for_condition(&self, cond: PredId) -> Vec<&TriggerExplanation> {
-        self.explanations
-            .iter()
-            .filter(|e| e.condition == cond)
-            .collect()
-    }
-
     /// Derive per-instance explanations from the fired differentials of
     /// one pass, for the instances that ended up triggering.
     pub fn explain_instances(

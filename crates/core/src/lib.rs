@@ -63,7 +63,7 @@ pub use explain::{CheckTrace, FiredDifferential, TriggerExplanation};
 pub use hybrid::{CostModel, Strategy};
 pub use maintained::{ClosureView, MaintainedAggregate, SourceDeltas, UserView};
 pub use naive::NaiveMonitor;
-pub use network::{NetworkStyle, NodeId, PropagationNetwork};
+pub use network::{NodeId, PropagationNetwork};
 pub use propagate::{
     propagate_adaptive, propagate_with, recompute_delta, CheckLevel, ExecStrategy,
     PropagationResult,

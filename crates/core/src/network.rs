@@ -31,18 +31,6 @@ use crate::error::CoreError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeId(pub u32);
 
-/// How condition predicates were prepared, which shapes the network.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub enum NetworkStyle {
-    /// Conditions fully expanded: stored influents feed conditions
-    /// directly (fig. 2). This is the AMOS default.
-    #[default]
-    Flat,
-    /// Expansion stopped at the named predicates, which become shared
-    /// intermediate nodes (fig. 1 / §7.1).
-    Bushy,
-}
-
 /// One node of the network.
 #[derive(Debug, Clone)]
 pub struct Node {

@@ -324,12 +324,6 @@ impl RuleManager {
         self.fault_plan = Some(plan);
     }
 
-    /// The adaptive planner (for cumulative replan / cache-hit
-    /// counters).
-    pub fn adaptive_planner(&self) -> &AdaptivePlanner {
-        &self.adaptive
-    }
-
     /// Define a rule (inactive until [`activate`](Self::activate)d).
     pub fn define_rule(
         &mut self,

@@ -6,7 +6,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 use amos_amosql::ast::{Expr, ProcStmt, Select, Statement, TypedVar};
-use amos_amosql::compiler::{compile_predicate_at, compile_select, compile_select_at, QueryEnv};
+use amos_amosql::compiler::{compile_predicate_at, compile_select_at, QueryEnv};
 use amos_amosql::parser::parse_spanned;
 use amos_amosql::ParseError;
 use amos_core::aggregate::{AggFn, AggregateView};
@@ -16,12 +16,14 @@ use amos_core::rules::{
     ActionFn, CheckSummary, MonitorMode, RuleManager, RuleSemantics, StrategyPin,
 };
 use amos_lint::{Diagnostic, LintConfig, RuleFacts, RuleWrite, Span};
-use amos_objectlog::catalog::{Catalog, ForeignFn, PredId, PredKind};
+use amos_objectlog::catalog::{Catalog, PredId, PredKind};
+use amos_objectlog::clause::Literal;
 use amos_objectlog::eval::{DeltaMap, EvalContext};
 use amos_objectlog::expand::{expand_clause, ExpandOptions};
 use amos_objectlog::plan::compile_clause;
 use amos_storage::{
-    CommitWaiter, RecoveryInfo, RelId, Savepoint, StateEpoch, Storage, WalConfig, WalMetrics,
+    CommitWaiter, LayerStacks, RecoveryInfo, RelId, Savepoint, StateEpoch, Storage, WalConfig,
+    WalMetrics,
 };
 use amos_types::{Tuple, TypeRegistry, Value};
 
@@ -237,25 +239,6 @@ impl Amos {
             .lock()
             .expect("procedures lock")
             .insert(name.to_string(), Arc::new(f));
-    }
-
-    /// Register a foreign function (a computed predicate, the paper's
-    /// Lisp/C foreign functions — here a Rust closure). `arg_types` and
-    /// `result_type` are type names.
-    pub fn register_foreign(
-        &mut self,
-        name: &str,
-        arg_types: &[&str],
-        result_type: &str,
-        f: ForeignFn,
-    ) -> Result<(), DbError> {
-        let mut signature = Vec::with_capacity(arg_types.len() + 1);
-        for t in arg_types {
-            signature.push(self.types.lookup(t)?);
-        }
-        signature.push(self.types.lookup(result_type)?);
-        self.catalog.define_foreign(name, signature, f)?;
-        Ok(())
     }
 
     /// Register an incrementally maintained aggregate
@@ -720,7 +703,7 @@ impl Amos {
                 self.autocommit(|this| this.run_proc(&ProcStmt::Call { name, args }))
             }
             Statement::Select(sel) => {
-                let rows = self.run_select(&sel)?;
+                let rows = self.select_rows(&sel, at, &LayerStacks::default(), None)?;
                 Ok(ExecResult::Rows(rows))
             }
             Statement::Activate { rule, args } => {
@@ -768,7 +751,7 @@ impl Amos {
                 self.rule_lint.retain(|r| r.name != name);
                 Ok(ExecResult::Ok)
             }
-            Statement::ExplainSelect(sel) => Ok(ExecResult::Text(self.explain_select(&sel)?)),
+            Statement::ExplainSelect(sel) => Ok(ExecResult::Text(self.explain_select(&sel, at)?)),
             Statement::ExplainRule(name) => Ok(ExecResult::Text(self.explain_rule(&name)?)),
             Statement::MonitorRule { rule, pin } => {
                 let id = self.rules.rule_id(&rule)?;
@@ -1215,8 +1198,8 @@ impl Amos {
     }
 
     /// Render the compiled clauses and execution plans of a query.
-    fn explain_select(&self, sel: &Select) -> Result<String, DbError> {
-        let q = compile_select(&self.query_env(), sel, &[])?;
+    fn explain_select(&self, sel: &Select, at: Option<(usize, usize)>) -> Result<String, DbError> {
+        let q = compile_select_at(&self.query_env(), sel, &[], at)?;
         let mut out = String::new();
         for (i, clause) in q.clauses.iter().enumerate() {
             out.push_str(&format!(
@@ -1282,10 +1265,29 @@ impl Amos {
         Ok(out)
     }
 
-    pub(crate) fn run_select(&self, sel: &Select) -> Result<Vec<Tuple>, DbError> {
-        let q = compile_select(&self.query_env(), sel, &[])?;
-        let deltas = DeltaMap::new();
-        let ctx = EvalContext::new(&self.storage, &self.catalog, &deltas);
+    /// Compile `sel` and evaluate it over the stored state as `layers`
+    /// show it (a session transaction's snapshot; empty outside one),
+    /// recording its scans in `reads` when given. A compile error
+    /// carries the statement's position `at`.
+    pub(crate) fn select_rows(
+        &self,
+        sel: &Select,
+        at: Option<(usize, usize)>,
+        layers: &LayerStacks<'_>,
+        reads: Option<&RefCell<ReadTrace>>,
+    ) -> Result<Vec<Tuple>, DbError> {
+        let q = compile_select_at(&self.query_env(), sel, &[], at)?;
+        if let Some(reads) = reads {
+            // A select scans its stored relations (directly or through
+            // derived predicates), so the whole relation is a dependency.
+            let mut reads = reads.borrow_mut();
+            for lit in q.clauses.iter().flat_map(|c| &c.body) {
+                if let Literal::Pred { pred, .. } = lit {
+                    reads.record_scan(&self.catalog, *pred);
+                }
+            }
+        }
+        let ctx = EvalContext::with_layers(&self.storage, &self.catalog, layers);
         let mut rows: Vec<Tuple> = Vec::new();
         for clause in &q.clauses {
             let plan = compile_clause(&self.catalog, clause, &Default::default())?;
@@ -1351,7 +1353,6 @@ impl ReadTrace {
                     }
                 }
             }
-            PredKind::Foreign(_) => {}
         }
     }
 
@@ -1370,7 +1371,6 @@ impl ReadTrace {
                     }
                 }
             }
-            PredKind::Foreign(_) => {}
         }
     }
 }

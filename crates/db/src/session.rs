@@ -37,13 +37,10 @@ use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use amos_amosql::ast::{ProcStmt, Select, Statement};
-use amos_amosql::compiler::compile_select_at;
 use amos_amosql::parser::parse_spanned;
 use amos_core::rules::CheckSummary;
 use amos_objectlog::catalog::PredKind;
-use amos_objectlog::clause::Literal;
 use amos_objectlog::eval::EvalContext;
-use amos_objectlog::plan::compile_clause;
 use amos_storage::{CommitWaiter, DeltaSet, LayerStacks, RelId, StateEpoch, Storage, WalMetrics};
 use amos_types::{KeyRef, Tuple, Value};
 
@@ -214,17 +211,12 @@ impl Session {
             Statement::Begin => self.begin(),
             Statement::Commit => self.commit(),
             Statement::Rollback => self.rollback(),
-            Statement::Select(sel) if self.txn.is_some() => self.txn_select(&sel, at),
+            Statement::Select(sel) => self.select(&sel, at),
             Statement::Update(p) if self.txn.is_some() => self.txn_update(&p),
             Statement::CallProc { name, .. } if self.txn.is_some() => Err(DbError::Other(format!(
                 "procedure `{name}` cannot run inside a session transaction \
                  (procedures execute against shared storage); commit first"
             ))),
-            // Read-only statements outside a transaction run under the
-            // read lock, in parallel with other sessions' reads.
-            Statement::Select(sel) => self
-                .engine
-                .with_read(|eng| eng.run_select(&sel).map(ExecResult::Rows)),
             // Schema DDL inside a transaction would bypass both the
             // write buffer and conflict validation; refuse it.
             _ if self.txn.is_some() => Err(DbError::Other(
@@ -328,8 +320,10 @@ impl Session {
         eng: &mut Amos,
         txn: &OpenTxn,
     ) -> Result<(ExecResult, Option<CommitWaiter>), DbError> {
-        let read_only = txn.writes.values().all(DeltaSet::is_empty);
-        if read_only {
+        // Read-only means no write was buffered. A write-set that nets
+        // to nothing still validates its reads: in commit order its
+        // writes may not cancel out.
+        if txn.write_keys.is_empty() {
             // A read-only transaction serializes at its snapshot
             // point; nothing to validate, nothing to apply.
             eng.storage().unpin_snapshot(txn.begin_seq);
@@ -392,36 +386,18 @@ impl Session {
     // In-transaction statements
     // ------------------------------------------------------------------
 
-    fn txn_select(
-        &mut self,
-        sel: &Select,
-        at: Option<(usize, usize)>,
-    ) -> Result<ExecResult, DbError> {
-        let txn = self.txn.as_ref().expect("txn checked by caller");
+    /// A select runs under the read lock, in parallel with other
+    /// sessions' reads. Inside a transaction it reads the snapshot and
+    /// records its scans for commit-time validation.
+    fn select(&self, sel: &Select, at: Option<(usize, usize)>) -> Result<ExecResult, DbError> {
         self.engine.with_read(|eng| {
-            let q = compile_select_at(&eng.query_env(), sel, &[], at)?;
-            // Record the read footprint: a select scans its stored
-            // relations (directly or through derived predicates), so
-            // the whole relation is a dependency.
-            {
-                let mut reads = txn.reads.borrow_mut();
-                for clause in &q.clauses {
-                    for lit in &clause.body {
-                        if let Literal::Pred { pred, .. } = lit {
-                            reads.record_scan(eng.catalog(), *pred);
-                        }
-                    }
+            let rows = match &self.txn {
+                Some(txn) => {
+                    let layers = txn.layers(eng.storage());
+                    eng.select_rows(sel, at, &layers, Some(&txn.reads))?
                 }
-            }
-            let layers = txn.layers(eng.storage());
-            let ctx = EvalContext::with_layers(eng.storage(), eng.catalog(), &layers);
-            let mut rows: Vec<Tuple> = Vec::new();
-            for clause in &q.clauses {
-                let plan = compile_clause(eng.catalog(), clause, &Default::default())?;
-                ctx.plan_heads(&plan, StateEpoch::New, 0, &mut rows)?;
-            }
-            rows.sort();
-            rows.dedup();
+                None => eng.select_rows(sel, at, &LayerStacks::default(), None)?,
+            };
             Ok(ExecResult::Rows(rows))
         })
     }

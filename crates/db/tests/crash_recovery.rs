@@ -1,4 +1,4 @@
-//! Engine-level crash-recovery differential suite.
+//! Engine-level crash-recovery checks over fixed configurations.
 //!
 //! A seeded workload (updates + an active self-updating rule) runs with
 //! a WAL attached; the suite then
@@ -7,23 +7,20 @@
 //!   tuple-identical to the engine that never crashed — under every
 //!   `CheckLevel` (raw/nervous/strict) and `ExecStrategy`
 //!   (serial/parallel);
-//! * simulates a crash at **every byte offset** of the WAL, recovers,
-//!   and asserts the recovered relations match an independent replay of
-//!   the surviving (CRC-complete) batches — the prefix-durability and
-//!   atomic-commit invariants end to end;
 //! * recovers one engine in incremental mode and one in naive
 //!   (full-recompute) mode and asserts their rule behaviour agrees —
 //!   the `NaiveMonitor` oracle of §6.
 //!
-//! Set `AMOS_SWEEP_STRIDE=<n>` to thin the offset sweep (CI caps
-//! runtime this way); default is every offset.
+//! The generated histories, and the crash at every byte offset of the
+//! WAL, are axes of `equivalence.rs`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use amos_core::propagate::ExecStrategy;
 use amos_db::{Amos, CheckLevel, EngineOptions, ExecResult, MonitorMode, Tuple, WalConfig};
-use amos_storage::{read_wal_bytes, LogOp, WAL_FILE};
+use amos_storage::{SNAPSHOT_FILE, WAL_FILE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,21 +49,36 @@ const POPULATE: &str = r#"
 
 const ITEMS: [&str; 4] = ["a", "b", "c", "d"];
 
-fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("amos-dbcrash-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+/// A scratch directory, removed when dropped (by a failing test too).
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new() -> TempDir {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let name = format!("amos-dbcrash-{}-{n}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+
+    /// A copy of the WAL and snapshot, for a recovery to attach to.
+    fn copy(&self) -> TempDir {
+        let to = TempDir::new();
+        for f in [WAL_FILE, SNAPSHOT_FILE] {
+            if self.0.join(f).exists() {
+                std::fs::copy(self.0.join(f), to.0.join(f)).unwrap();
+            }
+        }
+        to
+    }
 }
 
-fn copy_wal(from: &Path, name: &str) -> PathBuf {
-    let to = tmpdir(name);
-    for f in [WAL_FILE, amos_storage::SNAPSHOT_FILE] {
-        if from.join(f).exists() {
-            std::fs::copy(from.join(f), to.join(f)).unwrap();
-        }
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
-    to
 }
 
 /// Engine with the config applied, the WAL attached, and the schema
@@ -144,17 +156,16 @@ fn recovered_engine_matches_uncrashed_engine_for_each_config() {
     let strategies = [ExecStrategy::Serial, ExecStrategy::Parallel];
     for (li, level) in levels.into_iter().enumerate() {
         for (si, strategy) in strategies.into_iter().enumerate() {
-            let tag = format!("cfg{li}{si}");
-            let dir = tmpdir(&tag);
+            let dir = TempDir::new();
             let seed = 1000 + (li * 2 + si) as u64;
 
-            let mut live = build(&dir, level, strategy, MonitorMode::Incremental);
+            let mut live = build(&dir.0, level, strategy, MonitorMode::Incremental);
             let mut rng = StdRng::seed_from_u64(seed);
             run_txns(&mut live, &mut rng, 10);
 
             // "Crash": recover a fresh engine from a copy of the WAL.
-            let rdir = copy_wal(&dir, &format!("{tag}-rec"));
-            let mut recovered = build(&rdir, level, strategy, MonitorMode::Incremental);
+            let rdir = dir.copy();
+            let mut recovered = build(&rdir.0, level, strategy, MonitorMode::Incremental);
             assert_eq!(
                 all_relations(&recovered),
                 all_relations(&live),
@@ -176,90 +187,15 @@ fn recovered_engine_matches_uncrashed_engine_for_each_config() {
 }
 
 #[test]
-fn crash_at_every_wal_offset_recovers_the_durable_prefix() {
-    let dir = tmpdir("sweep");
-    {
-        let mut db = build(
-            &dir,
-            CheckLevel::Nervous,
-            ExecStrategy::Parallel,
-            MonitorMode::Incremental,
-        );
-        let mut rng = StdRng::seed_from_u64(99);
-        run_txns(&mut db, &mut rng, 8);
-    }
-    let bytes = std::fs::read(dir.join(WAL_FILE)).unwrap();
-    let stride: usize = std::env::var("AMOS_SWEEP_STRIDE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&s| s > 0)
-        .unwrap_or(1);
-
-    let crash_dir = tmpdir("sweep-crash");
-    let mut cut = 0usize;
-    while cut <= bytes.len() {
-        std::fs::write(crash_dir.join(WAL_FILE), &bytes[..cut]).unwrap();
-        let _ = std::fs::remove_file(crash_dir.join(amos_storage::SNAPSHOT_FILE));
-
-        // Independent oracle: replay the CRC-complete batches of the
-        // surviving prefix with plain set semantics.
-        let surviving = read_wal_bytes(&bytes[..cut]).unwrap();
-        let mut oracle: BTreeMap<String, BTreeSet<Tuple>> = BTreeMap::new();
-        for batch in &surviving.batches {
-            for rec in &batch.records {
-                let rel = oracle.entry(rec.rel.clone()).or_default();
-                match rec.op {
-                    LogOp::Insert => {
-                        rel.insert(rec.tuple.clone());
-                    }
-                    LogOp::Delete => {
-                        rel.remove(&rec.tuple);
-                    }
-                }
-            }
-        }
-
-        // Schema-only recovery: POPULATE must not run here — it would
-        // re-insert instances and diverge from the durable prefix.
-        let recovered = mk_engine(
-            &crash_dir,
-            CheckLevel::Nervous,
-            ExecStrategy::Parallel,
-            MonitorMode::Incremental,
-        );
-        for (name, tuples) in all_relations(&recovered) {
-            let expect = oracle.get(&name).cloned().unwrap_or_default();
-            assert_eq!(
-                tuples, expect,
-                "cut at byte {cut}: relation `{name}` must match the oracle replay"
-            );
-        }
-        cut += stride;
-    }
-    // Make sure a recovered engine is actually usable after a torn cut.
-    let torn_cut = bytes.len() - 3;
-    std::fs::write(crash_dir.join(WAL_FILE), &bytes[..torn_cut]).unwrap();
-    let mut recovered = build(
-        &crash_dir,
-        CheckLevel::Nervous,
-        ExecStrategy::Parallel,
-        MonitorMode::Incremental,
-    );
-    let mut rng = StdRng::seed_from_u64(5);
-    run_txns(&mut recovered, &mut rng, 2);
-}
-
-#[test]
 fn recovered_incremental_agrees_with_naive_oracle() {
     for (i, level) in [CheckLevel::Nervous, CheckLevel::Strict]
         .into_iter()
         .enumerate()
     {
-        let tag = format!("oracle{i}");
-        let dir = tmpdir(&tag);
+        let dir = TempDir::new();
         {
             let mut db = build(
-                &dir,
+                &dir.0,
                 level,
                 ExecStrategy::Parallel,
                 MonitorMode::Incremental,
@@ -268,15 +204,19 @@ fn recovered_incremental_agrees_with_naive_oracle() {
             run_txns(&mut db, &mut rng, 8);
         }
 
-        let inc_dir = copy_wal(&dir, &format!("{tag}-inc"));
-        let naive_dir = copy_wal(&dir, &format!("{tag}-naive"));
+        let (inc_dir, naive_dir) = (dir.copy(), dir.copy());
         let mut inc = build(
-            &inc_dir,
+            &inc_dir.0,
             level,
             ExecStrategy::Parallel,
             MonitorMode::Incremental,
         );
-        let mut naive = build(&naive_dir, level, ExecStrategy::Serial, MonitorMode::Naive);
+        let mut naive = build(
+            &naive_dir.0,
+            level,
+            ExecStrategy::Serial,
+            MonitorMode::Naive,
+        );
         assert_eq!(all_relations(&inc), all_relations(&naive));
 
         // Identical probes: the incremental engine must fire exactly as

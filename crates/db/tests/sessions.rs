@@ -249,6 +249,31 @@ fn statements_refused_inside_transaction() {
     s.execute("rollback;").unwrap();
 }
 
+/// A select's compile error carries its `line:col` on every path.
+#[test]
+fn select_compile_error_is_positioned_on_every_path() {
+    let bad = "\n  select nosuch(i) for each item i;";
+    let positioned = |err: DbError| {
+        let msg = err.to_string();
+        assert!(
+            msg.starts_with("parse error: 2:3: unknown function"),
+            "{msg}"
+        );
+    };
+    let mut db = Amos::new();
+    db.execute(SCHEMA).unwrap();
+    positioned(db.execute(bad).unwrap_err());
+    positioned(
+        db.execute("\n  explain select nosuch(i) for each item i;")
+            .unwrap_err(),
+    );
+    let eng = shared();
+    let mut s = eng.session();
+    positioned(s.execute(bad).unwrap_err());
+    s.execute("begin;").unwrap();
+    positioned(s.execute(bad).unwrap_err());
+}
+
 #[test]
 fn begin_commit_rollback_errors() {
     let eng = shared();

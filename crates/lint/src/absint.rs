@@ -292,7 +292,7 @@ pub struct Analysis {
     preds: HashMap<PredId, PredAbs>,
 }
 
-/// Analyze the whole catalog. Stored and foreign predicates are ⊤
+/// Analyze the whole catalog. Stored predicates are ⊤
 /// (their extents are dynamic); derived predicates are summarized in
 /// Tarjan SCC order so every influent is summarized first.
 pub fn analyze(catalog: &Catalog) -> Analysis {

@@ -5,9 +5,7 @@
 //! * **stored** functions (`create function quantity(item) -> integer;`)
 //!   become facts — a base relation in [`amos_storage::Storage`];
 //! * **derived** functions (`create function threshold(item) -> integer
-//!   as select …`) become Horn clauses;
-//! * **foreign** functions become Rust closures (the paper's AMOS allows
-//!   Lisp or C here).
+//!   as select …`) become Horn clauses.
 //!
 //! Stored-function metadata records the *key arity* — how many leading
 //! columns form the argument part of the function — so `set f(args…) =
@@ -16,10 +14,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 use amos_storage::RelId;
-use amos_types::{TypeId, Value};
+use amos_types::TypeId;
 
 use crate::clause::{Clause, Literal};
 use crate::error::ObjectLogError;
@@ -27,11 +24,6 @@ use crate::error::ObjectLogError;
 /// Identifier of a predicate in the catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PredId(pub u32);
-
-/// A foreign predicate: given partially-bound arguments (one
-/// `Option<Value>` per column), returns all matching full argument rows.
-/// Must be pure (no side effects) when used in monitored conditions.
-pub type ForeignFn = Arc<dyn Fn(&[Option<Value>]) -> Vec<Vec<Value>> + Send + Sync>;
 
 /// How a predicate is implemented.
 #[derive(Clone)]
@@ -45,8 +37,6 @@ pub enum PredKind {
     },
     /// A disjunction of Horn clauses.
     Derived(Vec<Clause>),
-    /// A Rust closure.
-    Foreign(ForeignFn),
 }
 
 impl fmt::Debug for PredKind {
@@ -58,7 +48,6 @@ impl fmt::Debug for PredKind {
                 .field("key_arity", key_arity)
                 .finish(),
             PredKind::Derived(cs) => f.debug_tuple("Derived").field(&cs.len()).finish(),
-            PredKind::Foreign(_) => f.write_str("Foreign(..)"),
         }
     }
 }
@@ -175,17 +164,6 @@ impl Catalog {
         self.register(name, arity, signature, PredKind::Derived(clauses))
     }
 
-    /// Register a foreign predicate.
-    pub fn define_foreign(
-        &mut self,
-        name: &str,
-        signature: Vec<TypeId>,
-        f: ForeignFn,
-    ) -> Result<PredId, ObjectLogError> {
-        let arity = signature.len();
-        self.register(name, arity, signature, PredKind::Foreign(f))
-    }
-
     /// Replace the clauses of an existing derived predicate (used by the
     /// expansion machinery and to close the knot for **recursive**
     /// definitions: declare with empty clauses, then install bodies that
@@ -276,8 +254,8 @@ impl Catalog {
     }
 
     /// The direct *influents* of a predicate: the predicates referenced
-    /// by its clause bodies (paper fig. 1 edges). Stored and foreign
-    /// predicates have none.
+    /// by its clause bodies (paper fig. 1 edges). Stored predicates have
+    /// none.
     pub fn direct_influents(&self, id: PredId) -> Vec<PredId> {
         let mut out = Vec::new();
         if let PredKind::Derived(clauses) = &self.def(id).kind {
@@ -313,14 +291,13 @@ impl Catalog {
                     }
                 }
                 PredKind::Derived(_) => stack.extend(self.direct_influents(p)),
-                PredKind::Foreign(_) => {}
             }
         }
         out.sort();
         out
     }
 
-    /// The *stratum* of a predicate: 0 for stored/foreign, 1 + max of
+    /// The *stratum* of a predicate: 0 for stored, 1 + max of
     /// influent strata for derived. Drives the breadth-first bottom-up
     /// level order of the propagation algorithm (§5).
     ///

@@ -151,11 +151,6 @@ impl Literal {
         self.terms().into_iter().filter_map(Term::as_var).collect()
     }
 
-    /// Whether this is a Δ-literal.
-    pub fn is_delta(&self) -> bool {
-        matches!(self, Literal::Delta { .. })
-    }
-
     /// The predicate this literal references, if any.
     pub fn pred(&self) -> Option<PredId> {
         match self {

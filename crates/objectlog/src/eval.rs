@@ -107,12 +107,6 @@ impl EvalShared {
         self.memo.write().unwrap().clear();
     }
 
-    /// Drop every cache including compiled plans (schema changes).
-    pub fn clear_all(&self) {
-        self.plan_cache.write().unwrap().clear();
-        self.reset_pass();
-    }
-
     /// Cumulative derived-call memo hits since construction.
     pub fn tabling_hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
@@ -393,7 +387,7 @@ impl<'a> EvalContext<'a> {
     /// (binding pattern, epoch) and pay an `Arc` clone thereafter.
     ///
     /// Only `Derived` predicates are memoized: stored lookups are
-    /// already cheap, and foreign predicates may be impure. Correctness
+    /// already cheap. Correctness
     /// rests on two invariants: storage is frozen while a pass runs, and
     /// source clauses never contain Δ-literals, so a derived call is a
     /// pure function of `(pred, pattern, epoch)` for the pass duration.
@@ -455,7 +449,6 @@ impl<'a> EvalContext<'a> {
                 }
                 Ok(out.into_iter().collect())
             }
-            PredKind::Foreign(f) => Ok(f(pattern).into_iter().map(Tuple::new).collect()),
             PredKind::Derived(clauses) if self.catalog.is_self_recursive(pred) => {
                 self.eval_recursive(pred, clauses, pattern, epoch, depth, scratch)
             }
@@ -1112,34 +1105,6 @@ mod tests {
         let ctx = EvalContext::new(&f.storage, &f.catalog, &deltas);
         let out = ctx.eval_pred(u, &[None], StateEpoch::New).unwrap();
         assert_eq!(out, [tuple![1], tuple![2], tuple![3]].into_iter().collect());
-    }
-
-    #[test]
-    fn foreign_predicate() {
-        let mut f = fixture();
-        // double(X, Y): Y = 2*X for bound X.
-        let double = f
-            .catalog
-            .define_foreign(
-                "double",
-                sig(2),
-                Arc::new(|pattern: &[Option<Value>]| match &pattern[0] {
-                    Some(Value::Int(x)) => vec![vec![Value::Int(*x), Value::Int(2 * x)]],
-                    _ => vec![],
-                }),
-            )
-            .unwrap();
-        // t(X, D) ← q(X, Y) ∧ double(Y, D)
-        let t = ClauseBuilder::new(3)
-            .head([Term::var(0), Term::var(2)])
-            .pred(f.q, [Term::var(0), Term::var(1)])
-            .pred(double, [Term::var(1), Term::var(2)])
-            .build();
-        let t = f.catalog.define_derived("t", sig(2), vec![t]).unwrap();
-        let deltas = DeltaMap::new();
-        let ctx = EvalContext::new(&f.storage, &f.catalog, &deltas);
-        let out = ctx.eval_pred(t, &[None, None], StateEpoch::New).unwrap();
-        assert_eq!(out, [tuple![1, 2]].into_iter().collect());
     }
 
     #[test]

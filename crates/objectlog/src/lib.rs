@@ -15,8 +15,7 @@
 //! This crate provides:
 //!
 //! * [`Catalog`] — predicate definitions: stored (backed by an
-//!   `amos_storage` relation), derived (a disjunction of [`Clause`]s),
-//!   or foreign (a Rust closure, the paper's Lisp/C foreign functions).
+//!   `amos_storage` relation) or derived (a disjunction of [`Clause`]s).
 //! * [`Clause`] / [`Literal`] / [`Term`] — Horn clauses with conjunctive
 //!   bodies over predicate literals (positive or negated, new-state or
 //!   old-state), Δ-literals, comparisons, arithmetic, and unification.
@@ -40,7 +39,7 @@ pub mod eval;
 pub mod expand;
 pub mod plan;
 
-pub use catalog::{Catalog, ForeignFn, PredDef, PredId, PredKind};
+pub use catalog::{Catalog, PredDef, PredId, PredKind};
 pub use clause::{Clause, ClauseBuilder, Literal, Term, Var};
 pub use error::ObjectLogError;
 pub use eval::{DeltaMap, EvalContext};

@@ -53,7 +53,7 @@ pub enum PlanStep {
         /// Columns bound at this point in the plan.
         bound_cols: Vec<usize>,
     },
-    /// Goal-directed call of a derived (or foreign) predicate with the
+    /// Goal-directed call of a derived predicate with the
     /// currently bound argument positions as the pattern.
     Call {
         /// Callee.

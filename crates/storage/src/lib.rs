@@ -56,7 +56,7 @@ pub use arrangement::{Arrangement, SortedRun};
 pub use database::{RecoveryInfo, RelId, Savepoint, Storage};
 pub use delta::{DeltaSet, Polarity};
 pub use error::StorageError;
-pub use log::{LogOp, LogRecord, UndoDrain, UpdateLog};
+pub use log::{LogOp, LogRecord, UpdateLog};
 pub use relation::BaseRelation;
 pub use snapshot::{Snapshot, SnapshotRelation, SNAPSHOT_FILE};
 pub use txn::TxnVersion;

@@ -63,20 +63,6 @@ impl UpdateLog {
         &self.records
     }
 
-    /// Drain all records in *reverse* order for undo.
-    ///
-    /// The drain is *transactional*: each record leaves the log only as
-    /// it is yielded, so dropping the iterator early keeps every
-    /// not-yet-undone record in the log (in order). Records that were
-    /// yielded are gone — matching the invariant that the log always
-    /// describes exactly the update events still applied to relations.
-    pub fn drain_for_undo(&mut self) -> UndoDrain<'_> {
-        UndoDrain {
-            records: &mut self.records,
-            floor: 0,
-        }
-    }
-
     /// Remove and return the most recent record (undo order). This is
     /// the primitive the undo paths build on: a record leaves the log at
     /// exactly the moment its inverse is applied, so an interrupted undo
@@ -89,55 +75,7 @@ impl UpdateLog {
     pub fn clear(&mut self) {
         self.records.clear();
     }
-
-    /// A savepoint position for partial rollback.
-    pub fn savepoint(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Drain records appended after `savepoint`, in reverse order.
-    ///
-    /// Transactional in the same sense as [`UpdateLog::drain_for_undo`]:
-    /// early drop keeps the not-yet-yielded records in the log.
-    pub fn drain_since(&mut self, savepoint: usize) -> UndoDrain<'_> {
-        let floor = savepoint.min(self.records.len());
-        UndoDrain {
-            records: &mut self.records,
-            floor,
-        }
-    }
 }
-
-/// Reverse-order undo cursor over an [`UpdateLog`] suffix.
-///
-/// Unlike `Vec::drain` — whose `Drop` removes the *entire* range even if
-/// the iterator was abandoned halfway — this cursor pops one record at a
-/// time, so the log always holds exactly the records that have not been
-/// yielded for undo yet.
-#[derive(Debug)]
-pub struct UndoDrain<'a> {
-    records: &'a mut Vec<LogRecord>,
-    floor: usize,
-}
-
-impl Iterator for UndoDrain<'_> {
-    type Item = LogRecord;
-
-    fn next(&mut self) -> Option<LogRecord> {
-        if self.records.len() > self.floor {
-            self.records.pop()
-        } else {
-            None
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.records.len() - self.floor;
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for UndoDrain<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -151,60 +89,9 @@ mod tests {
         log.push(RelId(0), LogOp::Delete, tuple![2]);
         log.push(RelId(1), LogOp::Insert, tuple![3]);
         assert_eq!(log.len(), 3);
-        let undo: Vec<_> = log.drain_for_undo().collect();
+        let undo: Vec<_> = std::iter::from_fn(|| log.pop_for_undo()).collect();
         assert_eq!(undo[0].tuple, tuple![3]);
         assert_eq!(undo[2].tuple, tuple![1]);
         assert!(log.is_empty());
-    }
-
-    #[test]
-    fn savepoint_partial_undo() {
-        let mut log = UpdateLog::new();
-        log.push(RelId(0), LogOp::Insert, tuple![1]);
-        let sp = log.savepoint();
-        log.push(RelId(0), LogOp::Insert, tuple![2]);
-        log.push(RelId(0), LogOp::Insert, tuple![3]);
-        let undone: Vec<_> = log.drain_since(sp).collect();
-        assert_eq!(undone.len(), 2);
-        assert_eq!(undone[0].tuple, tuple![3]);
-        assert_eq!(log.len(), 1);
-    }
-
-    #[test]
-    fn abandoned_undo_drain_keeps_unconsumed_records() {
-        // Regression: `Vec::drain(..)` removes the whole range on drop,
-        // so abandoning the old iterator after one step silently lost
-        // the two records that were never undone.
-        let mut log = UpdateLog::new();
-        log.push(RelId(0), LogOp::Insert, tuple![1]);
-        log.push(RelId(0), LogOp::Insert, tuple![2]);
-        log.push(RelId(0), LogOp::Insert, tuple![3]);
-        {
-            let mut undo = log.drain_for_undo();
-            assert_eq!(undo.len(), 3);
-            assert_eq!(undo.next().unwrap().tuple, tuple![3]);
-            // Dropped here with two records unconsumed.
-        }
-        assert_eq!(log.len(), 2, "unconsumed records must survive");
-        assert_eq!(log.records()[0].tuple, tuple![1]);
-        assert_eq!(log.records()[1].tuple, tuple![2]);
-    }
-
-    #[test]
-    fn abandoned_drain_since_keeps_suffix_prefix() {
-        let mut log = UpdateLog::new();
-        for i in 0..5 {
-            log.push(RelId(0), LogOp::Insert, tuple![i]);
-        }
-        let sp = 1;
-        {
-            let mut undo = log.drain_since(sp);
-            undo.next().unwrap(); // yields tuple![4]
-            undo.next().unwrap(); // yields tuple![3]
-        }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.records()[2].tuple, tuple![2]);
-        // Savepoints beyond the log length are clamped, not panicking.
-        assert_eq!(log.drain_since(99).count(), 0);
     }
 }

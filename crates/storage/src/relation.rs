@@ -434,11 +434,6 @@ impl BaseRelation {
         self.head.len()
     }
 
-    /// Lifetime count of head seals (introspection).
-    pub fn seal_count(&self) -> u64 {
-        self.seals
-    }
-
     /// Lifetime count of compaction merges (introspection).
     pub fn compaction_count(&self) -> u64 {
         self.compactions

@@ -50,13 +50,6 @@ pub struct SnapshotRelation {
     pub runs: Vec<Vec<Tuple>>,
 }
 
-impl SnapshotRelation {
-    /// Total tuples across all runs.
-    pub fn tuple_count(&self) -> usize {
-        self.runs.iter().map(Vec::len).sum()
-    }
-}
-
 /// A decoded snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {

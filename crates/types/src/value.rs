@@ -81,17 +81,6 @@ impl Value {
         }
     }
 
-    /// Extract an object identifier, or error with context.
-    pub fn as_oid(&self) -> Result<Oid, ValueError> {
-        match self {
-            Value::Oid(o) => Ok(*o),
-            other => Err(ValueError::TypeMismatch {
-                expected: "object",
-                found: other.type_name(),
-            }),
-        }
-    }
-
     /// Extract a string slice, or error with context.
     pub fn as_str(&self) -> Result<&str, ValueError> {
         match self {
