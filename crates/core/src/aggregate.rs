@@ -10,11 +10,12 @@
 //!   deletions of the current extremum are exact without rescanning the
 //!   source.
 //!
-//! The engine layer materializes the view into a backing stored relation
-//! at the start of each check phase: writing the aggregate's changes
-//! through [`amos_storage::Storage`] produces ordinary physical events,
-//! so the propagation network (and therefore rule conditions) can depend
-//! on aggregates exactly like on any stored function.
+//! The rule manager materializes the view into a backing stored relation
+//! at the start of every pass of the check phase, rule actions' writes
+//! to the source included: writing the aggregate's changes through
+//! [`amos_storage::Storage`] produces ordinary physical events, so the
+//! propagation network (and therefore rule conditions) can depend on
+//! aggregates exactly like on any stored function.
 
 use std::collections::{BTreeMap, HashMap};
 

@@ -61,7 +61,7 @@ pub use differ::{generate_differentials, DiffId, Differential};
 pub use error::CoreError;
 pub use explain::{CheckTrace, FiredDifferential, TriggerExplanation};
 pub use hybrid::{CostModel, Strategy};
-pub use maintained::{ClosureView, MaintainedAggregate, SourceDeltas, UserView};
+pub use maintained::{ClosureView, MaintainedAggregate, UserView};
 pub use naive::NaiveMonitor;
 pub use network::{NodeId, PropagationNetwork};
 pub use propagate::{

@@ -6,16 +6,14 @@
 //! user defined differentials." This module provides that hook: a
 //! [`UserView`] declares which stored relations it reads (its influents)
 //! and how to turn their Δ-sets into a Δ-set of its own result — the
-//! user-defined differential. The engine materializes the view into an
-//! ordinary stored function at every commit, so rule conditions can
-//! depend on arbitrarily computed data and still be monitored by partial
-//! differencing.
+//! user-defined differential. The rule manager folds the view into an
+//! ordinary stored function at the start of every propagation pass, so
+//! rule conditions can depend on arbitrarily computed data and still be
+//! monitored by partial differencing.
 //!
 //! [`crate::aggregate::AggregateView`] is the built-in implementation
 //! (count/sum/avg/min/max); [`ClosureView`] wraps plain closures for
 //! ad-hoc foreign computations.
-
-use std::collections::HashMap;
 
 use amos_objectlog::catalog::Catalog;
 use amos_storage::{DeltaSet, RelId, Storage};
@@ -24,9 +22,6 @@ use amos_types::Tuple;
 use crate::aggregate::AggregateView;
 use crate::error::CoreError;
 
-/// Influent Δ-sets handed to a user differential, keyed by relation.
-pub type SourceDeltas<'a> = HashMap<RelId, &'a DeltaSet>;
-
 /// An incrementally maintained computation over stored relations.
 ///
 /// `Send + Sync` because registered views live inside the engine, and
@@ -34,26 +29,24 @@ pub type SourceDeltas<'a> = HashMap<RelId, &'a DeltaSet>;
 /// ([`apply`](Self::apply) itself only ever runs under the write lock).
 pub trait UserView: Send + Sync {
     /// The stored relations this view reads. Changes to any of them
-    /// invoke [`apply`](Self::apply) at commit.
+    /// invoke [`apply`](Self::apply) at the start of the next
+    /// propagation pass.
     fn sources(&self) -> Vec<RelId>;
 
-    /// Compute the full current result (called once at registration).
+    /// Compute the full current result: at registration, and again
+    /// after a rollback undid changes the view had folded.
     fn initialize(&mut self, catalog: &Catalog, storage: &Storage)
         -> Result<Vec<Tuple>, CoreError>;
 
-    /// The user-defined differential: fold the influents' Δ-sets into
-    /// internal state and return the Δ-set of result tuples.
+    /// The user-defined differential: fold the influents' Δ-sets
+    /// (`storage.delta(rel)` for each source) into internal state and
+    /// return the Δ-set of result tuples.
     ///
     /// `storage` is in the *new* state; the old state of any source is
     /// reachable through logical rollback (a `StateView` with
     /// `storage.delta(rel)` as its `Layer::Undo`), exactly like
     /// compiler-generated negative differentials.
-    fn apply(
-        &mut self,
-        deltas: &SourceDeltas<'_>,
-        catalog: &Catalog,
-        storage: &Storage,
-    ) -> Result<DeltaSet, CoreError>;
+    fn apply(&mut self, catalog: &Catalog, storage: &Storage) -> Result<DeltaSet, CoreError>;
 }
 
 /// [`AggregateView`] bound to its source relation — the built-in
@@ -86,13 +79,8 @@ impl UserView for MaintainedAggregate {
         self.view.current()
     }
 
-    fn apply(
-        &mut self,
-        deltas: &SourceDeltas<'_>,
-        _catalog: &Catalog,
-        _storage: &Storage,
-    ) -> Result<DeltaSet, CoreError> {
-        match deltas.get(&self.source_rel) {
+    fn apply(&mut self, _catalog: &Catalog, storage: &Storage) -> Result<DeltaSet, CoreError> {
+        match storage.delta(self.source_rel) {
             Some(d) => self.view.apply_delta(d),
             None => Ok(DeltaSet::new()),
         }
@@ -107,7 +95,7 @@ impl UserView for MaintainedAggregate {
 pub struct ClosureView<I, D>
 where
     I: FnMut(&Catalog, &Storage) -> Result<Vec<Tuple>, CoreError> + Send + Sync,
-    D: FnMut(&SourceDeltas<'_>, &Catalog, &Storage) -> Result<DeltaSet, CoreError> + Send + Sync,
+    D: FnMut(&Catalog, &Storage) -> Result<DeltaSet, CoreError> + Send + Sync,
 {
     sources: Vec<RelId>,
     init: I,
@@ -117,7 +105,7 @@ where
 impl<I, D> ClosureView<I, D>
 where
     I: FnMut(&Catalog, &Storage) -> Result<Vec<Tuple>, CoreError> + Send + Sync,
-    D: FnMut(&SourceDeltas<'_>, &Catalog, &Storage) -> Result<DeltaSet, CoreError> + Send + Sync,
+    D: FnMut(&Catalog, &Storage) -> Result<DeltaSet, CoreError> + Send + Sync,
 {
     /// Build a view over the given source relations.
     pub fn new(sources: Vec<RelId>, init: I, diff: D) -> Self {
@@ -132,7 +120,7 @@ where
 impl<I, D> UserView for ClosureView<I, D>
 where
     I: FnMut(&Catalog, &Storage) -> Result<Vec<Tuple>, CoreError> + Send + Sync,
-    D: FnMut(&SourceDeltas<'_>, &Catalog, &Storage) -> Result<DeltaSet, CoreError> + Send + Sync,
+    D: FnMut(&Catalog, &Storage) -> Result<DeltaSet, CoreError> + Send + Sync,
 {
     fn sources(&self) -> Vec<RelId> {
         self.sources.clone()
@@ -146,13 +134,8 @@ where
         (self.init)(catalog, storage)
     }
 
-    fn apply(
-        &mut self,
-        deltas: &SourceDeltas<'_>,
-        catalog: &Catalog,
-        storage: &Storage,
-    ) -> Result<DeltaSet, CoreError> {
-        (self.diff)(deltas, catalog, storage)
+    fn apply(&mut self, catalog: &Catalog, storage: &Storage) -> Result<DeltaSet, CoreError> {
+        (self.diff)(catalog, storage)
     }
 }
 
@@ -179,9 +162,9 @@ mod tests {
             move |_cat: &Catalog, storage: &Storage| {
                 Ok(storage.relation(rel).scan().map(double).collect())
             },
-            move |deltas: &SourceDeltas<'_>, _cat: &Catalog, _storage: &Storage| {
+            move |_cat: &Catalog, storage: &Storage| {
                 let mut out = DeltaSet::new();
-                if let Some(d) = deltas.get(&rel) {
+                if let Some(d) = storage.delta(rel) {
                     for t in d.minus() {
                         out.apply_delete(double(t));
                     }
@@ -196,13 +179,12 @@ mod tests {
         let initial = UserView::initialize(&mut view, &catalog, &storage).unwrap();
         assert_eq!(initial, vec![tuple![1, 20]]);
 
-        let mut delta = DeltaSet::new();
-        delta.apply_delete(tuple![1, 10]);
-        delta.apply_insert(tuple![1, 15]);
-        delta.apply_insert(tuple![2, 3]);
-        let mut sources = SourceDeltas::new();
-        sources.insert(rel, &delta);
-        let out = UserView::apply(&mut view, &sources, &catalog, &storage).unwrap();
+        storage.monitor(rel);
+        storage.begin().unwrap();
+        storage.delete(rel, &tuple![1, 10]).unwrap();
+        storage.insert(rel, tuple![1, 15]).unwrap();
+        storage.insert(rel, tuple![2, 3]).unwrap();
+        let out = UserView::apply(&mut view, &catalog, &storage).unwrap();
         assert!(out.plus().contains(&tuple![1, 30]));
         assert!(out.plus().contains(&tuple![2, 6]));
         assert!(out.minus().contains(&tuple![1, 20]));
@@ -227,11 +209,10 @@ mod tests {
         let initial = view.initialize(&catalog, &storage).unwrap();
         assert_eq!(initial, vec![tuple![1, 15]]);
 
-        let mut delta = DeltaSet::new();
-        delta.apply_insert(tuple![1, Value::Int(85)]);
-        let mut sources = SourceDeltas::new();
-        sources.insert(rel, &delta);
-        let out = view.apply(&sources, &catalog, &storage).unwrap();
+        storage.monitor(rel);
+        storage.begin().unwrap();
+        storage.insert(rel, tuple![1, Value::Int(85)]).unwrap();
+        let out = view.apply(&catalog, &storage).unwrap();
         assert!(out.plus().contains(&tuple![1, 100]));
         assert!(out.minus().contains(&tuple![1, 15]));
     }

@@ -34,13 +34,14 @@ use std::sync::Arc;
 
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::eval::{DeltaMap, EvalContext, EvalShared};
-use amos_storage::{DeltaSet, Polarity, StateEpoch, Storage};
+use amos_storage::{DeltaSet, Polarity, RelId, StateEpoch, Storage};
 use amos_types::Tuple;
 
 use crate::adaptive::AdaptivePlanner;
 use crate::error::CoreError;
 use crate::explain::{CheckTrace, TriggerExplanation};
 use crate::hybrid::{CostModel, Strategy};
+use crate::maintained::UserView;
 use crate::naive::NaiveMonitor;
 use crate::network::PropagationNetwork;
 use crate::propagate::{propagate_adaptive, CheckLevel, ExecStrategy, PropagationResult};
@@ -258,9 +259,9 @@ pub struct RuleManager {
     /// reason. A quarantined rule no longer triggers or fires until
     /// [`RuleManager::clear_quarantine`] lifts the quarantine.
     quarantined: HashMap<RuleId, String>,
-    /// Relations the engine wants monitored regardless of active rules
-    /// (e.g. sources of maintained aggregate views).
-    pub pinned: HashSet<amos_storage::RelId>,
+    /// Maintained views, folded at the start of every pass; their
+    /// sources stay monitored regardless of active rules.
+    views: Vec<ViewReg>,
     /// Deterministic fault plan for tests (see `amos_storage::fault`).
     #[cfg(feature = "fault-injection")]
     fault_plan: Option<Arc<amos_storage::fault::FaultPlan>>,
@@ -272,6 +273,16 @@ pub struct RuleManager {
     /// Statistics-driven differential plan cache with wave-front
     /// re-optimization. Reset on network rebuilds.
     adaptive: AdaptivePlanner,
+}
+
+/// A maintained view: its differential, the stored relation it
+/// materializes into, the relations it reads, and the commit sequence
+/// of the transaction it last folded changes in.
+struct ViewReg {
+    view: Box<dyn UserView>,
+    backing: RelId,
+    sources: Vec<RelId>,
+    folded_at: Option<u64>,
 }
 
 impl fmt::Debug for RuleManager {
@@ -309,7 +320,7 @@ impl RuleManager {
             semantic_pruning: true,
             stats: MonitorStats::default(),
             quarantined: HashMap::new(),
-            pinned: HashSet::new(),
+            views: Vec::new(),
             #[cfg(feature = "fault-injection")]
             fault_plan: None,
             eval_shared: Arc::new(EvalShared::default()),
@@ -511,7 +522,8 @@ impl RuleManager {
         let needed: HashSet<PredId> = self.network.stored_nodes(catalog).into_iter().collect();
         for pred in catalog.iter().map(|d| d.id).collect::<Vec<_>>() {
             if let Some(rel) = catalog.def(pred).stored_rel() {
-                if needed.contains(&pred) || self.pinned.contains(&rel) {
+                let viewed = self.views.iter().any(|v| v.sources.contains(&rel));
+                if needed.contains(&pred) || viewed {
                     storage.monitor(rel);
                 } else {
                     storage.unmonitor(rel);
@@ -579,8 +591,9 @@ impl RuleManager {
     }
 
     /// The deferred **check phase** (run by the engine at commit time):
-    /// propagate changes, mark triggered rules, resolve conflicts, run
-    /// actions set-oriented, and iterate to fixpoint.
+    /// fold each pass's changes into the maintained views, propagate
+    /// them, mark triggered rules, resolve conflicts, run actions
+    /// set-oriented, and iterate to fixpoint.
     pub fn check_phase(
         &mut self,
         catalog: &Catalog,
@@ -596,6 +609,7 @@ impl RuleManager {
             if had_changes {
                 summary.passes += 1;
                 self.stats.passes += 1;
+                self.fold_views(catalog, storage)?;
                 self.update_triggered(catalog, storage)?;
                 // The pass consumed the accumulated base Δ-sets; the
                 // post-action state becomes the next reference point.
@@ -695,6 +709,57 @@ impl RuleManager {
         Err(CoreError::NonTerminatingRules {
             limit: self.max_iterations,
         })
+    }
+
+    /// Register a maintained view materialized into `backing`: every
+    /// later pass that finds one of its sources changed folds their
+    /// Δ-sets into it before propagating, and its sources stay
+    /// monitored regardless of active rules.
+    pub fn add_view(&mut self, view: Box<dyn UserView>, backing: RelId, storage: &mut Storage) {
+        let sources = view.sources();
+        for &rel in &sources {
+            storage.monitor(rel);
+        }
+        self.views.push(ViewReg {
+            view,
+            backing,
+            sources,
+            folded_at: None,
+        });
+    }
+
+    /// Re-initialize from `storage` every view that folded changes in
+    /// the transaction just rolled back: the rollback restored its
+    /// backing relation, but not the view's own state.
+    pub fn restore_views(&mut self, catalog: &Catalog, storage: &Storage) -> Result<(), CoreError> {
+        let seq = storage.commit_seq();
+        for reg in self.views.iter_mut().filter(|r| r.folded_at == Some(seq)) {
+            reg.view.initialize(catalog, storage)?;
+            reg.folded_at = None;
+        }
+        Ok(())
+    }
+
+    /// Fold the pass's source Δ-sets into every view they touch and
+    /// write each view's result Δ-set to its backing relation, where
+    /// the same pass sees it like any base update.
+    fn fold_views(&mut self, catalog: &Catalog, storage: &mut Storage) -> Result<(), CoreError> {
+        let seq = storage.commit_seq();
+        for reg in &mut self.views {
+            let changed = |&rel: &RelId| storage.delta(rel).is_some_and(|d| !d.is_empty());
+            if !reg.sources.iter().any(changed) {
+                continue;
+            }
+            let out = reg.view.apply(catalog, storage)?;
+            reg.folded_at = Some(seq);
+            for t in out.minus() {
+                storage.delete(reg.backing, t)?;
+            }
+            for t in out.plus() {
+                storage.insert(reg.backing, t.clone())?;
+            }
+        }
+        Ok(())
     }
 
     /// Recompute every naive/hybrid materialization from the current

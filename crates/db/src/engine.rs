@@ -10,7 +10,7 @@ use amos_amosql::compiler::{compile_predicate_at, compile_select_at, QueryEnv};
 use amos_amosql::parser::parse_spanned;
 use amos_amosql::ParseError;
 use amos_core::aggregate::{AggFn, AggregateView};
-use amos_core::maintained::{MaintainedAggregate, SourceDeltas, UserView};
+use amos_core::maintained::{MaintainedAggregate, UserView};
 use amos_core::propagate::ExecStrategy;
 use amos_core::rules::{
     ActionFn, CheckSummary, MonitorMode, RuleManager, RuleSemantics, StrategyPin,
@@ -18,12 +18,12 @@ use amos_core::rules::{
 use amos_lint::{Diagnostic, LintConfig, RuleFacts, RuleWrite, Span};
 use amos_objectlog::catalog::{Catalog, PredId, PredKind};
 use amos_objectlog::clause::Literal;
-use amos_objectlog::eval::{DeltaMap, EvalContext};
+use amos_objectlog::eval::EvalContext;
 use amos_objectlog::expand::{expand_clause, ExpandOptions};
 use amos_objectlog::plan::compile_clause;
 use amos_storage::{
-    CommitWaiter, LayerStacks, RecoveryInfo, RelId, Savepoint, StateEpoch, Storage, WalConfig,
-    WalMetrics,
+    CommitWaiter, LayerStacks, RecoveryInfo, RelId, Savepoint, StateEpoch, Storage, StorageError,
+    WalConfig, WalMetrics,
 };
 use amos_types::{Tuple, TypeRegistry, Value};
 
@@ -113,12 +113,6 @@ pub enum ExecResult {
     Text(String),
 }
 
-struct ViewReg {
-    view: Box<dyn UserView>,
-    backing: RelId,
-    sources: Vec<RelId>,
-}
-
 /// Lint-relevant facts about a defined rule, recorded at `create rule`
 /// time — the action AST is consumed by the action closure, so the
 /// stored-function writes it performs are extracted up front.
@@ -138,7 +132,6 @@ pub struct Amos {
     extents: HashMap<String, PredId>,
     iface: HashMap<String, Value>,
     procedures: Procedures,
-    views: Vec<ViewReg>,
     rule_lint: Vec<RuleLintInfo>,
     fn_spans: HashMap<String, Span>,
     pub(crate) options: EngineOptions,
@@ -169,7 +162,6 @@ impl Amos {
             extents: HashMap::new(),
             iface: HashMap::new(),
             procedures: Arc::new(Mutex::new(HashMap::new())),
-            views: Vec::new(),
             rule_lint: Vec::new(),
             fn_spans: HashMap::new(),
             options,
@@ -245,7 +237,7 @@ impl Amos {
     /// `name(group…) -> value` = `agg(value_col of source_fn)` grouped
     /// by `group_cols` (§8 extension). The aggregate becomes an ordinary
     /// stored function: rules can monitor conditions over it and the
-    /// engine maintains it at every commit.
+    /// check phase maintains it at every pass.
     pub fn register_aggregate(
         &mut self,
         name: &str,
@@ -271,8 +263,9 @@ impl Amos {
     /// Register an incrementally maintained view with a **user-defined
     /// differential** (§8 future work): `view` declares the stored
     /// relations it reads and computes its own Δ-set from theirs at
-    /// every commit. The result is materialized into an ordinary stored
-    /// function named `name`, so rule conditions can monitor it.
+    /// every pass of the check phase — rule actions' writes to its
+    /// sources included. The result is materialized into an ordinary
+    /// stored function named `name`, so rule conditions can monitor it.
     ///
     /// This is the hook for "incremental evaluation of foreign functions
     /// through user defined differentials" — see
@@ -290,24 +283,9 @@ impl Amos {
         self.catalog
             .define_stored(name, vec![object; arity], backing, key_arity)?;
         for t in view.initialize(&self.catalog, &self.storage)? {
-            if t.arity() != arity {
-                return Err(DbError::Other(format!(
-                    "view `{name}` produced a tuple of arity {}, declared {arity}",
-                    t.arity()
-                )));
-            }
             self.storage.insert(backing, t)?;
         }
-        let sources = view.sources();
-        for &rel in &sources {
-            self.rules.pinned.insert(rel);
-            self.storage.monitor(rel);
-        }
-        self.views.push(ViewReg {
-            view,
-            backing,
-            sources,
-        });
+        self.rules.add_view(view, backing, &mut self.storage);
         Ok(())
     }
 
@@ -345,7 +323,9 @@ impl Amos {
     }
 
     /// Mutable access to the storage layer (benchmarks drive updates
-    /// directly to exclude parsing from timings).
+    /// directly to exclude parsing from timings). A rollback made here
+    /// bypasses [`Amos::rollback`]: a maintained view that folded
+    /// changes in the rolled-back transaction keeps them.
     pub fn storage_mut(&mut self) -> &mut Storage {
         &mut self.storage
     }
@@ -578,27 +558,19 @@ impl Amos {
     /// Evaluate `f(args…)` and return its (single, smallest if
     /// multi-valued) value.
     pub fn call_function(&self, name: &str, args: &[Value]) -> Result<Value, DbError> {
-        let pred = self
-            .catalog
-            .lookup(name)
-            .map_err(|_| DbError::Other(format!("unknown function `{name}`")))?;
-        let arity = self.catalog.def(pred).arity;
-        if args.len() + 1 != arity {
-            return Err(DbError::Other(format!(
-                "function `{name}` takes {} arguments, {} supplied",
-                arity - 1,
-                args.len()
-            )));
-        }
-        let mut pattern: Vec<Option<Value>> = args.iter().cloned().map(Some).collect();
-        pattern.push(None);
-        let deltas = DeltaMap::new();
-        let ctx = EvalContext::new(&self.storage, &self.catalog, &deltas);
-        let results = ctx.eval_pred(pred, &pattern, StateEpoch::New)?;
-        let mut vals: Vec<Value> = results.into_iter().map(|t| t[arity - 1].clone()).collect();
-        vals.sort();
-        vals.into_iter().next().ok_or_else(|| {
-            DbError::Other(format!("no value stored for `{name}` at these arguments"))
+        self.with_scalar(|s| s.call(name, args.to_vec()))
+    }
+
+    /// Run `f` with a scalar evaluator over the stored state as it
+    /// stands, with only the interface variables bound.
+    fn with_scalar<R>(&self, f: impl FnOnce(&ScalarEval<'_>) -> R) -> R {
+        let none = LayerStacks::default();
+        let ctx = EvalContext::with_layers(&self.storage, &self.catalog, &none);
+        let scope = Scope::top(&self.iface);
+        f(&ScalarEval {
+            ctx: &ctx,
+            scope,
+            reads: None,
         })
     }
 
@@ -606,9 +578,9 @@ impl Amos {
     // Statement execution
     // ------------------------------------------------------------------
 
-    /// The global interface-variable bindings (`:name` → value).
-    /// Sessions snapshot these for scalar evaluation; `create
-    /// instances` forwarded from a session writes through them.
+    /// The global interface-variable bindings (`:name` → value), the
+    /// scope a session's statements evaluate in; `create instances`
+    /// forwarded from a session writes through them.
     pub(crate) fn iface_map(&self) -> &HashMap<String, Value> {
         &self.iface
     }
@@ -662,46 +634,9 @@ impl Amos {
                 self.create_rule(&name, &params, &events, condition, action, priority, at)?;
                 Ok(ExecResult::Ok)
             }
-            Statement::CreateInstances { type_name, names } => {
-                // An instance belongs to its type and to every
-                // supertype: insert into the whole extent chain so
-                // `for each <supertype>` (and rules over it) sees it.
-                let mut chain_rels = Vec::new();
-                let mut ty = Some(self.types.lookup(&type_name)?);
-                while let Some(t) = ty {
-                    let def = self.types.def(t);
-                    if !def.builtin {
-                        let pred = *self.extents.get(&def.name).ok_or_else(|| {
-                            DbError::Other(format!("type `{}` has no extent", def.name))
-                        })?;
-                        chain_rels.push(
-                            self.catalog
-                                .def(pred)
-                                .stored_rel()
-                                .expect("extent is stored"),
-                        );
-                    }
-                    ty = def.supertype;
-                }
-                if chain_rels.is_empty() {
-                    return Err(DbError::Other(format!(
-                        "cannot create instances of builtin type `{type_name}`"
-                    )));
-                }
-                for n in names {
-                    let oid = self.storage.fresh_oid();
-                    for &rel in &chain_rels {
-                        self.storage
-                            .insert(rel, Tuple::new(vec![Value::Oid(oid)]))?;
-                    }
-                    self.iface.insert(n, Value::Oid(oid));
-                }
-                Ok(ExecResult::Ok)
-            }
-            Statement::Update(p) => self.autocommit(|this| this.run_proc(&p)),
-            Statement::CallProc { name, args } => {
-                self.autocommit(|this| this.run_proc(&ProcStmt::Call { name, args }))
-            }
+            Statement::Update(_)
+            | Statement::CallProc { .. }
+            | Statement::CreateInstances { .. } => self.autocommit(stmt),
             Statement::Select(sel) => {
                 let rows = self.select_rows(&sel, at, &LayerStacks::default(), None)?;
                 Ok(ExecResult::Rows(rows))
@@ -714,8 +649,7 @@ impl Amos {
                 if amos_lint::has_deny(&diags) {
                     return Err(DbError::Lint(diags));
                 }
-                let params = self.eval_args(&args)?;
-                let params = Tuple::new(params);
+                let params = Tuple::new(self.with_scalar(|s| s.all(&args))?);
                 self.rules
                     .activate(id, params.clone(), &self.catalog, &mut self.storage)?;
                 // Conformance gate: the rebuilt network must agree with
@@ -740,7 +674,7 @@ impl Amos {
             }
             Statement::Deactivate { rule, args } => {
                 let id = self.rules.rule_id(&rule)?;
-                let params = self.eval_args(&args)?;
+                let params = self.with_scalar(|s| s.all(&args))?;
                 self.rules
                     .deactivate(id, &Tuple::new(params), &self.catalog, &mut self.storage)?;
                 Ok(ExecResult::Ok)
@@ -769,116 +703,124 @@ impl Amos {
                     .pin_strategy(&self.catalog, &self.storage, id, pin)?;
                 Ok(ExecResult::Ok)
             }
-            Statement::Begin => {
-                self.storage.begin()?;
-                Ok(ExecResult::Ok)
-            }
-            Statement::Commit => {
-                let summary = self.commit()?;
-                Ok(ExecResult::Committed(summary))
-            }
-            Statement::Rollback => {
-                self.storage.rollback()?;
-                Ok(ExecResult::Ok)
-            }
+            Statement::Begin => self.begin().map(|()| ExecResult::Ok),
+            Statement::Commit => self.commit().map(ExecResult::Committed),
+            Statement::Rollback => self.rollback().map(|()| ExecResult::Ok),
         }
     }
 
-    /// One `set` / `add` / `remove` / procedure call against shared
-    /// storage, inside the open transaction.
-    fn run_proc(&mut self, p: &ProcStmt) -> Result<(), DbError> {
-        let env = HashMap::new();
-        exec_proc_stmt(
+    /// Run one data statement — `set` / `add` / `remove`, a procedure
+    /// call, `create … instances` — in place, inside the open
+    /// transaction.
+    fn run_data(&mut self, stmt: Statement) -> Result<(), DbError> {
+        let p = match stmt {
+            Statement::Update(p) => p,
+            Statement::CallProc { name, args } => ProcStmt::Call { name, args },
+            Statement::CreateInstances { type_name, names } => {
+                return self.create_instances(&type_name, names)
+            }
+            other => return Err(DbError::Other(format!("`{other}` is not a data statement"))),
+        };
+        let scope = Scope::top(&self.iface);
+        run_in_place(
             &mut self.storage,
             &self.catalog,
-            &env,
-            &self.iface,
+            scope,
             &self.procedures,
-            p,
+            &p,
         )
-        .map_err(DbError::Other)
     }
 
-    /// Run `f` inside the current transaction, or wrap it in an
-    /// implicit begin/commit (with check phase) when none is open —
-    /// the usual active-DBMS autocommit semantics.
-    fn autocommit(
-        &mut self,
-        f: impl FnOnce(&mut Self) -> Result<(), DbError>,
-    ) -> Result<ExecResult, DbError> {
-        if self.storage.in_transaction() {
-            f(self)?;
-            if self.options.immediate {
-                let summary = self.check_now()?;
-                return Ok(ExecResult::Committed(summary));
+    /// Insert one fresh object per name into the extent of `type_name`
+    /// and of every supertype, so `for each <supertype>` (and rules over
+    /// it) sees it, and bind the names to them.
+    fn create_instances(&mut self, type_name: &str, names: Vec<String>) -> Result<(), DbError> {
+        let mut chain_rels = Vec::new();
+        let mut ty = Some(self.types.lookup(type_name)?);
+        while let Some(t) = ty {
+            let def = self.types.def(t);
+            if !def.builtin {
+                let pred = *self
+                    .extents
+                    .get(&def.name)
+                    .ok_or_else(|| DbError::Other(format!("type `{}` has no extent", def.name)))?;
+                chain_rels.push(
+                    self.catalog
+                        .def(pred)
+                        .stored_rel()
+                        .expect("extent is stored"),
+                );
             }
-            Ok(ExecResult::Ok)
-        } else {
-            self.implicit_txn(|this| {
-                f(this)?;
-                this.commit()
-            })
-            .map(ExecResult::Committed)
+            ty = def.supertype;
         }
+        if chain_rels.is_empty() {
+            return Err(DbError::Other(format!(
+                "cannot create instances of builtin type `{type_name}`"
+            )));
+        }
+        for n in names {
+            let oid = self.storage.fresh_oid();
+            for &rel in &chain_rels {
+                self.storage
+                    .insert(rel, Tuple::new(vec![Value::Oid(oid)]))?;
+            }
+            self.iface.insert(n, Value::Oid(oid));
+        }
+        Ok(())
     }
 
-    /// Autocommit one data statement (`set` / `add` / `remove`, a
-    /// procedure call, `create … instances`) with deferred durability —
-    /// the session path for statements outside a session transaction.
-    /// Like [`Amos::commit_deferred_durability`], the caller must block
-    /// on the returned [`CommitWaiter`] after releasing the engine lock.
-    pub(crate) fn autocommit_deferred(
+    /// Run a data statement inside the open transaction (under
+    /// immediate processing, with a rule check right after it), or
+    /// autocommit it when none is open — the usual active-DBMS
+    /// semantics.
+    fn autocommit(&mut self, stmt: Statement) -> Result<ExecResult, DbError> {
+        if !self.storage.in_transaction() {
+            return self
+                .implicit_txn(stmt, Self::commit)
+                .map(ExecResult::Committed);
+        }
+        self.run_data(stmt)?;
+        if self.options.immediate {
+            return Ok(ExecResult::Committed(self.check_now()?));
+        }
+        Ok(ExecResult::Ok)
+    }
+
+    /// Autocommit one data statement: open a transaction, run `stmt`,
+    /// end with `commit` — [`Amos::commit`] embedded,
+    /// [`Amos::commit_deferred_durability`] for a session — and roll
+    /// back if either fails: a failed statement — or a failed commit
+    /// (check phase, or a WAL error on the embedded path) — leaves the
+    /// implicit transaction open; undo it so autocommit is atomic. With
+    /// deferred durability a WAL error only surfaces in
+    /// [`CommitWaiter::wait`], after the change is published: that is
+    /// `commit;`'s "durability unknown", not a rollback.
+    pub(crate) fn implicit_txn<T>(
         &mut self,
         stmt: Statement,
-        at: Option<(usize, usize)>,
-    ) -> Result<(ExecResult, Option<CommitWaiter>), DbError> {
-        self.implicit_txn(|this| {
-            match stmt {
-                Statement::Update(p) => this.run_proc(&p)?,
-                Statement::CallProc { name, args } => {
-                    this.run_proc(&ProcStmt::Call { name, args })?
-                }
-                other => {
-                    this.exec_statement(other, at)?;
-                }
-            }
-            let (summary, waiter) = this.commit_deferred_durability()?;
-            Ok((ExecResult::Committed(summary), waiter))
-        })
-    }
-
-    /// Open a transaction, run `f` (which commits it), and roll back if
-    /// `f` fails: a failed statement — or a failed commit (check phase,
-    /// or a WAL error on the embedded path) — leaves the implicit
-    /// transaction open; undo it so autocommit is atomic. With deferred
-    /// durability ([`Amos::autocommit_deferred`]) a WAL error only
-    /// surfaces in [`CommitWaiter::wait`], after the change is
-    /// published: that is `commit;`'s "durability unknown", not a
-    /// rollback.
-    fn implicit_txn<T>(
-        &mut self,
-        f: impl FnOnce(&mut Self) -> Result<T, DbError>,
+        commit: impl FnOnce(&mut Self) -> Result<T, DbError>,
     ) -> Result<T, DbError> {
-        self.storage.begin()?;
-        f(self).or_else(|e| {
-            if self.storage.in_transaction() {
-                self.storage.rollback()?;
-            }
-            Err(e)
-        })
+        self.begin()?;
+        self.run_data(stmt)
+            .and_then(|()| commit(self))
+            .or_else(|e| {
+                if self.storage.in_transaction() {
+                    self.rollback()?;
+                }
+                Err(e)
+            })
     }
 
-    /// Commit the open transaction: maintain aggregates, run the
-    /// deferred rule check phase, then make the changes durable.
+    /// Commit the open transaction: run the deferred rule check phase
+    /// (which maintains the views), then make the changes durable.
     pub fn commit(&mut self) -> Result<CheckSummary, DbError> {
-        self.maintain_views()?;
         let summary = self.rules.check_phase(&self.catalog, &mut self.storage)?;
         self.storage.commit()?;
         Ok(summary)
     }
 
     /// Commit with deferred durability (the pipelined session path):
-    /// identical to [`Amos::commit`] — views, check phase, apply — except
+    /// identical to [`Amos::commit`] — check phase, apply — except
     /// the WAL batch only enters the group-commit buffer. The caller
     /// must block on the returned [`CommitWaiter`] *after* releasing the
     /// engine lock; `None` means nothing needed logging (no WAL, or a
@@ -886,7 +828,6 @@ impl Amos {
     pub fn commit_deferred_durability(
         &mut self,
     ) -> Result<(CheckSummary, Option<CommitWaiter>), DbError> {
-        self.maintain_views()?;
         let summary = self.rules.check_phase(&self.catalog, &mut self.storage)?;
         let waiter = self.storage.commit_buffered()?;
         Ok((summary, waiter))
@@ -897,7 +838,6 @@ impl Amos {
     /// Δ-sets accumulated since the last check, and executes triggered
     /// rules; the transaction stays open.
     pub fn check_now(&mut self) -> Result<CheckSummary, DbError> {
-        self.maintain_views()?;
         let summary = self.rules.check_phase(&self.catalog, &mut self.storage)?;
         Ok(summary)
     }
@@ -908,9 +848,11 @@ impl Amos {
         Ok(())
     }
 
-    /// Roll the open transaction back.
+    /// Roll the open transaction back, re-initializing every maintained
+    /// view that folded changes in it.
     pub fn rollback(&mut self) -> Result<(), DbError> {
         self.storage.rollback()?;
+        self.rules.restore_views(&self.catalog, &self.storage)?;
         Ok(())
     }
 
@@ -981,44 +923,6 @@ impl Amos {
         if let Some(w) = self.storage.wal_mut() {
             w.set_fault_plan(plan);
         }
-    }
-
-    fn maintain_views(&mut self) -> Result<(), DbError> {
-        for reg in &mut self.views {
-            // Clone the source Δ-sets out so the view's user differential
-            // can also consult storage (old-state views) while applying.
-            let deltas: Vec<(RelId, amos_storage::DeltaSet)> = reg
-                .sources
-                .iter()
-                .filter_map(|&rel| {
-                    self.storage
-                        .delta(rel)
-                        .filter(|d| !d.is_empty())
-                        .map(|d| (rel, d.clone()))
-                })
-                .collect();
-            if deltas.is_empty() {
-                continue;
-            }
-            let source_deltas: SourceDeltas<'_> = deltas.iter().map(|(rel, d)| (*rel, d)).collect();
-            let out = reg
-                .view
-                .apply(&source_deltas, &self.catalog, &self.storage)?;
-            for t in out.minus() {
-                self.storage.delete(reg.backing, t)?;
-            }
-            for t in out.plus() {
-                self.storage.insert(reg.backing, t.clone())?;
-            }
-        }
-        Ok(())
-    }
-
-    fn eval_args(&self, args: &[Expr]) -> Result<Vec<Value>, DbError> {
-        let env = HashMap::new();
-        args.iter()
-            .map(|a| eval_scalar(&self.storage, &self.catalog, &env, &self.iface, a))
-            .collect()
     }
 
     fn create_function(
@@ -1150,19 +1054,14 @@ impl Amos {
         let iface_snapshot = self.iface.clone();
         let procedures = Arc::clone(&self.procedures);
         let action_fn: ActionFn = Arc::new(move |ctx, instance| {
-            let mut env: HashMap<String, Value> = HashMap::with_capacity(var_names.len());
-            for (n, v) in var_names.iter().zip(instance.values()) {
-                env.insert(n.clone(), v.clone());
-            }
+            let scope = Scope {
+                vars: &var_names,
+                vals: instance.values(),
+                iface: &iface_snapshot,
+            };
             for stmt in &action {
-                exec_proc_stmt(
-                    ctx.storage,
-                    ctx.catalog,
-                    &env,
-                    &iface_snapshot,
-                    &procedures,
-                    stmt,
-                )?;
+                run_in_place(ctx.storage, ctx.catalog, scope, &procedures, stmt)
+                    .map_err(|e| e.to_string())?;
             }
             Ok(())
         });
@@ -1299,23 +1198,6 @@ impl Amos {
     }
 }
 
-/// Evaluate a scalar expression against the current database state.
-pub fn eval_scalar(
-    storage: &Storage,
-    catalog: &Catalog,
-    env: &HashMap<String, Value>,
-    iface: &HashMap<String, Value>,
-    expr: &Expr,
-) -> Result<Value, DbError> {
-    ScalarEval {
-        ctx: &EvalContext::new(storage, catalog, &DeltaMap::new()),
-        env,
-        iface,
-        reads: None,
-    }
-    .eval(expr)
-}
-
 /// Relations a session transaction has read, at two granularities:
 /// whole-relation (scans, derived-function calls) and conflict-key
 /// (stored-function probes). Commit-time validation intersects these
@@ -1334,24 +1216,23 @@ impl ReadTrace {
     /// probed key is the conflict key), whole-relation for every stored
     /// influent of a derived function.
     pub(crate) fn record_call(&mut self, catalog: &Catalog, pred: PredId, args: &[Value]) {
-        match &catalog.def(pred).kind {
-            PredKind::Stored { rel, key_arity } => {
-                let k = *key_arity;
-                if k > 0 && k <= args.len() {
-                    self.keys
-                        .entry(*rel)
-                        .or_default()
-                        .insert(Tuple::new(args[..k].to_vec()));
-                } else {
-                    self.whole.insert(*rel);
-                }
+        match catalog.def(pred).kind {
+            PredKind::Stored { rel, key_arity } => self.record_key(rel, key_arity, args),
+            PredKind::Derived(_) => self.record_scan(catalog, pred),
+        }
+    }
+
+    /// Record a read of `rel` at the key that leads `vals`: the key
+    /// columns of a stored function, or the whole relation when it has
+    /// no key.
+    pub(crate) fn record_key(&mut self, rel: RelId, key_arity: usize, vals: &[Value]) {
+        match vals.get(..key_arity) {
+            Some(key) if key_arity > 0 => {
+                let keys = self.keys.entry(rel).or_default();
+                keys.insert(Tuple::new(key.to_vec()));
             }
-            PredKind::Derived(_) => {
-                for p in catalog.stored_influents(pred) {
-                    if let Some(rel) = catalog.def(p).stored_rel() {
-                        self.whole.insert(rel);
-                    }
-                }
+            _ => {
+                self.whole.insert(rel);
             }
         }
     }
@@ -1375,29 +1256,92 @@ impl ReadTrace {
     }
 }
 
+/// Where the names of a statement resolve: the variables a rule
+/// instance binds (none for a top-level statement), then the interface
+/// variables.
+#[derive(Clone, Copy)]
+pub(crate) struct Scope<'a> {
+    pub vars: &'a [String],
+    pub vals: &'a [Value],
+    pub iface: &'a HashMap<String, Value>,
+}
+
+impl<'a> Scope<'a> {
+    /// A top-level statement's scope: interface variables only.
+    pub(crate) fn top(iface: &'a HashMap<String, Value>) -> Self {
+        Scope {
+            vars: &[],
+            vals: &[],
+            iface,
+        }
+    }
+}
+
 /// Scalar-expression evaluator over one evaluation context — the state
 /// it reads (session transactions read through their snapshot layers)
 /// and the caches every stored-function call of the statement shares;
 /// the storage borrow is immutable for as long as `ctx` lives, so its
 /// memo table is valid for exactly that long — plus an optional read
 /// trace (commit-time conflict validation needs the read footprint).
-/// [`eval_scalar`] is the plain single-session instance.
 pub(crate) struct ScalarEval<'a> {
     pub ctx: &'a EvalContext<'a>,
-    pub env: &'a HashMap<String, Value>,
-    pub iface: &'a HashMap<String, Value>,
+    pub scope: Scope<'a>,
     pub reads: Option<&'a RefCell<ReadTrace>>,
+}
+
+/// What kind of write a data statement makes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WriteKind {
+    /// Replace every tuple at the key.
+    Set,
+    /// Insert the tuple.
+    Add,
+    /// Delete the tuple.
+    Remove,
+}
+
+/// The write a `set` / `add` / `remove` statement makes: the whole
+/// tuple, and the stored relation and key arity it goes to.
+pub(crate) struct Write {
+    pub rel: RelId,
+    pub key_arity: usize,
+    pub kind: WriteKind,
+    pub tuple: Tuple,
+}
+
+impl Write {
+    /// Land the write in place, through the storage calls the check
+    /// phase sees as physical events (§4.1).
+    fn land(self, storage: &mut Storage) -> Result<(), StorageError> {
+        match self.kind {
+            WriteKind::Set => {
+                let (key, rest) = self.tuple.values().split_at(self.key_arity);
+                storage.set_functional(self.rel, key, rest)
+            }
+            WriteKind::Add => storage.insert(self.rel, self.tuple).map(drop),
+            WriteKind::Remove => storage.delete(self.rel, &self.tuple).map(drop),
+        }
+    }
+}
+
+/// A data statement evaluated: the write it makes, or a procedure call
+/// with its argument values.
+pub(crate) enum Evaluated<'s> {
+    Write(Write),
+    Call(&'s str, Vec<Value>),
 }
 
 impl ScalarEval<'_> {
     pub(crate) fn eval(&self, expr: &Expr) -> Result<Value, DbError> {
         match expr {
-            Expr::Var(n) => self
-                .env
-                .get(n)
-                .cloned()
-                .ok_or_else(|| DbError::Other(format!("unbound variable `{n}`"))),
+            Expr::Var(n) => {
+                let at = self.scope.vars.iter().rposition(|v| v == n);
+                at.and_then(|i| self.scope.vals.get(i))
+                    .cloned()
+                    .ok_or_else(|| DbError::Other(format!("unbound variable `{n}`")))
+            }
             Expr::IfaceVar(n) => self
+                .scope
                 .iface
                 .get(n)
                 .cloned()
@@ -1434,118 +1378,124 @@ impl ScalarEval<'_> {
                 let v = self.eval(e)?.as_bool()?;
                 Ok(Value::Bool(!v))
             }
-            Expr::Call { func, args } => {
-                let catalog = self.ctx.catalog;
-                let pred = catalog
-                    .lookup(func)
-                    .map_err(|_| DbError::Other(format!("unknown function `{func}`")))?;
-                let arity = catalog.def(pred).arity;
-                if args.len() + 1 != arity {
-                    return Err(DbError::Other(format!(
-                        "function `{func}` takes {} arguments, {} supplied",
-                        arity - 1,
-                        args.len()
-                    )));
-                }
-                let mut vals: Vec<Value> = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(a)?);
-                }
-                if let Some(reads) = self.reads {
-                    reads.borrow_mut().record_call(catalog, pred, &vals);
-                }
-                let mut pattern: Vec<Option<Value>> = vals.into_iter().map(Some).collect();
-                pattern.push(None);
-                let results = self.ctx.eval_pred(pred, &pattern, StateEpoch::New)?;
-                let mut vals: Vec<Value> =
-                    results.into_iter().map(|t| t[arity - 1].clone()).collect();
-                vals.sort();
-                vals.into_iter().next().ok_or_else(|| {
-                    DbError::Other(format!("no value stored for `{func}` at these arguments"))
-                })
-            }
+            Expr::Call { func, args } => self.call(func, self.all(args)?),
         }
+    }
+
+    /// Evaluate every expression of `exprs`, in order.
+    pub(crate) fn all(&self, exprs: &[Expr]) -> Result<Vec<Value>, DbError> {
+        exprs.iter().map(|e| self.eval(e)).collect()
+    }
+
+    /// `func(args…)`: its single value, the smallest if it is
+    /// multi-valued.
+    pub(crate) fn call(&self, func: &str, args: Vec<Value>) -> Result<Value, DbError> {
+        let catalog = self.ctx.catalog;
+        let pred = catalog
+            .lookup(func)
+            .map_err(|_| DbError::Other(format!("unknown function `{func}`")))?;
+        let arity = catalog.def(pred).arity;
+        if args.len() + 1 != arity {
+            return Err(DbError::Other(format!(
+                "function `{func}` takes {} arguments, {} supplied",
+                arity - 1,
+                args.len()
+            )));
+        }
+        if let Some(reads) = self.reads {
+            reads.borrow_mut().record_call(catalog, pred, &args);
+        }
+        let mut pattern: Vec<Option<Value>> = args.into_iter().map(Some).collect();
+        pattern.push(None);
+        let results = self.ctx.eval_pred(pred, &pattern, StateEpoch::New)?;
+        let vals = results.into_iter().map(|t| t[arity - 1].clone());
+        vals.min().ok_or_else(|| {
+            DbError::Other(format!("no value stored for `{func}` at these arguments"))
+        })
+    }
+
+    /// The statement executor's one evaluation step, shared by every
+    /// door into the engine: resolve the statement's stored function,
+    /// evaluate its arguments, check its arity — the key count of a
+    /// `set`, the tuple width of every kind — and return the write it
+    /// makes. A procedure call evaluates its arguments alone. Each door
+    /// lands the result its own way: in place, or folded into a session
+    /// transaction's write-set.
+    pub(crate) fn statement<'s>(&self, stmt: &'s ProcStmt) -> Result<Evaluated<'s>, DbError> {
+        let (kind, func, args, value) = match stmt {
+            ProcStmt::Call { name, args } => return Ok(Evaluated::Call(name, self.all(args)?)),
+            ProcStmt::Set { func, args, value } => (WriteKind::Set, func, args, value),
+            ProcStmt::Add { func, args, value } => (WriteKind::Add, func, args, value),
+            ProcStmt::Remove { func, args, value } => (WriteKind::Remove, func, args, value),
+        };
+        let (rel, key_arity) = resolve_stored(self.ctx.catalog, func)?;
+        let mut vals = self.all(args)?;
+        if kind == WriteKind::Set && vals.len() != key_arity {
+            return Err(DbError::Other(format!(
+                "`set {func}` expects {key_arity} key arguments, got {}",
+                vals.len()
+            )));
+        }
+        vals.push(self.eval(value)?);
+        let relation = self.ctx.storage.relation(rel);
+        if vals.len() != relation.arity() {
+            return Err(DbError::Storage(StorageError::ArityMismatch {
+                relation: relation.name().to_string(),
+                expected: relation.arity(),
+                found: vals.len(),
+            }));
+        }
+        let tuple = Tuple::new(vals);
+        Ok(Evaluated::Write(Write {
+            rel,
+            key_arity,
+            kind,
+            tuple,
+        }))
     }
 }
 
-/// Execute one action/update statement in a variable environment.
-fn exec_proc_stmt(
+/// The in-place door of the statement executor — embedded statements,
+/// served autocommits and rule actions: evaluate `stmt` against
+/// `storage` as it stands, then land its write there or call the
+/// procedure.
+fn run_in_place(
     storage: &mut Storage,
     catalog: &Catalog,
-    env: &HashMap<String, Value>,
-    iface: &HashMap<String, Value>,
+    scope: Scope<'_>,
     procedures: &Procedures,
     stmt: &ProcStmt,
-) -> Result<(), String> {
-    let eval = |storage: &Storage, e: &Expr| -> Result<Value, String> {
-        eval_scalar(storage, catalog, env, iface, e).map_err(|e| e.to_string())
+) -> Result<(), DbError> {
+    let evaluated = {
+        let none = LayerStacks::default();
+        let ctx = EvalContext::with_layers(storage, catalog, &none);
+        let reads = None;
+        ScalarEval {
+            ctx: &ctx,
+            scope,
+            reads,
+        }
+        .statement(stmt)?
     };
-    match stmt {
-        ProcStmt::Set { func, args, value } => {
-            let (rel, key_arity) = resolve_stored(catalog, func)?;
-            let key: Vec<Value> = args
-                .iter()
-                .map(|a| eval(storage, a))
-                .collect::<Result<_, _>>()?;
-            if key.len() != key_arity {
-                return Err(format!(
-                    "`set {func}` expects {key_arity} key arguments, got {}",
-                    key.len()
-                ));
-            }
-            let v = eval(storage, value)?;
-            storage
-                .set_functional(rel, &key, &[v])
-                .map_err(|e| e.to_string())
-        }
-        ProcStmt::Add { func, args, value } => {
-            let (rel, _) = resolve_stored(catalog, func)?;
-            let key: Vec<Value> = args
-                .iter()
-                .map(|a| eval(storage, a))
-                .collect::<Result<_, _>>()?;
-            let v = eval(storage, value)?;
-            storage
-                .add_functional(rel, &key, &[v])
-                .map(|_| ())
-                .map_err(|e| e.to_string())
-        }
-        ProcStmt::Remove { func, args, value } => {
-            let (rel, _) = resolve_stored(catalog, func)?;
-            let key: Vec<Value> = args
-                .iter()
-                .map(|a| eval(storage, a))
-                .collect::<Result<_, _>>()?;
-            let v = eval(storage, value)?;
-            storage
-                .remove_functional(rel, &key, &[v])
-                .map(|_| ())
-                .map_err(|e| e.to_string())
-        }
-        ProcStmt::Call { name, args } => {
-            let vals: Vec<Value> = args
-                .iter()
-                .map(|a| eval(storage, a))
-                .collect::<Result<_, _>>()?;
+    match evaluated {
+        Evaluated::Write(w) => Ok(w.land(storage)?),
+        Evaluated::Call(name, args) => {
             let proc = procedures
                 .lock()
                 .expect("procedures lock")
                 .get(name)
-                .cloned()
-                .ok_or_else(|| format!("unknown procedure `{name}`"))?;
-            let mut ctx = ProcCtx { storage, catalog };
-            proc(&mut ctx, &vals)
+                .cloned();
+            let proc = proc.ok_or_else(|| DbError::Other(format!("unknown procedure `{name}`")))?;
+            proc(&mut ProcCtx { storage, catalog }, &args).map_err(DbError::Other)
         }
     }
 }
 
-pub(crate) fn resolve_stored(catalog: &Catalog, func: &str) -> Result<(RelId, usize), String> {
-    let pred = catalog
-        .lookup(func)
-        .map_err(|_| format!("unknown function `{func}`"))?;
-    match catalog.def(pred).kind {
-        amos_objectlog::catalog::PredKind::Stored { rel, key_arity } => Ok((rel, key_arity)),
-        _ => Err(format!("`{func}` is not a stored function")),
+fn resolve_stored(catalog: &Catalog, func: &str) -> Result<(RelId, usize), DbError> {
+    let unknown = |_| DbError::Other(format!("unknown function `{func}`"));
+    match catalog.def(catalog.lookup(func).map_err(unknown)?).kind {
+        PredKind::Stored { rel, key_arity } => Ok((rel, key_arity)),
+        _ => Err(DbError::Other(format!("`{func}` is not a stored function"))),
     }
 }
 

@@ -11,8 +11,11 @@
 //!   one layer per committed version.
 //!   Reads take the engine's *read* lock, so they proceed in parallel.
 //! * **Buffered write-sets.** Updates inside a transaction never touch
-//!   shared storage; they fold into per-relation [`DeltaSet`]s exactly
-//!   like the engine's Δ-accumulation (double updates cancel, §4.1).
+//!   shared storage. They evaluate through the same executor step as
+//!   every other door, against the snapshot, and fold into per-relation
+//!   [`DeltaSet`]s exactly like the engine's Δ-accumulation (double
+//!   updates cancel, §4.1): `add` folds only when its tuple is not
+//!   visible, `remove` only when it is, as in place.
 //! * **Commit-time validation (first-committer-wins).** `commit` takes
 //!   the write lock, replays nothing, and checks the session's read and
 //!   write footprints against every version committed since its pin:
@@ -28,7 +31,8 @@
 //! Because validation is conservative and commits are fully serialized
 //! by the write lock, the committed history is equivalent to a serial
 //! execution of the committed transactions in commit order — the
-//! property the isolation proptests pin bit-identically.
+//! property the `SerialReplay` axis of the db equivalence harness
+//! (`crates/db/tests/equivalence.rs`) pins bit-identically.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -42,9 +46,9 @@ use amos_core::rules::CheckSummary;
 use amos_objectlog::catalog::PredKind;
 use amos_objectlog::eval::EvalContext;
 use amos_storage::{CommitWaiter, DeltaSet, LayerStacks, RelId, StateEpoch, Storage, WalMetrics};
-use amos_types::{KeyRef, Tuple, Value};
+use amos_types::{KeyRef, Tuple};
 
-use crate::engine::{resolve_stored, Amos, ExecResult, ReadTrace, ScalarEval};
+use crate::engine::{Amos, Evaluated, ExecResult, ReadTrace, ScalarEval, Scope, WriteKind};
 use crate::error::DbError;
 
 /// One engine shared by many sessions. Reads (snapshot selects, scalar
@@ -62,8 +66,8 @@ pub struct SharedEngine {
 }
 
 /// Commit-pipeline observability: the WAL's durability counters plus
-/// the engine-lock hold accounting — everything the `concurrent_sessions`
-/// bench exports as `commit` metrics.
+/// the engine-lock hold accounting — what the benchmark's `wire_oltp`
+/// workload reports as its `wal.*` and `db.commit_lock_hold_*` metrics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommitMetrics {
     /// WAL durability counters (fsyncs, batch-size histogram, woken
@@ -212,7 +216,7 @@ impl Session {
             Statement::Commit => self.commit(),
             Statement::Rollback => self.rollback(),
             Statement::Select(sel) => self.select(&sel, at),
-            Statement::Update(p) if self.txn.is_some() => self.txn_update(&p),
+            Statement::Update(p) if self.txn.is_some() => self.buffer(&p),
             Statement::CallProc { name, .. } if self.txn.is_some() => Err(DbError::Other(format!(
                 "procedure `{name}` cannot run inside a session transaction \
                  (procedures execute against shared storage); commit first"
@@ -231,9 +235,10 @@ impl Session {
             // the batch, waited for after the write lock is released.
             Statement::Update(_)
             | Statement::CallProc { .. }
-            | Statement::CreateInstances { .. } => {
-                self.commit_with(|eng| eng.autocommit_deferred(stmt, at))
-            }
+            | Statement::CreateInstances { .. } => self.commit_with(|eng| {
+                let (summary, waiter) = eng.implicit_txn(stmt, Amos::commit_deferred_durability)?;
+                Ok((ExecResult::Committed(summary), waiter))
+            }),
             // Everything else (schema DDL, activate, explain) behaves
             // exactly as in single-session use, serialized under the
             // write lock.
@@ -327,14 +332,7 @@ impl Session {
             // A read-only transaction serializes at its snapshot
             // point; nothing to validate, nothing to apply.
             eng.storage().unpin_snapshot(txn.begin_seq);
-            return Ok((
-                ExecResult::Committed(CheckSummary {
-                    executed: Vec::new(),
-                    failed: Vec::new(),
-                    passes: 0,
-                }),
-                None,
-            ));
+            return Ok((ExecResult::Committed(CheckSummary::default()), None));
         }
         if let Some(relation) = validate(eng, txn) {
             eng.storage().unpin_snapshot(txn.begin_seq);
@@ -346,27 +344,22 @@ impl Session {
         eng.storage_mut().begin()?;
         let mut rels: Vec<RelId> = txn.writes.keys().copied().collect();
         rels.sort();
-        let mut applied: Result<(), DbError> = Ok(());
-        'apply: for rel in rels {
+        let storage = eng.storage_mut();
+        let applied = rels.into_iter().try_for_each(|rel| {
             let d = &txn.writes[&rel];
             let mut minus: Vec<&Tuple> = d.minus().iter().collect();
             minus.sort();
             let mut plus: Vec<&Tuple> = d.plus().iter().collect();
             plus.sort();
             for t in minus {
-                if let Err(e) = eng.storage_mut().delete(rel, t) {
-                    applied = Err(e.into());
-                    break 'apply;
-                }
+                storage.delete(rel, t)?;
             }
-            for t in plus {
-                if let Err(e) = eng.storage_mut().insert(rel, t.clone()) {
-                    applied = Err(e.into());
-                    break 'apply;
-                }
-            }
-        }
-        let committed = applied.and_then(|()| eng.commit_deferred_durability());
+            plus.into_iter()
+                .try_for_each(|t| storage.insert(rel, t.clone()).map(drop))
+        });
+        let committed = applied
+            .map_err(DbError::from)
+            .and_then(|()| eng.commit_deferred_durability());
         match committed {
             Ok((summary, waiter)) => {
                 eng.storage().unpin_snapshot(txn.begin_seq);
@@ -374,7 +367,7 @@ impl Session {
             }
             Err(e) => {
                 if eng.storage().in_transaction() {
-                    let _ = eng.storage_mut().rollback();
+                    let _ = eng.rollback();
                 }
                 eng.storage().unpin_snapshot(txn.begin_seq);
                 Err(e)
@@ -402,77 +395,58 @@ impl Session {
         })
     }
 
-    fn txn_update(&mut self, p: &ProcStmt) -> Result<ExecResult, DbError> {
+    /// The buffered door of the statement executor: evaluate `p`
+    /// against this transaction's snapshot, recording its reads, and
+    /// fold its write into the write-set as the snapshot shows the
+    /// state. `set` replaces every visible tuple at its key; `add` folds
+    /// only when its tuple is not visible and `remove` only when it is,
+    /// as `Storage::insert`/`delete` do in place. The key probe and the
+    /// membership test are key reads; the key is written either way.
+    fn buffer(&mut self, p: &ProcStmt) -> Result<ExecResult, DbError> {
         let txn = self.txn.as_mut().expect("txn checked by caller");
         self.engine.with_read(|eng| {
             let storage = eng.storage();
-            let catalog = eng.catalog();
-            let (func, args, value) = match p {
-                ProcStmt::Set { func, args, value }
-                | ProcStmt::Add { func, args, value }
-                | ProcStmt::Remove { func, args, value } => (func, args, value),
-                ProcStmt::Call { name, .. } => {
-                    return Err(DbError::Other(format!(
-                        "procedure `{name}` cannot run inside a session transaction"
-                    )))
-                }
-            };
-            let (rel, key_arity) = resolve_stored(catalog, func).map_err(DbError::Other)?;
-            // Read phase: evaluate the statement against the snapshot
-            // into the tuples it deletes and inserts.
-            let (deletes, insert) = {
+            // Read phase: the write, the visible tuples it replaces, and
+            // whether it changes the visible state at all.
+            let (w, deletes, lands) = {
                 let layers = txn.layers(storage);
-                let ctx = EvalContext::with_layers(storage, catalog, &layers);
-                let env = HashMap::new();
+                let ctx = EvalContext::with_layers(storage, eng.catalog(), &layers);
+                let scope = Scope::top(eng.iface_map());
                 let scalar = ScalarEval {
                     ctx: &ctx,
-                    env: &env,
-                    iface: eng.iface_map(),
+                    scope,
                     reads: Some(&txn.reads),
                 };
-                let mut vals: Vec<Value> = args
-                    .iter()
-                    .map(|a| scalar.eval(a))
-                    .collect::<Result<_, _>>()?;
-                let set = matches!(p, ProcStmt::Set { .. });
-                if set && vals.len() != key_arity {
-                    return Err(DbError::Other(format!(
-                        "`set {func}` expects {key_arity} key arguments, got {}",
-                        vals.len()
-                    )));
-                }
-                let v = scalar.eval(value)?;
+                let Evaluated::Write(w) = scalar.statement(p)? else {
+                    unreachable!("procedure calls are refused before evaluation")
+                };
+                let visible = ctx.state(w.rel, StateEpoch::New);
+                let key = &w.tuple.values()[..w.key_arity];
+                txn.reads.borrow_mut().record_key(w.rel, w.key_arity, key);
                 let mut deletes = Vec::new();
-                if set {
-                    // `set` semantics: delete every tuple at the key (as
-                    // visible in this transaction's snapshot), insert the
-                    // new one. The probe itself is a key-granular read.
-                    let key_cols: Vec<usize> = (0..key_arity).collect();
-                    ctx.state(rel, StateEpoch::New).probe_into(
-                        &key_cols,
-                        &KeyRef::new(&vals),
-                        &mut deletes,
-                    );
-                    record_key_read(&txn.reads, rel, key_arity, &vals);
-                }
-                vals.push(v);
-                let t = Tuple::new(vals);
-                check_arity(storage, rel, &t, func)?;
-                match p {
-                    ProcStmt::Remove { .. } => (vec![t], None),
-                    _ => (deletes, Some(t)),
-                }
+                let lands = match w.kind {
+                    WriteKind::Set => {
+                        let key_cols: Vec<usize> = (0..w.key_arity).collect();
+                        visible.probe_into(&key_cols, &KeyRef::new(key), &mut deletes);
+                        true
+                    }
+                    WriteKind::Add => !visible.contains(&w.tuple),
+                    WriteKind::Remove => visible.contains(&w.tuple),
+                };
+                (w, deletes, lands)
             };
             // Write phase: fold them into the buffered write-set.
-            let writes = txn.writes.entry(rel).or_default();
-            let wkeys = txn.write_keys.entry(rel).or_default();
+            let writes = txn.writes.entry(w.rel).or_default();
+            let wkeys = txn.write_keys.entry(w.rel).or_default();
+            wkeys.insert(conflict_key(&w.tuple, w.key_arity));
             for t in deletes {
-                wkeys.insert(conflict_key(&t, key_arity));
+                wkeys.insert(conflict_key(&t, w.key_arity));
                 writes.apply_delete(t);
             }
-            if let Some(t) = insert {
-                wkeys.insert(conflict_key(&t, key_arity));
-                writes.apply_insert(t);
+            match w.kind {
+                _ if !lands => {}
+                WriteKind::Remove => writes.apply_delete(w.tuple),
+                WriteKind::Set | WriteKind::Add => writes.apply_insert(w.tuple),
             }
             Ok(ExecResult::Ok)
         })
@@ -499,30 +473,6 @@ fn conflict_key(t: &Tuple, key_arity: usize) -> Tuple {
     } else {
         Tuple::new(t.values()[..key_arity].to_vec())
     }
-}
-
-fn record_key_read(reads: &RefCell<ReadTrace>, rel: RelId, key_arity: usize, key: &[Value]) {
-    let mut reads = reads.borrow_mut();
-    if key_arity == 0 {
-        reads.whole.insert(rel);
-    } else {
-        reads
-            .keys
-            .entry(rel)
-            .or_default()
-            .insert(Tuple::new(key.to_vec()));
-    }
-}
-
-fn check_arity(storage: &Storage, rel: RelId, t: &Tuple, func: &str) -> Result<(), DbError> {
-    let arity = storage.relation(rel).arity();
-    if t.values().len() != arity {
-        return Err(DbError::Other(format!(
-            "`{func}` stores {arity}-tuples, got {}",
-            t.values().len()
-        )));
-    }
-    Ok(())
 }
 
 /// First-committer-wins validation: intersect this transaction's read

@@ -15,8 +15,9 @@
 //! cases through one [`Axis`], and each axis is one `#[test]` line. It
 //! asserts that the mechanisms the oracles exist to check engaged: a
 //! conflict abort was retried, the write-back cascade fired, a write
-//! that cancels out committed, and the parallel executor was drawn. A
-//! divergence prints the case as its AMOSQL history.
+//! that cancels out committed, a transaction added and removed one
+//! tuple of the multi-valued `tag`, and the parallel executor was
+//! drawn. A divergence prints the case as its AMOSQL history.
 //!
 //! Two named tests pin schedules the generator would only sample: a
 //! hot-key conflict, and a transaction whose writes cancel out but whose
@@ -78,14 +79,26 @@ fn cancels(stmt: &str) -> bool {
     sides.is_some_and(|(a, b)| b == format!("{a});"))
 }
 
+/// Whether `group` adds and removes the same `tag` tuple.
+fn toggles(group: &str) -> bool {
+    let stmts: Vec<&str> = group.split_inclusive(';').map(str::trim).collect();
+    let removed = |t: &str| stmts.contains(&format!("remove {t}").as_str());
+    stmts
+        .iter()
+        .any(|s| s.strip_prefix("add ").is_some_and(removed))
+}
+
 /// One statement: a blind write, a single-key read-modify-write, a
-/// cross-key read, a scan followed by a write, or a write that cancels
-/// out.
+/// cross-key read, a scan followed by a write, a write that cancels
+/// out, an `add` or a `remove` of a `tag` value, or both on one tuple in
+/// either order (each of which is a no-op when it does not change the
+/// visible state).
 fn statement(rng: &mut TestRng, items: usize) -> String {
     let a = item(rng.usize_below(items));
     let b = item(rng.usize_below(items));
     let mut below = |n: usize| rng.usize_below(n);
-    match below(10) {
+    let tag = |op: &str, k: usize| format!("{op} tag({a}) = {k};");
+    match below(13) {
         0..=1 => format!("set quantity({a}) = {};", below(120)),
         2..=4 => {
             let op = if below(2) == 0 { "+" } else { "-" };
@@ -96,7 +109,15 @@ fn statement(rng: &mut TestRng, items: usize) -> String {
             "select quantity(i) for each item i; set threshold({a}) = {};",
             40 + below(20)
         ),
-        _ => format!("set quantity({a}) = quantity({a});"),
+        8 => format!("set quantity({a}) = quantity({a});"),
+        9 => tag("add", below(3)),
+        10 => tag("remove", below(3)),
+        _ => {
+            let k = below(3);
+            let ops = [tag("add", k), tag("remove", k)];
+            let first = below(2);
+            format!("{} {}", ops[first], ops[1 - first])
+        }
     }
 }
 
@@ -158,7 +179,8 @@ impl Case {
         let mut s = String::from(
             "create type item;\n\
              create function quantity(item i) -> integer;\n\
-             create function threshold(item i) -> integer;\n",
+             create function threshold(item i) -> integer;\n\
+             create function tag(item i) -> integer;\n",
         );
         let when = "when for each item i where quantity(i) < threshold(i)";
         if self.low {
@@ -175,7 +197,7 @@ impl Case {
         let mut s = format!("begin;\ncreate item instances {};\n", names.join(", "));
         for (i, name) in names.iter().enumerate() {
             s += &format!("set quantity({name}) = {}; ", 100 + i);
-            s += &format!("set threshold({name}) = 50;\n");
+            s += &format!("set threshold({name}) = 50; add tag({name}) = {};\n", i % 3);
         }
         s + "commit;\n"
     }
@@ -312,13 +334,23 @@ struct History {
     noted: Vec<Value>,
     /// The stored state before the first commit and after each one.
     states: Vec<Relations>,
-    /// Batches made durable after each commit (concurrent runs only).
+    /// Batches made durable after each commit (a pipelined replay's
+    /// lag its commits until the final wait).
     durable: Vec<u64>,
 }
 
 impl History {
     fn committed(&self) -> impl Iterator<Item = &str> {
         self.log.iter().filter(|(c, _)| *c).map(|(_, g)| g.as_str())
+    }
+
+    /// The commits that wrote a WAL batch, by position: a commit that
+    /// changed nothing (a write-set that nets to nothing, an `add` of a
+    /// visible tuple) writes none.
+    #[cfg(feature = "fault-injection")]
+    fn writers(&self) -> Vec<usize> {
+        let wrote = |&i: &usize| self.durable[i + 1] > self.durable[i];
+        (0..self.summaries.len()).filter(wrote).collect()
     }
 
     /// Assert that `twin` passed through the same states, naming the
@@ -404,9 +436,11 @@ fn concurrent(case: &Case, world: World) -> (History, Arc<SharedEngine>) {
 /// the whole history is one WAL group.
 fn serial(world: World, log: &[(bool, String)], pipelined: bool) -> History {
     let World { mut db, noted, .. } = world;
+    let durable = |db: &Amos| db.wal_metrics().map_or(0, |m| m.batches);
     let mut h = History {
         log: log.to_vec(),
         states: vec![relations(&db)],
+        durable: vec![durable(&db)],
         ..History::default()
     };
     let mut waiters = Vec::new();
@@ -426,6 +460,7 @@ fn serial(world: World, log: &[(bool, String)], pipelined: bool) -> History {
         };
         h.summaries.push(summary);
         h.states.push(relations(&db));
+        h.durable.push(durable(&db));
     }
     waiters.into_iter().for_each(|w| w.wait().unwrap());
     h.noted = noted.lock().unwrap().clone();
@@ -649,32 +684,36 @@ fn crash_mid_group(case: &Case, live: &History) {
     let embedded = case.engine(MonitorMode::Incremental, None);
     let replay = serial(embedded, &live.log, false);
     // Through session commits: the same interleaving reruns at every
-    // crash point, so the history is the same. A commit whose write-set
-    // nets to nothing writes no batch.
+    // crash point, so the history is the same. Which commits wrote a
+    // batch is learned from a clean run.
     let dir = TempDir::new();
     let mut world = case.logged(&dir);
     world.db.checkpoint().unwrap();
     let (clean, _) = concurrent(case, world);
     assert_eq!(clean.log, live.log);
-    let wrote = |&i: &usize| clean.durable[i + 1] > clean.durable[i];
-    let writers: Vec<usize> = (0..clean.summaries.len()).filter(wrote).collect();
     let config = WalConfig::grouped(case.window);
-    let seen = record_sweep(case, config, records(&dir), &writers, &replay, |world| {
-        assert_eq!(concurrent(case, world).0.log, live.log);
-    });
+    let seen = record_sweep(
+        case,
+        config,
+        records(&dir),
+        &clean.writers(),
+        &replay,
+        |world| {
+            assert_eq!(concurrent(case, world).0.log, live.log);
+        },
+    );
     assert!(seen > 2, "session commits: {seen} prefixes");
-    // Through the embedded engine, where every commit writes a batch:
-    // with a three-commit durability window, and pipelined.
+    // Through the embedded engine: with a three-commit durability
+    // window, and pipelined.
     let dir = TempDir::new();
     let mut world = case.at(&dir, WalConfig::default());
     world.db.checkpoint().unwrap();
-    serial(world, &live.log, false);
-    let all: Vec<usize> = (0..replay.summaries.len()).collect();
+    let writers = serial(world, &live.log, false).writers();
     for (config, pipelined, floor) in [
         (WalConfig::grouped(3), false, 2),
         (WalConfig::default(), true, 1),
     ] {
-        let seen = record_sweep(case, config, records(&dir), &all, &replay, |world| {
+        let seen = record_sweep(case, config, records(&dir), &writers, &replay, |world| {
             serial(world, &live.log, pipelined);
         });
         assert!(seen > floor, "pipelined {pipelined}: {seen} prefixes");
@@ -684,12 +723,14 @@ fn crash_mid_group(case: &Case, live: &History) {
 /// Run `PROPTEST_CASES` cases (at least [`MIN_CASES`]) through `axis`,
 /// each that it applies to, and assert that every mechanism the oracles
 /// exist to check engaged: a conflict abort was retried, the refill
-/// cascade fired, a write that cancels out committed, and the parallel
+/// cascade fired, a write that cancels out committed, a committed
+/// transaction added and removed one `tag` tuple, and the parallel
 /// executor was drawn. A failure prints the case.
 fn drive(axis: Axis) {
     let cases = MIN_CASES.max(ProptestConfig::with_cases(MIN_CASES).resolved_cases());
     let mut rng = TestRng::for_test(&format!("{axis:?}"));
     let (mut retried, mut cascaded, mut cancelled, mut parallel) = (false, false, false, false);
+    let mut toggled = false;
     let mut ran = 0;
     for n in 0..cases {
         let case = Case::generate(n, &mut rng);
@@ -711,6 +752,7 @@ fn drive(axis: Axis) {
         cascaded |= h.summaries.iter().any(refills);
         let cancel = |g: &str| g.split_inclusive(';').any(|s| cancels(s.trim()));
         cancelled |= h.committed().any(cancel);
+        toggled |= h.committed().any(toggles);
         parallel |= case.strategy == ExecStrategy::Parallel;
     }
     // The sweeps meet too few cases for these; each asserts its own
@@ -721,6 +763,10 @@ fn drive(axis: Axis) {
     assert!(retried, "{axis:?}: no conflict abort was retried");
     assert!(cascaded, "{axis:?}: the refill cascade never fired");
     assert!(cancelled, "{axis:?}: no write that cancels out committed");
+    assert!(
+        toggled,
+        "{axis:?}: no committed transaction added and removed one tag"
+    );
     assert!(parallel, "{axis:?}: the parallel executor was never drawn");
 }
 

@@ -274,6 +274,78 @@ fn select_compile_error_is_positioned_on_every_path() {
     positioned(s.execute(bad).unwrap_err());
 }
 
+/// A data statement's arity error is one message on every door:
+/// embedded outside and inside a transaction, a rule action, a served
+/// autocommit and a session transaction.
+#[test]
+fn write_arity_error_is_one_message_on_every_door() {
+    let bad = "add quantity(:a, 1) = 2;";
+    let one_message = |msg: String| {
+        assert_eq!(
+            msg, "storage error: arity mismatch on `quantity`: expected 2, found 3",
+            "{msg}"
+        );
+    };
+    let mut db = Amos::new();
+    db.execute(SCHEMA).unwrap();
+    db.execute("create item instances :a;").unwrap();
+    one_message(db.execute(bad).unwrap_err().to_string());
+    db.execute("begin;").unwrap();
+    one_message(db.execute(bad).unwrap_err().to_string());
+    db.execute("rollback;").unwrap();
+    db.execute(
+        "create rule grow() as when for each item i where quantity(i) > 0
+             do add quantity(i, 1) = 2;
+         activate grow();",
+    )
+    .unwrap();
+    let ExecResult::Committed(summary) = &db.execute("set quantity(:a) = 1;").unwrap()[0] else {
+        panic!("autocommit returns its check summary");
+    };
+    let [(rule, reason)] = summary.failed.as_slice() else {
+        panic!("one failed action: {summary:?}");
+    };
+    assert_eq!(rule, "grow");
+    one_message(reason.clone());
+    let eng = shared();
+    let mut s = eng.session();
+    one_message(s.execute(bad).unwrap_err().to_string());
+    s.execute("begin;").unwrap();
+    one_message(s.execute(bad).unwrap_err().to_string());
+}
+
+/// `create … instances` outside a transaction autocommits like `set`,
+/// so its extent inserts reach the check phase embedded as served: the
+/// rule over the extent fires once per created item on both doors.
+#[test]
+fn instance_creation_fires_rules_embedded_as_served() {
+    let world = |fired: &Arc<AtomicUsize>| {
+        let mut db = Amos::new();
+        let count = fired.clone();
+        db.register_procedure("note", move |_ctx, _args| {
+            count.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        });
+        db.execute(SCHEMA).unwrap();
+        db.execute(
+            "create rule seen() as when for each item i where 1 < 2 do note(i);
+             activate seen();",
+        )
+        .unwrap();
+        db
+    };
+    let script = "create item instances :a; create item instances :b; set quantity(:b) = 1;";
+    let (embedded, served) = (Arc::default(), Arc::default());
+    world(&embedded).execute(script).unwrap();
+    let eng = SharedEngine::new(world(&served));
+    eng.session().execute(script).unwrap();
+    assert_eq!(served.load(Ordering::Relaxed), 2);
+    assert_eq!(
+        embedded.load(Ordering::Relaxed),
+        served.load(Ordering::Relaxed)
+    );
+}
+
 #[test]
 fn begin_commit_rollback_errors() {
     let eng = shared();

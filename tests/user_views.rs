@@ -1,14 +1,21 @@
 //! §8 extensions end to end: incremental aggregates and user-defined
 //! differentials, monitored by rules through the ordinary partial
-//! differencing machinery.
+//! differencing machinery, and the views' oracle: `sum`/`min`/`max`
+//! views ≡ a recompute from their source after generated transactions
+//! whose rule actions write the source and some of which roll back
+//! after a mid-transaction check phase.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
 use amos_core::aggregate::AggFn;
-use amos_core::maintained::{ClosureView, SourceDeltas};
+use amos_core::maintained::ClosureView;
+use amos_core::rules::CheckSummary;
 use amos_core::CoreError;
-use amos_db::{Amos, Tuple, Value};
-use amos_storage::DeltaSet;
+use amos_db::{Amos, CheckLevel, Tuple, Value};
+use amos_storage::{DeltaSet, Storage};
+use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 #[test]
 fn rule_over_incremental_aggregate() {
@@ -141,10 +148,10 @@ fn closure_view_with_user_differential() {
             }
             Ok(snapshot(&net))
         },
-        move |deltas: &SourceDeltas<'_>, _cat, _storage| {
+        move |_cat, storage: &Storage| {
             let mut net = st_diff.lock().unwrap();
             let before = snapshot(&net);
-            if let Some(d) = deltas.get(&transfer_rel) {
+            if let Some(d) = storage.delta(transfer_rel) {
                 for t in d.minus() {
                     apply_tuple(&mut net, t, -1);
                 }
@@ -199,4 +206,168 @@ fn closure_view_with_user_differential() {
     db.execute("remove transfer(:a, :b, 2) = 700;").unwrap();
     db.execute("add transfer(:a, :b, 3) = 900;").unwrap();
     assert_eq!(alerts.lock().unwrap().len(), 2);
+}
+
+/// The accounts world of the view oracles: three `acct`s whose
+/// `amount` is summed (`total`), minimised (`least`) and maximised
+/// (`most`) by registered aggregates. Rule actions write the source:
+/// `bonus` adds an amount when an account opens, and `clawback` removes
+/// it when the account's largest amount passes 90 — a cascade through a
+/// view.
+fn accounts(level: CheckLevel) -> Amos {
+    let mut db = Amos::new();
+    db.set_check_level(level);
+    db.execute(
+        "create type acct;
+         create function amount(acct a, integer x) -> integer;
+         create function opened(acct a) -> integer;
+         create acct instances :a0, :a1, :a2;",
+    )
+    .unwrap();
+    for (name, agg) in [
+        ("total", AggFn::Sum),
+        ("least", AggFn::Min),
+        ("most", AggFn::Max),
+    ] {
+        db.register_aggregate(name, "amount", vec![0], 2, agg)
+            .unwrap();
+    }
+    db.execute(
+        "create rule bonus() as
+             when for each acct a where opened(a) = 1 do add amount(a, 7) = 40;
+         create rule clawback() as
+             when for each acct a where most(a) > 90 do remove amount(a, 7) = 40;
+         activate bonus(); activate clawback();",
+    )
+    .unwrap();
+    db
+}
+
+/// The tuples of the stored function `name`.
+fn stored(db: &Amos, name: &str) -> BTreeSet<Tuple> {
+    let cat = db.catalog();
+    let rel = cat.def(cat.lookup(name).unwrap()).stored_rel().unwrap();
+    db.storage().relation(rel).scan().cloned().collect()
+}
+
+/// `total`, `least` and `most` recomputed from `amount`.
+fn recomputed(db: &Amos) -> [BTreeSet<Tuple>; 3] {
+    let mut groups: BTreeMap<Value, Vec<i64>> = BTreeMap::new();
+    for t in stored(db, "amount") {
+        groups
+            .entry(t[0].clone())
+            .or_default()
+            .push(t[2].as_int().unwrap());
+    }
+    let aggs: [fn(&[i64]) -> i64; 3] = [
+        |v| v.iter().sum(),
+        |v| *v.iter().min().unwrap(),
+        |v| *v.iter().max().unwrap(),
+    ];
+    aggs.map(|agg| {
+        let row = |(g, v): (&Value, &Vec<i64>)| Tuple::new(vec![g.clone(), Value::Int(agg(v))]);
+        groups.iter().map(row).collect()
+    })
+}
+
+fn total(db: &Amos, acct: &str) -> Value {
+    let a = db.iface_value(acct).cloned().unwrap();
+    db.call_function("total", &[a]).unwrap()
+}
+
+/// A rule action that writes a view's source reaches the view: the pass
+/// after the action folds it.
+#[test]
+fn rule_action_writes_to_a_source_reach_its_view() {
+    let mut db = accounts(CheckLevel::Nervous);
+    db.execute("add amount(:a1, 1) = 10; set opened(:a1) = 1;")
+        .unwrap();
+    assert_eq!(total(&db, "a1"), Value::Int(50), "10 + the bonus's 40");
+    assert_eq!(
+        [
+            stored(&db, "total"),
+            stored(&db, "least"),
+            stored(&db, "most")
+        ],
+        recomputed(&db)
+    );
+}
+
+/// A rollback after a check phase that folded changes into a view
+/// restores the view's own state, not only its backing relation.
+#[test]
+fn rollback_after_check_now_restores_the_view() {
+    let mut db = accounts(CheckLevel::Nervous);
+    db.execute("begin; add amount(:a1, 1) = 10;").unwrap();
+    db.check_now().unwrap();
+    db.execute("rollback; add amount(:a1, 2) = 5;").unwrap();
+    assert_eq!(total(&db, "a1"), Value::Int(5));
+}
+
+/// `sum`/`min`/`max` views ≡ a recompute from their source after every
+/// transaction of a generated history, at each check level. The
+/// transactions add, remove and open accounts, so rule actions write
+/// the source; some run a check phase mid-transaction and then commit
+/// or roll back. `PROPTEST_CASES` raises the case count.
+#[test]
+fn views_equal_recompute_after_random_transactions() {
+    const LEVELS: [CheckLevel; 3] = [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict];
+    let cases = ProptestConfig::with_cases(48).resolved_cases();
+    let mut rng = TestRng::for_test("views_equal_recompute_after_random_transactions");
+    let (mut bonus, mut clawback, mut restored) = (false, false, false);
+    for n in 0..cases {
+        let level = LEVELS[n as usize % 3];
+        let mut db = accounts(level);
+        let mut history = format!("-- case {n}: {level:?}\n");
+        for _ in 0..12 {
+            let mut below = |k: usize| rng.usize_below(k);
+            let stmts: Vec<String> = (0..1 + below(3))
+                .map(|_| {
+                    let a = below(3);
+                    let (x, v) = ([1, 2, 7][below(3)], [5, 40, 60, 95][below(4)]);
+                    match below(5) {
+                        0..=1 => format!("add amount(:a{a}, {x}) = {v};"),
+                        2..=3 => format!("remove amount(:a{a}, {x}) = {v};"),
+                        _ => format!("set opened(:a{a}) = {};", below(2)),
+                    }
+                })
+                .collect();
+            let ending = below(5);
+            db.begin().unwrap();
+            db.execute(&stmts.concat()).unwrap();
+            let mut summaries = Vec::new();
+            if matches!(ending, 2 | 3) {
+                summaries.push(db.check_now().unwrap());
+            }
+            if ending >= 3 {
+                db.rollback().unwrap();
+                restored |= ending == 3 && summaries[0].passes > 0;
+            } else {
+                summaries.push(db.commit().unwrap());
+            }
+            let fired = |rule: &str| {
+                let ran = |s: &CheckSummary| s.executed.iter().any(|(r, k)| r == rule && *k > 0);
+                summaries.iter().any(ran)
+            };
+            bonus |= fired("bonus");
+            clawback |= fired("clawback");
+            let end = [
+                "commit",
+                "commit",
+                "check; commit",
+                "check; rollback",
+                "rollback",
+            ];
+            history += &format!("begin; {} {};\n", stmts.join(" "), end[ending]);
+            let views = [
+                stored(&db, "total"),
+                stored(&db, "least"),
+                stored(&db, "most"),
+            ];
+            assert_eq!(views, recomputed(&db), "views ≠ recompute after\n{history}");
+        }
+    }
+    assert!(bonus, "no rule action added to the source");
+    assert!(clawback, "no rule action removed from the source");
+    assert!(restored, "no rollback followed a check phase");
 }
