@@ -3,16 +3,22 @@
 //! insertion or a deletion … by remembering which partial differentials
 //! were actually executed in the triggering."
 //!
-//! Every propagation pass records the executed differentials and their
-//! contributions; the rule manager attaches them to each triggering so
-//! actions (and users) can ask *why* a rule fired — the CA-rule
-//! alternative to duplicating ECA rules per event type that §8 describes.
+//! Every pass records the executed differentials with their accepted
+//! tuples, and the instances it newly triggered. Asking *why* a rule
+//! fired builds the causes from the pass that triggered the instance,
+//! when asked — the CA-rule alternative to duplicating ECA rules per
+//! event type that §8 describes, at no cost to a pass nobody asks about.
 
+use std::collections::HashMap;
+
+use amos_metrics::PassMetrics;
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_storage::Polarity;
 use amos_types::Tuple;
 
 use crate::differ::DiffId;
+use crate::hybrid::Strategy;
+use crate::rules::RuleId;
 
 /// One differential execution during propagation.
 #[derive(Debug, Clone)]
@@ -31,37 +37,14 @@ pub struct FiredDifferential {
     pub tuples: Vec<Tuple>,
 }
 
-impl FiredDifferential {
-    /// Readable rendering, e.g.
-    /// `Δcnd_monitor_items/Δ+quantity → +{(#[oid 1])}`.
-    pub fn render(&self, catalog: &Catalog) -> String {
-        let mut ts: Vec<String> = self.tuples.iter().map(|t| t.to_string()).collect();
-        ts.sort();
-        format!(
-            "Δ{}/{}{} → {}{{{}}}",
-            catalog.name(self.affected),
-            self.seed,
-            catalog.name(self.influent),
-            if self.output == Polarity::Plus {
-                "+"
-            } else {
-                "-"
-            },
-            ts.join(", ")
-        )
-    }
-}
-
 /// Why one rule instance triggered.
 #[derive(Debug, Clone)]
 pub struct TriggerExplanation {
     /// The rule's condition predicate.
     pub condition: PredId,
-    /// The triggering instance (condition result tuple).
+    /// The triggering instance (condition result tuple), an insertion
+    /// into the condition.
     pub instance: Tuple,
-    /// Whether the instance was inserted into or deleted from the
-    /// condition.
-    pub polarity: Polarity,
     /// The influents (with seed polarities) whose differentials
     /// contributed this instance, in execution order.
     pub causes: Vec<(PredId, Polarity)>,
@@ -76,12 +59,7 @@ impl TriggerExplanation {
             .map(|(p, pol)| format!("{pol}{}", catalog.name(*p)))
             .collect();
         format!(
-            "{}{} of {} caused by [{}]",
-            if self.polarity == Polarity::Plus {
-                "+"
-            } else {
-                "-"
-            },
+            "+{} of {} caused by [{}]",
             self.instance,
             catalog.name(self.condition),
             causes.join(", ")
@@ -89,44 +67,104 @@ impl TriggerExplanation {
     }
 }
 
-/// The full trace of one check phase.
+/// One monitoring pass as the trace keeps it.
+#[derive(Debug, Clone, Default)]
+pub struct PassTrace {
+    /// Differential executions of the pass, in execution order.
+    pub fired: Vec<FiredDifferential>,
+    /// The instances the pass newly triggered, per rule, with the rule's
+    /// condition.
+    pub triggered: Vec<(PredId, Tuple)>,
+    /// The propagation's instrumentation; `None` when the pass ran no
+    /// propagation (naive monitoring, or hybrid choosing naive for every
+    /// rule).
+    pub metrics: Option<PassMetrics>,
+}
+
+impl PassTrace {
+    /// Why this pass triggered `instance` of `condition`: the influents
+    /// of the differentials whose accepted insertions contain it. `None`
+    /// when the pass ran no propagation.
+    pub(crate) fn explain(
+        &self,
+        condition: PredId,
+        instance: &Tuple,
+    ) -> Option<TriggerExplanation> {
+        self.metrics.as_ref()?;
+        let causes = self
+            .fired
+            .iter()
+            .filter(|f| {
+                f.affected == condition && f.output == Polarity::Plus && f.tuples.contains(instance)
+            })
+            .map(|f| (f.influent, f.seed))
+            .collect();
+        Some(TriggerExplanation {
+            condition,
+            instance: instance.clone(),
+            causes,
+        })
+    }
+}
+
+/// The trace of one check phase — the cascade as a sequence of states,
+/// one per pass — kept by the rule manager until the next phase starts,
+/// its buffers cleared rather than rebuilt.
 #[derive(Debug, Clone, Default)]
 pub struct CheckTrace {
-    /// Differential executions across all propagation passes, in order.
-    pub fired: Vec<FiredDifferential>,
-    /// Per-instance explanations for every rule triggering.
-    pub explanations: Vec<TriggerExplanation>,
-    /// Number of propagation passes (fixpoint iterations) performed.
-    pub passes: usize,
+    /// One entry per propagation / recomputation pass, in order.
+    pub passes: Vec<PassTrace>,
+    /// Hybrid strategy per rule, as the phase's last pass testing the
+    /// rule chose it.
+    pub(crate) strategies: HashMap<RuleId, Strategy>,
+    /// The last propagation pass of an earlier phase, read while this
+    /// one has run none.
+    earlier: Option<PassMetrics>,
 }
 
 impl CheckTrace {
-    /// Derive per-instance explanations from the fired differentials of
-    /// one pass, for the instances that ended up triggering.
-    pub fn explain_instances(
-        fired: &[FiredDifferential],
-        condition: PredId,
-        instances: &[(Tuple, Polarity)],
-    ) -> Vec<TriggerExplanation> {
-        instances
+    /// Start a check phase.
+    pub(crate) fn begin(&mut self) {
+        if let Some(m) = self.passes.iter_mut().rev().find_map(|p| p.metrics.take()) {
+            self.earlier = Some(m);
+        }
+        self.passes.clear();
+        self.strategies.clear();
+    }
+
+    /// The last propagation pass's metrics, in this phase or, when it
+    /// ran none, an earlier one.
+    pub fn last_metrics(&self) -> Option<&PassMetrics> {
+        let mut passes = self.passes.iter().rev();
+        passes
+            .find_map(|p| p.metrics.as_ref())
+            .or(self.earlier.as_ref())
+    }
+
+    /// [`last_metrics`](Self::last_metrics), to record a failed action on.
+    pub(crate) fn last_metrics_mut(&mut self) -> Option<&mut PassMetrics> {
+        let mut passes = self.passes.iter_mut().rev();
+        passes
+            .find_map(|p| p.metrics.as_mut())
+            .or(self.earlier.as_mut())
+    }
+
+    /// Why `instance` of `condition` triggered, from the last pass that
+    /// triggered it.
+    pub fn explain(&self, condition: PredId, instance: &Tuple) -> Option<TriggerExplanation> {
+        let pass = self.passes.iter().rev().find(|p| {
+            p.triggered
+                .iter()
+                .any(|(c, t)| *c == condition && t == instance)
+        })?;
+        pass.explain(condition, instance)
+    }
+
+    /// An explanation for every triggering of the phase, in pass order.
+    pub fn explanations(&self) -> Vec<TriggerExplanation> {
+        self.passes
             .iter()
-            .map(|(instance, polarity)| {
-                let causes: Vec<(PredId, Polarity)> = fired
-                    .iter()
-                    .filter(|f| {
-                        f.affected == condition
-                            && f.output == *polarity
-                            && f.tuples.contains(instance)
-                    })
-                    .map(|f| (f.influent, f.seed))
-                    .collect();
-                TriggerExplanation {
-                    condition,
-                    instance: instance.clone(),
-                    polarity: *polarity,
-                    causes,
-                }
-            })
+            .flat_map(|p| p.triggered.iter().filter_map(|(c, t)| p.explain(*c, t)))
             .collect()
     }
 }
@@ -139,42 +177,37 @@ mod tests {
     #[test]
     fn explanations_collect_matching_causes() {
         let cond = PredId(5);
-        let fired = vec![
-            FiredDifferential {
-                diff: DiffId(0),
-                affected: cond,
-                influent: PredId(1),
-                seed: Polarity::Plus,
-                output: Polarity::Plus,
-                tuples: vec![tuple![1], tuple![2]],
-            },
-            FiredDifferential {
-                diff: DiffId(1),
-                affected: cond,
-                influent: PredId(2),
-                seed: Polarity::Minus,
-                output: Polarity::Plus,
-                tuples: vec![tuple![1]],
-            },
-            FiredDifferential {
-                diff: DiffId(2),
-                affected: PredId(9), // other condition — ignored
-                influent: PredId(1),
-                seed: Polarity::Plus,
-                output: Polarity::Plus,
-                tuples: vec![tuple![1]],
-            },
-        ];
-        let ex = CheckTrace::explain_instances(
-            &fired,
-            cond,
-            &[(tuple![1], Polarity::Plus), (tuple![2], Polarity::Plus)],
-        );
+        let fired = |diff, affected, influent, seed, tuples| FiredDifferential {
+            diff: DiffId(diff),
+            affected,
+            influent: PredId(influent),
+            seed,
+            output: Polarity::Plus,
+            tuples,
+        };
+        let pass = PassTrace {
+            fired: vec![
+                fired(0, cond, 1, Polarity::Plus, vec![tuple![1], tuple![2]]),
+                fired(1, cond, 2, Polarity::Minus, vec![tuple![1]]),
+                // Another condition's differential: ignored.
+                fired(2, PredId(9), 1, Polarity::Plus, vec![tuple![1]]),
+            ],
+            triggered: vec![(cond, tuple![1]), (cond, tuple![2])],
+            metrics: Some(PassMetrics::default()),
+        };
+        let trace = CheckTrace {
+            passes: vec![pass],
+            ..CheckTrace::default()
+        };
+        let ex = trace.explanations();
         assert_eq!(ex.len(), 2);
         assert_eq!(
             ex[0].causes,
             vec![(PredId(1), Polarity::Plus), (PredId(2), Polarity::Minus)]
         );
         assert_eq!(ex[1].causes, vec![(PredId(1), Polarity::Plus)]);
+        let one = trace.explain(cond, &tuple![2]).unwrap();
+        assert_eq!(one.causes, ex[1].causes);
+        assert!(trace.explain(cond, &tuple![3]).is_none());
     }
 }

@@ -8,10 +8,10 @@
 //! The naive monitor materializes each condition's result at activation
 //! and, whenever any influent changed during a transaction, re-evaluates
 //! the full condition and diffs against the previous materialization to
-//! obtain the net changes. Its per-check cost is linear in the database
-//! size (it scans the condition's relations), which is exactly the
-//! behaviour fig. 6 plots; its memory cost is the materialization the
-//! incremental method avoids.
+//! obtain the net changes, which the check phase then folds back in. Its
+//! per-check cost is linear in the database size (it scans the
+//! condition's relations), which is exactly the behaviour fig. 6 plots;
+//! its memory cost is the materialization the incremental method avoids.
 
 use std::collections::{HashMap, HashSet};
 
@@ -62,27 +62,33 @@ impl NaiveMonitor {
         self.previous.get(&condition)
     }
 
-    /// Mutable access to a materialization (hybrid bookkeeping).
-    pub fn previous_mut(&mut self, condition: PredId) -> Option<&mut HashSet<Tuple>> {
-        self.previous.get_mut(&condition)
-    }
-
-    /// Recompute a condition in full, diff against the previous
-    /// materialization, update it, and return the net changes.
+    /// Recompute a condition in full and return its net changes against
+    /// the materialization (empty when there is none).
     pub fn check(
-        &mut self,
+        &self,
         catalog: &Catalog,
         storage: &Storage,
         condition: PredId,
     ) -> Result<DeltaSet, CoreError> {
         let new = full_eval(catalog, storage, condition)?;
-        let old = self.previous.get(&condition).cloned().unwrap_or_default();
-        let delta = DeltaSet::from_parts(
-            new.difference(&old).cloned().collect(),
+        let none = HashSet::new();
+        let old = self.previous.get(&condition).unwrap_or(&none);
+        Ok(DeltaSet::from_parts(
+            new.difference(old).cloned().collect(),
             old.difference(&new).cloned().collect(),
-        );
-        self.previous.insert(condition, new);
-        Ok(delta)
+        ))
+    }
+
+    /// Fold a condition's net changes into its materialization, starting
+    /// one if there is none.
+    pub fn apply_delta(&mut self, condition: PredId, delta: &DeltaSet) {
+        let prev = self.previous.entry(condition).or_default();
+        for t in delta.minus() {
+            prev.remove(t);
+        }
+        for t in delta.plus() {
+            prev.insert(t.clone());
+        }
     }
 }
 
@@ -136,6 +142,7 @@ mod tests {
         // No change → empty delta.
         let d = naive.check(&catalog, &storage, low).unwrap();
         assert!(d.is_empty());
+        let before = naive.previous(low).unwrap().clone();
 
         // 2 drops low, 1 rises.
         storage.delete(rq, &tuple![2, 50]).unwrap();
@@ -145,8 +152,10 @@ mod tests {
         let d = naive.check(&catalog, &storage, low).unwrap();
         assert_eq!(d.plus(), &[tuple![2]].into_iter().collect());
         assert_eq!(d.minus(), &[tuple![1]].into_iter().collect());
+        assert_eq!(naive.previous(low), Some(&before), "a check only reads");
 
-        // Materialization advanced: a second check is clean.
+        // Applied, the materialization advances: a second check is clean.
+        naive.apply_delta(low, &d);
         let d2 = naive.check(&catalog, &storage, low).unwrap();
         assert!(d2.is_empty());
 

@@ -328,6 +328,13 @@ pub fn propagate_adaptive(
                 accepted: output.accepted.len(),
                 est_rows: task.plan.as_deref().unwrap_or(&diff.plan).est_rows,
             });
+            let target = wave.entry(diff.affected).or_default();
+            for t in &output.accepted {
+                match diff.output {
+                    Polarity::Plus => target.delta_union_insert(t.clone()),
+                    Polarity::Minus => target.delta_union_delete(t.clone()),
+                }
+            }
             if !output.accepted.is_empty() || !matches!(check, CheckLevel::Raw) {
                 result.fired.push(FiredDifferential {
                     diff: task.diff,
@@ -335,15 +342,8 @@ pub fn propagate_adaptive(
                     influent: diff.influent,
                     seed: diff.seed,
                     output: diff.output,
-                    tuples: output.accepted.clone(),
+                    tuples: output.accepted,
                 });
-            }
-            let target = wave.entry(diff.affected).or_default();
-            for t in output.accepted {
-                match diff.output {
-                    Polarity::Plus => target.delta_union_insert(t),
-                    Polarity::Minus => target.delta_union_delete(t),
-                }
             }
         }
 

@@ -28,25 +28,24 @@
 //!   activation binds the leading parameter columns of the condition;
 //!   instances not covered by any activation are ignored.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::eval::{DeltaMap, EvalContext, EvalShared};
-use amos_storage::{DeltaSet, Polarity, RelId, StateEpoch, Storage};
+use amos_storage::{DeltaSet, RelId, StateEpoch, Storage};
 use amos_types::Tuple;
 
 use crate::adaptive::AdaptivePlanner;
 use crate::error::CoreError;
-use crate::explain::{CheckTrace, TriggerExplanation};
+use crate::explain::{CheckTrace, PassTrace, TriggerExplanation};
 use crate::hybrid::{CostModel, Strategy};
 use crate::maintained::UserView;
 use crate::naive::NaiveMonitor;
 use crate::network::PropagationNetwork;
-use crate::propagate::{propagate_adaptive, CheckLevel, ExecStrategy, PropagationResult};
-
-use amos_metrics::PassMetrics;
+use crate::propagate::{propagate_adaptive, CheckLevel, ExecStrategy};
 
 /// Identifier of a rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -112,9 +111,21 @@ pub struct ActionCtx<'a> {
     pub catalog: &'a Catalog,
     /// Name of the executing rule.
     pub rule: &'a str,
-    /// Why this instance triggered (available when incremental
-    /// monitoring ran; the §8 explainability hook).
-    pub explanation: Option<&'a TriggerExplanation>,
+    /// The instance the action runs for, the rule's condition, and the
+    /// pass that triggered the instance.
+    instance: &'a Tuple,
+    condition: PredId,
+    pass: Option<&'a PassTrace>,
+}
+
+impl ActionCtx<'_> {
+    /// Why this instance triggered (the §8 explainability hook): the
+    /// influents whose differentials produced it in the pass that
+    /// triggered it, built when asked. `None` when that pass ran no
+    /// propagation (naive monitoring).
+    pub fn explanation(&self) -> Option<TriggerExplanation> {
+        self.pass?.explain(self.condition, self.instance)
+    }
 }
 
 /// A rule action: called once per triggered instance, set-oriented
@@ -143,8 +154,9 @@ pub struct Rule {
     /// passes where one of these relations changed (§1: "the event part
     /// just further restricts when the condition is tested").
     pub events: Option<HashSet<amos_storage::RelId>>,
-    /// Net-triggered instances awaiting action execution.
-    triggered: HashSet<Tuple>,
+    /// Net-triggered instances awaiting action execution, each with the
+    /// index of the pass (in the check phase's trace) that triggered it.
+    triggered: HashMap<Tuple, usize>,
 }
 
 impl fmt::Debug for Rule {
@@ -218,6 +230,27 @@ pub struct CheckSummary {
     pub passes: usize,
 }
 
+/// What one monitoring pass found, computed by
+/// [`RuleManager::monitor`] without writing anything.
+#[derive(Debug, Default)]
+pub(crate) struct PassOutcome {
+    /// Net change of each monitored condition.
+    condition_deltas: HashMap<PredId, DeltaSet>,
+    /// The conditions whose delta a full recomputation gave; the others
+    /// came from propagation.
+    recomputed: Vec<PredId>,
+    /// The rules whose condition the pass tested, each with the
+    /// insertions it admits: covered by an activation and, for a strict
+    /// rule on a propagated delta, false before the pass and true after.
+    admitted: Vec<(RuleId, Vec<Tuple>)>,
+    /// The hybrid strategy per live rule (hybrid monitoring only).
+    strategies: Vec<(RuleId, Strategy)>,
+    /// The propagation's fired differentials and metrics (with the
+    /// strict filter's counts); `triggered` is filled in by the apply
+    /// step.
+    trace: PassTrace,
+}
+
 /// The rule manager: owns rules, the propagation network, the naive
 /// baseline, and the deferred check phase.
 pub struct RuleManager {
@@ -238,13 +271,8 @@ pub struct RuleManager {
     pub max_iterations: usize,
     /// Cost model for hybrid mode.
     pub cost_model: CostModel,
-    /// Trace of the most recent check phase.
-    last_trace: CheckTrace,
-    /// Metrics of the most recent propagation pass (incremental and
-    /// hybrid modes; `None` before the first pass or under naive mode).
-    last_metrics: Option<PassMetrics>,
-    /// Strategy chosen per rule in the most recent hybrid check.
-    last_strategies: HashMap<RuleId, Strategy>,
+    /// What the most recent check phase did, pass by pass.
+    report: CheckTrace,
     /// Per-rule strategy pins overriding the hybrid cost model
     /// (absent = [`StrategyPin::Auto`]).
     pins: HashMap<RuleId, StrategyPin>,
@@ -313,9 +341,7 @@ impl RuleManager {
             check: CheckLevel::Nervous,
             max_iterations: 100,
             cost_model: CostModel::default(),
-            last_trace: CheckTrace::default(),
-            last_metrics: None,
-            last_strategies: HashMap::new(),
+            report: CheckTrace::default(),
             pins: HashMap::new(),
             semantic_pruning: true,
             stats: MonitorStats::default(),
@@ -359,7 +385,7 @@ impl RuleManager {
             semantics,
             activations: HashSet::new(),
             events: None,
-            triggered: HashSet::new(),
+            triggered: HashMap::new(),
         });
         self.by_name.insert(name.to_string(), id);
         Ok(id)
@@ -540,17 +566,12 @@ impl RuleManager {
 
     /// Trace of the most recent check phase.
     pub fn last_trace(&self) -> &CheckTrace {
-        &self.last_trace
-    }
-
-    /// Instrumentation of the most recent propagation pass, if any.
-    pub fn last_metrics(&self) -> Option<&PassMetrics> {
-        self.last_metrics.as_ref()
+        &self.report
     }
 
     /// Hybrid strategy chosen per rule in the most recent check phase.
     pub fn last_strategies(&self) -> &HashMap<RuleId, Strategy> {
-        &self.last_strategies
+        &self.report.strategies
     }
 
     /// Cumulative monitoring statistics.
@@ -561,15 +582,6 @@ impl RuleManager {
     /// Reset the statistics counters.
     pub fn reset_stats(&mut self) {
         self.stats = MonitorStats::default();
-    }
-
-    /// Rules with pending triggered instances (tests).
-    pub fn pending(&self) -> Vec<(RuleId, usize)> {
-        self.rules
-            .iter()
-            .filter(|r| !r.triggered.is_empty())
-            .map(|r| (r.id, r.triggered.len()))
-            .collect()
     }
 
     /// Quarantined rules and the failure reason that quarantined them.
@@ -590,18 +602,20 @@ impl RuleManager {
         self.quarantined.remove(&id).is_some()
     }
 
-    /// The deferred **check phase** (run by the engine at commit time):
-    /// fold each pass's changes into the maintained views, propagate
-    /// them, mark triggered rules, resolve conflicts, run actions
-    /// set-oriented, and iterate to fixpoint.
+    /// The deferred **check phase** (run by the engine at commit time),
+    /// a loop over passes: fold the pass's changes into the maintained
+    /// views, monitor the conditions (read-only), apply the outcome to
+    /// the triggered sets, clear the consumed Δ-sets, then resolve
+    /// conflicts and run one rule's action set-oriented; to fixpoint.
+    /// Each pass is kept in the report [`last_trace`](Self::last_trace)
+    /// reads.
     pub fn check_phase(
         &mut self,
         catalog: &Catalog,
         storage: &mut Storage,
     ) -> Result<CheckSummary, CoreError> {
         let mut summary = CheckSummary::default();
-        self.last_trace = CheckTrace::default();
-        self.last_strategies.clear();
+        self.report.begin();
         self.stats.check_phases += 1;
 
         for _ in 0..self.max_iterations {
@@ -610,7 +624,8 @@ impl RuleManager {
                 summary.passes += 1;
                 self.stats.passes += 1;
                 self.fold_views(catalog, storage)?;
-                self.update_triggered(catalog, storage)?;
+                let outcome = self.monitor(catalog, storage)?;
+                self.apply(outcome);
                 // The pass consumed the accumulated base Δ-sets; the
                 // post-action state becomes the next reference point.
                 storage.clear_deltas();
@@ -629,7 +644,6 @@ impl RuleManager {
                 .map(|r| r.id);
             let Some(rid) = chosen else {
                 if !had_changes {
-                    self.last_trace.passes = summary.passes;
                     return Ok(summary);
                 }
                 continue;
@@ -641,11 +655,11 @@ impl RuleManager {
             // panicking — every update the action made is undone back
             // to the savepoint, the rule is quarantined, and the check
             // phase continues with the remaining rules.
-            let mut instances: Vec<Tuple> = self.rules[rid.0 as usize].triggered.drain().collect();
+            let rule = &mut self.rules[rid.0 as usize];
+            let mut instances: Vec<(Tuple, usize)> = rule.triggered.drain().collect();
             instances.sort();
-            let action = Arc::clone(&self.rules[rid.0 as usize].action);
-            let name = self.rules[rid.0 as usize].name.clone();
-            let condition = self.rules[rid.0 as usize].condition;
+            let (action, condition) = (Arc::clone(&rule.action), rule.condition);
+            let name = rule.name.clone();
             let sp = storage.savepoint();
             #[cfg(feature = "fault-injection")]
             let mut injected = self
@@ -653,18 +667,14 @@ impl RuleManager {
                 .as_ref()
                 .and_then(|p| p.take_action_fault(&name));
             let mut failure: Option<String> = None;
-            for instance in &instances {
-                let explanation = self
-                    .last_trace
-                    .explanations
-                    .iter()
-                    .find(|e| e.condition == condition && &e.instance == instance)
-                    .cloned();
+            for (instance, pass) in &instances {
                 let mut ctx = ActionCtx {
                     storage,
                     catalog,
                     rule: &name,
-                    explanation: explanation.as_ref(),
+                    instance,
+                    condition,
+                    pass: self.report.passes.get(*pass),
                 };
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     #[cfg(feature = "fault-injection")]
@@ -697,7 +707,7 @@ impl RuleManager {
                 self.rules[rid.0 as usize].triggered.clear();
                 self.quarantined.insert(rid, reason.clone());
                 self.stats.actions_failed += 1;
-                if let Some(m) = self.last_metrics.as_mut() {
+                if let Some(m) = self.report.last_metrics_mut() {
                     m.failed_actions.push(format!("{name}: {reason}"));
                 }
                 summary.failed.push((name, reason));
@@ -779,190 +789,187 @@ impl RuleManager {
         Ok(())
     }
 
-    /// One propagation pass over the shared network. An installed
-    /// [`FaultPlan`](amos_storage::fault::FaultPlan) that schedules a
-    /// failure for this pass errors it out *before* any wave-front state
-    /// is touched — modelling an evaluator crash at pass start, the
-    /// worst point for the surrounding transaction.
-    fn run_propagation(
+    /// One monitoring pass, read-only: each live rule's condition delta
+    /// (per the mode), the propagation's fired differentials and metrics,
+    /// the hybrid strategy per rule, and the strict filter's result —
+    /// the insertions each tested rule admits. [`check_phase`]
+    /// (Self::check_phase) applies the outcome.
+    pub(crate) fn monitor(
         &self,
         catalog: &Catalog,
         storage: &Storage,
-    ) -> Result<PropagationResult, CoreError> {
-        #[cfg(feature = "fault-injection")]
-        if let Some(plan) = &self.fault_plan {
-            if plan.take_propagation_fault() {
-                return Err(CoreError::FaultInjected(format!(
-                    "propagation pass (seed {})",
-                    plan.seed()
-                )));
-            }
-        }
-        propagate_adaptive(
-            &self.network,
-            catalog,
-            storage,
-            self.check,
-            self.exec,
-            &self.eval_shared,
-            Some(&self.adaptive),
-        )
-    }
-
-    /// One monitoring pass: compute each condition's net delta (per the
-    /// mode), fold into the per-rule triggered sets, and record traces.
-    fn update_triggered(&mut self, catalog: &Catalog, storage: &Storage) -> Result<(), CoreError> {
+    ) -> Result<PassOutcome, CoreError> {
         // Storage changed since the previous pass: evict the derived-call
         // memo so this pass cannot observe stale results. Compiled plans
         // survive.
         self.eval_shared.reset_pass();
-        // Compute per-condition deltas. Deltas obtained from (nervous)
-        // propagation may over-report insertions and need the strict
-        // filter below; naive recomputation is exact.
-        let mut condition_deltas: HashMap<PredId, DeltaSet> = HashMap::new();
-        let mut from_propagation: HashSet<PredId> = HashSet::new();
-        let active_conditions: Vec<(RuleId, PredId)> = self
-            .rules
-            .iter()
-            .filter(|r| r.is_active() && !self.quarantined.contains_key(&r.id))
-            .map(|r| (r.id, r.condition))
-            .collect();
-
-        match self.mode {
-            MonitorMode::Incremental => {
-                let result = self.run_propagation(catalog, storage)?;
-                self.stats.differentials_executed += result.fired.len();
-                self.stats.tuples_produced += result.metrics.candidates;
-                self.stats.tuples_rejected += result.metrics.rejected;
-                self.last_trace.fired.extend(result.fired);
-                self.last_metrics = Some(result.metrics);
-                condition_deltas = result.condition_deltas;
-                from_propagation.extend(condition_deltas.keys().copied());
-            }
-            MonitorMode::Naive => {
-                for (_, cond) in &active_conditions {
-                    if !condition_deltas.contains_key(cond) {
-                        let d = self.naive.check(catalog, storage, *cond)?;
-                        self.stats.naive_recomputations += 1;
-                        condition_deltas.insert(*cond, d);
+        let live = || {
+            self.rules
+                .iter()
+                .filter(|r| r.is_active() && !self.quarantined.contains_key(&r.id))
+        };
+        let mut out = PassOutcome::default();
+        // Hybrid decides per rule; one propagation pass serves every rule
+        // that chose incremental.
+        if self.mode == MonitorMode::Hybrid {
+            for rule in live() {
+                // A pin bypasses the cost model for this rule.
+                let strategy = match self.pin(rule.id) {
+                    StrategyPin::Naive => Strategy::Naive,
+                    StrategyPin::Incremental => Strategy::Incremental,
+                    StrategyPin::Auto => {
+                        self.cost_model
+                            .choose(catalog, storage, &self.network, rule.condition)
                     }
-                }
-            }
-            MonitorMode::Hybrid => {
-                // Decide per condition; if any condition prefers
-                // incremental, one propagation pass serves them all.
-                let mut want_incremental = false;
-                for (rid, cond) in &active_conditions {
-                    // A pin bypasses the cost model for this rule.
-                    let strategy = match self.pin(*rid) {
-                        StrategyPin::Naive => Strategy::Naive,
-                        StrategyPin::Incremental => Strategy::Incremental,
-                        StrategyPin::Auto => {
-                            self.cost_model
-                                .choose(catalog, storage, &self.network, *cond)
-                        }
-                    };
-                    self.last_strategies.insert(*rid, strategy);
-                    if strategy == Strategy::Incremental {
-                        want_incremental = true;
-                    }
-                }
-                let propagated = if want_incremental {
-                    let result = self.run_propagation(catalog, storage)?;
-                    self.stats.differentials_executed += result.fired.len();
-                    self.stats.tuples_produced += result.metrics.candidates;
-                    self.stats.tuples_rejected += result.metrics.rejected;
-                    self.last_trace.fired.extend(result.fired);
-                    self.last_metrics = Some(result.metrics);
-                    Some(result.condition_deltas)
-                } else {
-                    None
                 };
-                for (rid, cond) in &active_conditions {
-                    if condition_deltas.contains_key(cond) {
-                        continue;
-                    }
-                    let strategy = self.last_strategies[rid];
-                    let delta = match (strategy, &propagated) {
-                        (Strategy::Incremental, Some(map)) => {
-                            let d = map.get(cond).cloned().unwrap_or_default();
-                            // Keep the naive materialization in sync so a
-                            // later naive choice diffs correctly. The
-                            // nervous delta is safe to apply: its plus
-                            // side is always derivable in the new state
-                            // (merely possibly already-true), its minus
-                            // side verified absent.
-                            self.naive.apply_delta(*cond, &d);
-                            from_propagation.insert(*cond);
-                            d
-                        }
-                        _ => {
-                            self.stats.naive_recomputations += 1;
-                            self.naive.check(catalog, storage, *cond)?
-                        }
-                    };
-                    condition_deltas.insert(*cond, delta);
+                out.strategies.push((rule.id, strategy));
+            }
+        }
+        let incremental = |rid: RuleId| out.strategies.contains(&(rid, Strategy::Incremental));
+        let mut propagated = HashMap::new();
+        if self.mode == MonitorMode::Incremental || live().any(|r| incremental(r.id)) {
+            // An installed fault plan that schedules a failure for this
+            // pass errors it out before any wave-front state is touched:
+            // an evaluator crash at pass start, the worst point for the
+            // surrounding transaction.
+            #[cfg(feature = "fault-injection")]
+            if let Some(plan) = &self.fault_plan {
+                if plan.take_propagation_fault() {
+                    let seed = plan.seed();
+                    let pass = format!("propagation pass (seed {seed})");
+                    return Err(CoreError::FaultInjected(pass));
                 }
+            }
+            let result = propagate_adaptive(
+                &self.network,
+                catalog,
+                storage,
+                self.check,
+                self.exec,
+                &self.eval_shared,
+                Some(&self.adaptive),
+            )?;
+            out.trace.fired = result.fired;
+            out.trace.metrics = Some(result.metrics);
+            propagated = result.condition_deltas;
+        }
+        if self.mode == MonitorMode::Incremental {
+            out.condition_deltas = propagated;
+        } else {
+            // The first live rule over a condition decides how its delta
+            // is obtained.
+            for rule in live() {
+                let cond = rule.condition;
+                if out.condition_deltas.contains_key(&cond) {
+                    continue;
+                }
+                let delta = if incremental(rule.id) {
+                    propagated.remove(&cond).unwrap_or_default()
+                } else {
+                    out.recomputed.push(cond);
+                    self.naive.check(catalog, storage, cond)?
+                };
+                out.condition_deltas.insert(cond, delta);
             }
         }
 
-        // Fold condition deltas into triggered sets.
-        let changed_rels: HashSet<amos_storage::RelId> =
-            storage.changed_relations().into_iter().collect();
+        // The strict filter, on one context for every check of the pass:
+        // the shared memo lets repeated `holds` probes of the same
+        // condition reuse derived-call results across rules and
+        // instances.
         let deltas_env = DeltaMap::new();
-        // One context for every strict-filter check of the pass: the
-        // shared memo lets repeated `holds` probes of the same condition
-        // reuse derived-call results across rules and instances.
         let shared = Arc::clone(&self.eval_shared);
         let filter_ctx = EvalContext::with_shared(storage, catalog, &deltas_env, shared);
-        for rule in &mut self.rules {
-            if !rule.is_active() || self.quarantined.contains_key(&rule.id) {
-                continue;
-            }
+        let probes_before = self.eval_shared.probe_count();
+        let mut holds = 0;
+        for rule in live() {
             // ECA event restriction: skip the condition test entirely
             // when none of the rule's event relations changed.
             if let Some(events) = &rule.events {
-                if events.is_disjoint(&changed_rels) {
+                let changed = |&rel: &RelId| storage.delta(rel).is_some_and(|d| !d.is_empty());
+                if !events.iter().any(changed) {
                     continue;
                 }
             }
-            let Some(delta) = condition_deltas.get(&rule.condition) else {
+            let Some(delta) = out.condition_deltas.get(&rule.condition) else {
                 continue;
             };
-            let mut newly: Vec<(Tuple, Polarity)> = Vec::new();
+            // Strict semantics: only false→true transitions. Needed
+            // whenever the delta came from nervous propagation
+            // (incremental mode, or hybrid choosing incremental).
+            let strict = rule.semantics == RuleSemantics::Strict
+                && !out.recomputed.contains(&rule.condition);
+            let mut admitted = Vec::new();
             for t in delta.plus() {
                 if !rule.covered(t) {
                     continue;
                 }
-                // Strict semantics: only false→true transitions. Needed
-                // whenever the delta came from nervous propagation
-                // (incremental mode, or hybrid choosing incremental).
-                if rule.semantics == RuleSemantics::Strict
-                    && from_propagation.contains(&rule.condition)
-                {
+                if strict {
+                    holds += 1;
                     if filter_ctx.holds(rule.condition, t, StateEpoch::Old)? {
                         continue;
                     }
+                    holds += 1;
                     if !filter_ctx.holds(rule.condition, t, StateEpoch::New)? {
                         continue;
                     }
                 }
-                if rule.triggered.insert(t.clone()) {
-                    newly.push((t.clone(), Polarity::Plus));
+                admitted.push(t.clone());
+            }
+            out.admitted.push((rule.id, admitted));
+        }
+        if let Some(m) = out.trace.metrics.as_mut() {
+            m.filter_holds = holds;
+            m.filter_probes = self.eval_shared.probe_count() - probes_before;
+        }
+        Ok(out)
+    }
+
+    /// Fold one pass's outcome into the triggered sets (net changes: an
+    /// admitted insertion triggers, a deletion untriggers), the naive
+    /// materializations and the statistics, and keep it in the report.
+    fn apply(&mut self, outcome: PassOutcome) {
+        let PassOutcome {
+            condition_deltas,
+            recomputed,
+            admitted,
+            strategies,
+            mut trace,
+        } = outcome;
+        let pass = self.report.passes.len();
+        for (rid, instances) in admitted {
+            let rule = &mut self.rules[rid.0 as usize];
+            for t in instances {
+                if let Entry::Vacant(slot) = rule.triggered.entry(t) {
+                    trace.triggered.push((rule.condition, slot.key().clone()));
+                    slot.insert(pass);
                 }
             }
-            for t in delta.minus() {
-                // Net change: condition became false again → untrigger.
+            for t in condition_deltas[&rule.condition].minus() {
                 rule.triggered.remove(t);
             }
-            // Record explanations for newly triggered instances.
-            if self.mode != MonitorMode::Naive && !newly.is_empty() {
-                let explanations =
-                    CheckTrace::explain_instances(&self.last_trace.fired, rule.condition, &newly);
-                self.last_trace.explanations.extend(explanations);
+        }
+        // Keep the naive materializations in step. A recomputed delta is
+        // exact against the materialization (or against nothing, which
+        // it then seeds). A propagated (nervous) one is safe to apply to
+        // an existing one: its plus side is derivable in the new state,
+        // merely possibly already true, and its minus side verified
+        // absent.
+        if self.mode != MonitorMode::Incremental {
+            for (cond, delta) in &condition_deltas {
+                if recomputed.contains(cond) || self.naive.is_watching(*cond) {
+                    self.naive.apply_delta(*cond, delta);
+                }
             }
         }
-        Ok(())
+        self.stats.naive_recomputations += recomputed.len();
+        if let Some(m) = &trace.metrics {
+            self.stats.differentials_executed += trace.fired.len();
+            self.stats.tuples_produced += m.candidates;
+            self.stats.tuples_rejected += m.rejected;
+        }
+        self.report.strategies.extend(strategies);
+        self.report.passes.push(trace);
     }
 }
 
@@ -978,25 +985,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-impl NaiveMonitor {
-    /// Apply an exact delta to a materialization (hybrid bookkeeping).
-    pub fn apply_delta(&mut self, condition: PredId, delta: &DeltaSet) {
-        if let Some(prev) = self.previous_mut(condition) {
-            for t in delta.minus() {
-                prev.remove(t);
-            }
-            for t in delta.plus() {
-                prev.insert(t.clone());
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use amos_objectlog::clause::{ClauseBuilder, Term};
-    use amos_storage::RelId;
+    use amos_storage::{Polarity, RelId};
     use amos_types::{tuple, CmpOp, TypeId, Value};
     use std::sync::Mutex;
 
@@ -1038,6 +1031,39 @@ mod tests {
         }
     }
 
+    impl Fix {
+        /// Define a parameterless rule over `low` and activate it.
+        fn rule(
+            &mut self,
+            mgr: &mut RuleManager,
+            name: &str,
+            action: ActionFn,
+            priority: i32,
+            semantics: RuleSemantics,
+        ) -> RuleId {
+            let rid = mgr
+                .define_rule(name, self.low, 0, action, priority, semantics)
+                .unwrap();
+            mgr.activate(rid, Tuple::unit(), &self.catalog, &mut self.storage)
+                .unwrap();
+            rid
+        }
+
+        /// A strict rule over `low` logging the instances it fires on.
+        fn watch(&mut self, mgr: &mut RuleManager, name: &str) -> Arc<Mutex<Vec<Tuple>>> {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let action = recording_action(log.clone());
+            self.rule(mgr, name, action, 0, RuleSemantics::Strict);
+            log
+        }
+
+        /// `set q(item) = value`.
+        fn set_q(&mut self, item: i64, value: i64) {
+            let (key, value) = ([Value::Int(item)], [Value::Int(value)]);
+            self.storage.set_functional(self.rq, &key, &value).unwrap();
+        }
+    }
+
     fn recording_action(log: Arc<Mutex<Vec<Tuple>>>) -> ActionFn {
         Arc::new(move |_ctx, t| {
             log.lock().unwrap().push(t.clone());
@@ -1049,24 +1075,10 @@ mod tests {
     fn rule_triggers_on_transition() {
         let mut f = fixture();
         let mut mgr = RuleManager::new();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let rid = mgr
-            .define_rule(
-                "watch_low",
-                f.low,
-                0,
-                recording_action(log.clone()),
-                0,
-                RuleSemantics::Strict,
-            )
-            .unwrap();
-        mgr.activate(rid, Tuple::unit(), &f.catalog, &mut f.storage)
-            .unwrap();
+        let log = f.watch(&mut mgr, "watch_low");
 
         f.storage.begin().unwrap();
-        f.storage
-            .set_functional(f.rq, &[Value::Int(1)], &[Value::Int(5)])
-            .unwrap();
+        f.set_q(1, 5);
         let summary = mgr.check_phase(&f.catalog, &mut f.storage).unwrap();
         f.storage.commit().unwrap();
 
@@ -1078,28 +1090,12 @@ mod tests {
     fn net_changes_cancel_triggering() {
         let mut f = fixture();
         let mut mgr = RuleManager::new();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let rid = mgr
-            .define_rule(
-                "watch_low",
-                f.low,
-                0,
-                recording_action(log.clone()),
-                0,
-                RuleSemantics::Strict,
-            )
-            .unwrap();
-        mgr.activate(rid, Tuple::unit(), &f.catalog, &mut f.storage)
-            .unwrap();
+        let log = f.watch(&mut mgr, "watch_low");
 
         f.storage.begin().unwrap();
         // Down below 10 and back up: no net change → no trigger.
-        f.storage
-            .set_functional(f.rq, &[Value::Int(1)], &[Value::Int(5)])
-            .unwrap();
-        f.storage
-            .set_functional(f.rq, &[Value::Int(1)], &[Value::Int(50)])
-            .unwrap();
+        f.set_q(1, 5);
+        f.set_q(1, 50);
         let summary = mgr.check_phase(&f.catalog, &mut f.storage).unwrap();
         assert!(summary.executed.is_empty());
         assert!(log.lock().unwrap().is_empty());
@@ -1109,34 +1105,18 @@ mod tests {
     fn strict_fires_once_nervous_may_refire() {
         let mut f = fixture();
         let mut mgr = RuleManager::new();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let rid = mgr
-            .define_rule(
-                "watch_low",
-                f.low,
-                0,
-                recording_action(log.clone()),
-                0,
-                RuleSemantics::Strict,
-            )
-            .unwrap();
-        mgr.activate(rid, Tuple::unit(), &f.catalog, &mut f.storage)
-            .unwrap();
+        let log = f.watch(&mut mgr, "watch_low");
 
         // Transition to low.
         f.storage.begin().unwrap();
-        f.storage
-            .set_functional(f.rq, &[Value::Int(1)], &[Value::Int(5)])
-            .unwrap();
+        f.set_q(1, 5);
         mgr.check_phase(&f.catalog, &mut f.storage).unwrap();
         f.storage.commit().unwrap();
         assert_eq!(log.lock().unwrap().len(), 1);
 
         // Still low, lower again: strict must NOT refire.
         f.storage.begin().unwrap();
-        f.storage
-            .set_functional(f.rq, &[Value::Int(1)], &[Value::Int(3)])
-            .unwrap();
+        f.set_q(1, 3);
         mgr.check_phase(&f.catalog, &mut f.storage).unwrap();
         f.storage.commit().unwrap();
         assert_eq!(
@@ -1166,12 +1146,8 @@ mod tests {
             .unwrap();
 
         f.storage.begin().unwrap();
-        f.storage
-            .set_functional(f.rq, &[Value::Int(1)], &[Value::Int(5)])
-            .unwrap();
-        f.storage
-            .set_functional(f.rq, &[Value::Int(2)], &[Value::Int(5)])
-            .unwrap();
+        f.set_q(1, 5);
+        f.set_q(2, 5);
         mgr.check_phase(&f.catalog, &mut f.storage).unwrap();
         assert_eq!(
             log.lock().unwrap().as_slice(),
@@ -1191,35 +1167,23 @@ mod tests {
                 Ok(())
             })
         };
-        let r1 = mgr
-            .define_rule(
-                "low_pri",
-                f.low,
-                0,
-                mk("low", order.clone()),
-                1,
-                RuleSemantics::Strict,
-            )
-            .unwrap();
-        let r2 = mgr
-            .define_rule(
-                "high_pri",
-                f.low,
-                0,
-                mk("high", order.clone()),
-                5,
-                RuleSemantics::Strict,
-            )
-            .unwrap();
-        mgr.activate(r1, Tuple::unit(), &f.catalog, &mut f.storage)
-            .unwrap();
-        mgr.activate(r2, Tuple::unit(), &f.catalog, &mut f.storage)
-            .unwrap();
+        f.rule(
+            &mut mgr,
+            "low_pri",
+            mk("low", order.clone()),
+            1,
+            RuleSemantics::Strict,
+        );
+        f.rule(
+            &mut mgr,
+            "high_pri",
+            mk("high", order.clone()),
+            5,
+            RuleSemantics::Strict,
+        );
 
         f.storage.begin().unwrap();
-        f.storage
-            .set_functional(f.rq, &[Value::Int(1)], &[Value::Int(5)])
-            .unwrap();
+        f.set_q(1, 5);
         mgr.check_phase(&f.catalog, &mut f.storage).unwrap();
         assert_eq!(order.lock().unwrap().as_slice(), &["high", "low"]);
     }
@@ -1238,16 +1202,10 @@ mod tests {
                 .map_err(|e| e.to_string())?;
             Ok(())
         });
-        let rid = mgr
-            .define_rule("refill", f.low, 0, refill, 0, RuleSemantics::Strict)
-            .unwrap();
-        mgr.activate(rid, Tuple::unit(), &f.catalog, &mut f.storage)
-            .unwrap();
+        f.rule(&mut mgr, "refill", refill, 0, RuleSemantics::Strict);
 
         f.storage.begin().unwrap();
-        f.storage
-            .set_functional(f.rq, &[Value::Int(1)], &[Value::Int(2)])
-            .unwrap();
+        f.set_q(1, 2);
         let summary = mgr.check_phase(&f.catalog, &mut f.storage).unwrap();
         assert_eq!(summary.executed.len(), 1);
         // The refill happened.
@@ -1272,16 +1230,10 @@ mod tests {
                 .map_err(|e| e.to_string())?;
             Ok(())
         });
-        let rid = mgr
-            .define_rule("flip", f.low, 0, flip, 0, RuleSemantics::Nervous)
-            .unwrap();
-        mgr.activate(rid, Tuple::unit(), &f.catalog, &mut f.storage)
-            .unwrap();
+        f.rule(&mut mgr, "flip", flip, 0, RuleSemantics::Nervous);
 
         f.storage.begin().unwrap();
-        f.storage
-            .set_functional(f.rq, &[Value::Int(1)], &[Value::Int(5)])
-            .unwrap();
+        f.set_q(1, 5);
         let result = mgr.check_phase(&f.catalog, &mut f.storage);
         assert!(matches!(
             result,
@@ -1295,26 +1247,10 @@ mod tests {
             let mut f = fixture();
             let mut mgr = RuleManager::new();
             mgr.mode = mode;
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let rid = mgr
-                .define_rule(
-                    "watch",
-                    f.low,
-                    0,
-                    recording_action(log.clone()),
-                    0,
-                    RuleSemantics::Strict,
-                )
-                .unwrap();
-            mgr.activate(rid, Tuple::unit(), &f.catalog, &mut f.storage)
-                .unwrap();
+            let log = f.watch(&mut mgr, "watch");
             f.storage.begin().unwrap();
-            f.storage
-                .set_functional(f.rq, &[Value::Int(1)], &[Value::Int(5)])
-                .unwrap();
-            f.storage
-                .set_functional(f.rq, &[Value::Int(2)], &[Value::Int(7)])
-                .unwrap();
+            f.set_q(1, 5);
+            f.set_q(2, 7);
             mgr.check_phase(&f.catalog, &mut f.storage).unwrap();
             let mut fired = log.lock().unwrap().clone();
             fired.sort();
@@ -1326,28 +1262,15 @@ mod tests {
     fn deactivate_stops_monitoring() {
         let mut f = fixture();
         let mut mgr = RuleManager::new();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let rid = mgr
-            .define_rule(
-                "watch",
-                f.low,
-                0,
-                recording_action(log.clone()),
-                0,
-                RuleSemantics::Strict,
-            )
-            .unwrap();
-        mgr.activate(rid, Tuple::unit(), &f.catalog, &mut f.storage)
-            .unwrap();
+        f.watch(&mut mgr, "watch");
+        let rid = mgr.rule_id("watch").unwrap();
         assert!(f.storage.is_monitored(f.rq));
         mgr.deactivate(rid, &Tuple::unit(), &f.catalog, &mut f.storage)
             .unwrap();
         assert!(!f.storage.is_monitored(f.rq));
 
         f.storage.begin().unwrap();
-        f.storage
-            .set_functional(f.rq, &[Value::Int(1)], &[Value::Int(5)])
-            .unwrap();
+        f.set_q(1, 5);
         let summary = mgr.check_phase(&f.catalog, &mut f.storage).unwrap();
         assert!(summary.executed.is_empty());
         assert_eq!(summary.passes, 0, "no monitored changes → no passes");
@@ -1360,25 +1283,74 @@ mod tests {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let seen2 = seen.clone();
         let action: ActionFn = Arc::new(move |ctx, _t| {
-            if let Some(e) = ctx.explanation {
+            if let Some(e) = ctx.explanation() {
                 seen2.lock().unwrap().push(e.causes.clone());
             }
             Ok(())
         });
-        let rid = mgr
-            .define_rule("watch", f.low, 0, action, 0, RuleSemantics::Strict)
-            .unwrap();
-        mgr.activate(rid, Tuple::unit(), &f.catalog, &mut f.storage)
-            .unwrap();
+        f.rule(&mut mgr, "watch", action, 0, RuleSemantics::Strict);
         f.storage.begin().unwrap();
-        f.storage
-            .set_functional(f.rq, &[Value::Int(1)], &[Value::Int(5)])
-            .unwrap();
+        f.set_q(1, 5);
         mgr.check_phase(&f.catalog, &mut f.storage).unwrap();
         let causes = seen.lock().unwrap();
         assert_eq!(causes.len(), 1);
         let q = f.catalog.lookup("q").unwrap();
         assert!(causes[0].contains(&(q, Polarity::Plus)));
+    }
+
+    /// A nervous rule's action raises the limit its instance is compared
+    /// against, which re-derives the instance: the second pass triggers
+    /// it again through `lim`, not `q`, and the action must see that
+    /// pass's causes — not the first trigger's, nor both passes' mixed.
+    #[test]
+    fn retriggered_instance_is_explained_by_its_own_pass() {
+        let mut f = fixture();
+        let q = f.catalog.lookup("q").unwrap();
+        let rlim = f.storage.create_relation("lim", 2).unwrap();
+        let lim = f.catalog.define_stored("lim", sig(2), rlim, 1).unwrap();
+        f.storage.insert(rlim, tuple![1, 10]).unwrap();
+        // under(X) ← q(X,V) ∧ lim(X,L) ∧ V < L
+        let clause = ClauseBuilder::new(3)
+            .head([Term::var(0)])
+            .pred(q, [Term::var(0), Term::var(1)])
+            .pred(lim, [Term::var(0), Term::var(2)])
+            .cmp(Term::var(1), CmpOp::Lt, Term::var(2))
+            .build();
+        let under = f
+            .catalog
+            .define_derived("under", sig(1), vec![clause])
+            .unwrap();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = seen.clone();
+        let raise: ActionFn = Arc::new(move |ctx, t| {
+            let mut log = log.lock().unwrap();
+            log.push(ctx.explanation().map(|e| e.causes));
+            if log.len() == 1 {
+                let raised = ctx
+                    .storage
+                    .set_functional(rlim, &[t[0].clone()], &[Value::Int(20)]);
+                raised.map_err(|e| e.to_string())?;
+            }
+            Ok(())
+        });
+        let mut mgr = RuleManager::new();
+        let rid = mgr
+            .define_rule("raise", under, 0, raise, 0, RuleSemantics::Nervous)
+            .unwrap();
+        mgr.activate(rid, Tuple::unit(), &f.catalog, &mut f.storage)
+            .unwrap();
+
+        f.storage.begin().unwrap();
+        f.set_q(1, 5);
+        let summary = mgr.check_phase(&f.catalog, &mut f.storage).unwrap();
+        assert_eq!(summary.executed.len(), 2, "{summary:?}");
+        let causes = |p| Some(vec![(p, Polarity::Plus)]);
+        assert_eq!(*seen.lock().unwrap(), vec![causes(q), causes(lim)]);
+        // The trace explains the instance by its last triggering.
+        let trace = mgr.last_trace();
+        let last = trace.explain(under, &tuple![1]).unwrap();
+        assert_eq!(Some(last.causes), causes(lim));
+        assert_eq!(trace.explanations().len(), 2);
     }
 
     #[test]
@@ -1394,29 +1366,13 @@ mod tests {
                 .map_err(|e| e.to_string())?;
             Err("downstream service unavailable".into())
         });
-        let rid = mgr
-            .define_rule("fail", f.low, 0, failing, 0, RuleSemantics::Strict)
-            .unwrap();
+        let rid = f.rule(&mut mgr, "fail", failing, 0, RuleSemantics::Strict);
         let log = Arc::new(Mutex::new(Vec::new()));
-        let other = mgr
-            .define_rule(
-                "watch",
-                f.low,
-                0,
-                recording_action(log.clone()),
-                -1,
-                RuleSemantics::Strict,
-            )
-            .unwrap();
-        mgr.activate(rid, Tuple::unit(), &f.catalog, &mut f.storage)
-            .unwrap();
-        mgr.activate(other, Tuple::unit(), &f.catalog, &mut f.storage)
-            .unwrap();
+        let watch = recording_action(log.clone());
+        f.rule(&mut mgr, "watch", watch, -1, RuleSemantics::Strict);
 
         f.storage.begin().unwrap();
-        f.storage
-            .set_functional(f.rq, &[Value::Int(1)], &[Value::Int(5)])
-            .unwrap();
+        f.set_q(1, 5);
         let summary = mgr.check_phase(&f.catalog, &mut f.storage).unwrap();
 
         // The failing rule is quarantined; the other rule still fires.
@@ -1441,20 +1397,15 @@ mod tests {
         let mut f = fixture();
         let mut mgr = RuleManager::new();
         let panicking: ActionFn = Arc::new(|_ctx, _t| panic!("boom"));
-        let rid = mgr
-            .define_rule("explode", f.low, 0, panicking, 0, RuleSemantics::Strict)
-            .unwrap();
-        mgr.activate(rid, Tuple::unit(), &f.catalog, &mut f.storage)
-            .unwrap();
+        let rid = f.rule(&mut mgr, "explode", panicking, 0, RuleSemantics::Strict);
         f.storage.begin().unwrap();
-        f.storage
-            .set_functional(f.rq, &[Value::Int(1)], &[Value::Int(5)])
-            .unwrap();
+        f.set_q(1, 5);
         let summary = mgr.check_phase(&f.catalog, &mut f.storage).unwrap();
         assert!(summary.executed.is_empty());
         assert_eq!(summary.failed.len(), 1);
         assert!(summary.failed[0].1.contains("boom"), "{:?}", summary.failed);
-        assert_eq!(mgr.pending(), vec![], "quarantined rule holds no backlog");
+        let backlog = mgr.rules.iter().map(|r| r.triggered.len()).sum::<usize>();
+        assert_eq!(backlog, 0, "quarantined rule holds no backlog");
         assert!(mgr.quarantined().contains_key(&rid));
         // Lifting the quarantine lets the rule trigger again later.
         assert!(mgr.clear_quarantine(rid));

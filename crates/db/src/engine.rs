@@ -304,7 +304,7 @@ impl Amos {
 
     /// Instrumentation of the most recent propagation pass, if any.
     pub fn last_pass_metrics(&self) -> Option<&amos_metrics::PassMetrics> {
-        self.rules.last_metrics()
+        self.rules.last_trace().last_metrics()
     }
 
     /// The session value of an interface variable, if bound.
@@ -1155,7 +1155,7 @@ impl Amos {
                 out.push_str(&format!("    {line}\n"));
             }
         }
-        if let Some(metrics) = self.rules.last_metrics() {
+        if let Some(metrics) = self.rules.last_trace().last_metrics() {
             out.push_str("last propagation pass:\n");
             for line in metrics.render().lines() {
                 out.push_str(&format!("  {line}\n"));

@@ -203,13 +203,10 @@ fn explanations_identify_influent() {
     let (mut db, _) = setup(NetworkPrep::Flat, MonitorMode::Incremental);
     db.execute("set quantity(:item1) = 120;").unwrap();
     let catalog = db.catalog();
-    let trace = db.rules().last_trace();
-    assert!(!trace.explanations.is_empty());
+    let explanations = db.rules().last_trace().explanations();
+    assert!(!explanations.is_empty());
     let quantity = catalog.lookup("quantity").unwrap();
-    assert!(trace.explanations[0]
-        .causes
-        .iter()
-        .any(|(p, _)| *p == quantity));
+    assert!(explanations[0].causes.iter().any(|(p, _)| *p == quantity));
 }
 
 /// Rollback throws away both updates and pending triggers.

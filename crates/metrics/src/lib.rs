@@ -136,6 +136,13 @@ pub struct PassMetrics {
     /// The distinct `relation[cols]` sites behind `fallback_scans`,
     /// drained once per pass.
     pub fallback_sites: Vec<String>,
+    /// `holds` calls of the rule-level strict filter after propagation
+    /// (two per candidate that was false before, one per candidate that
+    /// already held). Kept apart from `probes`, which counts propagation
+    /// alone.
+    pub filter_holds: u64,
+    /// Stored-relation probes those `holds` calls made.
+    pub filter_probes: u64,
     /// Differentials statically pruned from the network at activation
     /// (lint pass L004: Δ₋ on append-only relations, statically-false
     /// bodies). Constant across passes of the same network.
@@ -160,7 +167,7 @@ impl PassMetrics {
         );
         let _ = writeln!(
             out,
-            "  planning: replans={} plan_cache_hits={} probes={} scans={} delta_probes={} delta_scans={} fallback_scans={} pruned_differentials={}",
+            "  planning: replans={} plan_cache_hits={} probes={} scans={} delta_probes={} delta_scans={} fallback_scans={} pruned_differentials={} filter_holds={} filter_probes={}",
             self.replans,
             self.plan_cache_hits,
             self.probes,
@@ -168,7 +175,9 @@ impl PassMetrics {
             self.delta_probes,
             self.delta_scans,
             self.fallback_scans,
-            self.pruned_differentials
+            self.pruned_differentials,
+            self.filter_holds,
+            self.filter_probes
         );
         for site in &self.fallback_sites {
             let _ = writeln!(out, "  FALLBACK scan at {site} (no covering index)");
@@ -247,6 +256,8 @@ mod tests {
             merge_joins: 0,
             fallback_scans: 1,
             fallback_sites: vec!["stock[1]".into()],
+            filter_holds: 3,
+            filter_probes: 9,
             pruned_differentials: 2,
         }
     }
@@ -262,7 +273,7 @@ mod tests {
         assert!(text.contains("replans=1 plan_cache_hits=3"));
         assert!(text.contains("delta_scans=1 fallback_scans=1"));
         assert!(!text.contains("merge_joins"));
-        assert!(text.contains("pruned_differentials=2"));
+        assert!(text.contains("pruned_differentials=2 filter_holds=3 filter_probes=9"));
         assert!(text.contains("est-rows=4.50 actual=5"));
         assert!(text.contains("FALLBACK scan at stock[1]"));
     }

@@ -64,7 +64,7 @@ fn main() {
     db.execute("add quarantined(:ssl) = true;").unwrap();
 
     println!("\nwhy did the last alert fire?");
-    for e in &db.rules().last_trace().explanations {
+    for e in db.rules().last_trace().explanations() {
         println!("  {}", e.render(db.catalog()));
     }
 

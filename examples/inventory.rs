@@ -76,7 +76,7 @@ fn run(prep: NetworkPrep) {
     db.execute("set quantity(:item1) = 120;").unwrap();
 
     println!("\nwhy did it trigger?");
-    for e in &db.rules().last_trace().explanations {
+    for e in db.rules().last_trace().explanations() {
         println!("  {}", e.render(db.catalog()));
     }
 
@@ -88,7 +88,7 @@ fn run(prep: NetworkPrep) {
         "(threshold becomes 90 + 7500 = 7590 > quantity 7500) — triggers through Δ+min_stock:"
     );
     db.execute("set min_stock(:item2) = 7500;").unwrap();
-    for e in &db.rules().last_trace().explanations {
+    for e in db.rules().last_trace().explanations() {
         println!("  {}", e.render(db.catalog()));
     }
     println!();

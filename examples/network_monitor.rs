@@ -74,7 +74,7 @@ fn main() {
     db.execute("set up(:dbhost, 1) = 0;").unwrap();
 
     println!("\nwhy (which influent, insertion or deletion)?");
-    for e in &db.rules().last_trace().explanations {
+    for e in db.rules().last_trace().explanations() {
         println!("  {}", e.render(db.catalog()));
     }
 

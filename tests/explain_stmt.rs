@@ -124,6 +124,47 @@ fn explain_rule_reports_pass_metrics() {
     assert!(!metrics.levels.is_empty());
 }
 
+/// The check phase keeps every pass of a cascade: a refill's
+/// write-back makes the condition false again in a second pass, and the
+/// trace holds both, each with its own metrics.
+#[test]
+fn last_trace_keeps_every_pass_of_a_cascade() {
+    let mut db = Amos::new();
+    db.execute(SCHEMA).unwrap();
+    db.execute(
+        "create rule refill() as
+             when for each item i where quantity(i) < threshold(i)
+             do set quantity(i) = 100;
+         create item instances :i1;
+         set threshold(:i1) = 5;
+         set quantity(:i1) = 50;
+         activate refill();",
+    )
+    .unwrap();
+    db.execute("begin; set quantity(:i1) = 2;").unwrap();
+    let summary = db.commit().unwrap();
+    assert_eq!(summary.executed, vec![("refill".to_string(), 1)]);
+    assert_eq!(summary.passes, 2);
+
+    let passes = &db.rules().last_trace().passes;
+    assert_eq!(passes.len(), summary.passes);
+    let metrics: Vec<_> = passes.iter().map(|p| p.metrics.as_ref().unwrap()).collect();
+    // Pass 1 triggers the item through Δ₊quantity and the strict filter
+    // (false before, true after); pass 2 retracts it through Δ₋quantity.
+    assert_eq!(passes[0].triggered.len(), 1);
+    assert_eq!((metrics[0].candidates, metrics[0].filter_holds), (1, 2));
+    assert!(passes[1].triggered.is_empty());
+    assert_eq!((metrics[1].candidates, metrics[1].filter_holds), (1, 0));
+    assert!(std::ptr::eq(db.last_pass_metrics().unwrap(), metrics[1]));
+
+    // A check phase that runs no pass empties the trace but keeps the
+    // last propagation pass readable.
+    db.execute("begin;").unwrap();
+    assert_eq!(db.commit().unwrap().passes, 0);
+    assert!(db.rules().last_trace().passes.is_empty());
+    assert_eq!(db.last_pass_metrics().unwrap().candidates, 1);
+}
+
 #[test]
 fn explain_unknown_rule_errors() {
     let mut db = Amos::new();

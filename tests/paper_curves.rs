@@ -12,36 +12,18 @@
 //!
 //! The test also regenerates EXPERIMENTS.md's count tables and fails,
 //! printing the expected text, when the committed ones differ. The same
-//! world carries the §7.1 tabling and §8 hybrid-choice counts.
+//! world carries fig. 7 with every item firing, and the §7.1 tabling and
+//! §8 hybrid-choice counts.
 
 use std::fmt::Write as _;
 
 use amos_core::{MonitorMode, Strategy};
-use amos_db::{Amos, EngineOptions, ExecStrategy, NetworkPrep, Value};
+use amos_db::{EngineOptions, ExecStrategy, NetworkPrep, Tuple, Value};
 use amos_objectlog::eval::{DeltaMap, EvalContext};
-use amos_storage::{RelId, StateEpoch};
-use amos_types::{Oid, Tuple};
+use amos_storage::{Polarity, StateEpoch};
 
-/// The §3.1 inventory schema and `monitor_items` rule.
-const SCHEMA: &str = r#"
-    create type item;
-    create type supplier;
-    create function quantity(item i) -> integer;
-    create function max_stock(item i) -> integer;
-    create function min_stock(item i) -> integer;
-    create function consume_freq(item i) -> integer;
-    create function supplies(supplier s) -> item;
-    create function delivery_time(item i, supplier s) -> integer;
-    create function threshold(item i) -> integer
-        as
-        select consume_freq(i) * delivery_time(i, s) + min_stock(i)
-        for each supplier s where supplies(s) = i;
-
-    create rule monitor_items() as
-        when for each item i
-        where quantity(i) < threshold(i)
-        do order(i, max_stock(i) - quantity(i));
-"#;
+mod common;
+use common::World;
 
 const SIZES: [usize; 3] = [100, 1_000, 10_000];
 /// One-update transactions checked per world for fig. 6.
@@ -64,175 +46,30 @@ struct Work {
     wave_tuples: usize,
 }
 
-/// The §3.1 world, populated through storage (no parser on the measured
-/// path). Quantities start far above every threshold (140), so no
-/// transaction below makes the condition true: the counts are
-/// monitoring cost alone.
-struct World {
-    db: Amos,
-    items: Vec<Oid>,
-    suppliers: Vec<Oid>,
-    quantity: RelId,
-    delivery_time: RelId,
-    consume_freq: RelId,
+/// The work of the last check phase's last propagation pass.
+fn last_pass(w: &World) -> Work {
+    let m = w.db.last_pass_metrics().expect("a pass ran at commit");
+    Work {
+        fired: m.fired,
+        probes: m.probes,
+        scans: m.scans,
+        delta_probes: m.delta_probes,
+        delta_scans: m.delta_scans,
+        wave_tuples: m.levels.iter().map(|l| l.wave_tuples).sum(),
+    }
 }
 
-impl World {
-    /// `n` items with one supplier each, `monitor_items` plus
-    /// `extra_rules` more rules over `threshold`, all activated.
-    fn new(n: usize, options: EngineOptions, mode: MonitorMode, extra_rules: usize) -> World {
-        let mut db = Amos::with_options(options);
-        db.set_monitor_mode(mode);
-        db.register_procedure("order", |_ctx, _args| Ok(()));
-        db.register_procedure("noop", |_ctx, _args| Ok(()));
-        db.execute(SCHEMA).unwrap();
-        for k in 0..extra_rules {
-            db.execute(&format!(
-                "create rule extra_{k}() as \
-                 when for each item i where quantity(i) < threshold(i) + {k} \
-                 do noop(i);"
-            ))
-            .unwrap();
-        }
-        // The workloads never delete items, suppliers or supply links:
-        // activation prunes their always-empty Δ₋ differentials (L004).
-        for f in ["item_extent", "supplier_extent", "supplies"] {
-            db.set_append_only(f, true).unwrap();
-        }
-        let rel = |name: &str| {
-            let catalog = db.catalog();
-            catalog
-                .def(catalog.lookup(name).unwrap())
-                .stored_rel()
-                .unwrap()
-        };
-        let [item_extent, supplier_extent, supplies, delivery_time] = [
-            "item_extent",
-            "supplier_extent",
-            "supplies",
-            "delivery_time",
-        ]
-        .map(rel);
-        let [quantity, max_stock, min_stock, consume_freq] =
-            ["quantity", "max_stock", "min_stock", "consume_freq"].map(rel);
-        let (mut items, mut suppliers) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        let storage = db.storage_mut();
-        for _ in 0..n {
-            let (item, sup) = (storage.fresh_oid(), storage.fresh_oid());
-            items.push(item);
-            suppliers.push(sup);
-            let (i, s) = (Value::Oid(item), Value::Oid(sup));
-            storage
-                .insert(item_extent, Tuple::new(vec![i.clone()]))
-                .unwrap();
-            storage
-                .insert(supplier_extent, Tuple::new(vec![s.clone()]))
-                .unwrap();
-            for (f, v) in [
-                (quantity, 10_000),
-                (max_stock, 20_000),
-                (min_stock, 100),
-                (consume_freq, 20),
-            ] {
-                storage
-                    .set_functional(f, std::slice::from_ref(&i), &[Value::Int(v)])
-                    .unwrap();
-            }
-            storage
-                .set_functional(supplies, std::slice::from_ref(&s), std::slice::from_ref(&i))
-                .unwrap();
-            storage
-                .set_functional(delivery_time, &[i, s], &[Value::Int(2)])
-                .unwrap();
-        }
-        db.execute("activate monitor_items();").unwrap();
-        for k in 0..extra_rules {
-            db.execute(&format!("activate extra_{k}();")).unwrap();
-        }
-        World {
-            db,
-            items,
-            suppliers,
-            quantity,
-            delivery_time,
-            consume_freq,
-        }
-    }
-
-    fn flat(n: usize, strategy: ExecStrategy, mode: MonitorMode) -> World {
-        let options = EngineOptions {
-            network_prep: NetworkPrep::Flat,
-            propagation: strategy,
-            ..Default::default()
-        };
-        World::new(n, options, mode, 0)
-    }
-
-    /// A fig. 6 transaction: one item's quantity changes.
-    fn update_quantity(&mut self, item: usize, value: i64) {
-        self.db.begin().unwrap();
-        let i = Value::Oid(self.items[item]);
-        self.db
-            .storage_mut()
-            .set_functional(self.quantity, &[i], &[Value::Int(value)])
-            .unwrap();
-        self.db.commit().unwrap();
-    }
-
-    /// A fig. 7 transaction: every item's quantity, delivery time and
-    /// consume frequency change (three of the paper's five partial
-    /// differentials). Round 0 rewrites the populated values.
-    fn update_all(&mut self, round: i64) {
-        self.db.begin().unwrap();
-        let storage = self.db.storage_mut();
-        for (&item, &sup) in self.items.iter().zip(&self.suppliers) {
-            let i = Value::Oid(item);
-            storage
-                .set_functional(
-                    self.quantity,
-                    std::slice::from_ref(&i),
-                    &[Value::Int(10_000 + round)],
-                )
-                .unwrap();
-            storage
-                .set_functional(
-                    self.delivery_time,
-                    &[i.clone(), Value::Oid(sup)],
-                    &[Value::Int(2 + round % 2)],
-                )
-                .unwrap();
-            storage
-                .set_functional(self.consume_freq, &[i], &[Value::Int(20 + round % 2)])
-                .unwrap();
-        }
-        self.db.commit().unwrap();
-    }
-
-    /// The work of the last check phase's last propagation pass.
-    fn last_pass(&self) -> Work {
-        let m = self.db.last_pass_metrics().expect("a pass ran at commit");
-        Work {
-            fired: m.fired,
-            probes: m.probes,
-            scans: m.scans,
-            delta_probes: m.delta_probes,
-            delta_scans: m.delta_scans,
-            wave_tuples: m.levels.iter().map(|l| l.wave_tuples).sum(),
-        }
-    }
-
-    /// `(probes, scans)` of one naive check: the whole condition,
-    /// evaluated unbound in the new state.
-    fn naive(&self) -> (u64, u64) {
-        let catalog = self.db.catalog();
-        let cnd = catalog.lookup("cnd_monitor_items").unwrap();
-        let deltas = DeltaMap::new();
-        let ctx = EvalContext::new(self.db.storage(), catalog, &deltas);
-        let pattern = vec![None; catalog.def(cnd).arity];
-        let rows = ctx.eval_pred(cnd, &pattern, StateEpoch::New).unwrap();
-        assert!(rows.is_empty(), "no item is below its threshold");
-        (ctx.shared().probe_count(), ctx.shared().scan_count())
-    }
+/// `(probes, scans)` of one naive check: the whole condition, evaluated
+/// unbound in the new state.
+fn naive(w: &World) -> (u64, u64) {
+    let catalog = w.db.catalog();
+    let cnd = catalog.lookup("cnd_monitor_items").unwrap();
+    let deltas = DeltaMap::new();
+    let ctx = EvalContext::new(w.db.storage(), catalog, &deltas);
+    let pattern = vec![None; catalog.def(cnd).arity];
+    let rows = ctx.eval_pred(cnd, &pattern, StateEpoch::New).unwrap();
+    assert!(rows.is_empty(), "no item is below its threshold");
+    (ctx.shared().probe_count(), ctx.shared().scan_count())
 }
 
 /// Fig. 6 and fig. 7 at every size, under both execution strategies;
@@ -259,7 +96,7 @@ fn fig6_and_fig7_are_count_identities() {
             let mut one = None;
             for t in 0..FIG6_TRANSACTIONS {
                 w.update_quantity(t % n, 10_002 + t as i64);
-                let work = w.last_pass();
+                let work = last_pass(&w);
                 let expected = Work {
                     fired: 2,
                     probes: 2 * PROBES_PER_SEED,
@@ -279,13 +116,13 @@ fn fig6_and_fig7_are_count_identities() {
 
             // Naive, for either transaction: scan the item extent, probe
             // six relations per item.
-            let naive = w.naive();
+            let naive = naive(&w);
             assert_eq!(naive, (PROBES_PER_SEED * seeds, 1), "naive check, {at}");
 
             // Fig. 7: three influents × two polarities × n seed tuples,
             // each probing six relations.
             w.update_all(1);
-            let bulk = w.last_pass();
+            let bulk = last_pass(&w);
             let expected = Work {
                 fired: 6,
                 probes: 6 * PROBES_PER_SEED * seeds,
@@ -337,6 +174,57 @@ fn fig6_and_fig7_are_count_identities() {
         "EXPERIMENTS.md's count tables are stale; the text between the \
          paper_curves markers should read:\n{expected}"
     );
+}
+
+/// Fig. 7 where every item fires: one transaction drops every item's
+/// quantity below its threshold. Δ₊ and Δ₋quantity seed n tuples each,
+/// each probing the six other relations; the n insertions are the
+/// candidates, each passes the strict filter with two `holds` (false
+/// before, true after), and the action runs once per item. An
+/// explanation is built for one sampled instance, on demand.
+fn every_item_fires(n: usize) {
+    let seeds = n as u64;
+    for strategy in [ExecStrategy::Serial, ExecStrategy::Parallel] {
+        let at = format!("n = {n}, {strategy:?}");
+        let mut w = World::flat(n, strategy, MonitorMode::Incremental);
+        let before = w.db.rules().stats().actions_executed;
+        let summary = w.fire_all();
+        assert_eq!(summary.passes, 1, "{at}");
+        assert_eq!(
+            summary.executed,
+            vec![("monitor_items".to_string(), n)],
+            "{at}"
+        );
+        let actions = w.db.rules().stats().actions_executed - before;
+        let m = w.db.last_pass_metrics().unwrap();
+        assert_eq!(
+            (m.candidates, actions, m.filter_holds, m.probes),
+            (n, n, 2 * seeds, 2 * PROBES_PER_SEED * seeds),
+            "candidates, actions, filter holds, probes; {at}"
+        );
+
+        let catalog = w.db.catalog();
+        let cnd = catalog.lookup("cnd_monitor_items").unwrap();
+        let quantity = catalog.lookup("quantity").unwrap();
+        let sample = Tuple::new(vec![Value::Oid(w.items[n / 2])]);
+        let why = w.db.rules().last_trace().explain(cnd, &sample).unwrap();
+        assert_eq!(why.causes, vec![(quantity, Polarity::Plus)], "{at}");
+    }
+}
+
+#[test]
+fn every_item_fires_is_a_count_identity() {
+    for n in [100, 1_000] {
+        every_item_fires(n);
+    }
+}
+
+/// The 10 000-item row: release builds only (a debug build takes
+/// minutes); CI runs it with `--release -- --ignored`.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn every_item_fires_at_10_000_items() {
+    every_item_fires(10_000);
 }
 
 /// §7.1 sharing in the evaluator: on the bushy network every rule's
