@@ -5,14 +5,15 @@
 //! condition every time an update has been made to an influent affecting
 //! a condition."
 //!
-//! The naive monitor materializes each condition's result at activation
-//! and, whenever any influent changed during a transaction, re-evaluates
-//! the full condition and diffs against the previous materialization to
-//! obtain the net changes, which the check phase then folds back in. Its
-//! per-check cost is linear in the database size (it scans the
-//! condition's relations), which is exactly the behaviour fig. 6 plots;
-//! its memory cost is the materialization the incremental method avoids.
+//! The naive monitor materializes each condition's result in the old
+//! state of the first pass that needs it and, at every pass, re-evaluates
+//! the full condition and diffs against the materialization to obtain the
+//! net changes, which the check phase then folds back in. Its per-check
+//! cost is linear in the database size (it scans the condition's
+//! relations), which is exactly the behaviour fig. 6 plots; its memory
+//! cost is the materialization the incremental method avoids.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 use amos_objectlog::catalog::{Catalog, PredId};
@@ -34,16 +35,19 @@ impl NaiveMonitor {
         NaiveMonitor::default()
     }
 
-    /// Start monitoring a condition: evaluate and materialize its current
-    /// result.
+    /// Start monitoring the conditions not yet monitored: materialize
+    /// each one's result in the old state, the state before the Δ-sets.
     pub fn watch(
         &mut self,
         catalog: &Catalog,
         storage: &Storage,
-        condition: PredId,
+        conditions: impl IntoIterator<Item = PredId>,
     ) -> Result<(), CoreError> {
-        let result = full_eval(catalog, storage, condition)?;
-        self.previous.insert(condition, result);
+        for condition in conditions {
+            if let Entry::Vacant(slot) = self.previous.entry(condition) {
+                slot.insert(full_eval(catalog, storage, condition, StateEpoch::Old)?);
+            }
+        }
         Ok(())
     }
 
@@ -52,56 +56,51 @@ impl NaiveMonitor {
         self.previous.remove(&condition);
     }
 
-    /// Whether a condition is being monitored.
-    pub fn is_watching(&self, condition: PredId) -> bool {
-        self.previous.contains_key(&condition)
-    }
-
     /// The materialized previous result (for tests).
     pub fn previous(&self, condition: PredId) -> Option<&HashSet<Tuple>> {
         self.previous.get(&condition)
     }
 
-    /// Recompute a condition in full and return its net changes against
-    /// the materialization (empty when there is none).
+    /// Recompute a watched condition in full and return its net changes
+    /// against the materialization.
     pub fn check(
         &self,
         catalog: &Catalog,
         storage: &Storage,
         condition: PredId,
     ) -> Result<DeltaSet, CoreError> {
-        let new = full_eval(catalog, storage, condition)?;
-        let none = HashSet::new();
-        let old = self.previous.get(&condition).unwrap_or(&none);
+        let new = full_eval(catalog, storage, condition, StateEpoch::New)?;
+        let old = &self.previous[&condition];
         Ok(DeltaSet::from_parts(
             new.difference(old).cloned().collect(),
             old.difference(&new).cloned().collect(),
         ))
     }
 
-    /// Fold a condition's net changes into its materialization, starting
-    /// one if there is none.
+    /// Fold a condition's net changes into its materialization, if it
+    /// has one.
     pub fn apply_delta(&mut self, condition: PredId, delta: &DeltaSet) {
-        let prev = self.previous.entry(condition).or_default();
-        for t in delta.minus() {
-            prev.remove(t);
-        }
-        for t in delta.plus() {
-            prev.insert(t.clone());
+        if let Some(prev) = self.previous.get_mut(&condition) {
+            for t in delta.minus() {
+                prev.remove(t);
+            }
+            prev.extend(delta.plus().iter().cloned());
         }
     }
 }
 
-/// Evaluate a condition predicate in full (unbound pattern, new state).
+/// Evaluate a predicate in full (unbound pattern) in the new or the old
+/// state.
 pub fn full_eval(
     catalog: &Catalog,
     storage: &Storage,
-    condition: PredId,
+    pred: PredId,
+    epoch: StateEpoch,
 ) -> Result<HashSet<Tuple>, CoreError> {
     let deltas = DeltaMap::new();
     let ctx = EvalContext::new(storage, catalog, &deltas);
-    let pattern = vec![None; catalog.def(condition).arity];
-    Ok(ctx.eval_pred(condition, &pattern, StateEpoch::New)?)
+    let pattern = vec![None; catalog.def(pred).arity];
+    Ok(ctx.eval_pred(pred, &pattern, epoch)?)
 }
 
 #[cfg(test)]
@@ -136,7 +135,7 @@ mod tests {
         storage.insert(rq, tuple![2, 50]).unwrap();
 
         let mut naive = NaiveMonitor::new();
-        naive.watch(&catalog, &storage, low).unwrap();
+        naive.watch(&catalog, &storage, [low]).unwrap();
         assert_eq!(naive.previous(low).unwrap().len(), 1);
 
         // No change → empty delta.
@@ -160,6 +159,6 @@ mod tests {
         assert!(d2.is_empty());
 
         naive.unwatch(low);
-        assert!(!naive.is_watching(low));
+        assert!(naive.previous(low).is_none());
     }
 }

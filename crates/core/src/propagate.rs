@@ -45,6 +45,7 @@ use crate::adaptive::AdaptivePlanner;
 use crate::differ::DiffId;
 use crate::error::CoreError;
 use crate::explain::FiredDifferential;
+use crate::naive::full_eval;
 use crate::network::PropagationNetwork;
 
 /// Below this many seed tuples in a level's wave the level runs inline:
@@ -576,7 +577,7 @@ fn accept(
     })
 }
 
-/// Ground truth for tests and the naive baseline: the exact delta of a
+/// Ground truth for tests and recursive deletions: the exact delta of a
 /// predicate, `<P_new − P_old, P_old − P_new>`, by full evaluation in
 /// both states.
 pub fn recompute_delta(
@@ -584,12 +585,8 @@ pub fn recompute_delta(
     storage: &Storage,
     pred: PredId,
 ) -> Result<DeltaSet, CoreError> {
-    let deltas = DeltaMap::new();
-    let ctx = EvalContext::new(storage, catalog, &deltas);
-    let arity = catalog.def(pred).arity;
-    let pattern = vec![None; arity];
-    let new = ctx.eval_pred(pred, &pattern, StateEpoch::New)?;
-    let old = ctx.eval_pred(pred, &pattern, StateEpoch::Old)?;
+    let new = full_eval(catalog, storage, pred, StateEpoch::New)?;
+    let old = full_eval(catalog, storage, pred, StateEpoch::Old)?;
     Ok(DeltaSet::from_parts(
         new.difference(&old).cloned().collect(),
         old.difference(&new).cloned().collect(),

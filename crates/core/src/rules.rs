@@ -68,8 +68,9 @@ pub enum MonitorMode {
     /// the paper's contribution.
     #[default]
     Incremental,
-    /// Full recomputation + diff against a materialization — the §6
-    /// baseline.
+    /// Full recomputation + diff against a materialization of the
+    /// condition in the old state, derived by the first pass that needs
+    /// it — the §6 baseline.
     Naive,
     /// Per-rule cost-based choice between the two (§8 future work).
     Hybrid,
@@ -80,8 +81,8 @@ pub enum MonitorMode {
 ///
 /// The pin governs [`MonitorMode::Hybrid`]'s per-rule choice; under the
 /// global `Incremental`/`Naive` modes it is recorded and surfaced by
-/// `explain rule`, but the global mode wins (the pin takes effect when
-/// the engine switches to hybrid monitoring).
+/// `explain rule`, but the global mode wins (the pin takes effect from
+/// the first hybrid pass, which derives what a naive choice diffs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StrategyPin {
     /// Always recompute in full and diff.
@@ -258,8 +259,8 @@ pub struct RuleManager {
     by_name: HashMap<String, RuleId>,
     network: PropagationNetwork,
     naive: NaiveMonitor,
-    /// Condition monitoring implementation.
-    pub mode: MonitorMode,
+    /// Condition monitoring implementation ([`RuleManager::set_mode`]).
+    mode: MonitorMode,
     /// Wave-front execution strategy (parallel, or the serial
     /// reference); set from `EngineOptions::propagation`.
     pub exec: ExecStrategy,
@@ -290,6 +291,8 @@ pub struct RuleManager {
     /// Maintained views, folded at the start of every pass; their
     /// sources stay monitored regardless of active rules.
     views: Vec<ViewReg>,
+    /// The commit sequence the latest pass ran at, until a `resync`.
+    pass_seq: Option<u64>,
     /// Deterministic fault plan for tests (see `amos_storage::fault`).
     #[cfg(feature = "fault-injection")]
     fault_plan: Option<Arc<amos_storage::fault::FaultPlan>>,
@@ -304,13 +307,11 @@ pub struct RuleManager {
 }
 
 /// A maintained view: its differential, the stored relation it
-/// materializes into, the relations it reads, and the commit sequence
-/// of the transaction it last folded changes in.
+/// materializes into, and the relations it reads.
 struct ViewReg {
     view: Box<dyn UserView>,
     backing: RelId,
     sources: Vec<RelId>,
-    folded_at: Option<u64>,
 }
 
 impl fmt::Debug for RuleManager {
@@ -347,6 +348,7 @@ impl RuleManager {
             stats: MonitorStats::default(),
             quarantined: HashMap::new(),
             views: Vec::new(),
+            pass_seq: None,
             #[cfg(feature = "fault-injection")]
             fault_plan: None,
             eval_shared: Arc::new(EvalShared::default()),
@@ -414,21 +416,8 @@ impl RuleManager {
 
     /// Pin a rule's monitoring strategy (`monitor rule R naive`),
     /// overriding the hybrid cost model; [`StrategyPin::Auto`] removes
-    /// the pin. Pinning `naive` materializes the condition immediately
-    /// so a later hybrid check can diff against it.
-    pub fn pin_strategy(
-        &mut self,
-        catalog: &Catalog,
-        storage: &Storage,
-        id: RuleId,
-        pin: StrategyPin,
-    ) -> Result<(), CoreError> {
-        if pin == StrategyPin::Naive {
-            let condition = self.rules[id.0 as usize].condition;
-            if !self.naive.is_watching(condition) {
-                self.naive.watch(catalog, storage, condition)?;
-            }
-        }
+    /// the pin.
+    pub fn pin_strategy(&mut self, id: RuleId, pin: StrategyPin) {
         match pin {
             StrategyPin::Auto => {
                 self.pins.remove(&id);
@@ -437,7 +426,6 @@ impl RuleManager {
                 self.pins.insert(id, pin);
             }
         }
-        Ok(())
     }
 
     /// A rule's strategy pin ([`StrategyPin::Auto`] when unpinned).
@@ -485,13 +473,7 @@ impl RuleManager {
             }
         }
         self.rules[id.0 as usize].activations.insert(params);
-        self.rebuild(catalog, storage)?;
-        // The naive baseline (and hybrid) needs the initial materialization.
-        let condition = self.rules[id.0 as usize].condition;
-        if !matches!(self.mode, MonitorMode::Incremental) && !self.naive.is_watching(condition) {
-            self.naive.watch(catalog, storage, condition)?;
-        }
-        Ok(())
+        self.rebuild(catalog, storage)
     }
 
     /// Remove one activation (the rule stays defined). Rebuilds the
@@ -595,20 +577,51 @@ impl RuleManager {
     }
 
     /// Lift a rule's quarantine so it can trigger again. The rule
-    /// resumes with an empty triggered set — instances it would have
-    /// fired on while quarantined are not retroactively delivered.
-    /// Returns whether the rule was quarantined.
+    /// resumes with an empty triggered set and without its condition's
+    /// naive materialization, which no pass advanced meanwhile —
+    /// instances it would have fired on while quarantined are not
+    /// retroactively delivered. Returns whether the rule was quarantined.
     pub fn clear_quarantine(&mut self, id: RuleId) -> bool {
+        self.naive.unwatch(self.rules[id.0 as usize].condition);
         self.quarantined.remove(&id).is_some()
+    }
+
+    /// Switch the condition-monitoring implementation from the next
+    /// pass on, dropping the naive materializations (an incremental
+    /// pass does not advance them).
+    pub fn set_mode(&mut self, mode: MonitorMode) {
+        self.mode = mode;
+        self.naive = NaiveMonitor::new();
+    }
+
+    /// Whether a pass ran at storage's commit sequence `commit_seq` (in
+    /// the open transaction, if that is the current one) since the last
+    /// [`resync`](Self::resync).
+    pub fn ran_pass_at(&self, commit_seq: u64) -> bool {
+        self.pass_seq == Some(commit_seq)
+    }
+
+    /// Realign the state kept beside storage after storage moved without
+    /// a pass (a rollback past a pass, WAL recovery): re-initialize every
+    /// maintained view from `storage`, which moved its backing relation,
+    /// and drop every naive materialization.
+    pub fn resync(&mut self, catalog: &Catalog, storage: &Storage) -> Result<(), CoreError> {
+        self.naive = NaiveMonitor::new();
+        self.pass_seq = None;
+        for reg in &mut self.views {
+            reg.view.initialize(catalog, storage)?;
+        }
+        Ok(())
     }
 
     /// The deferred **check phase** (run by the engine at commit time),
     /// a loop over passes: fold the pass's changes into the maintained
-    /// views, monitor the conditions (read-only), apply the outcome to
-    /// the triggered sets, clear the consumed Δ-sets, then resolve
-    /// conflicts and run one rule's action set-oriented; to fixpoint.
-    /// Each pass is kept in the report [`last_trace`](Self::last_trace)
-    /// reads.
+    /// views, derive the naive materializations the pass needs and
+    /// lacks, monitor the conditions (read-only), apply the outcome to
+    /// the triggered sets and materializations, clear the consumed
+    /// Δ-sets, then resolve conflicts and run one rule's action
+    /// set-oriented; to fixpoint. Each pass is kept in the report
+    /// [`last_trace`](Self::last_trace) reads.
     pub fn check_phase(
         &mut self,
         catalog: &Catalog,
@@ -623,7 +636,18 @@ impl RuleManager {
             if had_changes {
                 summary.passes += 1;
                 self.stats.passes += 1;
+                self.pass_seq = Some(storage.commit_seq());
                 self.fold_views(catalog, storage)?;
+                // Naive and hybrid passes diff against P(S_old).
+                if self.mode != MonitorMode::Incremental {
+                    let quarantined = &self.quarantined;
+                    let live = self
+                        .rules
+                        .iter()
+                        .filter(|r| r.is_active() && !quarantined.contains_key(&r.id));
+                    self.naive
+                        .watch(catalog, storage, live.map(|r| r.condition))?;
+                }
                 let outcome = self.monitor(catalog, storage)?;
                 self.apply(outcome);
                 // The pass consumed the accumulated base Δ-sets; the
@@ -734,57 +758,25 @@ impl RuleManager {
             view,
             backing,
             sources,
-            folded_at: None,
         });
-    }
-
-    /// Re-initialize from `storage` every view that folded changes in
-    /// the transaction just rolled back: the rollback restored its
-    /// backing relation, but not the view's own state.
-    pub fn restore_views(&mut self, catalog: &Catalog, storage: &Storage) -> Result<(), CoreError> {
-        let seq = storage.commit_seq();
-        for reg in self.views.iter_mut().filter(|r| r.folded_at == Some(seq)) {
-            reg.view.initialize(catalog, storage)?;
-            reg.folded_at = None;
-        }
-        Ok(())
     }
 
     /// Fold the pass's source Δ-sets into every view they touch and
     /// write each view's result Δ-set to its backing relation, where
     /// the same pass sees it like any base update.
     fn fold_views(&mut self, catalog: &Catalog, storage: &mut Storage) -> Result<(), CoreError> {
-        let seq = storage.commit_seq();
         for reg in &mut self.views {
             let changed = |&rel: &RelId| storage.delta(rel).is_some_and(|d| !d.is_empty());
             if !reg.sources.iter().any(changed) {
                 continue;
             }
             let out = reg.view.apply(catalog, storage)?;
-            reg.folded_at = Some(seq);
             for t in out.minus() {
                 storage.delete(reg.backing, t)?;
             }
             for t in out.plus() {
                 storage.insert(reg.backing, t.clone())?;
             }
-        }
-        Ok(())
-    }
-
-    /// Recompute every naive/hybrid materialization from the current
-    /// storage state. Required after WAL recovery replaces relation
-    /// contents behind the monitor's back — a stale materialization
-    /// would otherwise diff against pre-crash state.
-    pub fn rematerialize(&mut self, catalog: &Catalog, storage: &Storage) -> Result<(), CoreError> {
-        let watched: Vec<PredId> = self
-            .rules
-            .iter()
-            .map(|r| r.condition)
-            .filter(|c| self.naive.is_watching(*c))
-            .collect();
-        for cond in watched {
-            self.naive.watch(catalog, storage, cond)?;
         }
         Ok(())
     }
@@ -949,18 +941,12 @@ impl RuleManager {
                 rule.triggered.remove(t);
             }
         }
-        // Keep the naive materializations in step. A recomputed delta is
-        // exact against the materialization (or against nothing, which
-        // it then seeds). A propagated (nervous) one is safe to apply to
-        // an existing one: its plus side is derivable in the new state,
-        // merely possibly already true, and its minus side verified
-        // absent.
-        if self.mode != MonitorMode::Incremental {
-            for (cond, delta) in &condition_deltas {
-                if recomputed.contains(cond) || self.naive.is_watching(*cond) {
-                    self.naive.apply_delta(*cond, delta);
-                }
-            }
+        // Advance the naive materializations. A recomputed delta is exact
+        // against one. A propagated (nervous) one is safe to apply: its
+        // plus side is derivable in the new state, merely possibly
+        // already true, and its minus side verified absent.
+        for (cond, delta) in &condition_deltas {
+            self.naive.apply_delta(*cond, delta);
         }
         self.stats.naive_recomputations += recomputed.len();
         if let Some(m) = &trace.metrics {
@@ -1246,7 +1232,7 @@ mod tests {
         for mode in [MonitorMode::Incremental, MonitorMode::Naive] {
             let mut f = fixture();
             let mut mgr = RuleManager::new();
-            mgr.mode = mode;
+            mgr.set_mode(mode);
             let log = f.watch(&mut mgr, "watch");
             f.storage.begin().unwrap();
             f.set_q(1, 5);

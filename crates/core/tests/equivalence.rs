@@ -34,7 +34,7 @@ use amos_core::propagate::{
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::clause::{Clause, ClauseBuilder, Term};
 use amos_objectlog::eval::EvalShared;
-use amos_storage::{DeltaSet, RelId, Storage};
+use amos_storage::{DeltaSet, RelId, StateEpoch, Storage};
 use amos_types::{tuple, ArithOp, CmpOp, Tuple, TypeId};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -345,7 +345,7 @@ impl World {
 
     /// The condition's extension and both relations' contents, sorted.
     fn contents(&self) -> [Vec<Tuple>; 3] {
-        let cond = full_eval(&self.catalog, &self.storage, self.cond).unwrap();
+        let cond = full_eval(&self.catalog, &self.storage, self.cond, StateEpoch::New).unwrap();
         let scan = |rel| sorted(self.storage.relation(rel).scan());
         [sorted(&cond), scan(self.rq), scan(self.rr)]
     }

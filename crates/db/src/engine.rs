@@ -22,8 +22,8 @@ use amos_objectlog::eval::EvalContext;
 use amos_objectlog::expand::{expand_clause, ExpandOptions};
 use amos_objectlog::plan::compile_clause;
 use amos_storage::{
-    CommitWaiter, LayerStacks, RecoveryInfo, RelId, Savepoint, StateEpoch, Storage, StorageError,
-    WalConfig, WalMetrics,
+    CommitWaiter, LayerStacks, RecoveryInfo, RelId, StateEpoch, Storage, StorageError, WalConfig,
+    WalMetrics,
 };
 use amos_types::{Tuple, TypeRegistry, Value};
 
@@ -290,9 +290,10 @@ impl Amos {
     }
 
     /// Switch the condition-monitoring implementation (incremental /
-    /// naive / hybrid). Takes effect from the next activation or check.
+    /// naive / hybrid). Takes effect from the next pass, which derives
+    /// the naive materializations it needs from the state it starts in.
     pub fn set_monitor_mode(&mut self, mode: MonitorMode) {
-        self.rules.mode = mode;
+        self.rules.set_mode(mode);
     }
 
     /// Switch the §7.2 correction-check level used by propagation passes
@@ -324,8 +325,9 @@ impl Amos {
 
     /// Mutable access to the storage layer (benchmarks drive updates
     /// directly to exclude parsing from timings). A rollback made here
-    /// bypasses [`Amos::rollback`]: a maintained view that folded
-    /// changes in the rolled-back transaction keeps them.
+    /// bypasses [`Amos::rollback`]: the maintained views and naive
+    /// materializations a pass in the rolled-back transaction advanced
+    /// keep its changes.
     pub fn storage_mut(&mut self) -> &mut Storage {
         &mut self.storage
     }
@@ -699,8 +701,7 @@ impl Amos {
                         )))
                     }
                 };
-                self.rules
-                    .pin_strategy(&self.catalog, &self.storage, id, pin)?;
+                self.rules.pin_strategy(id, pin);
                 Ok(ExecResult::Ok)
             }
             Statement::Begin => self.begin().map(|()| ExecResult::Ok),
@@ -848,11 +849,16 @@ impl Amos {
         Ok(())
     }
 
-    /// Roll the open transaction back, re-initializing every maintained
-    /// view that folded changes in it.
+    /// Roll the open transaction back. When a check-phase pass ran in
+    /// it, the state kept beside storage — maintained views, naive
+    /// materializations — is resynchronized with the restored state
+    /// ([`RuleManager::resync`]).
     pub fn rollback(&mut self) -> Result<(), DbError> {
+        let seq = self.storage.commit_seq();
         self.storage.rollback()?;
-        self.rules.restore_views(&self.catalog, &self.storage)?;
+        if self.rules.ran_pass_at(seq) {
+            self.rules.resync(&self.catalog, &self.storage)?;
+        }
         Ok(())
     }
 
@@ -863,16 +869,18 @@ impl Amos {
     /// Attach a write-ahead log directory: replay any snapshot + WAL
     /// found there (crash recovery), then log every later commit to it.
     /// Call before or after running the schema script — recovered
-    /// relations are adopted by matching `create …` statements. Naive /
-    /// hybrid condition materializations are recomputed from the
-    /// recovered state.
+    /// relations are adopted by matching `create …` statements. The
+    /// state kept beside storage is resynchronized with the recovered
+    /// state ([`RuleManager::resync`]): maintained views are
+    /// re-initialized, and naive materializations dropped, to be derived
+    /// again by the next pass.
     pub fn attach_wal(
         &mut self,
         dir: impl AsRef<std::path::Path>,
         config: WalConfig,
     ) -> Result<RecoveryInfo, DbError> {
         let info = self.storage.attach_wal(dir, config)?;
-        self.rules.rematerialize(&self.catalog, &self.storage)?;
+        self.rules.resync(&self.catalog, &self.storage)?;
         Ok(info)
     }
 
@@ -892,21 +900,6 @@ impl Amos {
     pub fn checkpoint(&mut self) -> Result<(), DbError> {
         self.storage.checkpoint()?;
         Ok(())
-    }
-
-    /// Mark a savepoint inside the open transaction. Updates made after
-    /// it can be undone with [`Amos::rollback_to`] without aborting the
-    /// whole transaction — the mechanism rule quarantine uses to contain
-    /// failed actions.
-    pub fn savepoint(&self) -> Savepoint {
-        self.storage.savepoint()
-    }
-
-    /// Undo every update made since the savepoint (relations **and**
-    /// Δ-sets); the transaction stays open. Returns how many update
-    /// events were undone.
-    pub fn rollback_to(&mut self, sp: Savepoint) -> Result<usize, DbError> {
-        Ok(self.storage.rollback_to(sp)?)
     }
 
     /// Lift a rule's quarantine (by name) so it can trigger again.

@@ -36,7 +36,7 @@ pub use amos_core::{CheckLevel, ExecStrategy, MonitorMode, RuleSemantics};
 pub use amos_lint::{
     diagnostics_report_json, diagnostics_to_json, Diagnostic, LintCode, LintConfig, Severity, Span,
 };
-pub use amos_storage::{CommitWaiter, RecoveryInfo, Savepoint, WalConfig, WalMetrics};
+pub use amos_storage::{CommitWaiter, RecoveryInfo, WalConfig, WalMetrics};
 pub use amos_types::{Oid, Tuple, Value};
 pub use engine::{Amos, EngineOptions, ExecResult, NetworkPrep, ProcCtx, ProcedureFn};
 pub use error::DbError;

@@ -168,10 +168,16 @@ fn check_failure_handling(mode: MonitorMode, panic_kind: bool) {
     assert_eq!(audit_rows(&w.db), 0);
 
     // Fix the action, clear the quarantine: the rule resumes cleanly.
-    // (Strict semantics: the condition must go false → true again.)
+    // `y` turned true while bad_rule was quarantined, and is not
+    // delivered retroactively. (Strict semantics: the condition must go
+    // false → true again.)
     w.failing.store(false, Ordering::SeqCst);
     assert!(w.db.clear_quarantine("bad_rule").unwrap());
-    commit_of(&mut w.db, "set quantity(:x) = 500;");
+    let summary = commit_of(&mut w.db, "set quantity(:x) = 500;");
+    assert!(
+        !summary.executed.iter().any(|(n, _)| n == "bad_rule"),
+        "{mode:?}: nothing is delivered for the quarantine: {summary:?}"
+    );
     let summary = commit_of(&mut w.db, "set quantity(:x) = 40;");
     assert!(summary.failed.is_empty(), "{mode:?}: {summary:?}");
     assert!(

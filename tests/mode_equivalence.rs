@@ -4,18 +4,30 @@
 //!
 //! This is the system-level counterpart of the calculus-level property
 //! tests in `amos-core` — it additionally covers the AMOSQL compiler,
-//! the check-phase loop, strict-semantics filtering, and action
-//! execution.
+//! the check-phase loop, strict-semantics filtering, action execution,
+//! and the state kept beside storage: some transactions run a check
+//! phase and roll back before the same updates commit, and every config
+//! switches its monitoring mode once, mid-run. `PROPTEST_CASES` sets
+//! the number of generated workloads.
 
 use std::sync::{Arc, Mutex};
 
-use amos_core::MonitorMode;
-use amos_db::engine::NetworkPrep;
+use amos_core::MonitorMode::{self, Hybrid, Incremental, Naive};
+use amos_db::engine::NetworkPrep::{self, Bushy, Flat};
 use amos_db::{Amos, EngineOptions, Value};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use proptest::test_runner::{ProptestConfig, TestRng};
 
 const N_ITEMS: usize = 12;
+const N_TXNS: usize = 40;
+
+/// Each config's monitoring mode and network shape, and the mode it
+/// switches to after half the workload.
+const CONFIGS: [(MonitorMode, NetworkPrep, MonitorMode); 4] = [
+    (Incremental, Flat, Naive),
+    (Incremental, Bushy, Hybrid),
+    (Naive, Flat, Incremental),
+    (Hybrid, Flat, Naive),
+];
 
 struct World {
     db: Amos,
@@ -69,67 +81,82 @@ fn build(mode: MonitorMode, prep: NetworkPrep) -> World {
     World { db, fired }
 }
 
-/// Apply one random transaction; returns the script for debugging.
-fn random_tx(rng: &mut StdRng) -> String {
-    let n_updates = rng.gen_range(1..6);
-    let mut script = String::from("begin; ");
+/// One random transaction's updates, and whether a check phase runs on
+/// them in a transaction that rolls back before they commit.
+fn random_tx(rng: &mut TestRng) -> (String, bool) {
+    let n_updates = 1 + rng.usize_below(5);
+    let mut updates = String::new();
     for _ in 0..n_updates {
-        let item = rng.gen_range(0..N_ITEMS);
-        let field = if rng.gen_bool(0.7) { "stock" } else { "demand" };
-        let value = rng.gen_range(0..150);
-        script.push_str(&format!("set {field}(:i{item}) = {value}; "));
+        let item = rng.usize_below(N_ITEMS);
+        let field = if rng.f64_unit() < 0.7 {
+            "stock"
+        } else {
+            "demand"
+        };
+        let value = rng.usize_below(150);
+        updates.push_str(&format!("set {field}(:i{item}) = {value}; "));
     }
-    script.push_str("commit;");
-    script
+    (updates, rng.usize_below(4) == 0)
+}
+
+/// Run the workload through one config: the firings (sorted — the
+/// multiset must agree) and the final state.
+fn run(
+    config: (MonitorMode, NetworkPrep, MonitorMode),
+    txns: &[(String, bool)],
+) -> [Vec<String>; 2] {
+    let (mode, prep, switch) = config;
+    let mut w = build(mode, prep);
+    for (k, (updates, rehearsed)) in txns.iter().enumerate() {
+        if k == N_TXNS / 2 {
+            w.db.set_monitor_mode(switch);
+        }
+        if *rehearsed {
+            w.db.execute(&format!("begin; {updates}")).unwrap();
+            w.db.check_now().unwrap();
+            w.db.rollback().unwrap();
+        }
+        w.db.execute(&format!("begin; {updates} commit;")).unwrap();
+    }
+    let mut firings: Vec<String> = w
+        .fired
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|f| format!("{f:?}"))
+        .collect();
+    firings.sort();
+    let rows =
+        w.db.query("select i, stock(i), demand(i) for each item i;")
+            .unwrap();
+    [firings, rows.iter().map(|t| t.to_string()).collect()]
 }
 
 #[test]
 fn modes_and_network_shapes_agree_on_random_workloads() {
-    let mut rng = StdRng::seed_from_u64(0xA405);
-    let scripts: Vec<String> = (0..40).map(|_| random_tx(&mut rng)).collect();
-
-    let configs = [
-        (MonitorMode::Incremental, NetworkPrep::Flat),
-        (MonitorMode::Incremental, NetworkPrep::Bushy),
-        (MonitorMode::Naive, NetworkPrep::Flat),
-        (MonitorMode::Hybrid, NetworkPrep::Flat),
-    ];
-    let mut all_firings: Vec<Vec<(String, Value)>> = Vec::new();
-    let mut all_states: Vec<Vec<String>> = Vec::new();
-    for (mode, prep) in configs {
-        let mut w = build(mode, prep);
-        for script in &scripts {
-            w.db.execute(script).unwrap();
+    let cases = ProptestConfig::with_cases(8).resolved_cases();
+    let mut rng = TestRng::for_test("modes_and_network_shapes_agree_on_random_workloads");
+    let mut fired = false;
+    for case in 0..cases {
+        let txns: Vec<(String, bool)> = (0..N_TXNS).map(|_| random_tx(&mut rng)).collect();
+        let history: String = txns
+            .iter()
+            .map(|(u, rehearsed)| match rehearsed {
+                true => format!("begin; {u}check; rollback;\nbegin; {u}commit;\n"),
+                false => format!("begin; {u}commit;\n"),
+            })
+            .collect();
+        let reference = run(CONFIGS[0], &txns);
+        for config in &CONFIGS[1..] {
+            assert_eq!(
+                reference,
+                run(*config, &txns),
+                "case {case}: {config:?} diverged from {:?} after\n{history}",
+                CONFIGS[0]
+            );
         }
-        // Per-transaction firing order can differ in multiset order only
-        // if conflict resolution ties — same priority rules keep
-        // definition order, so the sequence must match exactly after
-        // sorting within unknown boundaries. Use full sort: the total
-        // multiset of firings must agree.
-        let mut firings = w.fired.lock().unwrap().clone();
-        firings.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-        all_firings.push(firings);
-
-        let rows =
-            w.db.query("select i, stock(i), demand(i) for each item i;")
-                .unwrap();
-        all_states.push(rows.iter().map(|t| t.to_string()).collect());
-    }
-    for i in 1..all_firings.len() {
-        assert_eq!(
-            all_firings[0].len(),
-            all_firings[i].len(),
-            "config {i} fired a different number of times"
-        );
-        assert_eq!(all_firings[0], all_firings[i], "config {i} diverged");
-        assert_eq!(
-            all_states[0], all_states[i],
-            "config {i} final state diverged"
-        );
+        fired |= !reference[0].is_empty();
     }
     // The workload actually exercised the rules.
-    assert!(
-        !all_firings[0].is_empty(),
-        "workload never triggered anything"
-    );
+    assert!(fired, "workload never triggered anything");
 }

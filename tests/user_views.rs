@@ -12,7 +12,7 @@ use amos_core::aggregate::AggFn;
 use amos_core::maintained::ClosureView;
 use amos_core::rules::CheckSummary;
 use amos_core::CoreError;
-use amos_db::{Amos, CheckLevel, Tuple, Value};
+use amos_db::{Amos, CheckLevel, Tuple, Value, WalConfig};
 use amos_storage::{DeltaSet, Storage};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -302,6 +302,40 @@ fn rollback_after_check_now_restores_the_view() {
     db.check_now().unwrap();
     db.execute("rollback; add amount(:a1, 2) = 5;").unwrap();
     assert_eq!(total(&db, "a1"), Value::Int(5));
+}
+
+/// A view registered before a late `attach_wal` is re-initialized from
+/// the recovered state: a new amount adds to the recovered total.
+#[test]
+fn view_registered_before_a_late_attach_wal_sums_the_recovered_rows() {
+    let dir = std::env::temp_dir().join(format!("amos-late-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let schema = "create type acct; create function amount(acct a, integer x) -> integer;";
+    let open = |wal_first: bool| {
+        let mut db = Amos::new();
+        if wal_first {
+            db.attach_wal(&dir, WalConfig::default()).unwrap();
+        }
+        db.execute(schema).unwrap();
+        db.register_aggregate("total", "amount", vec![0], 2, AggFn::Sum)
+            .unwrap();
+        if !wal_first {
+            db.attach_wal(&dir, WalConfig::default()).unwrap();
+        }
+        db
+    };
+    let a1 = {
+        let mut db = open(true);
+        db.execute("create acct instances :a1; add amount(:a1, 1) = 60;")
+            .unwrap();
+        db.iface_value("a1").cloned().unwrap()
+    };
+    let mut db = open(false);
+    db.bind_iface("a1", a1.clone());
+    db.execute("add amount(:a1, 2) = 5;").unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let sum = Tuple::new(vec![a1, Value::Int(65)]);
+    assert_eq!(stored(&db, "total"), BTreeSet::from([sum]));
 }
 
 /// `sum`/`min`/`max` views ≡ a recompute from their source after every
