@@ -321,52 +321,66 @@ impl Storage {
         Ok(())
     }
 
-    /// Insert a tuple; returns `true` iff the database changed.
-    pub fn insert(&mut self, id: RelId, tuple: Tuple) -> Result<bool, StorageError> {
+    /// Record a change already applied to relation `id`; when the
+    /// autocommit WAL append fails, un-apply it so memory and disk stay
+    /// in step.
+    fn record_or_undo(&mut self, id: RelId, op: LogOp, tuple: Tuple) -> Result<(), StorageError> {
+        let Err(e) = self.record(id, op, tuple.clone()) else {
+            return Ok(());
+        };
         let rel = &mut self.relations[id.0 as usize];
-        if tuple.arity() != rel.arity() {
+        match op {
+            LogOp::Insert => rel.delete_live(&tuple),
+            LogOp::Delete => rel.insert_absent(tuple),
+        }
+        Err(e)
+    }
+
+    fn check_arity(&self, id: RelId, found: usize) -> Result<(), StorageError> {
+        let rel = self.relation(id);
+        if found != rel.arity() {
             return Err(StorageError::ArityMismatch {
                 relation: rel.name().to_string(),
                 expected: rel.arity(),
-                found: tuple.arity(),
+                found,
             });
         }
-        if rel.insert(tuple.clone()) {
-            if let Err(e) = self.record(id, LogOp::Insert, tuple.clone()) {
-                self.relations[id.0 as usize].delete(&tuple);
-                return Err(e);
-            }
-            Ok(true)
-        } else {
-            Ok(false)
+        Ok(())
+    }
+
+    /// Insert a tuple; returns `true` iff the database changed.
+    pub fn insert(&mut self, id: RelId, tuple: Tuple) -> Result<bool, StorageError> {
+        self.check_arity(id, tuple.arity())?;
+        if !self.relations[id.0 as usize].insert(tuple.clone()) {
+            return Ok(false);
         }
+        self.record_or_undo(id, LogOp::Insert, tuple)?;
+        Ok(true)
     }
 
     /// Delete a tuple; returns `true` iff the database changed.
     pub fn delete(&mut self, id: RelId, tuple: &Tuple) -> Result<bool, StorageError> {
-        let rel = &mut self.relations[id.0 as usize];
-        if rel.delete(tuple) {
-            if let Err(e) = self.record(id, LogOp::Delete, tuple.clone()) {
-                self.relations[id.0 as usize].insert(tuple.clone());
-                return Err(e);
-            }
-            Ok(true)
-        } else {
-            Ok(false)
+        if !self.relations[id.0 as usize].delete(tuple) {
+            return Ok(false);
         }
+        self.record_or_undo(id, LogOp::Delete, tuple.clone())?;
+        Ok(true)
     }
 
     /// Functional update for stored functions: `set f(key…) = rest…`.
     ///
     /// Removes any existing tuples whose first `key.len()` columns equal
     /// `key`, then inserts `key ++ rest` — producing exactly the
-    /// `−(f,k,old), +(f,k,new)` physical event sequence of §4.1.
+    /// `−(f,k,old), +(f,k,new)` physical event sequence of §4.1. A
+    /// `key ++ rest` of the wrong width is rejected before anything is
+    /// deleted.
     pub fn set_functional(
         &mut self,
         id: RelId,
         key: &[Value],
         rest: &[Value],
     ) -> Result<(), StorageError> {
+        self.check_arity(id, key.len() + rest.len())?;
         // The replaced tuples are found through the borrowed-key probe and
         // land in a buffer the storage keeps: nothing is allocated here.
         const LEADING: [usize; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
@@ -381,15 +395,17 @@ impl Storage {
         let mut old = std::mem::take(&mut self.set_scratch);
         self.relation(id)
             .probe_into(cols, &KeyRef::new(key), &mut old);
-        let deleted = old
-            .drain(..)
-            .try_for_each(|t| self.delete(id, &t).map(drop));
+        // The probe returned live tuples, and once they are gone nothing
+        // under `key` is left: neither write searches the runs.
+        let deleted = old.drain(..).try_for_each(|t| {
+            self.relations[id.0 as usize].delete_live(&t);
+            self.record_or_undo(id, LogOp::Delete, t)
+        });
         self.set_scratch = old;
         deleted?;
-        let mut vals = key.to_vec();
-        vals.extend_from_slice(rest);
-        self.insert(id, Tuple::new(vals))?;
-        Ok(())
+        let tuple = functional_tuple(key, rest);
+        self.relations[id.0 as usize].insert_absent(tuple.clone());
+        self.record_or_undo(id, LogOp::Insert, tuple)
     }
 
     /// Multi-valued add for stored functions: `add f(key…) = rest…`.
@@ -399,9 +415,7 @@ impl Storage {
         key: &[Value],
         rest: &[Value],
     ) -> Result<bool, StorageError> {
-        let mut vals = key.to_vec();
-        vals.extend_from_slice(rest);
-        self.insert(id, Tuple::new(vals))
+        self.insert(id, functional_tuple(key, rest))
     }
 
     /// Multi-valued remove for stored functions: `remove f(key…) = rest…`.
@@ -411,9 +425,7 @@ impl Storage {
         key: &[Value],
         rest: &[Value],
     ) -> Result<bool, StorageError> {
-        let mut vals = key.to_vec();
-        vals.extend_from_slice(rest);
-        self.delete(id, &Tuple::new(vals))
+        self.delete(id, &functional_tuple(key, rest))
     }
 
     // ------------------------------------------------------------------
@@ -589,15 +601,13 @@ impl Storage {
         if !self.txn_open {
             return Err(StorageError::NoOpenTransaction);
         }
+        // Undone in reverse, each event finds the state it left: an
+        // undone insert's tuple is live, an undone delete's is absent.
         while let Some(rec) = self.log.pop_for_undo() {
             let rel = &mut self.relations[rec.rel.0 as usize];
             match rec.op {
-                LogOp::Insert => {
-                    rel.delete(&rec.tuple);
-                }
-                LogOp::Delete => {
-                    rel.insert(rec.tuple);
-                }
+                LogOp::Insert => rel.delete_live(&rec.tuple),
+                LogOp::Delete => rel.insert_absent(rec.tuple),
             }
         }
         self.clear_deltas();
@@ -644,7 +654,7 @@ impl Storage {
             let rel = &mut self.relations[rec.rel.0 as usize];
             match rec.op {
                 LogOp::Insert => {
-                    rel.delete(&rec.tuple);
+                    rel.delete_live(&rec.tuple);
                     if self.monitored.contains(&rec.rel) {
                         self.deltas
                             .entry(rec.rel)
@@ -653,7 +663,7 @@ impl Storage {
                     }
                 }
                 LogOp::Delete => {
-                    rel.insert(rec.tuple.clone());
+                    rel.insert_absent(rec.tuple.clone());
                     if self.monitored.contains(&rec.rel) {
                         self.deltas
                             .entry(rec.rel)
@@ -879,6 +889,14 @@ impl Storage {
     }
 }
 
+/// The tuple `key ++ rest` of a functional update.
+fn functional_tuple(key: &[Value], rest: &[Value]) -> Tuple {
+    let mut vals = Vec::with_capacity(key.len() + rest.len());
+    vals.extend_from_slice(key);
+    vals.extend_from_slice(rest);
+    Tuple::new(vals)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -990,12 +1008,47 @@ mod tests {
 
     #[test]
     fn arity_mismatch_reported() {
+        let dir = std::env::temp_dir().join(format!("amos-arity-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let (mut db, q) = db_with_rel();
+        db.attach_wal(&dir, WalConfig::default()).unwrap();
+        db.monitor(q);
+        db.ensure_index(q, &[0]);
+        db.begin().unwrap();
+        db.insert(q, tuple![1, 100]).unwrap();
+        db.commit().unwrap();
+        let one = [Value::Int(1)];
+        let untouched = |db: &Storage| {
+            assert_eq!(db.relation(q).probe(&[0], &one), vec![tuple![1, 100]]);
+            assert!(db.log().is_empty(), "nothing to undo");
+            assert!(db.delta(q).is_none_or(|d| d.is_empty()), "no Δ-set");
+        };
+
         db.begin().unwrap();
         assert!(matches!(
             db.insert(q, tuple![1]),
             Err(StorageError::ArityMismatch { .. })
         ));
+        // A set of the wrong width fails before it deletes the old value.
+        assert!(matches!(
+            db.set_functional(q, &one, &[Value::Int(2), Value::Int(3)]),
+            Err(StorageError::ArityMismatch { found: 3, .. })
+        ));
+        untouched(&db);
+        db.commit().unwrap();
+
+        // Outside a transaction the delete would have been durable.
+        assert!(matches!(
+            db.set_functional(q, &one, &[]),
+            Err(StorageError::ArityMismatch { found: 1, .. })
+        ));
+        untouched(&db);
+        let mut recovered = Storage::new();
+        recovered.attach_wal(&dir, WalConfig::default()).unwrap();
+        let q = recovered.relation_id("q").unwrap();
+        let all: Vec<Tuple> = recovered.relation(q).scan().cloned().collect();
+        assert_eq!(all, vec![tuple![1, 100]]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

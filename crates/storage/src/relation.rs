@@ -21,10 +21,11 @@
 //! the partial-differential optimizer emits: a differential binds
 //! variables from a (small) Δ-set first and probes the remaining
 //! literals by key, which is what makes incremental monitoring O(1)-ish
-//! in database size (fig. 6).
+//! in database size (fig. 6). Every write updates the indexes and the
+//! per-column statistics at once, so reads of them take no lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::Mutex;
 
 use amos_types::{FxHashMap, FxHashSet, KeyRef, Tuple, TupleKey, Value};
 
@@ -35,36 +36,32 @@ use crate::arrangement::SortedRun;
 /// low under bulk loads; overridable per relation for tests and tuning.
 pub const DEFAULT_SEAL_THRESHOLD: usize = 1024;
 
-/// Hard cap on the pending maintenance log: a mutation that grows the
-/// log to this size folds it immediately, bounding memory for relations
-/// that churn heavily but are never probed. The fold's rebuild path
-/// makes this O(live content), not O(ops).
-const PENDING_FOLD_CAP: usize = 1 << 16;
-
-/// A hash index: projection of the indexed columns → the matching tuples.
+/// A hash index: the fingerprint of the indexed columns' values → the
+/// tuples under it. Fingerprints may collide, so a bucket can hold more
+/// than one key's tuples; reads filter it by the key's values. Removal
+/// is linear in the bucket (DESIGN.md §10).
 #[derive(Debug, Clone, Default)]
 struct HashIndex {
     cols: Vec<usize>,
-    map: FxHashMap<Tuple, FxHashSet<Tuple>>,
+    map: FxHashMap<u64, Vec<Tuple>>,
 }
 
 impl HashIndex {
-    fn key_of(&self, t: &Tuple) -> Tuple {
-        t.project(&self.cols)
+    fn key_of(&self, t: &Tuple) -> u64 {
+        KeyRef::new(self.cols.iter().map(|&c| &t[c])).fingerprint()
     }
 
     fn insert(&mut self, t: &Tuple) {
-        self.map
-            .entry(self.key_of(t))
-            .or_default()
-            .insert(t.clone());
+        self.map.entry(self.key_of(t)).or_default().push(t.clone());
     }
 
     fn remove(&mut self, t: &Tuple) {
         let key = self.key_of(t);
-        if let Some(set) = self.map.get_mut(&key) {
-            set.remove(t);
-            if set.is_empty() {
+        if let Some(bucket) = self.map.get_mut(&key) {
+            if let Some(i) = bucket.iter().position(|u| u == t) {
+                bucket.swap_remove(i);
+            }
+            if bucket.is_empty() {
                 self.map.remove(&key);
             }
         }
@@ -72,57 +69,28 @@ impl HashIndex {
 
     /// Append the tuples under `key` to `out`.
     fn hits_into(&self, key: &KeyRef<'_>, out: &mut Vec<Tuple>) {
-        if let Some(set) = self.map.get(key as &dyn TupleKey) {
-            out.extend(set.iter().cloned());
+        if let Some(bucket) = self.map.get(&key.fingerprint()) {
+            out.extend(
+                bucket
+                    .iter()
+                    .filter(|t| key.matches(t, &self.cols))
+                    .cloned(),
+            );
         }
     }
 }
 
 /// The relation's read-optimized derived state — hash indexes and
-/// per-column statistics — with merge-on-read maintenance: mutators
-/// append one `(is_insert, tuple)` op to `pending` (a single `Vec` push
-/// and `Arc` bump no matter how many indexes exist) and the first probe
-/// or statistics read after a mutation folds the log in. Derived state
-/// that is never read never pays for maintenance, which is what keeps
-/// bulk loads (and their rollbacks) off the index-update treadmill.
+/// per-column statistics — updated by every write.
 #[derive(Debug, Clone, Default)]
 struct Maintained {
     indexes: Vec<HashIndex>,
     by_cols: FxHashMap<Vec<usize>, usize>,
     /// Per-column value→multiplicity; `ndv(c)` is `col_counts[c].len()`.
     col_counts: Vec<FxHashMap<Value, u32>>,
-    /// Mutations not yet folded in, oldest first.
-    pending: Vec<(bool, Tuple)>,
 }
 
 impl Maintained {
-    /// Fold the pending op log into every index and the statistics.
-    /// When the log outgrows the live content, rebuilding from `scan`
-    /// is cheaper than replaying — a bulk load followed by its rollback
-    /// nets to zero content but leaves `2·n` ops, and the rebuild then
-    /// costs nothing.
-    fn fold_pending<'a>(&mut self, scan: impl Iterator<Item = &'a Tuple> + Clone, live: usize) {
-        if self.pending.is_empty() {
-            return;
-        }
-        if self.pending.len() > live.max(16) {
-            self.pending.clear();
-            for idx in &mut self.indexes {
-                idx.map.clear();
-            }
-            for counts in &mut self.col_counts {
-                counts.clear();
-            }
-            for t in scan {
-                self.apply(true, t);
-            }
-            return;
-        }
-        for (is_insert, t) in std::mem::take(&mut self.pending) {
-            self.apply(is_insert, &t);
-        }
-    }
-
     /// Apply one op to every index and the column statistics.
     fn apply(&mut self, is_insert: bool, t: &Tuple) {
         for idx in &mut self.indexes {
@@ -145,27 +113,12 @@ impl Maintained {
     }
 }
 
-/// Merge-on-read scan over a relation's physical parts: the head, then
-/// each run filtered by the tombstone set. A free function so callers
-/// holding a disjoint borrow of the index lock can still scan.
-fn scan_parts<'a>(
-    head: &'a FxHashSet<Tuple>,
-    runs: &'a [SortedRun],
-    tombstones: &'a FxHashSet<Tuple>,
-) -> impl Iterator<Item = &'a Tuple> + Clone {
-    head.iter().chain(
-        runs.iter()
-            .flat_map(|r| r.iter())
-            .filter(move |t| !tombstones.contains(*t)),
-    )
-}
-
 /// An in-memory, set-oriented base relation over sorted runs.
 ///
 /// Alongside the tuples and indexes it maintains the cheap statistics the
 /// adaptive planner feeds on: per-column distinct-value counts (exact,
-/// folded in from the maintenance log on read) and a counter of
-/// index-less `probe` calls that silently degraded to a full scan.
+/// updated by every write) and a counter of index-less `probe` calls
+/// that silently degraded to a full scan.
 #[derive(Debug)]
 pub struct BaseRelation {
     name: String,
@@ -185,11 +138,8 @@ pub struct BaseRelation {
     seals: u64,
     /// Run merges performed by size-tiered compaction (introspection).
     compactions: u64,
-    /// Hash indexes and planner statistics, maintained merge-on-read
-    /// (see [`Maintained`]). Behind a lock because probes and statistics
-    /// reads (`&self`, possibly parallel) fold the pending op log in
-    /// before reading.
-    maintained: RwLock<Maintained>,
+    /// Hash indexes and planner statistics, current after every write.
+    maintained: Maintained,
     /// Probes that found no matching index and fell back to a scan.
     fallback_scans: AtomicU64,
     /// Distinct column sets that triggered a fallback since the last
@@ -209,12 +159,7 @@ impl Clone for BaseRelation {
             seal_threshold: self.seal_threshold,
             seals: self.seals,
             compactions: self.compactions,
-            maintained: RwLock::new(
-                self.maintained
-                    .read()
-                    .map(|g| g.clone())
-                    .unwrap_or_else(|e| e.into_inner().clone()),
-            ),
+            maintained: self.maintained.clone(),
             fallback_scans: AtomicU64::new(self.fallback_scans.load(Ordering::Relaxed)),
             fallback_sites: Mutex::new(
                 self.fallback_sites
@@ -239,10 +184,10 @@ impl BaseRelation {
             seal_threshold: DEFAULT_SEAL_THRESHOLD,
             seals: 0,
             compactions: 0,
-            maintained: RwLock::new(Maintained {
+            maintained: Maintained {
                 col_counts: vec![FxHashMap::default(); arity],
                 ..Maintained::default()
-            }),
+            },
             fallback_scans: AtomicU64::new(0),
             fallback_sites: Mutex::new(FxHashSet::default()),
         }
@@ -262,15 +207,9 @@ impl BaseRelation {
             rel.live += run.len();
             rel.runs.push(run);
         }
-        let maintained = match rel.maintained.get_mut() {
-            Ok(m) => m,
-            Err(e) => e.into_inner(),
-        };
         for t in rel.runs.iter().flat_map(|r| r.iter()) {
             debug_assert_eq!(t.arity(), arity);
-            for (c, counts) in maintained.col_counts.iter_mut().enumerate() {
-                *counts.entry(t[c].clone()).or_insert(0) += 1;
-            }
+            rel.maintained.apply(true, t);
         }
         // Recovered runs may overlap only if the writer was not ours;
         // compaction re-establishes disjointness lazily. We trust our
@@ -302,31 +241,8 @@ impl BaseRelation {
     /// the head, then a binary search per run (tombstones veto run hits).
     pub fn contains(&self, key: &impl TupleKey) -> bool {
         let hashed: &dyn TupleKey = key;
-        if self.head.contains(hashed) {
-            return true;
-        }
-        self.runs.iter().any(|r| r.contains(key)) && !self.tombstones.contains(hashed)
-    }
-
-    fn in_runs(&self, t: &Tuple) -> bool {
-        self.runs.iter().any(|r| r.contains(t))
-    }
-
-    /// Append one op to the maintenance log: a single `Vec` push and
-    /// `Arc` bump, however many indexes exist — the derived state
-    /// absorbs it at the next read. The cap fold bounds log memory for
-    /// relations that churn but are never read; its rebuild path costs
-    /// O(live content), not O(ops).
-    fn log_op(&mut self, is_insert: bool, t: &Tuple) {
-        let m = match self.maintained.get_mut() {
-            Ok(m) => m,
-            Err(e) => e.into_inner(),
-        };
-        m.pending.push((is_insert, t.clone()));
-        if m.pending.len() >= PENDING_FOLD_CAP {
-            let scan = scan_parts(&self.head, &self.runs, &self.tombstones);
-            m.fold_pending(scan, self.live);
-        }
+        self.head.contains(hashed)
+            || (self.runs.iter().any(|r| r.contains(key)) && !self.tombstones.contains(hashed))
     }
 
     /// Insert a tuple. Returns `true` iff the relation changed (set
@@ -343,45 +259,58 @@ impl BaseRelation {
             "arity mismatch inserting into `{}`",
             self.name
         );
-        if self.head.contains(&t) {
+        if self.contains(&t) {
             return false;
         }
-        if self.tombstones.remove(&t) {
-            // Tombstones only cover run-resident tuples, so clearing one
-            // resurrects the tuple without searching the runs.
-        } else if self.in_runs(&t) {
-            return false; // live in a run already
-        } else {
-            self.head.insert(t.clone());
-        }
-        self.live += 1;
-        self.log_op(true, &t);
-        if self.head.len() >= self.seal_threshold {
-            self.seal();
-        }
+        self.insert_absent(t);
         true
     }
 
     /// Delete a tuple. Returns `true` iff the relation changed.
     pub fn delete(&mut self, t: &Tuple) -> bool {
-        if self.head.remove(t) {
-            // fall through to bookkeeping
-        } else if self.tombstones.contains(t) {
-            return false; // already tombstoned — no run search needed
-        } else if self.in_runs(t) {
+        let live = self.contains(t);
+        if live {
+            self.delete_live(t);
+        }
+        live
+    }
+
+    /// Insert a tuple the caller knows is absent, with no run search:
+    /// clearing a tombstone resurrects a run-resident tuple, anything
+    /// else lands in the head.
+    pub(crate) fn insert_absent(&mut self, t: Tuple) {
+        debug_assert_eq!(t.arity(), self.arity);
+        debug_assert!(!self.contains(&t), "`{}` already holds {t}", self.name);
+        self.maintained.apply(true, &t);
+        if !self.tombstones.remove(&t) {
+            self.head.insert(t);
+        }
+        self.live += 1;
+        if self.head.len() >= self.seal_threshold {
+            self.seal();
+        }
+    }
+
+    /// Delete a tuple the caller knows is live, with no run search: a
+    /// tuple not in the head is run-resident and gets a tombstone.
+    pub(crate) fn delete_live(&mut self, t: &Tuple) {
+        debug_assert!(self.contains(t), "`{}` does not hold {t}", self.name);
+        self.maintained.apply(false, t);
+        if !self.head.remove(t) {
             self.tombstones.insert(t.clone());
-        } else {
-            return false;
         }
         self.live -= 1;
-        self.log_op(false, t);
-        true
     }
 
     /// Iterate over all tuples (arbitrary order): the head, then each
     /// run filtered by the tombstone set.
     pub fn scan(&self) -> impl Iterator<Item = &Tuple> + Clone {
-        scan_parts(&self.head, &self.runs, &self.tombstones)
+        self.head.iter().chain(
+            self.runs
+                .iter()
+                .flat_map(|r| r.iter())
+                .filter(|t| !self.tombstones.contains(*t)),
+        )
     }
 
     /// Seal the mutable head into a new sorted run and run size-tiered
@@ -464,36 +393,27 @@ impl BaseRelation {
 
     /// Ensure a hash index exists over the given columns (sorted,
     /// deduplicated by the caller being consistent; the same column list
-    /// always maps to the same index). Any pending maintenance is folded
-    /// into the existing indexes first, so the new index (built from a
-    /// scan of the current content) and its siblings agree.
+    /// always maps to the same index). A new index is built from a scan
+    /// of the current content; every write keeps it current from then on.
     pub fn ensure_index(&mut self, cols: &[usize]) {
-        let scan = scan_parts(&self.head, &self.runs, &self.tombstones);
-        let m = match self.maintained.get_mut() {
-            Ok(m) => m,
-            Err(e) => e.into_inner(),
-        };
-        if m.by_cols.contains_key(cols) {
+        if self.maintained.by_cols.contains_key(cols) {
             return;
         }
-        m.fold_pending(scan.clone(), self.live);
         let mut idx = HashIndex {
             cols: cols.to_vec(),
             map: FxHashMap::default(),
         };
-        for t in scan {
+        for t in self.scan() {
             idx.insert(t);
         }
+        let m = &mut self.maintained;
         m.by_cols.insert(cols.to_vec(), m.indexes.len());
         m.indexes.push(idx);
     }
 
     /// Whether an index over exactly these columns exists.
     pub fn has_index(&self, cols: &[usize]) -> bool {
-        match self.maintained.read() {
-            Ok(m) => m.by_cols.contains_key(cols),
-            Err(e) => e.into_inner().by_cols.contains_key(cols),
-        }
+        self.maintained.by_cols.contains_key(cols)
     }
 
     /// Probe an index: append to `out` all tuples whose projection onto
@@ -501,30 +421,12 @@ impl BaseRelation {
     /// reference bumps; the caller owns the key and the matches). Requires
     /// [`ensure_index`](Self::ensure_index) to have been called for
     /// `cols` (the plan compiler does this); falls back to a scan-filter
-    /// if not, so correctness never depends on index presence. The first
-    /// probe after a mutation folds the pending maintenance log in
-    /// (merge-on-read).
+    /// if not, so correctness never depends on index presence. The index
+    /// is current after every write, so the probe is a plain read.
     pub fn probe_into(&self, cols: &[usize], key: &KeyRef<'_>, out: &mut Vec<Tuple>) {
-        {
-            let m = match self.maintained.read() {
-                Ok(g) => g,
-                Err(e) => e.into_inner(),
-            };
-            if let Some(&i) = m.by_cols.get(cols) {
-                if m.pending.is_empty() {
-                    return m.indexes[i].hits_into(key, out);
-                }
-                drop(m);
-                let mut m = match self.maintained.write() {
-                    Ok(g) => g,
-                    Err(e) => e.into_inner(),
-                };
-                m.fold_pending(
-                    scan_parts(&self.head, &self.runs, &self.tombstones),
-                    self.live,
-                );
-                return m.indexes[i].hits_into(key, out);
-            }
+        let m = &self.maintained;
+        if let Some(&i) = m.by_cols.get(cols) {
+            return m.indexes[i].hits_into(key, out);
         }
         self.fallback_scans.fetch_add(1, Ordering::Relaxed);
         if let Ok(mut sites) = self.fallback_sites.lock() {
@@ -542,34 +444,13 @@ impl BaseRelation {
 
     /// Number of maintained indexes (for tests / introspection).
     pub fn index_count(&self) -> usize {
-        match self.maintained.read() {
-            Ok(m) => m.indexes.len(),
-            Err(e) => e.into_inner().indexes.len(),
-        }
+        self.maintained.indexes.len()
     }
 
-    /// Number of distinct values in column `col` (exact). Like probes,
-    /// the first read after a mutation folds the pending maintenance log
-    /// in. Out-of-range columns report 0.
+    /// Number of distinct values in column `col` (exact, current after
+    /// every write). Out-of-range columns report 0.
     pub fn ndv(&self, col: usize) -> usize {
-        {
-            let m = match self.maintained.read() {
-                Ok(g) => g,
-                Err(e) => e.into_inner(),
-            };
-            if m.pending.is_empty() {
-                return m.col_counts.get(col).map_or(0, |c| c.len());
-            }
-        }
-        let mut m = match self.maintained.write() {
-            Ok(g) => g,
-            Err(e) => e.into_inner(),
-        };
-        m.fold_pending(
-            scan_parts(&self.head, &self.runs, &self.tombstones),
-            self.live,
-        );
-        m.col_counts.get(col).map_or(0, |c| c.len())
+        self.maintained.col_counts.get(col).map_or(0, |c| c.len())
     }
 
     /// Total index-less probes that degraded to a full scan-filter.
@@ -727,6 +608,33 @@ mod tests {
         assert_eq!(r.probe(&[0], &[Value::Int(1)]).len(), 1, "tombstoned");
         r.insert(tuple![1, 1]);
         assert_eq!(r.probe(&[0], &[Value::Int(1)]).len(), 2, "resurrected");
+    }
+
+    #[test]
+    fn keys_sharing_a_bucket_probe_only_their_own_tuples() {
+        let mut r = BaseRelation::new("q", 2);
+        r.ensure_index(&[0]);
+        for t in [tuple![1, 10], tuple![1, 11], tuple![2, 20]] {
+            r.insert(t);
+        }
+        // Keys 1 and 2 as if their fingerprints collided: each bucket
+        // holds both keys' tuples.
+        let fp = |k: i64| KeyRef::new(&[Value::Int(k)]).fingerprint();
+        let map = &mut r.maintained.indexes[0].map;
+        let shared: Vec<Tuple> = map.values().flatten().cloned().collect();
+        map.insert(fp(1), shared.clone());
+        map.insert(fp(2), shared);
+        let probe = |r: &BaseRelation, k: i64| {
+            let mut hits = r.probe(&[0], &[Value::Int(k)]);
+            hits.sort();
+            hits
+        };
+        assert_eq!(probe(&r, 1), vec![tuple![1, 10], tuple![1, 11]]);
+        assert_eq!(probe(&r, 2), vec![tuple![2, 20]]);
+        // A delete removes its own tuple from the shared bucket.
+        r.delete(&tuple![1, 10]);
+        assert_eq!(probe(&r, 1), vec![tuple![1, 11]]);
+        assert_eq!(probe(&r, 2), vec![tuple![2, 20]]);
     }
 
     #[test]

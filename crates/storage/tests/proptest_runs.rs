@@ -1,5 +1,6 @@
 //! Property tests: the sorted-run (LSM-lite) representation is
-//! observationally identical to plain hash storage.
+//! observationally identical to plain hash storage, and the indexes and
+//! statistics every write keeps current agree with a scan.
 //!
 //! A [`BaseRelation`] with an aggressive seal threshold spills its head
 //! into immutable runs every few inserts and compacts constantly; one
@@ -8,27 +9,84 @@
 //! mutation return values (set semantics), scan contents, cardinality,
 //! membership, statistics, index probes, and checkpoint
 //! snapshots — must agree between the two.
+//!
+//! Writes update the indexes in place, with no rebuild from a scan behind
+//! them, so the derived state is checked after every op: every probe, on
+//! an indexed column set or not, equals the scan-filter, and `ndv(c)`
+//! equals the distinct values of column `c` in the scan. The second
+//! property drives the same check through [`Storage`]'s functional
+//! updates, transactions and savepoints.
 
-use amos_storage::BaseRelation;
+use std::collections::BTreeSet;
+
+use amos_storage::{BaseRelation, RelId, Savepoint, Storage};
 use amos_types::{tuple, KeyRef, Tuple, Value};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
-/// A small domain keeps re-inserts, re-deletes, tombstone hits, and
-/// resurrections frequent.
+/// The value domain of every column. Small, so re-inserts, re-deletes,
+/// tombstone hits, and resurrections are frequent.
+const DOMAIN: i64 = 6;
+
+/// The column sets indexes are built over.
+const INDEXES: [&[usize]; 3] = [&[0], &[1], &[0, 1]];
+
 fn small_tuple() -> impl Strategy<Value = Tuple> {
-    (0i64..6, 0i64..6).prop_map(|(a, b)| tuple![a, b])
+    (0..DOMAIN, 0..DOMAIN).prop_map(|(a, b)| tuple![a, b])
 }
 
-/// One step of a storage interleaving.
+fn index_choice() -> impl Strategy<Value = usize> {
+    0..INDEXES.len()
+}
+
+/// Every probe over every column set and key equals the scan-filter, and
+/// every column's NDV equals the distinct values the scan holds.
+fn check_derived(rel: &BaseRelation, context: &str) -> Result<(), TestCaseError> {
+    let all: Vec<Tuple> = rel.scan().cloned().collect();
+    prop_assert_eq!(all.len(), rel.len(), "len after {}", context);
+    for cols in INDEXES {
+        let keys = (0..DOMAIN.pow(cols.len() as u32)).map(|i| match cols.len() {
+            1 => vec![Value::Int(i)],
+            _ => vec![Value::Int(i / DOMAIN), Value::Int(i % DOMAIN)],
+        });
+        for key in keys {
+            let mut probed = Vec::new();
+            rel.probe_into(cols, &KeyRef::new(&key), &mut probed);
+            probed.sort();
+            let mut filtered: Vec<Tuple> = all
+                .iter()
+                .filter(|t| cols.iter().zip(&key).all(|(&c, v)| t[c] == *v))
+                .cloned()
+                .collect();
+            filtered.sort();
+            prop_assert_eq!(
+                probed,
+                filtered,
+                "probe {:?}={:?} (indexed: {}) after {}",
+                cols,
+                key,
+                rel.has_index(cols),
+                context
+            );
+        }
+    }
+    for c in 0..rel.arity() {
+        let distinct: BTreeSet<&Value> = all.iter().map(|t| &t[c]).collect();
+        prop_assert_eq!(rel.ndv(c), distinct.len(), "ndv({}) after {}", c, context);
+    }
+    Ok(())
+}
+
+/// One step of a relation interleaving.
 #[derive(Debug, Clone)]
 enum Op {
     Insert(Tuple),
     Delete(Tuple),
     /// Force the head into a run (and trigger compaction) mid-sequence.
     Seal,
-    /// Create the `[0]` hash index mid-sequence (backfill + lazy
-    /// maintenance from this point on).
-    EnsureIndex,
+    /// Create the index over `INDEXES[i]` mid-sequence (backfill, then
+    /// upkeep at every write from this point on).
+    EnsureIndex(usize),
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -40,14 +98,117 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
             small_tuple().prop_map(Op::Delete),
             small_tuple().prop_map(Op::Delete),
             Just(Op::Seal),
-            Just(Op::EnsureIndex),
+            index_choice().prop_map(Op::EnsureIndex),
         ],
         0..60,
     )
 }
 
+/// One step of a [`Storage`] history over one arity-2 relation.
+#[derive(Debug, Clone)]
+enum TxnOp {
+    Set(i64, i64),
+    Add(i64, i64),
+    Remove(i64, i64),
+    Begin,
+    Commit,
+    Rollback,
+    Savepoint,
+    /// Roll back to the `i % n`-th of the `n` live savepoints.
+    RollbackTo(usize),
+    EnsureIndex(usize),
+}
+
+fn txn_ops() -> impl Strategy<Value = Vec<TxnOp>> {
+    let pair = || (0..DOMAIN, 0..DOMAIN);
+    prop::collection::vec(
+        prop_oneof![
+            pair().prop_map(|(k, v)| TxnOp::Set(k, v)),
+            pair().prop_map(|(k, v)| TxnOp::Set(k, v)),
+            pair().prop_map(|(k, v)| TxnOp::Add(k, v)),
+            pair().prop_map(|(k, v)| TxnOp::Add(k, v)),
+            pair().prop_map(|(k, v)| TxnOp::Remove(k, v)),
+            Just(TxnOp::Begin),
+            Just(TxnOp::Commit),
+            Just(TxnOp::Rollback),
+            Just(TxnOp::Savepoint),
+            (0usize..4).prop_map(TxnOp::RollbackTo),
+            index_choice().prop_map(TxnOp::EnsureIndex),
+        ],
+        0..80,
+    )
+}
+
+/// The seal thresholds a history runs at: every run size from one tuple,
+/// and never sealing.
+fn threshold() -> impl Strategy<Value = usize> {
+    prop_oneof![1usize..5, Just(usize::MAX)]
+}
+
+/// A model of one relation under transactions: its content, the content
+/// at `begin`, and the content at each live savepoint.
+#[derive(Default)]
+struct Model {
+    content: BTreeSet<Tuple>,
+    at_begin: Option<BTreeSet<Tuple>>,
+    savepoints: Vec<(Savepoint, BTreeSet<Tuple>)>,
+}
+
+impl Model {
+    fn apply(&mut self, db: &mut Storage, q: RelId, op: &TxnOp) {
+        let open = self.at_begin.is_some();
+        match *op {
+            TxnOp::Set(k, v) => {
+                db.set_functional(q, &[Value::Int(k)], &[Value::Int(v)])
+                    .unwrap();
+                self.content.retain(|t| t[0] != Value::Int(k));
+                self.content.insert(tuple![k, v]);
+            }
+            TxnOp::Add(k, v) => {
+                let changed = db
+                    .add_functional(q, &[Value::Int(k)], &[Value::Int(v)])
+                    .unwrap();
+                assert_eq!(changed, self.content.insert(tuple![k, v]));
+            }
+            TxnOp::Remove(k, v) => {
+                let changed = db
+                    .remove_functional(q, &[Value::Int(k)], &[Value::Int(v)])
+                    .unwrap();
+                assert_eq!(changed, self.content.remove(&tuple![k, v]));
+            }
+            TxnOp::Begin if !open => {
+                db.begin().unwrap();
+                self.at_begin = Some(self.content.clone());
+            }
+            TxnOp::Commit if open => {
+                db.commit().unwrap();
+                self.at_begin = None;
+                self.savepoints.clear();
+            }
+            TxnOp::Rollback if open => {
+                db.rollback().unwrap();
+                self.content = self.at_begin.take().expect("open");
+                self.savepoints.clear();
+            }
+            TxnOp::Savepoint if open => {
+                self.savepoints.push((db.savepoint(), self.content.clone()));
+            }
+            TxnOp::RollbackTo(i) if open && !self.savepoints.is_empty() => {
+                let i = i % self.savepoints.len();
+                self.savepoints.truncate(i + 1);
+                let (sp, content) = &self.savepoints[i];
+                db.rollback_to(*sp).unwrap();
+                self.content = content.clone();
+            }
+            TxnOp::EnsureIndex(i) => db.ensure_index(q, INDEXES[i]),
+            _ => {} // a transaction op that does not apply in this state
+        }
+    }
+}
+
 proptest! {
-    /// Run-resident and hash-resident relations are indistinguishable.
+    /// Run-resident and hash-resident relations are indistinguishable,
+    /// and both keep their indexes and statistics current at every write.
     #[test]
     fn sorted_runs_equal_hash_storage(threshold in 1usize..5, ops in ops()) {
         let mut lsm = BaseRelation::new("r", 2);
@@ -55,7 +216,7 @@ proptest! {
         let mut reference = BaseRelation::new("r", 2);
         reference.set_seal_threshold(usize::MAX);
 
-        for op in &ops {
+        for (step, op) in ops.iter().enumerate() {
             match op {
                 Op::Insert(t) => prop_assert_eq!(
                     lsm.insert(t.clone()),
@@ -68,11 +229,14 @@ proptest! {
                     "delete outcome diverged on {}", t
                 ),
                 Op::Seal => lsm.seal(), // physical-layout-only op
-                Op::EnsureIndex => {
-                    lsm.ensure_index(&[0]);
-                    reference.ensure_index(&[0]);
+                Op::EnsureIndex(i) => {
+                    lsm.ensure_index(INDEXES[*i]);
+                    reference.ensure_index(INDEXES[*i]);
                 }
             }
+            let context = format!("op {step} ({op:?})");
+            check_derived(&lsm, &context)?;
+            check_derived(&reference, &context)?;
         }
 
         // Identical logical contents and cardinality.
@@ -83,11 +247,9 @@ proptest! {
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(lsm.len(), reference.len());
 
-        // Membership, statistics, and probes over the whole domain —
-        // probes answer via the index when one was created, via the
-        // fallback scan otherwise; both must match the reference.
-        for x in 0i64..6 {
-            for y in 0i64..6 {
+        // Membership over the whole domain.
+        for x in 0..DOMAIN {
+            for y in 0..DOMAIN {
                 let t = tuple![x, y];
                 prop_assert_eq!(lsm.contains(&t), reference.contains(&t));
                 // A borrowed key over loose values answers like the tuple,
@@ -96,35 +258,37 @@ proptest! {
                 prop_assert_eq!(lsm.contains(&KeyRef::new(&vals)), a.binary_search(&t).is_ok());
             }
         }
-        for c in 0..2 {
-            prop_assert_eq!(lsm.ndv(c), reference.ndv(c), "ndv({}) diverged", c);
-        }
-        for k in 0i64..6 {
-            let key = [Value::Int(k)];
-            let mut pa = lsm.probe(&[0], &key);
-            let mut pb = reference.probe(&[0], &key);
-            pa.sort();
-            pb.sort();
-            prop_assert_eq!(&pa, &pb, "probe [0]={} diverged", k);
-            // … and like a scan-filter, on the indexed column and on the
-            // one that never has an index.
-            for col in [0usize, 1] {
-                let mut by_key = Vec::new();
-                lsm.probe_into(&[col], &KeyRef::new(&key), &mut by_key);
-                by_key.sort();
-                let filtered: Vec<Tuple> = a.iter().filter(|t| t[col] == key[0]).cloned().collect();
-                prop_assert_eq!(by_key, filtered, "probe [{}]={} vs scan-filter", col, k);
-            }
-        }
 
         // Checkpoint round-trip: serializing the runs and adopting them
         // back reproduces the same relation without rehydration.
-        let revived = BaseRelation::from_runs("r", 2, lsm.snapshot_runs());
+        let mut revived = BaseRelation::from_runs("r", 2, lsm.snapshot_runs());
         let mut c: Vec<Tuple> = revived.scan().cloned().collect();
         c.sort();
         prop_assert_eq!(&c, &a);
         prop_assert_eq!(revived.len(), lsm.len());
-        prop_assert_eq!(revived.ndv(0), lsm.ndv(0));
-        prop_assert_eq!(revived.ndv(1), lsm.ndv(1));
+        for cols in INDEXES {
+            revived.ensure_index(cols);
+        }
+        check_derived(&revived, "from_runs")?;
+    }
+
+    /// Functional updates, transactions and savepoints through `Storage`
+    /// leave the relation equal to a replayed model, with every probe
+    /// equal to the scan-filter and every NDV equal to the scan's.
+    #[test]
+    fn storage_histories_keep_indexes_current(threshold in threshold(), ops in txn_ops()) {
+        let mut db = Storage::new();
+        db.set_seal_threshold(threshold);
+        let q = db.create_relation("q", 2).unwrap();
+        db.monitor(q);
+        db.ensure_index(q, INDEXES[0]);
+        let mut model = Model::default();
+        for (step, op) in ops.iter().enumerate() {
+            model.apply(&mut db, q, op);
+            let context = format!("op {step} ({op:?}) at threshold {threshold}");
+            let content: BTreeSet<Tuple> = db.relation(q).scan().cloned().collect();
+            prop_assert_eq!(&content, &model.content, "content after {}", context);
+            check_derived(db.relation(q), &context)?;
+        }
     }
 }

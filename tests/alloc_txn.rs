@@ -10,8 +10,13 @@
 //! cloned each fired differential's accepted tuples and built per-pass
 //! lists of its live conditions, propagated conditions and changed
 //! relations; 64 since a pass's outcome is moved into one report whose
-//! buffers are cleared, not rebuilt. The budget is the count after.
-//! Driving it down is ROADMAP item 16.
+//! buffers are cleared, not rebuilt; 57 since the write keeps the hash
+//! indexes current in place. That change dropped the projected key
+//! `Tuple` each index op built, the per-key `FxHashSet` (a key's tuples
+//! are now a `Vec` under the key's fingerprint), the growth of the
+//! pending maintenance log, and the regrowth of the `key.to_vec()` that
+//! `rest` was appended to. The budget is the count after. Driving it
+//! down is ROADMAP item 16.
 //!
 //! Its own test binary: the counting allocator is process-wide, and the
 //! one test here is the only thread allocating while the count runs.
@@ -60,7 +65,7 @@ const WARM_UP: usize = 20;
 /// Transactions counted; the budget holds for the most expensive.
 const COUNTED: usize = 200;
 /// Allocations one transaction may make.
-const BUDGET: u64 = 64;
+const BUDGET: u64 = 57;
 
 #[test]
 fn a_one_update_transaction_stays_within_its_allocation_budget() {
