@@ -230,61 +230,3 @@ pub enum Statement {
         pin: String,
     },
 }
-
-impl Expr {
-    /// All free variable names in the expression, in first-use order.
-    pub fn free_vars(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_vars(&mut out);
-        out
-    }
-
-    fn collect_vars(&self, out: &mut Vec<String>) {
-        match self {
-            Expr::Var(v) if !out.iter().any(|x| x == v) => {
-                out.push(v.clone());
-            }
-            Expr::Call { args, .. } => {
-                for a in args {
-                    a.collect_vars(out);
-                }
-            }
-            Expr::Arith { lhs, rhs, .. } | Expr::Cmp { lhs, rhs, .. } => {
-                lhs.collect_vars(out);
-                rhs.collect_vars(out);
-            }
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
-            }
-            Expr::Not(e) | Expr::Neg(e) => e.collect_vars(out),
-            _ => {}
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn free_vars_deduplicated_in_order() {
-        // quantity(i) < threshold(i) + x
-        let e = Expr::Cmp {
-            op: CmpOp::Lt,
-            lhs: Box::new(Expr::Call {
-                func: "quantity".into(),
-                args: vec![Expr::Var("i".into())],
-            }),
-            rhs: Box::new(Expr::Arith {
-                op: ArithOp::Add,
-                lhs: Box::new(Expr::Call {
-                    func: "threshold".into(),
-                    args: vec![Expr::Var("i".into())],
-                }),
-                rhs: Box::new(Expr::Var("x".into())),
-            }),
-        };
-        assert_eq!(e.free_vars(), vec!["i".to_string(), "x".to_string()]);
-    }
-}

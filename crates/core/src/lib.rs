@@ -24,13 +24,14 @@
 //! 4. [`propagate`](mod@propagate) runs the §5 algorithm: level by level, for each
 //!    changed node, execute the out-edge differentials and accumulate
 //!    results into the affected nodes' Δ-sets with `∪Δ`; clear each
-//!    node's Δ-set once processed ("wave-front" materialization). §7.2
-//!    correction checks keep deletions exact (mandatory) and insertions
-//!    strict (optional).
+//!    node's Δ-set once processed ("wave-front" materialization). The
+//!    §7.2 correction check keeps deletions exact; insertions stay
+//!    nervous.
 //! 5. [`rules`] implements CA rules on top: per-parameter activation,
 //!    the deferred **check phase** (propagate → conflict resolution →
 //!    set-oriented action execution → fixpoint), strict vs nervous
-//!    semantics, and explainability ([`explain`]).
+//!    semantics (strict rules filter their condition's insertions with
+//!    [`strict_admits`]), and explainability ([`explain`]).
 //!
 //! ## Baselines and extensions
 //!
@@ -65,9 +66,9 @@ pub use maintained::{ClosureView, MaintainedAggregate, UserView};
 pub use naive::NaiveMonitor;
 pub use network::{NodeId, PropagationNetwork};
 pub use propagate::{
-    propagate_adaptive, propagate_with, recompute_delta, CheckLevel, ExecStrategy,
-    PropagationResult,
+    propagate_adaptive, propagate_with, recompute_delta, ExecStrategy, PropagationResult,
 };
 pub use rules::{
-    ActionCtx, ActionFn, MonitorMode, MonitorStats, Rule, RuleId, RuleManager, RuleSemantics,
+    strict_admits, ActionCtx, ActionFn, MonitorMode, MonitorStats, Rule, RuleId, RuleManager,
+    RuleSemantics,
 };

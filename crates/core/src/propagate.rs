@@ -19,16 +19,16 @@
 //! reduces to evaluation over old base states, which are complete because
 //! base Δ-sets are retained.
 //!
-//! §7.2 correction checks are applied per candidate change at
-//! accumulation time ([`CheckLevel`]):
-//!
-//! * deletions are verified absent from the new state — mandatory
-//!   whenever deletions are propagated at all, because a false deletion
-//!   can cancel a true insertion through `∪Δ` and make rules
-//!   *under-react*, "which is unacceptable";
-//! * under [`CheckLevel::Strict`], insertions are verified absent from
-//!   the old state (and present in the new), giving exact
-//!   false→true transitions.
+//! One §7.2 correction check is applied per candidate change at
+//! accumulation time: a deletion is verified absent from the new state.
+//! It is mandatory whenever deletions are propagated at all, because a
+//! false deletion can cancel a true insertion through `∪Δ` and make
+//! rules *under-react*, "which is unacceptable". Insertions are accepted
+//! as derived, so the pass is *nervous*: every insertion candidate is
+//! derivable in the new state, an accepted deletion is proven absent
+//! from it, and so a false insertion never cancels a true deletion.
+//! Strictness (§3.2) is a property of a rule, applied once at the
+//! condition by [`strict_admits`](crate::rules::strict_admits).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -55,30 +55,15 @@ use crate::network::PropagationNetwork;
 /// 59 690 tuples per level.
 pub const INLINE_WAVE_THRESHOLD: usize = 256;
 
-/// Which §7.2 checks to apply to candidate changes.
+/// A placeholder kept for the benchmark's `propagate_with` call, which
+/// passes [`RuleManager::check`](crate::rules::RuleManager::check):
+/// nothing reads it, and the benchmark change that drops the argument
+/// deletes it (ROADMAP item 9).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CheckLevel {
-    /// No checks — raw differentials. Only safe for insertion-only
-    /// monotone conditions; exposed for the ablation benchmarks.
-    Raw,
-    /// Verify deletions against the new state (mandatory check), accept
-    /// insertions as-is — *nervous* semantics may over-trigger.
+    /// The one propagation there is: deletions checked, insertions not.
     #[default]
     Nervous,
-    /// Additionally verify insertions against old and new state —
-    /// *strict* semantics (exact false→true transitions).
-    Strict,
-}
-
-impl CheckLevel {
-    /// Lowercase name for metrics and explain output.
-    pub fn name(self) -> &'static str {
-        match self {
-            CheckLevel::Raw => "raw",
-            CheckLevel::Nervous => "nervous",
-            CheckLevel::Strict => "strict",
-        }
-    }
 }
 
 /// How to execute the differentials of one wave-front level.
@@ -86,14 +71,14 @@ impl CheckLevel {
 /// Within a level every differential execution is an independent
 /// read-only query: it reads storage and the *current* level's Δ-sets
 /// and writes only to strictly higher-level nodes — and the §7.2
-/// `accept` checks consult storage alone. So a level whose wave holds
+/// `accept` check consults storage alone. So a level whose wave holds
 /// at least [`INLINE_WAVE_THRESHOLD`] tuples across more than one task
 /// snapshots the wave immutably, runs all (node, differential) tasks on
 /// scoped threads, and merges their accepted batches *sequentially in
 /// serial execution order* — the resulting Δ-sets (and all counters) are
-/// identical to inline execution under every [`CheckLevel`]. Smaller
-/// levels always run inline. The choice is made per level from the
-/// wave's size; the strategy only says whether threads are allowed.
+/// identical to inline execution. Smaller levels always run inline. The
+/// choice is made per level from the wave's size; the strategy only says
+/// whether threads are allowed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecStrategy {
     /// Never spawn: one differential at a time, in network order. The
@@ -131,9 +116,9 @@ struct TaskOutput {
     /// Tuples produced by the plan (count only; the tuples themselves
     /// are dropped once checked).
     candidates: usize,
-    /// Tuples surviving the §7.2 checks.
+    /// Tuples surviving the §7.2 check.
     accepted: Vec<Tuple>,
-    /// Wall-clock time of plan execution plus checks.
+    /// Wall-clock time of plan execution plus the check.
     nanos: u64,
 }
 
@@ -148,16 +133,17 @@ struct Task {
 /// Run one breadth-first bottom-up propagation pass over the network,
 /// reading base-relation Δ-sets from `storage` and returning the
 /// condition-level net changes: [`propagate_adaptive`] with fresh
-/// evaluator state and each differential's activation-time plan.
+/// evaluator state and each differential's activation-time plan. Nothing
+/// reads `_check` (see [`CheckLevel`]).
 pub fn propagate_with(
     network: &PropagationNetwork,
     catalog: &Catalog,
     storage: &Storage,
-    check: CheckLevel,
+    _check: CheckLevel,
     strategy: ExecStrategy,
 ) -> Result<PropagationResult, CoreError> {
     let shared = Arc::new(EvalShared::default());
-    propagate_adaptive(network, catalog, storage, check, strategy, &shared, None)
+    propagate_adaptive(network, catalog, storage, strategy, &shared, None)
 }
 
 /// The propagation pass in full: per level, (1) close changed
@@ -167,7 +153,7 @@ pub fn propagate_with(
 /// level-start wave, and (3) merge the accepted batches sequentially in
 /// network order with `∪Δ`. Because within-level tasks never read each
 /// other's output (differentials write only to strictly higher levels)
-/// and checks consult storage only, the merged Δ-sets are identical
+/// and the check consults storage only, the merged Δ-sets are identical
 /// either way.
 ///
 /// `shared` is caller-owned evaluator state (plan cache, derived-call
@@ -192,7 +178,6 @@ pub fn propagate_adaptive(
     network: &PropagationNetwork,
     catalog: &Catalog,
     storage: &Storage,
-    check: CheckLevel,
     strategy: ExecStrategy,
     shared: &Arc<EvalShared>,
     planner: Option<&AdaptivePlanner>,
@@ -209,7 +194,6 @@ pub fn propagate_adaptive(
     let hits_cache_before = planner.map_or(0, AdaptivePlanner::hit_count);
     let mut result = PropagationResult::default();
     result.metrics.strategy = strategy.name().to_owned();
-    result.metrics.check = check.name().to_owned();
 
     // Wave-front Δ-sets, keyed by predicate. Level-0 nodes read straight
     // from storage's accumulated transaction Δ-sets.
@@ -250,15 +234,7 @@ pub fn propagate_adaptive(
         // each closure mutates its own node's wave entry.
         for node in &changed {
             if catalog.is_self_recursive(node.pred) {
-                close_recursive_node(
-                    network,
-                    catalog,
-                    storage,
-                    node,
-                    &mut wave,
-                    check,
-                    &mut result,
-                )?;
+                close_recursive_node(network, catalog, storage, node, &mut wave, &mut result)?;
             }
         }
 
@@ -295,11 +271,11 @@ pub fn propagate_adaptive(
         let outputs: Vec<Result<TaskOutput, CoreError>> = {
             let ctx = EvalContext::with_shared(storage, catalog, &wave, Arc::clone(shared));
             if parallel {
-                run_tasks_threaded(network, catalog, &ctx, check, &tasks)
+                run_tasks_threaded(network, catalog, &ctx, &tasks)
             } else {
                 tasks
                     .iter()
-                    .map(|task| run_differential(network, catalog, &ctx, task, check))
+                    .map(|task| run_differential(network, catalog, &ctx, task))
                     .collect()
             }
         };
@@ -336,16 +312,14 @@ pub fn propagate_adaptive(
                     Polarity::Minus => target.delta_union_delete(t.clone()),
                 }
             }
-            if !output.accepted.is_empty() || !matches!(check, CheckLevel::Raw) {
-                result.fired.push(FiredDifferential {
-                    diff: task.diff,
-                    affected: diff.affected,
-                    influent: diff.influent,
-                    seed: diff.seed,
-                    output: diff.output,
-                    tuples: output.accepted,
-                });
-            }
+            result.fired.push(FiredDifferential {
+                diff: task.diff,
+                affected: diff.affected,
+                influent: diff.influent,
+                seed: diff.seed,
+                output: diff.output,
+                tuples: output.accepted,
+            });
         }
 
         // Clear the processed nodes' wave-front Δ-sets (the paper's
@@ -390,14 +364,13 @@ pub fn propagate_adaptive(
 }
 
 /// Execute one differential against the frozen wave: run its plan, then
-/// apply the §7.2 checks. Read-only with respect to `wave` and
+/// apply the §7.2 deletion check. Read-only with respect to `wave` and
 /// `storage`, so any number of these can run concurrently.
 fn run_differential(
     network: &PropagationNetwork,
     catalog: &Catalog,
     ctx: &EvalContext<'_>,
     task: &Task,
-    check: CheckLevel,
 ) -> Result<TaskOutput, CoreError> {
     let timer = Stopwatch::start();
     let diff = network.differential(task.diff);
@@ -406,19 +379,15 @@ fn run_differential(
     ctx.plan_heads(plan, StateEpoch::New, 0, &mut produced)?;
 
     // Candidates feeding a recursive node skip the per-tuple §7.2
-    // checks: the fixpoint closure (or the exact recompute fallback on
+    // check: the fixpoint closure (or the exact recompute fallback on
     // deletions) establishes correctness for the whole node at once, and
     // per-tuple `holds` on a recursive predicate would re-run the
     // fixpoint per candidate.
-    let effective_check = if catalog.is_self_recursive(diff.affected) {
-        CheckLevel::Raw
-    } else {
-        check
-    };
+    let unchecked = catalog.is_self_recursive(diff.affected);
     let candidates = produced.len();
     let mut accepted: Vec<Tuple> = Vec::new();
     for t in produced {
-        if accept(ctx, diff.affected, &t, diff.output, effective_check)? {
+        if unchecked || accept(ctx, diff.affected, &t, diff.output)? {
             accepted.push(t);
         }
     }
@@ -436,7 +405,6 @@ fn run_tasks_threaded(
     network: &PropagationNetwork,
     catalog: &Catalog,
     ctx: &EvalContext<'_>,
-    check: CheckLevel,
     tasks: &[Task],
 ) -> Vec<Result<TaskOutput, CoreError>> {
     let hw = std::thread::available_parallelism()
@@ -456,7 +424,7 @@ fn run_tasks_threaded(
                 let Some(task) = tasks.get(i) else {
                     break;
                 };
-                let out = run_differential(network, catalog, ctx, task, check);
+                let out = run_differential(network, catalog, ctx, task);
                 *slots[i].lock().unwrap() = Some(out);
             });
         }
@@ -477,16 +445,12 @@ fn run_tasks_threaded(
 ///   delta (`<P_new − P_old, P_old − P_new>` via fixpoint evaluation in
 ///   both states) — the DRed-style over-delete/re-derive dance is out
 ///   of scope, and the fallback is always exact.
-///
-/// Under [`CheckLevel::Strict`] the closed insertions are additionally
-/// filtered against the node's old-state fixpoint (computed once).
 fn close_recursive_node(
     network: &PropagationNetwork,
     catalog: &Catalog,
     storage: &Storage,
     node: &crate::network::Node,
     wave: &mut DeltaMap,
-    check: CheckLevel,
     result: &mut PropagationResult,
 ) -> Result<(), CoreError> {
     let Some(delta) = wave.get(&node.pred) else {
@@ -527,18 +491,6 @@ fn close_recursive_node(
         }
     }
 
-    // Strict: only genuinely new derivations (absent from the old
-    // fixpoint). The old state is computed once for the whole node.
-    if check == CheckLevel::Strict {
-        let empty = DeltaMap::new();
-        let ctx = EvalContext::new(storage, catalog, &empty);
-        let pattern = vec![None; catalog.def(node.pred).arity];
-        let old = ctx.eval_pred(node.pred, &pattern, StateEpoch::Old)?;
-        let before = total.len();
-        total.retain(|t| !old.contains(t));
-        result.metrics.rejected += before - total.len();
-    }
-
     let mut closed = DeltaSet::new();
     for t in total {
         closed.delta_union_insert(t);
@@ -547,33 +499,18 @@ fn close_recursive_node(
     Ok(())
 }
 
-/// Apply the §7.2 checks to one candidate change of `pred`.
+/// The §7.2 check on one candidate change of `pred`: a deletion must
+/// really be gone from the new state, or rules under-react; an insertion
+/// passes as derived.
 fn accept(
     ctx: &EvalContext<'_>,
     pred: PredId,
     tuple: &Tuple,
     output: Polarity,
-    check: CheckLevel,
 ) -> Result<bool, CoreError> {
-    Ok(match (check, output) {
-        (CheckLevel::Raw, _) => true,
-        // Mandatory: a propagated deletion must really be gone, or rules
-        // under-react.
-        (CheckLevel::Nervous, Polarity::Minus) | (CheckLevel::Strict, Polarity::Minus) => {
-            let still_present = ctx.holds(pred, tuple, StateEpoch::New)?;
-            if still_present {
-                false
-            } else if check == CheckLevel::Strict {
-                // Strict deletions must also have held before.
-                ctx.holds(pred, tuple, StateEpoch::Old)?
-            } else {
-                true
-            }
-        }
-        (CheckLevel::Nervous, Polarity::Plus) => true,
-        (CheckLevel::Strict, Polarity::Plus) => {
-            ctx.holds(pred, tuple, StateEpoch::New)? && !ctx.holds(pred, tuple, StateEpoch::Old)?
-        }
+    Ok(match output {
+        Polarity::Minus => !ctx.holds(pred, tuple, StateEpoch::New)?,
+        Polarity::Plus => true,
     })
 }
 
@@ -596,6 +533,7 @@ pub fn recompute_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::strict_admits;
     use amos_objectlog::catalog::Catalog;
     use amos_objectlog::clause::{ClauseBuilder, Term};
     use amos_types::{tuple, CmpOp, TypeId};
@@ -646,8 +584,20 @@ mod tests {
     }
 
     /// One pass under the default strategy.
-    fn pass(f: &Fix, net: &PropagationNetwork, check: CheckLevel) -> PropagationResult {
-        propagate_with(net, &f.catalog, &f.storage, check, ExecStrategy::default()).unwrap()
+    fn pass(f: &Fix, net: &PropagationNetwork) -> PropagationResult {
+        let strategy = ExecStrategy::default();
+        propagate_with(net, &f.catalog, &f.storage, CheckLevel::Nervous, strategy).unwrap()
+    }
+
+    /// `pred`'s Δ-set as a strict rule sees it: the insertions
+    /// `strict_admits` passes, the deletions that held before.
+    fn strict(f: &Fix, pred: PredId, delta: &DeltaSet) -> DeltaSet {
+        let empty = DeltaMap::new();
+        let ctx = EvalContext::new(&f.storage, &f.catalog, &empty);
+        let admits = |t: &&Tuple| strict_admits(&ctx, pred, t, &mut 0).unwrap();
+        let held = |t: &&Tuple| ctx.holds(pred, t, StateEpoch::Old).unwrap();
+        let plus = delta.plus().iter().filter(admits).cloned().collect();
+        DeltaSet::from_parts(plus, delta.minus().iter().filter(held).cloned().collect())
     }
 
     /// §4.3: insert q(1,2), r(1,4) ⇒ Δ₊p = {(1,3),(1,4)}.
@@ -659,7 +609,7 @@ mod tests {
         f.storage.insert(f.rq, tuple![1, 2]).unwrap();
         f.storage.insert(f.rr, tuple![1, 4]).unwrap();
 
-        let result = pass(&f, &net, CheckLevel::Strict);
+        let result = pass(&f, &net);
         let dp = &result.condition_deltas[&f.p];
         assert_eq!(
             dp.plus(),
@@ -687,13 +637,13 @@ mod tests {
         f.storage.delete(f.rr, &tuple![1, 2]).unwrap();
         f.storage.delete(f.rr, &tuple![2, 3]).unwrap();
 
-        let result = pass(&f, &net, CheckLevel::Nervous);
+        let result = pass(&f, &net);
         let dp = &result.condition_deltas[&f.p];
         assert_eq!(dp.plus(), &[tuple![1, 4]].into_iter().collect());
         assert_eq!(dp.minus(), &[tuple![1, 2]].into_iter().collect());
     }
 
-    /// Propagated deltas match naive recomputation (strict check level).
+    /// Propagated deltas, strictly filtered, match naive recomputation.
     #[test]
     fn matches_recompute() {
         let mut f = fixture();
@@ -703,9 +653,9 @@ mod tests {
         f.storage.delete(f.rq, &tuple![1, 1]).unwrap();
         f.storage.insert(f.rr, tuple![2, 9]).unwrap();
 
-        let result = pass(&f, &net, CheckLevel::Strict);
+        let result = pass(&f, &net);
         let truth = recompute_delta(&f.catalog, &f.storage, f.p).unwrap();
-        assert_eq!(&result.condition_deltas[&f.p], &truth);
+        assert_eq!(strict(&f, f.p, &result.condition_deltas[&f.p]), truth);
     }
 
     /// No changes ⇒ empty result, nothing fired.
@@ -714,7 +664,7 @@ mod tests {
         let mut f = fixture();
         let net = PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p]).unwrap();
         f.storage.begin().unwrap();
-        let result = pass(&f, &net, CheckLevel::Strict);
+        let result = pass(&f, &net);
         assert!(result.condition_deltas[&f.p].is_empty());
         assert!(result.fired.is_empty());
         assert_eq!(result.metrics.candidates, 0);
@@ -729,39 +679,12 @@ mod tests {
         f.storage.begin().unwrap();
         f.storage.delete(f.rq, &tuple![1, 1]).unwrap();
         f.storage.insert(f.rq, tuple![1, 1]).unwrap();
-        let result = pass(&f, &net, CheckLevel::Strict);
+        let result = pass(&f, &net);
         assert!(result.condition_deltas[&f.p].is_empty());
         assert_eq!(
             result.metrics.candidates, 0,
             "empty Δ-sets never execute differentials"
         );
-    }
-
-    /// Strict vs nervous: an insertion of an already-true instance is
-    /// filtered under strict, reported under nervous.
-    #[test]
-    fn strict_filters_already_true() {
-        let mut f = fixture();
-        // Make p(1,2) derivable twice: q(1,1) ∧ r(1,2) already holds; add
-        // q(1,2) ∧ r(2,2) as a second derivation.
-        f.storage.insert(f.rr, tuple![2, 2]).unwrap();
-        let net = PropagationNetwork::build(&f.catalog, &mut f.storage, &[f.p]).unwrap();
-        f.storage.begin().unwrap();
-        f.storage.insert(f.rq, tuple![1, 2]).unwrap();
-
-        let nervous = pass(&f, &net, CheckLevel::Nervous);
-        assert!(
-            nervous.condition_deltas[&f.p]
-                .plus()
-                .contains(&tuple![1, 2]),
-            "nervous over-reports the second derivation"
-        );
-        let strict = pass(&f, &net, CheckLevel::Strict);
-        assert!(
-            !strict.condition_deltas[&f.p].plus().contains(&tuple![1, 2]),
-            "strict suppresses already-true instances"
-        );
-        assert!(strict.condition_deltas[&f.p].plus().contains(&tuple![1, 3]));
     }
 
     /// The mandatory deletion check: deleting one derivation of a tuple
@@ -776,7 +699,7 @@ mod tests {
         f.storage.begin().unwrap();
         f.storage.delete(f.rq, &tuple![1, 1]).unwrap();
 
-        let result = pass(&f, &net, CheckLevel::Nervous);
+        let result = pass(&f, &net);
         assert!(
             !result.condition_deltas[&f.p]
                 .minus()
@@ -790,7 +713,7 @@ mod tests {
     }
 
     /// Serial and parallel strategies agree — Δ-sets, counters, and the
-    /// set of fired differentials — under every check level.
+    /// set of fired differentials.
     #[test]
     fn serial_and_parallel_strategies_agree() {
         let mut f = fixture();
@@ -800,21 +723,18 @@ mod tests {
         f.storage.insert(f.rr, tuple![1, 4]).unwrap();
         f.storage.delete(f.rr, &tuple![2, 3]).unwrap();
 
-        for check in [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict] {
-            let serial =
-                propagate_with(&net, &f.catalog, &f.storage, check, ExecStrategy::Serial).unwrap();
-            let parallel =
-                propagate_with(&net, &f.catalog, &f.storage, check, ExecStrategy::Parallel)
-                    .unwrap();
-            assert_eq!(serial.condition_deltas, parallel.condition_deltas);
-            assert_eq!(serial.metrics.candidates, parallel.metrics.candidates);
-            assert_eq!(serial.metrics.rejected, parallel.metrics.rejected);
-            assert_eq!(
-                serial.fired.iter().map(|fd| fd.diff).collect::<Vec<_>>(),
-                parallel.fired.iter().map(|fd| fd.diff).collect::<Vec<_>>(),
-                "trace order must match serial execution order"
-            );
-        }
+        let pass = |strategy| {
+            propagate_with(&net, &f.catalog, &f.storage, CheckLevel::Nervous, strategy).unwrap()
+        };
+        let (serial, parallel) = (pass(ExecStrategy::Serial), pass(ExecStrategy::Parallel));
+        assert_eq!(serial.condition_deltas, parallel.condition_deltas);
+        assert_eq!(serial.metrics.candidates, parallel.metrics.candidates);
+        assert_eq!(serial.metrics.rejected, parallel.metrics.rejected);
+        assert_eq!(
+            serial.fired.iter().map(|fd| fd.diff).collect::<Vec<_>>(),
+            parallel.fired.iter().map(|fd| fd.diff).collect::<Vec<_>>(),
+            "trace order must match serial execution order"
+        );
     }
 
     /// The default strategy spawns no thread for a small wave: a
@@ -828,7 +748,7 @@ mod tests {
         f.storage.delete(f.rq, &tuple![1, 1]).unwrap();
         f.storage.insert(f.rq, tuple![1, 2]).unwrap();
 
-        let result = pass(&f, &net, CheckLevel::Nervous);
+        let result = pass(&f, &net);
         let m = &result.metrics;
         assert_eq!(m.strategy, "parallel");
         assert_eq!((m.levels[0].tasks, m.levels[0].wave_tuples), (2, 2));
@@ -845,10 +765,9 @@ mod tests {
         f.storage.insert(f.rq, tuple![1, 2]).unwrap();
         f.storage.insert(f.rr, tuple![1, 4]).unwrap();
 
-        let result = pass(&f, &net, CheckLevel::Strict);
+        let result = pass(&f, &net);
         let m = &result.metrics;
         assert_eq!(m.strategy, "parallel");
-        assert_eq!(m.check, "strict");
         assert_eq!(m.fired, result.fired.len());
         // Both base relations changed at level 0, each with a positive
         // and a negative differential into p (full diff scope); the wave
@@ -908,12 +827,12 @@ mod tests {
 
         f.storage.begin().unwrap();
         f.storage.insert(f.rq, tuple![7, 2]).unwrap(); // q(7,2) ∧ r(2,3) ⇒ mid(7,3) ⇒ top(7)
-        let result = pass(&f, &net, CheckLevel::Strict);
+        let result = pass(&f, &net);
         assert_eq!(
             result.condition_deltas[&top].plus(),
             &[tuple![7]].into_iter().collect()
         );
         let truth = recompute_delta(&f.catalog, &f.storage, top).unwrap();
-        assert_eq!(&result.condition_deltas[&top], &truth);
+        assert_eq!(strict(&f, top, &result.condition_deltas[&top]), truth);
     }
 }

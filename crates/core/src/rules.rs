@@ -47,6 +47,31 @@ use crate::naive::NaiveMonitor;
 use crate::network::PropagationNetwork;
 use crate::propagate::{propagate_adaptive, CheckLevel, ExecStrategy};
 
+/// Fixpoint iteration limit for rule cascades: a check phase that still
+/// has a rule to fire after this many passes reports
+/// [`CoreError::NonTerminatingRules`].
+const MAX_ITERATIONS: usize = 100;
+
+/// Strictness (§3.2) on one propagated insertion of condition `cond`:
+/// admitted when the instance was false in the old state and is true in
+/// the new — an exact false→true transition. The old state is asked
+/// first, and `holds` counts every state asked. Propagation is nervous
+/// (it may re-derive an instance that already held), so a strict rule
+/// filters its condition's insertions with this, once, at the condition.
+pub fn strict_admits(
+    ctx: &EvalContext<'_>,
+    cond: PredId,
+    tuple: &Tuple,
+    holds: &mut u64,
+) -> Result<bool, CoreError> {
+    *holds += 1;
+    if ctx.holds(cond, tuple, StateEpoch::Old)? {
+        return Ok(false);
+    }
+    *holds += 1;
+    Ok(ctx.holds(cond, tuple, StateEpoch::New)?)
+}
+
 /// Identifier of a rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RuleId(pub u32);
@@ -264,12 +289,10 @@ pub struct RuleManager {
     /// Wave-front execution strategy (parallel, or the serial
     /// reference); set from `EngineOptions::propagation`.
     pub exec: ExecStrategy,
-    /// Correction-check level for propagation passes (§7.2 ablation).
-    /// Nervous by default; strict rules additionally apply the exact
-    /// false→true filter regardless of this level.
+    /// A placeholder the benchmark hands to `propagate_with`: nothing
+    /// reads it, and the benchmark change that drops that argument
+    /// deletes it (ROADMAP item 9).
     pub check: CheckLevel,
-    /// Fixpoint iteration limit for rule cascades.
-    pub max_iterations: usize,
     /// Cost model for hybrid mode.
     pub cost_model: CostModel,
     /// What the most recent check phase did, pass by pass.
@@ -340,7 +363,6 @@ impl RuleManager {
             mode: MonitorMode::Incremental,
             exec: ExecStrategy::default(),
             check: CheckLevel::Nervous,
-            max_iterations: 100,
             cost_model: CostModel::default(),
             report: CheckTrace::default(),
             pins: HashMap::new(),
@@ -631,7 +653,7 @@ impl RuleManager {
         self.report.begin();
         self.stats.check_phases += 1;
 
-        for _ in 0..self.max_iterations {
+        for _ in 0..MAX_ITERATIONS {
             let had_changes = storage.has_changes();
             if had_changes {
                 summary.passes += 1;
@@ -741,7 +763,7 @@ impl RuleManager {
             summary.executed.push((name, instances.len()));
         }
         Err(CoreError::NonTerminatingRules {
-            limit: self.max_iterations,
+            limit: MAX_ITERATIONS,
         })
     }
 
@@ -836,7 +858,6 @@ impl RuleManager {
                 &self.network,
                 catalog,
                 storage,
-                self.check,
                 self.exec,
                 &self.eval_shared,
                 Some(&self.adaptive),
@@ -896,15 +917,8 @@ impl RuleManager {
                 if !rule.covered(t) {
                     continue;
                 }
-                if strict {
-                    holds += 1;
-                    if filter_ctx.holds(rule.condition, t, StateEpoch::Old)? {
-                        continue;
-                    }
-                    holds += 1;
-                    if !filter_ctx.holds(rule.condition, t, StateEpoch::New)? {
-                        continue;
-                    }
+                if strict && !strict_admits(&filter_ctx, rule.condition, t, &mut holds)? {
+                    continue;
                 }
                 admitted.push(t.clone());
             }
@@ -1203,7 +1217,6 @@ mod tests {
         let mut f = fixture();
         let rq = f.rq;
         let mut mgr = RuleManager::new();
-        mgr.max_iterations = 10;
         // Pathological action: keep the condition true by setting the
         // value to something still below 10 but different each time.
         let counter = Arc::new(Mutex::new(0i64));
@@ -1223,7 +1236,7 @@ mod tests {
         let result = mgr.check_phase(&f.catalog, &mut f.storage);
         assert!(matches!(
             result,
-            Err(CoreError::NonTerminatingRules { limit: 10 })
+            Err(CoreError::NonTerminatingRules { limit: 100 })
         ));
     }
 

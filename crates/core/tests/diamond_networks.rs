@@ -4,6 +4,8 @@
 //! order must deliver *complete* Δ-sets to every node before its
 //! out-edges fire — these shapes are where a wrong order would show.
 
+mod common;
+
 use amos_types::FxHashSet as HashSet;
 
 use amos_core::network::PropagationNetwork;
@@ -99,16 +101,9 @@ fn diamond_reconvergence_is_exact() {
     d.storage.insert(d.rq, tuple![1, 90]).unwrap();
     d.storage.insert(d.rq, tuple![4, 25]).unwrap();
 
-    let result = propagate_with(
-        &net,
-        &d.catalog,
-        &d.storage,
-        CheckLevel::Strict,
-        ExecStrategy::default(),
-    )
-    .unwrap();
+    let got = common::strict_pass(&net, &d.catalog, &d.storage, d.top);
     let truth = recompute_delta(&d.catalog, &d.storage, d.top).unwrap();
-    assert_eq!(&result.condition_deltas[&d.top], &truth);
+    assert_eq!(got, truth);
     assert_eq!(
         truth.plus(),
         &[tuple![2], tuple![4]].into_iter().collect::<HashSet<_>>()
@@ -167,32 +162,18 @@ fn negation_over_intermediate_nodes() {
     // 30 → 5: still cheap, stops being pricey ⇒ enters the gap.
     d.storage.delete(d.rq, &tuple![1, 30]).unwrap();
     d.storage.insert(d.rq, tuple![1, 5]).unwrap();
-    let result = propagate_with(
-        &net,
-        &d.catalog,
-        &d.storage,
-        CheckLevel::Strict,
-        ExecStrategy::default(),
-    )
-    .unwrap();
+    let got = common::strict_pass(&net, &d.catalog, &d.storage, gap);
     let truth = recompute_delta(&d.catalog, &d.storage, gap).unwrap();
-    assert_eq!(&result.condition_deltas[&gap], &truth);
+    assert_eq!(got, truth);
     assert_eq!(truth.plus(), &[tuple![1]].into_iter().collect());
 
     // And back out of the gap via the other side.
     d.storage.clear_deltas();
     d.storage.delete(d.rq, &tuple![1, 5]).unwrap();
     d.storage.insert(d.rq, tuple![1, 30]).unwrap();
-    let result = propagate_with(
-        &net,
-        &d.catalog,
-        &d.storage,
-        CheckLevel::Strict,
-        ExecStrategy::default(),
-    )
-    .unwrap();
+    let got = common::strict_pass(&net, &d.catalog, &d.storage, gap);
     let truth = recompute_delta(&d.catalog, &d.storage, gap).unwrap();
-    assert_eq!(&result.condition_deltas[&gap], &truth);
+    assert_eq!(got, truth);
     assert_eq!(truth.minus(), &[tuple![1]].into_iter().collect());
 }
 
@@ -234,16 +215,9 @@ fn three_level_chain() {
     storage.begin().unwrap();
     storage.delete(rq, &tuple![1, 10]).unwrap();
     storage.insert(rq, tuple![1, 20]).unwrap();
-    let result = propagate_with(
-        &net,
-        &catalog,
-        &storage,
-        CheckLevel::Strict,
-        ExecStrategy::default(),
-    )
-    .unwrap();
+    let got = common::strict_pass(&net, &catalog, &storage, v3);
     let truth = recompute_delta(&catalog, &storage, v3).unwrap();
-    assert_eq!(&result.condition_deltas[&v3], &truth);
+    assert_eq!(got, truth);
     assert_eq!(truth.plus(), &[tuple![1, 23]].into_iter().collect());
     assert_eq!(truth.minus(), &[tuple![1, 13]].into_iter().collect());
 }

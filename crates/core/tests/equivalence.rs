@@ -17,6 +17,8 @@
 //! an 800-tuple wave on threads, the output order of a bulk pass, and
 //! the adaptive planner's probe counts on skewed data.
 
+mod common;
+
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -26,10 +28,10 @@ use amos_core::adaptive::AdaptivePlanner;
 use amos_core::differ::DiffId;
 use amos_core::naive::full_eval;
 use amos_core::network::PropagationNetwork;
-use amos_core::propagate::CheckLevel::{self, Nervous, Raw, Strict};
 use amos_core::propagate::ExecStrategy::{self, Parallel, Serial};
 use amos_core::propagate::{
-    propagate_adaptive, propagate_with, recompute_delta, PropagationResult, INLINE_WAVE_THRESHOLD,
+    propagate_adaptive, propagate_with, recompute_delta, CheckLevel, PropagationResult,
+    INLINE_WAVE_THRESHOLD,
 };
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::clause::{Clause, ClauseBuilder, Term};
@@ -56,7 +58,6 @@ const MIN_CASES: u32 = 2 * SHAPES as u32;
 /// How many of the bulk block's tuples the transaction after it deletes:
 /// past the 16 from which a Δ-set side is probed through its arrangement.
 const BULK_DELETED: i64 = 32;
-const CHECKS: [CheckLevel; 3] = [Raw, Nervous, Strict];
 const STRATEGIES: [ExecStrategy; 2] = [Serial, Parallel];
 
 /// Whether cases of shape `shape` may carry the bulk block.
@@ -323,19 +324,19 @@ impl World {
             .update(|a| a || delta.is_some_and(|d| d.index_count() > 0));
     }
 
-    fn pass(&self, check: CheckLevel, strategy: ExecStrategy) -> PropagationResult {
-        propagate_with(&self.net, &self.catalog, &self.storage, check, strategy).unwrap()
+    fn pass(&self, strategy: ExecStrategy) -> PropagationResult {
+        let (net, catalog, storage) = (&self.net, &self.catalog, &self.storage);
+        propagate_with(net, catalog, storage, CheckLevel::Nervous, strategy).unwrap()
     }
 
     fn adaptive(
         &self,
-        check: CheckLevel,
         strategy: ExecStrategy,
         shared: &Arc<EvalShared>,
         planner: Option<&AdaptivePlanner>,
     ) -> PropagationResult {
         let (net, catalog, storage) = (&self.net, &self.catalog, &self.storage);
-        propagate_adaptive(net, catalog, storage, check, strategy, shared, planner).unwrap()
+        propagate_adaptive(net, catalog, storage, strategy, shared, planner).unwrap()
     }
 
     /// The condition's exact Δ-set, by evaluation in both states.
@@ -432,26 +433,25 @@ fn counts(planner: &AdaptivePlanner) -> (u64, u64) {
 /// The oracles. Each compares two ways of monitoring the same history.
 #[derive(Debug, Clone, Copy)]
 enum Axis {
-    /// Strict propagation ≡ `recompute_delta`.
+    /// The nervous pass plus the strict filter ≡ `recompute_delta`.
     IncrementalNaive,
     /// Nervous propagation misses no insertion and reports exactly the
     /// real deletions (the §7.2 mandatory check).
     NervousNeverUnderReacts,
-    /// Serial ≡ parallel execution under every check level.
+    /// Serial ≡ parallel execution.
     SerialParallel,
     /// A rolled-back transaction restores the condition and both
     /// relations, in the hash and the sealed layout.
     Rollback,
-    /// Adaptive ≡ static plans, 3 checks × 2 strategies, one warm
-    /// planner.
+    /// Adaptive ≡ static plans under both strategies, one warm planner.
     AdaptiveStatic,
     /// Adaptive serial ≡ adaptive parallel, with equal replan and hit
     /// counts.
     AdaptiveSerialParallel,
-    /// Adaptive monitoring stays exact while statistics drift across
-    /// committed passes.
+    /// Adaptive monitoring, strictly filtered, stays exact while
+    /// statistics drift across committed passes.
     AdaptiveDrift,
-    /// Tabled ≡ untabled derived calls under every check level.
+    /// Tabled ≡ untabled derived calls.
     TabledUntabled,
     /// Tabled parallel ≡ untabled serial.
     TabledParallel,
@@ -486,14 +486,13 @@ impl Axis {
         let mut engaged = false;
         match self {
             Axis::IncrementalNaive => case.world().passes(case, |w, i| {
-                let got = w.pass(Strict, ExecStrategy::default());
+                let got = common::strict_pass(&w.net, &w.catalog, &w.storage, w.cond);
                 let truth = w.truth();
-                let got = Delta::from(&got.condition_deltas[&w.cond]);
-                assert_eq!(got, Delta::from(&truth), "pass {i}");
+                assert_eq!(Delta::from(&got), Delta::from(&truth), "pass {i}");
                 engaged |= !truth.is_empty();
             }),
             Axis::NervousNeverUnderReacts => case.world().passes(case, |w, i| {
-                let got = w.pass(Nervous, ExecStrategy::default());
+                let got = w.pass(ExecStrategy::default());
                 let got = &got.condition_deltas[&w.cond];
                 let truth = w.truth();
                 let missed = truth.plus().difference(got.plus()).collect::<Vec<_>>();
@@ -502,12 +501,9 @@ impl Axis {
                 engaged |= got.plus().len() > truth.plus().len();
             }),
             Axis::SerialParallel => case.world().passes(case, |w, i| {
-                for check in CHECKS {
-                    let (serial, parallel) = (w.pass(check, Serial), w.pass(check, Parallel));
-                    let at = format!("pass {i}, {check:?}");
-                    assert_eq!(Pass::of(&serial), Pass::of(&parallel), "{at}");
-                    engaged |= threaded(case, i, &serial, &parallel);
-                }
+                let (serial, parallel) = (w.pass(Serial), w.pass(Parallel));
+                assert_eq!(Pass::of(&serial), Pass::of(&parallel), "pass {i}");
+                engaged |= threaded(case, i, &serial, &parallel);
             }),
             Axis::Rollback => {
                 for seal in [case.seal, usize::MAX] {
@@ -526,14 +522,10 @@ impl Axis {
             Axis::AdaptiveStatic => {
                 let planner = AdaptivePlanner::new();
                 case.world().passes(case, |w, i| {
-                    for check in CHECKS {
-                        let fixed = Pass::of(&w.pass(check, Serial));
-                        for strategy in STRATEGIES {
-                            let at = format!("pass {i}, {check:?}/{strategy:?}");
-                            let adaptive =
-                                w.adaptive(check, strategy, &Arc::default(), Some(&planner));
-                            assert_eq!(Pass::of(&adaptive), fixed, "{at}");
-                        }
+                    let fixed = Pass::of(&w.pass(Serial));
+                    for strategy in STRATEGIES {
+                        let adaptive = w.adaptive(strategy, &Arc::default(), Some(&planner));
+                        assert_eq!(Pass::of(&adaptive), fixed, "pass {i}, {strategy:?}");
                     }
                 });
                 engaged = planner.hit_count() > 0;
@@ -541,14 +533,11 @@ impl Axis {
             Axis::AdaptiveSerialParallel => {
                 let (sp, pp) = (AdaptivePlanner::new(), AdaptivePlanner::new());
                 case.world().passes(case, |w, i| {
-                    for check in CHECKS {
-                        let at = format!("pass {i}, {check:?}");
-                        let serial = w.adaptive(check, Serial, &Arc::default(), Some(&sp));
-                        let parallel = w.adaptive(check, Parallel, &Arc::default(), Some(&pp));
-                        assert_eq!(Pass::of(&serial), Pass::of(&parallel), "{at}");
-                        assert_eq!(counts(&sp), counts(&pp), "{at}");
-                        engaged |= threaded(case, i, &serial, &parallel);
-                    }
+                    let serial = w.adaptive(Serial, &Arc::default(), Some(&sp));
+                    let parallel = w.adaptive(Parallel, &Arc::default(), Some(&pp));
+                    assert_eq!(Pass::of(&serial), Pass::of(&parallel), "pass {i}");
+                    assert_eq!(counts(&sp), counts(&pp), "pass {i}");
+                    engaged |= threaded(case, i, &serial, &parallel);
                 });
             }
             Axis::AdaptiveDrift => {
@@ -557,12 +546,13 @@ impl Axis {
                 case.world().passes(case, |w, i| {
                     ss.reset_pass();
                     ps.reset_pass();
-                    let serial = w.adaptive(Strict, Serial, &ss, Some(&sp));
-                    let parallel = w.adaptive(Strict, Parallel, &ps, Some(&pp));
+                    let serial = w.adaptive(Serial, &ss, Some(&sp));
+                    let parallel = w.adaptive(Parallel, &ps, Some(&pp));
                     assert_eq!(Pass::of(&serial), Pass::of(&parallel), "pass {i}");
                     threaded(case, i, &serial, &parallel);
-                    let got = Delta::from(&parallel.condition_deltas[&w.cond]);
-                    assert_eq!(got, Delta::from(&w.truth()), "pass {i}");
+                    let got = &parallel.condition_deltas[&w.cond];
+                    let got = common::strict(&w.catalog, &w.storage, w.cond, got);
+                    assert_eq!(Delta::from(&got), Delta::from(&w.truth()), "pass {i}");
                 });
                 assert_eq!(counts(&sp), counts(&pp));
                 // A plan recompiled after its statistics drifted: more
@@ -570,40 +560,32 @@ impl Axis {
                 engaged = sp.replan_count() > sp.cached_plans() as u64;
             }
             Axis::TabledUntabled => case.world().passes(case, |w, i| {
-                for check in CHECKS {
-                    let at = format!("pass {i}, {check:?}");
-                    let tabled = w.adaptive(check, Serial, &Arc::default(), None);
-                    let untabled = w.adaptive(check, Serial, &untabled(), None);
-                    assert_eq!(Pass::of(&tabled), Pass::of(&untabled), "{at}");
-                    let memo = (
-                        untabled.metrics.tabling_hits,
-                        untabled.metrics.tabling_misses,
-                    );
-                    assert_eq!(memo, (0, 0), "{at}: untabled memo");
-                    engaged |= tabled.metrics.tabling_hits > 0;
-                }
+                let tabled = w.adaptive(Serial, &Arc::default(), None);
+                let untabled = w.adaptive(Serial, &untabled(), None);
+                assert_eq!(Pass::of(&tabled), Pass::of(&untabled), "pass {i}");
+                let memo = (
+                    untabled.metrics.tabling_hits,
+                    untabled.metrics.tabling_misses,
+                );
+                assert_eq!(memo, (0, 0), "pass {i}: untabled memo");
+                engaged |= tabled.metrics.tabling_hits > 0;
             }),
             Axis::TabledParallel => case.world().passes(case, |w, i| {
-                for check in CHECKS {
-                    let at = format!("pass {i}, {check:?}");
-                    let tabled = w.adaptive(check, Parallel, &Arc::default(), None);
-                    let untabled = w.adaptive(check, Serial, &untabled(), None);
-                    assert_eq!(Pass::of(&tabled), Pass::of(&untabled), "{at}");
-                    let threads = threaded(case, i, &untabled, &tabled);
-                    engaged |= threads && tabled.metrics.tabling_hits > 0;
-                }
+                let tabled = w.adaptive(Parallel, &Arc::default(), None);
+                let untabled = w.adaptive(Serial, &untabled(), None);
+                assert_eq!(Pass::of(&tabled), Pass::of(&untabled), "pass {i}");
+                let threads = threaded(case, i, &untabled, &tabled);
+                engaged |= threads && tabled.metrics.tabling_hits > 0;
             }),
             Axis::ReusedShared => {
-                // One state across every check level of every pass, reset
-                // between passes as the rule manager resets it.
+                // One state across every pass, reset between passes as
+                // the rule manager resets it.
                 let reused = Arc::<EvalShared>::default();
                 case.world().passes(case, |w, i| {
-                    for check in CHECKS {
-                        reused.reset_pass();
-                        let warm = w.adaptive(check, Serial, &reused, None);
-                        let fresh = w.pass(check, Serial);
-                        assert_eq!(Pass::of(&warm), Pass::of(&fresh), "pass {i}, {check:?}");
-                    }
+                    reused.reset_pass();
+                    let warm = w.adaptive(Serial, &reused, None);
+                    let fresh = w.pass(Serial);
+                    assert_eq!(Pass::of(&warm), Pass::of(&fresh), "pass {i}");
                 });
                 engaged = reused.tabling_hits() > 0;
             }
@@ -612,12 +594,10 @@ impl Axis {
                 for i in 0..case.batches.len() {
                     runs.begin(case, i);
                     hash.begin(case, i);
-                    for check in CHECKS {
-                        let head = Pass::of(&hash.pass(check, Serial));
-                        for strategy in STRATEGIES {
-                            let sealed = Pass::of(&runs.pass(check, strategy));
-                            assert_eq!(sealed, head, "pass {i}, {check:?}/{strategy:?}");
-                        }
+                    let head = Pass::of(&hash.pass(Serial));
+                    for strategy in STRATEGIES {
+                        let sealed = Pass::of(&runs.pass(strategy));
+                        assert_eq!(sealed, head, "pass {i}, {strategy:?}");
                     }
                     assert_eq!(runs.contents(), hash.contents(), "pass {i}");
                     engaged |= runs.has_runs();
@@ -644,19 +624,17 @@ impl Axis {
                         let names = names.map(|d| d.display_name(&w.catalog));
                         names.filter(|n| !pruned.contains(n)).collect::<Vec<_>>()
                     };
-                    for check in CHECKS {
-                        let at = format!("pass {i}, {check:?}");
-                        let strategy = ExecStrategy::default();
-                        let full =
-                            propagate_with(&unpruned, &w.catalog, &w.storage, check, strategy);
-                        let (full, lean) = (full.unwrap(), w.pass(check, strategy));
-                        assert_eq!(fired(&unpruned, &full), fired(&w.net, &lean), "{at}");
-                        let unordered = |r| Pass {
-                            fired: vec![],
-                            ..Pass::of(r)
-                        };
-                        assert_eq!(unordered(&full), unordered(&lean), "{at}");
-                    }
+                    let strategy = ExecStrategy::default();
+                    let (catalog, storage) = (&w.catalog, &w.storage);
+                    let full =
+                        propagate_with(&unpruned, catalog, storage, CheckLevel::Nervous, strategy);
+                    let (full, lean) = (full.unwrap(), w.pass(strategy));
+                    assert_eq!(fired(&unpruned, &full), fired(&w.net, &lean), "pass {i}");
+                    let unordered = |r| Pass {
+                        fired: vec![],
+                        ..Pass::of(r)
+                    };
+                    assert_eq!(unordered(&full), unordered(&lean), "pass {i}");
                 });
                 engaged = !pruned.is_empty();
             }
@@ -742,13 +720,11 @@ fn large_wave_takes_threads_and_stays_exact() {
         w.storage.insert(w.rq, tuple![i, i % 17]).unwrap();
         w.storage.insert(w.rr, tuple![i % 17, i]).unwrap();
     }
-    for check in CHECKS {
-        let (serial, parallel) = (w.pass(check, Serial), w.pass(check, Parallel));
-        assert_eq!(Pass::of(&serial), Pass::of(&parallel));
-        assert_eq!(parallel.metrics.levels[0].wave_tuples, 800);
-        assert!(parallel.metrics.levels[0].parallel);
-        assert!(serial.metrics.levels.iter().all(|l| !l.parallel));
-    }
+    let (serial, parallel) = (w.pass(Serial), w.pass(Parallel));
+    assert_eq!(Pass::of(&serial), Pass::of(&parallel));
+    assert_eq!(parallel.metrics.levels[0].wave_tuples, 800);
+    assert!(parallel.metrics.levels[0].parallel);
+    assert!(serial.metrics.levels.iter().all(|l| !l.parallel));
 }
 
 /// What a pass reports per differential, in order: the timing row's
@@ -779,7 +755,7 @@ fn bulk_pass_output_order_is_a_property_of_the_delta_set() {
             w.storage.insert(w.rq, tuple![i, 1000 + i]).unwrap();
             w.storage.insert(w.rr, tuple![1000 + i, i % 17]).unwrap();
         }
-        per_differential(&w.pass(Strict, strategy))
+        per_differential(&w.pass(strategy))
     };
     let reference = pass(false, Serial);
     assert!(reference.iter().any(|(_, _, accepted, _)| *accepted > 16));
@@ -839,8 +815,7 @@ fn adaptive_planning_probes_the_functional_literal_first_on_skew() {
             storage.insert(rs, tuple![x % 1_000, x % GROUPS]).unwrap();
         }
         shared.reset_pass();
-        let result =
-            propagate_adaptive(&net, &catalog, &storage, Nervous, Parallel, shared, planner);
+        let result = propagate_adaptive(&net, &catalog, &storage, Parallel, shared, planner);
         storage.rollback().unwrap();
         result.unwrap()
     };

@@ -1,12 +1,14 @@
 //! Linear recursion through the propagation network (§5 note 1):
 //! transitive closure (`reach`) monitored incrementally — semi-naive
 //! closure for insertions, exact recompute fallback for deletions —
-//! always matching naive recomputation.
+//! always matching naive recomputation once strictly filtered.
+
+mod common;
 
 use amos_types::FxHashSet as HashSet;
 
 use amos_core::network::PropagationNetwork;
-use amos_core::propagate::{propagate_with, recompute_delta, CheckLevel, ExecStrategy};
+use amos_core::propagate::recompute_delta;
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::clause::{ClauseBuilder, Term};
 use amos_storage::{RelId, Storage};
@@ -76,16 +78,9 @@ fn inserting_an_edge_extends_closure_incrementally() {
     w.storage.begin().unwrap();
     // Bridge the two components: 2 → 3 adds 1→3, 1→4, 2→3, 2→4.
     w.storage.insert(w.re, tuple![2, 3]).unwrap();
-    let result = propagate_with(
-        &net,
-        &w.catalog,
-        &w.storage,
-        CheckLevel::Strict,
-        ExecStrategy::default(),
-    )
-    .unwrap();
+    let got = common::strict_pass(&net, &w.catalog, &w.storage, w.reach);
     let truth = recompute_delta(&w.catalog, &w.storage, w.reach).unwrap();
-    assert_eq!(&result.condition_deltas[&w.reach], &truth);
+    assert_eq!(got, truth);
     let expected: HashSet<Tuple> = [tuple![2, 3], tuple![2, 4], tuple![1, 3], tuple![1, 4]]
         .into_iter()
         .collect();
@@ -100,16 +95,9 @@ fn deleting_an_edge_falls_back_to_exact_recompute() {
     w.storage.begin().unwrap();
     // Cut the chain in the middle: everything crossing 2→3 disappears.
     w.storage.delete(w.re, &tuple![2, 3]).unwrap();
-    let result = propagate_with(
-        &net,
-        &w.catalog,
-        &w.storage,
-        CheckLevel::Strict,
-        ExecStrategy::default(),
-    )
-    .unwrap();
+    let got = common::strict_pass(&net, &w.catalog, &w.storage, w.reach);
     let truth = recompute_delta(&w.catalog, &w.storage, w.reach).unwrap();
-    assert_eq!(&result.condition_deltas[&w.reach], &truth);
+    assert_eq!(got, truth);
     let expected: HashSet<Tuple> = [tuple![2, 3], tuple![2, 4], tuple![1, 3], tuple![1, 4]]
         .into_iter()
         .collect();
@@ -122,16 +110,9 @@ fn cycle_creation_terminates_and_is_exact() {
     let net = PropagationNetwork::build(&w.catalog, &mut w.storage, &[w.reach]).unwrap();
     w.storage.begin().unwrap();
     w.storage.insert(w.re, tuple![3, 1]).unwrap(); // close the cycle
-    let result = propagate_with(
-        &net,
-        &w.catalog,
-        &w.storage,
-        CheckLevel::Strict,
-        ExecStrategy::default(),
-    )
-    .unwrap();
+    let got = common::strict_pass(&net, &w.catalog, &w.storage, w.reach);
     let truth = recompute_delta(&w.catalog, &w.storage, w.reach).unwrap();
-    assert_eq!(&result.condition_deltas[&w.reach], &truth);
+    assert_eq!(got, truth);
     // All 9 pairs now reachable; 2 were already (1→2, 2→3), 1→3 too.
     assert_eq!(truth.plus().len(), 9 - 3);
 }
@@ -154,16 +135,9 @@ fn randomized_transactions_match_recompute() {
                 w.storage.delete(w.re, &tuple![a, b]).unwrap();
             }
         }
-        let result = propagate_with(
-            &net,
-            &w.catalog,
-            &w.storage,
-            CheckLevel::Strict,
-            ExecStrategy::default(),
-        )
-        .unwrap();
+        let got = common::strict_pass(&net, &w.catalog, &w.storage, w.reach);
         let truth = recompute_delta(&w.catalog, &w.storage, w.reach).unwrap();
-        assert_eq!(&result.condition_deltas[&w.reach], &truth);
+        assert_eq!(got, truth);
         w.storage.commit().unwrap();
     }
 }
@@ -188,9 +162,9 @@ proptest! {
                 w.storage.delete(w.re, &tuple![a, b]).unwrap();
             }
         }
-        let result = propagate_with(&net, &w.catalog, &w.storage, CheckLevel::Strict, ExecStrategy::default()).unwrap();
+        let got = common::strict_pass(&net, &w.catalog, &w.storage, w.reach);
         let truth = recompute_delta(&w.catalog, &w.storage, w.reach).unwrap();
-        prop_assert_eq!(&result.condition_deltas[&w.reach], &truth);
+        prop_assert_eq!(got, truth);
     }
 }
 

@@ -296,13 +296,6 @@ impl Amos {
         self.rules.set_mode(mode);
     }
 
-    /// Switch the §7.2 correction-check level used by propagation passes
-    /// (raw / nervous / strict — ablation knob). Takes effect from the
-    /// next pass.
-    pub fn set_check_level(&mut self, level: amos_core::CheckLevel) {
-        self.rules.check = level;
-    }
-
     /// Instrumentation of the most recent propagation pass, if any.
     pub fn last_pass_metrics(&self) -> Option<&amos_metrics::PassMetrics> {
         self.rules.last_trace().last_metrics()

@@ -6,8 +6,7 @@
 //! summaries (DESIGN.md invariant 10), and while recovery adopts exactly
 //! the durable prefix of that history. One generator draws a [`Case`]: a
 //! world of 4–6 items whose rules note low stock and/or refill it (a
-//! write-back cascade), k sessions, a check level, an execution
-//! strategy, a WAL group window, and a seeded interleaving of
+//! write-back cascade), k sessions, an execution strategy, a WAL group window, and a seeded interleaving of
 //! transactions over one statement generator. Three drivers produce
 //! histories: concurrent sessions ([`concurrent`]), a replay on an
 //! embedded engine ([`serial`]), and recovery from a WAL directory
@@ -33,7 +32,7 @@ use std::sync::{Arc, Mutex};
 
 use amos_core::rules::CheckSummary;
 use amos_db::{
-    Amos, CheckLevel, DbError, EngineOptions, ExecResult, ExecStrategy, MonitorMode, RecoveryInfo,
+    Amos, DbError, EngineOptions, ExecResult, ExecStrategy, MonitorMode, RecoveryInfo,
     SharedEngine, Tuple, Value, WalConfig,
 };
 use amos_storage::wal::WAL_MAGIC;
@@ -41,9 +40,8 @@ use amos_storage::{read_wal_bytes, LogOp, SNAPSHOT_FILE, WAL_FILE};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
-const LEVELS: [CheckLevel; 3] = [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict];
 /// The cases an axis runs unless `PROPTEST_CASES` asks for more: 16
-/// histories under each check level.
+/// histories under each rule set.
 const MIN_CASES: u32 = 48;
 /// Transactions each session commits.
 const TXNS: usize = 3;
@@ -126,15 +124,14 @@ fn transaction(rng: &mut TestRng, items: usize) -> Vec<String> {
     (0..n).map(|_| statement(rng, items)).collect()
 }
 
-/// One generated history. `level` and the rule set follow from the case
-/// number, so every 9 cases meet each combination; the rest is drawn.
+/// One generated history. The rule set follows from the case number, so
+/// every 3 cases meet each; the rest is drawn.
 /// `trace` keeps the interleaving the last concurrent run took.
 struct Case {
     n: u32,
     items: usize,
     low: bool,
     refill: bool,
-    level: CheckLevel,
     strategy: ExecStrategy,
     window: usize,
     seed: u64,
@@ -158,14 +155,13 @@ impl Case {
             1 | 2 => 2,
             _ => 1 + rng.usize_below(8),
         };
-        let rules = (n / 3) % 3;
+        let rules = n % 3;
         let txns = |rng: &mut TestRng| (0..TXNS).map(|_| transaction(rng, items)).collect();
         Case {
             n,
             items,
             low: rules != 1,
             refill: rules != 0,
-            level: LEVELS[(n % 3) as usize],
             strategy: [ExecStrategy::Serial, ExecStrategy::Parallel][rng.usize_below(2)],
             window: 1 + rng.usize_below(4),
             seed: rng.next_u64(),
@@ -217,7 +213,6 @@ impl Case {
             propagation: self.strategy,
             ..EngineOptions::default()
         });
-        db.set_check_level(self.level);
         db.set_monitor_mode(mode);
         let noted: Arc<Mutex<Vec<Value>>> = Arc::default();
         let sink = noted.clone();
@@ -262,9 +257,8 @@ impl fmt::Display for Case {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "-- case {}: {:?}, {:?}, {} sessions, WAL window {}, interleaving seed {}",
+            "-- case {}: {:?}, {} sessions, WAL window {}, interleaving seed {}",
             self.n,
-            self.level,
             self.strategy,
             self.sessions.len(),
             self.window,

@@ -5,7 +5,7 @@
 //! terminate under Strict semantics in bounded passes.
 
 use amos_db::engine::NetworkPrep;
-use amos_db::{Amos, CheckLevel, DbError, EngineOptions, LintCode, LintConfig, Severity, Value};
+use amos_db::{Amos, DbError, EngineOptions, LintCode, LintConfig, Severity, Value};
 use amos_objectlog::clause::ClauseBuilder;
 use amos_objectlog::Term;
 use proptest::prelude::*;
@@ -185,8 +185,8 @@ fn lint_script_accepts_the_clean_inventory_schema() {
 // ---------------------------------------------------------------------
 
 /// Run the inventory workload with and without the append-only marks
-/// and compare every commit's `CheckSummary` across all check levels ×
-/// execution strategies. Pruned networks must be bit-identical in
+/// and compare every commit's `CheckSummary` under both execution
+/// strategies. Pruned networks must be bit-identical in
 /// observable behaviour (the Δ₋ sets they skip are always empty).
 #[test]
 fn pruned_network_matches_unpruned_check_summaries() {
@@ -239,30 +239,19 @@ fn pruned_network_matches_unpruned_check_summaries() {
         summaries.into_iter().map(|(_, s)| s).collect()
     };
 
-    for check in [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict] {
-        for strategy in [ExecStrategy::Serial, ExecStrategy::Parallel] {
-            let opts = || EngineOptions {
-                propagation: strategy,
-                ..EngineOptions::default()
-            };
-            let mut plain = Amos::with_options(opts());
-            plain.set_check_level(check);
-            let baseline = run_world(&mut plain, false);
-
-            let mut marked = Amos::with_options(opts());
-            marked.set_check_level(check);
-            let pruned = run_world(&mut marked, true);
-
-            assert_eq!(
-                baseline, pruned,
-                "summaries diverged at {check:?}/{strategy:?}"
-            );
-        }
+    for strategy in [ExecStrategy::Serial, ExecStrategy::Parallel] {
+        let opts = || EngineOptions {
+            propagation: strategy,
+            ..EngineOptions::default()
+        };
+        let baseline = run_world(&mut Amos::with_options(opts()), false);
+        let pruned = run_world(&mut Amos::with_options(opts()), true);
+        assert_eq!(baseline, pruned, "summaries diverged at {strategy:?}");
     }
 }
 
 // ---------------------------------------------------------------------
-// Satellite: accepted rule sets terminate under Strict
+// Satellite: accepted strict rule sets terminate
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -270,8 +259,8 @@ proptest! {
 
     /// Generate small acyclic cascades — rule k monitors level k and
     /// writes level k+1 — which L002/L003 accept (no recursion, no
-    /// triggering cycle), and check that a Strict check phase
-    /// terminates within the bounded number of cascade passes.
+    /// triggering cycle), and check that the check phase of these strict
+    /// rules terminates within the bounded number of cascade passes.
     #[test]
     fn accepted_rule_sets_terminate_under_strict(
         depth in 1usize..4,
@@ -279,7 +268,6 @@ proptest! {
     ) {
         let mut db = Amos::new();
         quiet(&mut db);
-        db.set_check_level(CheckLevel::Strict);
         db.execute("create type item;").unwrap();
         for lvl in 0..=depth {
             db.execute(&format!("create function lvl{lvl}(item i) -> integer;"))
@@ -321,7 +309,7 @@ proptest! {
         prop_assert!(fired >= depth, "cascade did not run to completion");
         prop_assert!(
             passes <= depth + 2,
-            "Strict check phase needed {passes} passes for depth {depth}"
+            "the check phase needed {passes} passes for depth {depth}"
         );
         let val = db.query(&format!("select lvl{depth}(:x);")).unwrap();
         prop_assert_eq!(val[0][0].clone(), Value::Int(1 + seed));

@@ -85,10 +85,10 @@ impl fmt::Display for Severity {
 }
 
 /// Declarative registry of lint codes: one line per code declares the
-/// variant, its one-line description, and its default severity, and the
-/// macro derives every table that used to be maintained by hand —
-/// `all()`, `parse()`, `describe()`, `index()`, `Display`, and the
-/// [`LintConfig`] default-severity array. Adding a code is one line.
+/// variant, its one-line description (the variant's doc), and its
+/// default severity, and the macro derives every table that used to be
+/// maintained by hand — `all()`, `parse()`, `index()`, `Display`, and
+/// the [`LintConfig`] default-severity array. Adding a code is one line.
 macro_rules! lint_codes {
     ($($(#[$meta:meta])* $code:ident => $title:literal, $default:ident;)+) => {
         /// Stable lint pass codes.
@@ -112,16 +112,6 @@ macro_rules! lint_codes {
                     return Some(LintCode::$code);
                 })+
                 None
-            }
-
-            /// One-line pass description.
-            pub fn describe(self) -> &'static str {
-                match self { $(LintCode::$code => $title,)+ }
-            }
-
-            /// Severity before any configuration overrides.
-            pub fn default_severity(self) -> Severity {
-                match self { $(LintCode::$code => Severity::$default,)+ }
             }
 
             fn index(self) -> usize {

@@ -50,11 +50,11 @@ pub struct DiffTiming {
     pub affected: String,
     /// Network level of the influent node that seeded the run.
     pub level: usize,
-    /// Wall-clock time of plan execution plus checks.
+    /// Wall-clock time of plan execution plus the check.
     pub nanos: u64,
-    /// Tuples produced by the differential before §7.2 checks.
+    /// Tuples produced by the differential before the §7.2 check.
     pub candidates: usize,
-    /// Tuples surviving the checks (merged with `∪Δ`).
+    /// Tuples surviving the check (merged with `∪Δ`).
     pub accepted: usize,
     /// Planner's estimated output rows for the executed plan, when the
     /// statistics-backed estimator produced one (`None` under the static
@@ -63,7 +63,7 @@ pub struct DiffTiming {
 }
 
 impl DiffTiming {
-    /// Candidates rejected by the §7.2 correction checks.
+    /// Candidates rejected by the §7.2 deletion check.
     pub fn rejected(&self) -> usize {
         self.candidates - self.accepted
     }
@@ -90,15 +90,13 @@ pub struct LevelStats {
 pub struct PassMetrics {
     /// Execution strategy (`"serial"` or `"parallel"`).
     pub strategy: String,
-    /// Check level the pass ran under (`"raw"`/`"nervous"`/`"strict"`).
-    pub check: String,
     /// Wall-clock time of the whole pass.
     pub nanos: u64,
     /// Differentials that fired (were recorded in the trace).
     pub fired: usize,
     /// Total candidate tuples across all differentials.
     pub candidates: usize,
-    /// Total candidates rejected by checks.
+    /// Total candidates rejected by the §7.2 deletion check.
     pub rejected: usize,
     /// Derived-call memo ("tabling") hits during the pass — evaluations
     /// shared across differentials instead of recomputed.
@@ -155,9 +153,8 @@ impl PassMetrics {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "propagation pass: strategy={} check={} time={:.3}ms fired={} candidates={} rejected={} tabling_hits={} tabling_misses={}",
+            "propagation pass: strategy={} time={:.3}ms fired={} candidates={} rejected={} tabling_hits={} tabling_misses={}",
             self.strategy,
-            self.check,
             self.nanos as f64 / 1e6,
             self.fired,
             self.candidates,
@@ -222,7 +219,6 @@ mod tests {
     fn sample() -> PassMetrics {
         PassMetrics {
             strategy: "parallel".into(),
-            check: "strict".into(),
             nanos: 1_500_000,
             fired: 2,
             candidates: 5,
@@ -265,7 +261,7 @@ mod tests {
     #[test]
     fn render_mentions_every_section() {
         let text = sample().render();
-        assert!(text.contains("strategy=parallel"));
+        assert!(text.contains("propagation pass: strategy=parallel time=1.500ms"));
         assert!(text.contains("tabling_hits=4"));
         assert!(text.contains("level 0: active_nodes=2"));
         assert!(text.contains("accepted=4 rejected=1"));

@@ -15,8 +15,9 @@
 //! `Tuple` each index op built, the per-key `FxHashSet` (a key's tuples
 //! are now a `Vec` under the key's fingerprint), the growth of the
 //! pending maintenance log, and the regrowth of the `key.to_vec()` that
-//! `rest` was appended to. The budget is the count after. Driving it
-//! down is ROADMAP item 16.
+//! `rest` was appended to; 56 since a pass no longer names its check
+//! level, which dropped the `String` `PassMetrics::check` held. The
+//! budget is the count after. Driving it down is ROADMAP item 16.
 //!
 //! Its own test binary: the counting allocator is process-wide, and the
 //! one test here is the only thread allocating while the count runs.
@@ -65,7 +66,7 @@ const WARM_UP: usize = 20;
 /// Transactions counted; the budget holds for the most expensive.
 const COUNTED: usize = 200;
 /// Allocations one transaction may make.
-const BUDGET: u64 = 57;
+const BUDGET: u64 = 56;
 
 #[test]
 fn a_one_update_transaction_stays_within_its_allocation_budget() {

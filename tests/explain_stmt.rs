@@ -115,7 +115,10 @@ fn explain_rule_reports_pass_metrics() {
 
     let out = text(db.execute("explain rule low;").unwrap());
     assert!(out.contains("last propagation pass:"), "{out}");
-    assert!(out.contains("strategy=parallel check=nervous"), "{out}");
+    assert!(
+        out.contains("propagation pass: strategy=parallel time="),
+        "{out}"
+    );
     assert!(out.contains("candidates="), "{out}");
     assert!(out.contains("Δcnd_low/Δ+quantity"), "{out}");
 

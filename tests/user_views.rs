@@ -12,7 +12,7 @@ use amos_core::aggregate::AggFn;
 use amos_core::maintained::ClosureView;
 use amos_core::rules::CheckSummary;
 use amos_core::CoreError;
-use amos_db::{Amos, CheckLevel, Tuple, Value, WalConfig};
+use amos_db::{Amos, Tuple, Value, WalConfig};
 use amos_storage::{DeltaSet, Storage};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -214,9 +214,8 @@ fn closure_view_with_user_differential() {
 /// `bonus` adds an amount when an account opens, and `clawback` removes
 /// it when the account's largest amount passes 90 — a cascade through a
 /// view.
-fn accounts(level: CheckLevel) -> Amos {
+fn accounts() -> Amos {
     let mut db = Amos::new();
-    db.set_check_level(level);
     db.execute(
         "create type acct;
          create function amount(acct a, integer x) -> integer;
@@ -279,7 +278,7 @@ fn total(db: &Amos, acct: &str) -> Value {
 /// after the action folds it.
 #[test]
 fn rule_action_writes_to_a_source_reach_its_view() {
-    let mut db = accounts(CheckLevel::Nervous);
+    let mut db = accounts();
     db.execute("add amount(:a1, 1) = 10; set opened(:a1) = 1;")
         .unwrap();
     assert_eq!(total(&db, "a1"), Value::Int(50), "10 + the bonus's 40");
@@ -297,7 +296,7 @@ fn rule_action_writes_to_a_source_reach_its_view() {
 /// restores the view's own state, not only its backing relation.
 #[test]
 fn rollback_after_check_now_restores_the_view() {
-    let mut db = accounts(CheckLevel::Nervous);
+    let mut db = accounts();
     db.execute("begin; add amount(:a1, 1) = 10;").unwrap();
     db.check_now().unwrap();
     db.execute("rollback; add amount(:a1, 2) = 5;").unwrap();
@@ -339,20 +338,18 @@ fn view_registered_before_a_late_attach_wal_sums_the_recovered_rows() {
 }
 
 /// `sum`/`min`/`max` views ≡ a recompute from their source after every
-/// transaction of a generated history, at each check level. The
+/// transaction of a generated history. The
 /// transactions add, remove and open accounts, so rule actions write
 /// the source; some run a check phase mid-transaction and then commit
 /// or roll back. `PROPTEST_CASES` raises the case count.
 #[test]
 fn views_equal_recompute_after_random_transactions() {
-    const LEVELS: [CheckLevel; 3] = [CheckLevel::Raw, CheckLevel::Nervous, CheckLevel::Strict];
     let cases = ProptestConfig::with_cases(48).resolved_cases();
     let mut rng = TestRng::for_test("views_equal_recompute_after_random_transactions");
     let (mut bonus, mut clawback, mut restored) = (false, false, false);
     for n in 0..cases {
-        let level = LEVELS[n as usize % 3];
-        let mut db = accounts(level);
-        let mut history = format!("-- case {n}: {level:?}\n");
+        let mut db = accounts();
+        let mut history = format!("-- case {n}\n");
         for _ in 0..12 {
             let mut below = |k: usize| rng.usize_below(k);
             let stmts: Vec<String> = (0..1 + below(3))
