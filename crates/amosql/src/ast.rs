@@ -220,13 +220,4 @@ pub enum Statement {
     /// `explain rule name;` — show the rule's condition, differentials,
     /// and its slice of the propagation network.
     ExplainRule(String),
-    /// `monitor rule name naive|incremental|auto;` — pin (or, with
-    /// `auto`, unpin) the rule's monitoring strategy, overriding the
-    /// hybrid cost model.
-    MonitorRule {
-        /// The rule to pin.
-        rule: String,
-        /// The strategy: `"naive"`, `"incremental"`, or `"auto"`.
-        pin: String,
-    },
 }

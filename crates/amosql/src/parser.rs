@@ -163,19 +163,6 @@ impl Parser {
             } else {
                 Statement::ExplainSelect(self.select()?)
             }
-        } else if self.at_keyword("monitor")
-            && matches!(self.peek2(), Some(Token::Ident(s)) if s == "rule")
-        {
-            self.keyword("monitor")?;
-            self.keyword("rule")?;
-            let rule = self.ident()?;
-            let pin = match self.peek() {
-                Some(Token::Ident(s)) if matches!(s.as_str(), "naive" | "incremental" | "auto") => {
-                    self.ident()?
-                }
-                _ => return Err(self.err_here("expected `naive`, `incremental`, or `auto`")),
-            };
-            Statement::MonitorRule { rule, pin }
         } else if self.eat_keyword("begin") {
             Statement::Begin
         } else if self.eat_keyword("commit") {
@@ -723,27 +710,6 @@ mod tests {
         let err = parse("create function f(item i) -> integer append only as select quantity(i);")
             .unwrap_err();
         assert!(err.message.contains("append only"), "{}", err.message);
-    }
-
-    #[test]
-    fn monitor_rule_pins() {
-        let stmts = parse("monitor rule monitor_items naive;").unwrap();
-        assert_eq!(
-            stmts[0],
-            Statement::MonitorRule {
-                rule: "monitor_items".into(),
-                pin: "naive".into(),
-            }
-        );
-        // A bad mode is rejected with the accepted alternatives.
-        let err = parse("monitor rule r sometimes;").unwrap_err();
-        assert!(err.message.contains("`naive`"), "{}", err.message);
-        // `monitor(...)` remains an ordinary procedure call.
-        let stmts = parse("monitor(:a);").unwrap();
-        assert!(matches!(
-            &stmts[0],
-            Statement::CallProc { name, .. } if name == "monitor"
-        ));
     }
 
     #[test]

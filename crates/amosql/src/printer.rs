@@ -232,7 +232,6 @@ impl fmt::Display for Statement {
             Statement::DropRule(r) => write!(f, "drop rule {r};"),
             Statement::ExplainSelect(s) => write!(f, "explain {s};"),
             Statement::ExplainRule(r) => write!(f, "explain rule {r};"),
-            Statement::MonitorRule { rule, pin } => write!(f, "monitor rule {rule} {pin};"),
             Statement::Begin => write!(f, "begin;"),
             Statement::Commit => write!(f, "commit;"),
             Statement::Rollback => write!(f, "rollback;"),
@@ -288,9 +287,6 @@ mod tests {
         roundtrip("select a, b for each item a, item b where a = b or not p(a);");
         roundtrip("activate r(:a);");
         roundtrip("deactivate r();");
-        roundtrip("monitor rule r naive;");
-        roundtrip("monitor rule r incremental;");
-        roundtrip("monitor rule r auto;");
         roundtrip("begin; commit; rollback;");
         roundtrip("order(:a, 2.5);");
         roundtrip(

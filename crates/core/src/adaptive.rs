@@ -39,63 +39,6 @@ use crate::error::CoreError;
 /// factor (in either direction).
 pub const DRIFT_RATIO: f64 = 4.0;
 
-/// Static statistic ceilings derived at activation time from the
-/// catalog's declared signatures and the whole-catalog abstract
-/// interpretation (`amos_lint::absint`): a boolean column can never hold
-/// more than two distinct values, and a column whose every use site
-/// bounds it to an interval can never have more than interval-width
-/// distinct values probed. Live NDV measurements are clamped to these
-/// ceilings, which matters most on cold start — an empty or barely
-/// loaded relation measures NDV 0/1 and would otherwise leave the cost
-/// model blind to the column's real spread.
-#[derive(Debug, Clone, Default)]
-pub struct StaticBounds {
-    ndv_caps: FxHashMap<(RelId, usize), f64>,
-}
-
-impl StaticBounds {
-    /// Derive ceilings for every stored relation column in the catalog.
-    pub fn from_catalog(catalog: &Catalog, analysis: &amos_lint::absint::Analysis) -> Self {
-        let mut ndv_caps = FxHashMap::default();
-        for def in catalog.iter() {
-            let PredKind::Stored { rel, .. } = def.kind else {
-                continue;
-            };
-            for (col, &ty) in def.signature.iter().enumerate() {
-                let mut cap: Option<f64> = None;
-                if ty == amos_types::TypeId::BOOLEAN {
-                    cap = Some(2.0);
-                }
-                if let Some(width) = analysis
-                    .stored_column_usage(catalog, def.id, col)
-                    .and_then(|iv| iv.width())
-                {
-                    cap = Some(cap.map_or(width, |c| c.min(width)));
-                }
-                if let Some(cap) = cap {
-                    ndv_caps.insert((rel, col), cap);
-                }
-            }
-        }
-        StaticBounds { ndv_caps }
-    }
-
-    /// The static NDV ceiling of a relation column, when one is known.
-    pub fn ndv_cap(&self, rel: RelId, col: usize) -> Option<f64> {
-        self.ndv_caps.get(&(rel, col)).copied()
-    }
-
-    /// Number of bounded columns (introspection / tests).
-    pub fn len(&self) -> usize {
-        self.ndv_caps.len()
-    }
-
-    /// Whether no column has a ceiling.
-    pub fn is_empty(&self) -> bool {
-        self.ndv_caps.is_empty()
-    }
-}
-
 /// Live statistics: storage cardinalities/NDVs plus the frozen wave's
 /// Δ-set sizes, exposed to the [`compile_clause_with`] estimator.
 pub struct LiveStats<'a> {
@@ -105,8 +48,6 @@ pub struct LiveStats<'a> {
     pub catalog: &'a Catalog,
     /// The wave's Δ-sets, keyed by influent predicate.
     pub deltas: &'a DeltaMap,
-    /// Static ceilings clamping the live measurements, when available.
-    pub bounds: Option<&'a StaticBounds>,
 }
 
 impl PlanStats for LiveStats<'_> {
@@ -115,15 +56,7 @@ impl PlanStats for LiveStats<'_> {
     }
 
     fn ndv(&self, rel: RelId, col: usize) -> Option<f64> {
-        let live = self.storage.relation(rel).ndv(col) as f64;
-        match self.bounds.and_then(|b| b.ndv_cap(rel, col)) {
-            // The ceiling also lifts a cold-start measurement: with no
-            // tuples yet, the column's eventual spread is still at most
-            // (and plausibly close to) the static cap.
-            Some(cap) if live == 0.0 => Some(cap),
-            Some(cap) => Some(live.min(cap)),
-            None => Some(live),
-        }
+        Some(self.storage.relation(rel).ndv(col) as f64)
     }
 
     fn delta_len(&self, pred: PredId, polarity: Polarity) -> Option<f64> {
@@ -192,9 +125,6 @@ struct CachedPlan {
 #[derive(Default)]
 pub struct AdaptivePlanner {
     plans: RwLock<FxHashMap<DiffId, CachedPlan>>,
-    /// Static ceilings applied to live statistics (set after each
-    /// network build, cleared by [`AdaptivePlanner::reset`]).
-    bounds: RwLock<Option<Arc<StaticBounds>>>,
     replans: AtomicU64,
     hits: AtomicU64,
 }
@@ -226,12 +156,10 @@ impl AdaptivePlanner {
         storage: &Storage,
         deltas: &DeltaMap,
     ) -> Result<Arc<Plan>, CoreError> {
-        let bounds = self.bounds.read().ok().and_then(|b| b.clone());
         let stats = LiveStats {
             storage,
             catalog,
             deltas,
-            bounds: bounds.as_deref(),
         };
         let fingerprint = StatsFingerprint::capture(diff, catalog, &stats);
         if let Ok(cache) = self.plans.read() {
@@ -274,27 +202,11 @@ impl AdaptivePlanner {
         self.plans.read().map(|p| p.len()).unwrap_or(0)
     }
 
-    /// Install static statistic ceilings (computed at activation from
-    /// the catalog and abstract interpretation).
-    pub fn set_static_bounds(&self, bounds: StaticBounds) {
-        if let Ok(mut b) = self.bounds.write() {
-            *b = Some(Arc::new(bounds));
-        }
-    }
-
-    /// The installed static ceilings, if any.
-    pub fn static_bounds(&self) -> Option<Arc<StaticBounds>> {
-        self.bounds.read().ok().and_then(|b| b.clone())
-    }
-
     /// Drop all cached plans and counters (network rebuilt: DiffIds are
     /// reassigned, so cached entries would alias new differentials).
     pub fn reset(&self) {
         if let Ok(mut cache) = self.plans.write() {
             cache.clear();
-        }
-        if let Ok(mut b) = self.bounds.write() {
-            *b = None;
         }
         self.replans.store(0, Ordering::Relaxed);
         self.hits.store(0, Ordering::Relaxed);
@@ -404,67 +316,6 @@ mod tests {
             "bulk Δ is probed from a scan of small: {:?}",
             p3.steps
         );
-    }
-
-    /// Static bounds clamp (and cold-start-lift) live NDV measurements:
-    /// boolean columns cap at 2, interval-bounded uses cap at the hull
-    /// width, and unbounded columns pass the live value through.
-    #[test]
-    fn static_bounds_clamp_ndv() {
-        let mut storage = Storage::new();
-        let rflag = storage.create_relation("flag", 2).unwrap();
-        let mut catalog = Catalog::new();
-        let flag = catalog
-            .define_stored("flag", vec![TypeId::INTEGER, TypeId::BOOLEAN], rflag, 1)
-            .unwrap();
-        // Every use of flag's integer column bounds it to [0, 9].
-        catalog
-            .define_derived(
-                "low",
-                vec![TypeId::INTEGER],
-                vec![ClauseBuilder::new(2)
-                    .head([Term::var(0)])
-                    .pred(flag, [Term::var(0), Term::var(1)])
-                    .cmp(Term::var(0), amos_types::CmpOp::Ge, Term::val(0))
-                    .cmp(Term::var(0), amos_types::CmpOp::Lt, Term::val(10))
-                    .build()],
-            )
-            .unwrap();
-        let analysis = amos_lint::absint::analyze(&catalog);
-        let bounds = StaticBounds::from_catalog(&catalog, &analysis);
-        assert_eq!(bounds.ndv_cap(rflag, 0), Some(10.0), "interval hull");
-        assert_eq!(bounds.ndv_cap(rflag, 1), Some(2.0), "boolean column");
-        assert!(!bounds.is_empty());
-
-        let deltas = DeltaMap::new();
-        let stats = LiveStats {
-            storage: &storage,
-            catalog: &catalog,
-            deltas: &deltas,
-            bounds: Some(&bounds),
-        };
-        // Cold start: no tuples, live NDV 0 → lifted to the cap.
-        assert_eq!(stats.ndv(rflag, 1), Some(2.0));
-        for i in 0..100 {
-            storage.insert(rflag, tuple![i, i % 2 == 0]).unwrap();
-        }
-        let stats = LiveStats {
-            storage: &storage,
-            catalog: &catalog,
-            deltas: &deltas,
-            bounds: Some(&bounds),
-        };
-        // 100 live values clamp to the interval hull; the boolean's live
-        // NDV is already within its cap.
-        assert_eq!(stats.ndv(rflag, 0), Some(10.0));
-        assert_eq!(stats.ndv(rflag, 1), Some(2.0));
-
-        // The planner carries bounds until reset.
-        let planner = AdaptivePlanner::new();
-        planner.set_static_bounds(bounds);
-        assert!(planner.static_bounds().is_some());
-        planner.reset();
-        assert!(planner.static_bounds().is_none());
     }
 
     #[test]

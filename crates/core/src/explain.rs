@@ -9,16 +9,12 @@
 //! when asked — the CA-rule alternative to duplicating ECA rules per
 //! event type that §8 describes, at no cost to a pass nobody asks about.
 
-use std::collections::HashMap;
-
 use amos_metrics::PassMetrics;
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_storage::Polarity;
 use amos_types::Tuple;
 
 use crate::differ::DiffId;
-use crate::hybrid::Strategy;
-use crate::rules::RuleId;
 
 /// One differential execution during propagation.
 #[derive(Debug, Clone)]
@@ -76,8 +72,7 @@ pub struct PassTrace {
     /// condition.
     pub triggered: Vec<(PredId, Tuple)>,
     /// The propagation's instrumentation; `None` when the pass ran no
-    /// propagation (naive monitoring, or hybrid choosing naive for every
-    /// rule).
+    /// propagation (naive monitoring).
     pub metrics: Option<PassMetrics>,
 }
 
@@ -114,9 +109,6 @@ impl PassTrace {
 pub struct CheckTrace {
     /// One entry per propagation / recomputation pass, in order.
     pub passes: Vec<PassTrace>,
-    /// Hybrid strategy per rule, as the phase's last pass testing the
-    /// rule chose it.
-    pub(crate) strategies: HashMap<RuleId, Strategy>,
     /// The last propagation pass of an earlier phase, read while this
     /// one has run none.
     earlier: Option<PassMetrics>,
@@ -129,7 +121,6 @@ impl CheckTrace {
             self.earlier = Some(m);
         }
         self.passes.clear();
-        self.strategies.clear();
     }
 
     /// The last propagation pass's metrics, in this phase or, when it

@@ -38,8 +38,6 @@
 //! * [`naive`] — the naive monitor of §6: re-evaluate the full condition
 //!   whenever any influent changed, diff against the previous
 //!   materialized result.
-//! * [`hybrid`] — the §8 "future work" hybrid evaluator: per check phase
-//!   choose naive or incremental per rule from a cost estimate.
 //! * [`aggregate`] — incremental aggregate nodes (count/sum/avg/min/max),
 //!   another §8 extension.
 
@@ -48,7 +46,6 @@ pub mod aggregate;
 pub mod differ;
 pub mod error;
 pub mod explain;
-pub mod hybrid;
 pub mod maintained;
 pub mod naive;
 pub mod network;
@@ -56,12 +53,11 @@ pub mod propagate;
 pub mod rules;
 pub mod verify;
 
-pub use adaptive::{AdaptivePlanner, LiveStats, StaticBounds, StatsFingerprint};
+pub use adaptive::{AdaptivePlanner, LiveStats, StatsFingerprint};
 pub use aggregate::{AggFn, AggregateView};
 pub use differ::{generate_differentials, DiffId, Differential};
 pub use error::CoreError;
 pub use explain::{CheckTrace, FiredDifferential, TriggerExplanation};
-pub use hybrid::{CostModel, Strategy};
 pub use maintained::{ClosureView, MaintainedAggregate, UserView};
 pub use naive::NaiveMonitor;
 pub use network::{NodeId, PropagationNetwork};

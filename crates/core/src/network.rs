@@ -45,6 +45,10 @@ pub struct Node {
     pub out_diffs: Vec<DiffId>,
     /// Whether this node is a monitored condition (top of the network).
     pub is_condition: bool,
+    /// Whether the predicate is among its own direct influents: its
+    /// differentials feed the node itself, so propagation closes it to a
+    /// fixpoint instead of running one wave.
+    pub self_recursive: bool,
 }
 
 /// The assembled propagation network.
@@ -60,13 +64,6 @@ pub struct PropagationNetwork {
     /// Display names of differentials pruned as statically dead (Δ₋ on
     /// append-only relations, statically-false bodies) — lint pass L004.
     pruned: Vec<String>,
-    /// Display names of differentials pruned because abstract
-    /// interpretation proved their body empty — lint pass L007. Disjoint
-    /// from `pruned` (syntactic pruning runs first).
-    pruned_semantic: Vec<String>,
-    /// Whether the build ran semantic (L007) pruning — what the
-    /// conformance verifier needs to know which drops were entitled.
-    semantic_pruning: bool,
 }
 
 impl PropagationNetwork {
@@ -83,24 +80,8 @@ impl PropagationNetwork {
         storage: &mut Storage,
         conditions: &[PredId],
     ) -> Result<Self, CoreError> {
-        PropagationNetwork::build_with(catalog, storage, conditions, true)
-    }
-
-    /// [`PropagationNetwork::build`] with semantic (L007) pruning made
-    /// explicit. `semantic: false` keeps only the syntactic L004 pruning
-    /// — the unpruned reference the pruning-equivalence proptest
-    /// compares against. The network records the choice for the
-    /// conformance verifier.
-    pub fn build_with(
-        catalog: &Catalog,
-        storage: &mut Storage,
-        conditions: &[PredId],
-        semantic: bool,
-    ) -> Result<Self, CoreError> {
-        let analysis = semantic.then(|| amos_lint::absint::analyze(catalog));
         let mut net = PropagationNetwork {
             conditions: conditions.to_vec(),
-            semantic_pruning: semantic,
             ..Default::default()
         };
 
@@ -129,6 +110,7 @@ impl PropagationNetwork {
                 level,
                 out_diffs: Vec::new(),
                 is_condition: conditions.contains(&pred),
+                self_recursive: catalog.is_self_recursive(pred),
             });
             net.by_pred.insert(pred, id);
             if net.levels.len() <= level {
@@ -177,19 +159,6 @@ impl PropagationNetwork {
                     net.pruned.push(d.display_name(catalog));
                     continue;
                 }
-                // L007 semantic pruning: the abstract interpreter can
-                // prove bodies empty that no single-clause syntactic
-                // check sees (e.g. a bound contradicting an influent's
-                // inferred head interval). Sound — an empty differential
-                // can never contribute tuples — so dropping it preserves
-                // propagation semantics exactly (see the
-                // pruning-equivalence proptest).
-                if let Some(analysis) = &analysis {
-                    if analysis.clause_provably_empty(catalog, &d.clause) {
-                        net.pruned_semantic.push(d.display_name(catalog));
-                        continue;
-                    }
-                }
                 let did = DiffId(net.differentials.len() as u32);
                 let influent_node = net.by_pred[&d.influent];
                 net.nodes[influent_node.0 as usize].out_diffs.push(did);
@@ -237,17 +206,6 @@ impl PropagationNetwork {
     /// Number of differentials pruned as statically dead.
     pub fn pruned_count(&self) -> usize {
         self.pruned.len()
-    }
-
-    /// Display names of differentials pruned as provably empty by
-    /// abstract interpretation (L007).
-    pub fn pruned_semantic(&self) -> &[String] {
-        &self.pruned_semantic
-    }
-
-    /// Whether this network was built with semantic (L007) pruning.
-    pub fn semantic_pruning(&self) -> bool {
-        self.semantic_pruning
     }
 
     /// Drop differential `id` from the network, as if the builder had

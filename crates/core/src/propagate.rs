@@ -233,7 +233,7 @@ pub fn propagate_adaptive(
         // fixpoint before firing out-edges to other nodes. Sequential:
         // each closure mutates its own node's wave entry.
         for node in &changed {
-            if catalog.is_self_recursive(node.pred) {
+            if node.self_recursive {
                 close_recursive_node(network, catalog, storage, node, &mut wave, &mut result)?;
             }
         }
@@ -271,11 +271,11 @@ pub fn propagate_adaptive(
         let outputs: Vec<Result<TaskOutput, CoreError>> = {
             let ctx = EvalContext::with_shared(storage, catalog, &wave, Arc::clone(shared));
             if parallel {
-                run_tasks_threaded(network, catalog, &ctx, &tasks)
+                run_tasks_threaded(network, &ctx, &tasks)
             } else {
                 tasks
                     .iter()
-                    .map(|task| run_differential(network, catalog, &ctx, task))
+                    .map(|task| run_differential(network, &ctx, task))
                     .collect()
             }
         };
@@ -368,7 +368,6 @@ pub fn propagate_adaptive(
 /// `storage`, so any number of these can run concurrently.
 fn run_differential(
     network: &PropagationNetwork,
-    catalog: &Catalog,
     ctx: &EvalContext<'_>,
     task: &Task,
 ) -> Result<TaskOutput, CoreError> {
@@ -383,7 +382,9 @@ fn run_differential(
     // deletions) establishes correctness for the whole node at once, and
     // per-tuple `holds` on a recursive predicate would re-run the
     // fixpoint per candidate.
-    let unchecked = catalog.is_self_recursive(diff.affected);
+    let unchecked = network
+        .node_of(diff.affected)
+        .is_some_and(|node| node.self_recursive);
     let candidates = produced.len();
     let mut accepted: Vec<Tuple> = Vec::new();
     for t in produced {
@@ -403,7 +404,6 @@ fn run_differential(
 /// order is independent of completion order.
 fn run_tasks_threaded(
     network: &PropagationNetwork,
-    catalog: &Catalog,
     ctx: &EvalContext<'_>,
     tasks: &[Task],
 ) -> Vec<Result<TaskOutput, CoreError>> {
@@ -424,7 +424,7 @@ fn run_tasks_threaded(
                 let Some(task) = tasks.get(i) else {
                     break;
                 };
-                let out = run_differential(network, catalog, ctx, task);
+                let out = run_differential(network, ctx, task);
                 *slots[i].lock().unwrap() = Some(out);
             });
         }

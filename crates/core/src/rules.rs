@@ -41,7 +41,6 @@ use amos_types::Tuple;
 use crate::adaptive::AdaptivePlanner;
 use crate::error::CoreError;
 use crate::explain::{CheckTrace, PassTrace, TriggerExplanation};
-use crate::hybrid::{CostModel, Strategy};
 use crate::maintained::UserView;
 use crate::naive::NaiveMonitor;
 use crate::network::PropagationNetwork;
@@ -97,36 +96,6 @@ pub enum MonitorMode {
     /// condition in the old state, derived by the first pass that needs
     /// it — the §6 baseline.
     Naive,
-    /// Per-rule cost-based choice between the two (§8 future work).
-    Hybrid,
-}
-
-/// A per-rule override of the hybrid cost model
-/// (`monitor rule R naive|incremental|auto`).
-///
-/// The pin governs [`MonitorMode::Hybrid`]'s per-rule choice; under the
-/// global `Incremental`/`Naive` modes it is recorded and surfaced by
-/// `explain rule`, but the global mode wins (the pin takes effect from
-/// the first hybrid pass, which derives what a naive choice diffs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StrategyPin {
-    /// Always recompute in full and diff.
-    Naive,
-    /// Always propagate partial differentials.
-    Incremental,
-    /// Defer to the cost model (the default — removes any pin).
-    #[default]
-    Auto,
-}
-
-impl fmt::Display for StrategyPin {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            StrategyPin::Naive => "naive",
-            StrategyPin::Incremental => "incremental",
-            StrategyPin::Auto => "auto",
-        })
-    }
 }
 
 /// Context handed to rule actions.
@@ -226,13 +195,13 @@ pub struct MonitorStats {
     pub check_phases: usize,
     /// Propagation / recomputation passes across all check phases.
     pub passes: usize,
-    /// Partial differential executions (incremental/hybrid only).
+    /// Partial differential executions (incremental only).
     pub differentials_executed: usize,
     /// Candidate tuples produced by differentials before §7.2 checks.
     pub tuples_produced: usize,
     /// Candidates rejected by §7.2 checks.
     pub tuples_rejected: usize,
-    /// Full condition recomputations (naive/hybrid only).
+    /// Full condition recomputations (naive only).
     pub naive_recomputations: usize,
     /// Rule action invocations (per instance).
     pub actions_executed: usize,
@@ -262,15 +231,10 @@ pub struct CheckSummary {
 pub(crate) struct PassOutcome {
     /// Net change of each monitored condition.
     condition_deltas: HashMap<PredId, DeltaSet>,
-    /// The conditions whose delta a full recomputation gave; the others
-    /// came from propagation.
-    recomputed: Vec<PredId>,
     /// The rules whose condition the pass tested, each with the
     /// insertions it admits: covered by an activation and, for a strict
     /// rule on a propagated delta, false before the pass and true after.
     admitted: Vec<(RuleId, Vec<Tuple>)>,
-    /// The hybrid strategy per live rule (hybrid monitoring only).
-    strategies: Vec<(RuleId, Strategy)>,
     /// The propagation's fired differentials and metrics (with the
     /// strict filter's counts); `triggered` is filled in by the apply
     /// step.
@@ -293,18 +257,8 @@ pub struct RuleManager {
     /// reads it, and the benchmark change that drops that argument
     /// deletes it (ROADMAP item 9).
     pub check: CheckLevel,
-    /// Cost model for hybrid mode.
-    pub cost_model: CostModel,
     /// What the most recent check phase did, pass by pass.
     report: CheckTrace,
-    /// Per-rule strategy pins overriding the hybrid cost model
-    /// (absent = [`StrategyPin::Auto`]).
-    pins: HashMap<RuleId, StrategyPin>,
-    /// Whether network builds apply L007 semantic pruning (abstract
-    /// interpretation proving differential bodies empty) on top of the
-    /// always-on syntactic L004 pruning. On by default; off is the
-    /// unpruned reference of the pruning-equivalence proptest.
-    pub semantic_pruning: bool,
     /// Cumulative monitoring statistics.
     stats: MonitorStats,
     /// Rules whose action failed (error or panic), keyed to the failure
@@ -363,10 +317,7 @@ impl RuleManager {
             mode: MonitorMode::Incremental,
             exec: ExecStrategy::default(),
             check: CheckLevel::Nervous,
-            cost_model: CostModel::default(),
             report: CheckTrace::default(),
-            pins: HashMap::new(),
-            semantic_pruning: true,
             stats: MonitorStats::default(),
             quarantined: HashMap::new(),
             views: Vec::new(),
@@ -432,27 +383,7 @@ impl RuleManager {
         }
         let name = self.rules[id.0 as usize].name.clone();
         self.by_name.remove(&name);
-        self.pins.remove(&id);
         self.rebuild(catalog, storage)
-    }
-
-    /// Pin a rule's monitoring strategy (`monitor rule R naive`),
-    /// overriding the hybrid cost model; [`StrategyPin::Auto`] removes
-    /// the pin.
-    pub fn pin_strategy(&mut self, id: RuleId, pin: StrategyPin) {
-        match pin {
-            StrategyPin::Auto => {
-                self.pins.remove(&id);
-            }
-            pin => {
-                self.pins.insert(id, pin);
-            }
-        }
-    }
-
-    /// A rule's strategy pin ([`StrategyPin::Auto`] when unpinned).
-    pub fn pin(&self, id: RuleId) -> StrategyPin {
-        self.pins.get(&id).copied().unwrap_or_default()
     }
 
     /// Restrict a rule to an event set (ECA behaviour): its condition is
@@ -524,8 +455,7 @@ impl RuleManager {
                 conditions.push(rule.condition);
             }
         }
-        self.network =
-            PropagationNetwork::build_with(catalog, storage, &conditions, self.semantic_pruning)?;
+        self.network = PropagationNetwork::build(catalog, storage, &conditions)?;
         #[cfg(feature = "fault-injection")]
         if let Some(plan) = &self.fault_plan {
             if !self.network.differentials().is_empty() && plan.take_dropped_differential() {
@@ -539,15 +469,6 @@ impl RuleManager {
         // Differential ids are re-assigned by the rebuild, so the
         // adaptive plan cache is stale wholesale.
         self.adaptive.reset();
-        // Re-derive static NDV ceilings from the fresh catalog so the
-        // cost model has selectivity bounds before any tuple arrives.
-        if self.semantic_pruning {
-            let analysis = amos_lint::absint::analyze(catalog);
-            self.adaptive
-                .set_static_bounds(crate::adaptive::StaticBounds::from_catalog(
-                    catalog, &analysis,
-                ));
-        }
         // Monitor exactly the stored influents of active conditions.
         let needed: HashSet<PredId> = self.network.stored_nodes(catalog).into_iter().collect();
         for pred in catalog.iter().map(|d| d.id).collect::<Vec<_>>() {
@@ -571,11 +492,6 @@ impl RuleManager {
     /// Trace of the most recent check phase.
     pub fn last_trace(&self) -> &CheckTrace {
         &self.report
-    }
-
-    /// Hybrid strategy chosen per rule in the most recent check phase.
-    pub fn last_strategies(&self) -> &HashMap<RuleId, Strategy> {
-        &self.report.strategies
     }
 
     /// Cumulative monitoring statistics.
@@ -660,8 +576,8 @@ impl RuleManager {
                 self.stats.passes += 1;
                 self.pass_seq = Some(storage.commit_seq());
                 self.fold_views(catalog, storage)?;
-                // Naive and hybrid passes diff against P(S_old).
-                if self.mode != MonitorMode::Incremental {
+                // Naive passes diff against P(S_old).
+                if self.mode == MonitorMode::Naive {
                     let quarantined = &self.quarantined;
                     let live = self
                         .rules
@@ -805,7 +721,7 @@ impl RuleManager {
 
     /// One monitoring pass, read-only: each live rule's condition delta
     /// (per the mode), the propagation's fired differentials and metrics,
-    /// the hybrid strategy per rule, and the strict filter's result —
+    /// and the strict filter's result —
     /// the insertions each tested rule admits. [`check_phase`]
     /// (Self::check_phase) applies the outcome.
     pub(crate) fn monitor(
@@ -823,25 +739,7 @@ impl RuleManager {
                 .filter(|r| r.is_active() && !self.quarantined.contains_key(&r.id))
         };
         let mut out = PassOutcome::default();
-        // Hybrid decides per rule; one propagation pass serves every rule
-        // that chose incremental.
-        if self.mode == MonitorMode::Hybrid {
-            for rule in live() {
-                // A pin bypasses the cost model for this rule.
-                let strategy = match self.pin(rule.id) {
-                    StrategyPin::Naive => Strategy::Naive,
-                    StrategyPin::Incremental => Strategy::Incremental,
-                    StrategyPin::Auto => {
-                        self.cost_model
-                            .choose(catalog, storage, &self.network, rule.condition)
-                    }
-                };
-                out.strategies.push((rule.id, strategy));
-            }
-        }
-        let incremental = |rid: RuleId| out.strategies.contains(&(rid, Strategy::Incremental));
-        let mut propagated = HashMap::new();
-        if self.mode == MonitorMode::Incremental || live().any(|r| incremental(r.id)) {
+        if self.mode == MonitorMode::Incremental {
             // An installed fault plan that schedules a failure for this
             // pass errors it out before any wave-front state is touched:
             // an evaluator crash at pass start, the worst point for the
@@ -864,25 +762,12 @@ impl RuleManager {
             )?;
             out.trace.fired = result.fired;
             out.trace.metrics = Some(result.metrics);
-            propagated = result.condition_deltas;
-        }
-        if self.mode == MonitorMode::Incremental {
-            out.condition_deltas = propagated;
+            out.condition_deltas = result.condition_deltas;
         } else {
-            // The first live rule over a condition decides how its delta
-            // is obtained.
             for rule in live() {
-                let cond = rule.condition;
-                if out.condition_deltas.contains_key(&cond) {
-                    continue;
+                if let Entry::Vacant(slot) = out.condition_deltas.entry(rule.condition) {
+                    slot.insert(self.naive.check(catalog, storage, rule.condition)?);
                 }
-                let delta = if incremental(rule.id) {
-                    propagated.remove(&cond).unwrap_or_default()
-                } else {
-                    out.recomputed.push(cond);
-                    self.naive.check(catalog, storage, cond)?
-                };
-                out.condition_deltas.insert(cond, delta);
             }
         }
 
@@ -908,10 +793,9 @@ impl RuleManager {
                 continue;
             };
             // Strict semantics: only false→true transitions. Needed
-            // whenever the delta came from nervous propagation
-            // (incremental mode, or hybrid choosing incremental).
-            let strict = rule.semantics == RuleSemantics::Strict
-                && !out.recomputed.contains(&rule.condition);
+            // whenever the delta came from nervous propagation.
+            let strict =
+                rule.semantics == RuleSemantics::Strict && self.mode == MonitorMode::Incremental;
             let mut admitted = Vec::new();
             for t in delta.plus() {
                 if !rule.covered(t) {
@@ -937,9 +821,7 @@ impl RuleManager {
     fn apply(&mut self, outcome: PassOutcome) {
         let PassOutcome {
             condition_deltas,
-            recomputed,
             admitted,
-            strategies,
             mut trace,
         } = outcome;
         let pass = self.report.passes.len();
@@ -955,20 +837,19 @@ impl RuleManager {
                 rule.triggered.remove(t);
             }
         }
-        // Advance the naive materializations. A recomputed delta is exact
-        // against one. A propagated (nervous) one is safe to apply: its
-        // plus side is derivable in the new state, merely possibly
-        // already true, and its minus side verified absent.
-        for (cond, delta) in &condition_deltas {
-            self.naive.apply_delta(*cond, delta);
+        // Advance the naive materializations: a recomputed delta is exact
+        // against one.
+        if self.mode == MonitorMode::Naive {
+            for (cond, delta) in &condition_deltas {
+                self.naive.apply_delta(*cond, delta);
+            }
+            self.stats.naive_recomputations += condition_deltas.len();
         }
-        self.stats.naive_recomputations += recomputed.len();
         if let Some(m) = &trace.metrics {
             self.stats.differentials_executed += trace.fired.len();
             self.stats.tuples_produced += m.candidates;
             self.stats.tuples_rejected += m.rejected;
         }
-        self.report.strategies.extend(strategies);
         self.report.passes.push(trace);
     }
 }

@@ -10,9 +10,8 @@
 //!
 //! * **edge completeness** — exactly one differential per (affected,
 //!   influent occurrence, seed polarity) the calculus requires — both
-//!   polarities for every occurrence — minus those the static pruning
-//!   passes (L004 syntactic, L007 semantic) are entitled to drop;
-//!   nothing extra, nothing doubled;
+//!   polarities for every occurrence — minus those the static L004
+//!   pruning pass is entitled to drop; nothing extra, nothing doubled;
 //! * **substitution fidelity** — each differential's clause and output
 //!   polarity equal the §4.3–§4.5 substitution recomputed from source;
 //! * **monotone levels** — every node sits at its catalog stratum and
@@ -146,9 +145,7 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Statically check `net` against the calculus. Whether the semantic
-/// (L007) pruning pass may have dropped differentials is read from the
-/// network itself, which records how it was built. Returns every
+/// Statically check `net` against the calculus. Returns every
 /// violation found — empty means the network conforms.
 pub fn verify_network(
     catalog: &Catalog,
@@ -156,9 +153,6 @@ pub fn verify_network(
     net: &PropagationNetwork,
 ) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let analysis = net
-        .semantic_pruning()
-        .then(|| amos_lint::absint::analyze(catalog));
 
     // Reachability: every predicate a condition depends on needs a node
     // at its catalog stratum.
@@ -222,11 +216,6 @@ pub fn verify_network(
                             .is_some_and(|rel| storage.is_append_only(rel));
                     if dead_minus || amos_lint::clause_statically_false(&dclause) {
                         continue;
-                    }
-                    if let Some(analysis) = &analysis {
-                        if analysis.clause_provably_empty(catalog, &dclause) {
-                            continue;
-                        }
                     }
                     required.insert((affected, *pred, seed, ci, li), dclause);
                 }

@@ -3,8 +3,8 @@
 //! The paper's method is only useful if its partial differentials are
 //! exact: Σ ΔP/ΔX over the Δ-sets must equal what a naive recompute
 //! finds, and whatever the engine does to get there faster — threads,
-//! adaptive plans, the derived-call memo, sorted runs, semantic pruning
-//! — must not show in what a pass reports. One generator draws a
+//! adaptive plans, the derived-call memo, sorted runs — must not show
+//! in what a pass reports. One generator draws a
 //! [`Case`]: a condition shape, base contents, one to three update
 //! transactions, optionally a bulk block past the inline threshold that
 //! the next transaction partly deletes, and a seal threshold. [`drive`]
@@ -91,8 +91,8 @@ fn derive(catalog: &mut Catalog, name: &str, clauses: Vec<Clause>) -> PredId {
 /// | 9  | banded           | `band(X,V) ← q(X,V) ∧ V < 3`; `cond(X) ← band(X,V) ∧ V > 4 ; cond(X) ← q(X,V) ∧ V > 3` |
 /// | 10 | linear recursion | `reach(X,Y) ← q(X,Y) ; reach(X,Z) ← reach(X,Y) ∧ q(Y,Z)`   |
 ///
-/// Shape 9 is the one semantic pruning acts on: `band`'s `V` is below
-/// 3, so `Δcond/Δ±band` are provably empty and the network drops them.
+/// Shape 9's first clause is contradictory (`band`'s `V` is below 3),
+/// which `amosql lint` reports as L007; its differentials still run.
 fn define_shape(catalog: &mut Catalog, shape: u8, q: PredId, r: PredId) -> PredId {
     let (v, val) = (Term::var, Term::val);
     let c = ClauseBuilder::new;
@@ -242,8 +242,7 @@ struct World {
     rq: RelId,
     rr: RelId,
     cond: PredId,
-    /// The condition's network, built as the engine builds it
-    /// (semantic pruning on).
+    /// The condition's network, built as the engine builds it.
     net: PropagationNetwork,
 }
 
@@ -459,8 +458,6 @@ enum Axis {
     ReusedShared,
     /// Sorted runs ≡ the hash head.
     RunsHash,
-    /// Semantically pruned network ≡ unpruned network.
-    PrunedUnpruned,
 }
 
 impl Axis {
@@ -607,37 +604,6 @@ impl Axis {
                     hash.storage.commit().unwrap();
                 }
             }
-            Axis::PrunedUnpruned => {
-                let mut w = case.world();
-                let (catalog, cond) = (&w.catalog, w.cond);
-                let unpruned =
-                    PropagationNetwork::build_with(catalog, &mut w.storage, &[cond], false);
-                let unpruned = unpruned.unwrap();
-                let pruned = w.net.pruned_semantic().to_vec();
-                let kept = w.net.differentials().len();
-                assert_eq!(kept + pruned.len(), unpruned.differentials().len());
-                w.passes(case, |w, i| {
-                    // The fired differentials by name: the unpruned pass
-                    // fires the pruned ones too, and nothing else.
-                    let fired = |net: &PropagationNetwork, r: &PropagationResult| {
-                        let names = r.fired.iter().map(|f| net.differential(f.diff));
-                        let names = names.map(|d| d.display_name(&w.catalog));
-                        names.filter(|n| !pruned.contains(n)).collect::<Vec<_>>()
-                    };
-                    let strategy = ExecStrategy::default();
-                    let (catalog, storage) = (&w.catalog, &w.storage);
-                    let full =
-                        propagate_with(&unpruned, catalog, storage, CheckLevel::Nervous, strategy);
-                    let (full, lean) = (full.unwrap(), w.pass(strategy));
-                    assert_eq!(fired(&unpruned, &full), fired(&w.net, &lean), "pass {i}");
-                    let unordered = |r| Pass {
-                        fired: vec![],
-                        ..Pass::of(r)
-                    };
-                    assert_eq!(unordered(&full), unordered(&lean), "pass {i}");
-                });
-                engaged = !pruned.is_empty();
-            }
         }
         engaged
     }
@@ -706,7 +672,6 @@ axes! {
     tabled_parallel_equals_untabled_serial => TabledParallel,
     reused_shared_state_is_transparent => ReusedShared,
     runs_and_hash_storage_monitor_identically => RunsHash,
-    pruned_equals_unpruned => PrunedUnpruned,
 }
 
 /// The 800-tuple wave of a bulk transaction: far past the inline

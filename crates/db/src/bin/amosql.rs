@@ -28,7 +28,7 @@ const HELP: &str = "\
 Shell commands:
   .help                 this text
   .stats                monitoring statistics for this session
-  .mode <inc|naive|hybrid>   switch condition monitoring mode
+  .mode <inc|naive>     switch condition monitoring mode
   .checkpoint           snapshot base relations + truncate the WAL
   .quit                 exit
 Flags: --wal-dir <dir> makes commits durable (replays any existing
@@ -250,10 +250,6 @@ fn shell_command(db: &mut Amos, cmd: &str) -> ShellOutcome {
         ".mode naive" => {
             db.set_monitor_mode(amos_core::MonitorMode::Naive);
             println!("monitoring: naive (full recomputation)");
-        }
-        ".mode hybrid" => {
-            db.set_monitor_mode(amos_core::MonitorMode::Hybrid);
-            println!("monitoring: hybrid (cost-based)");
         }
         ".checkpoint" => {
             if !db.wal_attached() {

@@ -12,9 +12,7 @@ use amos_amosql::ParseError;
 use amos_core::aggregate::{AggFn, AggregateView};
 use amos_core::maintained::{MaintainedAggregate, UserView};
 use amos_core::propagate::ExecStrategy;
-use amos_core::rules::{
-    ActionFn, CheckSummary, MonitorMode, RuleManager, RuleSemantics, StrategyPin,
-};
+use amos_core::rules::{ActionFn, CheckSummary, MonitorMode, RuleManager, RuleSemantics};
 use amos_lint::{Diagnostic, LintConfig, RuleFacts, RuleWrite, Span};
 use amos_objectlog::catalog::{Catalog, PredId, PredKind};
 use amos_objectlog::clause::Literal;
@@ -46,7 +44,7 @@ pub enum NetworkPrep {
 /// read back with [`Amos::options`]. Each field is either user-visible
 /// behaviour or the reference side of an equivalence oracle; the
 /// defaults run the paper's method.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineOptions {
     /// Condition preparation style.
     pub network_prep: NetworkPrep,
@@ -65,25 +63,6 @@ pub struct EngineOptions {
     /// warn-level findings surface in `explain rule` and the `lint`
     /// CLI command.
     pub lint_level: LintConfig,
-    /// Abstract-interpretation pruning (on by default): differentials
-    /// whose differenced clause is provably empty under the interval /
-    /// constant analysis (L007) are dropped from the network, and the
-    /// inferred column bounds feed the adaptive planner as static NDV
-    /// floors. The conformance verifier mirrors the same entitlements,
-    /// so pruned networks still verify.
-    pub semantic_pruning: bool,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions {
-            network_prep: NetworkPrep::default(),
-            immediate: false,
-            propagation: ExecStrategy::default(),
-            lint_level: LintConfig::default(),
-            semantic_pruning: true,
-        }
-    }
 }
 
 /// Context handed to registered procedures (rule actions' side-effect
@@ -153,7 +132,6 @@ impl Amos {
     pub fn with_options(options: EngineOptions) -> Self {
         let mut rules = RuleManager::new();
         rules.exec = options.propagation;
-        rules.semantic_pruning = options.semantic_pruning;
         Amos {
             storage: Storage::new(),
             catalog: Catalog::new(),
@@ -290,7 +268,7 @@ impl Amos {
     }
 
     /// Switch the condition-monitoring implementation (incremental /
-    /// naive / hybrid). Takes effect from the next pass, which derives
+    /// naive). Takes effect from the next pass, which derives
     /// the naive materializations it needs from the state it starts in.
     pub fn set_monitor_mode(&mut self, mode: MonitorMode) {
         self.rules.set_mode(mode);
@@ -682,21 +660,6 @@ impl Amos {
             }
             Statement::ExplainSelect(sel) => Ok(ExecResult::Text(self.explain_select(&sel, at)?)),
             Statement::ExplainRule(name) => Ok(ExecResult::Text(self.explain_rule(&name)?)),
-            Statement::MonitorRule { rule, pin } => {
-                let id = self.rules.rule_id(&rule)?;
-                let pin = match pin.as_str() {
-                    "naive" => StrategyPin::Naive,
-                    "incremental" => StrategyPin::Incremental,
-                    "auto" => StrategyPin::Auto,
-                    other => {
-                        return Err(DbError::Other(format!(
-                            "unknown monitoring strategy `{other}`"
-                        )))
-                    }
-                };
-                self.rules.pin_strategy(id, pin);
-                Ok(ExecResult::Ok)
-            }
             Statement::Begin => self.begin().map(|()| ExecResult::Ok),
             Statement::Commit => self.commit().map(ExecResult::Committed),
             Statement::Rollback => self.rollback().map(|()| ExecResult::Ok),
@@ -1111,7 +1074,6 @@ impl Amos {
             rule.semantics,
             rule.priority,
         ));
-        out.push_str(&format!("monitor strategy: {}\n", self.rules.pin(id)));
         if let Some(reason) = self.rules.quarantine_reason(id) {
             out.push_str(&format!(
                 "  QUARANTINED: {reason}\n  (the action failed; updates were rolled back to the \

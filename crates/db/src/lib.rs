@@ -23,9 +23,8 @@
 //! ```
 //!
 //! Rule conditions are monitored with the paper's partial differencing
-//! by default; the naive §6 baseline and the §8 hybrid mode are a
-//! [`Amos::set_monitor_mode`] call away, which is how the benchmark
-//! harness compares them.
+//! by default; the naive §6 baseline is a [`Amos::set_monitor_mode`]
+//! call away, which is how the benchmark harness compares the two.
 
 pub mod engine;
 pub mod error;

@@ -1,29 +1,20 @@
 //! Integration tests for the abstract-interpretation layer: the
 //! L006–L009 passes surfacing through `lint_script` (snapshot-style
-//! rendered output), semantic (L007) differential pruning being
-//! observationally invisible across check levels × execution
-//! strategies, the activation-time conformance gate, and the
-//! `monitor rule … naive|incremental|auto` strategy pin.
+//! rendered output) and the activation-time conformance gate.
 
-use amos_core::hybrid::Strategy;
-use amos_core::propagate::ExecStrategy;
-use amos_db::engine::NetworkPrep;
-use amos_db::{Amos, EngineOptions, LintCode, LintConfig, MonitorMode, Severity};
-use proptest::prelude::*;
+use amos_db::{Amos, LintCode, LintConfig, Severity};
 
 fn quiet(db: &mut Amos) {
     db.register_procedure("print", |_ctx, _args| Ok(()));
     db.register_procedure("order", |_ctx, _args| Ok(()));
 }
 
-/// A schema whose rule condition has one live clause and one clause
-/// that only the *semantic* (cross-predicate interval) analysis can
-/// prove empty: `band(i)` is bounded above by 5 by its own body, so
-/// `band(i) > 100` never holds — but no single clause is syntactically
-/// contradictory, keeping L005 out of the picture. Bushy preparation
-/// keeps `band` as a network sub-node instead of inlining it (inlined,
-/// the contradiction becomes syntactic and the L005 pruning path
-/// fires instead).
+/// A bushy schema whose rule condition has one live clause and one
+/// that the cross-predicate interval analysis proves empty (L007):
+/// `band(i)` is bounded above by 5 by its own body, so `band(i) > 100`
+/// never holds. The network still carries that clause's
+/// differentials; the finding is a lint, not a pruning.
+#[cfg(feature = "fault-injection")]
 const BANDED: &str = r#"
     create type item;
     create function quantity(item i) -> integer;
@@ -35,76 +26,15 @@ const BANDED: &str = r#"
         do print(i);
 "#;
 
-fn banded_db(semantic: bool, strategy: ExecStrategy) -> Amos {
-    let mut db = Amos::with_options(EngineOptions {
-        network_prep: NetworkPrep::Bushy,
-        semantic_pruning: semantic,
-        propagation: strategy,
-        ..EngineOptions::default()
+#[cfg(feature = "fault-injection")]
+fn banded_db() -> Amos {
+    let mut db = Amos::with_options(amos_db::EngineOptions {
+        network_prep: amos_db::engine::NetworkPrep::Bushy,
+        ..amos_db::EngineOptions::default()
     });
     quiet(&mut db);
     db.execute(BANDED).unwrap();
     db
-}
-
-// ---------------------------------------------------------------------
-// Semantic pruning prunes — and is observationally invisible
-// ---------------------------------------------------------------------
-
-#[test]
-fn semantic_pruning_drops_provably_empty_differentials() {
-    let mut db = banded_db(true, ExecStrategy::Parallel);
-    db.execute("create item instances :a; activate watch();")
-        .unwrap();
-    let pruned = db.rules().network().pruned_semantic();
-    assert!(
-        !pruned.is_empty(),
-        "expected semantically pruned differentials, network:\n{}",
-        db.rules().network().render(db.catalog())
-    );
-
-    let mut db = banded_db(false, ExecStrategy::Parallel);
-    db.execute("create item instances :a; activate watch();")
-        .unwrap();
-    assert!(db.rules().network().pruned_semantic().is_empty());
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// L007 pruning must be invisible: run a random update workload
-    /// with and without semantic pruning and compare every commit's
-    /// `CheckSummary` under both execution strategies.
-    #[test]
-    fn semantic_pruning_preserves_semantics(
-        updates in proptest::collection::vec((0usize..3, -20i64..120), 1..8),
-    ) {
-        let run = |semantic: bool, strategy: ExecStrategy| {
-            let mut db = banded_db(semantic, strategy);
-            db.execute("create item instances :a, :b, :c; activate watch();")
-                .unwrap();
-            let mut summaries = Vec::new();
-            for (slot, value) in &updates {
-                let var = ["a", "b", "c"][*slot];
-                let results = db
-                    .execute(&format!(
-                        "begin; set quantity(:{var}) = {value}; commit;"
-                    ))
-                    .unwrap();
-                for r in results {
-                    if let amos_db::ExecResult::Committed(s) = r {
-                        summaries.push(s);
-                    }
-                }
-            }
-            summaries
-        };
-        for strategy in [ExecStrategy::Serial, ExecStrategy::Parallel] {
-            let unpruned = run(false, strategy);
-            let pruned = run(true, strategy);
-            prop_assert_eq!(&unpruned, &pruned, "summaries diverged at {:?}", strategy);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -131,7 +61,7 @@ fn inventory_schema_passes_the_conformance_gate() {
 #[cfg(feature = "fault-injection")]
 #[test]
 fn conformance_gate_rolls_back_a_refused_activation() {
-    let mut db = banded_db(true, ExecStrategy::Parallel);
+    let mut db = banded_db();
     db.set_fault_plan(std::sync::Arc::new(
         amos_storage::fault::FaultPlan::drop_differential(),
     ));
@@ -151,49 +81,6 @@ fn conformance_gate_rolls_back_a_refused_activation() {
     );
     // The fault was one-shot: the next build is whole and activates.
     db.execute("activate watch();").unwrap();
-}
-
-// ---------------------------------------------------------------------
-// `monitor rule` strategy pins
-// ---------------------------------------------------------------------
-
-#[test]
-fn monitor_rule_pins_override_the_hybrid_cost_model() {
-    let mut db = Amos::new();
-    quiet(&mut db);
-    db.set_monitor_mode(MonitorMode::Hybrid);
-    db.execute(
-        r#"
-        create type item;
-        create function quantity(item i) -> integer;
-        create rule low() as
-            when for each item i where quantity(i) < 10 do print(i);
-        create item instances :a;
-        activate low();
-    "#,
-    )
-    .unwrap();
-    let id = db.rules().rule_id("low").unwrap();
-
-    db.execute("monitor rule low naive;").unwrap();
-    let text = explain(&mut db, "explain rule low;");
-    assert!(text.contains("monitor strategy: naive"), "{text}");
-    db.execute("begin; set quantity(:a) = 5; commit;").unwrap();
-    assert_eq!(db.rules().last_strategies()[&id], Strategy::Naive);
-    assert!(db.rules().stats().naive_recomputations > 0);
-
-    db.execute("monitor rule low incremental;").unwrap();
-    let text = explain(&mut db, "explain rule low;");
-    assert!(text.contains("monitor strategy: incremental"), "{text}");
-    db.execute("begin; set quantity(:a) = 50; commit;").unwrap();
-    assert_eq!(db.rules().last_strategies()[&id], Strategy::Incremental);
-
-    db.execute("monitor rule low auto;").unwrap();
-    let text = explain(&mut db, "explain rule low;");
-    assert!(text.contains("monitor strategy: auto"), "{text}");
-
-    let err = db.execute("monitor rule missing naive;").unwrap_err();
-    assert!(err.to_string().contains("missing"), "{err}");
 }
 
 // ---------------------------------------------------------------------
@@ -317,18 +204,4 @@ fn clean_inventory_schema_has_no_absint_findings() {
     )
     .unwrap();
     assert!(diags.is_empty(), "unexpected findings: {diags:#?}");
-}
-
-// ---------------------------------------------------------------------
-// helpers
-// ---------------------------------------------------------------------
-
-fn explain(db: &mut Amos, stmt: &str) -> String {
-    let results = db.execute(stmt).unwrap();
-    for r in results {
-        if let amos_db::ExecResult::Text(t) = r {
-            return t;
-        }
-    }
-    panic!("statement produced no text output");
 }

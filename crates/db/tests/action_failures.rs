@@ -201,11 +201,6 @@ fn erroring_action_quarantines_only_its_rule_naive() {
 }
 
 #[test]
-fn erroring_action_quarantines_only_its_rule_hybrid() {
-    check_failure_handling(MonitorMode::Hybrid, false);
-}
-
-#[test]
 fn panicking_action_quarantines_only_its_rule_incremental() {
     check_failure_handling(MonitorMode::Incremental, true);
 }
@@ -213,9 +208,4 @@ fn panicking_action_quarantines_only_its_rule_incremental() {
 #[test]
 fn panicking_action_quarantines_only_its_rule_naive() {
     check_failure_handling(MonitorMode::Naive, true);
-}
-
-#[test]
-fn panicking_action_quarantines_only_its_rule_hybrid() {
-    check_failure_handling(MonitorMode::Hybrid, true);
 }

@@ -143,11 +143,6 @@ fn paper_example_naive() {
     run_scenario(NetworkPrep::Flat, MonitorMode::Naive);
 }
 
-#[test]
-fn paper_example_hybrid() {
-    run_scenario(NetworkPrep::Flat, MonitorMode::Hybrid);
-}
-
 /// fig. 2: the flat network has the five stored influents (plus the item
 /// extent) feeding the condition directly.
 #[test]

@@ -21,9 +21,8 @@
 //!   column, comparisons/arithmetic over incompatible operand types.
 //! * **L007** [`check_provably_empty`] — clauses whose abstract state
 //!   is ⊥ (contradictory intervals *across* predicate boundaries, which
-//!   the purely syntactic L005 cannot see). The network builder uses
-//!   [`Analysis::clause_provably_empty`] to prune the matching
-//!   differentials.
+//!   the purely syntactic L005 cannot see), decided per clause by
+//!   [`Analysis::clause_provably_empty`].
 //! * **L008** [`check_subsumption`] — rule A's condition implies rule
 //!   B's (every A-match already satisfies B): redundant monitoring.
 //! * **L009** [`check_const_fold`] — a subcondition that always holds
@@ -106,14 +105,6 @@ impl Interval {
             lo: self.lo.min(o.lo),
             hi: self.hi.max(o.hi),
         }
-    }
-
-    /// Number of contained integers when finitely bounded.
-    pub fn width(self) -> Option<f64> {
-        if self.is_empty() || self.lo == i64::MIN || self.hi == i64::MAX {
-            return None;
-        }
-        Some((self.hi as i128 - self.lo as i128 + 1) as f64)
     }
 
     fn add(self, o: Interval) -> Interval {
@@ -350,80 +341,6 @@ impl Analysis {
             .and_then(|pa| pa.cols.get(col))
             .map(|c| c.range)
             .filter(|r| !r.is_top())
-    }
-
-    /// A static upper bound on the number of distinct values a column can
-    /// hold, from a finitely bounded inferred interval. Feeds the
-    /// planner's statistics as an NDV ceiling on cold start.
-    pub fn ndv_bound(&self, p: PredId, col: usize) -> Option<f64> {
-        let pa = self.preds.get(&p)?;
-        if pa.empty {
-            return Some(0.0);
-        }
-        let c = pa.cols.get(col)?;
-        if matches!(c.konst, ConstDom::Const(_)) {
-            return Some(1.0);
-        }
-        c.range.width()
-    }
-
-    /// The hull of the interval constraints column `col` of `target` is
-    /// subject to across **every** positive occurrence in the analyzed
-    /// catalog's clauses, or `None` when any occurrence leaves it
-    /// unbounded (or it never occurs).
-    ///
-    /// Stored relations get no content abstraction (anything may be
-    /// inserted), but cost estimation only cares about the tuples that
-    /// can *participate* in some clause — and if every use site bounds
-    /// the column to an interval, at most hull-width distinct values are
-    /// ever probed. That hull is therefore a static NDV ceiling for the
-    /// planner (`StaticBounds` in `amos-core`), not a claim about the
-    /// relation's contents.
-    pub fn stored_column_usage(
-        &self,
-        catalog: &Catalog,
-        target: PredId,
-        col: usize,
-    ) -> Option<Interval> {
-        let mut hull: Option<Interval> = None;
-        for def in catalog.iter() {
-            let Some(clauses) = def.clauses() else {
-                continue;
-            };
-            for clause in clauses {
-                let mut ev = eval_clause(catalog, &self.preds, clause);
-                if ev.empty {
-                    continue; // an empty clause constrains nothing
-                }
-                for lit in &clause.body {
-                    let (Literal::Pred {
-                        pred,
-                        args,
-                        negated: false,
-                        ..
-                    }
-                    | Literal::Delta { pred, args, .. }) = lit
-                    else {
-                        continue;
-                    };
-                    if *pred != target {
-                        continue;
-                    }
-                    let Some(t) = args.get(col) else {
-                        continue;
-                    };
-                    let (_, range, is_int, _) = ev.operand(t);
-                    if !is_int || range.is_top() {
-                        return None;
-                    }
-                    hull = Some(match hull {
-                        Some(h) => h.join(range),
-                        None => range,
-                    });
-                }
-            }
-        }
-        hull.filter(|h| !h.is_top())
     }
 }
 
@@ -1784,8 +1701,6 @@ mod tests {
         assert_eq!(a.meet(b), Interval { lo: 5, hi: 10 });
         assert_eq!(a.join(b), Interval { lo: 0, hi: 20 });
         assert!(Interval { lo: 3, hi: 2 }.is_empty());
-        assert_eq!(a.width(), Some(11.0));
-        assert_eq!(Interval::TOP.width(), None);
         assert_eq!(a.add(b), Interval { lo: 5, hi: 30 });
         assert_eq!(a.sub(b), Interval { lo: -20, hi: 5 });
         assert_eq!(
@@ -1847,7 +1762,6 @@ mod tests {
             analysis.column_interval(val, 0),
             Some(Interval { lo: 0, hi: 4 })
         );
-        assert_eq!(analysis.ndv_bound(val, 0), Some(5.0));
         assert!(!analysis.pred(val).unwrap().empty);
         // Stored predicates stay ⊤.
         assert_eq!(analysis.column_interval(q, 1), None);

@@ -28,7 +28,8 @@
 //! The crate is a leaf over `amos-objectlog`/`amos-storage`: pure
 //! analysis, no engine types. The engine supplies rule facts
 //! ([`RuleFacts`]) and an append-only oracle; the network builder in
-//! `amos-core` performs the actual L004/L007 pruning.
+//! `amos-core` performs the actual L004 pruning. L007 is a finding
+//! only: the network builder never runs the abstract interpreter.
 
 pub mod absint;
 

@@ -1,10 +1,10 @@
 //! A trading-desk risk monitor showing the remaining feature surface:
-//! ECA event restriction (`on price`), immediate rule processing,
-//! hybrid monitoring, and the monitoring statistics counters.
+//! ECA event restriction (`on price`), immediate rule processing, and
+//! the monitoring statistics counters, under the default incremental
+//! (partial differencing) monitoring.
 //!
 //! Run with: `cargo run --example trading`
 
-use amos_core::MonitorMode;
 use amos_db::{Amos, EngineOptions};
 
 fn main() {
@@ -12,7 +12,6 @@ fn main() {
         immediate: true, // checks run after every statement, mid-transaction
         ..Default::default()
     });
-    db.set_monitor_mode(MonitorMode::Hybrid);
     db.register_procedure("halt_trading", |_ctx, args| {
         println!("  HALT: instrument {} breached its limit", args[0]);
         Ok(())
@@ -68,7 +67,6 @@ fn main() {
     println!("  differentials run     {}", stats.differentials_executed);
     println!("  candidate tuples      {}", stats.tuples_produced);
     println!("  rejected by §7.2      {}", stats.tuples_rejected);
-    println!("  naive recomputations  {}", stats.naive_recomputations);
     println!("  actions executed      {}", stats.actions_executed);
     println!("done.");
 }

@@ -133,11 +133,7 @@ fn disjunctive_condition() {
 
 #[test]
 fn all_monitor_modes_agree() {
-    for mode in [
-        MonitorMode::Incremental,
-        MonitorMode::Naive,
-        MonitorMode::Hybrid,
-    ] {
+    for mode in [MonitorMode::Incremental, MonitorMode::Naive] {
         let (mut db, log) = counting_db();
         db.set_monitor_mode(mode);
         db.execute(

@@ -12,12 +12,12 @@
 //!
 //! The test also regenerates EXPERIMENTS.md's count tables and fails,
 //! printing the expected text, when the committed ones differ. The same
-//! world carries fig. 7 with every item firing, and the §7.1 tabling and
-//! §8 hybrid-choice counts.
+//! world carries fig. 7 with every item firing, and the §7.1 tabling
+//! counts.
 
 use std::fmt::Write as _;
 
-use amos_core::{MonitorMode, Strategy};
+use amos_core::MonitorMode;
 use amos_db::{EngineOptions, ExecStrategy, NetworkPrep, Tuple, Value};
 use amos_objectlog::eval::{DeltaMap, EvalContext};
 use amos_storage::{Polarity, StateEpoch};
@@ -247,32 +247,5 @@ fn shared_threshold_call_is_tabled_once_per_state() {
             (2 * (k as u64 - 1), 2),
             "k = {k} rules"
         );
-    }
-}
-
-/// §8 hybrid monitoring on a mixed workload: 30 transactions, every 5th
-/// a whole-database update. The cost model picks naive for exactly the
-/// five bulk passes — round 0 rewrites the populated values, so it
-/// changes only the item the warm-up touched and stays incremental.
-#[test]
-fn hybrid_chooses_naive_for_exactly_the_bulk_passes() {
-    for n in [100, 1_000] {
-        let mut w = World::flat(n, ExecStrategy::default(), MonitorMode::Hybrid);
-        w.update_quantity(0, 10_001);
-        let (mut incremental, mut naive) = (0, 0);
-        for t in 0..30 {
-            if t % 5 == 0 {
-                w.update_all(t as i64);
-            } else {
-                w.update_quantity(t % n, 10_002 + t as i64);
-            }
-            for strategy in w.db.rules().last_strategies().values() {
-                match strategy {
-                    Strategy::Incremental => incremental += 1,
-                    Strategy::Naive => naive += 1,
-                }
-            }
-        }
-        assert_eq!((incremental, naive), (25, 5), "n = {n}");
     }
 }
