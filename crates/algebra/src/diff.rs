@@ -449,10 +449,10 @@ pub fn delta_from_differentials(
     // behaviour the paper warns about, preserved for study.
     let mut ds = DeltaSet::new();
     for t in plus {
-        ds.delta_union_insert(t);
+        ds.apply_insert(t);
     }
     for t in minus {
-        ds.delta_union_delete(t);
+        ds.apply_delete(t);
     }
     ds
 }

@@ -1,12 +1,14 @@
-//! Statistics-driven adaptive differential planning.
+//! Statistics-driven differential planning: the one planner of a
+//! partial differential.
 //!
-//! The paper optimizes each partial differential **once**, at rule
-//! activation, under the assumption of "few changes to a single
-//! influent". That assumption is exactly what a bulk-load transaction
-//! violates — and the inverse (a huge base relation joined from a tiny
-//! Δ-set) is where a statistics-blind join order wastes the most work.
+//! The paper optimizes each partial differential **once**, as an ordinary
+//! query, under the assumption of "few changes to a single influent".
+//! That assumption is exactly what a bulk-load transaction violates — and
+//! the inverse (a huge base relation joined from a tiny Δ-set) is where a
+//! statistics-blind join order wastes the most work.
 //!
-//! This module closes the loop: each differential's plan is cached
+//! So a differential is planned where its statistics are known, at the
+//! wave front, and its plan is kept while they hold: each plan is cached
 //! together with the **statistics fingerprint** it was compiled under
 //! (the cardinalities of its stored inputs and the sizes of its Δ-seed
 //! sides). At wave-front time the live fingerprint is recomputed from
@@ -19,8 +21,9 @@
 //! join order over the same literals, every ordering computes the same
 //! result set, and the §5 propagation invariants (frozen wave, serial
 //! merge order) are untouched — plans are resolved *deterministically,
-//! in serial task order* before any task runs. The adaptive≡static
-//! proptests pin this.
+//! in serial task order* before any task runs. The warm ≡ fresh
+//! proptest (a planner kept across passes against a new one per pass)
+//! pins this.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -119,9 +122,10 @@ struct CachedPlan {
 /// Per-differential plan cache with fingerprint-gated re-optimization.
 ///
 /// Owned by the rule layer (it survives propagation passes and is
-/// replaced when the network is rebuilt); shared into the wave-front
-/// loop by reference. Interior mutability keeps the propagation API
-/// `&self` and the cache usable from the level loop.
+/// replaced when the network is rebuilt: differential ids are reassigned,
+/// so cached entries would alias new differentials); shared into the
+/// wave-front loop by reference. Interior mutability keeps the
+/// propagation API `&self` and the cache usable from the level loop.
 #[derive(Default)]
 pub struct AdaptivePlanner {
     plans: RwLock<FxHashMap<DiffId, CachedPlan>>,
@@ -202,14 +206,29 @@ impl AdaptivePlanner {
         self.plans.read().map(|p| p.len()).unwrap_or(0)
     }
 
-    /// Drop all cached plans and counters (network rebuilt: DiffIds are
-    /// reassigned, so cached entries would alias new differentials).
-    pub fn reset(&self) {
-        if let Ok(mut cache) = self.plans.write() {
-            cache.clear();
+    /// The plan `diff` would run, for `explain`: the cached plan the last
+    /// pass ran, or, before any pass, the plan compiled under the current
+    /// statistics and an empty wave. Reads the cache only: no entry is
+    /// written and no counter moves.
+    pub fn peek(
+        &self,
+        id: DiffId,
+        diff: &Differential,
+        catalog: &Catalog,
+        storage: &Storage,
+    ) -> Result<Arc<Plan>, CoreError> {
+        let cached = self.plans.read().ok();
+        if let Some(hit) = cached.as_ref().and_then(|c| c.get(&id)) {
+            return Ok(Arc::clone(&hit.plan));
         }
-        self.replans.store(0, Ordering::Relaxed);
-        self.hits.store(0, Ordering::Relaxed);
+        let stats = LiveStats {
+            storage,
+            catalog,
+            deltas: &DeltaMap::new(),
+        };
+        let plan = compile_clause_with(catalog, &diff.clause, &Default::default(), &stats)
+            .map_err(CoreError::ObjectLog)?;
+        Ok(Arc::new(plan))
     }
 }
 
@@ -247,8 +266,7 @@ mod tests {
             .unwrap();
         let mut node_preds = HashSet::new();
         node_preds.insert(s);
-        let diffs =
-            crate::differ::generate_differentials(&catalog, &mut storage, p, &node_preds).unwrap();
+        let diffs = crate::differ::generate_differentials(&catalog, p, &node_preds).unwrap();
         assert_eq!(diffs.len(), 2, "one Δ₊ and one Δ₋ differential");
         let plus = diffs.into_iter().find(|d| d.seed == Polarity::Plus);
         (catalog, storage, plus.unwrap())
@@ -324,6 +342,10 @@ mod tests {
         let planner = AdaptivePlanner::new();
         let id = DiffId(0);
         let empty = DeltaMap::new();
+        // Before any pass, `peek` compiles without caching or counting.
+        let peeked = planner.peek(id, &diff, &catalog, &storage).unwrap();
+        assert!(matches!(peeked.steps[0], PlanStep::Delta { .. }));
+        assert_eq!((planner.cached_plans(), planner.replan_count()), (0, 0));
         planner
             .plan_for(id, &diff, &catalog, &storage, &empty)
             .unwrap();
@@ -340,8 +362,10 @@ mod tests {
         assert_eq!(planner.replan_count(), 2);
         assert_eq!(planner.hit_count(), 0);
         assert_eq!(planner.cached_plans(), 1);
-        planner.reset();
-        assert_eq!(planner.cached_plans(), 0);
-        assert_eq!(planner.replan_count(), 0);
+        // After one, `peek` shows the cached plan and leaves the counters.
+        let cached = planner.peek(id, &diff, &catalog, &storage).unwrap();
+        let resolved = planner.plan_for(id, &diff, &catalog, &storage, &deltas);
+        assert!(Arc::ptr_eq(&cached, &resolved.unwrap()));
+        assert_eq!((planner.replan_count(), planner.hit_count()), (2, 1));
     }
 }

@@ -23,17 +23,17 @@
 //! If `X` occurs several times in a body, each occurrence yields its own
 //! differentials (changes through either occurrence must be seen).
 //!
-//! Every differential is compiled once into an index-seeded [`Plan`]; the
-//! Δ-literal's zero cost puts it first, so each execution is
-//! `O(|ΔX| · probes)` rather than a database-sized join.
+//! A differential is a clause, not a plan: the rule layer's
+//! [`AdaptivePlanner`](crate::adaptive::AdaptivePlanner) orders it under
+//! the wave's live statistics, where a small Δ-set seeds the join, so each
+//! execution is `O(|ΔX| · probes)` rather than a database-sized join.
 
 use std::collections::HashSet;
 use std::fmt;
 
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::clause::{Clause, Literal};
-use amos_objectlog::plan::{compile_clause, ensure_join_indexes, ensure_plan_indexes, Plan};
-use amos_storage::{Polarity, StateEpoch, Storage};
+use amos_storage::{Polarity, StateEpoch};
 
 use crate::error::CoreError;
 
@@ -41,7 +41,7 @@ use crate::error::CoreError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DiffId(pub u32);
 
-/// One partial differential `ΔP/Δ±X`, compiled and ready to execute.
+/// One partial differential `ΔP/Δ±X`.
 #[derive(Debug, Clone)]
 pub struct Differential {
     /// The affected predicate `P`.
@@ -59,8 +59,6 @@ pub struct Differential {
     pub literal_index: usize,
     /// The differential clause (body with the Δ-literal substituted).
     pub clause: Clause,
-    /// The compiled, reusable plan.
-    pub plan: Plan,
 }
 
 impl Differential {
@@ -90,12 +88,8 @@ impl fmt::Display for Differential {
 /// nodes of the propagation network and therefore carry Δ-sets). Every
 /// occurrence gets both polarities: Δ₋ is what keeps negation, net-change
 /// cancellation and the §7.2 deletion checks exact.
-///
-/// Plans are compiled against the current catalog; `storage` gains the
-/// hash indexes the plans probe (done once, at rule activation).
 pub fn generate_differentials(
     catalog: &Catalog,
-    storage: &mut Storage,
     affected: PredId,
     node_preds: &HashSet<PredId>,
 ) -> Result<Vec<Differential>, CoreError> {
@@ -126,12 +120,6 @@ pub fn generate_differentials(
             for seed in [Polarity::Plus, Polarity::Minus] {
                 let (dclause, output) = differenced_clause(clause, li, seed)
                     .expect("literal checked to be a relation occurrence");
-                let plan = compile_clause(catalog, &dclause, &HashSet::new())?;
-                ensure_plan_indexes(catalog, &plan, storage);
-                // Index every probe pattern adaptive re-optimization
-                // could pick at wave-front time (storage is immutable
-                // there, so the indexes must exist up front).
-                ensure_join_indexes(catalog, &dclause, storage);
                 out.push(Differential {
                     affected,
                     influent: *pred,
@@ -140,7 +128,6 @@ pub fn generate_differentials(
                     clause_index: ci,
                     literal_index: li,
                     clause: dclause,
-                    plan,
                 });
             }
         }
@@ -155,7 +142,7 @@ pub fn generate_differentials(
 /// polarity (`seed` for positive occurrences, flipped for negated ones),
 /// or `None` if the literal is not a relation occurrence.
 ///
-/// [`generate_differentials`] compiles its result into plans; the
+/// [`generate_differentials`] applies it to every node occurrence; the
 /// conformance verifier (`amos_core::verify`) calls it directly to
 /// reconstruct what the builder should have emitted.
 pub fn differenced_clause(
@@ -225,9 +212,12 @@ fn retarget(lit: &Literal, epoch: StateEpoch) -> Literal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::AdaptivePlanner;
     use amos_objectlog::clause::{ClauseBuilder, Term};
+    use amos_objectlog::eval::DeltaMap;
     use amos_objectlog::plan::PlanStep;
-    use amos_types::TypeId;
+    use amos_storage::{DeltaSet, Storage};
+    use amos_types::{tuple, TypeId};
 
     fn sig(n: usize) -> Vec<TypeId> {
         vec![TypeId(0); n]
@@ -271,9 +261,9 @@ mod tests {
 
     #[test]
     fn four_differentials_for_two_influents() {
-        let mut f = fixture();
+        let f = fixture();
         let nodes: HashSet<PredId> = [f.q, f.r].into_iter().collect();
-        let diffs = generate_differentials(&f.catalog, &mut f.storage, f.p, &nodes).unwrap();
+        let diffs = generate_differentials(&f.catalog, f.p, &nodes).unwrap();
         assert_eq!(diffs.len(), 4);
         let names: Vec<String> = diffs.iter().map(|d| d.display_name(&f.catalog)).collect();
         assert!(names.contains(&"Δp/Δ+q".to_string()));
@@ -284,9 +274,9 @@ mod tests {
 
     #[test]
     fn negative_differential_evaluates_rest_old() {
-        let mut f = fixture();
+        let f = fixture();
         let nodes: HashSet<PredId> = [f.q, f.r].into_iter().collect();
-        let diffs = generate_differentials(&f.catalog, &mut f.storage, f.p, &nodes).unwrap();
+        let diffs = generate_differentials(&f.catalog, f.p, &nodes).unwrap();
         let dminus_r = diffs
             .iter()
             .find(|d| d.influent == f.r && d.seed == Polarity::Minus)
@@ -325,23 +315,38 @@ mod tests {
         ));
     }
 
+    /// Under a small wave the planner seeds every differential with its
+    /// Δ-literal.
     #[test]
     fn plans_are_delta_seeded() {
         let mut f = fixture();
+        let rq = f.catalog.def(f.q).stored_rel().unwrap();
+        let rr = f.catalog.def(f.r).stored_rel().unwrap();
+        for i in 0..100 {
+            f.storage.insert(rq, tuple![i, i % 10]).unwrap();
+            f.storage.insert(rr, tuple![i % 10, i]).unwrap();
+        }
         let nodes: HashSet<PredId> = [f.q, f.r].into_iter().collect();
-        let diffs = generate_differentials(&f.catalog, &mut f.storage, f.p, &nodes).unwrap();
-        for d in &diffs {
+        let diffs = generate_differentials(&f.catalog, f.p, &nodes).unwrap();
+        let mut wave = DeltaMap::new();
+        for pred in [f.q, f.r] {
+            let mut d = DeltaSet::new();
+            d.apply_insert(tuple![1, 1]);
+            d.apply_delete(tuple![2, 2]);
+            wave.insert(pred, d);
+        }
+        let planner = AdaptivePlanner::new();
+        for (i, d) in diffs.iter().enumerate() {
+            let id = DiffId(i as u32);
+            let plan = planner
+                .plan_for(id, d, &f.catalog, &f.storage, &wave)
+                .unwrap();
             assert!(
-                matches!(d.plan.steps[0], PlanStep::Delta { .. }),
+                matches!(plan.steps[0], PlanStep::Delta { .. }),
                 "differential {} must start with its Δ-scan",
                 d.display_name(&f.catalog)
             );
         }
-        // Index on r.0 (probe from Δq) and q.1 (probe from Δr) exist.
-        let rr = f.catalog.def(f.r).stored_rel().unwrap();
-        let rq = f.catalog.def(f.q).stored_rel().unwrap();
-        assert!(f.storage.relation(rr).has_index(&[0]));
-        assert!(f.storage.relation(rq).has_index(&[1]));
     }
 
     #[test]
@@ -361,7 +366,7 @@ mod tests {
             )
             .unwrap();
         let nodes: HashSet<PredId> = [f.q, f.r].into_iter().collect();
-        let diffs = generate_differentials(&f.catalog, &mut f.storage, s, &nodes).unwrap();
+        let diffs = generate_differentials(&f.catalog, s, &nodes).unwrap();
         assert_eq!(diffs.len(), 4);
         let r_diffs: Vec<_> = diffs.iter().filter(|d| d.influent == f.r).collect();
         for d in r_diffs {
@@ -404,7 +409,7 @@ mod tests {
             )
             .unwrap();
         let nodes: HashSet<PredId> = [f.q].into_iter().collect();
-        let diffs = generate_differentials(&f.catalog, &mut f.storage, sj, &nodes).unwrap();
+        let diffs = generate_differentials(&f.catalog, sj, &nodes).unwrap();
         // two occurrences × two polarities
         assert_eq!(diffs.len(), 4);
         let lits: HashSet<usize> = diffs.iter().map(|d| d.literal_index).collect();

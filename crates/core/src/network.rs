@@ -20,9 +20,8 @@
 use std::collections::{HashMap, HashSet};
 
 use amos_objectlog::catalog::{Catalog, PredId, PredKind};
+use amos_objectlog::plan::ensure_join_indexes;
 use amos_storage::{Polarity, Storage};
-
-use amos_objectlog::plan::{compile_clause, ensure_plan_indexes};
 
 use crate::differ::{generate_differentials, DiffId, Differential};
 use crate::error::CoreError;
@@ -73,8 +72,8 @@ impl PropagationNetwork {
     /// becomes a node (derived influents were either expanded away before
     /// this call — flat style — or remain and become intermediate
     /// nodes). Differentials are generated for every derived node with
-    /// respect to its direct influent nodes, compiled, and their probe
-    /// indexes created in `storage`.
+    /// respect to its direct influent nodes, and `storage` gains every
+    /// index a plan over the node's clauses can probe.
     pub fn build(
         catalog: &Catalog,
         storage: &mut Storage,
@@ -127,21 +126,15 @@ impl PropagationNetwork {
             if !matches!(catalog.def(pred).kind, PredKind::Derived(_)) {
                 continue;
             }
-            // Ensure the indexes for *full* evaluation of this predicate
-            // too: the naive baseline re-evaluates conditions in full,
-            // and the §7.2 correction checks run fully-bound point
-            // queries — both probe stored literals on column subsets
-            // that differ from the differential plans'.
-            if let Some(clauses) = catalog.def(pred).clauses() {
-                for clause in clauses {
-                    let unbound = compile_clause(catalog, clause, &HashSet::new())?;
-                    ensure_plan_indexes(catalog, &unbound, storage);
-                    let all_head: HashSet<_> = clause.head_vars().into_iter().collect();
-                    let bound = compile_clause(catalog, clause, &all_head)?;
-                    ensure_plan_indexes(catalog, &bound, storage);
-                }
+            // One index rule serves every plan over this node's clauses:
+            // its differentials (a Δ-literal binds what the literal it
+            // replaces binds), full evaluation by the naive monitor, and
+            // calls with bound head columns from a bushy parent or a §7.2
+            // `holds` check.
+            for clause in catalog.def(pred).clauses().unwrap_or_default() {
+                ensure_join_indexes(catalog, clause, storage);
             }
-            let diffs = generate_differentials(catalog, storage, pred, &node_preds)?;
+            let diffs = generate_differentials(catalog, pred, &node_preds)?;
             for d in diffs {
                 // L004 dead-differential pruning: a Δ₋-seeded edge from a
                 // stored append-only relation can never carry tuples (its

@@ -123,18 +123,19 @@ struct TaskOutput {
 }
 
 /// One unit of wave-front work: execute differential `diff` seeded by
-/// its influent node's Δ-set, optionally under an adaptively
-/// re-optimized plan resolved before the batch was launched.
+/// its influent node's Δ-set under the plan resolved for it before the
+/// batch was launched.
 struct Task {
     diff: DiffId,
-    plan: Option<Arc<Plan>>,
+    plan: Arc<Plan>,
 }
 
 /// Run one breadth-first bottom-up propagation pass over the network,
 /// reading base-relation Δ-sets from `storage` and returning the
 /// condition-level net changes: [`propagate_adaptive`] with fresh
-/// evaluator state and each differential's activation-time plan. Nothing
-/// reads `_check` (see [`CheckLevel`]).
+/// evaluator state and a fresh planner, so every differential is planned
+/// under this pass's statistics. Nothing reads `_check` (see
+/// [`CheckLevel`]).
 pub fn propagate_with(
     network: &PropagationNetwork,
     catalog: &Catalog,
@@ -143,7 +144,8 @@ pub fn propagate_with(
     strategy: ExecStrategy,
 ) -> Result<PropagationResult, CoreError> {
     let shared = Arc::new(EvalShared::default());
-    propagate_adaptive(network, catalog, storage, strategy, &shared, None)
+    let planner = AdaptivePlanner::new();
+    propagate_adaptive(network, catalog, storage, strategy, &shared, &planner)
 }
 
 /// The propagation pass in full: per level, (1) close changed
@@ -165,22 +167,23 @@ pub fn propagate_with(
 /// [`EvalShared::reset_pass`] at pass boundaries (storage changes
 /// invalidate per-pass state).
 ///
-/// When `planner` is given, each level's differential plans are resolved
-/// against the *live* statistics (base cardinalities, column NDVs,
-/// current Δ-set sizes) before the batch launches — cached plans are
-/// reused until their statistics fingerprint drifts, at which point the
-/// differential is recompiled under the cardinality-aware cost model.
-/// Plan resolution is sequential and happens in serial task order, so
-/// the plans each task executes — and therefore every Δ-set and counter
-/// — do not depend on whether the level then runs on threads. With
-/// `planner == None` each differential runs its activation-time plan.
+/// `planner` is the only planner of a differential: each level's plans
+/// (and each round of a recursive closure) are resolved against the
+/// *live* statistics (base cardinalities, column NDVs, current Δ-set
+/// sizes) before the batch launches — cached plans are reused until
+/// their statistics fingerprint drifts, at which point the differential
+/// is recompiled under the cardinality-aware cost model. Plan resolution
+/// is sequential and happens in serial task order, so the plans each
+/// task executes — and therefore every Δ-set and counter — do not depend
+/// on whether the level then runs on threads. The rule manager keeps one
+/// planner per network; [`propagate_with`] passes a fresh one.
 pub fn propagate_adaptive(
     network: &PropagationNetwork,
     catalog: &Catalog,
     storage: &Storage,
     strategy: ExecStrategy,
     shared: &Arc<EvalShared>,
-    planner: Option<&AdaptivePlanner>,
+    planner: &AdaptivePlanner,
 ) -> Result<PropagationResult, CoreError> {
     let pass_timer = Stopwatch::start();
     let hits_before = shared.tabling_hits();
@@ -190,8 +193,8 @@ pub fn propagate_adaptive(
     let delta_probes_before = shared.delta_probe_count();
     let delta_scans_before = shared.delta_scan_count();
     let fallback_before = storage.fallback_scans_total();
-    let replans_before = planner.map_or(0, AdaptivePlanner::replan_count);
-    let hits_cache_before = planner.map_or(0, AdaptivePlanner::hit_count);
+    let replans_before = planner.replan_count();
+    let hits_cache_before = planner.hit_count();
     let mut result = PropagationResult::default();
     result.metrics.strategy = strategy.name().to_owned();
 
@@ -234,15 +237,23 @@ pub fn propagate_adaptive(
         // each closure mutates its own node's wave entry.
         for node in &changed {
             if node.self_recursive {
-                close_recursive_node(network, catalog, storage, node, &mut wave, &mut result)?;
+                close_recursive_node(
+                    network,
+                    catalog,
+                    storage,
+                    planner,
+                    node,
+                    &mut wave,
+                    &mut result,
+                )?;
             }
         }
 
         // Gather the level's tasks in serial execution order; self-
         // differentials were consumed by the fixpoint closure above.
-        // Adaptive plans are resolved here, sequentially against the
-        // level-start wave, so parallel execution sees the same plans
-        // (and fills the same caches) as serial execution would.
+        // Plans are resolved here, sequentially against the level-start
+        // wave, so parallel execution sees the same plans (and fills the
+        // same caches) as serial execution would.
         let mut tasks: Vec<Task> = Vec::new();
         for node in &changed {
             for diff_id in &node.out_diffs {
@@ -250,10 +261,7 @@ pub fn propagate_adaptive(
                 if diff.affected == node.pred {
                     continue;
                 }
-                let plan = match planner {
-                    Some(p) => Some(p.plan_for(*diff_id, diff, catalog, storage, &wave)?),
-                    None => None,
-                };
+                let plan = planner.plan_for(*diff_id, diff, catalog, storage, &wave)?;
                 tasks.push(Task {
                     diff: *diff_id,
                     plan,
@@ -303,13 +311,13 @@ pub fn propagate_adaptive(
                 nanos: output.nanos,
                 candidates: output.candidates,
                 accepted: output.accepted.len(),
-                est_rows: task.plan.as_deref().unwrap_or(&diff.plan).est_rows,
+                est_rows: task.plan.est_rows,
             });
             let target = wave.entry(diff.affected).or_default();
             for t in &output.accepted {
                 match diff.output {
-                    Polarity::Plus => target.delta_union_insert(t.clone()),
-                    Polarity::Minus => target.delta_union_delete(t.clone()),
+                    Polarity::Plus => target.apply_insert(t.clone()),
+                    Polarity::Minus => target.apply_delete(t.clone()),
                 }
             }
             result.fired.push(FiredDifferential {
@@ -344,9 +352,8 @@ pub fn propagate_adaptive(
     result.metrics.scans = shared.scan_count() - scans_before;
     result.metrics.delta_probes = shared.delta_probe_count() - delta_probes_before;
     result.metrics.delta_scans = shared.delta_scan_count() - delta_scans_before;
-    result.metrics.replans = planner.map_or(0, AdaptivePlanner::replan_count) - replans_before;
-    result.metrics.plan_cache_hits =
-        planner.map_or(0, AdaptivePlanner::hit_count) - hits_cache_before;
+    result.metrics.replans = planner.replan_count() - replans_before;
+    result.metrics.plan_cache_hits = planner.hit_count() - hits_cache_before;
     result.metrics.fallback_scans = storage.fallback_scans_total() - fallback_before;
     if result.metrics.fallback_scans > 0 {
         result.metrics.fallback_sites = storage
@@ -373,9 +380,8 @@ fn run_differential(
 ) -> Result<TaskOutput, CoreError> {
     let timer = Stopwatch::start();
     let diff = network.differential(task.diff);
-    let plan = task.plan.as_deref().unwrap_or(&diff.plan);
     let mut produced: Vec<Tuple> = Vec::new();
-    ctx.plan_heads(plan, StateEpoch::New, 0, &mut produced)?;
+    ctx.plan_heads(&task.plan, StateEpoch::New, 0, &mut produced)?;
 
     // Candidates feeding a recursive node skip the per-tuple §7.2
     // check: the fixpoint closure (or the exact recompute fallback on
@@ -440,7 +446,8 @@ fn run_tasks_threaded(
 ///
 /// * Pure insertions: semi-naive — repeatedly execute the node's
 ///   self-differentials (`ΔP/Δ₊P`) seeded by the newest frontier until
-///   a round derives nothing new.
+///   a round derives nothing new. Each round's plans come from
+///   `planner` under the round's frontier.
 /// * Any deletions: fall back to exact recomputation of the node's
 ///   delta (`<P_new − P_old, P_old − P_new>` via fixpoint evaluation in
 ///   both states) — the DRed-style over-delete/re-derive dance is out
@@ -449,6 +456,7 @@ fn close_recursive_node(
     network: &PropagationNetwork,
     catalog: &Catalog,
     storage: &Storage,
+    planner: &AdaptivePlanner,
     node: &crate::network::Node,
     wave: &mut DeltaMap,
     result: &mut PropagationResult,
@@ -463,11 +471,11 @@ fn close_recursive_node(
         return Ok(());
     }
 
-    let self_diffs: Vec<&crate::differ::Differential> = node
+    let self_diffs: Vec<(DiffId, &crate::differ::Differential)> = node
         .out_diffs
         .iter()
-        .map(|d| network.differential(*d))
-        .filter(|d| d.affected == node.pred && d.seed == Polarity::Plus)
+        .map(|&id| (id, network.differential(id)))
+        .filter(|(_, d)| d.affected == node.pred && d.seed == Polarity::Plus)
         .collect();
     let mut total: amos_types::FxHashSet<Tuple> = delta.plus().clone();
     let mut frontier: amos_types::FxHashSet<Tuple> = total.clone();
@@ -480,8 +488,9 @@ fn close_recursive_node(
         fmap.insert(node.pred, fdelta);
         let ctx = EvalContext::new(storage, catalog, &fmap);
         let mut produced: Vec<Tuple> = Vec::new();
-        for diff in &self_diffs {
-            ctx.plan_heads(&diff.plan, StateEpoch::New, 0, &mut produced)?;
+        for &(id, diff) in &self_diffs {
+            let plan = planner.plan_for(id, diff, catalog, storage, &fmap)?;
+            ctx.plan_heads(&plan, StateEpoch::New, 0, &mut produced)?;
         }
         result.metrics.candidates += produced.len();
         for t in produced {
@@ -493,7 +502,7 @@ fn close_recursive_node(
 
     let mut closed = DeltaSet::new();
     for t in total {
-        closed.delta_union_insert(t);
+        closed.apply_insert(t);
     }
     wave.insert(node.pred, closed);
     Ok(())

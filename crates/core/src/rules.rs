@@ -278,8 +278,8 @@ pub struct RuleManager {
     /// every pass boundary. Replaced wholesale on
     /// network rebuilds, which invalidate compiled plans.
     eval_shared: Arc<EvalShared>,
-    /// Statistics-driven differential plan cache with wave-front
-    /// re-optimization. Reset on network rebuilds.
+    /// The planner of every differential: a statistics-driven plan cache
+    /// with wave-front re-optimization. Replaced on network rebuilds.
     adaptive: AdaptivePlanner,
 }
 
@@ -467,8 +467,8 @@ impl RuleManager {
         // whole shared cache state rather than clearing piecemeal.
         self.eval_shared = Arc::new(EvalShared::default());
         // Differential ids are re-assigned by the rebuild, so the
-        // adaptive plan cache is stale wholesale.
-        self.adaptive.reset();
+        // planner's cache is stale wholesale.
+        self.adaptive = AdaptivePlanner::new();
         // Monitor exactly the stored influents of active conditions.
         let needed: HashSet<PredId> = self.network.stored_nodes(catalog).into_iter().collect();
         for pred in catalog.iter().map(|d| d.id).collect::<Vec<_>>() {
@@ -487,6 +487,11 @@ impl RuleManager {
     /// The propagation network (introspection / tests).
     pub fn network(&self) -> &PropagationNetwork {
         &self.network
+    }
+
+    /// The planner of the network's differentials (introspection).
+    pub fn planner(&self) -> &AdaptivePlanner {
+        &self.adaptive
     }
 
     /// Trace of the most recent check phase.
@@ -758,7 +763,7 @@ impl RuleManager {
                 storage,
                 self.exec,
                 &self.eval_shared,
-                Some(&self.adaptive),
+                &self.adaptive,
             )?;
             out.trace.fired = result.fired;
             out.trace.metrics = Some(result.metrics);

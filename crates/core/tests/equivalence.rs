@@ -11,7 +11,9 @@
 //! runs the cases through one [`Axis`], and each axis is one `#[test]`
 //! line. Every axis meets every shape, and `drive` asserts that the
 //! mechanism the axis exists to check engaged at least once, and that
-//! an old-state read probed a Δ-set through its arrangement.
+//! an old-state read probed a Δ-set through its arrangement. Every pass
+//! also asserts index availability: no probe fell back to a full scan
+//! for want of an index.
 //!
 //! Three named tests pin exact facts the generator would only sample:
 //! an 800-tuple wave on threads, the output order of a bulk pass, and
@@ -20,7 +22,7 @@
 mod common;
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -35,7 +37,8 @@ use amos_core::propagate::{
 };
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::clause::{Clause, ClauseBuilder, Term};
-use amos_objectlog::eval::EvalShared;
+use amos_objectlog::eval::{DeltaMap, EvalContext, EvalShared};
+use amos_objectlog::plan::{compile_clause, Plan};
 use amos_storage::{DeltaSet, RelId, StateEpoch, Storage};
 use amos_types::{tuple, ArithOp, CmpOp, Tuple, TypeId};
 use proptest::prelude::*;
@@ -323,19 +326,22 @@ impl World {
             .update(|a| a || delta.is_some_and(|d| d.index_count() > 0));
     }
 
+    /// A pass with fresh evaluator state and a fresh planner.
     fn pass(&self, strategy: ExecStrategy) -> PropagationResult {
         let (net, catalog, storage) = (&self.net, &self.catalog, &self.storage);
-        propagate_with(net, catalog, storage, CheckLevel::Nervous, strategy).unwrap()
+        let r = propagate_with(net, catalog, storage, CheckLevel::Nervous, strategy);
+        indexed(r.unwrap())
     }
 
     fn adaptive(
         &self,
         strategy: ExecStrategy,
         shared: &Arc<EvalShared>,
-        planner: Option<&AdaptivePlanner>,
+        planner: &AdaptivePlanner,
     ) -> PropagationResult {
         let (net, catalog, storage) = (&self.net, &self.catalog, &self.storage);
-        propagate_adaptive(net, catalog, storage, strategy, shared, planner).unwrap()
+        let r = propagate_adaptive(net, catalog, storage, strategy, shared, planner);
+        indexed(r.unwrap())
     }
 
     /// The condition's exact Δ-set, by evaluation in both states.
@@ -355,6 +361,18 @@ impl World {
         let runs = |rel| self.storage.relation(rel).run_count();
         runs(self.rq) + runs(self.rr) > 0
     }
+}
+
+/// Assert index availability (DESIGN.md §8): the network build indexed
+/// every probe the pass made, so none fell back to a full scan.
+fn indexed(r: PropagationResult) -> PropagationResult {
+    let m = &r.metrics;
+    assert_eq!(
+        m.fallback_scans, 0,
+        "scan fallbacks at {:?}",
+        m.fallback_sites
+    );
+    r
 }
 
 fn sorted<'a>(tuples: impl IntoIterator<Item = &'a Tuple>) -> Vec<Tuple> {
@@ -442,8 +460,9 @@ enum Axis {
     /// A rolled-back transaction restores the condition and both
     /// relations, in the hash and the sealed layout.
     Rollback,
-    /// Adaptive ≡ static plans under both strategies, one warm planner.
-    AdaptiveStatic,
+    /// A planner kept across passes ≡ a fresh planner on every pass,
+    /// under both strategies.
+    WarmFresh,
     /// Adaptive serial ≡ adaptive parallel, with equal replan and hit
     /// counts.
     AdaptiveSerialParallel,
@@ -516,22 +535,22 @@ impl Axis {
                     }
                 }
             }
-            Axis::AdaptiveStatic => {
-                let planner = AdaptivePlanner::new();
+            Axis::WarmFresh => {
+                let warm = AdaptivePlanner::new();
                 case.world().passes(case, |w, i| {
-                    let fixed = Pass::of(&w.pass(Serial));
+                    let fresh = Pass::of(&w.pass(Serial));
                     for strategy in STRATEGIES {
-                        let adaptive = w.adaptive(strategy, &Arc::default(), Some(&planner));
-                        assert_eq!(Pass::of(&adaptive), fixed, "pass {i}, {strategy:?}");
+                        let kept = w.adaptive(strategy, &Arc::default(), &warm);
+                        assert_eq!(Pass::of(&kept), fresh, "pass {i}, {strategy:?}");
                     }
                 });
-                engaged = planner.hit_count() > 0;
+                engaged = warm.hit_count() > 0;
             }
             Axis::AdaptiveSerialParallel => {
                 let (sp, pp) = (AdaptivePlanner::new(), AdaptivePlanner::new());
                 case.world().passes(case, |w, i| {
-                    let serial = w.adaptive(Serial, &Arc::default(), Some(&sp));
-                    let parallel = w.adaptive(Parallel, &Arc::default(), Some(&pp));
+                    let serial = w.adaptive(Serial, &Arc::default(), &sp);
+                    let parallel = w.adaptive(Parallel, &Arc::default(), &pp);
                     assert_eq!(Pass::of(&serial), Pass::of(&parallel), "pass {i}");
                     assert_eq!(counts(&sp), counts(&pp), "pass {i}");
                     engaged |= threaded(case, i, &serial, &parallel);
@@ -543,8 +562,8 @@ impl Axis {
                 case.world().passes(case, |w, i| {
                     ss.reset_pass();
                     ps.reset_pass();
-                    let serial = w.adaptive(Serial, &ss, Some(&sp));
-                    let parallel = w.adaptive(Parallel, &ps, Some(&pp));
+                    let serial = w.adaptive(Serial, &ss, &sp);
+                    let parallel = w.adaptive(Parallel, &ps, &pp);
                     assert_eq!(Pass::of(&serial), Pass::of(&parallel), "pass {i}");
                     threaded(case, i, &serial, &parallel);
                     let got = &parallel.condition_deltas[&w.cond];
@@ -557,8 +576,8 @@ impl Axis {
                 engaged = sp.replan_count() > sp.cached_plans() as u64;
             }
             Axis::TabledUntabled => case.world().passes(case, |w, i| {
-                let tabled = w.adaptive(Serial, &Arc::default(), None);
-                let untabled = w.adaptive(Serial, &untabled(), None);
+                let tabled = w.adaptive(Serial, &Arc::default(), &AdaptivePlanner::new());
+                let untabled = w.adaptive(Serial, &untabled(), &AdaptivePlanner::new());
                 assert_eq!(Pass::of(&tabled), Pass::of(&untabled), "pass {i}");
                 let memo = (
                     untabled.metrics.tabling_hits,
@@ -568,8 +587,8 @@ impl Axis {
                 engaged |= tabled.metrics.tabling_hits > 0;
             }),
             Axis::TabledParallel => case.world().passes(case, |w, i| {
-                let tabled = w.adaptive(Parallel, &Arc::default(), None);
-                let untabled = w.adaptive(Serial, &untabled(), None);
+                let tabled = w.adaptive(Parallel, &Arc::default(), &AdaptivePlanner::new());
+                let untabled = w.adaptive(Serial, &untabled(), &AdaptivePlanner::new());
                 assert_eq!(Pass::of(&tabled), Pass::of(&untabled), "pass {i}");
                 let threads = threaded(case, i, &untabled, &tabled);
                 engaged |= threads && tabled.metrics.tabling_hits > 0;
@@ -580,7 +599,7 @@ impl Axis {
                 let reused = Arc::<EvalShared>::default();
                 case.world().passes(case, |w, i| {
                     reused.reset_pass();
-                    let warm = w.adaptive(Serial, &reused, None);
+                    let warm = w.adaptive(Serial, &reused, &AdaptivePlanner::new());
                     let fresh = w.pass(Serial);
                     assert_eq!(Pass::of(&warm), Pass::of(&fresh), "pass {i}");
                 });
@@ -665,7 +684,7 @@ axes! {
     nervous_never_under_reacts => NervousNeverUnderReacts,
     serial_and_parallel_agree_under_all_check_levels => SerialParallel,
     rollback_restores_condition => Rollback,
-    adaptive_equals_static_under_all_checks_and_strategies => AdaptiveStatic,
+    warm_planner_equals_fresh_planner_under_both_strategies => WarmFresh,
     adaptive_serial_and_parallel_agree => AdaptiveSerialParallel,
     adaptive_stays_exact_across_drifting_passes => AdaptiveDrift,
     tabled_equals_untabled_all_check_levels => TabledUntabled,
@@ -738,12 +757,14 @@ const DELTA_K: i64 = 8;
 
 /// Adaptive planning where it matters, as counts. `p(X) ← s(X,G) ∧
 /// big(G,Y) ∧ pick(X,Y)`: after a `Δ₊s` seed binds `X` and `G`, both
-/// remaining literals are index probes. The static cost model ties them
+/// remaining literals are index probes. The static cost table ties them
 /// and takes textual order, fanning out through `big`'s 2 000 rows per
 /// group before `pick` closes the join; the statistics-backed estimator
 /// ranks the functional `pick` first and the differential becomes
 /// probe-then-lookup — two probes per Δ-tuple. Plans resolve once per
 /// Δ-polarity, and every later pass is a fingerprint-stable cache hit.
+/// The static plans are the comparison only: the test compiles and runs
+/// them itself over the same Δ-set.
 #[test]
 fn adaptive_planning_probes_the_functional_literal_first_on_skew() {
     let mut storage = Storage::new();
@@ -771,36 +792,60 @@ fn adaptive_planning_probes_the_functional_literal_first_on_skew() {
         storage.monitor(rel);
     }
     let net = PropagationNetwork::build(&catalog, &mut storage, &[cond]).unwrap();
-
-    // One pass: insert `batch` into `s`, propagate, roll back.
-    let mut pass = |batch: i64, shared: &Arc<EvalShared>, planner: Option<&AdaptivePlanner>| {
+    // Open a transaction inserting batch `batch` into `s`.
+    let begin = |storage: &mut Storage, batch: i64| {
         storage.begin().unwrap();
         for i in 0..DELTA_K {
             let x = batch * DELTA_K + i;
             storage.insert(rs, tuple![x % 1_000, x % GROUPS]).unwrap();
         }
+    };
+
+    // The static plans over one batch: the heads they derive, and their
+    // probes.
+    let plans = net.differentials().iter();
+    let plans: Vec<Plan> = plans
+        .map(|d| compile_clause(&catalog, &d.clause, &HashSet::new()).unwrap())
+        .collect();
+    let mut fixed = |batch: i64| {
+        begin(&mut storage, batch);
+        let mut wave = DeltaMap::new();
+        wave.insert(s, storage.delta(rs).unwrap().clone());
+        let shared = Arc::<EvalShared>::default();
+        let ctx = EvalContext::with_shared(&storage, &catalog, &wave, Arc::clone(&shared));
+        let mut heads = Vec::new();
+        for plan in &plans {
+            ctx.plan_heads(plan, StateEpoch::New, 0, &mut heads)
+                .unwrap();
+        }
+        drop(ctx);
+        storage.rollback().unwrap();
+        (sorted(&heads), shared.probe_count())
+    };
+    let (mut fixed_heads, _) = fixed(0);
+    fixed_heads.dedup();
+    let (_, fixed_probes) = fixed(9);
+
+    // The planner's passes, one warm planner throughout.
+    let (shared, planner) = (Arc::<EvalShared>::default(), AdaptivePlanner::new());
+    let mut pass = |batch: i64| {
+        begin(&mut storage, batch);
         shared.reset_pass();
-        let result = propagate_adaptive(&net, &catalog, &storage, Parallel, shared, planner);
+        let result = propagate_adaptive(&net, &catalog, &storage, Parallel, &shared, &planner);
         storage.rollback().unwrap();
         result.unwrap()
     };
-
-    let (static_shared, adaptive_shared) = (Arc::default(), Arc::default());
-    let planner = AdaptivePlanner::new();
-    // A warm-up pass on the first batch: both plans monitor identically.
-    let fixed = pass(0, &static_shared, None);
-    let adaptive = pass(0, &adaptive_shared, Some(&planner));
-    assert_eq!(fixed.condition_deltas, adaptive.condition_deltas);
+    // A warm-up pass on the first batch: both plans derive the same heads.
+    let first = pass(0);
+    assert_eq!(sorted(first.condition_deltas[&cond].plus()), fixed_heads);
     for batch in 0..9 {
-        pass(batch, &static_shared, None);
-        pass(batch, &adaptive_shared, Some(&planner));
+        pass(batch);
     }
-    let fixed = pass(9, &static_shared, None).metrics;
-    let adaptive = pass(9, &adaptive_shared, Some(&planner)).metrics;
+    let adaptive = pass(9).metrics;
     assert_eq!((planner.replan_count(), planner.hit_count()), (2, 20));
     assert_eq!(adaptive.probes, (DELTA_K * 2) as u64);
     // Static: one `big` probe per Δ-tuple, then one `pick` probe per row
     // of its group.
-    assert_eq!(fixed.probes, (DELTA_K * (1 + fanout)) as u64);
-    assert!(fixed.probes >= 100 * adaptive.probes);
+    assert_eq!(fixed_probes, (DELTA_K * (1 + fanout)) as u64);
+    assert!(fixed_probes >= 100 * adaptive.probes);
 }

@@ -10,6 +10,7 @@ use amos_amosql::compiler::{compile_predicate_at, compile_select_at, QueryEnv};
 use amos_amosql::parser::parse_spanned;
 use amos_amosql::ParseError;
 use amos_core::aggregate::{AggFn, AggregateView};
+use amos_core::differ::DiffId;
 use amos_core::maintained::{MaintainedAggregate, UserView};
 use amos_core::propagate::ExecStrategy;
 use amos_core::rules::{ActionFn, CheckSummary, MonitorMode, RuleManager, RuleSemantics};
@@ -351,148 +352,80 @@ impl Amos {
     /// definition time, so nothing unsafe can reach the catalog — the
     /// [`crate::lint_script`] driver reports them pre-definition.
     pub fn lint_all(&self) -> Vec<Diagnostic> {
-        let config = &self.options.lint_level;
-        let mut out = Vec::new();
-        out.extend(amos_lint::check_stratification(
-            config,
-            &self.catalog,
-            None,
-            &|p| self.span_of_pred(p),
-        ));
-        out.extend(amos_lint::check_triggering(
-            config,
-            &self.catalog,
-            &self.rule_facts(),
-        ));
-        let conds = self.rule_conditions();
-        out.extend(amos_lint::check_dead_differentials(
-            config,
-            &self.catalog,
-            &conds,
-            &|rel| self.storage.is_append_only(rel),
-            &|r| self.span_of_rule(r),
-        ));
-        out.extend(amos_lint::check_conditions(
-            config,
-            &self.catalog,
-            &conds,
-            &|r| self.span_of_rule(r),
-        ));
-        out.extend(amos_lint::absint::check_types(
-            config,
-            &self.catalog,
-            &self.types,
-            None,
-            &|p| self.span_of_pred(p),
-        ));
-        let analysis = amos_lint::absint::analyze(&self.catalog);
-        out.extend(amos_lint::absint::check_provably_empty(
-            config,
-            &self.catalog,
-            &analysis,
-            &conds,
-            &|r| self.span_of_rule(r),
-        ));
-        out.extend(amos_lint::absint::check_subsumption(
-            config,
-            &self.catalog,
-            &analysis,
-            &conds,
-            &|r| self.span_of_rule(r),
-        ));
-        out.extend(amos_lint::absint::check_const_fold(
-            config,
-            &self.catalog,
-            &analysis,
-            &conds,
-            &|r| self.span_of_rule(r),
-        ));
-        out
+        self.lint(None)
     }
 
-    /// Run the lint passes scoped to one rule: stratification restricted
-    /// to predicates reachable from its condition, triggering findings
-    /// that involve the rule, and its own dead-differential and
-    /// condition findings. This is the set `activate` gates on.
+    /// Run the lint passes scoped to one rule (see `Amos::lint`). This
+    /// is the set `activate` gates on.
     pub fn lint_rule(&self, name: &str) -> Result<Vec<Diagnostic>, DbError> {
         let info = self
             .rule_lint
             .iter()
             .find(|r| r.name == name)
             .ok_or_else(|| DbError::Other(format!("unknown rule `{name}`")))?;
+        Ok(self.lint(Some(info)))
+    }
+
+    /// The eight lint passes, in one order, over the whole catalog or
+    /// scoped to `rule`: stratification and types then cover what its
+    /// condition reaches, triggering findings are kept when attributed
+    /// to the rule or mentioning it (cycles span rules), and every other
+    /// finding is kept when attributed to the rule. The condition passes
+    /// always run over the full rule set — L008 compares conditions
+    /// pairwise — and are filtered afterwards.
+    fn lint(&self, rule: Option<&RuleLintInfo>) -> Vec<Diagnostic> {
         let config = &self.options.lint_level;
-        let mut out = Vec::new();
-        out.extend(amos_lint::check_stratification(
-            config,
-            &self.catalog,
-            Some(&[info.condition]),
-            &|p| self.span_of_pred(p),
-        ));
-        // Triggering cycles span rules: keep findings attributed to this
-        // rule or whose cycle rendering names it.
+        let scope = rule.map(|r| [r.condition]);
+        let scope = scope.as_ref().map(|s| &s[..]);
+        let name = rule.map(|r| r.name.as_str());
+        let ours = |d: &Diagnostic| name.is_none() || d.rule.as_deref() == name;
         let mentions = |msg: &str| {
             msg.split(|c: char| !(c.is_alphanumeric() || c == '_'))
-                .any(|tok| tok == name)
+                .any(|tok| Some(tok) == name)
         };
+        let conds = self.rule_conditions();
+        let spans = |r: &str| self.span_of_rule(r);
+        let analysis = amos_lint::absint::analyze(&self.catalog);
+        let mut out = amos_lint::check_stratification(config, &self.catalog, scope, &|p| {
+            self.span_of_pred(p)
+        });
         out.extend(
             amos_lint::check_triggering(config, &self.catalog, &self.rule_facts())
                 .into_iter()
-                .filter(|d| d.rule.as_deref() == Some(name) || mentions(&d.message)),
+                .filter(|d| ours(d) || mentions(&d.message)),
         );
-        let own = vec![(info.name.clone(), info.condition)];
-        out.extend(amos_lint::check_dead_differentials(
-            config,
-            &self.catalog,
-            &own,
-            &|rel| self.storage.is_append_only(rel),
-            &|_| info.span,
-        ));
-        out.extend(
-            amos_lint::check_conditions(config, &self.catalog, &self.rule_conditions(), &|r| {
-                self.span_of_rule(r)
-            })
-            .into_iter()
-            .filter(|d| d.rule.as_deref() == Some(name)),
-        );
+        let is_append_only = |rel| self.storage.is_append_only(rel);
+        let rule_passes = [
+            amos_lint::check_dead_differentials(
+                config,
+                &self.catalog,
+                &conds,
+                &is_append_only,
+                &spans,
+            ),
+            amos_lint::check_conditions(config, &self.catalog, &conds, &spans),
+        ];
+        out.extend(rule_passes.into_iter().flatten().filter(ours));
         out.extend(amos_lint::absint::check_types(
             config,
             &self.catalog,
             &self.types,
-            Some(&[info.condition]),
+            scope,
             &|p| self.span_of_pred(p),
         ));
-        // The abstract-interpretation condition passes run over the
-        // full rule set (L008 compares conditions pairwise) and are
-        // filtered down to findings anchored on this rule.
-        let analysis = amos_lint::absint::analyze(&self.catalog);
-        let conds = self.rule_conditions();
-        let spans = |r: &str| self.span_of_rule(r);
-        out.extend(
+        let condition_passes = [
             amos_lint::absint::check_provably_empty(
                 config,
                 &self.catalog,
                 &analysis,
                 &conds,
                 &spans,
-            )
-            .into_iter()
-            .chain(amos_lint::absint::check_subsumption(
-                config,
-                &self.catalog,
-                &analysis,
-                &conds,
-                &spans,
-            ))
-            .chain(amos_lint::absint::check_const_fold(
-                config,
-                &self.catalog,
-                &analysis,
-                &conds,
-                &spans,
-            ))
-            .filter(|d| d.rule.as_deref() == Some(name)),
-        );
-        Ok(out)
+            ),
+            amos_lint::absint::check_subsumption(config, &self.catalog, &analysis, &conds, &spans),
+            amos_lint::absint::check_const_fold(config, &self.catalog, &analysis, &conds, &spans),
+        ];
+        out.extend(condition_passes.into_iter().flatten().filter(ours));
+        out
     }
 
     fn rule_facts(&self) -> Vec<RuleFacts> {
@@ -1094,12 +1027,14 @@ impl Amos {
         out.push_str("propagation network:\n");
         out.push_str(&self.rules.network().render(&self.catalog));
         out.push_str("differentials and plans:\n");
-        for d in self.rules.network().differentials() {
+        for (i, d) in self.rules.network().differentials().iter().enumerate() {
             if d.affected != rule.condition {
                 continue;
             }
             out.push_str(&format!("{}\n", d.display_name(&self.catalog)));
-            for line in d.plan.render(&self.catalog).lines() {
+            let id = DiffId(i as u32);
+            let plan = (self.rules.planner()).peek(id, d, &self.catalog, &self.storage)?;
+            for line in plan.render(&self.catalog).lines() {
                 out.push_str(&format!("    {line}\n"));
             }
         }

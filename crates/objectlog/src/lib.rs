@@ -44,4 +44,4 @@ pub use clause::{Clause, ClauseBuilder, Literal, Term, Var};
 pub use error::ObjectLogError;
 pub use eval::{DeltaMap, EvalContext};
 pub use expand::{expand_clause, expand_predicate, ExpandOptions};
-pub use plan::{compile_clause, ensure_plan_indexes, Plan, PlanStep};
+pub use plan::{compile_clause, Plan, PlanStep};

@@ -10,8 +10,10 @@
 //!
 //! A [`Plan`] is compiled for a clause plus a *binding pattern* (which
 //! head columns the caller has bound) and is reusable across
-//! transactions — the rule compiler compiles every differential once at
-//! activation time.
+//! transactions. Differentials are planned at wave-front time, under live
+//! statistics, by the rule layer's adaptive planner; the static cost
+//! table plans everything else (selects, derived bodies, recursive
+//! rounds).
 
 use std::collections::HashSet;
 
@@ -555,51 +557,19 @@ fn lower(
     })
 }
 
-/// Create the hash indexes a plan's stored probes need. Called once per
-/// plan at rule-activation (and adaptive re-plan) time.
-///
-/// Δ-probes are covered too: the Δ-set itself builds its hash index
-/// lazily at execution time, but the influent's *base* relation gets an
-/// index over the same columns so the §7.2 checks and old-state views
-/// that probe it on the Δ-join key never hit the scan fallback.
-pub fn ensure_plan_indexes(catalog: &Catalog, plan: &Plan, storage: &mut Storage) {
-    for step in &plan.steps {
-        match step {
-            // Probe (not scan, not full membership check) → index needed.
-            PlanStep::Stored {
-                rel,
-                bound_cols,
-                args,
-                ..
-            } if !bound_cols.is_empty() && bound_cols.len() < args.len() => {
-                storage.ensure_index(*rel, bound_cols);
-            }
-            PlanStep::Delta {
-                pred,
-                bound_cols,
-                args,
-                ..
-            } if !bound_cols.is_empty() && bound_cols.len() < args.len() => {
-                if let PredKind::Stored { rel, .. } = catalog.def(*pred).kind {
-                    storage.ensure_index(rel, bound_cols);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Create the hash indexes for *every* probe pattern the greedy
-/// optimizer could choose for this clause, not just the ones the current
-/// plan uses. Called at rule-activation time so that adaptive wave-front
-/// re-optimization — which runs against an immutable storage snapshot
-/// and cannot create indexes — never degrades a reordered probe into the
-/// O(n) scan fallback.
+/// Create the hash indexes for *every* probe pattern any plan of this
+/// clause could choose — under any binding pattern, join order or
+/// Δ-substitution of one of its literals. Called once per derived clause
+/// at network build, so that wave-front planning — which runs against an
+/// immutable storage snapshot and cannot create indexes — never degrades
+/// a probe into the O(n) scan fallback.
 ///
 /// A stored literal can only ever be probed on argument positions whose
-/// terms are constants or variables bindable by some *other* body
-/// literal, so the enumeration is over subsets of those "joinable"
-/// columns (capped to keep index count bounded on wide literals).
+/// terms are constants, head variables (a caller — a bushy parent,
+/// `holds`, the naive monitor — may bind them) or variables bindable by
+/// some *other* body literal, so the enumeration is over subsets of those
+/// "joinable" columns (capped to keep index count bounded on wide
+/// literals).
 pub fn ensure_join_indexes(catalog: &Catalog, clause: &Clause, storage: &mut Storage) {
     /// Whether scheduling `lit` binds variable `v` (mirrors the
     /// boundness update in [`compile_clause_with`]).
@@ -613,6 +583,7 @@ pub fn ensure_join_indexes(catalog: &Catalog, clause: &Clause, storage: &mut Sto
     }
 
     const MAX_JOINABLE: usize = 4;
+    let head = clause.head_vars();
     for (li, lit) in clause.body.iter().enumerate() {
         let Literal::Pred {
             pred,
@@ -631,11 +602,11 @@ pub fn ensure_join_indexes(catalog: &Catalog, clause: &Clause, storage: &mut Sto
             .enumerate()
             .filter(|(_, t)| match t {
                 Term::Const(_) => true,
-                Term::Var(v) => clause
-                    .body
-                    .iter()
-                    .enumerate()
-                    .any(|(lj, other)| lj != li && binds(other, *v)),
+                Term::Var(v) => {
+                    head.contains(v)
+                        || (clause.body.iter().enumerate())
+                            .any(|(lj, other)| lj != li && binds(other, *v))
+                }
             })
             .map(|(i, _)| i)
             .collect();
@@ -1081,18 +1052,25 @@ mod tests {
     }
 
     #[test]
-    fn ensure_indexes_creates_probe_indexes() {
+    fn join_indexes_cover_bound_head_columns() {
+        // mid(X,Z) ← q(X,Y) ∧ r(Y,Z): a caller binding `Z` probes r[1],
+        // although no other body literal binds `Z`.
         let mut storage = Storage::new();
-        let rel = storage.create_relation("q", 2).unwrap();
+        let rq = storage.create_relation("q", 2).unwrap();
+        let rr = storage.create_relation("r", 2).unwrap();
         let mut cat = Catalog::new();
-        let q = cat.define_stored("q", sig(2), rel, 1).unwrap();
+        let q = cat.define_stored("q", sig(2), rq, 1).unwrap();
+        let r = cat.define_stored("r", sig(2), rr, 1).unwrap();
         let clause = ClauseBuilder::new(3)
-            .head([Term::var(0)])
-            .delta(q, Polarity::Plus, [Term::var(0), Term::var(1)])
-            .pred(q, [Term::var(0), Term::var(2)])
+            .head([Term::var(0), Term::var(2)])
+            .pred(q, [Term::var(0), Term::var(1)])
+            .pred(r, [Term::var(1), Term::var(2)])
             .build();
-        let plan = compile_clause(&cat, &clause, &HashSet::new()).unwrap();
-        ensure_plan_indexes(&cat, &plan, &mut storage);
-        assert!(storage.relation(rel).has_index(&[0]));
+        ensure_join_indexes(&cat, &clause, &mut storage);
+        assert!(storage.relation(rq).has_index(&[0]));
+        assert!(storage.relation(rq).has_index(&[1]));
+        assert!(storage.relation(rr).has_index(&[0]));
+        assert!(storage.relation(rr).has_index(&[1]));
+        assert_eq!(storage.relation(rr).index_count(), 2, "[0,1] is a lookup");
     }
 }

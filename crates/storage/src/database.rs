@@ -190,8 +190,8 @@ impl Storage {
         &self.relations[id.0 as usize]
     }
 
-    /// Ensure an index on a relation (done by the plan compiler at rule
-    /// activation time).
+    /// Ensure an index on a relation (done by the network build at rule
+    /// activation, and for a stored function's key at its creation).
     pub fn ensure_index(&mut self, id: RelId, cols: &[usize]) {
         self.relations[id.0 as usize].ensure_index(cols);
     }

@@ -51,11 +51,6 @@ impl fmt::Display for Polarity {
 /// the hash side: arranging a handful of tuples costs more than it saves.
 const DELTA_INDEX_THRESHOLD: usize = 16;
 
-/// Past this combined size, `∪Δ` switches from hash-set differences to
-/// the sorted linear co-traversal (the arrangement idiom: sort once,
-/// cancel in one merge pass).
-const DELTA_UNION_SORT_THRESHOLD: usize = 64;
-
 /// Cache of lazily-built Δ-side arrangements by side and key columns: a
 /// handful of entries, searched linearly so a lookup allocates no key.
 type ArrangementCache = RwLock<Vec<(Polarity, Vec<usize>, Arc<Arrangement>)>>;
@@ -162,7 +157,9 @@ impl DeltaSet {
     /// Fold a physical *insert* event into the Δ-set.
     ///
     /// If the tuple is pending deletion the two events cancel (a logical
-    /// no-op); otherwise it becomes a pending insertion.
+    /// no-op); otherwise it becomes a pending insertion. This is also the
+    /// single-tuple `∪Δ` by which propagation accumulates a partial
+    /// differential's results, in the order the changes occurred.
     pub fn apply_insert(&mut self, t: Tuple) {
         self.invalidate_indexes();
         if !self.minus.remove(&t) {
@@ -170,26 +167,13 @@ impl DeltaSet {
         }
     }
 
-    /// Fold a physical *delete* event into the Δ-set.
+    /// Fold a physical *delete* event into the Δ-set (the single-tuple
+    /// `∪Δ` of a deletion).
     pub fn apply_delete(&mut self, t: Tuple) {
         self.invalidate_indexes();
         if !self.plus.remove(&t) {
             self.minus.insert(t);
         }
-    }
-
-    /// Record an insertion coming from a partial differential during
-    /// propagation. Unlike [`apply_insert`](Self::apply_insert) this is
-    /// the `∪Δ` single-tuple case: the paper accumulates differential
-    /// results with `∪Δ`, performed in the order the changes occurred.
-    pub fn delta_union_insert(&mut self, t: Tuple) {
-        self.apply_insert(t);
-    }
-
-    /// Record a deletion coming from a partial differential (single-tuple
-    /// `∪Δ`).
-    pub fn delta_union_delete(&mut self, t: Tuple) {
-        self.apply_delete(t);
     }
 
     /// The delta-union `self ∪Δ other`, with `other` the *later* change
@@ -208,9 +192,6 @@ impl DeltaSet {
     /// assert!(d1.delta_union(&d2).is_empty());
     /// ```
     pub fn delta_union(&self, other: &DeltaSet) -> DeltaSet {
-        if self.len() + other.len() >= DELTA_UNION_SORT_THRESHOLD {
-            return self.delta_union_sorted(other);
-        }
         let plus: FxHashSet<Tuple> = self
             .plus
             .difference(&other.minus)
@@ -223,40 +204,6 @@ impl DeltaSet {
             .chain(other.minus.difference(&self.plus))
             .cloned()
             .collect();
-        DeltaSet::from_sets(plus, minus)
-    }
-
-    /// The `∪Δ` cancellation as linear co-traversals over sorted runs:
-    /// each side is sorted once, then every set difference in the §4.1
-    /// formula is a single merge pass. Identical result to the hash
-    /// formula (pinned by `delta_union_sorted_matches_formula`); wins
-    /// once the Δ-sets are large enough to make hash churn the cost.
-    fn delta_union_sorted(&self, other: &DeltaSet) -> DeltaSet {
-        fn sorted(set: &FxHashSet<Tuple>) -> Vec<Tuple> {
-            let mut v: Vec<Tuple> = set.iter().cloned().collect();
-            v.sort_unstable();
-            v
-        }
-        /// `a − b` for sorted, duplicate-free slices, in one pass.
-        fn difference(a: &[Tuple], b: &[Tuple], out: &mut FxHashSet<Tuple>) {
-            let mut j = 0;
-            for t in a {
-                while j < b.len() && b[j] < *t {
-                    j += 1;
-                }
-                if j >= b.len() || b[j] != *t {
-                    out.insert(t.clone());
-                }
-            }
-        }
-        let (p1, m1) = (sorted(&self.plus), sorted(&self.minus));
-        let (p2, m2) = (sorted(&other.plus), sorted(&other.minus));
-        let mut plus = FxHashSet::default();
-        difference(&p1, &m2, &mut plus);
-        difference(&p2, &m1, &mut plus);
-        let mut minus = FxHashSet::default();
-        difference(&m1, &p2, &mut minus);
-        difference(&m2, &p1, &mut minus);
         DeltaSet::from_sets(plus, minus)
     }
 
@@ -533,38 +480,6 @@ mod tests {
         let c = d.clone();
         assert_eq!(c.index_count(), 0, "clone starts with a cold cache");
         assert_eq!(c, d, "equality is on Δ contents only");
-    }
-
-    #[test]
-    fn delta_union_sorted_matches_formula() {
-        // Large overlapping Δ-sets: the sorted co-traversal path engages
-        // (combined size past DELTA_UNION_SORT_THRESHOLD) and must agree
-        // with the event-fold oracle.
-        let mut d1 = DeltaSet::new();
-        for i in 0..50 {
-            if i % 2 == 0 {
-                d1.apply_insert(tuple![i]);
-            } else {
-                d1.apply_delete(tuple![i]);
-            }
-        }
-        let mut d2 = DeltaSet::new();
-        for i in 25..75 {
-            if i % 3 == 0 {
-                d2.apply_insert(tuple![i]);
-            } else {
-                d2.apply_delete(tuple![i]);
-            }
-        }
-        assert!(d1.len() + d2.len() >= super::DELTA_UNION_SORT_THRESHOLD);
-        let by_sorted = d1.delta_union(&d2);
-        let by_fold = {
-            let mut c = d1.clone();
-            c.delta_union_assign(d2.clone());
-            c
-        };
-        assert_eq!(by_sorted, by_fold);
-        assert!(by_sorted.invariant_holds());
     }
 
     #[test]

@@ -55,7 +55,9 @@ fn explain_rule_inactive_and_active() {
 /// The §3.1 rule ranges over `item` twice — `for each item i` and
 /// `threshold(item i)` — and the flattened condition unifies the two
 /// variables: every differential's plan tests `item_extent` membership
-/// once, not once per occurrence.
+/// once, not once per occurrence. The plan shown is the planner's: before
+/// any pass, compiled under the current (empty) statistics, hence its
+/// `est-rows` line.
 #[test]
 fn explain_rule_tests_a_decided_membership_once() {
     let mut db = Amos::new();
@@ -87,6 +89,7 @@ fn explain_rule_tests_a_decided_membership_once() {
             "9: compute _G9 = _G7 + _G8",
             "10: unify _G2 = _G9",
             "11: test _G1 < _G2",
+            "est-rows: 0.00",
         ],
         "{out}"
     );

@@ -2,8 +2,14 @@
 //! propagation networks derived from `cnd_monitor_items`, per the
 //! DESIGN.md experiment index.
 
+use amos_core::adaptive::AdaptivePlanner;
+use amos_core::differ::DiffId;
 use amos_db::engine::NetworkPrep;
 use amos_db::{Amos, EngineOptions};
+use amos_objectlog::eval::DeltaMap;
+use amos_objectlog::plan::PlanStep;
+use amos_storage::DeltaSet;
+use amos_types::{Tuple, Value};
 
 const SCHEMA: &str = r#"
     create type item;
@@ -129,24 +135,88 @@ fn fig1_bushy_network_structure() {
     assert!(t_targets.iter().all(|&a| a == cnd));
 }
 
-/// Differential plans are Δ-seeded: the first step of every compiled
-/// differential is the Δ-set scan (the paper's "optimizer assumes few
-/// changes to a single influent").
+/// Differential plans are Δ-seeded: under a small wave, the planner puts
+/// every differential's Δ-set scan first (the paper's "optimizer assumes
+/// few changes to a single influent").
 #[test]
 fn differential_plans_are_delta_seeded() {
     for prep in [NetworkPrep::Flat, NetworkPrep::Bushy] {
-        let db = build(prep);
-        let net = db.rules().network();
-        for d in net.differentials() {
+        let mut db = build(prep);
+        db.execute(
+            "create item instances :a, :b, :c; create supplier instances :s, :t;
+             set quantity(:a) = 5; set quantity(:b) = 500; set quantity(:c) = 50;
+             set supplies(:s) = :a; set supplies(:t) = :b;
+             set delivery_time(:a, :s) = 2; set delivery_time(:b, :t) = 3;",
+        )
+        .unwrap();
+        let (net, catalog) = (db.rules().network(), db.catalog());
+        let mut wave = DeltaMap::new();
+        for node in net.nodes() {
+            let arity = catalog.def(node.pred).arity;
+            let mut d = DeltaSet::new();
+            d.apply_insert(Tuple::new(vec![Value::Int(1); arity]));
+            d.apply_delete(Tuple::new(vec![Value::Int(2); arity]));
+            wave.insert(node.pred, d);
+        }
+        let planner = AdaptivePlanner::new();
+        for (i, d) in net.differentials().iter().enumerate() {
+            let id = DiffId(i as u32);
+            let plan = planner.plan_for(id, d, catalog, db.storage(), &wave);
             assert!(
-                matches!(
-                    d.plan.steps[0],
-                    amos_objectlog::plan::PlanStep::Delta { .. }
-                ),
+                matches!(plan.unwrap().steps[0], PlanStep::Delta { .. }),
                 "{prep:?}: differential {} not delta-seeded",
-                d.display_name(db.catalog())
+                d.display_name(catalog)
             );
         }
+    }
+}
+
+/// The one index rule, as a census of the §3.1 schema the benchmark
+/// monitors — flat with one rule, bushy with one and with eight that
+/// share `threshold`: each stored function's key index, plus the
+/// columns the differentials, the naive monitor and bound calls of
+/// `threshold` probe. The extents are scanned, never probed.
+#[test]
+fn index_census_of_the_inventory_schema() {
+    let variants = "create rule monitor_items_1() as when for each item i
+         where quantity(i) < threshold(i) + 1 do order(i, 1);
+         activate monitor_items_1();";
+    for (prep, rules) in [
+        (NetworkPrep::Flat, 1),
+        (NetworkPrep::Bushy, 1),
+        (NetworkPrep::Bushy, 8),
+    ] {
+        let mut db = build(prep);
+        for k in 1..rules {
+            db.execute(
+                &variants
+                    .replace("_1", &format!("_{k}"))
+                    .replace("+ 1", &format!("+ {k}")),
+            )
+            .unwrap();
+        }
+        let storage = db.storage();
+        let count = |name: &str| {
+            let rel = storage.relation_id(name).unwrap();
+            storage.relation(rel).index_count()
+        };
+        let census = [
+            ("quantity", 1),
+            ("max_stock", 1),
+            ("min_stock", 1),
+            ("consume_freq", 1),
+            ("supplies", 2),
+            ("delivery_time", 3),
+        ];
+        for (name, expected) in census {
+            assert_eq!(count(name), expected, "{prep:?} ×{rules}: {name}");
+        }
+        let extents: Vec<_> = storage
+            .relation_ids()
+            .filter(|&rel| storage.relation(rel).name().ends_with("extent"))
+            .map(|rel| storage.relation(rel).index_count())
+            .collect();
+        assert_eq!(extents, [0, 0], "{prep:?} ×{rules}: extents");
     }
 }
 
