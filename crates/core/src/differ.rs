@@ -23,9 +23,9 @@
 //! If `X` occurs several times in a body, each occurrence yields its own
 //! differentials (changes through either occurrence must be seen).
 //!
-//! A differential is a clause, not a plan: the rule layer's
-//! [`AdaptivePlanner`](crate::adaptive::AdaptivePlanner) orders it under
-//! the wave's live statistics, where a small Δ-set seeds the join, so each
+//! A differential is a clause, not a plan: the evaluator's one
+//! [`Planner`](amos_objectlog::planner::Planner) orders it under the
+//! wave's live statistics, where a small Δ-set seeds the join, so each
 //! execution is `O(|ΔX| · probes)` rather than a database-sized join.
 
 use std::collections::HashSet;
@@ -212,10 +212,10 @@ fn retarget(lit: &Literal, epoch: StateEpoch) -> Literal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::AdaptivePlanner;
     use amos_objectlog::clause::{ClauseBuilder, Term};
     use amos_objectlog::eval::DeltaMap;
     use amos_objectlog::plan::PlanStep;
+    use amos_objectlog::planner::{LiveStats, PlanKey, Planner};
     use amos_storage::{DeltaSet, Storage};
     use amos_types::{tuple, TypeId};
 
@@ -335,12 +335,12 @@ mod tests {
             d.apply_delete(tuple![2, 2]);
             wave.insert(pred, d);
         }
-        let planner = AdaptivePlanner::new();
+        let planner = Planner::default();
+        let stats = LiveStats::new(&f.storage, &wave);
         for (i, d) in diffs.iter().enumerate() {
-            let id = DiffId(i as u32);
-            let plan = planner
-                .plan_for(id, d, &f.catalog, &f.storage, &wave)
-                .unwrap();
+            let key = PlanKey::Differential(i as u32);
+            let plan = planner.resolve(key, &f.catalog, &d.clause, &[], &stats);
+            let plan = plan.unwrap();
             assert!(
                 matches!(plan.steps[0], PlanStep::Delta { .. }),
                 "differential {} must start with its Δ-scan",

@@ -16,7 +16,8 @@
 //!    `ΔP/Δ₊X` (seed `Δ₊X`, rest of the body in the new state) and
 //!    `ΔP/Δ₋X` (seed `Δ₋X`, other relation literals in the *old* state
 //!    via logical rollback). Negated influents flip polarities.
-//!    Each differential is compiled once into an index-seeded plan.
+//!    Each differential is planned by the evaluator's one planner under
+//!    the wave's live statistics, and the plan is kept while they hold.
 //! 3. [`network`] assembles the **propagation network**: nodes are the
 //!    condition predicates and their (transitive) influents, levelled by
 //!    stratum; each edge carries the differentials from an influent to an
@@ -41,7 +42,6 @@
 //! * [`aggregate`] — incremental aggregate nodes (count/sum/avg/min/max),
 //!   another §8 extension.
 
-pub mod adaptive;
 pub mod aggregate;
 pub mod differ;
 pub mod error;
@@ -53,7 +53,6 @@ pub mod propagate;
 pub mod rules;
 pub mod verify;
 
-pub use adaptive::{AdaptivePlanner, LiveStats, StatsFingerprint};
 pub use aggregate::{AggFn, AggregateView};
 pub use differ::{generate_differentials, DiffId, Differential};
 pub use error::CoreError;

@@ -38,10 +38,10 @@ use amos_metrics::{DiffTiming, LevelStats, PassMetrics, Stopwatch};
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::eval::{DeltaMap, EvalContext, EvalShared};
 use amos_objectlog::plan::Plan;
+use amos_objectlog::planner::{LiveStats, PlanKey, Planner};
 use amos_storage::{DeltaSet, Polarity, StateEpoch, Storage};
 use amos_types::Tuple;
 
-use crate::adaptive::AdaptivePlanner;
 use crate::differ::DiffId;
 use crate::error::CoreError;
 use crate::explain::FiredDifferential;
@@ -133,8 +133,8 @@ struct Task {
 /// Run one breadth-first bottom-up propagation pass over the network,
 /// reading base-relation Δ-sets from `storage` and returning the
 /// condition-level net changes: [`propagate_adaptive`] with fresh
-/// evaluator state and a fresh planner, so every differential is planned
-/// under this pass's statistics. Nothing reads `_check` (see
+/// evaluator state, so every differential and derived body is planned
+/// afresh under this pass's statistics. Nothing reads `_check` (see
 /// [`CheckLevel`]).
 pub fn propagate_with(
     network: &PropagationNetwork,
@@ -144,8 +144,7 @@ pub fn propagate_with(
     strategy: ExecStrategy,
 ) -> Result<PropagationResult, CoreError> {
     let shared = Arc::new(EvalShared::default());
-    let planner = AdaptivePlanner::new();
-    propagate_adaptive(network, catalog, storage, strategy, &shared, &planner)
+    propagate_adaptive(network, catalog, storage, strategy, &shared)
 }
 
 /// The propagation pass in full: per level, (1) close changed
@@ -158,32 +157,31 @@ pub fn propagate_with(
 /// and the check consults storage only, the merged Δ-sets are identical
 /// either way.
 ///
-/// `shared` is caller-owned evaluator state (plan cache, derived-call
-/// memo table). The rule manager passes a
-/// long-lived [`EvalShared`] so plan compilations survive across passes
-/// and tabled derived-call results are shared by every differential of
-/// the pass — the paper's cross-differential sharing, realized at the
-/// evaluator level. The caller is responsible for calling
-/// [`EvalShared::reset_pass`] at pass boundaries (storage changes
-/// invalidate per-pass state).
+/// `shared` is caller-owned evaluator state (the planner, the
+/// derived-call memo table). The rule manager passes a long-lived
+/// [`EvalShared`] so plans survive across passes and tabled derived-call
+/// results are shared by every differential of the pass — the paper's
+/// cross-differential sharing, realized at the evaluator level. The
+/// caller is responsible for calling [`EvalShared::reset_pass`] at pass
+/// boundaries (storage changes invalidate per-pass state).
 ///
-/// `planner` is the only planner of a differential: each level's plans
-/// (and each round of a recursive closure) are resolved against the
-/// *live* statistics (base cardinalities, column NDVs, current Δ-set
-/// sizes) before the batch launches — cached plans are reused until
-/// their statistics fingerprint drifts, at which point the differential
-/// is recompiled under the cardinality-aware cost model. Plan resolution
-/// is sequential and happens in serial task order, so the plans each
-/// task executes — and therefore every Δ-set and counter — do not depend
-/// on whether the level then runs on threads. The rule manager keeps one
-/// planner per network; [`propagate_with`] passes a fresh one.
+/// Its planner is the only planner: each level's differential plans (and
+/// each round of a recursive closure) are resolved against the *live*
+/// statistics (base cardinalities, column NDVs, current Δ-set sizes)
+/// before the batch launches — cached plans are reused until their
+/// statistics fingerprint drifts, at which point the differential is
+/// recompiled. Differential plans resolve sequentially, in serial task
+/// order; derived bodies resolve as tasks call them, under storage
+/// statistics that are frozen for the pass. So the plans each task
+/// executes — and therefore every Δ-set and counter — do not depend on
+/// whether the level then runs on threads. [`propagate_with`] passes a
+/// fresh `shared`.
 pub fn propagate_adaptive(
     network: &PropagationNetwork,
     catalog: &Catalog,
     storage: &Storage,
     strategy: ExecStrategy,
     shared: &Arc<EvalShared>,
-    planner: &AdaptivePlanner,
 ) -> Result<PropagationResult, CoreError> {
     let pass_timer = Stopwatch::start();
     let hits_before = shared.tabling_hits();
@@ -193,6 +191,7 @@ pub fn propagate_adaptive(
     let delta_probes_before = shared.delta_probe_count();
     let delta_scans_before = shared.delta_scan_count();
     let fallback_before = storage.fallback_scans_total();
+    let planner = shared.planner();
     let replans_before = planner.replan_count();
     let hits_cache_before = planner.hit_count();
     let mut result = PropagationResult::default();
@@ -254,6 +253,7 @@ pub fn propagate_adaptive(
         // Plans are resolved here, sequentially against the level-start
         // wave, so parallel execution sees the same plans (and fills the
         // same caches) as serial execution would.
+        let stats = LiveStats::new(storage, &wave);
         let mut tasks: Vec<Task> = Vec::new();
         for node in &changed {
             for diff_id in &node.out_diffs {
@@ -261,7 +261,8 @@ pub fn propagate_adaptive(
                 if diff.affected == node.pred {
                     continue;
                 }
-                let plan = planner.plan_for(*diff_id, diff, catalog, storage, &wave)?;
+                let key = PlanKey::Differential(diff_id.0);
+                let plan = planner.resolve(key, catalog, &diff.clause, &[], &stats)?;
                 tasks.push(Task {
                     diff: *diff_id,
                     plan,
@@ -456,7 +457,7 @@ fn close_recursive_node(
     network: &PropagationNetwork,
     catalog: &Catalog,
     storage: &Storage,
-    planner: &AdaptivePlanner,
+    planner: &Planner,
     node: &crate::network::Node,
     wave: &mut DeltaMap,
     result: &mut PropagationResult,
@@ -487,9 +488,11 @@ fn close_recursive_node(
         let mut fmap = DeltaMap::new();
         fmap.insert(node.pred, fdelta);
         let ctx = EvalContext::new(storage, catalog, &fmap);
+        let stats = LiveStats::new(storage, &fmap);
         let mut produced: Vec<Tuple> = Vec::new();
         for &(id, diff) in &self_diffs {
-            let plan = planner.plan_for(id, diff, catalog, storage, &fmap)?;
+            let key = PlanKey::Differential(id.0);
+            let plan = planner.resolve(key, catalog, &diff.clause, &[], &stats)?;
             ctx.plan_heads(&plan, StateEpoch::New, 0, &mut produced)?;
         }
         result.metrics.candidates += produced.len();

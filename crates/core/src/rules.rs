@@ -35,10 +35,10 @@ use std::sync::Arc;
 
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::eval::{DeltaMap, EvalContext, EvalShared};
+use amos_objectlog::planner::Planner;
 use amos_storage::{DeltaSet, RelId, StateEpoch, Storage};
 use amos_types::Tuple;
 
-use crate::adaptive::AdaptivePlanner;
 use crate::error::CoreError;
 use crate::explain::{CheckTrace, PassTrace, TriggerExplanation};
 use crate::maintained::UserView;
@@ -273,14 +273,12 @@ pub struct RuleManager {
     /// Deterministic fault plan for tests (see `amos_storage::fault`).
     #[cfg(feature = "fault-injection")]
     fault_plan: Option<Arc<amos_storage::fault::FaultPlan>>,
-    /// Long-lived shared evaluator state: compiled plans survive across
-    /// check phases; per-pass state (the derived-call memo) is reset at
-    /// every pass boundary. Replaced wholesale on
-    /// network rebuilds, which invalidate compiled plans.
+    /// Long-lived shared evaluator state: its planner — the one plan
+    /// cache of differentials and derived bodies — survives across check
+    /// phases; per-pass state (the derived-call memo) is reset at every
+    /// pass boundary. Replaced wholesale on network rebuilds, which
+    /// reassign differential ids.
     eval_shared: Arc<EvalShared>,
-    /// The planner of every differential: a statistics-driven plan cache
-    /// with wave-front re-optimization. Replaced on network rebuilds.
-    adaptive: AdaptivePlanner,
 }
 
 /// A maintained view: its differential, the stored relation it
@@ -325,7 +323,6 @@ impl RuleManager {
             #[cfg(feature = "fault-injection")]
             fault_plan: None,
             eval_shared: Arc::new(EvalShared::default()),
-            adaptive: AdaptivePlanner::new(),
         }
     }
 
@@ -463,12 +460,10 @@ impl RuleManager {
                     .testing_remove_differential(crate::differ::DiffId(0));
             }
         }
-        // Catalog/network changes invalidate compiled plans; swap the
-        // whole shared cache state rather than clearing piecemeal.
+        // Catalog/network changes invalidate compiled plans, and the
+        // rebuild reassigns differential ids: swap the whole shared
+        // cache state rather than clearing piecemeal.
         self.eval_shared = Arc::new(EvalShared::default());
-        // Differential ids are re-assigned by the rebuild, so the
-        // planner's cache is stale wholesale.
-        self.adaptive = AdaptivePlanner::new();
         // Monitor exactly the stored influents of active conditions.
         let needed: HashSet<PredId> = self.network.stored_nodes(catalog).into_iter().collect();
         for pred in catalog.iter().map(|d| d.id).collect::<Vec<_>>() {
@@ -489,9 +484,10 @@ impl RuleManager {
         &self.network
     }
 
-    /// The planner of the network's differentials (introspection).
-    pub fn planner(&self) -> &AdaptivePlanner {
-        &self.adaptive
+    /// The one planner, of the network's differentials and the derived
+    /// bodies they call (introspection).
+    pub fn planner(&self) -> &Planner {
+        self.eval_shared.planner()
     }
 
     /// Trace of the most recent check phase.
@@ -763,7 +759,6 @@ impl RuleManager {
                 storage,
                 self.exec,
                 &self.eval_shared,
-                &self.adaptive,
             )?;
             out.trace.fired = result.fired;
             out.trace.metrics = Some(result.metrics);
@@ -784,6 +779,8 @@ impl RuleManager {
         let shared = Arc::clone(&self.eval_shared);
         let filter_ctx = EvalContext::with_shared(storage, catalog, &deltas_env, shared);
         let probes_before = self.eval_shared.probe_count();
+        let planner = self.eval_shared.planner();
+        let (replans_before, hits_before) = (planner.replan_count(), planner.hit_count());
         let mut holds = 0;
         for rule in live() {
             // ECA event restriction: skip the condition test entirely
@@ -816,6 +813,9 @@ impl RuleManager {
         if let Some(m) = out.trace.metrics.as_mut() {
             m.filter_holds = holds;
             m.filter_probes = self.eval_shared.probe_count() - probes_before;
+            // The filter's `holds` calls resolve derived bodies too.
+            m.replans += planner.replan_count() - replans_before;
+            m.plan_cache_hits += planner.hit_count() - hits_before;
         }
         Ok(out)
     }

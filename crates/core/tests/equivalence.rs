@@ -17,7 +17,7 @@
 //!
 //! Three named tests pin exact facts the generator would only sample:
 //! an 800-tuple wave on threads, the output order of a bulk pass, and
-//! the adaptive planner's probe counts on skewed data.
+//! the planner's probe counts on skewed data.
 
 mod common;
 
@@ -26,7 +26,6 @@ use std::collections::{BTreeMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use amos_core::adaptive::AdaptivePlanner;
 use amos_core::differ::DiffId;
 use amos_core::naive::full_eval;
 use amos_core::network::PropagationNetwork;
@@ -38,8 +37,8 @@ use amos_core::propagate::{
 use amos_objectlog::catalog::{Catalog, PredId};
 use amos_objectlog::clause::{Clause, ClauseBuilder, Term};
 use amos_objectlog::eval::{DeltaMap, EvalContext, EvalShared};
-use amos_objectlog::plan::{compile_clause, Plan};
-use amos_storage::{DeltaSet, RelId, StateEpoch, Storage};
+use amos_objectlog::plan::{compile_clause, Plan, PlanStats};
+use amos_storage::{DeltaSet, Polarity, RelId, StateEpoch, Storage};
 use amos_types::{tuple, ArithOp, CmpOp, Tuple, TypeId};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -326,21 +325,17 @@ impl World {
             .update(|a| a || delta.is_some_and(|d| d.index_count() > 0));
     }
 
-    /// A pass with fresh evaluator state and a fresh planner.
+    /// A pass with fresh evaluator state, its planner included.
     fn pass(&self, strategy: ExecStrategy) -> PropagationResult {
         let (net, catalog, storage) = (&self.net, &self.catalog, &self.storage);
         let r = propagate_with(net, catalog, storage, CheckLevel::Nervous, strategy);
         indexed(r.unwrap())
     }
 
-    fn adaptive(
-        &self,
-        strategy: ExecStrategy,
-        shared: &Arc<EvalShared>,
-        planner: &AdaptivePlanner,
-    ) -> PropagationResult {
+    /// A pass over caller-kept evaluator state: its planner and memo.
+    fn adaptive(&self, strategy: ExecStrategy, shared: &Arc<EvalShared>) -> PropagationResult {
         let (net, catalog, storage) = (&self.net, &self.catalog, &self.storage);
-        let r = propagate_adaptive(net, catalog, storage, strategy, shared, planner);
+        let r = propagate_adaptive(net, catalog, storage, strategy, shared);
         indexed(r.unwrap())
     }
 
@@ -442,8 +437,9 @@ fn untabled() -> Arc<EvalShared> {
     Arc::new(EvalShared::untabled())
 }
 
-/// A planner's (replans, plan-cache hits).
-fn counts(planner: &AdaptivePlanner) -> (u64, u64) {
+/// The (replans, plan-cache hits) of a shared state's planner.
+fn counts(shared: &EvalShared) -> (u64, u64) {
+    let planner = shared.planner();
     (planner.replan_count(), planner.hit_count())
 }
 
@@ -460,8 +456,9 @@ enum Axis {
     /// A rolled-back transaction restores the condition and both
     /// relations, in the hash and the sealed layout.
     Rollback,
-    /// A planner kept across passes ≡ a fresh planner on every pass,
-    /// under both strategies.
+    /// An `EvalShared` kept across passes (its planner warm, its memo
+    /// reset between passes as the rule manager resets it) ≡ a fresh one
+    /// on every pass, under both strategies.
     WarmFresh,
     /// Adaptive serial ≡ adaptive parallel, with equal replan and hit
     /// counts.
@@ -536,48 +533,51 @@ impl Axis {
                 }
             }
             Axis::WarmFresh => {
-                let warm = AdaptivePlanner::new();
+                let warm = Arc::<EvalShared>::default();
                 case.world().passes(case, |w, i| {
                     let fresh = Pass::of(&w.pass(Serial));
                     for strategy in STRATEGIES {
-                        let kept = w.adaptive(strategy, &Arc::default(), &warm);
+                        warm.reset_pass();
+                        let kept = w.adaptive(strategy, &warm);
                         assert_eq!(Pass::of(&kept), fresh, "pass {i}, {strategy:?}");
                     }
                 });
-                engaged = warm.hit_count() > 0;
+                engaged = warm.planner().hit_count() > 0 && warm.tabling_hits() > 0;
             }
             Axis::AdaptiveSerialParallel => {
-                let (sp, pp) = (AdaptivePlanner::new(), AdaptivePlanner::new());
+                let (sp, pp) = (Arc::<EvalShared>::default(), Arc::<EvalShared>::default());
                 case.world().passes(case, |w, i| {
-                    let serial = w.adaptive(Serial, &Arc::default(), &sp);
-                    let parallel = w.adaptive(Parallel, &Arc::default(), &pp);
+                    sp.reset_pass();
+                    pp.reset_pass();
+                    let serial = w.adaptive(Serial, &sp);
+                    let parallel = w.adaptive(Parallel, &pp);
                     assert_eq!(Pass::of(&serial), Pass::of(&parallel), "pass {i}");
                     assert_eq!(counts(&sp), counts(&pp), "pass {i}");
                     engaged |= threaded(case, i, &serial, &parallel);
                 });
             }
             Axis::AdaptiveDrift => {
-                let (sp, pp) = (AdaptivePlanner::new(), AdaptivePlanner::new());
                 let (ss, ps) = (Arc::<EvalShared>::default(), Arc::<EvalShared>::default());
                 case.world().passes(case, |w, i| {
                     ss.reset_pass();
                     ps.reset_pass();
-                    let serial = w.adaptive(Serial, &ss, &sp);
-                    let parallel = w.adaptive(Parallel, &ps, &pp);
+                    let serial = w.adaptive(Serial, &ss);
+                    let parallel = w.adaptive(Parallel, &ps);
                     assert_eq!(Pass::of(&serial), Pass::of(&parallel), "pass {i}");
                     threaded(case, i, &serial, &parallel);
                     let got = &parallel.condition_deltas[&w.cond];
                     let got = common::strict(&w.catalog, &w.storage, w.cond, got);
                     assert_eq!(Delta::from(&got), Delta::from(&w.truth()), "pass {i}");
                 });
-                assert_eq!(counts(&sp), counts(&pp));
+                assert_eq!(counts(&ss), counts(&ps));
                 // A plan recompiled after its statistics drifted: more
                 // compilations than cached plans.
-                engaged = sp.replan_count() > sp.cached_plans() as u64;
+                let planner = ss.planner();
+                engaged = planner.replan_count() > planner.cached_plans() as u64;
             }
             Axis::TabledUntabled => case.world().passes(case, |w, i| {
-                let tabled = w.adaptive(Serial, &Arc::default(), &AdaptivePlanner::new());
-                let untabled = w.adaptive(Serial, &untabled(), &AdaptivePlanner::new());
+                let tabled = w.adaptive(Serial, &Arc::default());
+                let untabled = w.adaptive(Serial, &untabled());
                 assert_eq!(Pass::of(&tabled), Pass::of(&untabled), "pass {i}");
                 let memo = (
                     untabled.metrics.tabling_hits,
@@ -587,8 +587,8 @@ impl Axis {
                 engaged |= tabled.metrics.tabling_hits > 0;
             }),
             Axis::TabledParallel => case.world().passes(case, |w, i| {
-                let tabled = w.adaptive(Parallel, &Arc::default(), &AdaptivePlanner::new());
-                let untabled = w.adaptive(Serial, &untabled(), &AdaptivePlanner::new());
+                let tabled = w.adaptive(Parallel, &Arc::default());
+                let untabled = w.adaptive(Serial, &untabled());
                 assert_eq!(Pass::of(&tabled), Pass::of(&untabled), "pass {i}");
                 let threads = threaded(case, i, &untabled, &tabled);
                 engaged |= threads && tabled.metrics.tabling_hits > 0;
@@ -599,7 +599,7 @@ impl Axis {
                 let reused = Arc::<EvalShared>::default();
                 case.world().passes(case, |w, i| {
                     reused.reset_pass();
-                    let warm = w.adaptive(Serial, &reused, &AdaptivePlanner::new());
+                    let warm = w.adaptive(Serial, &reused);
                     let fresh = w.pass(Serial);
                     assert_eq!(Pass::of(&warm), Pass::of(&fresh), "pass {i}");
                 });
@@ -755,15 +755,32 @@ const GROUPS: i64 = 10;
 /// Δ-tuples inserted into `s` per skew transaction.
 const DELTA_K: i64 = 8;
 
-/// Adaptive planning where it matters, as counts. `p(X) ← s(X,G) ∧
+/// A statistics-blind source: every relation 10 000 rows with 1 000
+/// distinct values per column, every Δ side one tuple. Every probe ties,
+/// so textual order decides.
+struct Blind;
+
+impl PlanStats for Blind {
+    fn cardinality(&self, _rel: RelId) -> f64 {
+        10_000.0
+    }
+    fn ndv(&self, _rel: RelId, _col: usize) -> f64 {
+        1_000.0
+    }
+    fn delta_len(&self, _pred: PredId, _polarity: Polarity) -> f64 {
+        1.0
+    }
+}
+
+/// Live statistics where they matter, as counts. `p(X) ← s(X,G) ∧
 /// big(G,Y) ∧ pick(X,Y)`: after a `Δ₊s` seed binds `X` and `G`, both
-/// remaining literals are index probes. The static cost table ties them
-/// and takes textual order, fanning out through `big`'s 2 000 rows per
-/// group before `pick` closes the join; the statistics-backed estimator
-/// ranks the functional `pick` first and the differential becomes
+/// remaining literals are index probes. Blind statistics tie them and
+/// take textual order, fanning out through `big`'s 2 000 rows per group
+/// before `pick` closes the join; the live estimator ranks the
+/// functional `pick` first and the differential becomes
 /// probe-then-lookup — two probes per Δ-tuple. Plans resolve once per
 /// Δ-polarity, and every later pass is a fingerprint-stable cache hit.
-/// The static plans are the comparison only: the test compiles and runs
+/// The blind plans are the comparison only: the test compiles and runs
 /// them itself over the same Δ-set.
 #[test]
 fn adaptive_planning_probes_the_functional_literal_first_on_skew() {
@@ -801,13 +818,13 @@ fn adaptive_planning_probes_the_functional_literal_first_on_skew() {
         }
     };
 
-    // The static plans over one batch: the heads they derive, and their
+    // The blind plans over one batch: the heads they derive, and their
     // probes.
     let plans = net.differentials().iter();
     let plans: Vec<Plan> = plans
-        .map(|d| compile_clause(&catalog, &d.clause, &HashSet::new()).unwrap())
+        .map(|d| compile_clause(&catalog, &d.clause, &HashSet::new(), &Blind).unwrap())
         .collect();
-    let mut fixed = |batch: i64| {
+    let mut blind = |batch: i64| {
         begin(&mut storage, batch);
         let mut wave = DeltaMap::new();
         wave.insert(s, storage.delta(rs).unwrap().clone());
@@ -822,30 +839,30 @@ fn adaptive_planning_probes_the_functional_literal_first_on_skew() {
         storage.rollback().unwrap();
         (sorted(&heads), shared.probe_count())
     };
-    let (mut fixed_heads, _) = fixed(0);
-    fixed_heads.dedup();
-    let (_, fixed_probes) = fixed(9);
+    let (mut blind_heads, _) = blind(0);
+    blind_heads.dedup();
+    let (_, blind_probes) = blind(9);
 
     // The planner's passes, one warm planner throughout.
-    let (shared, planner) = (Arc::<EvalShared>::default(), AdaptivePlanner::new());
+    let shared = Arc::<EvalShared>::default();
     let mut pass = |batch: i64| {
         begin(&mut storage, batch);
         shared.reset_pass();
-        let result = propagate_adaptive(&net, &catalog, &storage, Parallel, &shared, &planner);
+        let result = propagate_adaptive(&net, &catalog, &storage, Parallel, &shared);
         storage.rollback().unwrap();
         result.unwrap()
     };
     // A warm-up pass on the first batch: both plans derive the same heads.
     let first = pass(0);
-    assert_eq!(sorted(first.condition_deltas[&cond].plus()), fixed_heads);
+    assert_eq!(sorted(first.condition_deltas[&cond].plus()), blind_heads);
     for batch in 0..9 {
         pass(batch);
     }
     let adaptive = pass(9).metrics;
-    assert_eq!((planner.replan_count(), planner.hit_count()), (2, 20));
+    assert_eq!(counts(&shared), (2, 20));
     assert_eq!(adaptive.probes, (DELTA_K * 2) as u64);
-    // Static: one `big` probe per Δ-tuple, then one `pick` probe per row
+    // Blind: one `big` probe per Δ-tuple, then one `pick` probe per row
     // of its group.
-    assert_eq!(fixed_probes, (DELTA_K * (1 + fanout)) as u64);
-    assert!(fixed_probes >= 100 * adaptive.probes);
+    assert_eq!(blind_probes, (DELTA_K * (1 + fanout)) as u64);
+    assert!(blind_probes >= 100 * adaptive.probes);
 }

@@ -10,7 +10,6 @@ use amos_amosql::compiler::{compile_predicate_at, compile_select_at, QueryEnv};
 use amos_amosql::parser::parse_spanned;
 use amos_amosql::ParseError;
 use amos_core::aggregate::{AggFn, AggregateView};
-use amos_core::differ::DiffId;
 use amos_core::maintained::{MaintainedAggregate, UserView};
 use amos_core::propagate::ExecStrategy;
 use amos_core::rules::{ActionFn, CheckSummary, MonitorMode, RuleManager, RuleSemantics};
@@ -20,6 +19,7 @@ use amos_objectlog::clause::Literal;
 use amos_objectlog::eval::EvalContext;
 use amos_objectlog::expand::{expand_clause, ExpandOptions};
 use amos_objectlog::plan::compile_clause;
+use amos_objectlog::planner::{LiveStats, PlanKey};
 use amos_storage::{
     CommitWaiter, LayerStacks, RecoveryInfo, RelId, StateEpoch, Storage, StorageError, WalConfig,
     WalMetrics,
@@ -988,7 +988,8 @@ impl Amos {
                 clause.n_vars,
                 clause.body.len()
             ));
-            let plan = compile_clause(&self.catalog, clause, &Default::default())?;
+            let stats = LiveStats::of(&self.storage);
+            let plan = compile_clause(&self.catalog, clause, &Default::default(), &stats)?;
             out.push_str(&plan.render(&self.catalog));
         }
         Ok(out)
@@ -1032,8 +1033,8 @@ impl Amos {
                 continue;
             }
             out.push_str(&format!("{}\n", d.display_name(&self.catalog)));
-            let id = DiffId(i as u32);
-            let plan = (self.rules.planner()).peek(id, d, &self.catalog, &self.storage)?;
+            let key = PlanKey::Differential(i as u32);
+            let plan = (self.rules.planner()).peek(key, &self.catalog, &d.clause, &self.storage)?;
             for line in plan.render(&self.catalog).lines() {
                 out.push_str(&format!("    {line}\n"));
             }
@@ -1070,9 +1071,10 @@ impl Amos {
             }
         }
         let ctx = EvalContext::with_layers(&self.storage, &self.catalog, layers);
+        let stats = LiveStats::of(&self.storage);
         let mut rows: Vec<Tuple> = Vec::new();
         for clause in &q.clauses {
-            let plan = compile_clause(&self.catalog, clause, &Default::default())?;
+            let plan = compile_clause(&self.catalog, clause, &Default::default(), &stats)?;
             ctx.plan_heads(&plan, StateEpoch::New, 0, &mut rows)?;
         }
         rows.sort();

@@ -56,10 +56,8 @@ pub struct DiffTiming {
     pub candidates: usize,
     /// Tuples surviving the check (merged with `∪Δ`).
     pub accepted: usize,
-    /// Planner's estimated output rows for the executed plan, when the
-    /// statistics-backed estimator produced one (`None` under the static
-    /// cost model).
-    pub est_rows: Option<f64>,
+    /// Planner's estimated output rows for the executed plan.
+    pub est_rows: f64,
 }
 
 impl DiffTiming {
@@ -111,10 +109,11 @@ pub struct PassMetrics {
     /// (`"rule: reason"`); the rule was quarantined and its updates
     /// rolled back to the pre-action savepoint.
     pub failed_actions: Vec<String>,
-    /// Differential plans recompiled this pass because their statistics
-    /// fingerprint drifted (adaptive planner only).
+    /// Plans compiled this pass — of differentials and of the derived
+    /// bodies the pass and its strict filter call — because none was
+    /// cached or its statistics fingerprint drifted.
     pub replans: u64,
-    /// Differential plans served from the adaptive plan cache.
+    /// Plans served from the plan cache this pass.
     pub plan_cache_hits: u64,
     /// Stored-relation index probes during differential evaluation.
     pub probes: u64,
@@ -201,9 +200,8 @@ impl PassMetrics {
                 d.accepted,
                 d.rejected()
             );
-            if let Some(est) = d.est_rows {
-                let _ = writeln!(out, "    est-rows={est:.2} actual={}", d.candidates);
-            }
+            let est = d.est_rows;
+            let _ = writeln!(out, "    est-rows={est:.2} actual={}", d.candidates);
         }
         for fa in &self.failed_actions {
             let _ = writeln!(out, "  FAILED action {fa} (rule quarantined)");
@@ -240,7 +238,7 @@ mod tests {
                 nanos: 900_000,
                 candidates: 5,
                 accepted: 4,
-                est_rows: Some(4.5),
+                est_rows: 4.5,
             }],
             failed_actions: vec!["order_rule: order service down".into()],
             replans: 1,

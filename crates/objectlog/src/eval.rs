@@ -3,9 +3,9 @@
 //! Evaluates any predicate under a *binding pattern* (some argument
 //! positions bound to values) against the database — in the **new** state
 //! or, via logical rollback of every stored leaf, in the **old** state.
-//! Derived predicates evaluate their clauses through compiled plans
-//! (compiled on the fly here; the rule layer pre-compiles and caches the
-//! plans of partial differentials).
+//! Derived predicates evaluate their clauses through compiled plans,
+//! resolved through the shared [`Planner`] under live statistics — the
+//! same cache the rule layer resolves partial differentials through.
 //!
 //! Epoch propagation: once evaluation enters an old-state literal,
 //! everything beneath it is old-state too — `Q_old` of a derived `Q` is
@@ -22,9 +22,10 @@ use amos_storage::{DeltaSet, Layer, LayerStacks, RelId, StateEpoch, StateView, S
 use amos_types::{FxHashMap, KeyRef, Tuple, TupleKey, Value};
 
 use crate::catalog::{Catalog, PredId, PredKind};
-use crate::clause::{Term, Var};
+use crate::clause::{Clause, Term, Var};
 use crate::error::ObjectLogError;
-use crate::plan::{compile_clause, Plan, PlanStep};
+use crate::plan::{Plan, PlanStep};
+use crate::planner::{LiveStats, PlanKey, Planner};
 
 /// Δ-sets keyed by influent predicate, available to Δ-literals.
 pub type DeltaMap = HashMap<PredId, DeltaSet>;
@@ -39,9 +40,12 @@ const DEPTH_LIMIT: usize = 64;
 /// between them lives here, behind `RwLock`s so parallel tasks read
 /// without convoying:
 ///
-/// * **plan cache** — compiled clause plans per (predicate, binding
-///   mask). Valid as long as the catalog's clauses are; the rule layer
-///   replaces the whole `EvalShared` when the network is rebuilt.
+/// * **planner** — the one plan cache: every differential's plan, and
+///   every derived clause's plan per binding pattern, each kept until its
+///   statistics fingerprint drifts (see [`Planner`]). Valid as long as
+///   the catalog's clauses and the network's differential ids are; the
+///   rule layer replaces the whole `EvalShared` when the network is
+///   rebuilt.
 /// * **memo table** — derived-call results per (predicate, binding
 ///   pattern, epoch); see [`EvalContext::eval_call`]. Valid for one
 ///   pass: storage is frozen while a pass runs.
@@ -59,7 +63,7 @@ pub struct EvalShared {
     /// per-pass state — the paper's cross-differential sharing, realized
     /// at the evaluator level. Off only in [`EvalShared::untabled`].
     tabling: bool,
-    plan_cache: RwLock<PlanCache>,
+    planner: Planner,
     memo: RwLock<MemoTable>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -87,7 +91,7 @@ impl EvalShared {
     fn with_tabling(tabling: bool) -> Self {
         EvalShared {
             tabling,
-            plan_cache: RwLock::new(PlanCache::default()),
+            planner: Planner::default(),
             memo: RwLock::new(MemoTable::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -99,12 +103,17 @@ impl EvalShared {
     }
 
     /// Invalidate what is only valid within one propagation pass: the
-    /// derived-call memo table (storage mutates between passes). The plan
-    /// cache survives — plans depend only on the catalog, and the rule
-    /// layer swaps the whole `EvalShared` when rules or the network
-    /// change.
+    /// derived-call memo table (storage mutates between passes). The
+    /// planner survives — a plan stays while its statistics hold, and
+    /// the rule layer swaps the whole `EvalShared` when rules or the
+    /// network change.
     pub fn reset_pass(&self) {
         self.memo.write().unwrap().clear();
+    }
+
+    /// The plan cache every context over this state resolves through.
+    pub fn planner(&self) -> &Planner {
+        &self.planner
     }
 
     /// Cumulative derived-call memo hits since construction.
@@ -147,7 +156,7 @@ fn no_layers() -> &'static LayerStacks<'static> {
 }
 
 /// The Δ-environment outside propagation.
-fn no_deltas() -> &'static DeltaMap {
+pub(crate) fn no_deltas() -> &'static DeltaMap {
     static EMPTY: OnceLock<DeltaMap> = OnceLock::new();
     EMPTY.get_or_init(DeltaMap::new)
 }
@@ -172,12 +181,6 @@ pub struct EvalContext<'a> {
 
 /// Variable bindings during plan execution.
 type Bindings = Vec<Option<Value>>;
-
-/// Cache of compiled clause plans, keyed by predicate and bound-argument
-/// bitmask. A differential whose Δ-set seeds `n` tuples calls its
-/// derived sub-goals `n` times with the same binding pattern — without
-/// the cache each call would re-run the greedy optimizer.
-type PlanCache = FxHashMap<(PredId, u64), Arc<Vec<(usize, Plan)>>>;
 
 /// Memo table for derived-predicate calls: full binding pattern + state
 /// epoch → the call's result set. Within one pass the database is
@@ -453,14 +456,14 @@ impl<'a> EvalContext<'a> {
                 self.eval_recursive(pred, clauses, pattern, epoch, depth, scratch)
             }
             PredKind::Derived(clauses) => {
-                let plans = self.plans_for(pred, clauses, pattern)?;
                 let mut out = HashSet::new();
-                for (clause_idx, plan) in plans.iter() {
+                for (i, clause) in clauses.iter().enumerate() {
+                    let plan = self.clause_plan(pred, i, clause, pattern, self.deltas)?;
                     // Bind head terms from the pattern; a head the pattern
                     // contradicts contributes nothing.
-                    let head = clauses[*clause_idx].head.iter().zip(pattern);
+                    let head = clause.head.iter().zip(pattern);
                     let given = head.filter_map(|(term, slot)| Some((term, slot.as_ref()?)));
-                    self.heads_into(plan, epoch, depth, given, scratch, &mut out)?;
+                    self.heads_into(&plan, epoch, depth, given, scratch, &mut out)?;
                 }
                 Ok(out)
             }
@@ -473,7 +476,8 @@ impl<'a> EvalContext<'a> {
     /// Base clauses (no self-literal) seed the fixpoint; recursive
     /// clauses are rewritten so their self-literal reads a synthetic
     /// Δ-set holding the current *frontier* (tuples derived in the
-    /// previous round), exactly the semi-naive restriction. Iteration
+    /// previous round), exactly the semi-naive restriction, and each
+    /// round's plans are resolved under that frontier's size. Iteration
     /// stops when a round derives nothing new.
     ///
     /// Bound patterns are answered by computing the full fixpoint and
@@ -481,27 +485,33 @@ impl<'a> EvalContext<'a> {
     fn eval_recursive(
         &self,
         pred: PredId,
-        clauses: &[crate::clause::Clause],
+        clauses: &[Clause],
         pattern: &[Option<Value>],
         epoch: StateEpoch,
         depth: usize,
         scratch: &mut Scratch,
     ) -> Result<HashSet<Tuple>, ObjectLogError> {
-        use crate::clause::{Clause, Literal};
+        use crate::clause::Literal;
         let references_self = |c: &Clause| c.body.iter().any(|l| l.pred() == Some(pred));
 
         // Seed: base clauses, evaluated through the ordinary machinery
         // on a catalog view where only the base clauses exist — achieved
         // by running each base clause's plan directly.
         let mut total: HashSet<Tuple> = HashSet::new();
-        for clause in clauses.iter().filter(|c| !references_self(c)) {
-            let plan = compile_clause(self.catalog, clause, &HashSet::new())?;
-            self.heads_into(&plan, epoch, depth + 1, [], scratch, &mut total)?;
+        for (i, clause) in clauses.iter().enumerate() {
+            if !references_self(clause) {
+                let plan = self.clause_plan(pred, i, clause, &[], no_deltas())?;
+                self.heads_into(&plan, epoch, depth + 1, [], scratch, &mut total)?;
+            }
         }
 
         // Rewrite recursive clauses: self-literal → Δ₊-literal on self.
-        let mut rec_plans: Vec<Plan> = Vec::new();
-        for clause in clauses.iter().filter(|c| references_self(c)) {
+        let mut rewritten: Vec<(usize, Clause)> = Vec::new();
+        for (i, clause) in clauses
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| references_self(c))
+        {
             let body = clause
                 .body
                 .iter()
@@ -519,12 +529,12 @@ impl<'a> EvalContext<'a> {
                     other => other.clone(),
                 })
                 .collect();
-            let rewritten = Clause {
+            let clause = Clause {
                 n_vars: clause.n_vars,
                 head: clause.head.clone(),
                 body,
             };
-            rec_plans.push(compile_clause(self.catalog, &rewritten, &HashSet::new())?);
+            rewritten.push((i, clause));
         }
 
         let mut frontier: HashSet<Tuple> = total.clone();
@@ -545,8 +555,9 @@ impl<'a> EvalContext<'a> {
                 ..EvalContext::with_layers(self.storage, self.catalog, self.layers)
             };
             let mut next: Vec<Tuple> = Vec::new();
-            for plan in &rec_plans {
-                sub.plan_heads(plan, epoch, depth + 1, &mut next)?;
+            for (i, clause) in &rewritten {
+                let plan = self.clause_plan(pred, *i, clause, &[], &fmap)?;
+                sub.plan_heads(&plan, epoch, depth + 1, &mut next)?;
             }
             for t in next {
                 if total.insert(t.clone()) {
@@ -566,40 +577,21 @@ impl<'a> EvalContext<'a> {
             .collect())
     }
 
-    /// Plans for a derived predicate's clauses under a binding mask,
-    /// compiled once per shared cache state (read-mostly `RwLock`, so
-    /// concurrent wave-front tasks don't convoy on the common hit path).
-    fn plans_for(
+    /// The plan of clause `idx` of derived `pred` for a caller binding
+    /// `pattern`'s `Some` slots (an empty pattern binds none), resolved
+    /// through the shared planner under the stored relations' statistics
+    /// and the Δ-sets of `deltas`.
+    fn clause_plan(
         &self,
         pred: PredId,
-        clauses: &[crate::clause::Clause],
+        idx: usize,
+        clause: &Clause,
         pattern: &[Option<Value>],
-    ) -> Result<Arc<Vec<(usize, Plan)>>, ObjectLogError> {
-        debug_assert!(pattern.len() <= 64, "pattern mask is a u64");
-        let mask: u64 = pattern
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.is_some())
-            .fold(0, |m, (i, _)| m | (1 << i));
-        if let Some(hit) = self.shared.plan_cache.read().unwrap().get(&(pred, mask)) {
-            return Ok(Arc::clone(hit));
-        }
-        let mut plans = Vec::with_capacity(clauses.len());
-        for (i, clause) in clauses.iter().enumerate() {
-            let bound_vars: HashSet<Var> = clause
-                .head
-                .iter()
-                .zip(pattern)
-                .filter_map(|(term, slot)| match (term, slot) {
-                    (Term::Var(v), Some(_)) => Some(*v),
-                    _ => None,
-                })
-                .collect();
-            plans.push((i, compile_clause(self.catalog, clause, &bound_vars)?));
-        }
-        let rc = Arc::new(plans);
-        let mut cache = self.shared.plan_cache.write().unwrap();
-        Ok(Arc::clone(cache.entry((pred, mask)).or_insert(rc)))
+        deltas: &DeltaMap,
+    ) -> Result<Arc<Plan>, ObjectLogError> {
+        let stats = LiveStats::new(self.storage, deltas);
+        let key = PlanKey::Clause(pred, idx);
+        (self.shared.planner).resolve(key, self.catalog, clause, pattern, &stats)
     }
 
     /// Read a stored relation under the bound `slots` of a literal — the
@@ -950,35 +942,38 @@ mod tests {
     }
 
     /// Compiles `clause` under bulk statistics (|Δ| = 100 000 against a
-    /// three-row `r`) and under `compile_clause`, and checks that the two
-    /// plans differ in shape yet both return exactly `heads` for `delta`.
-    /// `r` = {(1,2), (2,3), (1,9)}.
-    fn assert_bulk_plan_matches_static(
+    /// three-row `r`) and under few-changes statistics (|Δ| = 1, the
+    /// paper's assumption, which seeds the join with the Δ-set), and
+    /// checks that the two plans differ in shape yet both return exactly
+    /// `heads` for `delta`. `r` = {(1,2), (2,3), (1,9)}.
+    fn assert_bulk_plan_matches_seeded(
         mut f: Fixture,
         clause: &Clause,
         delta: Vec<Tuple>,
         heads: Vec<Tuple>,
     ) {
-        use crate::plan::{compile_clause_with, PlanStats};
+        use crate::plan::{compile_clause, PlanStats};
 
-        struct BulkStats;
-        impl PlanStats for BulkStats {
-            fn cardinality(&self, _rel: RelId) -> Option<f64> {
-                Some(3.0)
+        /// A three-row `r` (three values per column) and a Δ side of
+        /// `.0` tuples.
+        struct Stats(f64);
+        impl PlanStats for Stats {
+            fn cardinality(&self, _rel: RelId) -> f64 {
+                3.0
             }
-            fn ndv(&self, _rel: RelId, _col: usize) -> Option<f64> {
-                Some(3.0)
+            fn ndv(&self, _rel: RelId, _col: usize) -> f64 {
+                3.0
             }
-            fn delta_len(&self, _pred: PredId, _polarity: Polarity) -> Option<f64> {
-                Some(100_000.0)
+            fn delta_len(&self, _pred: PredId, _polarity: Polarity) -> f64 {
+                self.0
             }
         }
 
         f.storage.insert(RelId(1), tuple![1, 9]).unwrap();
 
-        let bulk = compile_clause_with(&f.catalog, clause, &HashSet::new(), &BulkStats).unwrap();
-        let fixed = compile_clause(&f.catalog, clause, &HashSet::new()).unwrap();
-        assert_ne!(bulk.steps, fixed.steps, "the statistics reorder the pair");
+        let compile = |delta| compile_clause(&f.catalog, clause, &HashSet::new(), &Stats(delta));
+        let (bulk, seeded) = (compile(100_000.0).unwrap(), compile(1.0).unwrap());
+        assert_ne!(bulk.steps, seeded.steps, "the statistics reorder the pair");
 
         let mut deltas = DeltaMap::new();
         let mut d = DeltaSet::new();
@@ -992,11 +987,11 @@ mod tests {
         };
         let expected: HashSet<Tuple> = heads.into_iter().collect();
         assert_eq!(run(&bulk), expected, "{}", bulk.render(&f.catalog));
-        assert_eq!(run(&fixed), expected, "{}", fixed.render(&f.catalog));
+        assert_eq!(run(&seeded), expected, "{}", seeded.render(&f.catalog));
     }
 
     /// Δp/Δ₊q ← Δ₊q(X,X) ∧ r(X,Z): the plan bulk statistics pick (scan
-    /// `r`, probe the Δ-set) and the static Δ-scan + probe pair agree,
+    /// `r`, probe the Δ-set) and the Δ-seeded scan + probe pair agree,
     /// including the repeated variable `X` on the Δ side, which only a
     /// residual test filters.
     #[test]
@@ -1008,7 +1003,7 @@ mod tests {
             .pred(f.r, [Term::var(0), Term::var(1)])
             .build();
         // (1,2) fails the repeated-variable test; (1,1) joins two r rows.
-        assert_bulk_plan_matches_static(
+        assert_bulk_plan_matches_seeded(
             f,
             &clause,
             vec![tuple![1, 1], tuple![2, 2], tuple![1, 2]],
@@ -1017,7 +1012,7 @@ mod tests {
     }
 
     /// Δp/Δ₊q ← Δ₊q(X,Y) ∧ r(Y,Z) with a 30-tuple Δ against the
-    /// three-row `r`: the bulk-statistics plan and the static Δ-scan +
+    /// three-row `r`: the bulk-statistics plan and the Δ-seeded scan +
     /// probe pair agree.
     #[test]
     fn lookup_join_matches_unfused_pair() {
@@ -1036,7 +1031,7 @@ mod tests {
                 _ => vec![],
             })
             .collect();
-        assert_bulk_plan_matches_static(f, &clause, delta, heads);
+        assert_bulk_plan_matches_seeded(f, &clause, delta, heads);
     }
 
     #[test]
@@ -1403,6 +1398,41 @@ mod tests {
         let ctx = EvalContext::new(&f.storage, &f.catalog, &deltas);
         assert!(ctx.holds(f.q, &tuple![1, 1], StateEpoch::New).unwrap());
         assert!(!ctx.holds(f.q, &tuple![1, 7], StateEpoch::New).unwrap());
+    }
+
+    /// The plan cache keys a binding pattern exactly at any arity: a
+    /// 65-ary predicate called with column 0 bound and then with column
+    /// 64 bound gets a plan for each. `wide(X0, 1, …, 63, X64) ← X65 =
+    /// X0 + 1 ∧ q(X0, X64)`: bound `X0` runs the arithmetic first, which
+    /// a plan reused for bound `X64` could not execute.
+    #[test]
+    fn wide_binding_patterns_get_their_own_plans() {
+        let f = fixture();
+        let v = Term::var;
+        let head = (0..65).map(v);
+        let mut body = ClauseBuilder::new(66).head(head);
+        body = body.arith(v(65), v(0), ArithOp::Add, Term::val(1));
+        body = body.pred(f.q, [v(0), v(64)]);
+        for i in 1..64 {
+            body = body.unify(v(i), Term::val(i as i64));
+        }
+        let mut catalog = f.catalog.clone();
+        let wide = catalog.define_derived("wide", sig(65), vec![body.build()]);
+        let wide = wide.unwrap();
+        let deltas = DeltaMap::new();
+        let ctx = EvalContext::new(&f.storage, &catalog, &deltas);
+        let all = ctx
+            .eval_pred(wide, &vec![None; 65], StateEpoch::New)
+            .unwrap();
+        assert_eq!(all.len(), 1, "q holds one tuple");
+        for col in [0, 64] {
+            let mut pattern = vec![None; 65];
+            pattern[col] = Some(Value::Int(1));
+            let got = ctx.eval_pred(wide, &pattern, StateEpoch::New).unwrap();
+            let filtered = all.iter().filter(|t| t[col] == Value::Int(1));
+            assert_eq!(got, filtered.cloned().collect(), "column {col} bound");
+        }
+        assert_eq!(ctx.shared().planner().cached_plans(), 3);
     }
 }
 

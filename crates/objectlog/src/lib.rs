@@ -20,10 +20,12 @@
 //!   bodies over predicate literals (positive or negated, new-state or
 //!   old-state), Δ-literals, comparisons, arithmetic, and unification.
 //! * [`plan`] — compiled execution plans: a clause body ordered by a
-//!   greedy boundness/cost heuristic with index-backed probes (the
-//!   miniature Selinger-style optimizer the paper alludes to via \[22\]);
-//!   Δ-literals are forced to the front, implementing "the optimizer
+//!   greedy cost heuristic over live statistics with index-backed probes
+//!   (the miniature Selinger-style optimizer the paper alludes to via
+//!   \[22\]); a small Δ-set seeds the join, implementing "the optimizer
 //!   assumes few changes to a single influent".
+//! * [`planner`] — the one plan cache: differentials and derived clauses,
+//!   each plan kept until the statistics it was compiled under drift.
 //! * [`eval`] — the evaluation engine: goal-directed evaluation of any
 //!   predicate under a binding pattern, against new or old state, with
 //!   recursive handling of derived predicates and safe negation.
@@ -38,6 +40,7 @@ pub mod error;
 pub mod eval;
 pub mod expand;
 pub mod plan;
+pub mod planner;
 
 pub use catalog::{Catalog, PredDef, PredId, PredKind};
 pub use clause::{Clause, ClauseBuilder, Literal, Term, Var};
@@ -45,3 +48,4 @@ pub use error::ObjectLogError;
 pub use eval::{DeltaMap, EvalContext};
 pub use expand::{expand_clause, expand_predicate, ExpandOptions};
 pub use plan::{compile_clause, Plan, PlanStep};
+pub use planner::{LiveStats, PlanKey, Planner};

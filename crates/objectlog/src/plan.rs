@@ -2,18 +2,20 @@
 //!
 //! Each partial differential "is a relatively simple database query which
 //! is optimized using traditional query optimization techniques \[22\].
-//! The optimizer assumes few changes to a single influent." We implement
-//! that assumption directly in the cost model: Δ-literals cost nothing
-//! (their cardinality is assumed tiny) and are scheduled first, seeding
-//! the join; remaining literals are ordered greedily by boundness so
-//! every stored access becomes an index probe whenever possible.
+//! The optimizer assumes few changes to a single influent." The cost
+//! model checks that assumption instead of building it in: a Δ-literal
+//! costs its live side size, so a small Δ-set is scheduled first and
+//! seeds the join, and the remaining literals are ordered greedily by
+//! estimated rows, so every stored access becomes an index probe
+//! whenever possible.
 //!
 //! A [`Plan`] is compiled for a clause plus a *binding pattern* (which
-//! head columns the caller has bound) and is reusable across
-//! transactions. Differentials are planned at wave-front time, under live
-//! statistics, by the rule layer's adaptive planner; the static cost
-//! table plans everything else (selects, derived bodies, recursive
-//! rounds).
+//! head columns the caller has bound) under the statistics of a
+//! [`PlanStats`] source, and is reusable across transactions. Live
+//! statistics plan everything: differentials, derived bodies and
+//! recursive rounds through the one cache of
+//! [`Planner`](crate::planner::Planner), selects and the naive monitor
+//! per use.
 
 use std::collections::HashSet;
 
@@ -116,36 +118,30 @@ pub struct Plan {
     /// Total variable count of the clause.
     pub n_vars: u32,
     /// Estimated result rows under the statistics the plan was compiled
-    /// with; `None` for plans compiled with the static cost table.
-    pub est_rows: Option<f64>,
+    /// with: the product of its stored and Δ-literals' row estimates.
+    pub est_rows: f64,
 }
 
-/// Cost model constants — relative magnitudes are what matters.
+/// Cost model constants — relative magnitudes are what matters. Stored
+/// and Δ-literals cost their estimated rows plus a fixed per-operation
+/// overhead, so that equal row estimates still prefer the structurally
+/// cheaper access; derived calls and built-ins, which have no statistics,
+/// cost a constant per call.
 mod cost {
-    /// Δ-literal: assumed tiny ("few changes to a single influent").
-    pub const DELTA: f64 = 0.0;
     /// Executable built-in (comparison/arith/unify): pure CPU.
     pub const BUILTIN: f64 = 0.1;
     /// Fully-bound negation check: one lookup.
     pub const NEG_CHECK: f64 = 0.5;
     /// Fully-bound positive stored literal: one membership lookup.
     pub const LOOKUP: f64 = 1.0;
-    /// Partially-bound stored literal: one index probe.
-    pub const PROBE: f64 = 10.0;
     /// Fully-bound derived call: still a rule evaluation, not a lookup.
     pub const DERIVED_LOOKUP: f64 = 25.0;
     /// Partially-bound derived call.
     pub const DERIVED_PROBE: f64 = 50.0;
-    /// Unbound stored scan.
-    pub const SCAN: f64 = 10_000.0;
     /// Unbound derived materialization.
     pub const DERIVED_SCAN: f64 = 20_000.0;
     /// Not executable yet.
     pub const INF: f64 = f64::INFINITY;
-
-    // Stats-backed variants: fixed per-operation overheads added to the
-    // estimated row count, so that equal row estimates still prefer the
-    // structurally cheaper access.
     /// Per-probe overhead (hash lookup).
     pub const PROBE_BASE: f64 = 2.0;
     /// Per-scan overhead (iterator setup; scans also pay per row).
@@ -158,35 +154,16 @@ mod cost {
     pub const DELTA_BOUND_SELECTIVITY: f64 = 0.1;
 }
 
-/// Runtime statistics the cardinality-aware cost estimator draws on.
-///
-/// Every method may answer `None`, in which case the estimator falls
-/// back to the paper's fixed cost table for that literal — a source
-/// that always answers `None` (see [`NoStats`]) reproduces the static
-/// planner exactly.
+/// The statistics the cost estimator draws on. The engine's one source
+/// is [`LiveStats`](crate::planner::LiveStats); the trait exists so that
+/// tests can pass a fake.
 pub trait PlanStats {
     /// Current cardinality of the relation backing a stored predicate.
-    fn cardinality(&self, rel: RelId) -> Option<f64>;
+    fn cardinality(&self, rel: RelId) -> f64;
     /// Number of distinct values in one column of a stored relation.
-    fn ndv(&self, rel: RelId, col: usize) -> Option<f64>;
+    fn ndv(&self, rel: RelId, col: usize) -> f64;
     /// Live size of one side of an influent's Δ-set.
-    fn delta_len(&self, pred: PredId, polarity: Polarity) -> Option<f64>;
-}
-
-/// The "no statistics" source: compilation uses the static cost table.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoStats;
-
-impl PlanStats for NoStats {
-    fn cardinality(&self, _rel: RelId) -> Option<f64> {
-        None
-    }
-    fn ndv(&self, _rel: RelId, _col: usize) -> Option<f64> {
-        None
-    }
-    fn delta_len(&self, _pred: PredId, _polarity: Polarity) -> Option<f64> {
-        None
-    }
+    fn delta_len(&self, pred: PredId, polarity: Polarity) -> f64;
 }
 
 fn term_bound(t: &Term, bound: &HashSet<Var>) -> bool {
@@ -201,14 +178,16 @@ struct LitEstimate {
     /// Greedy ranking key.
     cost: f64,
     /// Estimated rows the literal contributes to the running result
-    /// (multiplied into the plan's `est_rows`); `None` when the static
-    /// table was used and no row estimate is meaningful.
-    rows: Option<f64>,
+    /// (multiplied into the plan's `est_rows`); 1 for a literal without
+    /// statistics.
+    rows: f64,
 }
 
 impl LitEstimate {
-    fn fixed(cost: f64) -> Self {
-        LitEstimate { cost, rows: None }
+    /// A literal without statistics: a constant cost when `executable`.
+    fn fixed(executable: bool, cost: f64) -> Self {
+        let cost = if executable { cost } else { cost::INF };
+        LitEstimate { cost, rows: 1.0 }
     }
 }
 
@@ -223,43 +202,25 @@ fn literal_cost(
             pred,
             polarity,
             args,
-        } => match stats.delta_len(*pred, *polarity) {
-            Some(d) => {
-                // Bound columns shrink the Δ access (index probe or, when
-                // fully bound, a membership test).
-                let n_bound = args.iter().filter(|t| term_bound(t, bound)).count();
-                let rows = d * cost::DELTA_BOUND_SELECTIVITY.powi(n_bound as i32);
-                LitEstimate {
-                    cost: cost::DELTA_BASE + rows,
-                    rows: Some(rows),
-                }
-            }
-            None => LitEstimate::fixed(cost::DELTA),
-        },
-        Literal::Cmp { lhs, rhs, .. } => {
-            if term_bound(lhs, bound) && term_bound(rhs, bound) {
-                LitEstimate::fixed(cost::BUILTIN)
-            } else {
-                LitEstimate::fixed(cost::INF)
+        } => {
+            // Bound columns shrink the Δ access (index probe or, when
+            // fully bound, a membership test).
+            let n_bound = args.iter().filter(|t| term_bound(t, bound)).count();
+            let rows = stats.delta_len(*pred, *polarity)
+                * cost::DELTA_BOUND_SELECTIVITY.powi(n_bound as i32);
+            LitEstimate {
+                cost: cost::DELTA_BASE + rows,
+                rows,
             }
         }
-        Literal::Arith {
-            result, lhs, rhs, ..
-        } => {
-            if term_bound(lhs, bound) && term_bound(rhs, bound) {
-                // result may bind or test; both are fine
-                let _ = result;
-                LitEstimate::fixed(cost::BUILTIN)
-            } else {
-                LitEstimate::fixed(cost::INF)
-            }
+        // An arithmetic result may bind or test; both are fine.
+        Literal::Cmp { lhs, rhs, .. } | Literal::Arith { lhs, rhs, .. } => {
+            let executable = term_bound(lhs, bound) && term_bound(rhs, bound);
+            LitEstimate::fixed(executable, cost::BUILTIN)
         }
         Literal::Unify { lhs, rhs } => {
-            if term_bound(lhs, bound) || term_bound(rhs, bound) {
-                LitEstimate::fixed(cost::BUILTIN)
-            } else {
-                LitEstimate::fixed(cost::INF)
-            }
+            let executable = term_bound(lhs, bound) || term_bound(rhs, bound);
+            LitEstimate::fixed(executable, cost::BUILTIN)
         }
         Literal::Pred {
             pred,
@@ -270,73 +231,53 @@ fn literal_cost(
             let n_bound = args.iter().filter(|t| term_bound(t, bound)).count();
             let all_bound = n_bound == args.len();
             if *negated {
-                return if all_bound {
-                    LitEstimate::fixed(cost::NEG_CHECK)
-                } else {
-                    LitEstimate::fixed(cost::INF)
-                };
+                return LitEstimate::fixed(all_bound, cost::NEG_CHECK);
             }
-            let def = catalog.def(*pred);
-            let stored_rel = match def.kind {
-                PredKind::Stored { rel, .. } => Some(rel),
-                _ => None,
+            if let Some(rel) = catalog.def(*pred).stored_rel() {
+                return stored_estimate(rel, args, bound, n_bound, stats);
+            }
+            let derived = match (all_bound, n_bound > 0) {
+                (true, _) => cost::DERIVED_LOOKUP,
+                (false, true) => cost::DERIVED_PROBE,
+                (false, false) => cost::DERIVED_SCAN,
             };
-            if let Some(rel) = stored_rel {
-                if let Some(card) = stats.cardinality(rel) {
-                    return stored_estimate(card, rel, args, bound, all_bound, stats);
-                }
-            }
-            let derived = stored_rel.is_none();
-            LitEstimate::fixed(match (all_bound, n_bound > 0, derived) {
-                (true, _, false) => cost::LOOKUP,
-                (true, _, true) => cost::DERIVED_LOOKUP,
-                (false, true, false) => cost::PROBE,
-                (false, true, true) => cost::DERIVED_PROBE,
-                (false, false, false) => cost::SCAN,
-                (false, false, true) => cost::DERIVED_SCAN,
-            })
+            LitEstimate::fixed(true, derived)
         }
     }
 }
 
-/// Statistics-backed estimate for a positive stored literal: `|R|` for
-/// scans, `|R| / Π ndv(c)` over the bound columns for probes, one row
-/// for full membership lookups.
+/// Estimate for a positive stored literal with `n_bound` bound
+/// arguments: `|R|` for scans, `|R| / Π ndv(c)` over the bound columns
+/// for probes, one row for full membership lookups.
 fn stored_estimate(
-    card: f64,
     rel: RelId,
     args: &[Term],
     bound: &HashSet<Var>,
-    all_bound: bool,
+    n_bound: usize,
     stats: &dyn PlanStats,
 ) -> LitEstimate {
-    if all_bound {
+    let card = stats.cardinality(rel);
+    if n_bound == args.len() {
+        let rows = 1.0_f64.min(card);
         return LitEstimate {
             cost: cost::LOOKUP,
-            rows: Some(1.0_f64.min(card)),
+            rows,
         };
     }
-    let bound_cols: Vec<usize> = args
+    let bound_cols = args
         .iter()
         .enumerate()
-        .filter(|(_, t)| term_bound(t, bound))
-        .map(|(i, _)| i)
-        .collect();
-    if bound_cols.is_empty() {
-        return LitEstimate {
-            cost: cost::SCAN_BASE + card,
-            rows: Some(card),
-        };
-    }
-    let mut selectivity = 1.0;
-    for &c in &bound_cols {
-        let ndv = stats.ndv(rel, c).filter(|&n| n >= 1.0).unwrap_or(1.0);
-        selectivity /= ndv;
-    }
+        .filter(|(_, t)| term_bound(t, bound));
+    let selectivity = bound_cols.fold(1.0, |s, (c, _)| s / stats.ndv(rel, c).max(1.0));
     let rows = (card * selectivity).min(card);
+    let base = if n_bound == 0 {
+        cost::SCAN_BASE
+    } else {
+        cost::PROBE_BASE
+    };
     LitEstimate {
-        cost: cost::PROBE_BASE + rows,
-        rows: Some(rows),
+        cost: base + rows,
+        rows,
     }
 }
 
@@ -385,23 +326,12 @@ fn drop_decided_steps(steps: &mut Vec<PlanStep>, n_vars: u32) {
 }
 
 /// Compile a clause into a [`Plan`], given the set of head variables the
-/// caller binds, using the static cost table. Greedy: repeatedly
+/// caller binds, with `stats` feeding the estimator. Greedy: repeatedly
 /// schedule the cheapest executable literal; ties break toward textual
-/// order.
+/// order. Join semantics are order-independent, so whatever the
+/// statistics, the plan computes the same result set — only the cost
+/// differs.
 pub fn compile_clause(
-    catalog: &Catalog,
-    clause: &Clause,
-    bound_at_entry: &HashSet<Var>,
-) -> Result<Plan, ObjectLogError> {
-    compile_clause_with(catalog, clause, bound_at_entry, &NoStats)
-}
-
-/// Compile a clause with a [`PlanStats`] source feeding the estimator:
-/// literals are ranked by estimated output rows instead of the fixed
-/// cost table wherever the source has an answer. Join semantics are
-/// order-independent, so any ordering this produces computes the same
-/// result set as [`compile_clause`] — only the cost differs.
-pub fn compile_clause_with(
     catalog: &Catalog,
     clause: &Clause,
     bound_at_entry: &HashSet<Var>,
@@ -411,7 +341,6 @@ pub fn compile_clause_with(
     let mut remaining: Vec<&Literal> = clause.body.iter().collect();
     let mut steps = Vec::with_capacity(remaining.len());
     let mut est_rows = 1.0;
-    let mut any_stats = false;
 
     while !remaining.is_empty() {
         let (best_idx, best) = remaining
@@ -429,10 +358,7 @@ pub fn compile_clause_with(
                 literal: format!("{:?}", remaining[best_idx]),
             });
         }
-        if let Some(rows) = best.rows {
-            est_rows *= rows;
-            any_stats = true;
-        }
+        est_rows *= best.rows;
         let lit = remaining.remove(best_idx);
         let step = lower(catalog, lit, &bound)?;
         // Update boundness.
@@ -466,7 +392,7 @@ pub fn compile_clause_with(
         steps,
         head: clause.head.clone(),
         n_vars: clause.n_vars,
-        est_rows: any_stats.then_some(est_rows),
+        est_rows,
     })
 }
 
@@ -572,7 +498,7 @@ fn lower(
 /// literals).
 pub fn ensure_join_indexes(catalog: &Catalog, clause: &Clause, storage: &mut Storage) {
     /// Whether scheduling `lit` binds variable `v` (mirrors the
-    /// boundness update in [`compile_clause_with`]).
+    /// boundness update in [`compile_clause`]).
     fn binds(lit: &Literal, v: Var) -> bool {
         match lit {
             Literal::Pred { negated: false, .. } | Literal::Delta { .. } => lit.vars().contains(&v),
@@ -713,9 +639,7 @@ impl Plan {
             };
             out.push_str(&format!("{i}: {line}\n"));
         }
-        if let Some(est) = self.est_rows {
-            out.push_str(&format!("est-rows: {est:.2}\n"));
-        }
+        out.push_str(&format!("est-rows: {:.2}\n", self.est_rows));
         out
     }
 }
@@ -728,6 +652,32 @@ mod tests {
 
     fn sig(n: usize) -> Vec<TypeId> {
         vec![TypeId(0); n]
+    }
+
+    /// A statistics-blind source: every relation holds 10 000 rows with
+    /// 1 000 distinct values per column, every Δ side one tuple. Equal
+    /// statistics leave the structure of each access to order the plan
+    /// — lookup before probe before scan, ties in textual order.
+    struct Blind;
+
+    impl PlanStats for Blind {
+        fn cardinality(&self, _rel: RelId) -> f64 {
+            10_000.0
+        }
+        fn ndv(&self, _rel: RelId, _col: usize) -> f64 {
+            1_000.0
+        }
+        fn delta_len(&self, _pred: PredId, _polarity: Polarity) -> f64 {
+            1.0
+        }
+    }
+
+    fn compile(
+        cat: &Catalog,
+        clause: &Clause,
+        bound: &HashSet<Var>,
+    ) -> Result<Plan, ObjectLogError> {
+        compile_clause(cat, clause, bound, &Blind)
     }
 
     /// Build the flat cnd_monitor_items clause of §4.3 and check the plan
@@ -760,7 +710,7 @@ mod tests {
             .cmp(Term::var(1), CmpOp::Lt, Term::var(7))
             .build();
 
-        let plan = compile_clause(&cat, &clause, &HashSet::new()).unwrap();
+        let plan = compile(&cat, &clause, &HashSet::new()).unwrap();
         assert!(matches!(plan.steps[0], PlanStep::Delta { .. }));
         // Everything after the seed is a probe/lookup or builtin — no scans.
         for step in &plan.steps[1..] {
@@ -790,7 +740,7 @@ mod tests {
             .arith(Term::var(2), Term::var(0), ArithOp::Add, Term::val(1))
             .pred(q, [Term::var(0), Term::var(1)])
             .build();
-        let plan = compile_clause(&cat, &clause, &HashSet::new()).unwrap();
+        let plan = compile(&cat, &clause, &HashSet::new()).unwrap();
         assert!(matches!(plan.steps[0], PlanStep::Stored { .. }));
         assert!(matches!(plan.steps[1], PlanStep::Arith { .. }));
     }
@@ -804,7 +754,7 @@ mod tests {
             .arith(Term::var(1), Term::var(0), ArithOp::Add, Term::val(1))
             .build();
         assert!(matches!(
-            compile_clause(&cat, &clause, &HashSet::new()),
+            compile(&cat, &clause, &HashSet::new()),
             Err(ObjectLogError::NotSchedulable { .. })
         ));
     }
@@ -818,7 +768,7 @@ mod tests {
             .pred(q, [Term::var(0), Term::var(1)])
             .build();
         // Unbound: scan.
-        let p1 = compile_clause(&cat, &clause, &HashSet::new()).unwrap();
+        let p1 = compile(&cat, &clause, &HashSet::new()).unwrap();
         match &p1.steps[0] {
             PlanStep::Stored { bound_cols, .. } => assert!(bound_cols.is_empty()),
             other => panic!("{other:?}"),
@@ -826,7 +776,7 @@ mod tests {
         // First head var bound: probe on column 0.
         let mut bound = HashSet::new();
         bound.insert(Var(0));
-        let p2 = compile_clause(&cat, &clause, &bound).unwrap();
+        let p2 = compile(&cat, &clause, &bound).unwrap();
         match &p2.steps[0] {
             PlanStep::Stored { bound_cols, .. } => assert_eq!(bound_cols, &vec![0]),
             other => panic!("{other:?}"),
@@ -854,7 +804,7 @@ mod tests {
             .pred(ext, [Term::var(3)])
             .pred(r, [Term::var(3), Term::var(2)])
             .build();
-        let plan = compile_clause(&cat, &clause, &HashSet::new()).unwrap();
+        let plan = compile(&cat, &clause, &HashSet::new()).unwrap();
         assert_eq!(lookups(&plan), 1, "{}", plan.render(&cat));
         assert_eq!(plan.steps.len(), clause.body.len() - 1);
 
@@ -865,10 +815,7 @@ mod tests {
             .pred(ext, [Term::var(0)])
             .pred(ext, [Term::var(1)])
             .build();
-        assert_eq!(
-            lookups(&compile_clause(&cat, &apart, &HashSet::new()).unwrap()),
-            2
-        );
+        assert_eq!(lookups(&compile(&cat, &apart, &HashSet::new()).unwrap()), 2);
 
         // Same variable, different epochs: both stay.
         let epochs = ClauseBuilder::new(2)
@@ -877,7 +824,7 @@ mod tests {
             .pred(ext, [Term::var(0)])
             .pred_old(ext, [Term::var(0)])
             .build();
-        let plan = compile_clause(&cat, &epochs, &HashSet::new()).unwrap();
+        let plan = compile(&cat, &epochs, &HashSet::new()).unwrap();
         assert_eq!(plan.steps.len(), 3, "{}", plan.render(&cat));
 
         // The same literal twice where the first occurrence binds: the
@@ -888,14 +835,14 @@ mod tests {
             .pred(r, [Term::var(0), Term::var(2)])
             .pred(r, [Term::var(0), Term::var(2)])
             .build();
-        let plan = compile_clause(&cat, &twice, &HashSet::new()).unwrap();
+        let plan = compile(&cat, &twice, &HashSet::new()).unwrap();
         let rendered = plan.render(&cat);
         assert_eq!(plan.steps.len(), 2, "{rendered}");
         assert!(rendered.contains("probe r[0]"), "{rendered}");
     }
 
     /// Statistics source for estimator tests: fixed per-relation
-    /// cardinalities/NDVs and per-predicate Δ sizes.
+    /// cardinalities/NDVs and per-predicate Δ sizes, 0 where unlisted.
     struct MockStats {
         cards: Vec<(RelId, f64)>,
         ndvs: Vec<(RelId, usize, f64)>,
@@ -903,20 +850,20 @@ mod tests {
     }
 
     impl PlanStats for MockStats {
-        fn cardinality(&self, rel: RelId) -> Option<f64> {
-            self.cards.iter().find(|(r, _)| *r == rel).map(|(_, c)| *c)
+        fn cardinality(&self, rel: RelId) -> f64 {
+            let card = self.cards.iter().find(|(r, _)| *r == rel);
+            card.map_or(0.0, |(_, c)| *c)
         }
-        fn ndv(&self, rel: RelId, col: usize) -> Option<f64> {
-            self.ndvs
-                .iter()
-                .find(|(r, c, _)| *r == rel && *c == col)
-                .map(|(_, _, n)| *n)
+        fn ndv(&self, rel: RelId, col: usize) -> f64 {
+            let ndv = self.ndvs.iter().find(|(r, c, _)| *r == rel && *c == col);
+            ndv.map_or(0.0, |(_, _, n)| *n)
         }
-        fn delta_len(&self, pred: PredId, polarity: Polarity) -> Option<f64> {
-            self.deltas
+        fn delta_len(&self, pred: PredId, polarity: Polarity) -> f64 {
+            let side = self
+                .deltas
                 .iter()
-                .find(|(p, pol, _)| *p == pred && *pol == polarity)
-                .map(|(_, _, d)| *d)
+                .find(|(p, pol, _)| *p == pred && *pol == polarity);
+            side.map_or(0.0, |(_, _, d)| *d)
         }
     }
 
@@ -946,7 +893,7 @@ mod tests {
             .pred(d, [Term::var(0)])
             .pred(r, [Term::var(0), Term::var(2)])
             .build();
-        let plan = compile_clause(&cat, &clause, &HashSet::new()).unwrap();
+        let plan = compile(&cat, &clause, &HashSet::new()).unwrap();
         assert!(matches!(plan.steps[0], PlanStep::Delta { .. }));
         assert!(
             matches!(plan.steps[1], PlanStep::Stored { .. }),
@@ -954,16 +901,14 @@ mod tests {
             plan.steps
         );
         assert!(matches!(plan.steps[2], PlanStep::Call { .. }));
-        assert!(
-            plan.est_rows.is_none(),
-            "static compile carries no estimate"
-        );
+        // One Δ-tuple, 10 rows per `r` probe; the call adds no factor.
+        assert_eq!(plan.est_rows, 10.0);
     }
 
-    /// With statistics, probe ordering follows `|R| / ndv(col)`: the
-    /// selective (functional) probe runs before the high-fanout one even
-    /// though the static table ties them and textual order favors the
-    /// fanout literal.
+    /// Probe ordering follows `|R| / ndv(col)`: the selective
+    /// (functional) probe runs before the high-fanout one even though
+    /// blind statistics tie them and textual order favors the fanout
+    /// literal.
     #[test]
     fn estimator_orders_probes_by_selectivity() {
         let mut cat = Catalog::new();
@@ -978,9 +923,9 @@ mod tests {
             .pred(pick, [Term::var(0), Term::var(2)])
             .build();
 
-        // Static: tie at PROBE → textual order → big first.
-        let static_plan = compile_clause(&cat, &clause, &HashSet::new()).unwrap();
-        match &static_plan.steps[1] {
+        // Blind: tied probes → textual order → big first.
+        let blind = compile(&cat, &clause, &HashSet::new()).unwrap();
+        match &blind.steps[1] {
             PlanStep::Stored { rel, .. } => assert_eq!(*rel, RelId(1), "textual order picks big"),
             other => panic!("{other:?}"),
         }
@@ -991,7 +936,7 @@ mod tests {
             ndvs: vec![(RelId(1), 0, 10.0), (RelId(2), 0, 100_000.0)],
             deltas: vec![(s, Polarity::Plus, 2.0)],
         };
-        let adaptive = compile_clause_with(&cat, &clause, &HashSet::new(), &stats).unwrap();
+        let adaptive = compile_clause(&cat, &clause, &HashSet::new(), &stats).unwrap();
         assert!(matches!(adaptive.steps[0], PlanStep::Delta { .. }));
         match &adaptive.steps[1] {
             PlanStep::Stored { rel, .. } => {
@@ -1008,7 +953,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        let est = adaptive.est_rows.expect("stats compile estimates rows");
+        let est = adaptive.est_rows;
         assert!(
             est > 0.0 && est < 100.0,
             "tiny Δ → tiny estimate, got {est}"
@@ -1034,7 +979,7 @@ mod tests {
             ndvs: vec![(RelId(1), 0, 4.0)],
             deltas: vec![(s, Polarity::Plus, 100_000.0)],
         };
-        let plan = compile_clause_with(&cat, &clause, &HashSet::new(), &stats).unwrap();
+        let plan = compile_clause(&cat, &clause, &HashSet::new(), &stats).unwrap();
         assert_eq!(
             plan.render(&cat),
             "0: scan small[]\n1: delta-probe Δ+s[1]\nest-rows: 40000.00\n"
@@ -1046,7 +991,7 @@ mod tests {
             ndvs: vec![(RelId(1), 0, 4.0)],
             deltas: vec![(s, Polarity::Plus, 2.0)],
         };
-        let seeded = compile_clause_with(&cat, &clause, &HashSet::new(), &tiny).unwrap();
+        let seeded = compile_clause(&cat, &clause, &HashSet::new(), &tiny).unwrap();
         assert!(matches!(seeded.steps[0], PlanStep::Delta { .. }));
         assert!(matches!(seeded.steps[1], PlanStep::Stored { .. }));
     }

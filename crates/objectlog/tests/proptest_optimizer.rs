@@ -4,16 +4,21 @@
 //!
 //! The reference enumerates all assignments of clause variables over the
 //! active value domain and checks every literal — no plans, no indexes,
-//! no ordering decisions to get wrong.
+//! no ordering decisions to get wrong. The warm leg keeps one planner
+//! across a mutation that forces a re-plan, so a cached plan and its
+//! replacement are both checked against it.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use amos_objectlog::catalog::Catalog;
 use amos_objectlog::clause::{Clause, ClauseBuilder, Literal, Term, Var};
-use amos_objectlog::eval::{DeltaMap, EvalContext};
-use amos_storage::{StateEpoch, Storage};
+use amos_objectlog::eval::{DeltaMap, EvalContext, EvalShared};
+use amos_objectlog::planner::DRIFT_RATIO;
+use amos_storage::{RelId, StateEpoch, Storage};
 use amos_types::{tuple, CmpOp, Tuple, TypeId, Value};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn sig(n: usize) -> Vec<TypeId> {
     vec![TypeId(0); n]
@@ -240,5 +245,94 @@ proptest! {
             .filter(|t| t[0] == Value::Int(key))
             .collect();
         prop_assert_eq!(bound, filtered);
+    }
+}
+
+/// Rewrite `rel` so its statistics drift past the planner's threshold:
+/// an empty relation fills with the whole domain, a small one grows to
+/// it (≥ [`DRIFT_RATIO`]×), a larger one empties — each side of the
+/// empty boundary or a ratio the fingerprint cannot miss.
+fn drift(storage: &mut Storage, rel: RelId) {
+    let rows: Vec<Tuple> = storage.relation(rel).scan().cloned().collect();
+    let domain = (DOMAIN * DOMAIN) as f64;
+    if rows.is_empty() || domain / rows.len() as f64 >= DRIFT_RATIO {
+        for a in 0..DOMAIN {
+            for b in 0..DOMAIN {
+                let t = tuple![a, b];
+                if !rows.contains(&t) {
+                    storage.insert(rel, t).unwrap();
+                }
+            }
+        }
+    } else {
+        for t in &rows {
+            storage.delete(rel, t).unwrap();
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// One `EvalShared` — one planner — evaluates a derived predicate,
+    /// unbound and with its first column bound, before and after its
+    /// first literal's relation drifts: both times every answer equals
+    /// the reference, and the drift re-planned.
+    #[test]
+    fn warm_plans_stay_exact_across_drift(
+        shape in shapes(),
+        q_rows in rows(),
+        r_rows in rows(),
+        key in 0..DOMAIN,
+    ) {
+        let mut storage = Storage::new();
+        let rq = storage.create_relation("q", 2).unwrap();
+        let rr = storage.create_relation("r", 2).unwrap();
+        let mut catalog = Catalog::new();
+        let q = catalog.define_stored("q", sig(2), rq, 1).unwrap();
+        let r = catalog.define_stored("r", sig(2), rr, 1).unwrap();
+        prop_assume!(q.0 == 0 && r.0 == 1);
+        let Some(clause) = build_clause(&shape, q, r) else {
+            return Ok(());
+        };
+        for &(a, b) in &q_rows {
+            storage.insert(rq, tuple![a, b]).unwrap();
+        }
+        for &(a, b) in &r_rows {
+            storage.insert(rr, tuple![a, b]).unwrap();
+        }
+        let arity = clause.head.len();
+        let pred = catalog
+            .define_derived("p", sig(arity), vec![clause.clone()])
+            .unwrap();
+        let shared = Arc::new(EvalShared::default());
+        let mut bound_pattern = vec![None; arity];
+        bound_pattern[0] = Some(Value::Int(key));
+        let check = |storage: &Storage| -> Result<(), TestCaseError> {
+            shared.reset_pass();
+            let deltas = DeltaMap::new();
+            let ctx = EvalContext::with_shared(storage, &catalog, &deltas, Arc::clone(&shared));
+            let contents = |rel| storage.relation(rel).scan().cloned().collect();
+            let reference = reference_eval(&clause, &contents(rq), &contents(rr));
+            let all = ctx.eval_pred(pred, &vec![None; arity], StateEpoch::New).unwrap();
+            prop_assert_eq!(&all, &reference, "unbound: {:?}", clause);
+            let bound = ctx.eval_pred(pred, &bound_pattern, StateEpoch::New).unwrap();
+            let filtered: HashSet<Tuple> = reference
+                .into_iter()
+                .filter(|t| t[0] == Value::Int(key))
+                .collect();
+            prop_assert_eq!(bound, filtered, "bound: {:?}", clause);
+            Ok(())
+        };
+        check(&storage)?;
+        let compiled = shared.planner().replan_count();
+        let (on_q, ..) = shape.literals[0];
+        drift(&mut storage, if on_q { rq } else { rr });
+        check(&storage)?;
+        prop_assert!(
+            shared.planner().replan_count() > compiled,
+            "the drift re-planned: {:?}",
+            clause
+        );
     }
 }

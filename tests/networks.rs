@@ -2,12 +2,11 @@
 //! propagation networks derived from `cnd_monitor_items`, per the
 //! DESIGN.md experiment index.
 
-use amos_core::adaptive::AdaptivePlanner;
-use amos_core::differ::DiffId;
 use amos_db::engine::NetworkPrep;
 use amos_db::{Amos, EngineOptions};
 use amos_objectlog::eval::DeltaMap;
 use amos_objectlog::plan::PlanStep;
+use amos_objectlog::planner::{LiveStats, PlanKey, Planner};
 use amos_storage::DeltaSet;
 use amos_types::{Tuple, Value};
 
@@ -158,10 +157,11 @@ fn differential_plans_are_delta_seeded() {
             d.apply_delete(Tuple::new(vec![Value::Int(2); arity]));
             wave.insert(node.pred, d);
         }
-        let planner = AdaptivePlanner::new();
+        let planner = Planner::default();
+        let stats = LiveStats::new(db.storage(), &wave);
         for (i, d) in net.differentials().iter().enumerate() {
-            let id = DiffId(i as u32);
-            let plan = planner.plan_for(id, d, catalog, db.storage(), &wave);
+            let key = PlanKey::Differential(i as u32);
+            let plan = planner.resolve(key, catalog, &d.clause, &[], &stats);
             assert!(
                 matches!(plan.unwrap().steps[0], PlanStep::Delta { .. }),
                 "{prep:?}: differential {} not delta-seeded",

@@ -59,6 +59,16 @@ fn last_pass(w: &World) -> Work {
     }
 }
 
+/// The steady state replans nothing: every plan the last pass resolved
+/// — one per executed differential, the flat condition calling no
+/// derived body — came from the cache. A fingerprint that drifted on
+/// every pass would recompile here.
+fn assert_steady(w: &World, at: &str) {
+    let m = w.db.last_pass_metrics().expect("a pass ran at commit");
+    let resolves = m.fired as u64;
+    assert_eq!((m.replans, m.plan_cache_hits), (0, resolves), "{at}");
+}
+
 /// `(probes, scans)` of one naive check: the whole condition, evaluated
 /// unbound in the new state.
 fn naive(w: &World) -> (u64, u64) {
@@ -106,6 +116,9 @@ fn fig6_and_fig7_are_count_identities() {
                     wave_tuples: 2,
                 };
                 assert_eq!(work, expected, "fig. 6 transaction {t}, {at}");
+                if t > 0 {
+                    assert_steady(&w, &format!("fig. 6 transaction {t}, {at}"));
+                }
                 one = Some(work);
             }
             // L004 prunes the Δ₋ differentials of the append-only
@@ -132,6 +145,11 @@ fn fig6_and_fig7_are_count_identities() {
                 wave_tuples: 6 * n,
             };
             assert_eq!(bulk, expected, "fig. 7, {at}");
+            // The first bulk pass replans (its Δ-sets grew from one tuple
+            // to n); the second runs on the plans it left.
+            w.update_all(2);
+            assert_eq!(last_pass(&w), expected, "second fig. 7 transaction, {at}");
+            assert_steady(&w, &format!("second fig. 7 transaction, {at}"));
             measured = Some((one.unwrap(), naive, bulk));
         }
 
@@ -180,8 +198,9 @@ fn fig6_and_fig7_are_count_identities() {
 /// quantity below its threshold. Δ₊ and Δ₋quantity seed n tuples each,
 /// each probing the six other relations; the n insertions are the
 /// candidates, each passes the strict filter with two `holds` (false
-/// before, true after), and the action runs once per item. An
-/// explanation is built for one sampled instance, on demand.
+/// before, true after) through one cached plan, and the action runs
+/// once per item. An explanation is built for one sampled instance, on
+/// demand.
 fn every_item_fires(n: usize) {
     let seeds = n as u64;
     for strategy in [ExecStrategy::Serial, ExecStrategy::Parallel] {
@@ -201,6 +220,14 @@ fn every_item_fires(n: usize) {
             (m.candidates, actions, m.filter_holds, m.probes),
             (n, n, 2 * seeds, 2 * PROBES_PER_SEED * seeds),
             "candidates, actions, filter holds, probes; {at}"
+        );
+        // The world's first pass compiles its two differentials; the
+        // filter's first `holds` compiles the condition's body under a
+        // fully bound pattern, and the other 2n − 1 reuse that plan.
+        assert_eq!(
+            (m.replans, m.plan_cache_hits),
+            (3, 2 * seeds - 1),
+            "replans, plan-cache hits; {at}"
         );
 
         let catalog = w.db.catalog();
@@ -230,7 +257,8 @@ fn every_item_fires_at_10_000_items() {
 /// §7.1 sharing in the evaluator: on the bushy network every rule's
 /// `Δcnd/Δ±quantity` differential calls the unchanged `threshold(i)`.
 /// Per-pass tabling derives it once per state epoch and serves the other
-/// k−1 rules from the memo.
+/// k−1 rules from the memo. The second transaction's pass compiles
+/// nothing: `threshold`'s body, too, runs on the plan the first left.
 #[test]
 fn shared_threshold_call_is_tabled_once_per_state() {
     for k in [1usize, 2, 4, 8, 16] {
@@ -247,5 +275,7 @@ fn shared_threshold_call_is_tabled_once_per_state() {
             (2 * (k as u64 - 1), 2),
             "k = {k} rules"
         );
+        assert_eq!(m.replans, 0, "k = {k} rules");
+        assert!(m.plan_cache_hits > m.fired as u64, "k = {k} rules");
     }
 }
