@@ -380,12 +380,8 @@ mod tests {
     #[test]
     fn flat_network_matches_fig2() {
         let (mut storage, mut cat, cnd, _threshold) = monitor_items_bushy();
-        let expanded = amos_objectlog::expand::expand_predicate(
-            &cat,
-            cnd,
-            &amos_objectlog::expand::ExpandOptions::full(),
-        )
-        .unwrap();
+        let body = cat.def(cnd).clauses().unwrap();
+        let expanded = amos_objectlog::expand::expand_clauses(&cat, body, &HashSet::new()).unwrap();
         cat.replace_clauses(cnd, expanded).unwrap();
 
         let net = PropagationNetwork::build(&cat, &mut storage, &[cnd]).unwrap();

@@ -187,7 +187,9 @@ impl Rule {
 /// [`RuleManager::reset_stats`]) — the observable cost profile of the
 /// paper's evaluation section: how many differentials executed, how many
 /// candidate tuples they produced, and how many the §7.2 checks
-/// rejected.
+/// rejected. The evaluator counts from `probes` on are the sums of the
+/// same fields of every pass's [`PassMetrics`](amos_metrics::PassMetrics),
+/// added as each pass joins the check phase's trace.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MonitorStats {
     /// Check phases run (one per commit with changes, or per immediate
@@ -209,6 +211,28 @@ pub struct MonitorStats {
     /// quarantined its rule and rolled its updates back to the
     /// pre-action savepoint.
     pub actions_failed: usize,
+    /// Stored-relation index probes during propagation.
+    pub probes: u64,
+    /// Stored-relation full scans during propagation.
+    pub scans: u64,
+    /// Δ-set probes.
+    pub delta_probes: u64,
+    /// Unbound Δ-set scans.
+    pub delta_scans: u64,
+    /// Probes that fell back to a relation scan for lack of an index.
+    pub fallback_scans: u64,
+    /// Derived-call memo hits.
+    pub tabling_hits: u64,
+    /// Derived-call memo misses.
+    pub tabling_misses: u64,
+    /// Plans compiled because none was cached or its statistics drifted.
+    pub replans: u64,
+    /// Plans served from the plan cache.
+    pub plan_cache_hits: u64,
+    /// `holds` calls of the strict filter.
+    pub filter_holds: u64,
+    /// Stored-relation probes those `holds` calls made.
+    pub filter_probes: u64,
 }
 
 /// Summary of one check phase.
@@ -851,9 +875,21 @@ impl RuleManager {
             self.stats.naive_recomputations += condition_deltas.len();
         }
         if let Some(m) = &trace.metrics {
-            self.stats.differentials_executed += trace.fired.len();
-            self.stats.tuples_produced += m.candidates;
-            self.stats.tuples_rejected += m.rejected;
+            let s = &mut self.stats;
+            s.differentials_executed += trace.fired.len();
+            s.tuples_produced += m.candidates;
+            s.tuples_rejected += m.rejected;
+            s.probes += m.probes;
+            s.scans += m.scans;
+            s.delta_probes += m.delta_probes;
+            s.delta_scans += m.delta_scans;
+            s.fallback_scans += m.fallback_scans;
+            s.tabling_hits += m.tabling_hits;
+            s.tabling_misses += m.tabling_misses;
+            s.replans += m.replans;
+            s.plan_cache_hits += m.plan_cache_hits;
+            s.filter_holds += m.filter_holds;
+            s.filter_probes += m.filter_probes;
         }
         self.report.passes.push(trace);
     }

@@ -12,12 +12,11 @@ use amos_amosql::ParseError;
 use amos_core::aggregate::{AggFn, AggregateView};
 use amos_core::maintained::{MaintainedAggregate, UserView};
 use amos_core::propagate::ExecStrategy;
-use amos_core::rules::{ActionFn, CheckSummary, MonitorMode, RuleManager, RuleSemantics};
+use amos_core::rules::{ActionFn, CheckSummary, MonitorMode, RuleId, RuleManager, RuleSemantics};
 use amos_lint::{Diagnostic, LintConfig, RuleFacts, RuleWrite, Span};
 use amos_objectlog::catalog::{Catalog, PredId, PredKind};
 use amos_objectlog::clause::Literal;
 use amos_objectlog::eval::EvalContext;
-use amos_objectlog::expand::{expand_clause, ExpandOptions};
 use amos_objectlog::plan::compile_clause;
 use amos_objectlog::planner::{LiveStats, PlanKey};
 use amos_storage::{
@@ -27,27 +26,31 @@ use amos_storage::{
 use amos_types::{Tuple, TypeRegistry, Value};
 
 use crate::error::DbError;
+use crate::shape::Shapes;
 
-/// How rule conditions are prepared at rule-creation time, which shapes
-/// the propagation network (§4.3 vs §7.1).
+/// A placeholder that nothing reads. The network's shape follows from
+/// the active rules (a derived function two or more network nodes call
+/// stays a shared node, every other one is expanded; see the `shape`
+/// module). The benchmark still names this type, and the benchmark
+/// change of ROADMAP item 9 deletes it with [`EngineOptions::network_prep`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NetworkPrep {
-    /// Expand derived sub-functions fully — the AMOS default, producing
-    /// the flat network of fig. 2.
+    /// Unused (fig. 2's flat shape).
     #[default]
     Flat,
-    /// Keep derived sub-functions as intermediate nodes — the bushy,
-    /// node-sharing network of fig. 1 / §7.1.
+    /// Unused (fig. 1's bushy shape).
     Bushy,
 }
 
 /// Engine construction options, set once in [`Amos::with_options`] and
 /// read back with [`Amos::options`]. Each field is either user-visible
 /// behaviour or the reference side of an equivalence oracle; the
-/// defaults run the paper's method.
+/// defaults run the paper's method. The network's shape is not an
+/// option: it follows from the active rules by caller count.
 #[derive(Debug, Clone, Default)]
 pub struct EngineOptions {
-    /// Condition preparation style.
+    /// A placeholder that nothing reads (see [`NetworkPrep`]); ROADMAP
+    /// item 9 deletes it.
     pub network_prep: NetworkPrep,
     /// Immediate rule processing (§1): run the rule check after every
     /// update statement instead of deferring to commit. The calculus is
@@ -114,6 +117,7 @@ pub struct Amos {
     procedures: Procedures,
     rule_lint: Vec<RuleLintInfo>,
     fn_spans: HashMap<String, Span>,
+    shapes: Shapes,
     pub(crate) options: EngineOptions,
 }
 
@@ -143,6 +147,7 @@ impl Amos {
             procedures: Arc::new(Mutex::new(HashMap::new())),
             rule_lint: Vec::new(),
             fn_spans: HashMap::new(),
+            shapes: Shapes::default(),
             options,
         }
     }
@@ -549,15 +554,22 @@ impl Amos {
             }
             Statement::Activate { rule, args } => {
                 let id = self.rules.rule_id(&rule)?;
-                // Static analysis gate: refuse to monitor a rule with
-                // deny-level lint findings (unsafe, non-stratifiable, …).
-                let diags = self.lint_rule(&rule)?;
-                if amos_lint::has_deny(&diags) {
-                    return Err(DbError::Lint(diags));
+                let condition = self.rules.rule(id).condition;
+                let mut active = self.rules.network().conditions().to_vec();
+                if !active.contains(&condition) {
+                    active.push(condition);
                 }
-                let params = Tuple::new(self.with_scalar(|s| s.all(&args))?);
-                self.rules
-                    .activate(id, params.clone(), &self.catalog, &mut self.storage)?;
+                // The shape the rebuild will monitor comes first: the
+                // gates below judge it, and a refusal puts the old one
+                // back.
+                let undo = self.shapes.reshape(&mut self.catalog, &active)?;
+                let params = match self.activate_gated(id, &rule, &args) {
+                    Ok(params) => params,
+                    Err(e) => {
+                        self.shapes.restore(&mut self.catalog, undo);
+                        return Err(e);
+                    }
+                };
                 // Conformance gate: the rebuilt network must agree with
                 // the differencing calculus (one Δ₊/Δ₋ per influent
                 // occurrence, monotone levels).
@@ -570,6 +582,7 @@ impl Amos {
                     self.rules.network(),
                 );
                 if !violations.is_empty() {
+                    self.shapes.restore(&mut self.catalog, undo);
                     self.rules
                         .deactivate(id, &params, &self.catalog, &mut self.storage)?;
                     return Err(DbError::Conformance(
@@ -580,13 +593,23 @@ impl Amos {
             }
             Statement::Deactivate { rule, args } => {
                 let id = self.rules.rule_id(&rule)?;
-                let params = self.with_scalar(|s| s.all(&args))?;
+                let params = Tuple::new(self.with_scalar(|s| s.all(&args))?);
+                let rule = self.rules.rule(id);
+                if rule.activations.iter().all(|p| *p == params) {
+                    let condition = rule.condition;
+                    let active = self.active_without(condition);
+                    self.shapes.reshape(&mut self.catalog, &active)?;
+                }
                 self.rules
-                    .deactivate(id, &Tuple::new(params), &self.catalog, &mut self.storage)?;
+                    .deactivate(id, &params, &self.catalog, &mut self.storage)?;
                 Ok(ExecResult::Ok)
             }
             Statement::DropRule(name) => {
                 let id = self.rules.rule_id(&name)?;
+                let condition = self.rules.rule(id).condition;
+                let active = self.active_without(condition);
+                self.shapes.retire(&mut self.catalog, condition);
+                self.shapes.reshape(&mut self.catalog, &active)?;
                 self.rules.drop_rule(id, &self.catalog, &mut self.storage)?;
                 self.rule_lint.retain(|r| r.name != name);
                 Ok(ExecResult::Ok)
@@ -597,6 +620,26 @@ impl Amos {
             Statement::Commit => self.commit().map(ExecResult::Committed),
             Statement::Rollback => self.rollback().map(|()| ExecResult::Ok),
         }
+    }
+
+    /// The activation gates before the conformance check: refuse a rule
+    /// with deny-level lint findings (unsafe, non-stratifiable, …), then
+    /// evaluate the parameters and activate, which rebuilds the network.
+    fn activate_gated(&mut self, id: RuleId, rule: &str, args: &[Expr]) -> Result<Tuple, DbError> {
+        let diags = self.lint_rule(rule)?;
+        if amos_lint::has_deny(&diags) {
+            return Err(DbError::Lint(diags));
+        }
+        let params = Tuple::new(self.with_scalar(|s| s.all(args))?);
+        self.rules
+            .activate(id, params.clone(), &self.catalog, &mut self.storage)?;
+        Ok(params)
+    }
+
+    /// The monitored conditions other than `condition`.
+    fn active_without(&self, condition: PredId) -> Vec<PredId> {
+        let active = self.rules.network().conditions().iter().copied();
+        active.filter(|&c| c != condition).collect()
     }
 
     /// Run one data statement — `set` / `add` / `remove`, a procedure
@@ -879,23 +922,13 @@ impl Amos {
             params,
             at,
         )?;
-        // Prepare the network shape: flat expands derived sub-functions
-        // away; bushy keeps them as shared intermediate nodes.
-        let clauses = match self.options.network_prep {
-            NetworkPrep::Flat => {
-                let mut out = Vec::new();
-                for c in &q.clauses {
-                    out.extend(expand_clause(&self.catalog, c, &ExpandOptions::full())?);
-                }
-                out
-            }
-            NetworkPrep::Bushy => q.clauses,
-        };
         let object = self.types.object();
-        let cnd_name = format!("cnd_{name}");
-        let condition_pred =
-            self.catalog
-                .define_derived(&cnd_name, vec![object; q.head_arity], clauses)?;
+        let condition_pred = self.shapes.define_condition(
+            &mut self.catalog,
+            &format!("cnd_{name}"),
+            vec![object; q.head_arity],
+            q.clauses,
+        )?;
 
         // Extract the stored-function writes for the L003 triggering-
         // graph analysis before the action closure consumes the AST:
@@ -1425,6 +1458,38 @@ mod tests {
         .unwrap();
         let rows = db.query("select tax(:x);").unwrap();
         assert_eq!(rows, vec![Tuple::new(vec![Value::Int(20)])]);
+    }
+
+    /// `drop rule` frees the rule's name, also for a condition of another
+    /// parameter and `for each` arity, and the re-created rule fires.
+    #[test]
+    fn dropped_rule_name_can_be_reused() {
+        let mut db = Amos::new();
+        let fired: Arc<Mutex<Vec<Vec<Value>>>> = Arc::default();
+        let sink = Arc::clone(&fired);
+        db.register_procedure("note", move |_ctx, args| {
+            sink.lock().unwrap().push(args.to_vec());
+            Ok(())
+        });
+        db.execute(
+            r#"
+            create type item;
+            create function quantity(item i) -> integer;
+            create item instances :a, :b;
+            create rule r1() as when for each item i where quantity(i) < 5 do note(i);
+            activate r1();
+            drop rule r1;
+            create rule r1(item k) as
+                when for each item i, item j where quantity(i) < quantity(k) and j = k
+                do note(i, j);
+            set quantity(:b) = 50;
+            activate r1(:b);
+            set quantity(:a) = 1;
+        "#,
+        )
+        .unwrap();
+        let [a, b] = ["a", "b"].map(|v| db.iface_value(v).unwrap().clone());
+        assert_eq!(*fired.lock().unwrap(), [vec![a, b]]);
     }
 
     #[test]

@@ -30,6 +30,7 @@ pub mod engine;
 pub mod error;
 pub mod lint;
 pub mod session;
+mod shape;
 
 pub use amos_core::{ExecStrategy, MonitorMode, RuleSemantics};
 pub use amos_lint::{

@@ -9,11 +9,12 @@ fn quiet(db: &mut Amos) {
     db.register_procedure("order", |_ctx, _args| Ok(()));
 }
 
-/// A bushy schema whose rule condition has one live clause and one
-/// that the cross-predicate interval analysis proves empty (L007):
-/// `band(i)` is bounded above by 5 by its own body, so `band(i) > 100`
-/// never holds. The network still carries that clause's
-/// differentials; the finding is a lint, not a pruning.
+/// A schema whose `watch` condition has one live clause and one that
+/// the cross-predicate interval analysis proves empty (L007): `band(i)`
+/// is bounded above by 5 by its own body, so `band(i) > 100` never
+/// holds. The network still carries that clause's differentials; the
+/// finding is a lint, not a pruning. `low` calls `band` too, so with
+/// both active `band` is a shared node.
 #[cfg(feature = "fault-injection")]
 const BANDED: &str = r#"
     create type item;
@@ -24,14 +25,14 @@ const BANDED: &str = r#"
         when for each item i
         where band(i) > 100 or quantity(i) > 50
         do print(i);
+    create rule low() as
+        when for each item i where band(i) < 3
+        do print(i);
 "#;
 
 #[cfg(feature = "fault-injection")]
 fn banded_db() -> Amos {
-    let mut db = Amos::with_options(amos_db::EngineOptions {
-        network_prep: amos_db::engine::NetworkPrep::Bushy,
-        ..amos_db::EngineOptions::default()
-    });
+    let mut db = Amos::new();
     quiet(&mut db);
     db.execute(BANDED).unwrap();
     db
@@ -57,15 +58,19 @@ fn inventory_schema_passes_the_conformance_gate() {
 
 /// A network build that loses a differential (an injected one-shot
 /// fault): the gate must report it as missing, refuse the activation,
-/// and roll it back.
+/// and roll it back — the activation, and the shape the second caller
+/// of `band` gave both conditions.
 #[cfg(feature = "fault-injection")]
 #[test]
 fn conformance_gate_rolls_back_a_refused_activation() {
     let mut db = banded_db();
+    db.execute("create item instances :a; activate low();")
+        .unwrap();
+    let low = db.catalog().lookup("cnd_low").unwrap();
+    let flat = db.catalog().def(low).clauses().unwrap().to_vec();
     db.set_fault_plan(std::sync::Arc::new(
         amos_storage::fault::FaultPlan::drop_differential(),
     ));
-    db.execute("create item instances :a;").unwrap();
     let err = db.execute("activate watch();").unwrap_err();
     let amos_db::DbError::Conformance(violations) = err else {
         panic!("expected conformance refusal, got {err:?}");
@@ -79,8 +84,12 @@ fn conformance_gate_rolls_back_a_refused_activation() {
         !db.rules().rule(id).is_active(),
         "refused activation must be rolled back"
     );
+    assert_eq!(db.catalog().def(low).clauses().unwrap(), &flat[..]);
+    let band = db.catalog().lookup("band").unwrap();
+    assert!(db.rules().network().node_of(band).is_none());
     // The fault was one-shot: the next build is whole and activates.
     db.execute("activate watch();").unwrap();
+    assert!(db.rules().network().node_of(band).is_some());
 }
 
 // ---------------------------------------------------------------------

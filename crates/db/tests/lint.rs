@@ -4,7 +4,6 @@
 //! identical to unpruned ones, and rule sets the analyzer accepts
 //! terminate under Strict semantics in bounded passes.
 
-use amos_db::engine::NetworkPrep;
 use amos_db::{Amos, DbError, EngineOptions, LintCode, LintConfig, Severity, Value};
 use amos_objectlog::clause::ClauseBuilder;
 use amos_objectlog::Term;
@@ -26,15 +25,13 @@ fn quiet(db: &mut Amos) {
 /// compiler's two-phase definition only permits self-reference), but
 /// the catalog can be rewired into it programmatically. The scoped
 /// L002 pass must catch it at `activate` and refuse with a deny-level
-/// diagnostic.
+/// diagnostic. Two rules call `flip`: the first, alone, expands it as
+/// it was defined and activates; the second keeps `flip` as a shared
+/// node, so the rewiring becomes reachable from both conditions, and
+/// the refusal puts the first condition's shape back.
 #[test]
 fn activate_refuses_non_stratifiable_rule() {
-    let mut db = Amos::with_options(EngineOptions {
-        // Bushy keeps `flip` as a network sub-node, so the rewiring
-        // below stays reachable from the rule's condition.
-        network_prep: NetworkPrep::Bushy,
-        ..EngineOptions::default()
-    });
+    let mut db = Amos::new();
     quiet(&mut db);
     db.execute(
         r#"
@@ -46,6 +43,8 @@ fn activate_refuses_non_stratifiable_rule() {
             as select true where quantity(i) > 0;
         create rule watch() as
             when for each item i where flip(i) do print(i);
+        create rule watch_too() as
+            when for each item i where flip(i) and quantity(i) > 5 do print(i);
     "#,
     )
     .unwrap();
@@ -73,6 +72,9 @@ fn activate_refuses_non_stratifiable_rule() {
                 .build()],
         )
         .unwrap();
+    db.execute("activate watch_too();").unwrap();
+    let watch_too = db.catalog().lookup("cnd_watch_too").unwrap();
+    let flat = db.catalog().def(watch_too).clauses().unwrap().to_vec();
     let err = db.execute("activate watch();").unwrap_err();
     let DbError::Lint(diags) = err else {
         panic!("expected lint refusal, got {err:?}");
@@ -81,6 +83,8 @@ fn activate_refuses_non_stratifiable_rule() {
         .iter()
         .any(|d| d.code == LintCode::L002 && d.severity == Severity::Deny));
     assert!(db.to_owned_err_msg(&diags).contains("flip"));
+    assert_eq!(db.catalog().def(watch_too).clauses().unwrap(), &flat[..]);
+    assert!(db.rules().network().node_of(flip).is_none());
 }
 
 /// Escalating a default-warn code to deny makes the gate refuse; the

@@ -9,8 +9,7 @@
 use std::sync::{Arc, Mutex};
 
 use amos_core::MonitorMode;
-use amos_db::engine::NetworkPrep;
-use amos_db::{Amos, EngineOptions, Value};
+use amos_db::{Amos, Value};
 
 /// The §3.1 schema and rule, verbatim modulo whitespace.
 const SCHEMA: &str = r#"
@@ -51,15 +50,24 @@ const POPULATE: &str = r#"
     activate monitor_items();
 "#;
 
+/// A second rule over `threshold`, which never fires on this data: with
+/// it `threshold` has two callers and stays a shared node (fig. 1);
+/// without it `monitor_items` expands `threshold` (fig. 2).
+const SECOND_CALLER: &str = r#"
+    create rule overstocked() as
+        when for each item i where quantity(i) > threshold(i) * 1000
+        do warn(i);
+    activate overstocked();
+"#;
+
 type OrderLog = Arc<Mutex<Vec<(Value, i64)>>>;
 
-/// Build the paper's world; `orders` collects (item oid, amount).
-fn setup(prep: NetworkPrep, mode: MonitorMode) -> (Amos, OrderLog) {
-    let mut db = Amos::with_options(EngineOptions {
-        network_prep: prep,
-        ..Default::default()
-    });
+/// Build the paper's world, with `threshold`'s second caller when
+/// `shared`; `orders` collects (item oid, amount).
+fn setup(shared: bool, mode: MonitorMode) -> (Amos, OrderLog) {
+    let mut db = Amos::new();
     db.set_monitor_mode(mode);
+    db.register_procedure("warn", |_ctx, _args| Ok(()));
     let orders: OrderLog = Arc::new(Mutex::new(Vec::new()));
     let sink = orders.clone();
     db.register_procedure("order", move |_ctx, args| {
@@ -69,16 +77,19 @@ fn setup(prep: NetworkPrep, mode: MonitorMode) -> (Amos, OrderLog) {
     });
     db.execute(SCHEMA).unwrap();
     db.execute(POPULATE).unwrap();
+    if shared {
+        db.execute(SECOND_CALLER).unwrap();
+    }
     (db, orders)
 }
 
-fn run_scenario(prep: NetworkPrep, mode: MonitorMode) {
-    let (mut db, orders) = setup(prep, mode);
+fn run_scenario(shared: bool, mode: MonitorMode) {
+    let (mut db, orders) = setup(shared, mode);
     let item1 = db.iface_value("item1").unwrap().clone();
 
     // Thresholds per the paper: item1 → 20*2+100 = 140; item2 → 30*3+200 = 290.
     let rows = db.query("select threshold(:item1);").unwrap();
-    assert_eq!(rows[0][0], Value::Int(140), "{prep:?}/{mode:?}");
+    assert_eq!(rows[0][0], Value::Int(140), "shared {shared}/{mode:?}");
     let rows = db.query("select threshold(:item2);").unwrap();
     assert_eq!(rows[0][0], Value::Int(290));
 
@@ -90,7 +101,7 @@ fn run_scenario(prep: NetworkPrep, mode: MonitorMode) {
     db.execute("set quantity(:item1) = 120;").unwrap();
     {
         let o = orders.lock().unwrap();
-        assert_eq!(o.len(), 1, "{prep:?}/{mode:?}");
+        assert_eq!(o.len(), 1, "shared {shared}/{mode:?}");
         assert_eq!(o[0], (item1.clone(), 4880));
     }
 
@@ -125,29 +136,30 @@ fn run_scenario(prep: NetworkPrep, mode: MonitorMode) {
     // current quantity makes the condition true.
     db.execute("set quantity(:item1) = 150;").unwrap(); // above 140 again
     db.execute("set min_stock(:item1) = 120;").unwrap(); // threshold → 160 > 150
-    assert_eq!(orders.lock().unwrap().len(), 4, "{prep:?}/{mode:?}");
+    assert_eq!(orders.lock().unwrap().len(), 4, "shared {shared}/{mode:?}");
 }
 
 #[test]
 fn paper_example_flat_incremental() {
-    run_scenario(NetworkPrep::Flat, MonitorMode::Incremental);
+    run_scenario(false, MonitorMode::Incremental);
 }
 
 #[test]
 fn paper_example_bushy_incremental() {
-    run_scenario(NetworkPrep::Bushy, MonitorMode::Incremental);
+    run_scenario(true, MonitorMode::Incremental);
 }
 
 #[test]
 fn paper_example_naive() {
-    run_scenario(NetworkPrep::Flat, MonitorMode::Naive);
+    run_scenario(false, MonitorMode::Naive);
 }
 
-/// fig. 2: the flat network has the five stored influents (plus the item
-/// extent) feeding the condition directly.
+/// fig. 2: with one caller `threshold` is expanded, so the flat network
+/// has the five stored influents (plus the item extent) feeding the
+/// condition directly.
 #[test]
 fn flat_network_shape_matches_fig2() {
-    let (db, _) = setup(NetworkPrep::Flat, MonitorMode::Incremental);
+    let (db, _) = setup(false, MonitorMode::Incremental);
     let net = db.rules().network();
     let catalog = db.catalog();
     assert_eq!(net.levels().len(), 2, "stored + condition levels only");
@@ -180,10 +192,11 @@ fn flat_network_shape_matches_fig2() {
     assert!(names.contains(&"Δcnd_monitor_items/Δ+quantity".to_string()));
 }
 
-/// fig. 1: the bushy network keeps `threshold` as an intermediate node.
+/// fig. 1: with two callers the network keeps `threshold` as an
+/// intermediate node.
 #[test]
 fn bushy_network_shape_matches_fig1() {
-    let (db, _) = setup(NetworkPrep::Bushy, MonitorMode::Incremental);
+    let (db, _) = setup(true, MonitorMode::Incremental);
     let net = db.rules().network();
     let catalog = db.catalog();
     let threshold = catalog.lookup("threshold").unwrap();
@@ -195,7 +208,7 @@ fn bushy_network_shape_matches_fig1() {
 /// Explainability (§8): the trace identifies which influent fired.
 #[test]
 fn explanations_identify_influent() {
-    let (mut db, _) = setup(NetworkPrep::Flat, MonitorMode::Incremental);
+    let (mut db, _) = setup(false, MonitorMode::Incremental);
     db.execute("set quantity(:item1) = 120;").unwrap();
     let catalog = db.catalog();
     let explanations = db.rules().last_trace().explanations();
@@ -207,7 +220,7 @@ fn explanations_identify_influent() {
 /// Rollback throws away both updates and pending triggers.
 #[test]
 fn rollback_discards_pending_triggers() {
-    let (mut db, orders) = setup(NetworkPrep::Flat, MonitorMode::Incremental);
+    let (mut db, orders) = setup(false, MonitorMode::Incremental);
     db.execute("begin; set quantity(:item1) = 1; rollback;")
         .unwrap();
     assert!(orders.lock().unwrap().is_empty());
@@ -221,7 +234,7 @@ fn rollback_discards_pending_triggers() {
 /// Deactivation stops monitoring; reactivation resumes.
 #[test]
 fn deactivate_reactivate() {
-    let (mut db, orders) = setup(NetworkPrep::Flat, MonitorMode::Incremental);
+    let (mut db, orders) = setup(false, MonitorMode::Incremental);
     db.execute("deactivate monitor_items();").unwrap();
     db.execute("set quantity(:item1) = 1;").unwrap();
     assert!(orders.lock().unwrap().is_empty());

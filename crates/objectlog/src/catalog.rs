@@ -225,6 +225,17 @@ impl Catalog {
         }
     }
 
+    /// Retire a derived predicate (a dropped rule's condition): its name
+    /// is free for a new definition of any arity, and its clauses are
+    /// emptied. The id stays allocated, so every other id stays stable.
+    pub fn retire(&mut self, id: PredId) {
+        let def = &mut self.preds[id.0 as usize];
+        if let PredKind::Derived(cs) = &mut def.kind {
+            cs.clear();
+            self.by_name.remove(&def.name);
+        }
+    }
+
     /// Whether a derived predicate references itself (linear recursion).
     pub fn is_self_recursive(&self, id: PredId) -> bool {
         self.direct_influents(id).contains(&id)

@@ -7,8 +7,10 @@
 //! sub-functions (e.g. `threshold`) produces a *bushy* network with
 //! intermediate nodes that can be shared between rules.
 //!
-//! [`ExpandOptions`] controls which predicates are kept as boundaries;
-//! [`expand_predicate`] returns the flattened clause set (expansion of a
+//! Both take a *keep set*, the predicates left as calls: the empty set
+//! expands everything. The engine (`amos-db`'s `shape` module) keeps a
+//! derived function iff two or more network nodes call it.
+//! [`expand_clauses`] returns the flattened clause set (expansion of a
 //! disjunctive sub-predicate multiplies clauses).
 //!
 //! Negated derived literals are *not* expanded (that would require full
@@ -21,31 +23,6 @@ use std::collections::HashSet;
 use crate::catalog::{Catalog, PredId, PredKind};
 use crate::clause::{Clause, Literal, Term, Var};
 use crate::error::ObjectLogError;
-
-/// Options for expansion.
-#[derive(Debug, Clone, Default)]
-pub struct ExpandOptions {
-    /// Predicates to keep as boundaries (not expanded) — the §7.1
-    /// node-sharing experiment keeps `threshold` here.
-    pub keep: HashSet<PredId>,
-    /// Safety bound on total clauses produced per predicate.
-    pub max_clauses: Option<usize>,
-}
-
-impl ExpandOptions {
-    /// Expand everything (the default AMOS behaviour → flat network).
-    pub fn full() -> Self {
-        ExpandOptions::default()
-    }
-
-    /// Keep the given predicates unexpanded (→ bushy network).
-    pub fn keeping(preds: impl IntoIterator<Item = PredId>) -> Self {
-        ExpandOptions {
-            keep: preds.into_iter().collect(),
-            max_clauses: None,
-        }
-    }
-}
 
 /// Shift every variable in a term by `offset`.
 fn shift_term(t: &Term, offset: u32) -> Term {
@@ -100,14 +77,14 @@ fn shift_literal(lit: &Literal, offset: u32) -> Literal {
     }
 }
 
-/// Expand one clause: replace every expandable positive derived literal
-/// by the bodies of its clauses (renamed apart), connecting head terms to
-/// call arguments with unifications. Returns one clause per combination
-/// of sub-clause choices (disjunction lifting).
+/// Expand one clause: replace every positive derived literal outside
+/// `keep` by the bodies of its clauses (renamed apart), connecting head
+/// terms to call arguments with unifications. Returns one clause per
+/// combination of sub-clause choices (disjunction lifting).
 pub fn expand_clause(
     catalog: &Catalog,
     clause: &Clause,
-    opts: &ExpandOptions,
+    keep: &HashSet<PredId>,
 ) -> Result<Vec<Clause>, ObjectLogError> {
     let mut results = vec![clause.clone()];
     // Iterate to fixpoint: repeatedly find an expandable literal.
@@ -116,7 +93,7 @@ pub fn expand_clause(
         progress = false;
         let mut next: Vec<Clause> = Vec::new();
         for c in &results {
-            match find_expandable(catalog, c, opts) {
+            match find_expandable(catalog, c, keep) {
                 None => next.push(c.clone()),
                 Some(idx) => {
                     progress = true;
@@ -124,26 +101,19 @@ pub fn expand_clause(
                 }
             }
         }
-        if let Some(max) = opts.max_clauses {
-            if next.len() > max {
-                return Err(ObjectLogError::NotSchedulable {
-                    literal: format!("expansion exceeded {max} clauses"),
-                });
-            }
-        }
         results = next;
     }
     Ok(results)
 }
 
-fn find_expandable(catalog: &Catalog, clause: &Clause, opts: &ExpandOptions) -> Option<usize> {
+fn find_expandable(catalog: &Catalog, clause: &Clause, keep: &HashSet<PredId>) -> Option<usize> {
     clause.body.iter().position(|lit| match lit {
         Literal::Pred {
             pred,
             negated: false,
             ..
         } => {
-            !opts.keep.contains(pred)
+            !keep.contains(pred)
                 && matches!(catalog.def(*pred).kind, PredKind::Derived(_))
                 // Recursive predicates cannot be flattened away — they
                 // stay as fixpoint nodes in the propagation network.
@@ -209,20 +179,15 @@ fn expand_at(
     Ok(out)
 }
 
-/// Expand a derived predicate's clause set per the options.
-pub fn expand_predicate(
+/// Expand a clause set (a derived predicate's body) around `keep`.
+pub fn expand_clauses(
     catalog: &Catalog,
-    pred: PredId,
-    opts: &ExpandOptions,
+    clauses: &[Clause],
+    keep: &HashSet<PredId>,
 ) -> Result<Vec<Clause>, ObjectLogError> {
-    let def = catalog.def(pred);
-    let clauses = match &def.kind {
-        PredKind::Derived(cs) => cs.clone(),
-        _ => return Err(ObjectLogError::NotDerived(def.name.clone())),
-    };
     let mut out = Vec::new();
-    for c in &clauses {
-        out.extend(expand_clause(catalog, c, opts)?);
+    for c in clauses {
+        out.extend(expand_clause(catalog, c, keep)?);
     }
     Ok(out)
 }
@@ -279,7 +244,8 @@ mod tests {
         assert_eq!(before, [tuple![1]].into_iter().collect());
 
         // Expand fully: the mid literal disappears.
-        let expanded = expand_predicate(&cat, top, &ExpandOptions::full()).unwrap();
+        let expanded =
+            expand_clauses(&cat, cat.def(top).clauses().unwrap(), &HashSet::new()).unwrap();
         assert_eq!(expanded.len(), 1);
         assert!(expanded[0].body.iter().all(|l| l.pred() != Some(mid)));
         let mut cat2 = cat.clone();
@@ -289,7 +255,8 @@ mod tests {
         assert_eq!(after, before);
 
         // Keeping `mid` leaves it in place (bushy network boundary).
-        let kept = expand_predicate(&cat, top, &ExpandOptions::keeping([mid])).unwrap();
+        let kept =
+            expand_clauses(&cat, cat.def(top).clauses().unwrap(), &HashSet::from([mid])).unwrap();
         assert!(kept[0].body.iter().any(|l| l.pred() == Some(mid)));
     }
 
@@ -332,7 +299,8 @@ mod tests {
             )
             .unwrap();
 
-        let expanded = expand_predicate(&cat, wrap, &ExpandOptions::full()).unwrap();
+        let expanded =
+            expand_clauses(&cat, cat.def(wrap).clauses().unwrap(), &HashSet::new()).unwrap();
         assert_eq!(expanded.len(), 2, "two clauses from the disjunction");
 
         let mut cat2 = cat.clone();
@@ -366,7 +334,8 @@ mod tests {
             .not_pred(d, [Term::var(0)])
             .build();
         let w = cat.define_derived("w", sig(1), vec![c]).unwrap();
-        let expanded = expand_predicate(&cat, w, &ExpandOptions::full()).unwrap();
+        let expanded =
+            expand_clauses(&cat, cat.def(w).clauses().unwrap(), &HashSet::new()).unwrap();
         assert_eq!(expanded.len(), 1);
         assert!(expanded[0].body.iter().any(|l| matches!(
             l,
@@ -403,7 +372,8 @@ mod tests {
                     .build()],
             )
             .unwrap();
-        let expanded = expand_predicate(&cat, b, &ExpandOptions::full()).unwrap();
+        let expanded =
+            expand_clauses(&cat, cat.def(b).clauses().unwrap(), &HashSet::new()).unwrap();
         assert_eq!(expanded.len(), 1);
         let c = &expanded[0];
         // all four q literals present

@@ -46,6 +46,6 @@ pub use catalog::{Catalog, PredDef, PredId, PredKind};
 pub use clause::{Clause, ClauseBuilder, Literal, Term, Var};
 pub use error::ObjectLogError;
 pub use eval::{DeltaMap, EvalContext};
-pub use expand::{expand_clause, expand_predicate, ExpandOptions};
+pub use expand::{expand_clause, expand_clauses};
 pub use plan::{compile_clause, Plan, PlanStep};
 pub use planner::{LiveStats, PlanKey, Planner};

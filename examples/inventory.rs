@@ -1,10 +1,11 @@
 //! The paper's running example (§3.1) — the inventory monitor — with
-//! the propagation network rendered and trigger explanations printed.
+//! the propagation network rendered and trigger explanations printed,
+//! once with `monitor_items` alone (`threshold` expanded: fig. 2) and
+//! once with a second rule over `threshold` (a shared node: fig. 1).
 //!
 //! Run with: `cargo run --example inventory`
 
-use amos_db::engine::NetworkPrep;
-use amos_db::{Amos, EngineOptions};
+use amos_db::Amos;
 
 const SCHEMA: &str = r#"
     create type item;
@@ -44,24 +45,39 @@ const POPULATE: &str = r#"
     activate monitor_items();
 "#;
 
-fn run(prep: NetworkPrep) {
-    println!("=== network style: {prep:?} ===\n");
-    let mut db = Amos::with_options(EngineOptions {
-        network_prep: prep,
-        ..Default::default()
-    });
+/// A second rule over `threshold`, which never fires on this data: with
+/// two callers `threshold` stays one network node both rules share
+/// (§7.1).
+const SECOND_CALLER: &str = r#"
+    create rule overstocked() as
+        when for each item i where quantity(i) > threshold(i) * 100
+        do warn(i);
+    activate overstocked();
+"#;
+
+fn run(shared: bool) {
+    let callers = if shared { "two rules" } else { "one rule" };
+    println!("=== {callers} calling threshold ===\n");
+    let mut db = Amos::new();
     db.register_procedure("order", |_ctx, args| {
         println!("  order({}, {})", args[0], args[1]);
         Ok(())
     });
+    db.register_procedure("warn", |_ctx, args| {
+        println!("  warn({})", args[0]);
+        Ok(())
+    });
     db.execute(SCHEMA).expect("schema compiles");
     db.execute(POPULATE).expect("population");
+    if shared {
+        db.execute(SECOND_CALLER).expect("second rule");
+    }
 
     println!(
         "propagation network (fig. {}):",
-        match prep {
-            NetworkPrep::Flat => "2 — flat, fully expanded",
-            NetworkPrep::Bushy => "1 — bushy, threshold shared",
+        match shared {
+            false => "2 — flat, threshold expanded into its one caller",
+            true => "1 — bushy, threshold a node both rules share",
         }
     );
     println!("{}", db.rules().network().render(db.catalog()));
@@ -95,6 +111,6 @@ fn run(prep: NetworkPrep) {
 }
 
 fn main() {
-    run(NetworkPrep::Flat);
-    run(NetworkPrep::Bushy);
+    run(false);
+    run(true);
 }

@@ -9,7 +9,7 @@
 
 use amos_core::rules::CheckSummary;
 use amos_core::MonitorMode;
-use amos_db::{Amos, EngineOptions, ExecStrategy, NetworkPrep, Value};
+use amos_db::{Amos, EngineOptions, ExecStrategy, Value};
 use amos_storage::RelId;
 use amos_types::{Oid, Tuple};
 
@@ -46,8 +46,11 @@ pub struct World {
 
 impl World {
     /// `n` items with one supplier each, `monitor_items` plus
-    /// `extra_rules` more rules over `threshold`, all activated. `order`
-    /// and `noop` are procedures that write nothing.
+    /// `extra_rules` more rules over `threshold`, all activated. With an
+    /// extra rule `threshold` has two or more callers, so it stays a
+    /// shared network node (fig. 1); alone, `monitor_items` expands it
+    /// (fig. 2). `order` and `noop` are procedures that write nothing
+    /// until [`write_back`](Self::write_back).
     pub fn new(n: usize, options: EngineOptions, mode: MonitorMode, extra_rules: usize) -> World {
         let mut db = Amos::with_options(options);
         db.set_monitor_mode(mode);
@@ -127,14 +130,37 @@ impl World {
         }
     }
 
-    /// The flat network (fig. 2) under `strategy`, `monitor_items` alone.
+    /// The flat network (fig. 2) under `strategy`: `monitor_items` is
+    /// `threshold`'s one caller, so `threshold` is expanded into it.
     pub fn flat(n: usize, strategy: ExecStrategy, mode: MonitorMode) -> World {
         let options = EngineOptions {
-            network_prep: NetworkPrep::Flat,
             propagation: strategy,
             ..Default::default()
         };
         World::new(n, options, mode, 0)
+    }
+
+    /// Make every action restock its item, `quantity(i) = max_stock(i)`,
+    /// as the benchmark's `mixed_rules` does: a firing changes the
+    /// database, so the check phase runs another pass.
+    pub fn write_back(&mut self) {
+        for name in ["order", "noop"] {
+            self.db.register_procedure(name, |ctx, args| {
+                let rel = |f: &str| {
+                    let pred = ctx.catalog.lookup(f).map_err(|e| e.to_string())?;
+                    let rel = ctx.catalog.def(pred).stored_rel();
+                    rel.ok_or_else(|| format!("{f} is not stored"))
+                };
+                let (quantity, max_stock) = (rel("quantity")?, rel("max_stock")?);
+                let key = &args[..1];
+                let rows = ctx.storage.relation(max_stock).probe(&[0], key);
+                let max = rows.first().and_then(|t| t.get(1)).ok_or("no max_stock")?;
+                let max = max.clone();
+                ctx.storage
+                    .set_functional(quantity, key, &[max])
+                    .map_err(|e| e.to_string())
+            });
+        }
     }
 
     /// A fig. 6 transaction: one item's quantity changes.
@@ -188,5 +214,27 @@ impl World {
                 .unwrap();
         }
         self.db.commit().unwrap()
+    }
+}
+
+/// The network's shape rule: a derived node other than a condition
+/// exists iff two or more network nodes call it. (Schemas whose
+/// conditions negate a call or recurse keep such calls as nodes; the
+/// callers of this check use neither.)
+pub fn assert_shared_by_caller_count(db: &Amos) {
+    let (net, catalog) = (db.rules().network(), db.catalog());
+    for def in catalog.iter().filter(|d| d.clauses().is_some()) {
+        if net.conditions().contains(&def.id) {
+            continue;
+        }
+        let callers = (net.nodes().iter())
+            .filter(|n| n.pred != def.id && catalog.direct_influents(n.pred).contains(&def.id))
+            .count();
+        assert_eq!(
+            net.node_of(def.id).is_some(),
+            callers >= 2,
+            "`{}` has {callers} calling nodes",
+            def.name
+        );
     }
 }

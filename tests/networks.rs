@@ -1,9 +1,10 @@
 //! Structural tests for the paper's figures 1 and 2: the dependency /
 //! propagation networks derived from `cnd_monitor_items`, per the
-//! DESIGN.md experiment index.
+//! DESIGN.md experiment index. The shape follows from caller counts:
+//! with `monitor_items` alone `threshold` is expanded (fig. 2); a second
+//! rule over `threshold` keeps it as a shared node (fig. 1).
 
-use amos_db::engine::NetworkPrep;
-use amos_db::{Amos, EngineOptions};
+use amos_db::Amos;
 use amos_objectlog::eval::DeltaMap;
 use amos_objectlog::plan::PlanStep;
 use amos_objectlog::planner::{LiveStats, PlanKey, Planner};
@@ -30,13 +31,27 @@ const SCHEMA: &str = r#"
     activate monitor_items();
 "#;
 
-fn build(prep: NetworkPrep) -> Amos {
-    let mut db = Amos::with_options(EngineOptions {
-        network_prep: prep,
-        ..Default::default()
-    });
+mod common;
+use common::assert_shared_by_caller_count;
+
+/// A second caller of `threshold`, which never fires on these tests'
+/// data.
+const OVERSTOCKED: &str = r#"
+    create rule overstocked() as
+        when for each item i where quantity(i) > threshold(i) * 100
+        do warn(i);
+    activate overstocked();
+"#;
+
+/// The §3.1 schema, with `threshold`'s second caller when `shared`.
+fn build(shared: bool) -> Amos {
+    let mut db = Amos::new();
     db.register_procedure("order", |_ctx, _args| Ok(()));
+    db.register_procedure("warn", |_ctx, _args| Ok(()));
     db.execute(SCHEMA).unwrap();
+    if shared {
+        db.execute(OVERSTOCKED).unwrap();
+    }
     db
 }
 
@@ -45,7 +60,7 @@ fn build(prep: NetworkPrep) -> Amos {
 /// "five partial differentials" (plus/minus pairs) are all present.
 #[test]
 fn fig2_flat_network_differentials() {
-    let db = build(NetworkPrep::Flat);
+    let db = build(false);
     let net = db.rules().network();
     let cat = db.catalog();
     let cnd = cat.lookup("cnd_monitor_items").unwrap();
@@ -79,16 +94,17 @@ fn fig2_flat_network_differentials() {
     }
 }
 
-/// fig. 1 — bushy network: `threshold` is an intermediate node; the `*`
-/// edge Δcnd/Δ₊quantity goes straight to the condition; threshold's
-/// influents (consume_freq, delivery_time, supplies, min_stock) feed the
-/// threshold node, not the condition.
+/// fig. 1 — bushy network: with two rules calling it, `threshold` is an
+/// intermediate node; the `*` edge Δcnd/Δ₊quantity goes straight to the
+/// conditions; threshold's influents (consume_freq, delivery_time,
+/// supplies, min_stock) feed the threshold node, not a condition.
 #[test]
 fn fig1_bushy_network_structure() {
-    let db = build(NetworkPrep::Bushy);
+    let db = build(true);
     let net = db.rules().network();
     let cat = db.catalog();
     let cnd = cat.lookup("cnd_monitor_items").unwrap();
+    let conditions = [cnd, cat.lookup("cnd_overstocked").unwrap()];
     let threshold = cat.lookup("threshold").unwrap();
 
     assert_eq!(net.levels().len(), 3);
@@ -104,7 +120,7 @@ fn fig1_bushy_network_structure() {
         .iter()
         .map(|d| net.differential(*d).affected)
         .collect();
-    assert!(q_targets.iter().all(|&a| a == cnd));
+    assert!(q_targets.iter().all(|a| conditions.contains(a)));
 
     // threshold's influents feed threshold only.
     for name in ["consume_freq", "delivery_time", "supplies", "min_stock"] {
@@ -130,8 +146,8 @@ fn fig1_bushy_network_structure() {
         .iter()
         .map(|d| net.differential(*d).affected)
         .collect();
-    assert!(!t_targets.is_empty());
-    assert!(t_targets.iter().all(|&a| a == cnd));
+    assert!(t_targets.contains(&cnd));
+    assert!(t_targets.iter().all(|a| conditions.contains(a)));
 }
 
 /// Differential plans are Δ-seeded: under a small wave, the planner puts
@@ -139,8 +155,8 @@ fn fig1_bushy_network_structure() {
 /// few changes to a single influent").
 #[test]
 fn differential_plans_are_delta_seeded() {
-    for prep in [NetworkPrep::Flat, NetworkPrep::Bushy] {
-        let mut db = build(prep);
+    for shared in [false, true] {
+        let mut db = build(shared);
         db.execute(
             "create item instances :a, :b, :c; create supplier instances :s, :t;
              set quantity(:a) = 5; set quantity(:b) = 500; set quantity(:c) = 50;
@@ -164,7 +180,7 @@ fn differential_plans_are_delta_seeded() {
             let plan = planner.resolve(key, catalog, &d.clause, &[], &stats);
             assert!(
                 matches!(plan.unwrap().steps[0], PlanStep::Delta { .. }),
-                "{prep:?}: differential {} not delta-seeded",
+                "shared {shared}: differential {} not delta-seeded",
                 d.display_name(catalog)
             );
         }
@@ -172,21 +188,17 @@ fn differential_plans_are_delta_seeded() {
 }
 
 /// The one index rule, as a census of the §3.1 schema the benchmark
-/// monitors — flat with one rule, bushy with one and with eight that
-/// share `threshold`: each stored function's key index, plus the
-/// columns the differentials, the naive monitor and bound calls of
-/// `threshold` probe. The extents are scanned, never probed.
+/// monitors — flat with one rule, and with eight that share `threshold`
+/// as a node: each stored function's key index, plus the columns the
+/// differentials, the naive monitor and bound calls of `threshold`
+/// probe. The extents are scanned, never probed.
 #[test]
 fn index_census_of_the_inventory_schema() {
     let variants = "create rule monitor_items_1() as when for each item i
          where quantity(i) < threshold(i) + 1 do order(i, 1);
          activate monitor_items_1();";
-    for (prep, rules) in [
-        (NetworkPrep::Flat, 1),
-        (NetworkPrep::Bushy, 1),
-        (NetworkPrep::Bushy, 8),
-    ] {
-        let mut db = build(prep);
+    for rules in [1, 8] {
+        let mut db = build(false);
         for k in 1..rules {
             db.execute(
                 &variants
@@ -209,14 +221,14 @@ fn index_census_of_the_inventory_schema() {
             ("delivery_time", 3),
         ];
         for (name, expected) in census {
-            assert_eq!(count(name), expected, "{prep:?} ×{rules}: {name}");
+            assert_eq!(count(name), expected, "×{rules}: {name}");
         }
         let extents: Vec<_> = storage
             .relation_ids()
             .filter(|&rel| storage.relation(rel).name().ends_with("extent"))
             .map(|rel| storage.relation(rel).index_count())
             .collect();
-        assert_eq!(extents, [0, 0], "{prep:?} ×{rules}: extents");
+        assert_eq!(extents, [0, 0], "×{rules}: extents");
     }
 }
 
@@ -224,17 +236,7 @@ fn index_census_of_the_inventory_schema() {
 /// threshold node rather than duplicating it.
 #[test]
 fn node_sharing_across_rules() {
-    let mut db = build(NetworkPrep::Bushy);
-    db.register_procedure("warn", |_ctx, _args| Ok(()));
-    db.execute(
-        r#"
-        create rule overstocked() as
-            when for each item i where quantity(i) > threshold(i) * 100
-            do warn(i);
-        activate overstocked();
-    "#,
-    )
-    .unwrap();
+    let db = build(true);
     let net = db.rules().network();
     let cat = db.catalog();
     let threshold = cat.lookup("threshold").unwrap();
@@ -250,4 +252,47 @@ fn node_sharing_across_rules() {
         net.nodes().iter().filter(|n| n.pred == threshold).count(),
         1
     );
+}
+
+/// The caller-count census: after every activation, deactivation and
+/// drop, a derived node other than a condition exists iff two or more
+/// network nodes call it. `threshold` goes flat → shared → flat as its
+/// second caller comes and goes, and a nested helper with one caller
+/// (`lead`, called only by `slack`) is expanded into whatever calls it.
+#[test]
+fn caller_count_census_across_activations() {
+    let mut db = build(false);
+    let threshold = db.catalog().lookup("threshold").unwrap();
+    let is_node = |db: &Amos, p| db.rules().network().node_of(p).is_some();
+    assert_shared_by_caller_count(&db);
+    assert!(!is_node(&db, threshold));
+    db.execute(OVERSTOCKED).unwrap();
+    assert_shared_by_caller_count(&db);
+    assert!(is_node(&db, threshold));
+    db.execute(
+        r#"
+        create function lead(item i) -> integer as select threshold(i) * 2;
+        create function slack(item i) -> integer as select lead(i) - quantity(i);
+        create rule tight() as when for each item i where slack(i) > 0 do warn(i);
+        create rule loose() as when for each item i where slack(i) > 10 do warn(i);
+        activate tight();
+    "#,
+    )
+    .unwrap();
+    assert_shared_by_caller_count(&db);
+    let [lead, slack] = ["lead", "slack"].map(|f| db.catalog().lookup(f).unwrap());
+    assert!(!is_node(&db, slack) && !is_node(&db, lead));
+    db.execute("activate loose();").unwrap();
+    assert_shared_by_caller_count(&db);
+    assert!(is_node(&db, slack) && !is_node(&db, lead));
+    db.execute("deactivate overstocked();").unwrap();
+    assert_shared_by_caller_count(&db);
+    // `slack`'s body calls `threshold` through the expanded `lead`, and
+    // `monitor_items` calls it: still two callers.
+    assert!(is_node(&db, threshold));
+    db.execute("drop rule loose; deactivate monitor_items();")
+        .unwrap();
+    assert_shared_by_caller_count(&db);
+    assert!(!is_node(&db, threshold) && !is_node(&db, slack));
+    assert_eq!(db.rules().network().levels().len(), 2, "flat again");
 }

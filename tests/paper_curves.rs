@@ -18,7 +18,7 @@
 use std::fmt::Write as _;
 
 use amos_core::MonitorMode;
-use amos_db::{EngineOptions, ExecStrategy, NetworkPrep, Tuple, Value};
+use amos_db::{EngineOptions, ExecStrategy, Tuple, Value};
 use amos_objectlog::eval::{DeltaMap, EvalContext};
 use amos_storage::{Polarity, StateEpoch};
 
@@ -254,28 +254,95 @@ fn every_item_fires_at_10_000_items() {
     every_item_fires(10_000);
 }
 
-/// §7.1 sharing in the evaluator: on the bushy network every rule's
-/// `Δcnd/Δ±quantity` differential calls the unchanged `threshold(i)`.
-/// Per-pass tabling derives it once per state epoch and serves the other
-/// k−1 rules from the memo. The second transaction's pass compiles
-/// nothing: `threshold`'s body, too, runs on the plan the first left.
+/// §7.1 sharing in the evaluator. With k ≥ 2 rules `threshold` has k
+/// callers, so it stays a shared node and every rule's `Δcnd/Δ±quantity`
+/// differential calls the unchanged `threshold(i)`. Per-pass tabling
+/// derives it once per state epoch and serves the other k−1 rules from
+/// the memo. With one rule `threshold` is expanded into the condition
+/// (fig. 2): there is no call to table, and each differential's plan is
+/// the only plan the pass resolves. The second transaction's pass
+/// compiles nothing: `threshold`'s body, too, runs on the plan the first
+/// left.
 #[test]
 fn shared_threshold_call_is_tabled_once_per_state() {
     for k in [1usize, 2, 4, 8, 16] {
-        let options = EngineOptions {
-            network_prep: NetworkPrep::Bushy,
-            ..Default::default()
-        };
-        let mut w = World::new(100, options, MonitorMode::Incremental, k - 1);
+        let mut w = World::new(
+            100,
+            EngineOptions::default(),
+            MonitorMode::Incremental,
+            k - 1,
+        );
         w.update_quantity(0, 10_001);
         w.update_quantity(1, 10_002);
         let m = w.db.last_pass_metrics().unwrap();
+        let (hits, misses) = if k == 1 {
+            (0, 0)
+        } else {
+            (2 * (k as u64 - 1), 2)
+        };
         assert_eq!(
             (m.tabling_hits, m.tabling_misses),
-            (2 * (k as u64 - 1), 2),
+            (hits, misses),
             "k = {k} rules"
         );
         assert_eq!(m.replans, 0, "k = {k} rules");
-        assert!(m.plan_cache_hits > m.fired as u64, "k = {k} rules");
+        if k == 1 {
+            assert_eq!(m.plan_cache_hits, m.fired as u64, "k = 1 rule");
+        } else {
+            assert!(m.plan_cache_hits > m.fired as u64, "k = {k} rules");
+        }
     }
+}
+
+/// `RuleManager::stats()` sums every pass, not the last: across one
+/// cascading check phase its delta equals the sum over the trace's
+/// passes, family by family. The world is the benchmark's `mixed_rules`
+/// in small: eight rules share `threshold`, and every action restocks
+/// its item, so the phase runs a second pass that retracts the other
+/// rules' triggered instances.
+#[test]
+fn stats_sum_every_pass_of_a_cascading_check_phase() {
+    let mut w = World::new(100, EngineOptions::default(), MonitorMode::Incremental, 7);
+    w.write_back();
+    let threshold = w.db.catalog().lookup("threshold").unwrap();
+    assert!(w.db.rules().network().node_of(threshold).is_some());
+    w.update_quantity(3, 10_001);
+    let before = w.db.rules().stats();
+    w.update_quantity(0, 0);
+    let after = w.db.rules().stats();
+    let passes = &w.db.rules().last_trace().passes;
+    assert!(
+        passes.len() >= 2,
+        "the write-back cascades: {}",
+        passes.len()
+    );
+    let metrics: Vec<_> = passes.iter().filter_map(|p| p.metrics.as_ref()).collect();
+    assert_eq!(metrics.len(), passes.len());
+    macro_rules! family {
+        ($($f:ident),*) => {
+            [$((stringify!($f), after.$f - before.$f, metrics.iter().map(|m| m.$f).sum::<u64>())),*]
+        };
+    }
+    let families = family!(
+        probes,
+        scans,
+        delta_probes,
+        delta_scans,
+        fallback_scans,
+        tabling_hits,
+        tabling_misses,
+        replans,
+        plan_cache_hits,
+        filter_holds,
+        filter_probes
+    );
+    for (family, delta, summed) in families {
+        assert_eq!(delta, summed, "{family}");
+    }
+    let last = w.db.last_pass_metrics().unwrap();
+    assert!(
+        after.probes - before.probes > last.probes,
+        "the first pass probes too"
+    );
+    assert_eq!(after.fallback_scans, 0);
 }
